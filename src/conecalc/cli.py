@@ -142,7 +142,6 @@ def _cmd_check(args) -> int:
         "dim": args.dim,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": args.workers,
     }
     if args.kind in ("positivity", "monotone", "duality") and not args.f:
         raise DomainError(f"check {args.kind} needs --f")
@@ -430,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=seed)
-        p.add_argument("--workers", type=int, default=1,
-                       help="cap library parallelism (results are identical for any value)")
         p.add_argument("--output", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("cone", help="Riesz characteristic and dual of a cone")

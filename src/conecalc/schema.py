@@ -66,12 +66,14 @@ def validate_report(report: dict) -> None:
     """
     schema = load_schema()
     defs = schema["definitions"]
-    if not isinstance(report, dict) or "command" in report is None:
-        raise InternalConsistencyError("report must be an object with a command")
-    if "error" in report:
+    if not isinstance(report, dict):
+        raise InternalConsistencyError("report must be a JSON object")
+    if "error" in report:  # usage errors precede any command
         _check(report, defs["error_report"], "$", defs)
         return
-    command = report.get("command")
+    if "command" not in report:
+        raise InternalConsistencyError("report has no command")
+    command = report["command"]
     if "report" in report:
         name = f"{command}_{report['report']}_report"
     else:

@@ -31,14 +31,24 @@ Solution methods: exact policy (Howard) iteration over the frozen frame
 choices, which converges in a handful of sparse linear solves, and the
 damped Jacobi fixed-point iteration ``u <- u + tau R(u)`` with
 ``tau = h^2 / (2 w)`` (w the total frame weight), kept as a reference
-method and used for the min-max form.  Both are deterministic and
-independent of worker count; outputs are bitwise reproducible.
+method and used for the min-max form.  Both are deterministic; outputs
+are bitwise reproducible.
+
+Unknowns are numbered once, by geometric nested dissection of the
+lattice with separator strips as wide as the stencil reach, so every
+frozen-frame matrix is assembled already in a low-fill order.  Being a
+monotone scheme, that matrix is a nonsingular M-matrix: each policy step
+is one pivot-free LU factorization plus one step of iterative refinement
+with the same factor.  ``converged`` means residual <= tol at the
+returned iterate.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional
@@ -77,6 +87,11 @@ class StencilSet:
     @property
     def count(self) -> int:
         return self.directions.shape[0]
+
+    @property
+    def reach(self) -> int:
+        """Max-norm of the longest direction."""
+        return int(np.max(np.abs(self.directions)))
 
 
 def _coprime_directions(ndim: int, reach: int) -> np.ndarray:
@@ -292,6 +307,42 @@ class DirichletProblem:
 # -- scheme assembly -----------------------------------------------------------
 
 
+def _dissection(points: np.ndarray, reach: int, leaf: int = 64):
+    """Geometric nested-dissection order of lattice points (George 1973).
+
+    The bounding box of ``points`` (n, ndim) is split across its longest
+    axis by a separator strip ``reach`` cells wide, which no stencil arm
+    of max-norm <= ``reach`` can cross; the left half is ordered first,
+    then the right half, then the strip.  Boxes of at most ``leaf``
+    points, or too thin to split, keep their input order.
+
+    Returns ``(order, splits)``: ``order`` permutes the point indices,
+    and each split ``(start, mid, stop)`` marks ``order[start:mid]`` and
+    ``order[mid:stop]`` as two halves that one separator keeps apart.
+    """
+    order, splits = [], []
+
+    def visit(ids):
+        pts = points[ids]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        extent = int(hi[axis] - lo[axis]) + 1
+        if ids.size <= leaf or extent < reach + 2:
+            order.extend(ids.tolist())
+            return
+        cut = int(lo[axis]) + (extent - reach) // 2
+        c = pts[:, axis]
+        start = len(order)
+        visit(ids[c < cut])
+        mid = len(order)
+        visit(ids[c >= cut + reach])
+        splits.append((start, mid, len(order)))
+        order.extend(ids[(c >= cut) & (c < cut + reach)].tolist())
+
+    visit(np.arange(points.shape[0]))
+    return np.array(order, dtype=np.intp), splits
+
+
 class _Scheme:
     """Precomputed stencil admissibility and frame combos for one problem."""
 
@@ -307,7 +358,8 @@ class _Scheme:
         if not unknown.any():
             raise DomainError("problem has no unknown cells")
         punct = problem.puncture_mask()
-        self.unknown_idx = np.argwhere(unknown)
+        lattice = np.argwhere(unknown)
+        self.unknown_idx = lattice[_dissection(lattice, stencil.reach)[0]]
         self.unknown_flat = np.ravel_multi_index(self.unknown_idx.T, shape)
         N = self.unknown_flat.shape[0]
         self.rank = -np.ones(int(np.prod(shape)), dtype=np.intp)
@@ -342,7 +394,8 @@ class _Scheme:
         )
         covered = self.combo_valid.any(axis=0)
         if not covered.all():
-            bad = tuple(int(i) for i in self.unknown_idx[np.argmin(covered)])
+            first = self.unknown_flat[~covered].min()  # lexicographically first
+            bad = tuple(int(i) for i in np.unravel_index(first, shape))
             raise DiscretizationError(
                 f"no admissible stencil frame at {bad}; refine the grid or "
                 "shrink the puncture set"
@@ -434,7 +487,7 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     if stencil is None:
         stencil = make_stencil(u.ndim)
     idx = np.asarray(index, dtype=np.intp)
-    reach = int(np.max(np.abs(stencil.directions)))
+    reach = stencil.reach
     if np.any(idx < reach) or np.any(idx > np.array(u.shape) - 1 - reach):
         raise StencilError(f"stencil is clipped by the grid boundary at {tuple(idx)}")
     uvals = u.values
@@ -531,9 +584,14 @@ def solve(
             if prev_sel is not None and np.array_equal(sel, prev_sel):
                 break
             L, rhs = scheme.assemble(sel)
-            u_new = u.copy()
-            u_new[scheme.unknown_flat] = spla.spsolve(L.tocsc(), rhs)
-            u = u_new
+            # L is a nonsingular M-matrix already in nested-dissection
+            # order, so it factors without pivoting or column reordering;
+            # one refinement step brings the solve down to round-off.
+            lu = spla.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            x = lu.solve(rhs)
+            x += lu.solve(rhs - L @ x)
+            del lu  # never hold two factors at once
+            u[scheme.unknown_flat] = x
             prev_sel = sel
             res_sup = float(np.max(np.abs(scheme.residuals(u))))
             history.append((it, res_sup))
@@ -744,7 +802,7 @@ def removability_experiment(
 
 # -- problem files ---------------------------------------------------------------
 
-_EXPR_NAMES = {
+_EXPR_FUNCS = {
     "sqrt": np.sqrt,
     "log": np.log,
     "exp": np.exp,
@@ -757,26 +815,80 @@ _EXPR_NAMES = {
     "where": np.where,
     "hypot": np.hypot,
     "arctan2": np.arctan2,
-    "pi": np.pi,
-    "e": np.e,
 }
+
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.USub: operator.neg,
+    ast.UAdd: operator.pos,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+}
+
+
+def _eval_node(node, names: dict):
+    """Evaluate one node of a whitelisted expression tree."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        left = _eval_node(node.left, names)
+        return _EXPR_OPS[type(node.op)](left, _eval_node(node.right, names))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_node(node.operand, names))
+    if (
+        isinstance(node, ast.Compare)
+        and len(node.ops) == 1
+        and type(node.ops[0]) in _EXPR_OPS
+    ):
+        left = _eval_node(node.left, names)
+        return _EXPR_OPS[type(node.ops[0])](left, _eval_node(node.comparators[0], names))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_FUNCS
+        and not node.keywords
+    ):
+        args = [_eval_node(a, names) for a in node.args]
+        return _EXPR_FUNCS[node.func.id](*args)
+    raise DomainError(
+        f"boundary expression may not contain {ast.unparse(node)!r}: only numbers, "
+        "x, y, z, r, pi, e, arithmetic, single comparisons and calls to "
+        f"{', '.join(_EXPR_FUNCS)} are allowed"
+    )
 
 
 def evaluate_expression(expr: str, coords) -> np.ndarray:
     """Evaluate a boundary expression over coordinate arrays.
 
-    The namespace exposes x, y, z (as available), r (distance to the
-    coordinate origin), and a whitelist of numpy functions.
+    The expression may use number literals, x, y, z (as available), r
+    (distance to the coordinate origin), pi, e, arithmetic, single
+    comparisons and calls to the whitelisted numpy functions; anything
+    else raises DomainError.  Nothing in it is executed as Python code.
     """
-    ns = dict(_EXPR_NAMES)
+    names = {"pi": np.pi, "e": np.e}
     for name, arr in zip("xyz", coords):
-        ns[name] = arr
-    ns["r"] = np.sqrt(sum(c * c for c in coords))
+        names[name] = arr
+    names["r"] = np.sqrt(sum(c * c for c in coords))
     try:
-        vals = eval(expr, {"__builtins__": {}}, ns)  # noqa: S307 - whitelisted
-    except Exception as exc:
+        vals = _eval_node(ast.parse(expr, mode="eval").body, names)
+        return np.broadcast_to(np.asarray(vals, dtype=float), coords[0].shape).copy()
+    except DomainError:
+        raise
+    # the parser reports over-deep nesting as MemoryError
+    except (SyntaxError, MemoryError, RecursionError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"boundary expression failed: {exc}") from exc
-    return np.broadcast_to(np.asarray(vals, dtype=float), coords[0].shape).copy()
 
 
 def problem_from_config(cfg: dict) -> DirichletProblem:

@@ -268,11 +268,13 @@ def test_criterion_6_solver_accuracy():
 
     rels = {}
     times = {}
+    converged = {}
     for nside in (129, 257):
         prob = problem_from_config(annulus_config(nside))
         t0 = time.time()
         rep = solve(prob, tol=1e-10)
         times[nside] = time.time() - t0
+        converged[nside] = rep.converged
         unk = prob.unknown_mask()
         err = float(np.max(np.abs(rep.solution.values[unk] - prob.boundary_values[unk])))
         rels[nside] = err / float(np.max(np.abs(prob.boundary_values[unk])))
@@ -280,6 +282,7 @@ def test_criterion_6_solver_accuracy():
         quad_err <= 1e-8
         and rels[129] <= 0.02
         and rels[257] < rels[129]
+        and all(converged.values())
         and max(t_quad, *times.values()) <= 60.0
     )
     report(
@@ -287,6 +290,7 @@ def test_criterion_6_solver_accuracy():
         ok,
         f"quadratic 65^2 err {quad_err:.1e} (tol 1e-8); annulus rel err "
         f"129^2 {rels[129]:.5f} (tol 0.02) -> 257^2 {rels[257]:.5f} (strictly smaller); "
+        f"converged {converged}; "
         f"slowest solve {max(t_quad, *times.values()):.1f}s (cap 60s)",
     )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conecalc import grids, schema
+from conecalc.errors import InternalConsistencyError
 from conecalc.grids import GridFunction, from_function, write_grid
 
 
@@ -78,6 +79,12 @@ def test_cone_parse_error_position_and_exit():
     schema.validate_report(rep)
     assert rep["error"]["kind"] == "parse"
     assert rep["error"]["position"] > 0
+
+
+def test_schema_rejects_report_without_command():
+    schema.validate_report({"error": {"kind": "usage", "message": "bad flag"}})
+    with pytest.raises(InternalConsistencyError, match="no command"):
+        schema.validate_report({"kind": "monotone", "passed": True, "seed": 0, "dim": 2})
 
 
 # -- check suites ------------------------------------------------------------------
@@ -312,16 +319,6 @@ def test_byte_identical_reruns(tmp_path):
     _, out1, _ = run_cli(*args)
     _, out2, _ = run_cli(*args)
     assert out1 == out2
-
-
-def test_worker_count_does_not_change_output():
-    base = ("check", "duality", "--f", "branch:2", "--dim", "4", "--samples", "500")
-    _, out1, _ = run_cli(*base, "--workers", "1")
-    _, out4, _ = run_cli(*base, "--workers", "4")
-    assert json.loads(out1)["passed"] == json.loads(out4)["passed"]
-    o1, o4 = json.loads(out1), json.loads(out4)
-    o1.pop("workers"), o4.pop("workers")
-    assert o1 == o4
 
 
 def test_env_seed_override():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conecalc import cones, grids, riesz
 from conecalc.errors import (
@@ -11,6 +13,8 @@ from conecalc.errors import (
 from conecalc.grids import GridFunction, from_function, grid_coordinates
 from conecalc.solver import (
     DirichletProblem,
+    _dissection,
+    evaluate_expression,
     harmonic_verify,
     make_stencil,
     problem_from_config,
@@ -73,6 +77,43 @@ def test_stencil_rejects_bad_inputs():
         make_stencil(4, 3)
     with pytest.raises(DomainError):
         make_stencil(2, 0)
+
+
+@st.composite
+def lattice_problems(draw):
+    """Small 2-D/3-D problems with an optional hole box and punctures."""
+    nd = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(5, 24 if nd == 2 else 10)) for _ in range(nd))
+    hole = None
+    if draw(st.booleans()):
+        lo = [draw(st.integers(0, s - 1)) for s in shape]
+        hi = [draw(st.integers(a, s - 1)) for a, s in zip(lo, shape)]
+        hole = np.zeros(shape, dtype=bool)
+        hole[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] = True
+    interior = st.tuples(*[st.integers(1, s - 2) for s in shape])
+    punctures = draw(st.lists(interior, max_size=6, unique=True))
+    if hole is not None:
+        punctures = [pt for pt in punctures if not hole[pt]]
+    g = np.zeros(shape)
+    return DirichletProblem(shape, np.zeros(nd), 0.1, ("pp", 2), g, hole, tuple(punctures))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(problem=lattice_problems(), reach=st.integers(1, 3), leaf=st.integers(1, 64))
+def test_dissection_separates_halves(problem, reach, leaf):
+    points = np.argwhere(problem.unknown_mask())
+    assume(points.shape[0] > 0)
+    order, splits = _dissection(points, reach, leaf)
+    assert np.array_equal(np.sort(order), np.arange(points.shape[0]))
+    arms = make_stencil(problem.ndim, reach).directions
+    for start, mid, stop in splits:
+        right = np.zeros(problem.shape, dtype=bool)
+        right[tuple(points[order[mid:stop]].T)] = True
+        left = points[order[start:mid]]
+        for v in np.concatenate([arms, -arms]):
+            ends = left + v
+            inside = np.all((ends >= 0) & (ends < problem.shape), axis=1)
+            assert not right[tuple(ends[inside].T)].any()
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -267,7 +308,13 @@ def test_puncture_without_admissible_frame_errors():
         "boundary": {"expr": "x*x - y*y"},
     }
     prob = problem_from_config(cfg).with_punctures([(5, 4), (4, 5), (5, 5), (5, 3)])
-    with pytest.raises(DiscretizationError):
+    with pytest.raises(DiscretizationError, match=r"at \(4, 3\);"):
+        solve(prob, stencil=make_stencil(2, 1))
+    # the lexicographically first uncovered point is reported, whatever
+    # order the unknowns are numbered in (here (4, 2) is numbered first)
+    cfg["grid"] = {"shape": [17, 17], "origin": [-1, -1], "h": 0.125}
+    prob = problem_from_config(cfg).with_punctures([(2, 8), (2, 9), (5, 2), (5, 3)])
+    with pytest.raises(DiscretizationError, match=r"at \(1, 8\);"):
         solve(prob, stencil=make_stencil(2, 1))
 
 
@@ -390,6 +437,47 @@ def test_problem_from_config_errors():
     cfg["boundary"] = {"expr": "open('x')"}
     with pytest.raises(DomainError):
         problem_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "().__class__.__mro__[1].__subclasses__()",
+        "x.__class__",
+        "x.real",
+        "x[0]",
+        "(lambda: x)()",
+        "[c for c in (1, 2)]",
+        "sum(c for c in (1, 2))",
+        "__import__('os').system('true')",
+        "__builtins__",
+        "sqrt(x, out=x)",
+        "sqrt(*x)",
+        "sqrt",
+        "'x'",
+        "x if y else 1",
+        "0 < x < 1",
+        "where(x > 0)",
+        "1/0",
+        "(" * 300 + "x" + ")" * 300,
+        "-" * 100_000 + "1",
+    ],
+)
+def test_boundary_expression_cannot_run_code(expr):
+    cfg = annulus_config(17)
+    cfg["boundary"] = {"expr": expr}
+    with pytest.raises(DomainError, match="boundary expression"):
+        problem_from_config(cfg)
+
+
+def test_boundary_expression_whitelist():
+    coords = grid_coordinates((5, 5), np.array([-1.0, -1.0]), 0.5)
+    x, y = coords
+    got = evaluate_expression(
+        "where(x >= 0, hypot(x, y), -abs(y)) + -x**2 % 3 // 1 + pi*e - r/2", coords
+    )
+    want = np.where(x >= 0, np.hypot(x, y), -np.abs(y)) + -x**2 % 3 // 1 + np.pi * np.e
+    assert np.array_equal(got, want - np.sqrt(x * x + y * y) / 2)
 
 
 def test_problem_validation():
