@@ -231,7 +231,7 @@ def _cmd_polar(args) -> int:
         "box_dimension": None,
     }
     if args.box_scales:
-        scales = [float(tok) for tok in args.box_scales.split(",")]
+        scales = _parse_vector(args.box_scales)
         report["box_dimension"] = riesz.box_dimension(points, scales)
         report["box_dimension_note"] = (
             "advisory sampled estimate; compare against p - 2 = "
@@ -278,7 +278,10 @@ def _cmd_grid(args) -> int:
     elif args.action == "hessian":
         if not args.at:
             raise DomainError("grid hessian needs --at")
-        idx = tuple(int(tok) for tok in args.at.split(","))
+        try:
+            idx = tuple(int(tok) for tok in args.at.split(","))
+        except ValueError as exc:
+            raise DomainError(f"could not parse grid index {args.at!r}: {exc}") from exc
         report["jet"] = grids.discrete_hessian(u, idx).to_dict()
     _emit(report, args.output)
     return code
@@ -393,11 +396,23 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
     return passed
 
 
+_EXPERIMENT_KEYS = {
+    "removability": ("problem", "puncture"),
+    "solve": ("problem",),
+    "convergence": ("problem", "resolutions"),
+}
+
+
 def _cmd_experiment(args) -> int:
     cfg = _load_json(args.config)
+    if not isinstance(cfg, dict):
+        raise DomainError("experiment config must be a JSON object")
     kind = cfg.get("kind")
-    if kind not in ("removability", "solve", "convergence"):
+    if kind not in _EXPERIMENT_KEYS:
         raise DomainError(f"experiment kind must be removability/solve/convergence, got {kind!r}")
+    missing = [key for key in _EXPERIMENT_KEYS[kind] if key not in cfg]
+    if missing:
+        raise DomainError(f"{kind} experiment config is missing {', '.join(missing)}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     report = {"command": "experiment", "kind": kind, "seed": args.seed, "outputs": []}

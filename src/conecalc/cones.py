@@ -485,34 +485,24 @@ def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
 def dual_contains(spec: ConeSpec, A) -> MembershipReport:
     """Membership of A in the dual cone, ``-A not interior to the base``.
 
-    For partial-sum and branch cones the closed-form fast path (top
-    partial sum; reflected branch index) is evaluated as well and must
-    agree with the definitional margin.
+    Where ``dual_fast_margins`` has a closed form (top partial sum;
+    reflected branch index) it is evaluated as well and must agree with
+    the definitional margin.
     """
     A = as_matrix(A)
     if A.n != spec.dim:
         raise DimensionMismatchError(f"matrix dim {A.n} != cone dim {spec.dim}")
     margin = float(margins(dual_cone(spec), A)[0])
     scale = A.scale
-    fast = None
+    fast = dual_fast_margins(spec, A)
     witness = None
-    if spec.kind in ("pp", "positivity"):
-        p = spec.p if spec.kind == "pp" else 1.0
-        lam = symmat.eigenvalues_of(A)
-        fast = float(top_partial_sum_eigs(lam, p))
-    elif spec.kind == "branch":
-        reflected = spec.dim - spec.k + 1
-        lam = symmat.eigenvalues_of(A)
-        fast = float(lam[reflected - 1])
-        witness = {"eigen_index": reflected}
+    if spec.kind == "branch":
+        witness = {"eigen_index": spec.dim - spec.k + 1}
     elif spec.kind == "cbranch":
-        m = spec.dim // 2
-        reflected = m - spec.k + 1
-        fast = float(symmat.hermitian_eigenvalues(A)[reflected - 1])
-        witness = {"hermitian_eigen_index": reflected}
-    if fast is not None and abs(fast - margin) > INTERIOR_TOL * scale:
+        witness = {"hermitian_eigen_index": spec.dim // 2 - spec.k + 1}
+    if fast is not None and abs(fast[0] - margin) > INTERIOR_TOL * scale:
         raise InternalConsistencyError(
-            f"dual fast path {fast:.6g} disagrees with definitional margin "
+            f"dual fast path {fast[0]:.6g} disagrees with definitional margin "
             f"{margin:.6g} for {spec.describe()}"
         )
     threshold = -INTERIOR_TOL * scale

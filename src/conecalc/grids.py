@@ -228,7 +228,7 @@ def discrete_hessian_field(u: GridFunction):
     ok = _shifted(usable, (0,) * nd).copy()
     for off in _hessian_offsets(nd):
         ok &= _shifted(usable, off)
-    vals = u.values
+    vals = np.where(usable, u.values, 0.0)  # unusable cells feed dropped points only
     h = u.h
     center = _shifted(vals, (0,) * nd)
     grad = np.empty(center.shape + (nd,))
@@ -261,9 +261,10 @@ def discrete_hessian_field(u: GridFunction):
 def discrete_hessian(u: GridFunction, index) -> Jet2:
     """Central-difference 2-jet at one interior unmasked point.
 
-    O(h^2) consistent on C^4 data and exact (to roundoff) on quadratics.
-    Raises StencilError when the stencil is clipped by the boundary or
-    touches the mask.
+    The point's row of ``discrete_hessian_field``, computed on the
+    3^ndim block around it.  O(h^2) consistent on C^4 data and exact (to
+    roundoff) on quadratics.  Raises StencilError when the stencil is
+    clipped by the boundary or touches the mask.
     """
     nd = u.ndim
     idx = tuple(int(i) for i in index)
@@ -271,36 +272,14 @@ def discrete_hessian(u: GridFunction, index) -> Jet2:
         raise DomainError(f"index length {len(idx)} != grid dim {nd}")
     if any(i < 1 or i > s - 2 for i, s in zip(idx, u.shape)):
         raise StencilError(f"stencil at {idx} is clipped by the grid boundary")
-    usable = _usable(u)
-    for off in _hessian_offsets(nd):
-        p = tuple(i + o for i, o in zip(idx, off))
-        if not usable[p]:
-            raise StencilError(f"stencil at {idx} touches a masked or -inf cell {p}")
-    h = u.h
-    vals = u.values
-
-    def at(*off):
-        return vals[tuple(i + o for i, o in zip(idx, off))]
-
-    grad = np.empty(nd)
-    hess = np.empty((nd, nd))
-    for i in range(nd):
-        ei = [0] * nd
-        ei[i] = 1
-        up, dn = at(*ei), at(*[-o for o in ei])
-        grad[i] = (up - dn) / (2 * h)
-        hess[i, i] = (up - 2 * at(*([0] * nd)) + dn) / (h * h)
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            def corner(si, sj):
-                off = [0] * nd
-                off[i], off[j] = si, sj
-                return at(*off)
-
-            hess[i, j] = hess[j, i] = (
-                corner(1, 1) + corner(-1, -1) - corner(1, -1) - corner(-1, 1)
-            ) / (4 * h * h)
-    return Jet2(float(vals[idx]), grad, SymMatrix(hess))
+    block = tuple(slice(i - 1, i + 2) for i in idx)
+    mask = None if u.mask is None else u.mask[block]
+    _, value, grad, hess = discrete_hessian_field(
+        GridFunction(u.values[block], u.origin, u.h, mask)
+    )
+    if not value.size:
+        raise StencilError(f"stencil at {idx} touches a masked or -inf cell")
+    return Jet2(float(value[0]), grad[0], SymMatrix(hess[0]))
 
 
 def third_difference_kappa(u: GridFunction) -> float:
@@ -590,8 +569,11 @@ def write_grid(path, u: GridFunction) -> None:
 
 
 def read_grid(path) -> GridFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"could not read grid file {path}: {exc}") from exc
     if not lines or not lines[0].startswith("grid "):
         raise DomainError(f"not a grid file: {path}")
     fields = {}

@@ -132,20 +132,16 @@ def uniform_measure(points) -> DiscreteMeasure:
 
 def potential_value(spec: RieszKernelSpec, mu: DiscreteMeasure, x) -> float:
     """Potential value at x; -inf when x sits on an atom and p >= 2."""
-    x = np.asarray(x, dtype=float).ravel()
-    if mu.n != spec.n:
-        raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
-    r = np.linalg.norm(mu.points - x, axis=1)
-    vals = kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r))
-    neg = np.isneginf(vals) & (mu.weights > 0)
-    if np.any(neg):
-        return float("-inf")
-    return float(np.add.reduce(mu.weights * np.where(np.isneginf(vals), 0.0, vals)))
+    return float(potential_values(spec, mu, np.asarray(x, dtype=float).ravel())[0])
 
 
 def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
     """Vectorized potential values at a batch of points, shape (N,)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if mu.n != spec.n:
+        raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
+    if xs.shape[-1] != spec.n:
+        raise DimensionMismatchError(f"point dim {xs.shape[-1]} != kernel dim {spec.n}")
     r = np.linalg.norm(xs[:, None, :] - mu.points[None, :, :], axis=-1)
     vals = kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r))
     neg = np.isneginf(vals)
@@ -164,6 +160,8 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     x = np.asarray(x, dtype=float).ravel()
     if mu.n != spec.n:
         raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
+    if x.shape[0] != spec.n:
+        raise DimensionMismatchError(f"point dim {x.shape[0]} != kernel dim {spec.n}")
     _, dist = mu.nearest_atom(x)
     if dist <= NEAR_POLE:
         if spec.p >= 2.0:
@@ -281,7 +279,10 @@ def box_dimension(points, scales) -> float:
 
 def read_measure_csv(path) -> DiscreteMeasure:
     """Read atoms from CSV rows ``x1,...,xn,weight``."""
-    rows = np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"could not read measure CSV {path}: {exc}") from exc
     if rows.shape[1] < 2:
         raise DomainError("measure rows need coordinates plus a weight column")
     return DiscreteMeasure(rows[:, :-1], rows[:, -1])

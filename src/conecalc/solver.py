@@ -22,6 +22,13 @@ frames snapped to the stencil:
 * branch 1 / ndim:   min / max over directions
 * branch 2 in 3-D:   min over orthogonal pairs of max(D_v, D_w)
 
+Each operator's combos are two rectangular (C, k) arrays, direction
+indices and weights.  One kernel evaluates the scheme: a single gather of
+the (D, N) second differences, the combo values built slot by slot, then
+the residual and the selected combo.  The solvers, the pointwise
+``residual`` (on the one column at its point) and ``assemble`` (over the
+same arrays) all share it.
+
 Increasing any neighbor value never decreases a residual, so the scheme
 is monotone.  Punctured cells carry no boundary condition: they are
 excluded from the unknown set and every stencil direction touching them
@@ -166,42 +173,68 @@ def operator_cone(op, ndim: int) -> ConeSpec:
 def _combos(op: tuple, stencil: StencilSet):
     """Frame combinations and the reduction form of an operator.
 
-    Returns (form, combo list) where each combo is (direction indices,
-    weights).  Forms: ``min``, ``max``, ``trace`` (first admissible
-    combo), ``minmax`` (min over pairs of the pair max).
+    Returns ``(form, dirs, weights)``: combo c takes the second differences
+    along directions ``dirs[c]`` with weights ``weights[c]``, both (C, k)
+    with the same k for every combo.  Forms: ``min``, ``max``, ``trace``
+    (first admissible combo), ``minmax`` (min over pairs of the pair max).
     """
     kind, val = op
     nd = stencil.ndim
+    pairs = np.array(stencil.ortho_pairs, dtype=np.intp).reshape(-1, 2)
+    triples = np.array(stencil.ortho_triples, dtype=np.intp).reshape(-1, 3)
     if kind == "pp":
         if abs(val - nd) < 1e-12:
-            if nd == 2:
-                combos = [((i, j), (1.0, 1.0)) for i, j in stencil.ortho_pairs]
-            else:
-                combos = [((i, j, k), (1.0, 1.0, 1.0)) for i, j, k in stencil.ortho_triples]
-            return "trace", combos
+            dirs = pairs if nd == 2 else triples
+            return "trace", dirs, np.ones(dirs.shape)
         if val <= 2.0:
-            combos = []
-            for i, j in stencil.ortho_pairs:
-                combos.append(((i, j), (1.0, val - 1.0)))
-                combos.append(((j, i), (1.0, val - 1.0)))
-            return "min", combos
-        # 2 < p < 3 in 3-D: distinguished third slot
-        combos = []
-        for t in stencil.ortho_triples:
-            for z in range(3):
-                rest = tuple(t[m] for m in range(3) if m != z)
-                combos.append(((rest[0], rest[1], t[z]), (1.0, 1.0, val - 2.0)))
-        if not combos:
+            dirs = np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
+            return "min", dirs, np.tile([1.0, val - 1.0], (dirs.shape[0], 1))
+        # 2 < p < 3 in 3-D: each slot of a triple in turn is the third
+        if not triples.size:
             raise DomainError("stencil has no orthogonal triples; increase reach")
-        return "min", combos
+        dirs = triples[:, [[1, 2, 0], [0, 2, 1], [0, 1, 2]]].reshape(-1, 3)
+        return "min", dirs, np.tile([1.0, 1.0, val - 2.0], (dirs.shape[0], 1))
     # branch
     k = int(val)
-    if k == 1:
-        return "min", [((i,), (1.0,)) for i in range(stencil.count)]
-    if k == nd:
-        return "max", [((i,), (1.0,)) for i in range(stencil.count)]
+    if k in (1, nd):
+        dirs = np.arange(stencil.count, dtype=np.intp)[:, None]
+        return ("min" if k == 1 else "max"), dirs, np.ones(dirs.shape)
     # k = 2 in 3-D
-    return "minmax", [((i, j), (1.0, 1.0)) for i, j in stencil.ortho_pairs]
+    return "minmax", pairs, np.ones(pairs.shape)
+
+
+def _evaluate(u, center, plus, minus, coeff, combos, admissible=None):
+    """Scheme residual and selected combo at the points ``center``.
+
+    One gather gives the (D, N) second differences
+    ``(u[plus] + u[minus] - 2 u[center]) * coeff``.  The (C, N) combo
+    values are then built slot by slot, a weighted sum or for ``minmax``
+    a running maximum, so no (C, k, N) array is formed.  Combos that are
+    not ``admissible`` (all are when None) are never selected; the trace
+    form selects the first admissible one.  Returns ``(residual,
+    selection)``, both (N,).
+    """
+    form, dirs, weights = combos
+    dv = u[plus]
+    dv += u[minus]
+    dv -= 2.0 * u[center]
+    dv *= coeff[:, None]
+    vals = weights[:, :1] * dv[dirs[:, 0]]
+    for s in range(1, dirs.shape[1]):
+        slot = dv[dirs[:, s]]
+        if form == "minmax":
+            np.maximum(vals, slot, out=vals)
+        else:
+            slot *= weights[:, s, None]
+            vals += slot
+    n = vals.shape[1]
+    if form == "trace":
+        sel = np.zeros(n, np.intp) if admissible is None else np.argmax(admissible, axis=0)
+    else:
+        if admissible is not None:
+            vals[~admissible] = -np.inf if form == "max" else np.inf
+        sel = np.argmax(vals, axis=0) if form == "max" else np.argmin(vals, axis=0)
+    return vals[sel, np.arange(n)], sel
 
 
 # -- problems -----------------------------------------------------------------
@@ -350,49 +383,36 @@ class _Scheme:
         if stencil.ndim != problem.ndim:
             raise DomainError("stencil dimension does not match the problem")
         self.problem = problem
-        self.stencil = stencil
         shape = problem.shape
-        nd = problem.ndim
-        self.h = problem.h
         unknown = problem.unknown_mask()
         if not unknown.any():
             raise DomainError("problem has no unknown cells")
-        punct = problem.puncture_mask()
         lattice = np.argwhere(unknown)
-        self.unknown_idx = lattice[_dissection(lattice, stencil.reach)[0]]
-        self.unknown_flat = np.ravel_multi_index(self.unknown_idx.T, shape)
+        idx = lattice[_dissection(lattice, stencil.reach)[0]]
+        self.unknown_flat = np.ravel_multi_index(idx.T, shape)
         N = self.unknown_flat.shape[0]
         self.rank = -np.ones(int(np.prod(shape)), dtype=np.intp)
         self.rank[self.unknown_flat] = np.arange(N)
 
-        D = stencil.count
-        self.plus = np.zeros((D, N), dtype=np.intp)
-        self.minus = np.zeros((D, N), dtype=np.intp)
-        self.valid = np.zeros((D, N), dtype=bool)
-        self.coeff = 1.0 / (self.h * stencil.lengths) ** 2
-        dims = np.array(shape)
-        punct_flat = punct.reshape(-1)
-        for d in range(D):
-            v = stencil.directions[d]
-            pp = self.unknown_idx + v
-            mm = self.unknown_idx - v
-            ok = np.all((pp >= 0) & (pp < dims), axis=1) & np.all(
-                (mm >= 0) & (mm < dims), axis=1
-            )
-            pf = np.zeros(N, dtype=np.intp)
-            mf = np.zeros(N, dtype=np.intp)
-            pf[ok] = np.ravel_multi_index(pp[ok].T, shape)
-            mf[ok] = np.ravel_multi_index(mm[ok].T, shape)
-            ok[ok] &= ~punct_flat[pf[ok]] & ~punct_flat[mf[ok]]
-            self.plus[d], self.minus[d], self.valid[d] = pf, mf, ok
+        # (D, N) flat neighbor indices along every direction; 0 where an
+        # arm leaves the grid, and such arms or ones landing on a puncture
+        # are not valid
+        arm = np.abs(stencil.directions)[:, None]
+        valid = np.all((idx >= arm) & (idx < np.array(shape) - arm), axis=2)
+        strides = np.array([int(np.prod(shape[a + 1 :])) for a in range(len(shape))])
+        step = (stencil.directions @ strides)[:, None]
+        self.plus = np.where(valid, self.unknown_flat + step, 0)
+        self.minus = np.where(valid, self.unknown_flat - step, 0)
+        punct = problem.puncture_mask().reshape(-1)
+        valid &= ~punct[self.plus] & ~punct[self.minus]
+        self.coeff = 1.0 / (problem.h * stencil.lengths) ** 2
 
-        self.form, combos = _combos(problem.operator, stencil)
-        self.combo_dirs = [np.array(c[0], dtype=np.intp) for c in combos]
-        self.combo_weights = [np.array(c[1]) for c in combos]
-        self.combo_valid = np.stack(
-            [np.all(self.valid[ds], axis=0) for ds in self.combo_dirs]
+        self.combos = _combos(problem.operator, stencil)
+        self.form, self.dirs, self.weights = self.combos
+        self.admissible = reduce(
+            operator.and_, (valid[self.dirs[:, s]] for s in range(self.dirs.shape[1]))
         )
-        covered = self.combo_valid.any(axis=0)
+        covered = self.admissible.any(axis=0)
         if not covered.all():
             first = self.unknown_flat[~covered].min()  # lexicographically first
             bad = tuple(int(i) for i in np.unravel_index(first, shape))
@@ -400,48 +420,14 @@ class _Scheme:
                 f"no admissible stencil frame at {bad}; refine the grid or "
                 "shrink the puncture set"
             )
-        self.weight_total = max(float(w.sum()) for w in self.combo_weights)
-        if self.form == "trace":
-            # fixed first-admissible frame per point; the operator is linear
-            self.fixed_choice = np.argmax(self.combo_valid, axis=0)
+        self.weight_total = float(self.weights.sum(axis=1).max())
 
-    # second differences along every direction, NaN where inadmissible
-    def _second_differences(self, u_flat: np.ndarray) -> np.ndarray:
-        uc = u_flat[self.unknown_flat]
-        out = np.full((self.stencil.count, uc.shape[0]), np.nan)
-        for d in range(self.stencil.count):
-            ok = self.valid[d]
-            out[d, ok] = (
-                u_flat[self.plus[d, ok]] + u_flat[self.minus[d, ok]] - 2.0 * uc[ok]
-            ) * self.coeff[d]
-        return out
-
-    def combo_values(self, u_flat: np.ndarray) -> np.ndarray:
-        dv = self._second_differences(u_flat)
-        vals = np.full((len(self.combo_dirs), self.unknown_flat.shape[0]), np.nan)
-        for c, (ds, ws) in enumerate(zip(self.combo_dirs, self.combo_weights)):
-            if self.form == "minmax":
-                vals[c] = np.max(dv[ds], axis=0)
-            else:
-                vals[c] = np.einsum("i,ij->j", ws, dv[ds])
-        vals[~self.combo_valid] = np.nan
-        return vals
-
-    def residuals(self, u_flat: np.ndarray) -> np.ndarray:
-        vals = self.combo_values(u_flat)
-        if self.form == "max":
-            return np.fmax.reduce(vals, axis=0)
-        if self.form == "trace":
-            return vals[self.fixed_choice, np.arange(vals.shape[1])]
-        return np.fmin.reduce(vals, axis=0)
-
-    def select(self, u_flat: np.ndarray) -> np.ndarray:
-        vals = self.combo_values(u_flat)
-        if self.form == "trace":
-            return self.fixed_choice
-        if self.form == "max":
-            return np.nanargmax(vals, axis=0)
-        return np.nanargmin(vals, axis=0)
+    def evaluate(self, u_flat: np.ndarray):
+        """Residual and selected frame combo at every unknown."""
+        return _evaluate(
+            u_flat, self.unknown_flat, self.plus, self.minus, self.coeff,
+            self.combos, self.admissible,
+        )
 
     def assemble(self, selection: np.ndarray):
         """Sparse linear system of the frozen-frame scheme, L u = rhs."""
@@ -450,22 +436,19 @@ class _Scheme:
         rows, cols, data = [], [], []
         rhs = np.zeros(N)
         diag = np.zeros(N)
-        for c, (ds, ws) in enumerate(zip(self.combo_dirs, self.combo_weights)):
-            pts = np.nonzero(selection == c)[0]
-            if pts.size == 0:
-                continue
-            for d, w in zip(ds, ws):
-                if w == 0.0:
-                    continue
-                coef = w * self.coeff[d]
-                diag[pts] -= 2.0 * coef
-                for nbr in (self.plus[d, pts], self.minus[d, pts]):
-                    r = self.rank[nbr]
-                    inner = r >= 0
-                    rows.append(pts[inner])
-                    cols.append(r[inner])
-                    data.append(np.full(inner.sum(), coef))
-                    rhs[pts[~inner]] -= coef * g[nbr[~inner]]
+        for s in range(self.dirs.shape[1]):
+            w = self.weights[selection, s]
+            pts = np.nonzero(w != 0.0)[0]
+            d = self.dirs[selection[pts], s]
+            coef = w[pts] * self.coeff[d]
+            diag[pts] -= 2.0 * coef
+            for nbr in (self.plus[d, pts], self.minus[d, pts]):
+                r = self.rank[nbr]
+                inner = r >= 0
+                rows.append(pts[inner])
+                cols.append(r[inner])
+                data.append(coef[inner])
+                rhs[pts[~inner]] -= coef[~inner] * g[nbr[~inner]]
         rows.append(np.arange(N))
         cols.append(np.arange(N))
         data.append(diag)
@@ -490,26 +473,14 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     reach = stencil.reach
     if np.any(idx < reach) or np.any(idx > np.array(u.shape) - 1 - reach):
         raise StencilError(f"stencil is clipped by the grid boundary at {tuple(idx)}")
-    uvals = u.values
-    dv = np.empty(stencil.count)
-    center = uvals[tuple(idx)]
-    for d in range(stencil.count):
-        v = stencil.directions[d]
-        a = uvals[tuple(idx + v)]
-        b = uvals[tuple(idx - v)]
-        if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(center)):
-            raise StencilError(f"stencil at {tuple(idx)} reads a non-finite value")
-        dv[d] = (a + b - 2.0 * center) / (u.h * stencil.lengths[d]) ** 2
-    form, combos = _combos(op, stencil)
-    vals = []
-    for ds, ws in combos:
-        block = dv[list(ds)]
-        vals.append(np.max(block) if form == "minmax" else float(np.dot(ws, block)))
-    if form == "max":
-        return float(np.max(vals))
-    if form == "trace":
-        return float(vals[0])
-    return float(np.min(vals))
+    center = np.ravel_multi_index(idx[:, None], u.shape)
+    plus = np.ravel_multi_index((idx + stencil.directions).T, u.shape)[:, None]
+    minus = np.ravel_multi_index((idx - stencil.directions).T, u.shape)[:, None]
+    uvals = u.values.reshape(-1)
+    if not np.isfinite(uvals[np.concatenate([center, plus[:, 0], minus[:, 0]])]).all():
+        raise StencilError(f"stencil at {tuple(idx)} reads a non-finite value")
+    coeff = 1.0 / (u.h * stencil.lengths) ** 2
+    return float(_evaluate(uvals, center, plus, minus, coeff, _combos(op, stencil))[0][0])
 
 
 # -- solving -------------------------------------------------------------------
@@ -574,13 +545,13 @@ def solve(
     history = []
     if method == "policy":
         prev_sel = None
-        res_sup = float(np.max(np.abs(scheme.residuals(u))))
+        r, sel = scheme.evaluate(u)
+        res_sup = float(np.max(np.abs(r)))
         history.append((0, res_sup))
         converged = res_sup <= tol
         it = 0
         while not converged and it < 60:
             it += 1
-            sel = scheme.select(u)
             if prev_sel is not None and np.array_equal(sel, prev_sel):
                 break
             L, rhs = scheme.assemble(sel)
@@ -593,7 +564,8 @@ def solve(
             del lu  # never hold two factors at once
             u[scheme.unknown_flat] = x
             prev_sel = sel
-            res_sup = float(np.max(np.abs(scheme.residuals(u))))
+            r, sel = scheme.evaluate(u)
+            res_sup = float(np.max(np.abs(r)))
             history.append((it, res_sup))
             converged = res_sup <= tol
         return SolveReport(
@@ -604,7 +576,7 @@ def solve(
     res_sup = np.inf
     it = 0
     while it < max_iter:
-        r = scheme.residuals(u)
+        r = scheme.evaluate(u)[0]
         res_sup = float(np.max(np.abs(r)))
         if it % 25 == 0 or res_sup <= tol:
             history.append((it, res_sup))
@@ -901,13 +873,20 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
     try:
         grid = cfg["grid"]
         shape = tuple(int(s) for s in grid["shape"])
-        origin = np.asarray(grid["origin"], dtype=float)
+        nd = len(shape)
+        origin = np.asarray(grid["origin"], dtype=float).reshape(nd)
         h = float(grid["h"])
         op_kind = cfg["operator"]
-        op = (op_kind, cfg["p"] if op_kind == "pp" else cfg["k"])
-        boundary = cfg["boundary"]
+        op = _normalize_op((op_kind, cfg["p"] if op_kind == "pp" else cfg["k"]))
+        boundary = dict(cfg["boundary"])
+        box = cfg.get("hole")
+        if box:
+            box = [np.asarray(box[key], dtype=float).reshape(nd) for key in ("min", "max")]
+        points = [np.asarray(pt, dtype=float).reshape(nd) for pt in cfg.get("puncture") or []]
     except KeyError as exc:
         raise DomainError(f"problem config is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed problem config: {exc}") from exc
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
         g = evaluate_expression(boundary["expr"], coords)
@@ -919,14 +898,10 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
     else:
         raise DomainError("boundary needs 'expr' or 'grid_file'")
     hole = None
-    if cfg.get("hole"):
-        lo = np.asarray(cfg["hole"]["min"], dtype=float)
-        hi = np.asarray(cfg["hole"]["max"], dtype=float)
+    if box:
+        lo, hi = box
         hole = np.ones(shape, dtype=bool)
-        for d in range(len(shape)):
+        for d in range(nd):
             hole &= (coords[d] >= lo[d] - 1e-12) & (coords[d] <= hi[d] + 1e-12)
-    punctures = []
-    for pt in cfg.get("puncture", []) or []:
-        pt = np.asarray(pt, dtype=float)
-        punctures.append(tuple(int(round(c)) for c in (pt - origin) / h))
+    punctures = [tuple(int(round(c)) for c in (pt - origin) / h) for pt in points]
     return DirichletProblem(shape, origin, h, op, g, hole, tuple(punctures))

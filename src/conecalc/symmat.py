@@ -431,18 +431,27 @@ def _parse_float_row(line: str, path, lineno: int) -> list[float]:
         raise DomainError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _read_csv_blocks(path) -> list[list[list[float]]]:
+    """Float rows of a CSV file, grouped into blocks at blank lines."""
+    blocks = [[]]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    blocks[-1].append(_parse_float_row(line, path, lineno))
+                elif blocks[-1]:
+                    blocks.append([])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"could not read {path}: {exc}") from exc
+    if len({len(row) for block in blocks for row in block}) > 1:
+        raise DomainError(f"rows of {path} differ in length")
+    return [block for block in blocks if block]
+
+
 def read_matrix_csv(path) -> SymMatrix:
     """Read a matrix stored as n lines of n comma-separated floats."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(_parse_float_row(line, path, lineno))
-    if not rows:
-        raise DomainError(f"empty matrix file: {path}")
-    return SymMatrix(np.array(rows))
+    return SymMatrix(read_vectors_csv(path))
 
 
 def write_matrix_csv(path, A) -> None:
@@ -454,33 +463,15 @@ def write_matrix_csv(path, A) -> None:
 
 def read_vectors_csv(path) -> np.ndarray:
     """Read points or vectors, one per line, comma-separated."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(_parse_float_row(line, path, lineno))
+    rows = [row for block in _read_csv_blocks(path) for row in block]
     if not rows:
-        raise DomainError(f"empty vector file: {path}")
+        raise DomainError(f"no rows in {path}")
     return np.array(rows)
 
 
 def read_frames_csv(path) -> list[Frame]:
     """Read frames from CSV: vectors as rows, blank lines separate frames."""
-    frames = []
-    block: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                if block:
-                    frames.append(Frame(np.array(block)))
-                    block = []
-                continue
-            block.append(_parse_float_row(line, path, lineno))
-    if block:
-        frames.append(Frame(np.array(block)))
+    frames = [Frame(np.array(block)) for block in _read_csv_blocks(path)]
     if not frames:
         raise DomainError(f"no frames found in {path}")
     return frames

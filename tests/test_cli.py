@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conecalc import grids, schema
+from conecalc import cli, grids, schema
 from conecalc.errors import InternalConsistencyError
 from conecalc.grids import GridFunction, from_function, write_grid
 
@@ -295,6 +295,77 @@ def test_malformed_config_is_usage_error(tmp_path):
 
 
 # -- contract-level behavior ---------------------------------------------------------
+
+
+_GOOD_PROBLEM = {
+    "operator": "pp",
+    "p": 2,
+    "grid": {"shape": [9, 9], "origin": [-1, -1], "h": 0.25},
+    "boundary": {"expr": "x*x"},
+}
+
+_BAD_INPUT_FILES = {
+    "pts2.csv": "0.1,0.2\n0.3,0.4\n",
+    "atoms2.csv": "0.1,0.2,1\n0.3,0.4,1\n",
+    "badcell.csv": "0,0,1\n0,abc,1\n",
+    "list.json": "[1, 2]",
+    "pabc.json": json.dumps(dict(_GOOD_PROBLEM, p="abc")),
+    "origin.json": json.dumps(dict(_GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1], "h": 0.25})),
+    "hole.json": json.dumps(dict(_GOOD_PROBLEM, hole={"min": [0, 0]})),
+    "puncture.json": json.dumps(dict(_GOOD_PROBLEM, puncture=5)),
+    "noproblem.json": json.dumps({"kind": "solve"}),
+    "nopuncture.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM}),
+    "noresolutions.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM}),
+    "notobject.json": "[1]",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["grid", "extend", "--input", "missing.grid"], id="grid-missing"),
+        pytest.param(["cone", "--spec", "pp:2", "--dim", "3", "--matrix", "missing.csv"],
+                     id="matrix-missing"),
+        pytest.param(["polar", "--points", "missing.csv", "--p", "2"], id="points-missing"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x", "1,0",
+                      "--measure", "missing.csv"], id="measure-missing"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x", "1,0",
+                      "--measure", "badcell.csv"], id="measure-non-numeric"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x", "1,0,0",
+                      "--measure", "atoms2.csv"], id="measure-point-dimension"),
+        pytest.param(["grid", "hessian", "--input", "u.grid", "--at", "a,b"], id="hessian-at"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "x"],
+                     id="box-scales"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=5,5,5 origin=0,0,0 h=0.1", "--grid-output", "x.grid"],
+                     id="polar-grid-dimension"),
+        pytest.param(["solve", "--problem", "list.json"], id="problem-list"),
+        pytest.param(["solve", "--problem", "pabc.json"], id="problem-p-text"),
+        pytest.param(["solve", "--problem", "origin.json"], id="problem-origin-dimension"),
+        pytest.param(["solve", "--problem", "hole.json"], id="problem-hole-no-max"),
+        pytest.param(["solve", "--problem", "puncture.json"], id="problem-puncture-not-list"),
+        pytest.param(["experiment", "--config", "noproblem.json", "--output-dir", "out"],
+                     id="experiment-no-problem"),
+        pytest.param(["experiment", "--config", "nopuncture.json", "--output-dir", "out"],
+                     id="experiment-no-puncture"),
+        pytest.param(["experiment", "--config", "noresolutions.json", "--output-dir", "out"],
+                     id="experiment-no-resolutions"),
+        pytest.param(["experiment", "--config", "notobject.json", "--output-dir", "out"],
+                     id="experiment-not-object"),
+    ],
+)
+def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # in-process: no subprocess start-up per case
+    write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
+    for name, text in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    rep = json.loads(capsys.readouterr().out)
+    schema.validate_report(rep)
+    assert rep["command"] == argv[0]
+    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError")
+    assert not (tmp_path / "x.grid").exists()
 
 
 def test_unknown_flags_rejected():

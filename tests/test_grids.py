@@ -8,6 +8,7 @@ from conecalc.grids import (
     GridFunction,
     canonical_extension,
     discrete_hessian,
+    discrete_hessian_field,
     distance_jet,
     from_function,
     perturb,
@@ -153,6 +154,28 @@ def test_hessian_matches_kernel_jet_at_second_order():
         exact = riesz.kernel_jet(spec, u.point((3, 3, 3))).hessian.entries
         errs.append(np.max(np.abs(jet.hessian.entries - exact)))
     assert errs[1] <= errs[0] / 3.0  # second-order decay
+
+
+@pytest.mark.parametrize("shape", [(9, 11), (7, 6, 8)])
+def test_pointwise_hessian_is_the_field_row(shape):
+    # one implementation: the pointwise jet is bitwise the field's row
+    rng = np.random.default_rng(len(shape))
+    vals = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.1
+    vals[mask] = -np.inf
+    u = GridFunction(vals, np.zeros(len(shape)), 0.3, mask)
+    idx, value, grad, hess = discrete_hessian_field(u)
+    rows = {tuple(int(c) for c in i): k for k, i in enumerate(idx)}
+    for point in np.ndindex(*shape):
+        if point not in rows:
+            with pytest.raises(StencilError):
+                discrete_hessian(u, point)
+            continue
+        k = rows[point]
+        jet = discrete_hessian(u, point)
+        assert jet.value == value[k]
+        assert np.array_equal(jet.gradient, grad[k])
+        assert np.array_equal(jet.hessian.entries, hess[k])
 
 
 def test_hessian_stencil_errors():

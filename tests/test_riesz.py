@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conecalc import cones, riesz, symmat
-from conecalc.errors import DomainError, PoleError, UnsupportedPolarError
+from conecalc.errors import (
+    DimensionMismatchError,
+    DomainError,
+    PoleError,
+    UnsupportedPolarError,
+)
 from conecalc.riesz import (
     DiscreteMeasure,
     RieszKernelSpec,
@@ -12,6 +17,7 @@ from conecalc.riesz import (
     kernel_value,
     potential_jet,
     potential_value,
+    potential_values,
     truncated_potential_value,
     uniform_measure,
 )
@@ -131,6 +137,22 @@ def test_potential_two_atoms_value():
     spec = RieszKernelSpec(3.0, 3)
     mu = DiscreteMeasure(np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.ones(2))
     assert potential_value(spec, mu, np.zeros(3)) == pytest.approx(-2.0)
+
+
+def test_potential_values_check_dimensions():
+    # the batched path is the only one, so it owns the dimension checks
+    spec = RieszKernelSpec(3.0, 3)
+    rng = np.random.default_rng(9)
+    mu = DiscreteMeasure(rng.standard_normal((40, 3)), rng.random(40))
+    xs = rng.standard_normal((50, 3))
+    batched = potential_values(spec, mu, xs)
+    assert all(potential_value(spec, mu, x) == v for x, v in zip(xs, batched))
+    with pytest.raises(DimensionMismatchError):
+        potential_values(spec, mu, rng.standard_normal((5, 2)))
+    with pytest.raises(DimensionMismatchError):
+        potential_values(RieszKernelSpec(3.0, 4), mu, rng.standard_normal((5, 4)))
+    with pytest.raises(DimensionMismatchError):
+        potential_value(spec, mu, np.zeros(2))
 
 
 def test_potential_subharmonic_at_random_points():

@@ -13,6 +13,8 @@ from conecalc.errors import (
 from conecalc.grids import GridFunction, from_function, grid_coordinates
 from conecalc.solver import (
     DirichletProblem,
+    _Scheme,
+    _combos,
     _dissection,
     evaluate_expression,
     harmonic_verify,
@@ -180,6 +182,102 @@ def test_residual_stencil_clipped():
     u = quadratic_grid(np.eye(2))
     with pytest.raises(StencilError):
         residual(u, (1, 8), ("pp", 2))
+
+
+def _loop_scheme(problem, stencil, u):
+    """Reference scheme: Python loops over directions and combos, NaN
+    marking every second difference whose arm leaves the grid or lands
+    on a puncture."""
+    form, dirs, weights = _combos(problem.operator, stencil)
+    unknown = np.argwhere(problem.unknown_mask())
+    flat = np.ravel_multi_index(unknown.T, problem.shape)
+    punct = problem.puncture_mask()
+    coeff = 1.0 / (problem.h * stencil.lengths) ** 2
+    dv = np.full((stencil.count, flat.size), np.nan)
+    for d, v in enumerate(stencil.directions):
+        for k, p in enumerate(unknown):
+            a, b = p + v, p - v
+            if all(0 <= c < s for q in (a, b) for c, s in zip(q, problem.shape)):
+                if not (punct[tuple(a)] or punct[tuple(b)]):
+                    dv[d, k] = (u[tuple(a)] + u[tuple(b)] - 2.0 * u[tuple(p)]) * coeff[d]
+    vals = np.empty((dirs.shape[0], flat.size))
+    for c, (ds, ws) in enumerate(zip(dirs, weights)):
+        vals[c] = np.max(dv[ds], axis=0) if form == "minmax" else np.einsum("i,ij->j", ws, dv[ds])
+    if form == "trace":
+        sel = np.argmax(~np.isnan(vals), axis=0)
+    else:
+        sel = (np.nanargmax if form == "max" else np.nanargmin)(vals, axis=0)
+    return flat, vals[sel, np.arange(flat.size)], sel
+
+
+@pytest.mark.parametrize(
+    "shape, op, reach",
+    [
+        ((17, 19), ("pp", 1.5), 3),
+        ((17, 19), ("pp", 1.0), 3),
+        ((17, 19), ("pp", 2), 3),
+        ((17, 19), ("branch", 1), 3),
+        ((17, 19), ("branch", 2), 3),
+        ((9, 10, 11), ("branch", 2), 2),
+        ((9, 10, 11), ("pp", 1.5), 2),
+        ((9, 10, 11), ("pp", 2.5), 2),
+        ((9, 10, 11), ("pp", 3), 2),
+    ],
+)
+def test_scheme_kernel_matches_loop_reference(shape, op, reach):
+    # same arithmetic as the loops, so residuals and frames agree bitwise;
+    # the hole and the puncture make some frames inadmissible
+    rng = np.random.default_rng(sum(shape))
+    nd = len(shape)
+    vals = rng.standard_normal(shape)
+    hole = np.zeros(shape, dtype=bool)
+    hole[(slice(3, 5),) * nd] = True
+    st = make_stencil(nd, reach)
+    problem = DirichletProblem(shape, np.zeros(nd), 0.1, op, vals, hole, [(6,) * nd])
+    scheme = _Scheme(problem, st)
+    u = vals.copy()
+    u[(6,) * nd] = 0.0
+    flat, ref_res, ref_sel = _loop_scheme(problem, st, u)
+    order = np.argsort(scheme.unknown_flat)
+    assert np.array_equal(scheme.unknown_flat[order], flat)
+    res, sel = scheme.evaluate(u.reshape(-1))
+    assert np.array_equal(res[order], ref_res)
+    assert np.array_equal(sel[order], ref_sel)
+    if scheme.form != "minmax":
+        # the frozen-frame system reproduces the residual of its frames
+        L, rhs = scheme.assemble(sel)
+        lin = L @ u.reshape(-1)[scheme.unknown_flat] - rhs
+        assert np.allclose(lin, res, rtol=1e-12, atol=1e-12 * np.abs(res).max())
+        assert np.all(L.data != 0)  # zero-weight slots add no entries
+
+
+@pytest.mark.parametrize(
+    "shape, op, reach",
+    [
+        ((15, 17), ("pp", 1.5), 3),
+        ((15, 17), ("branch", 1), 3),
+        ((15, 17), ("branch", 2), 3),
+        ((9, 10, 11), ("branch", 2), 2),
+        ((9, 10, 11), ("pp", 2.5), 2),
+        ((9, 10, 11), ("pp", 3), 2),
+    ],
+)
+def test_pointwise_residual_is_the_scheme_residual(shape, op, reach):
+    # one implementation: bitwise equal wherever the full stencil reaches
+    rng = np.random.default_rng(len(shape) * 10 + reach)
+    vals = rng.standard_normal(shape)
+    st = make_stencil(len(shape), reach)
+    problem = DirichletProblem(shape, np.zeros(len(shape)), 0.1, op, vals)
+    scheme = _Scheme(problem, st)
+    batched = scheme.evaluate(vals.reshape(-1))[0]
+    u = GridFunction(vals, problem.origin, problem.h)
+    checked = 0
+    for k, flat in enumerate(scheme.unknown_flat):
+        idx = np.unravel_index(flat, shape)
+        if all(reach <= i < s - reach for i, s in zip(idx, shape)):
+            assert residual(u, idx, op, st) == batched[k], idx
+            checked += 1
+    assert checked == np.prod([s - 2 * reach for s in shape])
 
 
 def test_scheme_monotonicity_in_neighbor_values():
