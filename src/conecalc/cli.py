@@ -60,6 +60,11 @@ def _load_json(path):
         raise DomainError(f"could not read JSON config {path}: {exc}") from exc
 
 
+def _stencil(cfg: dict, problem) -> solver.StencilSet:
+    """The stencil a problem or experiment config asks for (reach 3 by default)."""
+    return solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
+
+
 def _write_convergence_csv(path, history) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -202,22 +207,6 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _parse_grid_geometry(text: str):
-    fields = {}
-    for token in text.split():
-        key, _, val = token.partition("=")
-        fields[key] = val
-    try:
-        shape = tuple(int(s) for s in fields["shape"].split(","))
-        origin = np.array([float(v) for v in fields["origin"].split(",")])
-        h = float(fields["h"])
-    except (KeyError, ValueError) as exc:
-        raise DomainError(
-            f"grid geometry must look like 'shape=65,65 origin=-1,-1 h=0.03125': {exc}"
-        ) from exc
-    return shape, origin, h
-
-
 def _cmd_polar(args) -> int:
     points = symmat.read_vectors_csv(args.points)
     polar = riesz.build_polar(points, args.p)
@@ -240,7 +229,7 @@ def _cmd_polar(args) -> int:
     if args.grid_output:
         if not args.grid:
             raise DomainError("--grid-output needs --grid geometry")
-        shape, origin, h = _parse_grid_geometry(args.grid)
+        shape, origin, h = grids.parse_geometry(args.grid)
         coords = grids.grid_coordinates(shape, origin, h)
         pts = np.stack([c.reshape(-1) for c in coords], axis=1)
         vals = polar.values(pts).reshape(shape)
@@ -290,10 +279,7 @@ def _cmd_grid(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load_json(args.problem)
     problem = solver.problem_from_config(cfg)
-    stencil = solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
-    rep = solver.solve(
-        problem, stencil=stencil, tol=args.tol, max_iter=args.max_iter, method=args.method
-    )
+    rep = solver.solve(problem, _stencil(cfg, problem), tol=args.tol, max_iter=args.max_iter)
     report = {
         "command": "solve",
         "solve": rep.to_dict(),
@@ -314,12 +300,11 @@ def _cmd_solve(args) -> int:
 
 def _experiment_removability(cfg, outdir: Path, report: dict) -> bool:
     problem = solver.problem_from_config(cfg["problem"])
-    stencil = solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
     rep = solver.removability_experiment(
         problem,
         cfg["puncture"],
         polar_p=cfg.get("polar_p"),
-        stencil=stencil,
+        stencil=_stencil(cfg, problem),
         tol=cfg.get("tol", 1e-9),
         eps_values=tuple(cfg.get("eps", (1e-2, 1e-3))),
         gap_constant=cfg.get("gap_constant", 5.0),
@@ -345,8 +330,7 @@ def _experiment_removability(cfg, outdir: Path, report: dict) -> bool:
 
 def _experiment_solve(cfg, outdir: Path, report: dict) -> bool:
     problem = solver.problem_from_config(cfg["problem"])
-    stencil = solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
-    rep = solver.solve(problem, stencil=stencil, tol=cfg.get("tol", 1e-8))
+    rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-8))
     report["solve"] = rep.to_dict()
     sol_path = outdir / "solution.grid"
     conv_path = outdir / "convergence.csv"
@@ -361,17 +345,14 @@ def _experiment_solve(cfg, outdir: Path, report: dict) -> bool:
 
 
 def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
-    base = cfg["problem"]
+    base = solver.problem_from_config(cfg["problem"])
+    span = (base.shape[0] - 1) * base.h
     rows = []
     for nside in cfg["resolutions"]:
-        pcfg = json.loads(json.dumps(base))
-        lo = np.asarray(pcfg["grid"]["origin"], dtype=float)
-        span = (np.asarray(pcfg["grid"]["shape"], dtype=float) - 1) * pcfg["grid"]["h"]
-        pcfg["grid"]["shape"] = [int(nside)] * len(lo)
-        pcfg["grid"]["h"] = float(span[0] / (nside - 1))
-        problem = solver.problem_from_config(pcfg)
-        stencil = solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
-        rep = solver.solve(problem, stencil=stencil, tol=cfg.get("tol", 1e-9))
+        grid = {"shape": [nside] * base.ndim, "origin": base.origin.tolist(),
+                "h": span / (nside - 1)}
+        problem = solver.problem_from_config(dict(cfg["problem"], grid=grid))
+        rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-9))
         unk = problem.unknown_mask()
         exact = problem.boundary_values
         err = float(np.max(np.abs(rep.solution.values[unk] - exact[unk])))
@@ -403,6 +384,31 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_experiment_fields(cfg: dict) -> None:
+    """Reject optional experiment fields of the wrong type up front."""
+    crit = cfg.get("pass_criteria") or {}
+    if not isinstance(crit, dict):
+        raise DomainError(f"pass_criteria must be an object, got {crit!r}")
+    numbers = [(key, cfg[key]) for key in ("tol", "gap_constant") if key in cfg]
+    if cfg.get("polar_p") is not None:
+        numbers.append(("polar_p", cfg["polar_p"]))
+    numbers += [(key, crit[key]) for key in
+                ("sup_gap", "masked_gap", "residual_sup", "max_rel_error") if key in crit]
+    for key, val in numbers:
+        if not _is_number(val):
+            raise DomainError(f"experiment field {key!r} must be a number, got {val!r}")
+    eps = cfg.get("eps", [])
+    if not (isinstance(eps, list) and all(map(_is_number, eps))):
+        raise DomainError(f"eps must be a list of numbers, got {eps!r}")
+    res = cfg.get("resolutions", [])
+    if not (isinstance(res, list) and all(type(n) is int and n >= 2 for n in res)):
+        raise DomainError(f"resolutions must be a list of integers >= 2, got {res!r}")
+
+
 def _cmd_experiment(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
@@ -413,6 +419,7 @@ def _cmd_experiment(args) -> int:
     missing = [key for key in _EXPERIMENT_KEYS[kind] if key not in cfg]
     if missing:
         raise DomainError(f"{kind} experiment config is missing {', '.join(missing)}")
+    _check_experiment_fields(cfg)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     report = {"command": "experiment", "kind": kind, "seed": args.seed, "outputs": []}
@@ -498,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=200000)
-    p.add_argument("--method", choices=["auto", "policy", "jacobi"], default="auto")
     p.add_argument("--output-prefix", default=None)
     common(p)
 

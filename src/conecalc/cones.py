@@ -48,9 +48,12 @@ from .symmat import (
     Frame,
     SymMatrix,
     as_matrix,
-    elementary_symmetric_all,
+    elementary_symmetric,
+    frame_traces,
+    hermitian_eigenvalues,
     partial_sum_eigs,
     pfold_index_sets,
+    pfold_sums_eigs,
     scale_of,
     top_partial_sum_eigs,
 )
@@ -270,41 +273,19 @@ def _stack(mats) -> np.ndarray:
     return arr
 
 
-def _sigma_margins(lam: np.ndarray, k: int) -> np.ndarray:
-    # truncated elementary symmetric recurrence, vectorized over rows
-    lead = lam.shape[:-1]
-    n = lam.shape[-1]
-    e = np.zeros(lead + (k + 1,))
-    e[..., 0] = 1.0
-    for j in range(n):
-        x = lam[..., j : j + 1]
-        e[..., 1:] = e[..., 1:] + x * e[..., :-1]
-    return e[..., 1:].min(axis=-1)
-
-
-def _hermitian_values_stack(mats: np.ndarray) -> np.ndarray:
-    n = mats.shape[-1]
-    J = symmat.complex_structure(n)
-    AC = 0.5 * (mats - J @ mats @ J)
-    vals = np.linalg.eigvalsh(AC)
-    tol = 1e-8 * scale_of(AC)
-    gaps = np.abs(vals[..., 0::2] - vals[..., 1::2])
-    if gaps.size and np.max(gaps) > tol:
-        raise InternalConsistencyError(
-            f"hermitian eigenvalues failed to pair within {tol:.3g}"
-        )
-    return vals[..., 1::2]
-
-
 def _margin_machine(spec: ConeSpec, mats: np.ndarray):
     """Return f(t) -> margins of ``mats + t I`` computed from cached spectra.
 
-    ``t`` may be a scalar or a vector matching the leading axis.  Margins
-    are nondecreasing in t for every catalogue cone.
+    ``t`` may be a scalar or a vector matching the leading axis.  The
+    membership predicate ``f(t) >= 0`` is monotone in t for every
+    catalogue cone, since adding tI preserves membership.  The margin
+    value itself is nondecreasing in t for every kind except ``sigma`` and
+    compositions over it: for ``diag(-3, 1)`` in ``sigma:2`` it is -3,
+    -3.75, -4, -3, 0 at t = 0, 0.5, 1, 2, 3.
     """
     kind = spec.kind
     if kind == "cbranch":
-        hv = _hermitian_values_stack(mats)
+        hv = hermitian_eigenvalues(mats)
         k = spec.k
 
         def f(t):
@@ -312,8 +293,7 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
 
         return f
     if kind in ("geom", "horiz"):
-        V = np.stack([fr.vectors for fr in spec.frames])  # (F, p, n)
-        traces = np.einsum("fpi,nij,fpj->nf", V, mats, V)
+        traces = frame_traces(mats, spec.frames)
         pdim = spec.frames[0].plane_dim
 
         def f(t):
@@ -339,19 +319,16 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
 
     lam = np.linalg.eigvalsh(mats)
 
-    if kind == "positivity":
+    if kind in ("positivity", "branch"):
+        k = spec.k or 1
+
         def f(t):
-            return lam[..., 0] + np.asarray(t, dtype=float)
+            return lam[..., k - 1] + np.asarray(t, dtype=float)
     elif kind == "pp":
         p = spec.p
 
         def f(t):
             return partial_sum_eigs(lam, p) + p * np.asarray(t, dtype=float)
-    elif kind == "branch":
-        k = spec.k
-
-        def f(t):
-            return lam[..., k - 1] + np.asarray(t, dtype=float)
     elif kind == "pdelta":
         delta = spec.delta
         n = spec.dim
@@ -373,13 +350,10 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
 
         def f(t):
             shifted = lam + np.asarray(t, dtype=float)[..., None]
-            return _sigma_margins(shifted, k)
+            return elementary_symmetric(shifted, k)[..., 1:].min(axis=-1)
     elif kind == "mapb":
         p = int(spec.p)
-        k = spec.k
-        idx = pfold_index_sets(spec.dim, p)
-        sums = np.sort(lam[..., idx].sum(axis=-1), axis=-1)
-        base = sums[..., k - 1]
+        base = pfold_sums_eigs(lam, p)[..., spec.k - 1]
 
         def f(t):
             return base + p * np.asarray(t, dtype=float)
@@ -411,15 +385,11 @@ def _witness(spec: ConeSpec, A: SymMatrix):
         return {"eigen_index": spec.k}
     if kind == "cbranch":
         return {"hermitian_eigen_index": spec.k}
-    if kind == "pucci" or kind == "pdelta":
-        return None
     if kind == "sigma":
-        lam = symmat.eigenvalues_of(A)
-        e = elementary_symmetric_all(lam)[1 : spec.k + 1]
+        e = elementary_symmetric(symmat.eigenvalues_of(A), spec.k)[1:]
         return {"sigma_index": int(np.argmin(e)) + 1}
     if kind in ("geom", "horiz"):
-        V = np.stack([fr.vectors for fr in spec.frames])
-        traces = np.einsum("fpi,ij,fpj->f", V, A.entries, V)
+        traces = frame_traces(A.entries, spec.frames)
         return {"frame_index": int(np.argmin(traces)) + 1}
     if kind == "mapb":
         lam = symmat.eigenvalues_of(A)
@@ -467,8 +437,6 @@ def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
     if mode not in ("closed", "interior"):
         raise DomainError(f"mode must be 'closed' or 'interior', got {mode!r}")
     A = as_matrix(A)
-    if A.n != spec.dim:
-        raise DimensionMismatchError(f"matrix dim {A.n} != cone dim {spec.dim}")
     margin = float(margins(spec, A)[0])
     scale = A.scale
     threshold = INTERIOR_TOL * scale if mode == "interior" else -CLOSED_TOL * scale
@@ -490,8 +458,6 @@ def dual_contains(spec: ConeSpec, A) -> MembershipReport:
     the definitional margin.
     """
     A = as_matrix(A)
-    if A.n != spec.dim:
-        raise DimensionMismatchError(f"matrix dim {A.n} != cone dim {spec.dim}")
     margin = float(margins(dual_cone(spec), A)[0])
     scale = A.scale
     fast = dual_fast_margins(spec, A)
@@ -530,8 +496,7 @@ def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
         lam = np.linalg.eigvalsh(arr)
         return lam[..., spec.dim - spec.k]
     if spec.kind == "cbranch":
-        hv = _hermitian_values_stack(arr)
-        return hv[..., spec.dim // 2 - spec.k]
+        return hermitian_eigenvalues(arr)[..., spec.dim // 2 - spec.k]
     return None
 
 
@@ -562,8 +527,10 @@ def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 
 def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
     """Shift each matrix by the smallest t >= 0 with ``A + t I`` in the cone.
 
-    Margins are nondecreasing in t, so a doubling bracket plus bisection
-    lands each sample essentially on the cone boundary (from inside).
+    Membership of ``A + t I`` is monotone in t (the margin value need not
+    be: see ``_margin_machine`` for sigma), so a doubling bracket plus
+    bisection on the sign of the margin lands each sample essentially on
+    the cone boundary (from inside).
     """
     mats = _stack(mats)
     f = _margin_machine(spec, mats)
@@ -945,6 +912,15 @@ def garding_index_family(n: int, lam: float, Lam: float) -> list[tuple]:
     return family
 
 
+def _garding_factors(n: int, lam: float, Lam: float):
+    """Index family and coefficients: ``eigs @ coeffs.T`` gives every factor."""
+    family = garding_index_family(n, lam, Lam)
+    coeffs = np.full((len(family), n), Lam)
+    for i, subset in enumerate(family):
+        coeffs[i, [j - 1 for j in subset]] = lam
+    return family, coeffs
+
+
 def garding_pucci(A, lam: float, Lam: float) -> GardingPucciResult:
     """Evaluate the Pucci hyperbolic polynomial as a product of factors.
 
@@ -952,13 +928,8 @@ def garding_pucci(A, lam: float, Lam: float) -> GardingPucciResult:
     Lam * sum_{i not in I} lam_i(A)`` over the ascending eigenvalues.
     """
     A = as_matrix(A)
-    family = garding_index_family(A.n, lam, Lam)
-    eigs = symmat.eigenvalues_of(A)
-    total = eigs.sum()
-    factors = np.empty(len(family))
-    for i, subset in enumerate(family):
-        s = eigs[[j - 1 for j in subset]].sum() if subset else 0.0
-        factors[i] = lam * s + Lam * (total - s)
+    family, coeffs = _garding_factors(A.n, lam, Lam)
+    factors = symmat.eigenvalues_of(A) @ coeffs.T
     return GardingPucciResult(
         value=float(np.prod(factors)) if factors.size else 1.0,
         factors=factors,
@@ -970,12 +941,7 @@ def garding_pucci(A, lam: float, Lam: float) -> GardingPucciResult:
 def garding_pucci_min_factors(lams: np.ndarray, lam: float, Lam: float) -> np.ndarray:
     """Minimum factor over the index family for a stack of eigenvalue rows."""
     lams = np.asarray(lams, dtype=float)
-    n = lams.shape[-1]
-    family = garding_index_family(n, lam, Lam)
-    coeffs = np.full((len(family), n), Lam)
-    for i, subset in enumerate(family):
-        for j in subset:
-            coeffs[i, j - 1] = lam
+    coeffs = _garding_factors(lams.shape[-1], lam, Lam)[1]
     return (lams @ coeffs.T).min(axis=-1)
 
 

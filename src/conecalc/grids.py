@@ -568,6 +568,22 @@ def write_grid(path, u: GridFunction) -> None:
             )
 
 
+def parse_geometry(text: str):
+    """Shape, origin and h from ``shape=.. origin=.. h=..`` tokens; an
+    ``n=`` token, as in a grid file header, must agree with the shape."""
+    fields = dict(token.partition("=")[::2] for token in text.split())
+    try:
+        shape = tuple(int(s) for s in fields["shape"].split(","))
+        origin = np.array([float(v) for v in fields["origin"].split(",")])
+        h = float(fields["h"])
+        nd = int(fields.get("n", len(shape)))
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed grid geometry {text!r}: {exc}") from exc
+    if len(shape) != nd or origin.shape[0] != nd or min(shape) < 1:
+        raise DomainError(f"grid geometry {text!r} has inconsistent dimensions")
+    return shape, origin, h
+
+
 def read_grid(path) -> GridFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -576,20 +592,8 @@ def read_grid(path) -> GridFunction:
         raise DomainError(f"could not read grid file {path}: {exc}") from exc
     if not lines or not lines[0].startswith("grid "):
         raise DomainError(f"not a grid file: {path}")
-    fields = {}
-    for token in lines[0].split()[1:]:
-        key, _, val = token.partition("=")
-        fields[key] = val
-    try:
-        nd = int(fields["n"])
-        shape = tuple(int(s) for s in fields["shape"].split(","))
-        origin = np.array([float(v) for v in fields["origin"].split(",")])
-        h = float(fields["h"])
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed grid header: {lines[0]!r}") from exc
-    if len(shape) != nd or origin.shape[0] != nd:
-        raise DomainError("grid header dimensions are inconsistent")
-    nrows = int(np.prod(shape[:-1])) if nd > 1 else 1
+    shape, origin, h = parse_geometry(lines[0][len("grid ") :])
+    nrows = int(np.prod(shape[:-1]))
     cursor = 1
     mask = None
     try:

@@ -34,12 +34,12 @@ is monotone.  Punctured cells carry no boundary condition: they are
 excluded from the unknown set and every stencil direction touching them
 is dropped, with a minimum-frame guarantee checked up front.
 
-Solution methods: exact policy (Howard) iteration over the frozen frame
-choices, which converges in a handful of sparse linear solves, and the
-damped Jacobi fixed-point iteration ``u <- u + tau R(u)`` with
-``tau = h^2 / (2 w)`` (w the total frame weight), kept as a reference
-method and used for the min-max form.  Both are deterministic; outputs
-are bitwise reproducible.
+The operator form picks the solution method: exact policy (Howard)
+iteration over the frozen frame choices, which converges in a handful of
+sparse linear solves, for every form except min-max, and the damped
+Jacobi fixed-point iteration ``u <- u + tau R(u)`` with
+``tau = h^2 / (2 w)`` (w the total frame weight) for the min-max form.
+Both are deterministic; outputs are bitwise reproducible.
 
 Unknowns are numbered once, by geometric nested dissection of the
 lattice with separator strips as wide as the stencil reach, so every
@@ -116,7 +116,6 @@ def _coprime_directions(ndim: int, reach: int) -> np.ndarray:
     return np.array(dirs, dtype=np.intp)
 
 
-@lru_cache(maxsize=None)
 def make_stencil(ndim: int, reach: int = 3) -> StencilSet:
     """All coprime directions with max-norm <= reach plus their frames.
 
@@ -125,8 +124,13 @@ def make_stencil(ndim: int, reach: int = 3) -> StencilSet:
     """
     if ndim not in (2, 3):
         raise DomainError(f"stencils support 2-D and 3-D grids, got ndim={ndim}")
-    if reach < 1:
-        raise DomainError(f"stencil reach must be >= 1, got {reach}")
+    if isinstance(reach, bool) or not isinstance(reach, (int, np.integer)) or reach < 1:
+        raise DomainError(f"stencil reach must be an integer >= 1, got {reach!r}")
+    return _make_stencil(ndim, int(reach))
+
+
+@lru_cache(maxsize=None)
+def _make_stencil(ndim: int, reach: int) -> StencilSet:
     dirs = _coprime_directions(ndim, reach)
     dots = dirs @ dirs.T
     D = dirs.shape[0]
@@ -518,61 +522,59 @@ def solve(
     stencil: Optional[StencilSet] = None,
     tol: float = 1e-8,
     max_iter: int = 200_000,
-    method: str = "auto",
 ) -> SolveReport:
     """Solve the Dirichlet problem to ``residual_sup <= tol``.
 
-    ``method="policy"`` freezes the optimal frame choice and solves the
+    Policy iteration freezes the optimal frame choice and solves the
     resulting sparse linear system, repeating until the residual settles
-    (exact for the linear trace form in one solve).  ``method="jacobi"``
-    runs the damped fixed-point iteration; it is unconditionally monotone
-    but slow, and remains the only method for the 3-D second-branch
-    min-max form.  ``"auto"`` picks policy whenever applicable.
+    (exact for the linear trace form in one solve).  The 3-D
+    second-branch min-max form has no frozen linear system and runs the
+    damped Jacobi iteration for at most ``max_iter`` sweeps instead.
     """
     if stencil is None:
         stencil = make_stencil(problem.ndim)
     scheme = _Scheme(problem, stencil)
-    if method == "auto":
-        method = "jacobi" if scheme.form == "minmax" else "policy"
-    if method not in ("policy", "jacobi"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "policy" and scheme.form == "minmax":
-        raise DomainError("policy iteration does not apply to the min-max form")
-
     u = problem.boundary_values.reshape(-1).astype(float).copy()
     if problem.punctures:
         u[np.ravel_multi_index(np.array(problem.punctures).T, problem.shape)] = 0.0
+    if scheme.form == "minmax":
+        return _jacobi(scheme, u, tol, max_iter)
     history = []
-    if method == "policy":
-        prev_sel = None
+    prev_sel = None
+    r, sel = scheme.evaluate(u)
+    res_sup = float(np.max(np.abs(r)))
+    history.append((0, res_sup))
+    converged = res_sup <= tol
+    it = 0
+    while not converged and it < 60:
+        it += 1
+        if prev_sel is not None and np.array_equal(sel, prev_sel):
+            break
+        L, rhs = scheme.assemble(sel)
+        # L is a nonsingular M-matrix already in nested-dissection
+        # order, so it factors without pivoting or column reordering;
+        # one refinement step brings the solve down to round-off.
+        lu = spla.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - L @ x)
+        del lu  # never hold two factors at once
+        u[scheme.unknown_flat] = x
+        prev_sel = sel
         r, sel = scheme.evaluate(u)
         res_sup = float(np.max(np.abs(r)))
-        history.append((0, res_sup))
+        history.append((it, res_sup))
         converged = res_sup <= tol
-        it = 0
-        while not converged and it < 60:
-            it += 1
-            if prev_sel is not None and np.array_equal(sel, prev_sel):
-                break
-            L, rhs = scheme.assemble(sel)
-            # L is a nonsingular M-matrix already in nested-dissection
-            # order, so it factors without pivoting or column reordering;
-            # one refinement step brings the solve down to round-off.
-            lu = spla.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-            x = lu.solve(rhs)
-            x += lu.solve(rhs - L @ x)
-            del lu  # never hold two factors at once
-            u[scheme.unknown_flat] = x
-            prev_sel = sel
-            r, sel = scheme.evaluate(u)
-            res_sup = float(np.max(np.abs(r)))
-            history.append((it, res_sup))
-            converged = res_sup <= tol
-        return SolveReport(
-            _solution_grid(problem, u), res_sup, it, converged, "policy", tuple(history)
-        )
+    return SolveReport(
+        _solution_grid(problem, u), res_sup, it, converged, "policy", tuple(history)
+    )
 
+
+def _jacobi(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> SolveReport:
+    """Damped Jacobi iteration from the iterate u (updated in place);
+    unconditionally monotone but slow."""
+    problem = scheme.problem
     tau = problem.h**2 / (2.0 * scheme.weight_total)
+    history = []
     res_sup = np.inf
     it = 0
     while it < max_iter:
@@ -696,11 +698,14 @@ def removability_experiment(
     """
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
-    punctures = list(punctures)
-    if not punctures:
-        raise DomainError("the experiment needs at least one puncture point")
     kind, val = problem.operator
     nd = problem.ndim
+    try:
+        points = [np.asarray(pt, dtype=float).reshape(nd) for pt in punctures]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"puncture points must be {nd}-D coordinates: {exc}") from exc
+    if not points:
+        raise DomainError("the experiment needs at least one puncture point")
     if polar_p is None:
         if kind != "pp":
             raise DomainError("branch operators need an explicit polar exponent")
@@ -721,10 +726,7 @@ def removability_experiment(
                 f"counterexample at sample {rep.failure_index}"
             )
 
-    idx_pts = []
-    for pt in punctures:
-        pt = np.asarray(pt, dtype=float)
-        idx_pts.append(tuple(int(round(c)) for c in (pt - problem.origin) / problem.h))
+    idx_pts = [tuple(int(round(c)) for c in (pt - problem.origin) / problem.h) for pt in points]
     full = solve(problem, stencil=stencil, tol=tol)
     punctured_problem = problem.with_punctures(idx_pts)
     punct = solve(punctured_problem, stencil=stencil, tol=tol)

@@ -1,6 +1,10 @@
 """Spectral core: symmetric matrices, ordered eigenvalues, and the
 eigenvalue functionals consumed by every cone predicate.
 
+Each functional has one implementation, vectorized over leading axes;
+``cones`` calls it on stacks and the pointwise functions are one-matrix
+views of it.
+
 Conventions fixed here and relied on everywhere else:
 
 * eigenvalues are reported in ascending order;
@@ -34,11 +38,6 @@ from .errors import (
 PFOLD_CAP = 10**6
 
 
-def _as_array(values, dtype=float):
-    arr = np.asarray(values, dtype=dtype)
-    return arr
-
-
 def scale_of(entries) -> float:
     """Tolerance scale ``1 + max|A_ij|`` of a matrix or stack of matrices."""
     entries = np.asarray(entries, dtype=float)
@@ -58,7 +57,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_array(self.entries)
+        arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -114,8 +113,8 @@ class Spectrum:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = _as_array(self.eigenvalues)
-        vecs = _as_array(self.eigenvectors)
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        vecs = np.asarray(self.eigenvectors, dtype=float)
         vals.flags.writeable = False
         vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -146,7 +145,7 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vecs = np.atleast_2d(_as_array(self.vectors))
+        vecs = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if vecs.ndim != 2:
             raise DomainError("frame vectors must form a 2-D array")
         k, n = vecs.shape
@@ -172,7 +171,7 @@ class Frame:
 
 def orthonormal_frame(vectors) -> Frame:
     """Build a Frame from possibly non-orthonormal spanning vectors via QR."""
-    vecs = np.atleast_2d(_as_array(vectors))
+    vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
     q, r = np.linalg.qr(vecs.T)
     if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(vecs))):
         raise DomainError("frame vectors are linearly dependent")
@@ -197,7 +196,7 @@ class Jet2:
     hessian: SymMatrix
 
     def __post_init__(self):
-        grad = _as_array(self.gradient)
+        grad = np.asarray(self.gradient, dtype=float)
         if not np.isfinite(self.value):
             raise DomainError("jet value must be finite (poles carry no jets)")
         if not np.all(np.isfinite(grad)):
@@ -249,10 +248,8 @@ def eigh(A) -> Spectrum:
 
 def eigenvalues_of(A) -> np.ndarray:
     """Ascending eigenvalues of a SymMatrix, matrix, or stack of matrices."""
-    if isinstance(A, SymMatrix):
-        return np.linalg.eigvalsh(A.entries)
-    arr = np.asarray(A, dtype=float)
-    return np.linalg.eigvalsh(arr)
+    entries = A.entries if isinstance(A, SymMatrix) else A
+    return np.linalg.eigvalsh(np.asarray(entries, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,7 @@ def projector(e) -> SymMatrix:
     Inputs whose norm deviates from 1 by more than 1e-12 are normalized
     first; the zero vector is rejected.
     """
-    e = _as_array(e).ravel()
+    e = np.asarray(e, dtype=float).ravel()
     norm = float(np.linalg.norm(e))
     if norm < 1e-300:
         raise DomainError("cannot project onto the zero vector")
@@ -331,41 +328,42 @@ def complex_structure(n: int) -> np.ndarray:
     return J
 
 
-def hermitian_part(A) -> SymMatrix:
-    """J-invariant (hermitian symmetric) component ``(A - J A J) / 2``."""
-    A = as_matrix(A)
-    J = complex_structure(A.n)
-    return SymMatrix(0.5 * (A.entries - J @ A.entries @ J))
-
-
 def hermitian_eigenvalues(A) -> np.ndarray:
     """Ascending hermitian eigenvalues of A, one representative per pair.
 
-    The real eigenvalues of the hermitian part occur in equal pairs; the
-    k-th returned value is the 2k-th ascending real eigenvalue.  A pair
-    mismatch beyond ``1e-8 * (1 + max|A_C|)`` raises
-    InternalConsistencyError.
+    ``A`` is a SymMatrix, a matrix (symmetrized) or an ``(..., n, n)``
+    stack.  The real eigenvalues of the hermitian part ``(A - J A J) / 2``
+    occur in equal pairs; the k-th returned value is the 2k-th ascending
+    real eigenvalue.  A pair mismatch beyond ``1e-8 * (1 + max|A_C|)``
+    over the whole stack raises InternalConsistencyError.
     """
-    A = as_matrix(A)
-    AC = hermitian_part(A)
-    vals = eigenvalues_of(AC)
-    tol = 1e-8 * AC.scale
-    gaps = np.abs(vals[0::2] - vals[1::2])
-    if np.max(gaps) > tol:
+    if isinstance(A, SymMatrix) or np.ndim(A) == 2:
+        mats = as_matrix(A).entries
+    else:
+        mats = np.asarray(A, dtype=float)
+    J = complex_structure(mats.shape[-1])
+    AC = 0.5 * (mats - J @ mats @ J)
+    vals = np.linalg.eigvalsh(AC)
+    tol = 1e-8 * scale_of(AC)
+    gaps = np.abs(vals[..., 0::2] - vals[..., 1::2])
+    if gaps.size and np.max(gaps) > tol:
         raise InternalConsistencyError(
             f"hermitian eigenvalues failed to pair within {tol:.3g} "
             f"(worst gap {np.max(gaps):.3g})"
         )
-    return vals[1::2].copy()
+    return vals[..., 1::2]
 
 
-def elementary_symmetric_all(lam: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials e_0..e_n of the entries of lam."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    e = np.zeros(lam.size + 1)
-    e[0] = 1.0
-    for x in lam:
-        e[1:] = e[1:] + x * e[:-1]
+def elementary_symmetric(lam: np.ndarray, k: int) -> np.ndarray:
+    """Elementary symmetric polynomials e_0..e_k of lam along the last axis.
+
+    Vectorized over leading axes; the result has shape ``(..., k + 1)``.
+    """
+    lam = np.asarray(lam, dtype=float)
+    e = np.zeros(lam.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for j in range(lam.shape[-1]):
+        e[..., 1:] = e[..., 1:] + lam[..., j : j + 1] * e[..., :-1]
     return e
 
 
@@ -374,19 +372,22 @@ def sigma_elementary(A, k: int) -> float:
     A = as_matrix(A)
     if not 1 <= k <= A.n:
         raise DomainError(f"k={k} out of range [1, {A.n}]")
-    lam = eigenvalues_of(A)
-    return float(elementary_symmetric_all(lam)[k])
+    return float(elementary_symmetric(eigenvalues_of(A), k)[k])
+
+
+def frame_traces(mats, frames) -> np.ndarray:
+    """Traces of a matrix or ``(..., n, n)`` stack restricted to the planes
+    of F frames of one plane dimension, shape ``(..., F)``."""
+    mats = np.asarray(mats, dtype=float)
+    if {W.ambient_dim for W in frames} != {mats.shape[-1]}:
+        raise DimensionMismatchError(f"frames and matrices of dim {mats.shape[-1]} differ")
+    V = np.stack([W.vectors for W in frames])
+    return np.einsum("fpi,...ij,fpj->...f", V, mats, V)
 
 
 def trace_over_frame(A, W: Frame) -> float:
     """Trace of the quadratic form A restricted to the plane spanned by W."""
-    A = as_matrix(A)
-    if W.ambient_dim != A.n:
-        raise DimensionMismatchError(
-            f"frame lives in dim {W.ambient_dim}, matrix in dim {A.n}"
-        )
-    V = W.vectors
-    return float(np.einsum("ki,ij,kj->", V, A.entries, V))
+    return float(frame_traces(as_matrix(A).entries, [W])[0])
 
 
 def pfold_index_sets(n: int, p: int) -> np.ndarray:
@@ -416,8 +417,7 @@ def pfold_sums(A, p: int) -> np.ndarray:
     The first entry equals partial_sum(A, p); the last equals the top
     partial sum.  Raises ResourceLimitError when C(n,p) exceeds the cap.
     """
-    A = as_matrix(A)
-    return pfold_sums_eigs(eigenvalues_of(A), p)
+    return pfold_sums_eigs(eigenvalues_of(as_matrix(A)), p)
 
 
 # ---------------------------------------------------------------------------

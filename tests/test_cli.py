@@ -317,6 +317,28 @@ _BAD_INPUT_FILES = {
     "nopuncture.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM}),
     "noresolutions.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM}),
     "notobject.json": "[1]",
+    "reachabc.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach="abc")),
+    "reach25.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2.5)),
+    "expreach.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "stencil_reach": 2.5}),
+    "convnogrid.json": json.dumps(
+        {"kind": "convergence", "problem": {"operator": "pp"}, "resolutions": [9]}
+    ),
+    "resolutions.json": json.dumps(
+        {"kind": "convergence", "problem": _GOOD_PROBLEM, "resolutions": ["a", 9]}
+    ),
+    "tol.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": "x"}),
+    "eps.json": json.dumps(
+        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": "ab"}
+    ),
+    "gap.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                            "puncture": [[0, 0]], "gap_constant": "x"}),
+    "polarp.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                               "puncture": [[0, 0]], "polar_p": "x"}),
+    "bound.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
+                              "pass_criteria": {"residual_sup": "x"}}),
+    "punctpoint.json": json.dumps(
+        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [["a", 0]]}
+    ),
 }
 
 
@@ -352,6 +374,29 @@ _BAD_INPUT_FILES = {
                      id="experiment-no-resolutions"),
         pytest.param(["experiment", "--config", "notobject.json", "--output-dir", "out"],
                      id="experiment-not-object"),
+        pytest.param(["solve", "--problem", "reachabc.json"], id="stencil-reach-text"),
+        pytest.param(["solve", "--problem", "reach25.json"], id="stencil-reach-float"),
+        pytest.param(["experiment", "--config", "expreach.json", "--output-dir", "out"],
+                     id="experiment-stencil-reach"),
+        pytest.param(["experiment", "--config", "convnogrid.json", "--output-dir", "out"],
+                     id="convergence-no-grid"),
+        pytest.param(["experiment", "--config", "resolutions.json", "--output-dir", "out"],
+                     id="resolutions-not-integers"),
+        pytest.param(["experiment", "--config", "tol.json", "--output-dir", "out"],
+                     id="experiment-tol-text"),
+        pytest.param(["experiment", "--config", "eps.json", "--output-dir", "out"],
+                     id="experiment-eps-text"),
+        pytest.param(["experiment", "--config", "gap.json", "--output-dir", "out"],
+                     id="experiment-gap-constant-text"),
+        pytest.param(["experiment", "--config", "polarp.json", "--output-dir", "out"],
+                     id="experiment-polar-p-text"),
+        pytest.param(["experiment", "--config", "bound.json", "--output-dir", "out"],
+                     id="experiment-pass-bound-text"),
+        pytest.param(["experiment", "--config", "punctpoint.json", "--output-dir", "out"],
+                     id="experiment-puncture-text"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=9,9 origin=-1 h=0.25", "--grid-output", "x.grid"],
+                     id="polar-grid-origin-dimension"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conecalc import cones, symmat
 from conecalc.cones import (
@@ -119,6 +124,111 @@ def test_eigenvalue_invariance_flag():
     assert not horizontal_cone(frame, 4).o_n_invariant
     assert not enlarged_cone(geometric_cone([frame], 4), 0.5).o_n_invariant
     assert dual_cone(pp_cone(2.0, 4)).o_n_invariant
+
+
+# -- monotonicity under +tI (every catalogue kind) -----------------------------------
+
+
+_PROPERTY_KINDS = (
+    "positivity", "pp", "branch", "cbranch", "pdelta", "pucci", "sigma", "geom", "horiz",
+    "mapb", "enl:sigma", "enl:cbranch", "enl:mapb", "enl:geom", "enl:pucci",
+    "dual:sigma", "dual:cbranch", "dual:mapb", "dual:geom", "dual:pp",
+)
+
+
+@st.composite
+def catalogue_specs(draw, name):
+    """A cone of the given catalogue kind (``wrap:kind`` for enl/dual)."""
+    wrap, _, kind = name.rpartition(":")
+    n = draw(st.sampled_from((2, 4)) if kind == "cbranch" else st.integers(2, 5))
+    if kind == "positivity":
+        spec = positivity(n)
+    elif kind == "pp":
+        spec = pp_cone(draw(st.floats(1.0, n)), n)
+    elif kind in ("branch", "sigma"):
+        spec = cones.ConeSpec(kind, n, k=draw(st.integers(1, n)))
+    elif kind == "cbranch":
+        spec = complex_branch_cone(draw(st.integers(1, n // 2)), n)
+    elif kind == "pdelta":
+        spec = pdelta_cone(draw(st.floats(0.05, 2.0)), n)
+    elif kind == "pucci":
+        lam = draw(st.floats(0.1, 2.0))
+        spec = pucci_cone(lam, lam + draw(st.floats(0.1, 3.0)), n)
+    elif kind == "mapb":
+        p = draw(st.integers(1, n))
+        spec = map_branch_cone(p, draw(st.integers(1, math.comb(n, p))), n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        pdim = draw(st.integers(1, n))
+        count = draw(st.integers(1, 3)) if kind == "geom" else 1
+        frames = [symmat.random_frame(n, pdim, rng) for _ in range(count)]
+        spec = geometric_cone(frames, n) if kind == "geom" else horizontal_cone(frames[0], n)
+    if wrap == "enl":
+        spec = enlarged_cone(spec, draw(st.floats(0.0, 1.0)))
+    elif wrap == "dual":
+        spec = dual_cone(spec)
+    return spec
+
+
+# Drawn entries and shifts are multiples of 1/64: exact, with ties and
+# zeros.  Arbitrary floats would test LAPACK rather than the margins:
+# with OpenBLAS 0.3.31, eigvalsh of [[t, 0, a], [0, t, 0], [a, 0, t]] for
+# a = 0.49121094 and t = 1e-146 is off by 1.2% (t = 1e-140 by 1e-12).
+_DYADIC = st.integers(-64, 64).map(lambda i: i / 64)
+
+
+@st.composite
+def shifted_stacks(draw, name):
+    """(spec, symmetric stack, ascending shifts t >= 0): drawn matrices with
+    entries in [-1, 1] above seeded GOE ones."""
+    spec = draw(catalogue_specs(name))
+    n = spec.dim
+    G = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n, n), elements=_DYADIC))
+    goe = random_sym_stack(draw(st.integers(0, 2**16)), 4, n)
+    mats = np.concatenate([0.5 * (G + np.swapaxes(G, -1, -2)), goe])
+    ts = draw(st.lists(st.integers(0, 128), min_size=2, max_size=5, unique=True))
+    return spec, mats, [t / 64 for t in sorted(ts)]
+
+
+def _over_sigma(spec) -> bool:
+    return spec.kind == "sigma" or (spec.base is not None and _over_sigma(spec.base))
+
+
+def _shifted(mats, t):
+    return mats + t * np.eye(mats.shape[-1])
+
+
+@pytest.mark.parametrize("name", _PROPERTY_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_margins_under_identity_shifts(name, data):
+    spec, mats, ts = data.draw(shifted_stacks(name))
+    f = cones._margin_machine(spec, mats)
+    prev_member = np.zeros(mats.shape[0], dtype=bool)
+    prev_margin = None
+    for t in ts:
+        shifted = _shifted(mats, t)
+        m = margins(spec, shifted)
+        tol = cones.CLOSED_TOL * symmat.scale_of(shifted)
+        # the cached-spectrum machine is the margin of the shifted matrix
+        assert np.all(np.abs(f(t) - m) <= tol)
+        # membership never ends once it starts
+        member = np.array([contains(spec, A).member for A in shifted])
+        assert not np.any(prev_member & ~member)
+        prev_member = member
+        # the margin value itself only grows, except for sigma (see below)
+        if prev_margin is not None and not _over_sigma(spec):
+            assert np.all(m >= prev_margin - tol)
+        prev_margin = m
+
+
+def test_sigma_margin_is_not_monotone_but_membership_is():
+    spec = sigma_cone(2, 2)
+    A = np.diag([-3.0, 1.0])
+    ts = [0.0, 0.5, 1.0, 2.0, 3.0]
+    got = [float(margins(spec, _shifted(A, t))[0]) for t in ts]
+    assert got == pytest.approx([-3.0, -3.75, -4.0, -3.0, 0.0], abs=1e-12)
+    assert [contains(spec, _shifted(A, t)).member for t in ts] == [False] * 4 + [True]
 
 
 # -- duals ----------------------------------------------------------------------

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conecalc import symmat
 from conecalc.errors import (
@@ -14,11 +17,16 @@ from conecalc.symmat import (
     Jet2,
     SymMatrix,
     as_matrix,
+    eigenvalues_of,
     eigh,
+    elementary_symmetric,
+    frame_traces,
     hermitian_eigenvalues,
     orthonormal_frame,
     partial_sum,
+    partial_sum_eigs,
     pfold_sums,
+    pfold_sums_eigs,
     projector,
     random_frame,
     sigma_elementary,
@@ -267,6 +275,42 @@ def test_pfold_cap():
             pfold_sums(np.eye(6), 3)
     finally:
         symmat.PFOLD_CAP = old
+
+
+# -- pointwise functionals are rows of the batched ones ------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(2, 6), count=st.integers(1, 5))
+def test_pointwise_functionals_are_rows_of_the_batched_forms(data, n, count):
+    G = data.draw(hnp.arrays(float, (count, n, n), elements=st.floats(-4.0, 4.0)))
+    stack = 0.5 * (G + np.swapaxes(G, -1, -2))
+    p = data.draw(st.integers(1, n))
+    lam = eigenvalues_of(stack)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    W = random_frame(n, p, rng)
+    for i, A in enumerate(stack):
+        assert np.array_equal(eigenvalues_of(A), lam[i])
+        assert partial_sum(A, p) == partial_sum_eigs(lam, p)[i]
+        assert sigma_elementary(A, p) == elementary_symmetric(lam, p)[i, p]
+        assert np.array_equal(pfold_sums(A, p), pfold_sums_eigs(lam, p)[i])
+        if n % 2 == 0:
+            assert np.array_equal(hermitian_eigenvalues(A), hermitian_eigenvalues(stack)[i])
+        # einsum may sum a lone matrix in another order than a longer stack
+        # (seen in 2-D with one line frame), so the row is the one-row stack
+        assert trace_over_frame(A, W) == frame_traces(stack[i : i + 1], [W])[0, 0]
+        assert trace_over_frame(A, W) == pytest.approx(
+            frame_traces(stack, [W])[i, 0], rel=1e-14, abs=1e-14
+        )
+
+
+def test_elementary_symmetric_truncates_the_full_recurrence():
+    lam = np.random.default_rng(3).standard_normal((50, 6))
+    full = elementary_symmetric(lam, 6)
+    assert np.array_equal(full[:, 0], np.ones(50))
+    assert np.allclose(full[:, 6], lam.prod(axis=1))
+    for k in range(7):
+        assert np.array_equal(elementary_symmetric(lam, k), full[:, : k + 1])
 
 
 # -- frames and jets ------------------------------------------------------------------
