@@ -122,9 +122,7 @@ def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
         # no closed form: check the duality involution instead
         fast = cones.margins(cones.dual_cone(cones.dual_cone(spec)), mats)
         definitional = cones.margins(spec, mats)
-    band = cones.INTERIOR_TOL * (
-        1.0 + np.abs(mats).reshape(mats.shape[0], -1).max(axis=1)
-    )
+    band = cones.thresholds(mats, "interior")
     decided = (np.abs(definitional) > band) & (np.abs(fast) > band)
     agree = (definitional > 0) == (fast > 0)
     bad = np.nonzero(decided & ~agree)[0]
@@ -352,11 +350,17 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
         grid = {"shape": [nside] * base.ndim, "origin": base.origin.tolist(),
                 "h": span / (nside - 1)}
         problem = solver.problem_from_config(dict(cfg["problem"], grid=grid))
-        rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-9))
         unk = problem.unknown_mask()
         exact = problem.boundary_values
+        peak = float(np.max(np.abs(exact[unk])))
+        if peak == 0.0:
+            raise DomainError(
+                "convergence experiment needs boundary data that do not vanish "
+                "on the unknowns (relative errors divide by their maximum)"
+            )
+        rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-9))
         err = float(np.max(np.abs(rep.solution.values[unk] - exact[unk])))
-        rel = err / float(np.max(np.abs(exact[unk])))
+        rel = err / peak
         rows.append((problem.h, err, rel))
     path = outdir / "errors.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -535,36 +539,13 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return _COMMANDS[args.subcommand](args)
-    except SpecParseError as exc:
-        _emit(
-            {
-                "command": args.subcommand,
-                "error": {
-                    "kind": "parse",
-                    "message": str(exc),
-                    "position": exc.position,
-                },
-            },
-            args.output,
-        )
-        return USAGE_EXIT
-    except (UnsupportedPolarError, PoleError) as exc:
-        _emit(
-            {
-                "command": args.subcommand,
-                "error": {"kind": type(exc).__name__, "message": str(exc)},
-            },
-            args.output,
-        )
-        return MATH_EXIT
     except ConecalcError as exc:
-        _emit(
-            {
-                "command": args.subcommand,
-                "error": {"kind": type(exc).__name__, "message": str(exc)},
-            },
-            args.output,
-        )
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SpecParseError):
+            error.update(kind="parse", position=exc.position)
+        _emit({"command": args.subcommand, "error": error}, args.output)
+        if isinstance(exc, (UnsupportedPolarError, PoleError)):
+            return MATH_EXIT
         return USAGE_EXIT
 
 

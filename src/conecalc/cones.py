@@ -18,8 +18,11 @@ under adding positive matrices.  The catalogue covers:
 
 Membership tolerances scale with ``1 + max|A_ij|``: a slack of at least
 ``-1e-9 * scale`` counts as closed membership and interior membership
-requires slack of at least ``+1e-7 * scale``.  Geometric cones are exact
-for their listed planes only and their reports carry ``sampled=True``.
+requires slack of at least ``+1e-7 * scale`` (``thresholds``).  A dual
+cone's closed membership uses the closed tolerance like every other kind,
+whether it is asked as ``dual:<base>`` or through ``dual_contains``.
+Geometric cones are exact for their listed planes only and their reports
+carry ``sampled=True``.
 
 Randomized certifications are deterministic given a seed and independent
 of any worker split: samples are generated up front from one generator
@@ -62,20 +65,26 @@ CLOSED_TOL = 1e-9
 INTERIOR_TOL = 1e-7
 GARDING_DIM_CAP = 12
 
-_KINDS = (
-    "positivity",
-    "pp",
-    "branch",
-    "cbranch",
-    "pdelta",
-    "pucci",
-    "sigma",
-    "geom",
-    "horiz",
-    "mapb",
-    "enl",
-    "dual",
-)
+
+def _whole(tok: str) -> float:
+    """An integer parameter that the cone keeps as a float (mapb's p)."""
+    return float(int(tok))
+
+
+# descriptor head -> (kind, typed parameter fields), for the kinds whose
+# parameters are scalars; parse_cone and ConeSpec.describe both read it
+_DESCRIPTORS = {
+    "p": ("positivity", ()),
+    "pp": ("pp", (("p", float),)),
+    "branch": ("branch", (("k", int),)),
+    "cbranch": ("cbranch", (("k", int),)),
+    "pdelta": ("pdelta", (("delta", float),)),
+    "pucci": ("pucci", (("lam", float), ("Lam", float))),
+    "sigma": ("sigma", (("k", int),)),
+    "mapb": ("mapb", (("p", _whole), ("k", int))),
+}
+_HEADS = {kind: (head, fields) for head, (kind, fields) in _DESCRIPTORS.items()}
+_KINDS = (*_HEADS, "geom", "horiz", "enl", "dual")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,26 +185,13 @@ class ConeSpec:
 
     def describe(self) -> str:
         k = self.kind
-        if k == "positivity":
-            return "p"
-        if k == "pp":
-            return f"pp:{_fmt(self.p)}"
-        if k == "branch":
-            return f"branch:{self.k}"
-        if k == "cbranch":
-            return f"cbranch:{self.k}"
-        if k == "pdelta":
-            return f"pdelta:{_fmt(self.delta)}"
-        if k == "pucci":
-            return f"pucci:{_fmt(self.lam)}:{_fmt(self.Lam)}"
-        if k == "sigma":
-            return f"sigma:{self.k}"
+        if k in _HEADS:
+            head, fields = _HEADS[k]
+            return ":".join([head] + [_fmt(getattr(self, name)) for name, _ in fields])
         if k == "geom":
             return f"geom:{len(self.frames)}x{self.frames[0].plane_dim}-frames"
         if k == "horiz":
             return f"horiz:{self.frames[0].plane_dim}-plane"
-        if k == "mapb":
-            return f"mapb:{int(self.p)}:{self.k}"
         if k == "enl":
             return f"enl:{self.base.describe()}:{_fmt(self.c)}"
         return f"dual:{self.base.describe()}"
@@ -401,7 +397,12 @@ def _witness(spec: ConeSpec, A: SymMatrix):
     if kind == "enl":
         return _witness(spec.base, A + spec.c * symmat.identity(spec.dim))
     if kind == "dual":
-        return _witness(spec.base, -A)
+        base = spec.base
+        if base.kind == "branch":
+            return {"eigen_index": spec.dim - base.k + 1}
+        if base.kind == "cbranch":
+            return {"hermitian_eigen_index": spec.dim // 2 - base.k + 1}
+        return _witness(base, -A)
     return None
 
 
@@ -409,9 +410,9 @@ def _witness(spec: ConeSpec, A: SymMatrix):
 class MembershipReport:
     """Outcome of one membership test.
 
-    ``member`` holds exactly when ``margin >= threshold``; the threshold is
-    ``-1e-9 * scale`` for closed mode and ``+1e-7 * scale`` for interior
-    mode.  ``witness`` identifies the binding scalar inequality.
+    ``member`` holds exactly when ``margin >= threshold``; ``thresholds``
+    gives the threshold of each mode.  ``witness`` identifies the binding
+    scalar inequality.
     """
 
     member: bool
@@ -432,14 +433,25 @@ class MembershipReport:
         }
 
 
-def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
-    """Membership of A in the cone, in ``closed`` or ``interior`` mode."""
+def thresholds(mats, mode: str = "closed") -> np.ndarray:
+    """Membership threshold of each matrix in a stack.
+
+    A matrix is a member when its margin is at least its threshold:
+    ``-CLOSED_TOL * scale`` in closed mode and ``+INTERIOR_TOL * scale`` in
+    interior mode, with ``scale = 1 + max|A_ij|`` per matrix.
+    """
     if mode not in ("closed", "interior"):
         raise DomainError(f"mode must be 'closed' or 'interior', got {mode!r}")
+    arr = _stack(mats)
+    scale = 1.0 + np.abs(arr).max(axis=(-2, -1))
+    return INTERIOR_TOL * scale if mode == "interior" else -CLOSED_TOL * scale
+
+
+def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
+    """Membership of A in the cone, in ``closed`` or ``interior`` mode."""
     A = as_matrix(A)
+    threshold = float(thresholds(A, mode)[0])
     margin = float(margins(spec, A)[0])
-    scale = A.scale
-    threshold = INTERIOR_TOL * scale if mode == "interior" else -CLOSED_TOL * scale
     return MembershipReport(
         member=margin >= threshold,
         margin=margin,
@@ -451,35 +463,22 @@ def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
 
 
 def dual_contains(spec: ConeSpec, A) -> MembershipReport:
-    """Membership of A in the dual cone, ``-A not interior to the base``.
+    """Closed membership of A in the dual cone, ``-A not interior to the base``.
 
-    Where ``dual_fast_margins`` has a closed form (top partial sum;
-    reflected branch index) it is evaluated as well and must agree with
-    the definitional margin.
+    The same report as ``contains(dual_cone(spec), A)``, closed tolerance
+    included.  Where ``dual_fast_margins`` has a closed form (top partial
+    sum; reflected branch index) it is evaluated as well and must agree
+    with the definitional margin.
     """
     A = as_matrix(A)
-    margin = float(margins(dual_cone(spec), A)[0])
-    scale = A.scale
+    rep = contains(dual_cone(spec), A)
     fast = dual_fast_margins(spec, A)
-    witness = None
-    if spec.kind == "branch":
-        witness = {"eigen_index": spec.dim - spec.k + 1}
-    elif spec.kind == "cbranch":
-        witness = {"hermitian_eigen_index": spec.dim // 2 - spec.k + 1}
-    if fast is not None and abs(fast[0] - margin) > INTERIOR_TOL * scale:
+    if fast is not None and abs(fast[0] - rep.margin) > thresholds(A, "interior")[0]:
         raise InternalConsistencyError(
             f"dual fast path {fast[0]:.6g} disagrees with definitional margin "
-            f"{margin:.6g} for {spec.describe()}"
+            f"{rep.margin:.6g} for {spec.describe()}"
         )
-    threshold = -INTERIOR_TOL * scale
-    return MembershipReport(
-        member=margin >= threshold,
-        margin=margin,
-        witness=witness if witness is not None else _witness(dual_cone(spec), A),
-        mode="closed",
-        threshold=threshold,
-        sampled=spec.sampled,
-    )
+    return rep
 
 
 def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
@@ -602,8 +601,7 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     B = force_membership(M, sample_goe(rng, M.dim, cfg.count, cfg.magnitude))
     S = A + B
     m = margins(F, S)
-    tol = CLOSED_TOL * (1.0 + np.abs(S).reshape(S.shape[0], -1).max(axis=1))
-    bad = np.nonzero(m < -tol)[0]
+    bad = np.nonzero(m < thresholds(S))[0]
     if bad.size == 0:
         return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)
     i = int(bad[0])
@@ -948,31 +946,19 @@ def garding_pucci_min_factors(lams: np.ndarray, lam: float, Lam: float) -> np.nd
 # -- descriptor parsing -------------------------------------------------------
 
 
-def parse_cone(text: str, dim: int, frame_loader=None) -> ConeSpec:
+def parse_cone(text: str, dim: int) -> ConeSpec:
     """Parse a compact cone descriptor such as ``pp:2.5`` or ``pucci:1:2``.
 
-    ``geom:@file`` and ``horiz:@file`` load frames through ``frame_loader``
-    (defaults to the CSV reader: vectors as rows, blank lines separating
-    frames).  Raises SpecParseError with the offending position.
+    ``geom:@file`` and ``horiz:@file`` read frames from a CSV file (vectors
+    as rows, blank lines separating frames).  Raises SpecParseError with
+    the offending position.
     """
-    if frame_loader is None:
-        frame_loader = symmat.read_frames_csv
     text = text.strip()
     if not text:
         raise SpecParseError("empty cone descriptor", 0)
     tokens = text.split(":")
     head = tokens[0]
     rest = tokens[1:]
-
-    def _num(i, kind=float):
-        tok = rest[i]
-        pos = len(":".join([head] + rest[:i])) + 1
-        try:
-            return kind(tok)
-        except ValueError:
-            raise SpecParseError(
-                f"expected a number at position {pos}, got {tok!r}", pos
-            ) from None
 
     def _arity(k):
         if len(rest) != k:
@@ -981,27 +967,19 @@ def parse_cone(text: str, dim: int, frame_loader=None) -> ConeSpec:
             )
 
     try:
-        if head == "p":
-            _arity(0)
-            return positivity(dim)
-        if head == "pp":
-            _arity(1)
-            return pp_cone(_num(0), dim)
-        if head == "branch":
-            _arity(1)
-            return branch_cone(_num(0, int), dim)
-        if head == "cbranch":
-            _arity(1)
-            return complex_branch_cone(_num(0, int), dim)
-        if head == "pdelta":
-            _arity(1)
-            return pdelta_cone(_num(0), dim)
-        if head == "pucci":
-            _arity(2)
-            return pucci_cone(_num(0), _num(1), dim)
-        if head == "sigma":
-            _arity(1)
-            return sigma_cone(_num(0, int), dim)
+        if head in _DESCRIPTORS:
+            kind, fields = _DESCRIPTORS[head]
+            _arity(len(fields))
+            params = {}
+            for i, (name, typ) in enumerate(fields):
+                try:
+                    params[name] = typ(rest[i])
+                except ValueError:
+                    pos = len(":".join(tokens[: i + 1])) + 1
+                    raise SpecParseError(
+                        f"expected a number at position {pos}, got {rest[i]!r}", pos
+                    ) from None
+            return ConeSpec(kind, dim, **params)
         if head == "geom" or head == "horiz":
             _arity(1)
             tok = rest[0]
@@ -1009,19 +987,16 @@ def parse_cone(text: str, dim: int, frame_loader=None) -> ConeSpec:
                 raise SpecParseError(
                     f"{head!r} expects @<frames file>, got {tok!r}", len(head) + 1
                 )
-            frames = frame_loader(tok[1:])
+            frames = symmat.read_frames_csv(tok[1:])
             if head == "geom":
                 return geometric_cone(frames, dim)
             if len(frames) != 1:
                 raise SpecParseError("horiz frame file must hold one frame", len(head) + 1)
             return horizontal_cone(frames[0], dim)
-        if head == "mapb":
-            _arity(2)
-            return map_branch_cone(_num(0, int), _num(1, int), dim)
         if head == "enl":
             if len(rest) < 2:
                 raise SpecParseError("enl:<base...>:<c>", len(head))
-            base = parse_cone(":".join(rest[:-1]), dim, frame_loader)
+            base = parse_cone(":".join(rest[:-1]), dim)
             try:
                 c = float(rest[-1])
             except ValueError:
@@ -1033,7 +1008,7 @@ def parse_cone(text: str, dim: int, frame_loader=None) -> ConeSpec:
         if head == "dual":
             if not rest:
                 raise SpecParseError("dual:<base...>", len(head))
-            return dual_cone(parse_cone(":".join(rest), dim, frame_loader))
+            return dual_cone(parse_cone(":".join(rest), dim))
     except DomainError as exc:
         raise SpecParseError(str(exc), 0) from exc
     raise SpecParseError(f"unknown cone kind {head!r}", 0)

@@ -27,6 +27,7 @@ GRID_SCALE_NOTE = (
 )
 
 EXTENSION_RADIUS_CAP = 5
+_PROBE_RADIUS = 3  # Chebyshev radius of upper_conical_check's probe neighborhood
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +87,6 @@ class GridFunction:
             self.shape == other.shape
             and abs(self.h - other.h) <= 1e-12 * self.h
             and np.all(np.abs(self.origin - other.origin) <= 1e-12 * (1 + np.abs(self.origin)))
-        )
-
-    def with_values(self, values, mask="keep") -> "GridFunction":
-        return GridFunction(
-            values, self.origin, self.h, self.mask if mask == "keep" else mask
         )
 
 
@@ -172,7 +168,7 @@ def canonical_extension(
             else:
                 sup_change = np.inf
         vals[tuple(idx)] = new
-    return ExtensionReport(u.with_values(vals), changed, sup_change)
+    return ExtensionReport(GridFunction(vals, u.origin, u.h, u.mask), changed, sup_change)
 
 
 # -- discrete jets ------------------------------------------------------------
@@ -378,8 +374,7 @@ def subharmonic_verify(
         return SubharmonicReport([], float(c_tol), 0)
     enlarged = cones.enlarged_cone(spec, float(c_tol)) if c_tol > 0 else spec
     m = cones.margins(enlarged, hess)
-    tol = cones.CLOSED_TOL * (1.0 + np.abs(hess).reshape(hess.shape[0], -1).max(axis=1))
-    bad = np.nonzero(m < -tol)[0]
+    bad = np.nonzero(m < cones.thresholds(hess))[0]
     violations = [Violation(tuple(int(i) for i in idx[b]), float(m[b])) for b in bad]
     return SubharmonicReport(violations, float(c_tol), int(idx.shape[0]))
 
@@ -489,13 +484,12 @@ def upper_conical_check(
     index,
     eps: float,
     hess_bound: float,
-    probe_radius: int = 3,
 ) -> UpperConicalResult:
     """Search for a test function of ``U + eps dist(., q)`` at a grid point.
 
     Any admissible Hessian is dominated by ``hess_bound * I``, so the
     search reduces to linear feasibility in the gradient alone over the
-    probe neighborhood:
+    probe neighborhood (the cells within Chebyshev distance 3):
 
         <g, x - q>  >=  U(x) - U(q) + eps |x - q| - hess_bound |x - q|^2 / 2
 
@@ -508,7 +502,7 @@ def upper_conical_check(
         raise DomainError(f"hess_bound must be >= 0, got {hess_bound}")
     nd = u.ndim
     idx = tuple(int(i) for i in index)
-    if any(i - probe_radius < 0 or i + probe_radius > s - 1 for i, s in zip(idx, u.shape)):
+    if any(i - _PROBE_RADIUS < 0 or i + _PROBE_RADIUS > s - 1 for i, s in zip(idx, u.shape)):
         raise DomainError("probe neighborhood touches the grid boundary")
     uq = float(u.values[idx])
     if not np.isfinite(uq):
@@ -516,7 +510,7 @@ def upper_conical_check(
     offsets = np.array(
         [
             o
-            for o in itertools.product(range(-probe_radius, probe_radius + 1), repeat=nd)
+            for o in itertools.product(range(-_PROBE_RADIUS, _PROBE_RADIUS + 1), repeat=nd)
             if any(o)
         ],
         dtype=float,

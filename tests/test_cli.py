@@ -72,6 +72,19 @@ def test_cone_membership_report(tmp_path):
     assert code == 0 and rep["member"] is True
 
 
+def test_dual_flag_and_dual_descriptor_agree(tmp_path, monkeypatch, capsys):
+    # the dual margin -5e-8 lies between the closed and interior tolerance bands
+    (tmp_path / "A.csv").write_text("-1,0,0\n0,0,0\n0,0,-5e-8\n")
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for argv in (["--spec", "pp:2", "--dual"], ["--spec", "dual:pp:2"]):
+        code = cli.main(["cone", *argv, "--dim", "3", "--matrix", "A.csv"])
+        rep = json.loads(capsys.readouterr().out)
+        schema.validate_report(rep)
+        reports.append((code, rep["member"], rep["margin"], rep["threshold"], rep["witness"]))
+    assert reports[0] == reports[1] == (1, False, -5e-8, -2e-9, {"eigen_indices": [1, 2]})
+
+
 def test_cone_parse_error_position_and_exit():
     code, out, _ = run_cli("cone", "--spec", "pucci:1:x", "--dim", "4")
     assert code == 2
@@ -339,6 +352,10 @@ _BAD_INPUT_FILES = {
     "punctpoint.json": json.dumps(
         {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [["a", 0]]}
     ),
+    "convzero.json": json.dumps(
+        {"kind": "convergence", "problem": dict(_GOOD_PROBLEM, boundary={"expr": "0*x"}),
+         "resolutions": [9]}
+    ),
 }
 
 
@@ -397,6 +414,8 @@ _BAD_INPUT_FILES = {
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
                       "shape=9,9 origin=-1 h=0.25", "--grid-output", "x.grid"],
                      id="polar-grid-origin-dimension"),
+        pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
+                     id="convergence-zero-data"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):

@@ -275,6 +275,17 @@ def test_branch_duality_reflection(n, k):
     assert np.max(np.abs(dual - reflected)) <= 1e-9 * (1 + np.abs(mats).max())
 
 
+@pytest.mark.parametrize("spec,expected", [
+    (branch_cone(2, 5), {"eigen_index": 4}),
+    (branch_cone(1, 3), {"eigen_index": 3}),
+    (complex_branch_cone(1, 4), {"hermitian_eigen_index": 2}),
+])
+def test_dual_branch_witness_is_reflected(spec, expected):
+    A = random_sym_stack(11, 1, spec.dim)[0]
+    assert contains(dual_cone(spec), A).witness == expected
+    assert dual_contains(spec, A).witness == expected
+
+
 def test_complex_branch_duality_reflection():
     m, n = 2, 4
     mats = random_sym_stack(17, 500, n)
@@ -511,6 +522,17 @@ def test_garding_dimension_cap():
         ("enl:pp:2:0.1", "enl:pp:2:0.1"),
         ("dual:branch:1", "dual:branch:1"),
         ("p", "p"),
+        ("pp:2.0", "pp:2"),
+        ("mapb:1:4", "mapb:1:4"),
+        ("enl:p:0.5", "enl:p:0.5"),
+        ("dual:p", "dual:p"),
+        ("dual:dual:p", "dual:dual:p"),
+        ("enl:dual:p:1", "enl:dual:p:1"),
+        ("dual:enl:pucci:0.5:1.5:0.25", "dual:enl:pucci:0.5:1.5:0.25"),
+        ("dual:cbranch:1", "dual:cbranch:1"),
+        ("enl:sigma:3:2", "enl:sigma:3:2"),
+        ("dual:pdelta:2", "dual:pdelta:2"),
+        ("enl:mapb:2:6:0", "enl:mapb:2:6:0"),
     ],
 )
 def test_parse_cone_roundtrip(text, expected):
@@ -522,17 +544,27 @@ def test_parse_cone_frames(tmp_path):
     path.write_text("1,0,0\n0,1,0\n\n0,1,0\n0,0,1\n")
     spec = parse_cone(f"geom:@{path}", 3)
     assert spec.kind == "geom" and len(spec.frames) == 2
+    assert spec.describe() == "geom:2x2-frames"
     single = tmp_path / "frame.csv"
     single.write_text("1,0,0\n")
     spec2 = parse_cone(f"horiz:@{single}", 3)
     assert spec2.kind == "horiz"
+    assert parse_cone(f"dual:enl:horiz:@{single}:0.5", 3).describe() == "dual:enl:horiz:1-plane:0.5"
 
 
 def test_parse_cone_errors_carry_position():
-    with pytest.raises(SpecParseError):
-        parse_cone("nonsense:1", 3)
-    with pytest.raises(SpecParseError) as err:
-        parse_cone("pucci:1:x", 3)
-    assert err.value.position > 0
-    with pytest.raises(SpecParseError):
-        parse_cone("pp:9", 3)  # out of range for the dimension
+    cases = [
+        ("nonsense:1", 0, "unknown cone kind 'nonsense'"),
+        ("pucci:1:x", 8, "expected a number at position 8, got 'x'"),
+        ("branch:2.5", 7, "expected a number at position 7, got '2.5'"),
+        ("mapb:2", 4, "'mapb' takes 2 parameter(s), got 1"),
+        ("mapb:2.5:1", 5, "expected a number at position 5, got '2.5'"),
+        ("p:1", 1, "'p' takes 0 parameter(s), got 1"),
+        ("pp:9", 0, "pp parameter 9.0 out of range [1, 3]"),  # out of range for the dimension
+        ("mapb:4:1", 0, "mapb needs an integer p in [1, 3], got 4.0"),
+        ("enl:pp:2:x", 9, "expected the enlargement amount, got 'x'"),
+    ]
+    for text, position, message in cases:
+        with pytest.raises(SpecParseError) as err:
+            parse_cone(text, 3)
+        assert (err.value.position, str(err.value)) == (position, message), text
