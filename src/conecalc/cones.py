@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import symmat
 from .errors import (
@@ -313,7 +312,7 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
 
         return f
 
-    lam = np.linalg.eigvalsh(mats)
+    lam = symmat.eigenvalues_of(mats)
 
     if kind in ("positivity", "branch"):
         k = spec.k or 1
@@ -490,9 +489,9 @@ def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
     arr = _stack(mats)
     if spec.kind in ("pp", "positivity"):
         p = spec.p if spec.kind == "pp" else 1.0
-        return top_partial_sum_eigs(np.linalg.eigvalsh(arr), p)
+        return top_partial_sum_eigs(symmat.eigenvalues_of(arr), p)
     if spec.kind == "branch":
-        lam = np.linalg.eigvalsh(arr)
+        lam = symmat.eigenvalues_of(arr)
         return lam[..., spec.dim - spec.k]
     if spec.kind == "cbranch":
         return hermitian_eigenvalues(arr)[..., spec.dim // 2 - spec.k]
@@ -605,16 +604,17 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     if bad.size == 0:
         return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)
     i = int(bad[0])
-    Ai, Bi = SymMatrix(A[i]), SymMatrix(B[i])
+    # rows of the stacked margins: for geom/horiz a lone matrix's margin can
+    # differ from its stack row in the last bit (einsum's summation order)
     return RelationReport(
         passed=False,
         checked=cfg.count,
         seed=cfg.seed,
         failure_index=i,
-        counterexample=(Ai, Bi),
+        counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
         margins={
-            "margin_a": float(margins(F, Ai)[0]),
-            "margin_b": float(margins(M, Bi)[0]),
+            "margin_a": float(margins(F, A)[i]),
+            "margin_b": float(margins(M, B)[i]),
             "margin_sum": float(m[i]),
         },
     )
@@ -646,6 +646,8 @@ def sphere_lattice(n: int, count: int) -> np.ndarray:
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     if n > len(_PRIMES):
         raise ResourceLimitError(f"sphere lattice supports n <= {len(_PRIMES)}")
+    from scipy.special import ndtri  # 0.35 s to import; only n >= 4 needs it
+
     alphas = np.sqrt(np.array(_PRIMES[:n], dtype=float))
     k = np.arange(1, count + 1)[:, None]
     u = np.mod(k * alphas, 1.0)
@@ -868,9 +870,6 @@ class GardingPucciResult:
     factors: np.ndarray
     subsets: tuple
     family_size: int
-
-    def min_factor(self) -> float:
-        return float(np.min(self.factors))
 
     def to_dict(self) -> dict:
         return {

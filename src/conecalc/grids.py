@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import cones
 from .errors import DomainError, StencilError
@@ -521,6 +520,8 @@ def upper_conical_check(
     xi = u.h * offsets[usable]
     norms = np.linalg.norm(xi, axis=1)
     c = uvals[usable] - uq + eps * norms - 0.5 * hess_bound * norms**2
+    from scipy.optimize import linprog  # 0.3 s to import; only this test needs it
+
     # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free
     A_ub = np.column_stack([-xi, -np.ones(xi.shape[0])])
     res = linprog(
@@ -550,16 +551,13 @@ def write_grid(path, u: GridFunction) -> None:
         shape = ",".join(str(s) for s in u.shape)
         origin = ",".join(repr(float(v)) for v in u.origin)
         fh.write(f"grid n={u.ndim} shape={shape} origin={origin} h={u.h!r}\n")
-        rows = u.values.reshape(-1, u.shape[-1])
+        # repr of a Python float is the shortest round-trip form, "-inf" included
         if u.mask is not None:
             fh.write("mask\n")
-            for row in u.mask.reshape(-1, u.shape[-1]):
+            for row in u.mask.reshape(-1, u.shape[-1]).tolist():
                 fh.write(",".join("1" if v else "0" for v in row) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join("-inf" if np.isneginf(v) else repr(float(v)) for v in row)
-                + "\n"
-            )
+        for row in u.values.reshape(-1, u.shape[-1]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def parse_geometry(text: str):

@@ -61,8 +61,6 @@ from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import cones, grids, riesz
 from .cones import ConeSpec, SampleConfig
@@ -73,6 +71,23 @@ from .errors import (
     UnsupportedPolarError,
 )
 from .grids import GridFunction
+
+
+def __getattr__(name):
+    # scipy.sparse and scipy.sparse.linalg cost ~0.5 s to import and only
+    # solves use them.  They load on first access to ``sp`` or ``spla``
+    # (PEP 562) and then stay module globals, which the solves read, so
+    # ``solver.spla`` may be replaced like any module attribute.
+    if name not in ("sp", "spla"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    g = globals()
+    if name not in g:
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        g.update(sp=scipy.sparse, spla=scipy.sparse.linalg)
+    return g[name]
+
 
 # -- stencils -----------------------------------------------------------------
 
@@ -151,9 +166,14 @@ def _make_stencil(ndim: int, reach: int) -> StencilSet:
 
 
 def _normalize_op(op) -> tuple:
-    if isinstance(op, tuple) and len(op) == 2 and op[0] in ("pp", "branch"):
-        return (op[0], float(op[1]) if op[0] == "pp" else int(op[1]))
-    raise DomainError(f"operator must be ('pp', p) or ('branch', k), got {op!r}")
+    if not (isinstance(op, tuple) and len(op) == 2 and op[0] in ("pp", "branch")):
+        raise DomainError(f"operator must be ('pp', p) or ('branch', k), got {op!r}")
+    kind, val = op
+    if kind == "pp":
+        return (kind, float(val))
+    if isinstance(val, (float, np.floating)) and not float(val).is_integer():
+        raise DomainError(f"branch index must be an integer, got {val!r}")
+    return (kind, int(val))
 
 
 def operator_cone(op, ndim: int) -> ConeSpec:
@@ -450,7 +470,7 @@ class _Scheme:
         rows.append(np.arange(N))
         cols.append(np.arange(N))
         data.append(diag)
-        L = sp.csr_matrix(
+        L = __getattr__("sp").csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(N, N),
         )
@@ -548,7 +568,7 @@ def solve(
         # L is a nonsingular M-matrix already in nested-dissection
         # order, so it factors without pivoting or column reordering;
         # one refinement step brings the solve down to round-off.
-        lu = spla.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        lu = __getattr__("spla").splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         x = lu.solve(rhs)
         x += lu.solve(rhs - L @ x)
         del lu  # never hold two factors at once

@@ -32,6 +32,19 @@ def output_of(*args, **kw):
     return code, report
 
 
+def test_cli_import_loads_no_scipy_solver_modules():
+    # scipy's special, optimize and sparse packages load on first use only
+    code = (
+        "import sys, conecalc.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.special', 'scipy.optimize', 'scipy.sparse'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # -- cone reports -----------------------------------------------------------------
 
 
@@ -352,6 +365,7 @@ _BAD_INPUT_FILES = {
     "punctpoint.json": json.dumps(
         {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [["a", 0]]}
     ),
+    "branchfrac.json": json.dumps(dict(_GOOD_PROBLEM, operator="branch", k=1.7)),
     "convzero.json": json.dumps(
         {"kind": "convergence", "problem": dict(_GOOD_PROBLEM, boundary={"expr": "0*x"}),
          "resolutions": [9]}
@@ -416,6 +430,7 @@ _BAD_INPUT_FILES = {
                      id="polar-grid-origin-dimension"),
         pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
                      id="convergence-zero-data"),
+        pytest.param(["solve", "--problem", "branchfrac.json"], id="problem-branch-fraction"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):

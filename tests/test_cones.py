@@ -170,11 +170,15 @@ def catalogue_specs(draw, name):
     return spec
 
 
-# Drawn entries and shifts are multiples of 1/64: exact, with ties and
-# zeros.  Arbitrary floats would test LAPACK rather than the margins:
-# with OpenBLAS 0.3.31, eigvalsh of [[t, 0, a], [0, t, 0], [a, 0, t]] for
-# a = 0.49121094 and t = 1e-146 is off by 1.2% (t = 1e-140 by 1e-12).
+# Drawn entries and shifts in [-1, 1], each from one of two strategies:
+# multiples of 1/64 (exact, with ties and zeros), or arbitrary floats of
+# any magnitude down to the subnormals, which also exercise the flush of
+# relatively tiny entries in symmat.eigenvalues_of.
 _DYADIC = st.integers(-64, 64).map(lambda i: i / 64)
+_ANY_FLOAT = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 0)),
+)
 
 
 @st.composite
@@ -183,11 +187,13 @@ def shifted_stacks(draw, name):
     entries in [-1, 1] above seeded GOE ones."""
     spec = draw(catalogue_specs(name))
     n = spec.dim
-    G = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n, n), elements=_DYADIC))
+    entries = draw(st.sampled_from([_DYADIC, _ANY_FLOAT]))
+    shifts = draw(st.sampled_from([_DYADIC, _ANY_FLOAT]))
+    G = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n, n), elements=entries))
     goe = random_sym_stack(draw(st.integers(0, 2**16)), 4, n)
     mats = np.concatenate([0.5 * (G + np.swapaxes(G, -1, -2)), goe])
-    ts = draw(st.lists(st.integers(0, 128), min_size=2, max_size=5, unique=True))
-    return spec, mats, [t / 64 for t in sorted(ts)]
+    ts = draw(st.lists(shifts.map(abs), min_size=2, max_size=5, unique=True))
+    return spec, mats, sorted(ts)
 
 
 def _over_sigma(spec) -> bool:
@@ -199,7 +205,7 @@ def _shifted(mats, t):
 
 
 @pytest.mark.parametrize("name", _PROPERTY_KINDS)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_margins_under_identity_shifts(name, data):
     spec, mats, ts = data.draw(shifted_stacks(name))
@@ -335,6 +341,36 @@ def test_check_relation_deterministic():
     r1 = check_relation(pucci_cone(1, 2, 3), positivity(3), cfg)
     r2 = check_relation(pucci_cone(1, 2, 3), positivity(3), cfg)
     assert r1.to_dict() == r2.to_dict()
+
+
+def test_check_relation_reports_the_stacked_margins():
+    # a geom margin of one matrix can differ in the last bit from its row in
+    # the sampled stack; the report carries the rows that were tested
+    F = geometric_cone([Frame(np.array([[0.6, 0.8]]))], 2)
+    M = branch_cone(2, 2)
+    cfg = SampleConfig(seed=2, count=50)
+    rep = check_relation(F, M, cfg)
+    assert not rep.passed
+    rng = np.random.default_rng(cfg.seed)
+    A = cones.force_membership(F, cones.sample_goe(rng, 2, cfg.count, cfg.magnitude))
+    B = cones.force_membership(M, cones.sample_goe(rng, 2, cfg.count, cfg.magnitude))
+    i = rep.failure_index
+    assert rep.margins == {
+        "margin_a": margins(F, A)[i],
+        "margin_b": margins(M, B)[i],
+        "margin_sum": margins(F, A + B)[i],
+    }
+
+
+def test_pdelta_margin_with_entries_near_lapack_underflow():
+    # LAPACK's eigvalsh is off by 1.2% on this matrix at t = 1e-146
+    a = 0.49121094
+    spec = pdelta_cone(0.5, 3)
+
+    def margin(t):
+        return float(margins(spec, np.array([[t, 0, a], [0, t, 0], [a, 0, t]]))[0])
+
+    assert abs(margin(1e-146) - margin(0.0)) <= cones.CLOSED_TOL * (1 + a)
 
 
 def test_monotonicity_mirrors_to_the_dual():

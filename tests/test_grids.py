@@ -427,6 +427,23 @@ def test_grid_file_roundtrip_3d_no_mask(tmp_path):
     assert back.mask is None
 
 
+def test_grid_file_golden_bytes(tmp_path):
+    vals = np.array([[0.1, -np.inf, -0.0], [1e-300, 2.5, -3.0]])
+    mask = np.array([[False, True, False], [False, False, True]])
+    write_grid(tmp_path / "a.grid", GridFunction(vals, [-1.0, 0.5], 0.25, mask))
+    assert (tmp_path / "a.grid").read_bytes() == (
+        b"grid n=2 shape=2,3 origin=-1.0,0.5 h=0.25\n"
+        b"mask\n0,1,0\n0,0,1\n"
+        b"0.1,-inf,-0.0\n1e-300,2.5,-3.0\n"
+    )
+    cube = np.arange(12.0).reshape(2, 3, 2) / 4 - 1
+    write_grid(tmp_path / "b.grid", GridFunction(cube, [0, 0, 0], 0.1))
+    assert (tmp_path / "b.grid").read_bytes() == (
+        b"grid n=3 shape=2,3,2 origin=0.0,0.0,0.0 h=0.1\n"
+        b"-1.0,-0.75\n-0.5,-0.25\n0.0,0.25\n0.5,0.75\n1.0,1.25\n1.5,1.75\n"
+    )
+
+
 def test_grid_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.grid"
     path.write_text("not a grid\n")

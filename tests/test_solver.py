@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conecalc import cones, grids, riesz
+from conecalc import cones, grids, riesz, solver
 from conecalc.errors import (
     DiscretizationError,
     DomainError,
@@ -580,10 +580,20 @@ def test_boundary_expression_whitelist():
     assert np.array_equal(got, want - np.sqrt(x * x + y * y) / 2)
 
 
+def test_sparse_modules_resolve_as_solver_attributes():
+    # imported on first access, then plain module globals
+    assert callable(solver.spla.splu)
+    assert callable(solver.sp.csr_matrix)
+    with pytest.raises(AttributeError):
+        solver.no_such_name
+
+
 def test_problem_validation():
     with pytest.raises(DomainError):
         DirichletProblem((4, 4), np.zeros(2), 0.1, ("pp", 2), np.zeros((4, 4)))
     g = np.zeros((9, 9))
+    with pytest.raises(DomainError, match="branch index must be an integer"):
+        DirichletProblem((9, 9), np.zeros(2), 0.1, ("branch", 1.7), g)
     with pytest.raises(DomainError):
         DirichletProblem((9, 9), np.zeros(2), 0.1, ("pp", 2), g, punctures=((0, 3),))
     with pytest.raises(DomainError):

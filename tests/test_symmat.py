@@ -357,3 +357,13 @@ def test_frames_csv_roundtrip(tmp_path):
     assert len(frames) == 2
     assert frames[0].plane_dim == 2
     assert frames[1].plane_dim == 1
+
+
+def test_eigenvalues_flush_only_relatively_tiny_entries():
+    a = 0.49121094
+    mixed = np.array([[1e-146, 0, a], [0, 1e-146, 0], [a, 0, 1e-146]])
+    tiny = 1e-200 * np.diag([1.0, 2.0, 3.0])
+    lam = eigenvalues_of(np.stack([mixed, tiny]))
+    assert lam[0] == pytest.approx([-a, 0.0, a], abs=1e-15)
+    # each matrix is flushed against its own scale: a uniformly tiny one is kept
+    assert np.array_equal(lam[1], [1e-200, 2e-200, 3e-200])
