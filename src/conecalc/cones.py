@@ -107,6 +107,14 @@ class ConeSpec:
         n = self.dim
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise DomainError(f"ambient dim must be a positive integer, got {n!r}")
+        if self.k is not None:
+            try:
+                whole = float(self.k).is_integer()
+            except (TypeError, ValueError):
+                whole = False
+            if not whole:
+                raise DomainError(f"{self.kind} index must be an integer, got {self.k!r}")
+            object.__setattr__(self, "k", int(float(self.k)))
         k = self.kind
         if k == "pp":
             if self.p is None or not (1.0 <= self.p <= n):
@@ -217,11 +225,11 @@ def pp_cone(p: float, dim: int) -> ConeSpec:
 
 
 def branch_cone(k: int, dim: int) -> ConeSpec:
-    return ConeSpec("branch", dim, k=int(k))
+    return ConeSpec("branch", dim, k=k)
 
 
 def complex_branch_cone(k: int, dim: int) -> ConeSpec:
-    return ConeSpec("cbranch", dim, k=int(k))
+    return ConeSpec("cbranch", dim, k=k)
 
 
 def pdelta_cone(delta: float, dim: int) -> ConeSpec:
@@ -233,7 +241,7 @@ def pucci_cone(lam: float, Lam: float, dim: int) -> ConeSpec:
 
 
 def sigma_cone(k: int, dim: int) -> ConeSpec:
-    return ConeSpec("sigma", dim, k=int(k))
+    return ConeSpec("sigma", dim, k=k)
 
 
 def geometric_cone(frames, dim: int) -> ConeSpec:
@@ -245,7 +253,7 @@ def horizontal_cone(frame: Frame, dim: int) -> ConeSpec:
 
 
 def map_branch_cone(p: int, k: int, dim: int) -> ConeSpec:
-    return ConeSpec("mapb", dim, p=float(p), k=int(k))
+    return ConeSpec("mapb", dim, p=float(p), k=k)
 
 
 def enlarged_cone(base: ConeSpec, c: float) -> ConeSpec:

@@ -76,16 +76,17 @@ from .grids import GridFunction
 def __getattr__(name):
     # scipy.sparse and scipy.sparse.linalg cost ~0.5 s to import and only
     # solves use them.  They load on first access to ``sp`` or ``spla``
-    # (PEP 562) and then stay module globals, which the solves read, so
-    # ``solver.spla`` may be replaced like any module attribute.
+    # (PEP 562) and then stay module globals, which the solves read; an
+    # attribute set before the first load is kept, so ``solver.spla`` may
+    # be replaced like any module attribute.
     if name not in ("sp", "spla"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    g = globals()
-    if name not in g:
-        import scipy.sparse
-        import scipy.sparse.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
 
-        g.update(sp=scipy.sparse, spla=scipy.sparse.linalg)
+    g = globals()
+    g.setdefault("sp", scipy.sparse)
+    g.setdefault("spla", scipy.sparse.linalg)
     return g[name]
 
 
@@ -165,27 +166,24 @@ def _make_stencil(ndim: int, reach: int) -> StencilSet:
 # -- operators ----------------------------------------------------------------
 
 
-def _normalize_op(op) -> tuple:
-    if not (isinstance(op, tuple) and len(op) == 2 and op[0] in ("pp", "branch")):
-        raise DomainError(f"operator must be ('pp', p) or ('branch', k), got {op!r}")
-    kind, val = op
-    if kind == "pp":
-        return (kind, float(val))
-    if isinstance(val, (float, np.floating)) and not float(val).is_integer():
-        raise DomainError(f"branch index must be an integer, got {val!r}")
-    return (kind, int(val))
-
-
 def operator_cone(op, ndim: int) -> ConeSpec:
     """Cone whose subharmonics are the operator's subsolutions.
 
     ``op`` is ``("pp", p)`` or ``("branch", k)``; the catalogue cone checks
-    that the parameter is in range for ``ndim``.
+    the parameter for ``ndim``.
     """
-    kind, val = _normalize_op(op)
+    if not (isinstance(op, tuple) and len(op) == 2 and op[0] in ("pp", "branch")):
+        raise DomainError(f"operator must be ('pp', p) or ('branch', k), got {op!r}")
+    kind, val = op
     if kind == "pp":
         return cones.pp_cone(val, ndim)
     return cones.branch_cone(val, ndim)
+
+
+def _normalize_op(op, ndim: int) -> tuple:
+    """The operator with the parameter its catalogue cone validated."""
+    cone = operator_cone(op, ndim)
+    return (cone.kind, cone.p if cone.kind == "pp" else cone.k)
 
 
 def _combos(op: tuple, stencil: StencilSet):
@@ -288,8 +286,7 @@ class DirichletProblem:
             raise DomainError("grids need at least 5 points per axis")
         if not self.h > 0:
             raise DomainError(f"grid spacing must be > 0, got {self.h}")
-        op = _normalize_op(self.operator)
-        operator_cone(op, nd)  # the catalogue cone checks the parameter range
+        op = _normalize_op(self.operator, nd)
         g = np.asarray(self.boundary_values, dtype=float)
         if g.shape != shape:
             raise DomainError("boundary value array must cover the whole grid")
@@ -483,8 +480,7 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     The full stencil must fit inside the grid at the point and the values
     it reads must be finite; otherwise StencilError is raised.
     """
-    op = _normalize_op(op)
-    operator_cone(op, u.ndim)  # the catalogue cone checks the parameter range
+    op = _normalize_op(op, u.ndim)
     if stencil is None:
         stencil = make_stencil(u.ndim)
     idx = np.asarray(index, dtype=np.intp)
@@ -892,7 +888,7 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         origin = np.asarray(grid["origin"], dtype=float).reshape(nd)
         h = float(grid["h"])
         op_kind = cfg["operator"]
-        op = _normalize_op((op_kind, cfg["p"] if op_kind == "pp" else cfg["k"]))
+        op = _normalize_op((op_kind, cfg["p"] if op_kind == "pp" else cfg["k"]), nd)
         boundary = dict(cfg["boundary"])
         box = cfg.get("hole")
         if box:

@@ -114,6 +114,23 @@ def test_dimension_mismatch_rejected():
         contains(positivity(3), np.eye(4))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda k: branch_cone(k, 4),
+        lambda k: complex_branch_cone(k, 4),
+        lambda k: sigma_cone(k, 4),
+        lambda k: map_branch_cone(2, k, 4),
+    ],
+    ids=["branch", "cbranch", "sigma", "mapb"],
+)
+def test_index_must_be_whole(make):
+    with pytest.raises(DomainError, match="index must be an integer"):
+        make(1.5)
+    spec = make(np.float64(2.0))
+    assert spec.k == 2 and type(spec.k) is int
+
+
 def test_eigenvalue_invariance_flag():
     frame = Frame(np.eye(4)[:2])
     assert positivity(4).o_n_invariant
@@ -170,15 +187,17 @@ def catalogue_specs(draw, name):
     return spec
 
 
-# Drawn entries and shifts in [-1, 1], each from one of two strategies:
-# multiples of 1/64 (exact, with ties and zeros), or arbitrary floats of
-# any magnitude down to the subnormals, which also exercise the flush of
-# relatively tiny entries in symmat.eigenvalues_of.
+# Drawn entries in [-1, 1] and shifts in [0, 2], each from one of two
+# strategies: multiples of 1/64 (exact, with ties and zeros), or arbitrary
+# floats of any magnitude down to the subnormals, which also exercise the
+# flush of relatively tiny entries in symmat.eigenvalues_of.
 _DYADIC = st.integers(-64, 64).map(lambda i: i / 64)
 _ANY_FLOAT = st.one_of(
     st.floats(-1.0, 1.0),
     st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 0)),
 )
+_DYADIC_SHIFT = st.integers(0, 128).map(lambda i: i / 64)
+_ANY_FLOAT_SHIFT = _ANY_FLOAT.map(lambda x: 2 * abs(x))
 
 
 @st.composite
@@ -188,11 +207,11 @@ def shifted_stacks(draw, name):
     spec = draw(catalogue_specs(name))
     n = spec.dim
     entries = draw(st.sampled_from([_DYADIC, _ANY_FLOAT]))
-    shifts = draw(st.sampled_from([_DYADIC, _ANY_FLOAT]))
+    shifts = draw(st.sampled_from([_DYADIC_SHIFT, _ANY_FLOAT_SHIFT]))
     G = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n, n), elements=entries))
     goe = random_sym_stack(draw(st.integers(0, 2**16)), 4, n)
     mats = np.concatenate([0.5 * (G + np.swapaxes(G, -1, -2)), goe])
-    ts = draw(st.lists(shifts.map(abs), min_size=2, max_size=5, unique=True))
+    ts = draw(st.lists(shifts, min_size=2, max_size=5, unique=True))
     return spec, mats, sorted(ts)
 
 

@@ -580,12 +580,19 @@ def test_boundary_expression_whitelist():
     assert np.array_equal(got, want - np.sqrt(x * x + y * y) / 2)
 
 
-def test_sparse_modules_resolve_as_solver_attributes():
+def test_sparse_modules_resolve_as_solver_attributes(monkeypatch):
     # imported on first access, then plain module globals
     assert callable(solver.spla.splu)
     assert callable(solver.sp.csr_matrix)
     with pytest.raises(AttributeError):
         solver.no_such_name
+    # a module set before the first load is kept
+    monkeypatch.delattr(solver, "sp")
+    monkeypatch.delattr(solver, "spla")
+    stand_in = object()
+    monkeypatch.setattr(solver, "spla", stand_in, raising=False)
+    assert callable(solver.sp.csr_matrix)
+    assert solver.spla is stand_in
 
 
 def test_problem_validation():
