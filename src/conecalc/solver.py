@@ -44,10 +44,17 @@ Both are deterministic; outputs are bitwise reproducible.
 Unknowns are numbered once, by geometric nested dissection of the
 lattice with separator strips as wide as the stencil reach, so every
 frozen-frame matrix is assembled already in a low-fill order.  Being a
-monotone scheme, that matrix is a nonsingular M-matrix: each policy step
-is one pivot-free LU factorization plus one step of iterative refinement
-with the same factor.  ``converged`` means residual <= tol at the
-returned iterate.
+monotone scheme, that matrix is a nonsingular M-matrix, which factors
+without pivoting.  The solve holds one LU factor together with the frame
+selection it was built from.  A policy step whose selection differs from
+the held one in at most 0.5% of the rows, taken while the residual still
+falls, solves by GMRES preconditioned with that factor (late Howard
+steps solve nearby frozen systems; Bokanowski, Maroso and Zidani 2009);
+it keeps the result only if its componentwise backward error is at most
+64 eps.  Every other step drops the held factor, factors the new matrix
+and takes one step of iterative refinement with it.  The policy stops on
+an unchanged selection only after a factored solve, and ``converged``
+means residual <= tol at the returned iterate.
 """
 
 from __future__ import annotations
@@ -527,6 +534,36 @@ def _solution_grid(problem: DirichletProblem, u_flat: np.ndarray) -> GridFunctio
     return GridFunction(vals, problem.origin, problem.h, mask)
 
 
+# A policy step reuses the held factor when at most this share of the
+# rows changed frames since it was built ...
+_REUSE_SHARE = 0.005
+# ... and keeps the GMRES result only at this componentwise backward
+# error; a factored solve with one refinement step reads 2-4e-16.
+_BACKWARD_ERROR = 64 * np.finfo(float).eps
+
+
+def _solve_with_held_factor(L, rhs, lu, x0):
+    """GMRES on ``L x = rhs`` from ``x0``, preconditioned by the LU factor
+    of a nearby frozen matrix: the solution, or None if it misses
+    ``_BACKWARD_ERROR``.
+
+    A change of r rows is a rank-r update of the factored matrix, so one
+    restart cycle of at most 30 iterations suffices for the late policy
+    steps.  scipy ends that cycle once its estimate of the preconditioned
+    residual, the correction still owed to x, falls below rtol times
+    ``|lu.solve(rhs)|_2``, about ``|x|_2``; rtol = eps / sqrt(n) asks for a
+    correction below the round-off of a typical entry of x.  scipy's
+    ``info`` is not consulted: the backward error
+    ``max |rhs - L x| / (|L| |x| + |rhs|)`` alone decides.
+    """
+    spla = __getattr__("spla")
+    M = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=float)
+    rtol = np.finfo(float).eps / math.sqrt(rhs.size)
+    x, _ = spla.gmres(L, rhs, x0=x0, M=M, rtol=rtol, atol=0.0, restart=30, maxiter=1)
+    scale = abs(L) @ np.abs(x) + np.abs(rhs)
+    return x if np.all(np.abs(rhs - L @ x) <= _BACKWARD_ERROR * scale) else None
+
+
 def solve(
     problem: DirichletProblem,
     stencil: Optional[StencilSet] = None,
@@ -537,9 +574,12 @@ def solve(
 
     Policy iteration freezes the optimal frame choice and solves the
     resulting sparse linear system, repeating until the residual settles
-    (exact for the linear trace form in one solve).  The 3-D
-    second-branch min-max form has no frozen linear system and runs the
-    damped Jacobi iteration for at most ``max_iter`` sweeps instead.
+    (exact for the linear trace form in one solve).  Each linear solve
+    either factors the frozen matrix or, once few rows change frames,
+    reuses the held factor as a GMRES preconditioner (see the module
+    docstring).  The 3-D second-branch min-max form has no frozen
+    linear system and runs the damped Jacobi iteration for at most
+    ``max_iter`` sweeps instead.
     """
     if stencil is None:
         stencil = make_stencil(problem.ndim)
@@ -550,7 +590,8 @@ def solve(
     if scheme.form == "minmax":
         return _jacobi(scheme, u, tol, max_iter)
     history = []
-    prev_sel = None
+    prev_sel = lu = lu_sel = None
+    reused = False
     r, sel = scheme.evaluate(u)
     res_sup = float(np.max(np.abs(r)))
     history.append((0, res_sup))
@@ -558,16 +599,33 @@ def solve(
     it = 0
     while not converged and it < 60:
         it += 1
-        if prev_sel is not None and np.array_equal(sel, prev_sel):
+        settled = prev_sel is not None and np.array_equal(sel, prev_sel)
+        if settled and not reused:
             break
+        # reuse only while the residual still falls: at round-off the
+        # policy flips ties, and factored solves end it as they always did
+        try_reuse = (
+            lu is not None
+            and not settled
+            and res_sup < history[-2][1]
+            and np.count_nonzero(sel != lu_sel) <= _REUSE_SHARE * sel.size
+        )
+        if not try_reuse:
+            lu = None  # free an unused factor before assembling
         L, rhs = scheme.assemble(sel)
-        # L is a nonsingular M-matrix already in nested-dissection
-        # order, so it factors without pivoting or column reordering;
-        # one refinement step brings the solve down to round-off.
-        lu = __getattr__("spla").splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - L @ x)
-        del lu  # never hold two factors at once
+        x = _solve_with_held_factor(L, rhs, lu, u[scheme.unknown_flat]) if try_reuse else None
+        reused = x is not None
+        if not reused:
+            # L is a nonsingular M-matrix already in nested-dissection
+            # order, so it factors without pivoting or column reordering;
+            # one refinement step brings the solve down to round-off.
+            lu = None  # one factor at a time: drop a rejected one first
+            lu = __getattr__("spla").splu(
+                L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+            )
+            lu_sel = sel
+            x = lu.solve(rhs)
+            x += lu.solve(rhs - L @ x)
         u[scheme.unknown_flat] = x
         prev_sel = sel
         r, sel = scheme.evaluate(u)

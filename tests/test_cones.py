@@ -189,8 +189,9 @@ def catalogue_specs(draw, name):
 
 # Drawn entries in [-1, 1] and shifts in [0, 2], each from one of two
 # strategies: multiples of 1/64 (exact, with ties and zeros), or arbitrary
-# floats of any magnitude down to the subnormals, which also exercise the
-# flush of relatively tiny entries in symmat.eigenvalues_of.
+# floats of any magnitude down to the subnormals.  The flush of relatively
+# tiny entries in symmat.eigenvalues_of is exercised by both and needed
+# only by decoupled_tiny_matrices.
 _DYADIC = st.integers(-64, 64).map(lambda i: i / 64)
 _ANY_FLOAT = st.one_of(
     st.floats(-1.0, 1.0),
@@ -201,16 +202,38 @@ _ANY_FLOAT_SHIFT = _ANY_FLOAT.map(lambda x: 2 * abs(x))
 
 
 @st.composite
+def decoupled_tiny_matrices(draw, n):
+    """``tau I + a (e_i e_j^T + e_j e_i^T)`` with ``j >= i + 2`` when n >= 3,
+    so row i + 1 is exactly decoupled; a in [-1, 1] and tau 1e-146 to
+    1e-142 times |a|.  Arbitrary floats almost never form this pattern,
+    yet on 4-15% of these draws LAPACK's eigvalsh (OpenBLAS 0.3.31) misses
+    eigenvalues by up to 1.2% unless ``symmat.eigenvalues_of`` flushes
+    tau."""
+    i = draw(st.integers(0, max(n - 3, 0)))
+    j = draw(st.integers(min(i + 2, n - 1), n - 1))
+    a = draw(st.floats(-1.0, 1.0))
+    A = abs(a) * 10.0 ** draw(st.floats(-146.0, -142.0)) * np.eye(n)
+    A[i, j] = A[j, i] = a
+    return A
+
+
+@st.composite
 def shifted_stacks(draw, name):
-    """(spec, symmetric stack, ascending shifts t >= 0): drawn matrices with
-    entries in [-1, 1] above seeded GOE ones."""
+    """(spec, symmetric stack, ascending shifts t >= 0): one to three drawn
+    matrices, with dyadic or arbitrary-float entries in [-1, 1] or
+    decoupled tiny-diagonal ones, above seeded GOE ones."""
     spec = draw(catalogue_specs(name))
     n = spec.dim
-    entries = draw(st.sampled_from([_DYADIC, _ANY_FLOAT]))
+    entries = draw(st.sampled_from([_DYADIC, _ANY_FLOAT, None]))
     shifts = draw(st.sampled_from([_DYADIC_SHIFT, _ANY_FLOAT_SHIFT]))
-    G = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n, n), elements=entries))
+    count = draw(st.integers(1, 3))
+    if entries is None:
+        G = np.stack([draw(decoupled_tiny_matrices(n)) for _ in range(count)])
+    else:
+        G = draw(hnp.arrays(float, (count, n, n), elements=entries))
+        G = 0.5 * (G + np.swapaxes(G, -1, -2))
     goe = random_sym_stack(draw(st.integers(0, 2**16)), 4, n)
-    mats = np.concatenate([0.5 * (G + np.swapaxes(G, -1, -2)), goe])
+    mats = np.concatenate([G, goe])
     ts = draw(st.lists(shifts, min_size=2, max_size=5, unique=True))
     return spec, mats, sorted(ts)
 

@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conecalc import cones, grids, riesz, solver
 from conecalc.errors import (
@@ -281,22 +284,52 @@ def test_pointwise_residual_is_the_scheme_residual(shape, op, reach):
     assert checked == np.prod([s - 2 * reach for s in shape])
 
 
-def test_scheme_monotonicity_in_neighbor_values():
-    # raising any off-center value never lowers the residual
+# 2-D operators of every reduction form: min (pp), min and max (branch)
+_OPERATORS_2D = st.one_of(
+    st.floats(1.0, 2.0).map(lambda p: ("pp", p)),
+    st.sampled_from([("branch", 1), ("branch", 2)]),
+)
+
+
+def _seeded_bumps():
+    """One seeded 11x11 field and 40 single-point bumps of it."""
     rng = np.random.default_rng(2)
-    st = make_stencil(2, 2)
     vals = rng.standard_normal((11, 11))
-    u = GridFunction(vals, [0, 0], 0.3)
-    base = {op: residual(u, (5, 5), op, st) for op in (("pp", 1.5), ("branch", 1), ("branch", 2))}
+    bumps = []
     for _ in range(40):
         i, j = rng.integers(0, 11, 2)
-        if (i, j) == (5, 5):
+        if (i, j) != (5, 5):
+            bumps.append(((int(i), int(j)), float(rng.random())))
+    return vals, bumps
+
+
+_SEEDED_VALUES, _SEEDED_BUMPS = _seeded_bumps()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    values=hnp.arrays(float, (11, 11), elements=st.floats(-10.0, 10.0)),
+    op=_OPERATORS_2D,
+    bumps=st.lists(
+        st.tuples(st.tuples(st.integers(0, 10), st.integers(0, 10)), st.floats(0.0, 10.0)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(values=_SEEDED_VALUES, op=("pp", 1.5), bumps=_SEEDED_BUMPS)
+@example(values=_SEEDED_VALUES, op=("branch", 1), bumps=_SEEDED_BUMPS)
+@example(values=_SEEDED_VALUES, op=("branch", 2), bumps=_SEEDED_BUMPS)
+def test_scheme_monotonicity_in_neighbor_values(values, op, bumps):
+    # raising any off-center value never lowers the residual; every
+    # floating-point step of the scheme is monotone, so not even by a bit
+    stencil = make_stencil(2, 2)
+    r0 = residual(GridFunction(values, [0, 0], 0.3), (5, 5), op, stencil)
+    for point, amount in bumps:
+        if point == (5, 5):
             continue
-        bumped = vals.copy()
-        bumped[i, j] += rng.random()
-        ub = GridFunction(bumped, [0, 0], 0.3)
-        for op, r0 in base.items():
-            assert residual(ub, (5, 5), op, st) >= r0 - 1e-12
+        bumped = values.copy()
+        bumped[point] += amount
+        assert residual(GridFunction(bumped, [0, 0], 0.3), (5, 5), op, stencil) >= r0
 
 
 # -- solving -----------------------------------------------------------------------
@@ -330,21 +363,121 @@ def test_policy_and_jacobi_agree():
 
 
 def test_solve_is_deterministic():
+    # 65^2 solves its last policy step with the held factor
+    for nside in (33, 65):
+        prob = problem_from_config(annulus_config(nside))
+        r1 = solve(prob, tol=1e-10)
+        r2 = solve(prob, tol=1e-10)
+        assert np.array_equal(r1.solution.values, r2.solution.values)
+        assert r1.history == r2.history
+
+
+def _logged_spla(monkeypatch, **replace):
+    """Put a copy of scipy.sparse.linalg with ``replace`` applied in place
+    of ``solver.spla``; returns the list of its ``splu`` and ``gmres``
+    calls, in order."""
+    real = solver.spla
+    funcs = {"splu": real.splu, "gmres": real.gmres, **replace}
+    log = []
+
+    def logged(name):
+        def call(*args, **kwargs):
+            log.append(name)
+            return funcs[name](*args, **kwargs)
+
+        return call
+
+    copy = types.ModuleType(real.__name__)
+    copy.__dict__.update(real.__dict__, splu=logged("splu"), gmres=logged("gmres"))
+    monkeypatch.setattr(solver, "spla", copy)
+    return log
+
+
+def test_late_policy_steps_reuse_the_held_factor(monkeypatch):
+    # at 65^2 step 5 changes 18 of 3,888 rows against step 4's factor
+    log = _logged_spla(monkeypatch)
+    rep = solve(problem_from_config(annulus_config(65)), tol=1e-10)
+    assert rep.converged and rep.iterations == 5
+    assert log == ["splu"] * 4 + ["gmres"]
+
+
+def test_reuse_that_misses_the_backward_error_factors_afresh(monkeypatch):
+    prob = problem_from_config(annulus_config(65))
+    ref = solve(prob, tol=1e-10)
+    # the current iterate is far from solving the changed system
+    log = _logged_spla(monkeypatch, gmres=lambda A, b, x0, **kwargs: (x0, 0))
+    rep = solve(prob, tol=1e-10)
+    assert log == ["splu"] * 4 + ["gmres", "splu"]
+    assert rep.converged and rep.iterations == ref.iterations
+    assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= 1e-12
+
+
+def test_policy_stops_only_after_a_factored_solve(monkeypatch):
+    # a reused solve 1e-14 off in every entry passes the backward-error
+    # check (< 64 eps) but leaves the residual above tol; the policy then
+    # settles, and a factored solve of the same selection converges
+    cfg = dict(annulus_config(33, p=1.2), boundary={"expr": "exp(x) * cos(y) + 0.2*x*y"})
+    prob = problem_from_config(cfg)
+    gmres = solver.spla.gmres
+    log = _logged_spla(
+        monkeypatch, gmres=lambda *args, **kwargs: (gmres(*args, **kwargs)[0] * (1 + 1e-14), 0)
+    )
+    rep = solve(prob, tol=1e-12)
+    assert log[-2:] == ["gmres", "splu"]
+    assert rep.history[-2][1] > 1e-12
+    assert rep.converged
+
+
+def test_reuse_ends_once_the_residual_stops_falling(monkeypatch):
+    # below round-off the policy flips ties from step 6 on; every step
+    # after one that did not lower the residual factors, and the policy
+    # settles as factored solves alone would have it
+    log = _logged_spla(monkeypatch)
+    rep = solve(problem_from_config(annulus_config(65)), tol=1e-16)
+    res = [r for _, r in rep.history]
+    assert not rep.converged and len(log) == len(res) - 1 < 20
+    assert "gmres" in log
+    for step in range(2, len(log) + 1):
+        if res[step - 1] >= res[step - 2]:
+            assert log[step - 1] == "splu"
+
+
+@st.composite
+def ordered_boundary_data(draw):
+    """(g, shift, hole): data g on an n x n grid, a shift >= 0 and an
+    optional hole box."""
+    n = draw(st.integers(9, 17))
+    g = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    shift = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+    hole = None
+    if draw(st.booleans()):
+        lo = draw(st.tuples(st.integers(2, n - 3), st.integers(2, n - 3)))
+        size = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        hole = np.zeros((n, n), dtype=bool)
+        hole[lo[0] : lo[0] + size[0], lo[1] : lo[1] + size[1]] = True
+    return g, shift, hole
+
+
+def _annulus_shifted_data():
     prob = problem_from_config(annulus_config(33))
-    r1 = solve(prob, tol=1e-10)
-    r2 = solve(prob, tol=1e-10)
-    assert np.array_equal(r1.solution.values, r2.solution.values)
-    assert r1.history == r2.history
+    return prob.boundary_values, np.full(prob.shape, 0.3), prob.hole
 
 
-def test_comparison_principle_for_ordered_data():
-    base = annulus_config(33, p=1.5)
-    prob1 = problem_from_config(base)
-    base2 = dict(base, boundary={"expr": "(x*x+y*y)**0.25 + 0.3"})
-    prob2 = problem_from_config(base2)
-    u1 = solve(prob1, tol=1e-10).solution.values
-    u2 = solve(prob2, tol=1e-10).solution.values
-    unk = prob1.unknown_mask()
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(op=_OPERATORS_2D, data=ordered_boundary_data())
+@example(op=("pp", 1.5), data=_annulus_shifted_data())
+def test_comparison_principle_for_ordered_data(op, data):
+    g, shift, hole = data
+    n = g.shape[0]
+
+    def solved(values):
+        prob = DirichletProblem((n, n), (-1.0, -1.0), 2.0 / (n - 1), op, values, hole)
+        rep = solve(prob, tol=1e-10)
+        assert rep.converged
+        return rep.solution.values, prob.unknown_mask()
+
+    u1, unk = solved(g)
+    u2, _ = solved(g + shift)
     assert np.all(u2[unk] >= u1[unk] - 1e-9)
 
 
