@@ -277,14 +277,19 @@ def _stack(mats) -> np.ndarray:
 
 
 def _margin_machine(spec: ConeSpec, mats: np.ndarray):
-    """Return f(t) -> margins of ``mats + t I`` computed from cached spectra.
+    """Return ``(f, slope)``: f(t) -> margins of ``mats + t I`` computed
+    from cached spectra, and the margin's slope in t where it is affine.
 
     ``t`` may be a scalar or a vector matching the leading axis.  The
     membership predicate ``f(t) >= 0`` is monotone in t for every
-    catalogue cone, since adding tI preserves membership.  The margin
-    value itself is nondecreasing in t for every kind except ``sigma`` and
-    compositions over it: for ``diag(-3, 1)`` in ``sigma:2`` it is -3,
-    -3.75, -4, -3, 0 at t = 0, 0.5, 1, 2, 3.
+    catalogue cone, since adding tI preserves membership.  For every kind
+    except ``pucci`` and ``sigma`` (and compositions over them) the margin
+    is ``f(0) + slope * t``, each rule's slope written beside it: 1 for
+    positivity, branch and cbranch, p for pp and mapb, 1 + delta n for
+    pdelta, the plane dimension for geom and horiz, and the base's slope
+    for enl and dual.  Pucci and sigma return ``slope=None``.  Their
+    margin value need not even be monotone in t: for ``diag(-3, 1)`` in
+    ``sigma:2`` it is -3, -3.75, -4, -3, 0 at t = 0, 0.5, 1, 2, 3.
     """
     kind = spec.kind
     if kind == "cbranch":
@@ -294,7 +299,7 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
         def f(t):
             return hv[..., k - 1] + np.asarray(t, dtype=float)
 
-        return f
+        return f, 1.0
     if kind in ("geom", "horiz"):
         traces = frame_traces(mats, spec.frames)
         pdim = spec.frames[0].plane_dim
@@ -303,45 +308,47 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
             t = np.asarray(t, dtype=float)
             return (traces + pdim * t[..., None]).min(axis=-1)
 
-        return f
+        return f, float(pdim)
     if kind == "enl":
-        fb = _margin_machine(spec.base, mats)
+        fb, slope = _margin_machine(spec.base, mats)
         c = spec.c
 
         def f(t):
             return fb(np.asarray(t, dtype=float) + c)
 
-        return f
+        return f, slope
     if kind == "dual":
-        fneg = _margin_machine(spec.base, -mats)
+        fneg, slope = _margin_machine(spec.base, -mats)
 
         def f(t):
             return -fneg(-np.asarray(t, dtype=float))
 
-        return f
+        return f, slope
 
     lam = symmat.eigenvalues_of(mats)
 
     if kind in ("positivity", "branch"):
         k = spec.k or 1
+        slope = 1.0
 
         def f(t):
             return lam[..., k - 1] + np.asarray(t, dtype=float)
     elif kind == "pp":
-        p = spec.p
+        slope = spec.p
+        base = partial_sum_eigs(lam, slope)
 
         def f(t):
-            return partial_sum_eigs(lam, p) + p * np.asarray(t, dtype=float)
+            return base + slope * np.asarray(t, dtype=float)
     elif kind == "pdelta":
         delta = spec.delta
-        n = spec.dim
-        tr = lam.sum(axis=-1)
-        base = lam[..., 0] + delta * tr
+        base = lam[..., 0] + delta * lam.sum(axis=-1)
+        slope = 1.0 + delta * spec.dim
 
         def f(t):
-            return base + (1.0 + delta * n) * np.asarray(t, dtype=float)
+            return base + slope * np.asarray(t, dtype=float)
     elif kind == "pucci":
         lam_c, Lam_c = spec.lam, spec.Lam
+        slope = None
 
         def f(t):
             shifted = lam + np.asarray(t, dtype=float)[..., None]
@@ -350,19 +357,20 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
             return lam_c * pos + Lam_c * neg
     elif kind == "sigma":
         k = spec.k
+        slope = None
 
         def f(t):
             shifted = lam + np.asarray(t, dtype=float)[..., None]
             return elementary_symmetric(shifted, k)[..., 1:].min(axis=-1)
     elif kind == "mapb":
-        p = int(spec.p)
-        base = pfold_sums_eigs(lam, p)[..., spec.k - 1]
+        slope = spec.p  # a whole number, kept as a float
+        base = pfold_sums_eigs(lam, int(slope))[..., spec.k - 1]
 
         def f(t):
-            return base + p * np.asarray(t, dtype=float)
+            return base + slope * np.asarray(t, dtype=float)
     else:  # pragma: no cover - guarded by _KINDS
         raise DomainError(f"no margin rule for kind {kind!r}")
-    return f
+    return f, slope
 
 
 def margins(spec: ConeSpec, mats) -> np.ndarray:
@@ -372,7 +380,7 @@ def margins(spec: ConeSpec, mats) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix dim {arr.shape[-1]} != cone dim {spec.dim}"
         )
-    return _margin_machine(spec, arr)(0.0)
+    return _margin_machine(spec, arr)[0](0.0)
 
 
 def _witness(spec: ConeSpec, A: SymMatrix):
@@ -530,23 +538,59 @@ def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
-    """Shift each matrix by the smallest t >= 0 with ``A + t I`` in the cone.
+def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
+    """The smallest t >= 0 per matrix, to a few ulps of its scale, with
+    ``A + t I`` in the cone.
 
-    Membership of ``A + t I`` is monotone in t (the margin value need not
-    be: see ``_margin_machine`` for sigma), so a doubling bracket plus
-    bisection on the sign of the margin lands each sample essentially on
-    the cone boundary (from inside).
+    Members get exactly 0; every other matrix gets a t > 0 at which its
+    margin, as ``_margin_machine`` computes it, is >= 0.  Where the margin
+    has a slope in t (every kind but pucci and sigma) the shift is
+    ``t = -m0 / slope``, nudged upward by a step that starts at one ulp of
+    t and doubles until the row is a member: a fixed ulp can stall for
+    enl, where ``t + c`` rounds back to c while t is much smaller than c.
+    Pucci and sigma, whose membership is monotone in t but whose margin is
+    not affine, take a doubling bracket plus bisection.
     """
-    mats = _stack(mats)
-    f = _margin_machine(spec, mats)
+    f, slope = _margin_machine(spec, _stack(mats))
     m0 = f(0.0)
     need = m0 < 0.0
-    t = np.zeros(mats.shape[0])
-    if not np.any(need):
+    if slope is None:
+        return _bisected_shift(f, need)
+    t = np.where(need, -m0 / slope, 0.0)
+    step = np.spacing(t)
+    short = need & (f(t) < 0.0)
+    while np.any(short):
+        t[short] += step[short]
+        step[short] *= 2.0
+        short &= f(t) < 0.0
+    if not np.all(np.isfinite(t)):
+        raise SamplingError("membership shift overflows; try a smaller magnitude")
+    return t
+
+
+def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
+    """Shift each matrix along the identity onto the cone boundary, by
+    ``membership_shift``: members come back unchanged, every other matrix
+    lands essentially on the boundary, from inside."""
+    mats = _stack(mats)
+    t = membership_shift(spec, mats)
+    rows = np.nonzero(t)[0]
+    if rows.size == 0:
         return mats
-    lo = np.zeros(mats.shape[0])
-    hi = np.ones(mats.shape[0])
+    out = mats.copy()
+    diag = np.arange(spec.dim)
+    out[rows[:, None], diag, diag] += t[rows, None]
+    return out
+
+
+def _bisected_shift(f, need: np.ndarray) -> np.ndarray:
+    """Smallest t >= 0 with ``f(t) >= 0`` on the rows ``need``, to
+    bisection resolution: a doubling bracket from [0, 1], then up to 100
+    halvings.  These end early once the rows that need a shift stop
+    changing, bitwise as if all 100 had run, since every later step would
+    repeat the same one.  Rows not in ``need`` get 0."""
+    lo = np.zeros(need.shape[0])
+    hi = np.ones(need.shape[0])
     for _ in range(200):
         bad = need & (f(hi) < 0.0)
         if not np.any(bad):
@@ -554,16 +598,17 @@ def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
         hi[bad] *= 2.0
     else:
         raise SamplingError(
-            "could not bracket the membership shift; try a larger magnitude"
+            "could not bracket the membership shift; try a smaller magnitude"
         )
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         good = f(mid) >= 0.0
-        hi = np.where(good, mid, hi)
-        lo = np.where(good, lo, mid)
-    t = np.where(need, hi, 0.0)
-    eye = np.eye(spec.dim)
-    return mats + t[:, None, None] * eye
+        new_hi = np.where(good, mid, hi)
+        new_lo = np.where(good, lo, mid)
+        if np.array_equal(new_hi[need], hi[need]) and np.array_equal(new_lo[need], lo[need]):
+            break
+        hi, lo = new_hi, new_lo
+    return np.where(need, hi, 0.0)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,9 @@ it keeps the result only if its componentwise backward error is at most
 64 eps.  Every other step drops the held factor, factors the new matrix
 and takes one step of iterative refinement with it.  The policy stops on
 an unchanged selection only after a factored solve, and ``converged``
-means residual <= tol at the returned iterate.
+means residual <= tol at the returned iterate.  Each new selection keeps
+the previous frame wherever that frame is within 1e-12 (1 + |r|) of the
+best, so near-tied frames at round-off do not flip the policy forever.
 """
 
 from __future__ import annotations
@@ -226,7 +228,11 @@ def _combos(op: tuple, stencil: StencilSet):
     return "minmax", pairs, np.ones(pairs.shape)
 
 
-def _evaluate(u, center, plus, minus, coeff, combos, admissible=None):
+# relative margin within which a policy step keeps its previous frame
+_TIE = 1e-12
+
+
+def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None):
     """Scheme residual and selected combo at the points ``center``.
 
     One gather gives the (D, N) second differences
@@ -234,8 +240,10 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None):
     values are then built slot by slot, a weighted sum or for ``minmax``
     a running maximum, so no (C, k, N) array is formed.  Combos that are
     not ``admissible`` (all are when None) are never selected; the trace
-    form selects the first admissible one.  Returns ``(residual,
-    selection)``, both (N,).
+    form selects the first admissible one.  A ``keep`` selection (of
+    admissible combos) is kept wherever its value ties the best one to
+    within ``_TIE * (1 + |r|)``.  Returns ``(residual, selection)``, both
+    (N,); the residual is always the best value.
     """
     form, dirs, weights = combos
     dv = u[plus]
@@ -257,7 +265,12 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None):
         if admissible is not None:
             vals[~admissible] = -np.inf if form == "max" else np.inf
         sel = np.argmax(vals, axis=0) if form == "max" else np.argmin(vals, axis=0)
-    return vals[sel, np.arange(n)], sel
+    cols = np.arange(n)
+    best = vals[sel, cols]
+    if keep is not None:
+        tied = np.abs(vals[keep, cols] - best) <= _TIE * (1.0 + np.abs(best))
+        sel = np.where(tied, keep, sel)
+    return best, sel
 
 
 # -- problems -----------------------------------------------------------------
@@ -444,11 +457,12 @@ class _Scheme:
             )
         self.weight_total = float(self.weights.sum(axis=1).max())
 
-    def evaluate(self, u_flat: np.ndarray):
-        """Residual and selected frame combo at every unknown."""
+    def evaluate(self, u_flat: np.ndarray, keep: Optional[np.ndarray] = None):
+        """Residual and selected frame combo at every unknown, keeping the
+        ``keep`` selection where it ties the best (see ``_evaluate``)."""
         return _evaluate(
             u_flat, self.unknown_flat, self.plus, self.minus, self.coeff,
-            self.combos, self.admissible,
+            self.combos, self.admissible, keep,
         )
 
     def assemble(self, selection: np.ndarray):
@@ -628,7 +642,7 @@ def solve(
             x += lu.solve(rhs - L @ x)
         u[scheme.unknown_flat] = x
         prev_sel = sel
-        r, sel = scheme.evaluate(u)
+        r, sel = scheme.evaluate(u, keep=sel)
         res_sup = float(np.max(np.abs(r)))
         history.append((it, res_sup))
         converged = res_sup <= tol

@@ -32,7 +32,7 @@ from conecalc.cones import (
     sigma_cone,
     sphere_lattice,
 )
-from conecalc.errors import DomainError, SpecParseError
+from conecalc.errors import DomainError, SamplingError, SpecParseError
 from conecalc.symmat import Frame, SymMatrix
 
 
@@ -238,8 +238,8 @@ def shifted_stacks(draw, name):
     return spec, mats, sorted(ts)
 
 
-def _over_sigma(spec) -> bool:
-    return spec.kind == "sigma" or (spec.base is not None and _over_sigma(spec.base))
+def _innermost_kind(spec) -> str:
+    return _innermost_kind(spec.base) if spec.base is not None else spec.kind
 
 
 def _shifted(mats, t):
@@ -251,7 +251,7 @@ def _shifted(mats, t):
 @given(data=st.data())
 def test_margins_under_identity_shifts(name, data):
     spec, mats, ts = data.draw(shifted_stacks(name))
-    f = cones._margin_machine(spec, mats)
+    f, slope = cones._margin_machine(spec, mats)
     prev_member = np.zeros(mats.shape[0], dtype=bool)
     prev_margin = None
     for t in ts:
@@ -265,9 +265,78 @@ def test_margins_under_identity_shifts(name, data):
         assert not np.any(prev_member & ~member)
         prev_member = member
         # the margin value itself only grows, except for sigma (see below)
-        if prev_margin is not None and not _over_sigma(spec):
+        if prev_margin is not None and _innermost_kind(spec) != "sigma":
             assert np.all(m >= prev_margin - tol)
         prev_margin = m
+        # an affine margin moves by its slope
+        if slope is not None:
+            assert np.all(np.abs(f(t) - (f(0.0) + slope * t)) <= tol)
+    assert (slope is None) == (_innermost_kind(spec) in ("pucci", "sigma"))
+
+
+@pytest.mark.parametrize("name", _PROPERTY_KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_membership_shift_is_minimal_and_lands_inside(name, data):
+    spec, mats, _ = data.draw(shifted_stacks(name))
+    f, _ = cones._margin_machine(spec, mats)
+    t = cones.membership_shift(spec, mats)
+    out = cones.force_membership(spec, mats)
+    members = f(0.0) >= 0.0
+    # members come back bitwise unchanged; the rest move by t along I
+    assert out[members].tobytes() == mats[members].tobytes()
+    assert np.all(t[members] == 0.0) and np.all(t >= 0.0)
+    assert np.array_equal(out, _shifted(mats, t[:, None, None]))
+    # every shifted row is a member, by the margin it was shifted with ...
+    assert np.all(f(t) >= 0.0)
+    assert np.all(margins(spec, out) >= cones.thresholds(out))
+    # ... and a few ulps of its scale less would not be
+    slack = 4 * np.finfo(float).eps * (1.0 + np.abs(mats).max(axis=(1, 2)))
+    assert np.all(f(np.maximum(t - slack, 0.0))[~members] < 0.0)
+
+
+@pytest.mark.parametrize("spec", [pp_cone(3.0, 3), pucci_cone(1.0, 2.0, 3)])
+def test_membership_shift_beyond_the_float_range_is_a_sampling_error(spec):
+    # the eigenvalues are finite, their sum and so the shift are not
+    with np.errstate(all="ignore"), pytest.raises(SamplingError, match="smaller magnitude"):
+        cones.membership_shift(spec, -1e308 * np.eye(3))
+
+
+def _bisection_reference(spec, mats):
+    """The membership shift as a doubling bracket plus exactly 100
+    bisection steps, without the early exit."""
+    f, _ = cones._margin_machine(spec, mats)
+    need = f(0.0) < 0.0
+    lo, hi = np.zeros(len(mats)), np.ones(len(mats))
+    while np.any(bad := need & (f(hi) < 0.0)):
+        hi[bad] *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        good = f(mid) >= 0.0
+        hi, lo = np.where(good, mid, hi), np.where(good, lo, mid)
+    return _shifted(mats, np.where(need, hi, 0.0)[:, None, None])
+
+
+@pytest.mark.parametrize("spec", [
+    sigma_cone(2, 4),
+    sigma_cone(4, 4),
+    pucci_cone(1.0, 2.0, 4),
+    enlarged_cone(pucci_cone(1.0, 2.0, 4), 0.25),
+    dual_cone(sigma_cone(2, 4)),
+], ids=lambda spec: spec.describe())
+def test_bisection_exit_is_bitwise_the_full_hundred_steps(spec):
+    # at magnitude 1e-30 the shifts are too small to reach a fixed point
+    # within 100 steps from [0, 1]; the others reach one early
+    rng = np.random.default_rng(3)
+    mats = np.concatenate([
+        cones.sample_goe(rng, 4, 500, magnitude) for magnitude in (1e-30, 1e-3, 1.0, 1e3)
+    ])
+    got = cones.force_membership(spec, mats)
+    assert got.tobytes() == _bisection_reference(spec, mats).tobytes()
+    # alone, a row reaches its fixed point without waiting for the others
+    for i in range(0, len(mats), 50):
+        row = mats[i : i + 1]
+        assert cones.force_membership(spec, row).tobytes() == _bisection_reference(spec, row).tobytes()
 
 
 def test_sigma_margin_is_not_monotone_but_membership_is():

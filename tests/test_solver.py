@@ -19,6 +19,7 @@ from conecalc.solver import (
     _Scheme,
     _combos,
     _dissection,
+    _evaluate,
     _jacobi,
     evaluate_expression,
     harmonic_verify,
@@ -440,6 +441,29 @@ def test_reuse_ends_once_the_residual_stops_falling(monkeypatch):
     for step in range(2, len(log) + 1):
         if res[step - 1] >= res[step - 2]:
             assert log[step - 1] == "splu"
+
+
+def test_evaluate_keeps_a_tied_frame_and_reports_the_best_value():
+    # two points, two single-direction combos; combo 1 trails combo 0 by
+    # 2e-13 at the first point (a tie) and by 2e-9 at the second
+    u = np.array([0.0, 0.5, 0.5 + 1e-13, 0.5 + 1e-9])
+    nbrs = np.array([[1, 1], [2, 3]])
+    args = (u, np.array([0, 0]), nbrs, nbrs, np.ones(2),
+            ("min", np.array([[0], [1]]), np.ones((2, 1))))
+    r, sel = _evaluate(*args)
+    assert sel.tolist() == [0, 0]
+    r_kept, sel_kept = _evaluate(*args, keep=np.array([1, 1]))
+    assert sel_kept.tolist() == [1, 0]
+    assert np.array_equal(r_kept, r)
+
+
+@pytest.mark.parametrize("nside,p", [(65, 1.8), (97, 1.2)])
+def test_tol_below_round_off_settles_on_tied_frames(nside, p):
+    # at tol 1e-12 these annuli reach round-off above tol, where the policy
+    # must settle on near-tied frames rather than flip between them
+    rep = solve(problem_from_config(annulus_config(nside, p=p)), tol=1e-12)
+    assert rep.iterations <= 12
+    assert rep.converged == (rep.residual_sup <= 1e-12)
 
 
 @st.composite
