@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="wide-stencil Dirichlet solve")
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200000)
+    p.add_argument("--max-iter", type=int, default=solver.POLICY_STEP_CAP)
     p.add_argument("--output-prefix", default=None)
     common(p)
 

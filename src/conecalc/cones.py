@@ -528,8 +528,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise DomainError(f"sample count must be >= 1, got {self.count}")
-        if not self.magnitude > 0:
-            raise DomainError(f"magnitude must be > 0, got {self.magnitude}")
+        if not 0 < self.magnitude < math.inf:
+            raise DomainError(f"magnitude must be finite and > 0, got {self.magnitude}")
 
 
 def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 1.0):

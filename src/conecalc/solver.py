@@ -8,7 +8,12 @@ Operators
                    p in [1, 2] in 2-D and [1, 3] in 3-D (the ranges with a
                    min-over-frames representation); p = ndim reduces to the
                    exact trace scheme.
-``("branch", k)``  k-th smallest eigenvalue of D^2 u equals zero.
+``("branch", k)``  k-th smallest eigenvalue of D^2 u equals zero, for
+                   k = 1 and k = ndim.  For k = 2 in 3-D the min-max
+                   form below computes (lambda_1 + lambda_2) / 2 instead:
+                   max(v'Av, w'Aw) >= (lambda_1 + lambda_2) / 2 for
+                   orthonormal v, w, with equality at the 45-degree pair
+                   of the lambda_1 lambda_2 eigenplane.
 
 The discretization takes second differences along coprime lattice
 directions, normalized by (h |v|)^2, and combines them over orthogonal
@@ -20,7 +25,8 @@ frames snapped to the stencil:
 * pp, p = ndim:      first admissible frame, i.e. the classical
                      (2 ndim + 1)-point Laplacian away from punctures
 * branch 1 / ndim:   min / max over directions
-* branch 2 in 3-D:   min over orthogonal pairs of max(D_v, D_w)
+* branch 2 in 3-D:   min over orthogonal pairs of max(D_v, D_w), which
+                     tends to (lambda_1 + lambda_2) / 2, not lambda_2
 
 Each operator's combos are two rectangular (C, k) arrays, direction
 indices and weights.  One kernel evaluates the scheme: a single gather of
@@ -34,12 +40,13 @@ is monotone.  Punctured cells carry no boundary condition: they are
 excluded from the unknown set and every stencil direction touching them
 is dropped, with a minimum-frame guarantee checked up front.
 
-The operator form picks the solution method: exact policy (Howard)
-iteration over the frozen frame choices, which converges in a handful of
-sparse linear solves, for every form except min-max, and the damped
-Jacobi fixed-point iteration ``u <- u + tau R(u)`` with
-``tau = h^2 / (2 w)`` (w the total frame weight) for the min-max form.
-Both are deterministic; outputs are bitwise reproducible.
+Every form is solved by exact policy (Howard) iteration over the frozen
+frame choices, which converges in a handful of sparse linear solves.  The
+min-max form nests it (Hoffman and Karp 1966): the outer policy freezes
+each point's pair, the min player's choice, and the inner problem, the
+max over that pair's two directions, runs the same policy iteration.  A
+frozen inner row has one second difference.  Outputs are bitwise
+reproducible.
 
 Unknowns are numbered once, by geometric nested dissection of the
 lattice with separator strips as wide as the stencil reach, so every
@@ -56,12 +63,15 @@ and takes one step of iterative refinement with it.  The policy stops on
 an unchanged selection only after a factored solve, and ``converged``
 means residual <= tol at the returned iterate.  Each new selection keeps
 the previous frame wherever that frame is within 1e-12 (1 + |r|) of the
-best, so near-tied frames at round-off do not flip the policy forever.
+best, so near-tied frames at round-off do not flip the policy forever;
+the outer min-max policy keeps tied pairs the same way and stops once
+its pairs no longer change.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import itertools
 import math
 import operator
@@ -455,7 +465,6 @@ class _Scheme:
                 f"no admissible stencil frame at {bad}; refine the grid or "
                 "shrink the puncture set"
             )
-        self.weight_total = float(self.weights.sum(axis=1).max())
 
     def evaluate(self, u_flat: np.ndarray, keep: Optional[np.ndarray] = None):
         """Residual and selected frame combo at every unknown, keeping the
@@ -528,7 +537,7 @@ class SolveReport:
     iterations: int
     converged: bool
     method: str
-    history: tuple  # (iteration, residual_sup) pairs
+    history: tuple  # (linear solves so far, residual_sup) pairs
 
     def to_dict(self) -> dict:
         return {
@@ -547,6 +556,9 @@ def _solution_grid(problem: DirichletProblem, u_flat: np.ndarray) -> GridFunctio
         vals[mask] = -np.inf
     return GridFunction(vals, problem.origin, problem.h, mask)
 
+
+# default cap on the policy steps of a solve
+POLICY_STEP_CAP = 60
 
 # A policy step reuses the held factor when at most this share of the
 # rows changed frames since it was built ...
@@ -578,44 +590,22 @@ def _solve_with_held_factor(L, rhs, lu, x0):
     return x if np.all(np.abs(rhs - L @ x) <= _BACKWARD_ERROR * scale) else None
 
 
-def solve(
-    problem: DirichletProblem,
-    stencil: Optional[StencilSet] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-) -> SolveReport:
-    """Solve the Dirichlet problem to ``residual_sup <= tol``.
-
-    Policy iteration freezes the optimal frame choice and solves the
-    resulting sparse linear system, repeating until the residual settles
-    (exact for the linear trace form in one solve).  Each linear solve
-    either factors the frozen matrix or, once few rows change frames,
-    reuses the held factor as a GMRES preconditioner (see the module
-    docstring).  The 3-D second-branch min-max form has no frozen
-    linear system and runs the damped Jacobi iteration for at most
-    ``max_iter`` sweeps instead.
-    """
-    if stencil is None:
-        stencil = make_stencil(problem.ndim)
-    scheme = _Scheme(problem, stencil)
-    u = problem.boundary_values.reshape(-1).astype(float).copy()
-    if problem.punctures:
-        u[np.ravel_multi_index(np.array(problem.punctures).T, problem.shape)] = 0.0
-    if scheme.form == "minmax":
-        return _jacobi(scheme, u, tol, max_iter)
-    history = []
+def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
+    """Policy iteration on ``scheme`` from the iterate u, updated in place,
+    for at most ``max_iter`` linear solves.  Returns the history: the
+    pairs (solves so far, residual_sup), one before the first solve and
+    one after each."""
     prev_sel = lu = lu_sel = None
     reused = False
     r, sel = scheme.evaluate(u)
     res_sup = float(np.max(np.abs(r)))
-    history.append((0, res_sup))
-    converged = res_sup <= tol
+    history = [(0, res_sup)]
     it = 0
-    while not converged and it < 60:
-        it += 1
+    while res_sup > tol and it < max_iter:
         settled = prev_sel is not None and np.array_equal(sel, prev_sel)
         if settled and not reused:
             break
+        it += 1
         # reuse only while the residual still falls: at round-off the
         # policy flips ties, and factored solves end it as they always did
         try_reuse = (
@@ -645,32 +635,62 @@ def solve(
         r, sel = scheme.evaluate(u, keep=sel)
         res_sup = float(np.max(np.abs(r)))
         history.append((it, res_sup))
-        converged = res_sup <= tol
-    return SolveReport(
-        _solution_grid(problem, u), res_sup, it, converged, "policy", tuple(history)
-    )
+    return history
 
 
-def _jacobi(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> SolveReport:
-    """Damped Jacobi iteration from the iterate u (updated in place);
-    unconditionally monotone but slow."""
-    problem = scheme.problem
-    tau = problem.h**2 / (2.0 * scheme.weight_total)
-    history = []
-    res_sup = np.inf
-    it = 0
-    while it < max_iter:
-        r = scheme.evaluate(u)[0]
-        res_sup = float(np.max(np.abs(r)))
-        if it % 25 == 0 or res_sup <= tol:
-            history.append((it, res_sup))
-        if res_sup <= tol:
-            break
-        u[scheme.unknown_flat] += tau * r
-        it += 1
-    converged = res_sup <= tol
+def solve(
+    problem: DirichletProblem,
+    stencil: Optional[StencilSet] = None,
+    tol: float = 1e-8,
+    max_iter: int = POLICY_STEP_CAP,
+) -> SolveReport:
+    """Solve the Dirichlet problem to ``residual_sup <= tol``.
+
+    Policy iteration freezes the optimal frame choice and solves the
+    resulting sparse linear system, repeating until the residual settles
+    (exact for the linear trace form in one solve).  Each linear solve
+    either factors the frozen matrix or, once few rows change frames,
+    reuses the held factor as a GMRES preconditioner (see the module
+    docstring).  The 3-D second-branch min-max form nests it: the outer
+    policy holds each point's pair, and each outer step runs the policy
+    iteration of the max form over that pair's two directions.
+
+    ``max_iter`` caps the policy steps, and for the min-max form the
+    outer steps and each inner solve.  ``iterations`` counts linear
+    solves; ``history`` holds (solves so far, residual_sup) before the
+    first solve and after each policy step, or each outer step of the
+    min-max form, so its last entry is (iterations, residual_sup).
+    """
+    if stencil is None:
+        stencil = make_stencil(problem.ndim)
+    scheme = _Scheme(problem, stencil)
+    u = problem.boundary_values.reshape(-1).astype(float).copy()
+    if problem.punctures:
+        u[np.ravel_multi_index(np.array(problem.punctures).T, problem.shape)] = 0.0
+    if scheme.form != "minmax":
+        history = _policy_iteration(scheme, u, tol, max_iter)
+    else:
+        # the inner view is the max form over single directions (that of
+        # branch 3) with each point admitting the two of its pair, so a
+        # frozen row has one second difference
+        inner = copy.copy(scheme)
+        inner.combos = inner.form, inner.dirs, inner.weights = _combos(("branch", 3), stencil)
+        r, pair = scheme.evaluate(u)
+        history = [(0, float(np.max(np.abs(r))))]
+        prev = None
+        # at most max_iter outer steps, which end once the pairs are stable
+        while history[-1][1] > tol and len(history) <= max_iter:
+            if np.array_equal(pair, prev):
+                break
+            inner.admissible = np.zeros((stencil.count, pair.size), dtype=bool)
+            inner.admissible[scheme.dirs[pair].T, np.arange(pair.size)] = True
+            solves = history[-1][0] + _policy_iteration(inner, u, tol, max_iter)[-1][0]
+            prev = pair
+            r, pair = scheme.evaluate(u, keep=pair)
+            history.append((solves, float(np.max(np.abs(r)))))
+    it, res_sup = history[-1]
     return SolveReport(
-        _solution_grid(problem, u), res_sup, it, converged, "jacobi", tuple(history)
+        _solution_grid(problem, u), res_sup, it, res_sup <= tol, "policy", tuple(history)
     )
 
 

@@ -250,13 +250,17 @@ def eigenvalues_of(A) -> np.ndarray:
     ``1e-100 * max|A_ij|`` of their own matrix are flushed to zero first:
     LAPACK's eigvalsh (OpenBLAS 0.3.31) is off by up to 1.2% on matrices
     that mix entries ~1e-146 times the scale with O(1) ones, and the flush
-    moves no eigenvalue by more than ``n * 1e-100 * max|A_ij|``.
+    moves no eigenvalue by more than ``n * 1e-100 * max|A_ij|``.  A
+    non-finite entry raises DomainError.
     """
     entries = np.asarray(A.entries if isinstance(A, SymMatrix) else A, dtype=float)
     mags = np.abs(entries)
+    top = mags.max(initial=0.0)
+    if not np.isfinite(top):
+        raise DomainError(f"matrix entries must be finite, got max |A_ij| = {top}")
     # only entries tiny against the whole stack's max can be tiny against
     # their own matrix's; the per-matrix max is the costly reduction
-    tiny = (mags > 0.0) & (mags < 1e-100 * mags.max(initial=0.0))
+    tiny = (mags > 0.0) & (mags < 1e-100 * top)
     if tiny.any():
         tiny &= mags < 1e-100 * mags.max(axis=(-2, -1), keepdims=True)
         entries = np.where(tiny, 0.0, entries)

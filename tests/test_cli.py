@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conecalc import cli, grids, schema
+from conecalc import cli, grids, schema, solver
 from conecalc.errors import InternalConsistencyError
 from conecalc.grids import GridFunction, from_function, write_grid
 
@@ -259,6 +260,20 @@ def test_solve_writes_solution_and_history(tmp_path):
     assert len(lines) >= 2
 
 
+def test_solve_max_iter_caps_the_policy_steps(tmp_path, capsys):
+    # the 17^2 pp:1.5 annulus needs more than one policy step
+    path, _ = write_problem(
+        tmp_path, p=1.5, grid={"shape": [17, 17], "origin": [-1, -1], "h": 0.125},
+        boundary={"expr": "(x*x+y*y)**0.25"}, hole={"min": [-0.125] * 2, "max": [0.125] * 2},
+    )
+    args = cli.build_parser().parse_args(["solve", "--problem", str(path)])
+    assert args.max_iter == inspect.signature(solver.solve).parameters["max_iter"].default
+    assert cli.main(["solve", "--problem", str(path), "--max-iter", "1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["solve"]["iterations"] == 1
+    assert rep["solve"]["converged"] is False
+
+
 def test_experiment_removability_pass(tmp_path):
     _, prob = write_problem(tmp_path)
     cfg = {
@@ -431,6 +446,12 @@ _BAD_INPUT_FILES = {
         pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
                      id="convergence-zero-data"),
         pytest.param(["solve", "--problem", "branchfrac.json"], id="problem-branch-fraction"),
+        pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
+                      "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
+                     id="magnitude-overflows"),
+        pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
+                      "--samples", "200", "--seed", "1", "--magnitude", "inf"],
+                     id="magnitude-inf"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):

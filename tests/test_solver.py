@@ -1,3 +1,4 @@
+import itertools
 import types
 
 import numpy as np
@@ -20,7 +21,6 @@ from conecalc.solver import (
     _combos,
     _dissection,
     _evaluate,
-    _jacobi,
     evaluate_expression,
     harmonic_verify,
     make_stencil,
@@ -354,13 +354,45 @@ def test_solve_harmonic_extension_of_nonsmooth_boundary():
     assert interior.min() >= prob.boundary_values.min() - 1e-12
 
 
-def test_policy_and_jacobi_agree():
-    prob = problem_from_config(annulus_config(17))
-    rp = solve(prob, tol=1e-11)
-    u0 = prob.boundary_values.reshape(-1).copy()
-    rj = _jacobi(_Scheme(prob, make_stencil(2)), u0, tol=1e-11, max_iter=500_000)
-    assert rj.converged
-    assert np.max(np.abs(rp.solution.values - rj.solution.values)) <= 1e-9
+def _jacobi(scheme, u, tol, max_iter):
+    """Damped Jacobi iteration ``u <- u + tau R(u)`` from u, updated in
+    place, with ``tau = h^2 / (2 w)`` for w the largest total frame weight:
+    monotone for every form but slow, the reference for the policy solves.
+    Returns whether it reached residual_sup <= tol within max_iter sweeps."""
+    tau = scheme.problem.h**2 / (2.0 * scheme.weights.sum(axis=1).max())
+    for _ in range(max_iter):
+        r = scheme.evaluate(u)[0]
+        if np.max(np.abs(r)) <= tol:
+            return True
+        u[scheme.unknown_flat] += tau * r
+    return False
+
+
+def _minmax_config(nside):
+    """Second eigenvalue branch in 3-D (the min-max form) with an
+    indefinite quadratic datum."""
+    return {
+        "operator": "branch",
+        "k": 2,
+        "grid": {"shape": [nside] * 3, "origin": [-1, -1, -1], "h": 2.0 / (nside - 1)},
+        "boundary": {"expr": "x*x - 0.5*y*y - 0.5*z*z + 0.1*x"},
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg,stencil",
+    [
+        pytest.param(annulus_config(17), make_stencil(2), id="annulus-17"),
+        pytest.param(_minmax_config(9), make_stencil(3, 1), id="minmax-9"),
+    ],
+)
+def test_policy_and_jacobi_agree(cfg, stencil):
+    prob = problem_from_config(cfg)
+    rp = solve(prob, stencil=stencil, tol=1e-11)
+    assert rp.converged and rp.method == "policy"
+    u = prob.boundary_values.reshape(-1).copy()
+    assert _jacobi(_Scheme(prob, stencil), u, tol=1e-11, max_iter=500_000)
+    assert np.max(np.abs(rp.solution.values.reshape(-1) - u)) <= 1e-9
 
 
 def test_solve_is_deterministic():
@@ -464,21 +496,24 @@ def test_tol_below_round_off_settles_on_tied_frames(nside, p):
     rep = solve(problem_from_config(annulus_config(nside, p=p)), tol=1e-12)
     assert rep.iterations <= 12
     assert rep.converged == (rep.residual_sup <= 1e-12)
+    # a run that stops on a settled selection counts only its solves
+    assert rep.history[-1] == (rep.iterations, rep.residual_sup)
 
 
 @st.composite
-def ordered_boundary_data(draw):
-    """(g, shift, hole): data g on an n x n grid, a shift >= 0 and an
+def ordered_boundary_data(draw, ndim=2, sizes=(9, 17)):
+    """(g, shift, hole): data g on an n^ndim grid, a shift >= 0 and an
     optional hole box."""
-    n = draw(st.integers(9, 17))
-    g = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
-    shift = draw(hnp.arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+    n = draw(st.integers(*sizes))
+    shape = (n,) * ndim
+    g = draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    shift = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0)))
     hole = None
     if draw(st.booleans()):
-        lo = draw(st.tuples(st.integers(2, n - 3), st.integers(2, n - 3)))
-        size = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
-        hole = np.zeros((n, n), dtype=bool)
-        hole[lo[0] : lo[0] + size[0], lo[1] : lo[1] + size[1]] = True
+        lo = draw(st.tuples(*[st.integers(2, n - 3)] * ndim))
+        size = draw(st.tuples(*[st.integers(1, 3)] * ndim))
+        hole = np.zeros(shape, dtype=bool)
+        hole[tuple(slice(a, a + b) for a, b in zip(lo, size))] = True
     return g, shift, hole
 
 
@@ -487,22 +522,33 @@ def _annulus_shifted_data():
     return prob.boundary_values, np.full(prob.shape, 0.3), prob.hole
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(op=_OPERATORS_2D, data=ordered_boundary_data())
-@example(op=("pp", 1.5), data=_annulus_shifted_data())
-def test_comparison_principle_for_ordered_data(op, data):
+def _assert_ordered_solutions(op, data, stencil=None):
     g, shift, hole = data
-    n = g.shape[0]
 
     def solved(values):
-        prob = DirichletProblem((n, n), (-1.0, -1.0), 2.0 / (n - 1), op, values, hole)
-        rep = solve(prob, tol=1e-10)
+        origin = (-1.0,) * g.ndim
+        prob = DirichletProblem(g.shape, origin, 2.0 / (g.shape[0] - 1), op, values, hole)
+        rep = solve(prob, stencil=stencil, tol=1e-10)
         assert rep.converged
         return rep.solution.values, prob.unknown_mask()
 
     u1, unk = solved(g)
     u2, _ = solved(g + shift)
     assert np.all(u2[unk] >= u1[unk] - 1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(op=_OPERATORS_2D, data=ordered_boundary_data())
+@example(op=("pp", 1.5), data=_annulus_shifted_data())
+def test_comparison_principle_for_ordered_data(op, data):
+    _assert_ordered_solutions(op, data)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=ordered_boundary_data(ndim=3, sizes=(7, 9)), reach=st.integers(1, 2))
+def test_comparison_principle_for_the_minmax_form(data, reach):
+    # ("branch", 2) in 3-D: solved by nested policy iteration
+    _assert_ordered_solutions(("branch", 2), data, make_stencil(3, reach))
 
 
 def test_solve_records_history_and_report_fields():
@@ -544,17 +590,37 @@ def test_branch_two_resolves_max_of_affines():
     assert np.max(rep.solution.values[near_crease & unk] - roof[near_crease & unk]) > prob.h
 
 
-def test_3d_jacobi_minmax_branch():
-    cfg = {
-        "operator": "branch",
-        "k": 2,
-        "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
-        "boundary": {"expr": "x*x - 0.5*y*y - 0.5*z*z + 0.1*x"},
-    }
-    prob = problem_from_config(cfg)
-    rep = solve(prob, stencil=make_stencil(3, 1), tol=1e-7, max_iter=100_000)
-    assert rep.method == "jacobi"
+def test_3d_minmax_branch_by_nested_policy_iteration():
+    prob = problem_from_config(_minmax_config(17))
+    st = make_stencil(3, 1)
+    rep = solve(prob, stencil=st, tol=1e-8)
+    assert rep.method == "policy"
     assert rep.converged
+    # iterations counts the linear solves of all inner policy loops
+    assert rep.history[0][0] == 0 and rep.history[-1] == (rep.iterations, rep.residual_sup)
+    worst = max(
+        abs(residual(rep.solution, idx, ("branch", 2), st))
+        for idx in itertools.product(range(1, 16), repeat=3)
+    )
+    assert worst <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the min-max form discretizes (lambda_1 + lambda_2) / 2, not lambda_2",
+)
+@pytest.mark.parametrize(
+    "eigs", [pytest.param((3.0, 1.0, -5.0), id="3,1,-5"), pytest.param((2.0, -2.0, 0.0), id="2,-2,0")]
+)
+def test_minmax_residual_is_the_second_eigenvalue(eigs):
+    # for orthonormal v, w, max(v'Av, w'Aw) >= (lambda_1 + lambda_2) / 2,
+    # with equality at the 45-degree pair of the lambda_1 lambda_2 plane
+    u = quadratic_grid(np.diag(eigs), shape=(9, 9, 9), origin=(-1, -1, -1), h=0.25)
+    lam2 = np.sort(eigs)[1]
+    for reach in (1, 2, 3):
+        assert residual(u, (4, 4, 4), ("branch", 2), make_stencil(3, reach)) == pytest.approx(
+            lam2, abs=1e-9
+        )
 
 
 def test_puncture_without_admissible_frame_errors():
