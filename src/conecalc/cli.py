@@ -23,6 +23,7 @@ from .errors import (
     ConecalcError,
     DomainError,
     PoleError,
+    SamplingError,
     SpecParseError,
     UnsupportedPolarError,
 )
@@ -56,7 +57,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DomainError(f"could not read JSON config {path}: {exc}") from exc
 
 
@@ -112,8 +113,11 @@ def _cmd_cone(args) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
-    """Fast-path versus definitional dual membership on random samples."""
+    """Fast-path versus definitional dual membership on random samples;
+    overflow at a huge magnitude raises a typed error, as in
+    ``cones.check_relation``."""
     rng = np.random.default_rng(cfg.seed)
     mats = cones.sample_goe(rng, spec.dim, cfg.count, cfg.magnitude)
     definitional = cones.margins(cones.dual_cone(spec), mats)
@@ -122,6 +126,8 @@ def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
         # no closed form: check the duality involution instead
         fast = cones.margins(cones.dual_cone(cones.dual_cone(spec)), mats)
         definitional = cones.margins(spec, mats)
+    if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
+        raise SamplingError("margins overflow; try a smaller magnitude")
     band = cones.thresholds(mats, "interior")
     decided = (np.abs(definitional) > band) & (np.abs(fast) > band)
     agree = (definitional > 0) == (fast > 0)
@@ -531,6 +537,11 @@ _COMMANDS = {
 }
 
 
+def exit_code(exc: ConecalcError) -> int:
+    """Exit 1 for a mathematical failure, 2 for a usage or input error."""
+    return MATH_EXIT if isinstance(exc, (UnsupportedPolarError, PoleError)) else USAGE_EXIT
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -544,9 +555,7 @@ def main(argv=None) -> int:
         if isinstance(exc, SpecParseError):
             error.update(kind="parse", position=exc.position)
         _emit({"command": args.subcommand, "error": error}, args.output)
-        if isinstance(exc, (UnsupportedPolarError, PoleError)):
-            return MATH_EXIT
-        return USAGE_EXIT
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

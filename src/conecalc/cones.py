@@ -276,30 +276,31 @@ def _stack(mats) -> np.ndarray:
     return arr
 
 
+def _affine(base: np.ndarray, slope: float):
+    """An affine margin rule: ``f(t) = base + slope * t``, root ``-base / slope``."""
+
+    def f(t):
+        return base + slope * np.asarray(t, dtype=float)
+
+    return f, lambda: -base / slope
+
+
 def _margin_machine(spec: ConeSpec, mats: np.ndarray):
-    """Return ``(f, slope)``: f(t) -> margins of ``mats + t I`` computed
-    from cached spectra, and the margin's slope in t where it is affine.
+    """Return ``(f, root)``: f(t) -> margins of ``mats + t I`` computed
+    from cached spectra, and root() -> per matrix the t at which that
+    margin crosses zero, where membership starts.
 
     ``t`` may be a scalar or a vector matching the leading axis.  The
     membership predicate ``f(t) >= 0`` is monotone in t for every
-    catalogue cone, since adding tI preserves membership.  For every kind
-    except ``pucci`` and ``sigma`` (and compositions over them) the margin
-    is ``f(0) + slope * t``, each rule's slope written beside it: 1 for
-    positivity, branch and cbranch, p for pp and mapb, 1 + delta n for
-    pdelta, the plane dimension for geom and horiz, and the base's slope
-    for enl and dual.  Pucci and sigma return ``slope=None``.  Their
-    margin value need not even be monotone in t: for ``diag(-3, 1)`` in
-    ``sigma:2`` it is -3, -3.75, -4, -3, 0 at t = 0, 0.5, 1, 2, 3.
+    catalogue cone, since adding tI preserves membership, so each rule has
+    one crossing.  Most rules are affine in t.  Pucci's margin is
+    increasing and piecewise linear, and sigma's need not be monotone at
+    all (for ``diag(-3, 1)`` in ``sigma:2`` it is -3, -3.75, -4, -3, 0 at
+    t = 0, 0.5, 1, 2, 3); each solves for its crossing directly.
     """
     kind = spec.kind
     if kind == "cbranch":
-        hv = hermitian_eigenvalues(mats)
-        k = spec.k
-
-        def f(t):
-            return hv[..., k - 1] + np.asarray(t, dtype=float)
-
-        return f, 1.0
+        return _affine(hermitian_eigenvalues(mats)[..., spec.k - 1], 1.0)
     if kind in ("geom", "horiz"):
         traces = frame_traces(mats, spec.frames)
         pdim = spec.frames[0].plane_dim
@@ -308,69 +309,86 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
             t = np.asarray(t, dtype=float)
             return (traces + pdim * t[..., None]).min(axis=-1)
 
-        return f, float(pdim)
+        return f, lambda: -traces.min(axis=-1) / pdim
     if kind == "enl":
-        fb, slope = _margin_machine(spec.base, mats)
+        fb, root_b = _margin_machine(spec.base, mats)
         c = spec.c
 
         def f(t):
             return fb(np.asarray(t, dtype=float) + c)
 
-        return f, slope
+        return f, lambda: root_b() - c
     if kind == "dual":
-        fneg, slope = _margin_machine(spec.base, -mats)
+        fneg, root_neg = _margin_machine(spec.base, -mats)
 
         def f(t):
             return -fneg(-np.asarray(t, dtype=float))
 
-        return f, slope
+        return f, lambda: -root_neg()
 
     lam = symmat.eigenvalues_of(mats)
 
     if kind in ("positivity", "branch"):
-        k = spec.k or 1
-        slope = 1.0
-
-        def f(t):
-            return lam[..., k - 1] + np.asarray(t, dtype=float)
-    elif kind == "pp":
-        slope = spec.p
-        base = partial_sum_eigs(lam, slope)
-
-        def f(t):
-            return base + slope * np.asarray(t, dtype=float)
-    elif kind == "pdelta":
+        return _affine(lam[..., (spec.k or 1) - 1], 1.0)
+    if kind == "pp":
+        return _affine(partial_sum_eigs(lam, spec.p), spec.p)
+    if kind == "pdelta":
         delta = spec.delta
-        base = lam[..., 0] + delta * lam.sum(axis=-1)
-        slope = 1.0 + delta * spec.dim
-
-        def f(t):
-            return base + slope * np.asarray(t, dtype=float)
-    elif kind == "pucci":
+        return _affine(lam[..., 0] + delta * lam.sum(axis=-1), 1.0 + delta * spec.dim)
+    if kind == "mapb":
+        p = spec.p  # a whole number, kept as a float
+        return _affine(pfold_sums_eigs(lam, int(p))[..., spec.k - 1], p)
+    if kind == "pucci":
         lam_c, Lam_c = spec.lam, spec.Lam
-        slope = None
 
-        def f(t):
-            shifted = lam + np.asarray(t, dtype=float)[..., None]
+        def value(shifted):
             pos = np.clip(shifted, 0.0, None).sum(axis=-1)
             neg = np.clip(shifted, None, 0.0).sum(axis=-1)
             return lam_c * pos + Lam_c * neg
-    elif kind == "sigma":
+
+        def f(t):
+            return value(lam + np.asarray(t, dtype=float)[..., None])
+
+        def root():
+            # f at the breakpoints t = -lambda_i, nonincreasing in i; the
+            # q of them with f >= 0 bound the crossing segment, on which the
+            # q lowest shifted eigenvalues are <= 0 and the rest >= 0
+            at = value(lam[:, None, :] - lam[:, :, None])
+            q = (at >= 0.0).sum(axis=-1)
+            rows, i = np.arange(q.shape[0]), q - 1
+            slope = Lam_c * q + lam_c * (lam.shape[-1] - q)
+            t = -lam[rows, i] - at[rows, i] / slope
+            t[~np.isfinite(at).all(axis=-1)] = np.nan  # overflow
+            return t
+
+        return f, root
+    if kind == "sigma":
         k = spec.k
-        slope = None
 
         def f(t):
             shifted = lam + np.asarray(t, dtype=float)[..., None]
             return elementary_symmetric(shifted, k)[..., 1:].min(axis=-1)
-    elif kind == "mapb":
-        slope = spec.p  # a whole number, kept as a float
-        base = pfold_sums_eigs(lam, int(slope))[..., spec.k - 1]
 
-        def f(t):
-            return base + slope * np.asarray(t, dtype=float)
-    else:  # pragma: no cover - guarded by _KINDS
-        raise DomainError(f"no margin rule for kind {kind!r}")
-    return f, slope
+        def root():
+            # sigma_k(lambda + t 1) is real-rooted in t (Garding); right of
+            # its largest root it and sigma_1 .. sigma_{k-1} are positive, and
+            # Newton from t = -lambda_1 descends monotonically onto that root
+            t = -lam[..., 0]
+            tol = 4.0 * np.spacing(np.abs(lam).max(axis=-1))
+            weight = lam.shape[-1] - k + 1
+            rows = np.arange(t.shape[0])
+            while rows.size:
+                e = elementary_symmetric(lam[rows] + t[rows, None], k)
+                p, dp = e[:, k], weight * e[:, k - 1]
+                finite = np.isfinite(e).all(axis=-1)  # nan marks an overflow
+                step = np.divide(p, dp, out=np.where(finite, 0.0, np.nan),
+                                 where=finite & (p > 0.0) & (dp > 0.0))
+                t[rows] -= step
+                rows = rows[step > tol[rows]]
+            return t
+
+        return f, root
+    raise DomainError(f"no margin rule for kind {kind!r}")  # pragma: no cover
 
 
 def margins(spec: ConeSpec, mats) -> np.ndarray:
@@ -542,22 +560,17 @@ def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
     """The smallest t >= 0 per matrix, to a few ulps of its scale, with
     ``A + t I`` in the cone.
 
-    Members get exactly 0; every other matrix gets a t > 0 at which its
-    margin, as ``_margin_machine`` computes it, is >= 0.  Where the margin
-    has a slope in t (every kind but pucci and sigma) the shift is
-    ``t = -m0 / slope``, nudged upward by a step that starts at one ulp of
-    t and doubles until the row is a member: a fixed ulp can stall for
-    enl, where ``t + c`` rounds back to c while t is much smaller than c.
-    Pucci and sigma, whose membership is monotone in t but whose margin is
-    not affine, take a doubling bracket plus bisection.
+    Members get exactly 0; every other matrix gets the crossing that
+    ``_margin_machine`` computes for its rule, nudged upward by a step that
+    starts at one ulp of t and doubles until the margin is >= 0: a fixed
+    ulp can stall for enl, where ``t + c`` rounds back to c while t is
+    much smaller than c, and a crossing near 0 can round to just below it.
+    A crossing that overflows raises SamplingError.
     """
-    f, slope = _margin_machine(spec, _stack(mats))
-    m0 = f(0.0)
-    need = m0 < 0.0
-    if slope is None:
-        return _bisected_shift(f, need)
-    t = np.where(need, -m0 / slope, 0.0)
-    step = np.spacing(t)
+    f, root = _margin_machine(spec, _stack(mats))
+    need = f(0.0) < 0.0
+    t = np.where(need, root(), 0.0)
+    step = np.spacing(np.abs(t))
     short = need & (f(t) < 0.0)
     while np.any(short):
         t[short] += step[short]
@@ -581,34 +594,6 @@ def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
     diag = np.arange(spec.dim)
     out[rows[:, None], diag, diag] += t[rows, None]
     return out
-
-
-def _bisected_shift(f, need: np.ndarray) -> np.ndarray:
-    """Smallest t >= 0 with ``f(t) >= 0`` on the rows ``need``, to
-    bisection resolution: a doubling bracket from [0, 1], then up to 100
-    halvings.  These end early once the rows that need a shift stop
-    changing, bitwise as if all 100 had run, since every later step would
-    repeat the same one.  Rows not in ``need`` get 0."""
-    lo = np.zeros(need.shape[0])
-    hi = np.ones(need.shape[0])
-    for _ in range(200):
-        bad = need & (f(hi) < 0.0)
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    else:
-        raise SamplingError(
-            "could not bracket the membership shift; try a smaller magnitude"
-        )
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        good = f(mid) >= 0.0
-        new_hi = np.where(good, mid, hi)
-        new_lo = np.where(good, lo, mid)
-        if np.array_equal(new_hi[need], hi[need]) and np.array_equal(new_lo[need], lo[need]):
-            break
-        hi, lo = new_hi, new_lo
-    return np.where(need, hi, 0.0)
 
 
 @dataclass(frozen=True)
@@ -639,12 +624,16 @@ class RelationReport:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationReport:
     """Certify ``F + M subset F`` on seeded random samples.
 
     Draws A in F and B in M (GOE samples shifted along the identity onto
     the cone boundary) and verifies A + B stays in F.  Returns the first
     counterexample with margins, or a pass.  Deterministic given the seed.
+    Overflow at a huge magnitude raises a typed error, not a warning:
+    DomainError for non-finite samples (``eigenvalues_of``), SamplingError
+    for non-finite shifts or margins.
     """
     if F.dim != M.dim:
         raise DimensionMismatchError(f"cone dims differ: {F.dim} vs {M.dim}")
@@ -653,6 +642,8 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     B = force_membership(M, sample_goe(rng, M.dim, cfg.count, cfg.magnitude))
     S = A + B
     m = margins(F, S)
+    if not np.all(np.isfinite(m)):
+        raise SamplingError("margins overflow; try a smaller magnitude")
     bad = np.nonzero(m < thresholds(S))[0]
     if bad.size == 0:
         return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)

@@ -11,6 +11,7 @@ decidable from finitely many samples; reports carry this caveat.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,8 +50,10 @@ class GridFunction:
             raise DomainError(
                 f"origin dim {origin.shape[0]} != value array dim {vals.ndim}"
             )
-        if not self.h > 0:
-            raise DomainError(f"grid spacing must be > 0, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise DomainError(f"grid spacing must be finite and > 0, got {self.h}")
+        if not np.all(np.isfinite(origin)):
+            raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
         if np.any(np.isnan(vals)) or np.any(np.isposinf(vals)):
             raise DomainError("grid values must be finite or -inf")
         mask = self.mask
@@ -573,7 +576,12 @@ def parse_geometry(text: str):
         raise DomainError(f"malformed grid geometry {text!r}: {exc}") from exc
     if len(shape) != nd or origin.shape[0] != nd or min(shape) < 1:
         raise DomainError(f"grid geometry {text!r} has inconsistent dimensions")
+    if not (0 < h < math.inf and np.all(np.isfinite(origin))):
+        raise DomainError(f"grid geometry {text!r} needs a finite origin and a finite h > 0")
     return shape, origin, h
+
+
+_MASK_TOKENS = {"0": False, "1": True}
 
 
 def read_grid(path) -> GridFunction:
@@ -585,7 +593,7 @@ def read_grid(path) -> GridFunction:
     if not lines or not lines[0].startswith("grid "):
         raise DomainError(f"not a grid file: {path}")
     shape, origin, h = parse_geometry(lines[0][len("grid ") :])
-    nrows = int(np.prod(shape[:-1]))
+    nrows = math.prod(shape[:-1])
     cursor = 1
     mask = None
     try:
@@ -593,7 +601,7 @@ def read_grid(path) -> GridFunction:
             cursor += 1
             rows = []
             for _ in range(nrows):
-                rows.append([tok.strip() == "1" for tok in lines[cursor].split(",")])
+                rows.append([_MASK_TOKENS[tok.strip()] for tok in lines[cursor].split(",")])
                 cursor += 1
             mask = np.array(rows, dtype=bool).reshape(shape)
         rows = []
@@ -601,6 +609,10 @@ def read_grid(path) -> GridFunction:
             rows.append([float(tok) for tok in lines[cursor].split(",")])
             cursor += 1
         values = np.array(rows, dtype=float).reshape(shape)
+    except KeyError as exc:
+        raise DomainError(f"mask entries in {path} must be 0 or 1, got {exc}") from exc
     except (IndexError, ValueError) as exc:
         raise DomainError(f"malformed grid data in {path}: {exc}") from exc
+    if any(line.strip() for line in lines[cursor:]):
+        raise DomainError(f"{path} holds rows past its shape {shape}")
     return GridFunction(values, origin, h, mask)

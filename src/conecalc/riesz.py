@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, PoleError, UnsupportedPolarError
-from .symmat import Jet2, SymMatrix
+from .symmat import Jet2, SymMatrix, read_vectors_csv
 
 NEAR_POLE = 1e-12
 
@@ -278,11 +278,9 @@ def box_dimension(points, scales) -> float:
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
-    """Read atoms from CSV rows ``x1,...,xn,weight``."""
-    try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"could not read measure CSV {path}: {exc}") from exc
+    """Read atoms from CSV rows ``x1,...,xn,weight``: a point set with a
+    trailing weight column."""
+    rows = read_vectors_csv(path)
     if rows.shape[1] < 2:
         raise DomainError("measure rows need coordinates plus a weight column")
     return DiscreteMeasure(rows[:, :-1], rows[:, -1])

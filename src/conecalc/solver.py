@@ -286,6 +286,20 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None)
 # -- problems -----------------------------------------------------------------
 
 
+def _check_lattice(shape: tuple, origin: np.ndarray, h: float) -> None:
+    nd = len(shape)
+    if nd not in (2, 3):
+        raise DomainError(f"solver supports 2-D and 3-D grids, got {nd}-D")
+    if origin.shape != (nd,):
+        raise DomainError("origin dimension does not match the shape")
+    if any(s < 5 for s in shape):
+        raise DomainError("grids need at least 5 points per axis")
+    if not 0 < h < math.inf:
+        raise DomainError(f"grid spacing must be finite and > 0, got {h}")
+    if not np.all(np.isfinite(origin)):
+        raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+
+
 @dataclass(frozen=True, eq=False)
 class DirichletProblem:
     """Lattice Dirichlet problem with optional hole region and punctures.
@@ -308,14 +322,7 @@ class DirichletProblem:
         shape = tuple(int(s) for s in self.shape)
         origin = np.asarray(self.origin, dtype=float).ravel()
         nd = len(shape)
-        if nd not in (2, 3):
-            raise DomainError(f"solver supports 2-D and 3-D grids, got {nd}-D")
-        if origin.shape[0] != nd:
-            raise DomainError("origin dimension does not match the shape")
-        if any(s < 5 for s in shape):
-            raise DomainError("grids need at least 5 points per axis")
-        if not self.h > 0:
-            raise DomainError(f"grid spacing must be > 0, got {self.h}")
+        _check_lattice(shape, origin, self.h)
         op = _normalize_op(self.operator, nd)
         g = np.asarray(self.boundary_values, dtype=float)
         if g.shape != shape:
@@ -914,7 +921,7 @@ _EXPR_OPS = {
 def _eval_node(node, names: dict):
     """Evaluate one node of a whitelisted expression tree."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return node.value
+        return float(node.value)  # no unbounded integer powers such as 10**10**10
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
     if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
@@ -955,10 +962,12 @@ def evaluate_expression(expr: str, coords) -> np.ndarray:
     names = {"pi": np.pi, "e": np.e}
     for name, arr in zip("xyz", coords):
         names[name] = arr
-    names["r"] = np.sqrt(sum(c * c for c in coords))
     try:
-        vals = _eval_node(ast.parse(expr, mode="eval").body, names)
-        return np.broadcast_to(np.asarray(vals, dtype=float), coords[0].shape).copy()
+        # overflow and poles give non-finite values, which the problem rejects
+        with np.errstate(all="ignore"):
+            names["r"] = np.sqrt(sum(c * c for c in coords))
+            vals = _eval_node(ast.parse(expr, mode="eval").body, names)
+            return np.broadcast_to(np.asarray(vals, dtype=float), coords[0].shape).copy()
     except DomainError:
         raise
     # the parser reports over-deep nesting as MemoryError
@@ -988,8 +997,11 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         points = [np.asarray(pt, dtype=float).reshape(nd) for pt in cfg.get("puncture") or []]
     except KeyError as exc:
         raise DomainError(f"problem config is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem config: {exc}") from exc
+    _check_lattice(shape, origin, h)
+    if not all(np.all(np.isfinite(pt)) for pt in points):
+        raise DomainError("puncture points must be finite")
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
         g = evaluate_expression(boundary["expr"], coords)

@@ -51,7 +51,7 @@ class SymMatrix:
     """Dense real symmetric matrix.
 
     Construction symmetrizes the input as ``(M + M^T) / 2`` and rejects
-    non-finite or non-square data.
+    non-square data and a non-finite result.
     """
 
     entries: np.ndarray
@@ -62,9 +62,10 @@ class SymMatrix:
             raise DomainError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DomainError("matrix dimension must be >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("matrix entries must be finite")
-        sym = 0.5 * (arr + arr.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (arr + arr.T)
+        if not np.all(np.isfinite(sym)):
+            raise DomainError("matrix entries and their symmetrization must be finite")
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_solve_writes_solution_and_history(tmp_path):
     sol = grids.read_grid(str(prefix) + ".grid")
     X, Y = grids.grid_coordinates(sol.shape, sol.origin, sol.h)
     assert np.max(np.abs(sol.values - (X * X - Y * Y))) <= 1e-8
-    lines = open(str(prefix) + "_convergence.csv").read().splitlines()
+    lines = Path(str(prefix) + "_convergence.csv").read_text().splitlines()
     assert lines[0] == "iteration,residual_sup"
     assert len(lines) >= 2
 
@@ -381,6 +382,12 @@ _BAD_INPUT_FILES = {
         {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [["a", 0]]}
     ),
     "branchfrac.json": json.dumps(dict(_GOOD_PROBLEM, operator="branch", k=1.7)),
+    "hinf.grid": "grid n=2 shape=2,2 origin=0,0 h=1e400\n0,0\n0,0\n",
+    "originnan.grid": "grid n=2 shape=2,2 origin=nan,0 h=0.5\n0,0\n0,0\n",
+    "mask2.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,2\n0,0\n0,0\n0,0\n",
+    "extra.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n0,0\n0,0\n1,1\n",
+    "empty.csv": "",
+    "comment.csv": "# no atoms\n",
     "convzero.json": json.dumps(
         {"kind": "convergence", "problem": dict(_GOOD_PROBLEM, boundary={"expr": "0*x"}),
          "resolutions": [9]}
@@ -452,6 +459,27 @@ _BAD_INPUT_FILES = {
         pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
                       "--samples", "200", "--seed", "1", "--magnitude", "inf"],
                      id="magnitude-inf"),
+        pytest.param(["check", "duality", "--f", "sigma:2", "--dim", "3",
+                      "--samples", "200", "--seed", "1", "--magnitude", "1e300"],
+                     id="duality-margins-overflow"),
+        pytest.param(["grid", "extend", "--input", "hinf.grid", "--grid-output", "x.grid"],
+                     id="grid-h-inf"),
+        pytest.param(["grid", "extend", "--input", "originnan.grid", "--grid-output", "x.grid"],
+                     id="grid-origin-nan"),
+        pytest.param(["grid", "extend", "--input", "mask2.grid", "--grid-output", "x.grid"],
+                     id="grid-mask-token"),
+        pytest.param(["grid", "extend", "--input", "extra.grid", "--grid-output", "x.grid"],
+                     id="grid-rows-past-shape"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=9,9 origin=-1,-1 h=1e400", "--grid-output", "x.grid"],
+                     id="polar-grid-h-inf"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=9,9 origin=nan,0 h=0.25", "--grid-output", "x.grid"],
+                     id="polar-grid-origin-nan"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5",
+                      "--measure", "empty.csv"], id="measure-empty"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5",
+                      "--measure", "comment.csv"], id="measure-comment-only"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -461,11 +489,28 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
-    rep = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
     schema.validate_report(rep)
     assert rep["command"] == argv[0]
-    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError")
+    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError", "SamplingError")
+    assert err == ""
     assert not (tmp_path / "x.grid").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
+     "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
+    ["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5", "--measure", "empty.csv"],
+], ids=["magnitude-overflows", "measure-empty"])
+def test_usage_errors_leave_stderr_empty(tmp_path, argv):
+    (tmp_path / "empty.csv").write_text("")
+    proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["kind"] in ("DomainError", "SamplingError")
+    assert proc.stderr == ""
 
 
 def test_unknown_flags_rejected():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conecalc import cones, grids, riesz
 from conecalc.errors import DomainError, StencilError
@@ -88,17 +91,38 @@ def test_extension_limsup_of_oscillation():
     assert np.max(tops) <= 1.0 + 1e-12
 
 
-def test_extension_idempotent_and_monotone():
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal((6, 6))
-    u = masked_grid(vals, [(2, 2), (3, 4)])
-    first = canonical_extension(u)
-    second = canonical_extension(first.extended)
-    assert np.array_equal(first.extended.values, second.extended.values)
+_EXTENSION_VALUES = st.one_of(st.floats(-1e6, 1e6), st.just(-np.inf))
+
+
+@st.composite
+def extension_cases(draw):
+    """A 1-D to 3-D grid with a mask that leaves some cell unmasked,
+    values with -inf in masked and unmasked cells, a pointwise larger copy
+    of them (-inf may become finite) and a radius cap."""
+    ndim = draw(st.integers(1, 3))
+    shape = draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim, max_side=(8, 5, 4)[ndim - 1]))
+    values = draw(hnp.arrays(float, shape, elements=_EXTENSION_VALUES))
+    mask = draw(hnp.arrays(bool, shape))
+    mask.flat[draw(st.integers(0, mask.size - 1))] = False
+    bump = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1e3)))
+    other = draw(hnp.arrays(float, shape, elements=_EXTENSION_VALUES))
+    return values, mask, np.maximum(values + bump, other), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=extension_cases())
+def test_extension_idempotent_and_monotone(case):
+    values, mask, larger, cap = case
+    u = GridFunction(values, np.zeros(values.ndim), 0.5, mask)
+    first = canonical_extension(u, radius_cap=cap)
+    ext = first.extended.values
+    # unmasked values pass through bitwise, -inf included
+    assert ext[~mask].tobytes() == values[~mask].tobytes()
+    second = canonical_extension(first.extended, radius_cap=cap)
+    assert second.extended.values.tobytes() == ext.tobytes()
     assert second.changed_points == 0
-    bigger = masked_grid(vals + rng.random((6, 6)), [(2, 2), (3, 4)])
-    vb = canonical_extension(bigger).extended.values
-    assert np.all(vb >= first.extended.values - 1e-12)
+    bigger = canonical_extension(GridFunction(larger, u.origin, u.h, mask), radius_cap=cap)
+    assert np.all(bigger.extended.values >= ext)
 
 
 def test_extension_deep_interior_becomes_bottom():
