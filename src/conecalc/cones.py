@@ -480,11 +480,19 @@ def thresholds(mats, mode: str = "closed") -> np.ndarray:
     return INTERIOR_TOL * scale if mode == "interior" else -CLOSED_TOL * scale
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
-    """Membership of A in the cone, in ``closed`` or ``interior`` mode."""
+    """Membership of A in the cone, in ``closed`` or ``interior`` mode.
+
+    A margin that overflows raises DomainError.
+    """
     A = as_matrix(A)
     threshold = float(thresholds(A, mode)[0])
     margin = float(margins(spec, A)[0])
+    if not math.isfinite(margin):
+        raise DomainError(
+            f"membership margin of {spec.describe()} overflows; the matrix entries are too large"
+        )
     return MembershipReport(
         member=margin >= threshold,
         margin=margin,

@@ -48,24 +48,28 @@ max over that pair's two directions, runs the same policy iteration.  A
 frozen inner row has one second difference.  Outputs are bitwise
 reproducible.
 
-Unknowns are numbered once, by geometric nested dissection of the
-lattice with separator strips as wide as the stencil reach, so every
-frozen-frame matrix is assembled already in a low-fill order.  Being a
-monotone scheme, that matrix is a nonsingular M-matrix, which factors
-without pivoting.  The solve holds one LU factor together with the frame
-selection it was built from.  A policy step whose selection differs from
-the held one in at most 0.5% of the rows, taken while the residual still
-falls, solves by GMRES preconditioned with that factor (late Howard
-steps solve nearby frozen systems; Bokanowski, Maroso and Zidani 2009);
-it keeps the result only if its componentwise backward error is at most
-64 eps.  Every other step drops the held factor, factors the new matrix
-and takes one step of iterative refinement with it.  The policy stops on
-an unchanged selection only after a factored solve, and ``converged``
-means residual <= tol at the returned iterate.  Each new selection keeps
-the previous frame wherever that frame is within 1e-12 (1 + |r|) of the
-best, so near-tied frames at round-off do not flip the policy forever;
-the outer min-max policy keeps tied pairs the same way and stops once
-its pairs no longer change.
+Unknowns are numbered lattice-wise.  A dissection tree is built once per
+problem by cutting the lattice with single planes (George 1973); every
+factorization then orders the frozen matrix by its own graph, whose rows
+hold only the arms of their selected frame: a point stays at its leaf or
+cut plane unless one of the matrix's entries jumps a cut, and then the
+point on the right of that cut joins its separator (Lipton, Rose and
+Tarjan 1979).  The permuted matrix, a nonsingular M-matrix like every
+monotone scheme's, factors without pivoting.  The solve holds one LU
+factor together with the frame selection it was built from.  A policy
+step whose selection differs from the held one in at most 0.5% of the
+rows, taken while the residual still falls, solves by GMRES
+preconditioned with that factor (late Howard steps solve nearby frozen
+systems; Bokanowski, Maroso and Zidani 2009); it keeps the result only
+if its componentwise backward error is at most 64 eps.  Every other step
+drops the held factor, factors the new matrix and takes one step of
+iterative refinement with it.  The policy stops on an unchanged
+selection only after a factored solve, and ``converged`` means residual
+<= tol at the returned iterate.  Each new selection keeps the previous
+frame wherever that frame is within 1e-12 (1 + |r|) of the best, so
+near-tied frames at round-off do not flip the policy forever; the outer
+min-max policy keeps tied pairs the same way and stops once its pairs no
+longer change.
 """
 
 from __future__ import annotations
@@ -392,44 +396,48 @@ class DirichletProblem:
 # -- scheme assembly -----------------------------------------------------------
 
 
-def _dissection(points: np.ndarray, reach: int, leaf: int = 64):
-    """Geometric nested-dissection order of lattice points (George 1973).
+def _dissection_tree(points: np.ndarray, leaf: int = 64):
+    """Geometric nested-dissection tree of lattice points (George 1973).
 
-    The bounding box of ``points`` (n, ndim) is split across its longest
-    axis by a separator strip ``reach`` cells wide, which no stencil arm
-    of max-norm <= ``reach`` can cross; the left half is ordered first,
-    then the right half, then the strip.  Boxes of at most ``leaf``
-    points, or too thin to split, keep their input order.
+    The bounding box of ``points`` (n, ndim) is cut across its longest
+    axis by one lattice plane: the points below it form the left subtree,
+    those above it the right one, and the plane's own points stay at the
+    node.  Boxes of at most ``leaf`` points, or too thin to cut, are
+    leaves.  Nodes carry heap codes, the root 1 and the children of c
+    2c and 2c + 1, so the binary digits of a code spell its path.
 
-    Returns ``(order, splits)``: ``order`` permutes the point indices,
-    and each split ``(start, mid, stop)`` marks ``order[start:mid]`` and
-    ``order[mid:stop]`` as two halves that one separator keeps apart.
+    Returns ``(home, postorder)``: each point's node code, and every
+    node's code in postorder (children before their parent).
     """
-    order, splits = [], []
+    home = np.empty(points.shape[0], dtype=np.int64)
+    postorder = []
 
-    def visit(ids):
-        pts = points[ids]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        extent = int(hi[axis] - lo[axis]) + 1
-        if ids.size <= leaf or extent < reach + 2:
-            order.extend(ids.tolist())
-            return
-        cut = int(lo[axis]) + (extent - reach) // 2
-        c = pts[:, axis]
-        start = len(order)
-        visit(ids[c < cut])
-        mid = len(order)
-        visit(ids[c >= cut + reach])
-        splits.append((start, mid, len(order)))
-        order.extend(ids[(c >= cut) & (c < cut + reach)].tolist())
+    def visit(ids, code):
+        if ids.size > leaf:
+            pts = points[ids]
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            axis = int(np.argmax(hi - lo))
+            if hi[axis] - lo[axis] >= 2:
+                cut = lo[axis] + (hi[axis] - lo[axis]) // 2
+                c = pts[:, axis]
+                visit(ids[c < cut], 2 * code)
+                visit(ids[c > cut], 2 * code + 1)
+                ids = ids[c == cut]
+        home[ids] = code
+        postorder.append(code)
 
-    visit(np.arange(points.shape[0]))
-    return np.array(order, dtype=np.intp), splits
+    visit(np.arange(points.shape[0]), 1)
+    return home, np.array(postorder, dtype=np.int64)
+
+
+def _bit_length(codes: np.ndarray) -> np.ndarray:
+    """Bit length of non-negative integers below 2**53 (0 for 0)."""
+    return np.frexp(codes.astype(float))[1]
 
 
 class _Scheme:
-    """Precomputed stencil admissibility and frame combos for one problem."""
+    """Precomputed stencil admissibility, frame combos and dissection tree
+    for one problem."""
 
     def __init__(self, problem: DirichletProblem, stencil: StencilSet):
         if stencil.ndim != problem.ndim:
@@ -439,9 +447,12 @@ class _Scheme:
         unknown = problem.unknown_mask()
         if not unknown.any():
             raise DomainError("problem has no unknown cells")
-        lattice = np.argwhere(unknown)
-        idx = lattice[_dissection(lattice, stencil.reach)[0]]
+        idx = np.argwhere(unknown)
         self.unknown_flat = np.ravel_multi_index(idx.T, shape)
+        self.home, postorder = _dissection_tree(idx)
+        # node code c has postorder rank code_rank[searchsorted(codes, c)]
+        self.codes = np.sort(postorder)
+        self.code_rank = np.argsort(postorder)
         N = self.unknown_flat.shape[0]
         self.rank = -np.ones(int(np.prod(shape)), dtype=np.intp)
         self.rank[self.unknown_flat] = np.arange(N)
@@ -480,6 +491,42 @@ class _Scheme:
             u_flat, self.unknown_flat, self.plus, self.minus, self.coeff,
             self.combos, self.admissible, keep,
         )
+
+    def separators(self, L) -> np.ndarray:
+        """Dissection-tree node of every unknown for the frozen matrix L.
+
+        Each unknown stays at its home node, except that wherever an
+        off-diagonal entry of L joins the two subtrees of a node, the
+        endpoint in the right subtree moves up into that node's
+        separator; the shallowest such node wins.  The node of an entry's
+        two endpoints is their homes' lowest common ancestor: the longest
+        common prefix of their codes.  Afterwards every entry of L joins a
+        node to itself, an ancestor or a descendant.
+        """
+        coo = L.tocoo()
+        off = coo.row != coo.col
+        i, j = coo.row[off], coo.col[off]
+        a, b = self.home[i], self.home[j]
+        da, db = _bit_length(a), _bit_length(b)
+        depth = np.minimum(da, db)
+        a, b = a >> (da - depth), b >> (db - depth)
+        below = _bit_length(a ^ b)  # levels from the common ancestor down
+        jump = below > 0
+        a, below = a[jump], below[jump]
+        right = ((a >> (below - 1)) & 1).astype(bool)  # i lies right of the cut
+        node = self.home.copy()
+        # an ancestor's code is the smaller one, so the minimum is the shallowest
+        np.minimum.at(node, np.where(right, i[jump], j[jump]), a >> below)
+        return node
+
+    def order(self, L) -> np.ndarray:
+        """Nested-dissection order of the unknowns of the frozen matrix L:
+        the nodes of ``separators(L)`` in postorder, unknowns of one node
+        in index order.  Eliminating in this order keeps the fill of each
+        subtree within it and its ancestors."""
+        node = self.separators(L)
+        key = self.code_rank[np.searchsorted(self.codes, node)]
+        return np.argsort(key, kind="stable")
 
     def assemble(self, selection: np.ndarray):
         """Sparse linear system of the frozen-frame scheme, L u = rhs."""
@@ -575,10 +622,29 @@ _REUSE_SHARE = 0.005
 _BACKWARD_ERROR = 64 * np.finfo(float).eps
 
 
+def _factor(L, order):
+    """Solve function of the LU factor of L with its unknowns eliminated
+    in ``order``.
+
+    The permuted L is a nonsingular M-matrix, so it factors without
+    pivoting or column reordering.
+    """
+    lu = __getattr__("spla").splu(
+        L[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
+    )
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order])
+        return x
+
+    return solve
+
+
 def _solve_with_held_factor(L, rhs, lu, x0):
-    """GMRES on ``L x = rhs`` from ``x0``, preconditioned by the LU factor
-    of a nearby frozen matrix: the solution, or None if it misses
-    ``_BACKWARD_ERROR``.
+    """GMRES on ``L x = rhs`` from ``x0``, preconditioned by ``lu``, the
+    solve function of a nearby frozen matrix's factor (``_factor``): the
+    solution, or None if it misses ``_BACKWARD_ERROR``.
 
     A change of r rows is a rank-r update of the factored matrix, so one
     restart cycle of at most 30 iterations suffices for the late policy
@@ -590,7 +656,7 @@ def _solve_with_held_factor(L, rhs, lu, x0):
     ``max |rhs - L x| / (|L| |x| + |rhs|)`` alone decides.
     """
     spla = __getattr__("spla")
-    M = spla.LinearOperator(L.shape, matvec=lu.solve, dtype=float)
+    M = spla.LinearOperator(L.shape, matvec=lu, dtype=float)
     rtol = np.finfo(float).eps / math.sqrt(rhs.size)
     x, _ = spla.gmres(L, rhs, x0=x0, M=M, rtol=rtol, atol=0.0, restart=30, maxiter=1)
     scale = abs(L) @ np.abs(x) + np.abs(rhs)
@@ -627,16 +693,13 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
         x = _solve_with_held_factor(L, rhs, lu, u[scheme.unknown_flat]) if try_reuse else None
         reused = x is not None
         if not reused:
-            # L is a nonsingular M-matrix already in nested-dissection
-            # order, so it factors without pivoting or column reordering;
-            # one refinement step brings the solve down to round-off.
+            # each factorization orders L by its own graph; one refinement
+            # step brings the solve down to round-off
             lu = None  # one factor at a time: drop a rejected one first
-            lu = __getattr__("spla").splu(
-                L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
-            )
+            lu = _factor(L, scheme.order(L))
             lu_sel = sel
-            x = lu.solve(rhs)
-            x += lu.solve(rhs - L @ x)
+            x = lu(rhs)
+            x += lu(rhs - L @ x)
         u[scheme.unknown_flat] = x
         prev_sel = sel
         r, sel = scheme.evaluate(u, keep=sel)
@@ -884,19 +947,21 @@ def removability_experiment(
 
 # -- problem files ---------------------------------------------------------------
 
+# name -> (numpy function, number of arguments); a fixed count keeps a
+# call from passing a coordinate array as an ``out`` argument
 _EXPR_FUNCS = {
-    "sqrt": np.sqrt,
-    "log": np.log,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "abs": np.abs,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "where": np.where,
-    "hypot": np.hypot,
-    "arctan2": np.arctan2,
+    "sqrt": (np.sqrt, 1),
+    "log": (np.log, 1),
+    "exp": (np.exp, 1),
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "tan": (np.tan, 1),
+    "abs": (np.abs, 1),
+    "minimum": (np.minimum, 2),
+    "maximum": (np.maximum, 2),
+    "hypot": (np.hypot, 2),
+    "arctan2": (np.arctan2, 2),
+    "where": (np.where, 3),
 }
 
 _EXPR_OPS = {
@@ -942,8 +1007,13 @@ def _eval_node(node, names: dict):
         and node.func.id in _EXPR_FUNCS
         and not node.keywords
     ):
-        args = [_eval_node(a, names) for a in node.args]
-        return _EXPR_FUNCS[node.func.id](*args)
+        func, arity = _EXPR_FUNCS[node.func.id]
+        if len(node.args) != arity:
+            raise DomainError(
+                f"boundary expression calls {node.func.id} with {len(node.args)} "
+                f"argument(s); it takes {arity}"
+            )
+        return func(*[_eval_node(a, names) for a in node.args])
     raise DomainError(
         f"boundary expression may not contain {ast.unparse(node)!r}: only numbers, "
         "x, y, z, r, pi, e, arithmetic, single comparisons and calls to "

@@ -87,6 +87,27 @@ def test_cone_membership_report(tmp_path):
     assert code == 0 and rep["member"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("dual", [[], ["--dual"]], ids=["cone", "dual"])
+def test_membership_margin_overflow_is_a_usage_error(tmp_path, dual):
+    # sigma_3 of diag(1e200, 1e200, -1e200) overflows to -inf
+    (tmp_path / "M.csv").write_text("1e200,0,0\n0,1e200,0\n0,0,-1e200\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecalc.cli", "cone", "--spec", "sigma:3", "--dim", "3",
+         "--matrix", "M.csv", *dual],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 2
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "DomainError"
+    assert proc.stderr == ""
+
+
 def test_dual_flag_and_dual_descriptor_agree(tmp_path, monkeypatch, capsys):
     # the dual margin -5e-8 lies between the closed and interior tolerance bands
     (tmp_path / "A.csv").write_text("-1,0,0\n0,0,0\n0,0,-5e-8\n")

@@ -103,6 +103,13 @@ def test_membership_report_threshold_consistency():
                 assert rep.member == (rep.margin >= rep.threshold)
 
 
+@pytest.mark.parametrize("member", [contains, dual_contains], ids=["contains", "dual_contains"])
+def test_overflowing_margin_is_a_domain_error(member):
+    # sigma_3 of diag(1e200, 1e200, -1e200) overflows; no warning escapes
+    with pytest.raises(DomainError, match="overflows"):
+        member(parse_cone("sigma:3", 3), np.diag([1e200, 1e200, -1e200]))
+
+
 def test_geometric_results_are_labeled_sampled():
     spec = geometric_cone([Frame(np.eye(3)[:2])], 3)
     assert contains(spec, np.eye(3)).sampled

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import types
 
@@ -19,7 +21,6 @@ from conecalc.solver import (
     DirichletProblem,
     _Scheme,
     _combos,
-    _dissection,
     _evaluate,
     evaluate_expression,
     harmonic_verify,
@@ -49,6 +50,17 @@ def annulus_config(nside, p=1.5, a=0.125):
         "grid": {"shape": [nside, nside], "origin": [-1, -1], "h": h},
         "boundary": {"expr": "(x*x+y*y)**0.25"},
         "hole": {"min": [-a, -a], "max": [a, a]},
+    }
+
+
+def _minmax_config(nside):
+    """Second eigenvalue branch in 3-D (the min-max form) with an
+    indefinite quadratic datum."""
+    return {
+        "operator": "branch",
+        "k": 2,
+        "grid": {"shape": [nside] * 3, "origin": [-1, -1, -1], "h": 2.0 / (nside - 1)},
+        "boundary": {"expr": "x*x - 0.5*y*y - 0.5*z*z + 0.1*x"},
     }
 
 
@@ -105,22 +117,124 @@ def lattice_problems(draw):
     return DirichletProblem(shape, np.zeros(nd), 0.1, ("pp", 2), g, hole, tuple(punctures))
 
 
+def _on_one_root_path(a, b):
+    """Whether each pair of heap codes (root 1, children 2c and 2c + 1)
+    names a node and one of its ancestors or descendants, or one node:
+    the shorter code is a prefix of the longer."""
+    da = np.array([int(c).bit_length() for c in a])
+    db = np.array([int(c).bit_length() for c in b])
+    d = np.minimum(da, db)
+    return (a >> (da - d)) == (b >> (db - d)), da - db
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(problem=lattice_problems(), reach=st.integers(1, 3), leaf=st.integers(1, 64))
-def test_dissection_separates_halves(problem, reach, leaf):
-    points = np.argwhere(problem.unknown_mask())
-    assume(points.shape[0] > 0)
-    order, splits = _dissection(points, reach, leaf)
-    assert np.array_equal(np.sort(order), np.arange(points.shape[0]))
-    arms = make_stencil(problem.ndim, reach).directions
-    for start, mid, stop in splits:
-        right = np.zeros(problem.shape, dtype=bool)
-        right[tuple(points[order[mid:stop]].T)] = True
-        left = points[order[start:mid]]
-        for v in np.concatenate([arms, -arms]):
-            ends = left + v
-            inside = np.all((ends >= 0) & (ends < problem.shape), axis=1)
-            assert not right[tuple(ends[inside].T)].any()
+@given(
+    problem=lattice_problems(),
+    op=st.sampled_from([("pp", 1.5), ("pp", 2), ("branch", 1)]),
+    reach=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dissection_order_follows_the_frozen_matrix(problem, op, reach, seed):
+    try:
+        scheme = _Scheme(dataclasses.replace(problem, operator=op), make_stencil(problem.ndim, reach))
+    except (DomainError, DiscretizationError):
+        assume(False)
+    # a random admissible frame at every point
+    rng = np.random.default_rng(seed)
+    scores = np.where(scheme.admissible, rng.random(scheme.admissible.shape), -1.0)
+    L = scheme.assemble(np.argmax(scores, axis=0))[0]
+    order = scheme.order(L)
+    assert np.array_equal(np.sort(order), np.arange(L.shape[0]))
+    node = scheme.separators(L)
+    # unknowns only move up from their geometric home
+    assert _on_one_root_path(node, scheme.home)[0].all()
+    assert np.all(node <= scheme.home)
+    # every entry joins a node to itself, an ancestor or a descendant,
+    # never two subtrees of one node, and the descendant comes first
+    coo = L.tocoo()
+    related, deeper = _on_one_root_path(node[coo.row], node[coo.col])
+    assert related.all()
+    pos = np.argsort(order)
+    first, second = pos[coo.row], pos[coo.col]
+    assert np.all((first < second)[deeper > 0]) and np.all((first > second)[deeper < 0])
+
+
+def _strip_dissection(points, reach, leaf=64):
+    """Geometric nested-dissection order of lattice points by separator
+    strips ``reach`` cells wide, which no stencil arm can cross, fixed
+    before any frame is chosen: the reference the solver's per-matrix
+    order must not fill worse than.  Each box is split across its
+    longest axis; left half, right half, then the strip."""
+    order = []
+
+    def visit(ids):
+        pts = points[ids]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        extent = int(hi[axis] - lo[axis]) + 1
+        if ids.size <= leaf or extent < reach + 2:
+            order.extend(ids.tolist())
+            return
+        cut = int(lo[axis]) + (extent - reach) // 2
+        c = pts[:, axis]
+        visit(ids[c < cut])
+        visit(ids[c >= cut + reach])
+        order.extend(ids[(c >= cut) & (c < cut + reach)].tolist())
+
+    visit(np.arange(points.shape[0]))
+    return np.array(order, dtype=np.intp)
+
+
+def _fill(L, order):
+    """Entries of the pivot-free LU factors of L eliminated in ``order``."""
+    lu = solver.spla.splu(L[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return lu.L.nnz + lu.U.nnz
+
+
+def _first_frozen_matrix(cfg):
+    """The scheme of a problem config (reach-3 stencil) and its first
+    policy step's frozen system; for the min-max form, that of the first
+    inner step."""
+    prob = problem_from_config(cfg)
+    stencil = make_stencil(prob.ndim, 3)
+    scheme = _Scheme(prob, stencil)
+    u = prob.boundary_values.reshape(-1)
+    sel = scheme.evaluate(u)[1]
+    if scheme.form == "minmax":
+        # the inner view of solve: single directions, the pair's two admissible
+        inner = copy.copy(scheme)
+        inner.combos = inner.form, inner.dirs, inner.weights = _combos(("branch", 3), stencil)
+        inner.admissible = np.zeros((stencil.count, sel.size), dtype=bool)
+        inner.admissible[scheme.dirs[sel].T, np.arange(sel.size)] = True
+        scheme, sel = inner, inner.evaluate(u)[1]
+    return scheme, *scheme.assemble(sel)
+
+
+_FROZEN_CASES = [
+    pytest.param(annulus_config(65), id="annulus-65-pp1.5"),
+    pytest.param(annulus_config(65, p=2), id="annulus-65-trace"),
+    pytest.param(dict(_minmax_config(11), operator="pp", p=1.5), id="pp1.5-11^3"),
+    pytest.param(_minmax_config(11), id="minmax-inner-11^3"),
+]
+
+
+@pytest.mark.parametrize("cfg", _FROZEN_CASES)
+def test_dissection_fills_no_more_than_reach_wide_strips(cfg):
+    scheme, L, _ = _first_frozen_matrix(cfg)
+    strips = _strip_dissection(np.argwhere(scheme.problem.unknown_mask()), 3)
+    assert _fill(L, scheme.order(L)) <= _fill(L, strips)
+
+
+@pytest.mark.parametrize("cfg", _FROZEN_CASES[::2])
+def test_permuted_factor_solve_meets_the_backward_error(cfg):
+    scheme, L, rhs = _first_frozen_matrix(cfg)
+    order = scheme.order(L)
+    assert not np.array_equal(order, np.arange(order.size))
+    lu = solver._factor(L, order)
+    x = lu(rhs)
+    x += lu(rhs - L @ x)
+    scale = abs(L) @ np.abs(x) + np.abs(rhs)
+    assert np.all(np.abs(rhs - L @ x) <= solver._BACKWARD_ERROR * scale)
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -366,17 +480,6 @@ def _jacobi(scheme, u, tol, max_iter):
             return True
         u[scheme.unknown_flat] += tau * r
     return False
-
-
-def _minmax_config(nside):
-    """Second eigenvalue branch in 3-D (the min-max form) with an
-    indefinite quadratic datum."""
-    return {
-        "operator": "branch",
-        "k": 2,
-        "grid": {"shape": [nside] * 3, "origin": [-1, -1, -1], "h": 2.0 / (nside - 1)},
-        "boundary": {"expr": "x*x - 0.5*y*y - 0.5*z*z + 0.1*x"},
-    }
 
 
 @pytest.mark.parametrize(
@@ -781,14 +884,16 @@ def test_problem_from_config_errors():
         "x if y else 1",
         "0 < x < 1",
         "where(x > 0)",
+        "minimum(x, y, z)",
+        "exp(x, y)",
         "1/0",
         "(" * 300 + "x" + ")" * 300,
         "-" * 100_000 + "1",
     ],
 )
 def test_boundary_expression_cannot_run_code(expr):
-    cfg = annulus_config(17)
-    cfg["boundary"] = {"expr": expr}
+    # 3-D with a hole box, so that a call writing into z would move the hole
+    cfg = dict(_minmax_config(7), boundary={"expr": expr}, hole={"min": [-0.4] * 3, "max": [0.4] * 3})
     with pytest.raises(DomainError, match="boundary expression"):
         problem_from_config(cfg)
 
