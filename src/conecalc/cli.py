@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -39,10 +40,23 @@ def _default_seed() -> int:
         return 0
 
 
+def _write_text(path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage
+    error, like an input that cannot be read."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"could not write {path}: {exc}") from exc
+
+
+def _json_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(report: dict, output) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write_text(output, text)
     sys.stdout.write(text)
 
 
@@ -66,12 +80,16 @@ def _stencil(cfg: dict, problem) -> solver.StencilSet:
     return solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
 
 
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
 def _write_convergence_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual_sup"])
-        for it, res in history:
-            writer.writerow([it, repr(float(res))])
+    _write_csv(path, ["iteration", "residual_sup"], [[it, repr(float(res))] for it, res in history])
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -369,11 +387,7 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
         rel = err / peak
         rows.append((problem.h, err, rel))
     path = outdir / "errors.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "sup_error", "rel_error"])
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
+    _write_csv(path, ["h", "sup_error", "rel_error"], [[repr(v) for v in row] for row in rows])
     report["errors"] = [
         {"h": h, "sup_error": e, "rel_error": r} for h, e, r in rows
     ]
@@ -431,7 +445,10 @@ def _cmd_experiment(args) -> int:
         raise DomainError(f"{kind} experiment config is missing {', '.join(missing)}")
     _check_experiment_fields(cfg)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"could not create output directory {outdir}: {exc}") from exc
     report = {"command": "experiment", "kind": kind, "seed": args.seed, "outputs": []}
     if kind == "removability":
         passed = _experiment_removability(cfg, outdir, report)
@@ -440,9 +457,9 @@ def _cmd_experiment(args) -> int:
     else:
         passed = _experiment_convergence(cfg, outdir, report)
     report["passed"] = bool(passed)
+    # every file first, so that a failed write leaves stdout one report
+    _write_text(outdir / "report.json", _json_text(report))
     _emit(report, args.output)
-    report_path = outdir / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if passed else MATH_EXIT
 
 
@@ -554,7 +571,11 @@ def main(argv=None) -> int:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SpecParseError):
             error.update(kind="parse", position=exc.position)
-        _emit({"command": args.subcommand, "error": error}, args.output)
+        report = {"command": args.subcommand, "error": error}
+        try:
+            _emit(report, args.output)
+        except DomainError:  # --output itself cannot be written
+            _emit(report, None)
         return exit_code(exc)
 
 

@@ -549,18 +549,22 @@ def upper_conical_check(
 
 
 def write_grid(path, u: GridFunction) -> None:
-    """Write the grid format: header, optional mask block, then value rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        shape = ",".join(str(s) for s in u.shape)
-        origin = ",".join(repr(float(v)) for v in u.origin)
-        fh.write(f"grid n={u.ndim} shape={shape} origin={origin} h={u.h!r}\n")
-        # repr of a Python float is the shortest round-trip form, "-inf" included
-        if u.mask is not None:
-            fh.write("mask\n")
-            for row in u.mask.reshape(-1, u.shape[-1]).tolist():
-                fh.write(",".join("1" if v else "0" for v in row) + "\n")
-        for row in u.values.reshape(-1, u.shape[-1]).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    """Write the grid format: header, optional mask block, then value
+    rows.  A path that cannot be written raises DomainError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            shape = ",".join(str(s) for s in u.shape)
+            origin = ",".join(repr(float(v)) for v in u.origin)
+            fh.write(f"grid n={u.ndim} shape={shape} origin={origin} h={u.h!r}\n")
+            # repr of a Python float is the shortest round-trip form, "-inf" included
+            if u.mask is not None:
+                fh.write("mask\n")
+                for row in u.mask.reshape(-1, u.shape[-1]).tolist():
+                    fh.write(",".join("1" if v else "0" for v in row) + "\n")
+            for row in u.values.reshape(-1, u.shape[-1]).tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
+    except OSError as exc:
+        raise DomainError(f"could not write grid file {path}: {exc}") from exc
 
 
 def parse_geometry(text: str):

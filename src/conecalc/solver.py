@@ -55,17 +55,24 @@ hold only the arms of their selected frame: a point stays at its leaf or
 cut plane unless one of the matrix's entries jumps a cut, and then the
 point on the right of that cut joins its separator (Lipton, Rose and
 Tarjan 1979).  The permuted matrix, a nonsingular M-matrix like every
-monotone scheme's, factors without pivoting.  The solve holds one LU
-factor together with the frame selection it was built from.  A policy
-step whose selection differs from the held one in at most 0.5% of the
-rows, taken while the residual still falls, solves by GMRES
-preconditioned with that factor (late Howard steps solve nearby frozen
-systems; Bokanowski, Maroso and Zidani 2009); it keeps the result only
-if its componentwise backward error is at most 64 eps.  Every other step
-drops the held factor, factors the new matrix and takes one step of
-iterative refinement with it.  The policy stops on an unchanged
-selection only after a factored solve, and ``converged`` means residual
-<= tol at the returned iterate.  Each new selection keeps the previous
+monotone scheme's, factors without pivoting, in single precision: scaled
+by a power of two to entries of at most 1, it takes half the memory of a
+double-precision factor, and iterative refinement in double precision
+recovers the full accuracy while cond(L) u_32 < 1 (Buttari et al. 2007;
+Carson and Higham 2018).  Every linear solve refines its iterate until
+the componentwise backward error is at most 64 eps, for at most 8
+corrections.  The solve holds one LU factor together with the frame
+selection it was built from.  A policy step whose selection differs from
+the held one in at most 0.5% of the rows, taken while the residual still
+falls, refines the current iterate by GMRES cycles preconditioned with
+that factor (late Howard steps solve nearby frozen systems; Bokanowski,
+Maroso and Zidani 2009) and keeps the result only if it meets the 64-eps
+gate.  Every other step drops the held factor, factors the new matrix
+and refines with it, keeping the last iterate if the gate is not met
+within the cap (data at the edge of the subnormal range cannot meet it).
+The policy stops on an unchanged selection only after a factored solve,
+and ``converged`` means residual <= tol at the returned iterate.  Each
+new selection keeps the previous
 frame wherever that frame is within 1e-12 (1 + |r|) of the best, so
 near-tied frames at round-off do not flip the policy forever; the outer
 min-max policy keeps tied pairs the same way and stops once its pairs no
@@ -617,50 +624,78 @@ POLICY_STEP_CAP = 60
 # A policy step reuses the held factor when at most this share of the
 # rows changed frames since it was built ...
 _REUSE_SHARE = 0.005
-# ... and keeps the GMRES result only at this componentwise backward
-# error; a factored solve with one refinement step reads 2-4e-16.
+# ... and every linear solve refines its iterate until the componentwise
+# backward error max |rhs - L x| / (|L| |x| + |rhs|) is at most this,
+# which a fresh single-precision factor reaches in 3 solves at 257^2 ...
 _BACKWARD_ERROR = 64 * np.finfo(float).eps
+# ... or until this many corrections have been taken
+_REFINE_STEPS = 8
 
 
 def _factor(L, order):
-    """Solve function of the LU factor of L with its unknowns eliminated
-    in ``order``.
+    """Solve function of the single-precision LU factor of L with its
+    unknowns eliminated in ``order``; it takes and returns float64.
 
     The permuted L is a nonsingular M-matrix, so it factors without
-    pivoting or column reordering.
+    pivoting or column reordering.  L and each right-hand side are
+    scaled by powers of two to a largest entry in [1/2, 1) before the
+    float32 cast, which keeps the scaling exact and data far below
+    float32's range (subnormal boundary values, say) from flushing to
+    zero; the solution is scaled back in float64.
     """
-    lu = __getattr__("spla").splu(
-        L[order][:, order].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0
-    )
+    A = L[order][:, order].tocsc()
+    shift = np.frexp(np.max(np.abs(A.data)))[1]
+    A.data = np.ldexp(A.data, -shift).astype(np.float32)
+    lu = __getattr__("spla").splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def solve(b):
+        e = np.frexp(np.max(np.abs(b)))[1]
         x = np.empty_like(b)
-        x[order] = lu.solve(b[order])
+        y = lu.solve(np.ldexp(b[order], -e).astype(np.float32))
+        x[order] = np.ldexp(y.astype(float), e - shift)
         return x
 
     return solve
 
 
-def _solve_with_held_factor(L, rhs, lu, x0):
-    """GMRES on ``L x = rhs`` from ``x0``, preconditioned by ``lu``, the
-    solve function of a nearby frozen matrix's factor (``_factor``): the
-    solution, or None if it misses ``_BACKWARD_ERROR``.
+def _refine(L, rhs, x, correct):
+    """Iterative refinement of x toward ``L x = rhs`` in float64: while
+    the backward error exceeds ``_BACKWARD_ERROR``, add ``correct(rhs -
+    L x)``, at most ``_REFINE_STEPS`` times.  Returns the iterate and
+    whether it met the backward error (Carson and Higham 2018: a factor
+    of precision u suffices while cond(L) u < 1).
+    """
+    absL = abs(L)
+    for step in range(_REFINE_STEPS + 1):
+        r = rhs - L @ x
+        if np.all(np.abs(r) <= _BACKWARD_ERROR * (absL @ np.abs(x) + np.abs(rhs))):
+            return x, True
+        if step == _REFINE_STEPS:
+            return x, False
+        x = x + correct(r)
 
-    A change of r rows is a rank-r update of the factored matrix, so one
-    restart cycle of at most 30 iterations suffices for the late policy
-    steps.  scipy ends that cycle once its estimate of the preconditioned
-    residual, the correction still owed to x, falls below rtol times
-    ``|lu.solve(rhs)|_2``, about ``|x|_2``; rtol = eps / sqrt(n) asks for a
-    correction below the round-off of a typical entry of x.  scipy's
-    ``info`` is not consulted: the backward error
-    ``max |rhs - L x| / (|L| |x| + |rhs|)`` alone decides.
+
+def _solve_with_held_factor(L, rhs, lu, x0):
+    """Refine ``x0`` toward ``L x = rhs`` with ``lu``, the solve function
+    of a nearby frozen matrix's factor (``_factor``): the solution, or
+    None if it misses ``_BACKWARD_ERROR`` within ``_REFINE_STEPS``.
+
+    A change of r rows is a rank-r update of the factored matrix, so
+    each correction is one GMRES restart cycle of at most 30 iterations
+    preconditioned by ``lu``, ended once scipy's estimate of the
+    preconditioned residual falls by 1e-4; scipy's ``info`` is not
+    consulted.  A single cycle asked for the full precision stalls far
+    above the backward error with a float32 preconditioner: the
+    float64 residual of each outer step is what recovers it.
     """
     spla = __getattr__("spla")
     M = spla.LinearOperator(L.shape, matvec=lu, dtype=float)
-    rtol = np.finfo(float).eps / math.sqrt(rhs.size)
-    x, _ = spla.gmres(L, rhs, x0=x0, M=M, rtol=rtol, atol=0.0, restart=30, maxiter=1)
-    scale = abs(L) @ np.abs(x) + np.abs(rhs)
-    return x if np.all(np.abs(rhs - L @ x) <= _BACKWARD_ERROR * scale) else None
+
+    def correct(r):
+        return spla.gmres(L, r, M=M, rtol=1e-4, atol=0.0, restart=30, maxiter=1)[0]
+
+    x, met = _refine(L, rhs, x0, correct)
+    return x if met else None
 
 
 def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
@@ -693,13 +728,12 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
         x = _solve_with_held_factor(L, rhs, lu, u[scheme.unknown_flat]) if try_reuse else None
         reused = x is not None
         if not reused:
-            # each factorization orders L by its own graph; one refinement
-            # step brings the solve down to round-off
+            # each factorization orders L by its own graph; a solve that
+            # misses the backward error at the cap keeps its iterate
             lu = None  # one factor at a time: drop a rejected one first
             lu = _factor(L, scheme.order(L))
             lu_sel = sel
-            x = lu(rhs)
-            x += lu(rhs - L @ x)
+            x = _refine(L, rhs, np.zeros_like(rhs), lu)[0]
         u[scheme.unknown_flat] = x
         prev_sel = sel
         r, sel = scheme.evaluate(u, keep=sel)
@@ -730,7 +764,12 @@ def solve(
     solves; ``history`` holds (solves so far, residual_sup) before the
     first solve and after each policy step, or each outer step of the
     min-max form, so its last entry is (iterations, residual_sup).
+    ``tol`` must be finite and >= 0 and ``max_iter`` an integer >= 1.
     """
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"solve tolerance must be finite and >= 0, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if stencil is None:
         stencil = make_stencil(problem.ndim)
     scheme = _Scheme(problem, stencil)

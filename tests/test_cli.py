@@ -407,6 +407,8 @@ _BAD_INPUT_FILES = {
     "originnan.grid": "grid n=2 shape=2,2 origin=nan,0 h=0.5\n0,0\n0,0\n",
     "mask2.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,2\n0,0\n0,0\n0,0\n",
     "extra.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n0,0\n0,0\n1,1\n",
+    "good.json": json.dumps(_GOOD_PROBLEM),
+    "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
     "comment.csv": "# no atoms\n",
     "convzero.json": json.dumps(
@@ -474,6 +476,13 @@ _BAD_INPUT_FILES = {
         pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
                      id="convergence-zero-data"),
         pytest.param(["solve", "--problem", "branchfrac.json"], id="problem-branch-fraction"),
+        pytest.param(["cone", "--spec", "pp:1.5", "--dim", "3", "--tol", "nan"], id="cone-tol-nan"),
+        pytest.param(["solve", "--problem", "good.json", "--tol", "-1"], id="solve-tol-negative"),
+        pytest.param(["solve", "--problem", "good.json", "--max-iter", "0"], id="solve-max-iter-0"),
+        pytest.param(["solve", "--problem", "good.json", "--max-iter=-3"],
+                     id="solve-max-iter-negative"),
+        pytest.param(["experiment", "--config", "tolneg.json", "--output-dir", "out"],
+                     id="experiment-tol-negative"),
         pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
                       "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
                      id="magnitude-overflows"),
@@ -517,6 +526,39 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError", "SamplingError")
     assert err == ""
     assert not (tmp_path / "x.grid").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["kernel", "--p", "3", "--dim", "3", "--x=1,0,0", "--output", "missing/r.json"],
+                     id="output"),
+        pytest.param(["grid", "extend", "--input", "u.grid", "--grid-output", "missing/x.grid"],
+                     id="grid-output"),
+        pytest.param(["solve", "--problem", "good.json", "--output-prefix", "missing/a"],
+                     id="output-prefix"),
+        pytest.param(["experiment", "--config", "exp.json", "--output-dir", "good.json/out"],
+                     id="output-dir"),
+        pytest.param(["experiment", "--config", "exp.json", "--output-dir", "taken"],
+                     id="output-dir-report"),
+    ],
+)
+def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # each output path lies in a directory that does not exist or is a
+    # file, or is itself a directory (taken/report.json)
+    (tmp_path / "taken" / "report.json").mkdir(parents=True)
+    write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD_PROBLEM))
+    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    schema.validate_report(rep)
+    assert rep["command"] == argv[0]
+    assert rep["error"]["kind"] == "DomainError"
+    assert "could not" in rep["error"]["message"]
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

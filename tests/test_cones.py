@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -507,6 +510,64 @@ def test_sphere_lattice_unit_norms():
     for n in (2, 3, 4, 6):
         pts = sphere_lattice(n, 64)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+
+def test_normal_quantile_agrees_with_scipy_ndtri():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(7)
+    u = np.concatenate([
+        rng.uniform(1e-12, 1.0 - 1e-12, 300_000),
+        [1e-12, 1.0 - 1e-12, 0.5, 0.075, 0.925],  # both ends, the centre, the region seams
+        np.mod(np.arange(1, 2001)[:, None] * np.sqrt([2.0, 3.0, 5.0, 7.0]), 1.0).ravel(),
+    ])
+    assert np.max(np.abs(cones._normal_quantile(u) - ndtri(u))) <= 4e-15
+
+
+def test_sphere_lattice_loads_no_scipy():
+    code = (
+        "import sys; from conecalc.cones import sphere_lattice; sphere_lattice(4, 8); "
+        "print(any(m.startswith('scipy.special') for m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    ).stdout
+    assert out.strip() == "False"
+
+
+# riesz_characteristic of criterion C4's 17 transition cones, as computed
+# with scipy.special.ndtri in the 4-D sphere lattice
+_C4_TRANSITIONS = [
+    (positivity(4), 1.0000000027939677),
+    (pp_cone(1.5, 4), 1.5000000009313226),
+    (pp_cone(2.0, 4), 2.000000004656613),
+    (pp_cone(2.5, 4), 2.5000000027939677),
+    (pdelta_cone(0.1, 4), 1.2727272724732757),
+    (pdelta_cone(1.0, 4), 2.5000000027939677),
+    (pdelta_cone(2.0, 4), 3.0000000009313226),
+    (pucci_cone(1.0, 2.0, 4), 2.5000000027939677),
+    (pucci_cone(2.0, 5.0, 4), 2.1999999983236194),
+    (sigma_cone(1, 4), 4.0),
+    (sigma_cone(2, 4), 1.9999999990686774),
+    (sigma_cone(3, 4), 1.3333333330228925),
+    (sigma_cone(4, 4), 1.0000000027939677),
+    (map_branch_cone(2, 1, 4), 2.000000004656613),
+    (enlarged_cone(pp_cone(2.0, 4), 0.25), 2.5000000027939677),
+    (complex_branch_cone(1, 4), 2.000000004656613),
+    (horizontal_cone(Frame(np.eye(4)[:2]), 4), 2.000000004656613),
+]
+
+
+def test_c4_transition_characteristics_are_unchanged():
+    for spec, value in _C4_TRANSITIONS:
+        assert riesz_characteristic(spec).value == value, spec.describe()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_riesz_characteristic_rejects_a_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        riesz_characteristic(pp_cone(1.5, 3), tol=tol)
 
 
 # -- Riesz characteristics ------------------------------------------------------------

@@ -230,11 +230,45 @@ def test_permuted_factor_solve_meets_the_backward_error(cfg):
     scheme, L, rhs = _first_frozen_matrix(cfg)
     order = scheme.order(L)
     assert not np.array_equal(order, np.arange(order.size))
-    lu = solver._factor(L, order)
-    x = lu(rhs)
-    x += lu(rhs - L @ x)
+    x, met = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, order))
+    assert met
     scale = abs(L) @ np.abs(x) + np.abs(rhs)
     assert np.all(np.abs(rhs - L @ x) <= solver._BACKWARD_ERROR * scale)
+
+
+_OPERATORS_BY_DIM = {
+    2: [("pp", 1.2), ("pp", 1.5), ("pp", 2), ("branch", 1), ("branch", 2)],
+    3: [("pp", 1.5), ("pp", 2.5), ("pp", 3), ("branch", 1), ("branch", 3)],
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    problem=lattice_problems(),
+    op_index=st.integers(0, 4),
+    reach=st.integers(1, 3),
+    power=st.integers(-600, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_solve_refines_to_the_backward_error_at_any_scale(problem, op_index, reach, power, seed):
+    # data of any binary magnitude, on a random admissible frozen selection:
+    # the float32 factor and the power-of-two scalings reach 64 eps within
+    # the refinement cap
+    rng = np.random.default_rng(seed)
+    g = np.ldexp(rng.uniform(-1.0, 1.0, problem.shape), power)
+    op = _OPERATORS_BY_DIM[problem.ndim][op_index]
+    try:
+        scheme = _Scheme(
+            dataclasses.replace(problem, operator=op, boundary_values=g),
+            make_stencil(problem.ndim, reach),
+        )
+    except (DomainError, DiscretizationError):
+        assume(False)
+    scores = np.where(scheme.admissible, rng.random(scheme.admissible.shape), -1.0)
+    L, rhs = scheme.assemble(np.argmax(scores, axis=0))
+    x, met = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, scheme.order(L)))
+    assert met
+    assert np.all(np.abs(rhs - L @ x) <= solver._BACKWARD_ERROR * (abs(L) @ np.abs(x) + np.abs(rhs)))
 
 
 # -- residuals ---------------------------------------------------------------------
@@ -510,23 +544,35 @@ def test_solve_is_deterministic():
 
 def _logged_spla(monkeypatch, **replace):
     """Put a copy of scipy.sparse.linalg with ``replace`` applied in place
-    of ``solver.spla``; returns the list of its ``splu`` and ``gmres``
-    calls, in order."""
+    of ``solver.spla``; returns one list per policy step (each assembles
+    its frozen system once) of that step's ``splu`` and ``gmres`` calls,
+    in order."""
     real = solver.spla
     funcs = {"splu": real.splu, "gmres": real.gmres, **replace}
-    log = []
+    steps = []
 
     def logged(name):
         def call(*args, **kwargs):
-            log.append(name)
+            steps[-1].append(name)
             return funcs[name](*args, **kwargs)
 
         return call
 
+    assemble = _Scheme.assemble
+
+    def assemble_step(self, selection):
+        steps.append([])
+        return assemble(self, selection)
+
     copy = types.ModuleType(real.__name__)
     copy.__dict__.update(real.__dict__, splu=logged("splu"), gmres=logged("gmres"))
     monkeypatch.setattr(solver, "spla", copy)
-    return log
+    monkeypatch.setattr(_Scheme, "assemble", assemble_step)
+    return steps
+
+
+def _factorizations(steps):
+    return [calls.count("splu") for calls in steps]
 
 
 def test_late_policy_steps_reuse_the_held_factor(monkeypatch):
@@ -534,32 +580,40 @@ def test_late_policy_steps_reuse_the_held_factor(monkeypatch):
     log = _logged_spla(monkeypatch)
     rep = solve(problem_from_config(annulus_config(65)), tol=1e-10)
     assert rep.converged and rep.iterations == 5
-    assert log == ["splu"] * 4 + ["gmres"]
+    assert _factorizations(log) == [1] * 4 + [0]
+    assert log[-1] and set(log[-1]) == {"gmres"}
 
 
 def test_reuse_that_misses_the_backward_error_factors_afresh(monkeypatch):
     prob = problem_from_config(annulus_config(65))
     ref = solve(prob, tol=1e-10)
-    # the current iterate is far from solving the changed system
-    log = _logged_spla(monkeypatch, gmres=lambda A, b, x0, **kwargs: (x0, 0))
+    # corrections that never move the iterate, which the changed system
+    # leaves far from solved
+    log = _logged_spla(monkeypatch, gmres=lambda A, b, **kwargs: (np.zeros_like(b), 0))
     rep = solve(prob, tol=1e-10)
-    assert log == ["splu"] * 4 + ["gmres", "splu"]
+    assert _factorizations(log) == [1] * 5
+    assert log[-1] == ["gmres"] * solver._REFINE_STEPS + ["splu"]
     assert rep.converged and rep.iterations == ref.iterations
     assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= 1e-12
 
 
 def test_policy_stops_only_after_a_factored_solve(monkeypatch):
-    # a reused solve 1e-14 off in every entry passes the backward-error
-    # check (< 64 eps) but leaves the residual above tol; the policy then
-    # settles, and a factored solve of the same selection converges
+    # a reused solve 1e-14 off in every entry leaves the residual above
+    # tol; the policy then settles, and a factored solve of the same
+    # selection converges
     cfg = dict(annulus_config(33, p=1.2), boundary={"expr": "exp(x) * cos(y) + 0.2*x*y"})
     prob = problem_from_config(cfg)
-    gmres = solver.spla.gmres
-    log = _logged_spla(
-        monkeypatch, gmres=lambda *args, **kwargs: (gmres(*args, **kwargs)[0] * (1 + 1e-14), 0)
-    )
+    log = _logged_spla(monkeypatch)
+    held = solver._solve_with_held_factor
+
+    def off(*args):
+        x = held(*args)
+        return None if x is None else x * (1 + 1e-14)
+
+    monkeypatch.setattr(solver, "_solve_with_held_factor", off)
     rep = solve(prob, tol=1e-12)
-    assert log[-2:] == ["gmres", "splu"]
+    assert _factorizations(log)[-2:] == [0, 1]
+    assert "gmres" in log[-2] and log[-1] == ["splu"]
     assert rep.history[-2][1] > 1e-12
     assert rep.converged
 
@@ -572,10 +626,10 @@ def test_reuse_ends_once_the_residual_stops_falling(monkeypatch):
     rep = solve(problem_from_config(annulus_config(65)), tol=1e-16)
     res = [r for _, r in rep.history]
     assert not rep.converged and len(log) == len(res) - 1 < 20
-    assert "gmres" in log
+    assert 0 in _factorizations(log)
     for step in range(2, len(log) + 1):
         if res[step - 1] >= res[step - 2]:
-            assert log[step - 1] == "splu"
+            assert log[step - 1] == ["splu"]
 
 
 def test_evaluate_keeps_a_tied_frame_and_reports_the_best_value():
@@ -933,3 +987,15 @@ def test_problem_validation():
         DirichletProblem((9, 9), np.zeros(2), 0.1, ("pp", 2), g, punctures=((0, 3),))
     with pytest.raises(DomainError):
         DirichletProblem((9, 9), np.zeros(2), 0.1, ("pp", 2.5), g)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=-1.0), dict(max_iter=0),
+     dict(max_iter=-3), dict(max_iter=2.5), dict(max_iter=True)],
+    ids=["tol-nan", "tol-inf", "tol-negative", "max-iter-0", "max-iter-negative",
+         "max-iter-float", "max-iter-bool"],
+)
+def test_solve_rejects_a_bad_tolerance_or_step_cap(kwargs):
+    with pytest.raises(DomainError):
+        solve(problem_from_config(annulus_config(17)), **kwargs)
