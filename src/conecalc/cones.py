@@ -823,11 +823,16 @@ class RieszCharacteristic:
         }
 
 
+# cap on the bisection steps of riesz_characteristic: 60 halvings of
+# [1, n] reach the spacing of doubles near n, where a tol of 0 would
+# otherwise never end the bisection
+_BISECTION_STEPS = 60
+
+
 def riesz_characteristic(
     M: ConeSpec,
     tol: float = 1e-8,
     sphere_samples: int = 250,
-    max_iter: int = 60,
 ) -> RieszCharacteristic:
     """Largest p with ``I - p P_e`` in M for the tested direction family.
 
@@ -852,45 +857,26 @@ def riesz_characteristic(
         raise InternalConsistencyError(
             f"{M.describe()} rejected I - P_e; positivity is violated"
         )
-    if passes(float(n)):
-        result = RieszCharacteristic(
-            value=float(n),
-            closed_form=cf,
-            at_cap=True,
-            sampled=not M.o_n_invariant,
-            iterations=0,
-        )
-        _assert_closed_form(result, tol, M)
-        return result
     lo, hi = 1.0, float(n)
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    result = RieszCharacteristic(
-        value=0.5 * (lo + hi),
-        closed_form=cf,
-        at_cap=False,
-        sampled=not M.o_n_invariant,
-        iterations=iterations,
-    )
-    _assert_closed_form(result, tol, M)
-    return result
-
-
-def _assert_closed_form(result: RieszCharacteristic, tol: float, M: ConeSpec):
-    if result.closed_form is None:
-        return
-    expected = min(result.closed_form, float(M.dim))
-    if abs(result.value - expected) > max(10.0 * tol, 1e-6):
+    at_cap = passes(hi)
+    if at_cap:
+        value = hi
+    else:
+        while hi - lo > tol and iterations < _BISECTION_STEPS:
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+            iterations += 1
+        value = 0.5 * (lo + hi)
+    if cf is not None and abs(value - min(cf, float(n))) > max(10.0 * tol, 1e-6):
         raise InternalConsistencyError(
-            f"bisection characteristic {result.value:.9g} disagrees with the "
-            f"closed form {expected:.9g} for {M.describe()}"
+            f"bisection characteristic {value:.9g} disagrees with the "
+            f"closed form {min(cf, float(n)):.9g} for {M.describe()}"
         )
+    return RieszCharacteristic(value, cf, at_cap, not M.o_n_invariant, iterations)
 
 
 def dual_description(spec: ConeSpec) -> str:

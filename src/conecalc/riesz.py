@@ -137,13 +137,22 @@ def potential_value(spec: RieszKernelSpec, mu: DiscreteMeasure, x) -> float:
 
 def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
     """Vectorized potential values at a batch of points, shape (N,)."""
+    return _atom_sum(spec, mu, xs, np.inf)
+
+
+def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> np.ndarray:
+    """Weighted atom sums of the kernel floored at -alpha, shape (N,).
+
+    A point within ``NEAR_POLE`` of an atom reads the pole value there
+    before the floor; a -inf term of positive weight makes the sum -inf.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if mu.n != spec.n:
         raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
     if xs.shape[-1] != spec.n:
         raise DimensionMismatchError(f"point dim {xs.shape[-1]} != kernel dim {spec.n}")
     r = np.linalg.norm(xs[:, None, :] - mu.points[None, :, :], axis=-1)
-    vals = kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r))
+    vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
     neg = np.isneginf(vals)
     out = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1)
     out[np.any(neg & (mu.weights > 0)[None, :], axis=1)] = -np.inf
@@ -191,15 +200,14 @@ def truncated_potential_value(
 ) -> float:
     """Potential of the kernel truncated below at -alpha (continuous).
 
-    These values decrease to the potential value as alpha grows; the
-    limit device behind upper semicontinuity of potentials.
+    The same atom sum as ``potential_values``, each term floored at
+    -alpha after the pole rule, so these values decrease to the
+    potential value as alpha grows; the limit device behind upper
+    semicontinuity of potentials.
     """
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    x = np.asarray(x, dtype=float).ravel()
-    r = np.linalg.norm(mu.points - x, axis=1)
-    vals = np.maximum(kernel_value(spec, r), -alpha)
-    return float(np.add.reduce(mu.weights * vals))
+    return float(_atom_sum(spec, mu, np.asarray(x, dtype=float).ravel(), alpha)[0])
 
 
 @dataclass(frozen=True)

@@ -63,20 +63,21 @@ Carson and Higham 2018).  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
 corrections.  The solve holds one LU factor together with the frame
 selection it was built from.  A policy step whose selection differs from
-the held one in at most 0.5% of the rows, taken while the residual still
-falls, refines the current iterate by GMRES cycles preconditioned with
-that factor (late Howard steps solve nearby frozen systems; Bokanowski,
-Maroso and Zidani 2009) and keeps the result only if it meets the 64-eps
-gate.  Every other step drops the held factor, factors the new matrix
-and refines with it, keeping the last iterate if the gate is not met
-within the cap (data at the edge of the subnormal range cannot meet it).
-The policy stops on an unchanged selection only after a factored solve,
-and ``converged`` means residual <= tol at the returned iterate.  Each
-new selection keeps the previous
-frame wherever that frame is within 1e-12 (1 + |r|) of the best, so
-near-tied frames at round-off do not flip the policy forever; the outer
-min-max policy keeps tied pairs the same way and stops once its pairs no
-longer change.
+the held one in at most 0.5% of the rows refines the current iterate by
+GMRES cycles preconditioned with that factor (late Howard steps solve
+nearby frozen systems; Bokanowski, Maroso and Zidani 2009); if that
+misses the 64-eps gate, the step drops the held factor, factors the new
+matrix and refines with it, keeping the last iterate if the gate is not
+met within the cap (data at the edge of the subnormal range cannot meet
+it).  One rule ends the policy short of tol: a selection that no longer
+changes freezes the system just solved, so that step refines the current
+iterate with the held factor until max |rhs - L x| <= tol as well, until
+a correction no longer lowers it, or to the cap, and is the last step.
+``converged`` means residual <= tol at the returned iterate.  Each new
+selection keeps the previous frame wherever that frame is within
+1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
+flip the policy forever; the outer min-max policy keeps tied pairs the
+same way and stops once its pairs no longer change.
 """
 
 from __future__ import annotations
@@ -658,44 +659,45 @@ def _factor(L, order):
     return solve
 
 
-def _refine(L, rhs, x, correct):
-    """Iterative refinement of x toward ``L x = rhs`` in float64: while
-    the backward error exceeds ``_BACKWARD_ERROR``, add ``correct(rhs -
-    L x)``, at most ``_REFINE_STEPS`` times.  Returns the iterate and
-    whether it met the backward error (Carson and Higham 2018: a factor
-    of precision u suffices while cond(L) u < 1).
+def _refine(L, rhs, x, correct, target=math.inf):
+    """Iterative refinement of x toward ``L x = rhs`` in float64: add
+    ``correct(rhs - L x)`` until the componentwise backward error is at
+    most ``_BACKWARD_ERROR`` and max |rhs - L x| <= ``target``, for at
+    most ``_REFINE_STEPS`` corrections (Carson and Higham 2018: a factor
+    of precision u suffices while cond(L) u < 1).  Once the backward
+    error is met, a correction that no longer lowers max |rhs - L x|
+    ends the refinement, and the best iterate that met it is kept.
+    Returns the iterate and whether it met both bounds.
     """
     absL = abs(L)
+    best = None  # (max |r|, x) of the best iterate that met the backward error
     for step in range(_REFINE_STEPS + 1):
         r = rhs - L @ x
         if np.all(np.abs(r) <= _BACKWARD_ERROR * (absL @ np.abs(x) + np.abs(rhs))):
-            return x, True
+            top = np.max(np.abs(r))
+            if top <= target:
+                return x, True
+            if best is not None and top >= best[0]:
+                break
+            best = top, x
         if step == _REFINE_STEPS:
-            return x, False
+            break
         x = x + correct(r)
+    return (x if best is None else best[1]), False
 
 
-def _solve_with_held_factor(L, rhs, lu, x0):
-    """Refine ``x0`` toward ``L x = rhs`` with ``lu``, the solve function
-    of a nearby frozen matrix's factor (``_factor``): the solution, or
-    None if it misses ``_BACKWARD_ERROR`` within ``_REFINE_STEPS``.
-
-    A change of r rows is a rank-r update of the factored matrix, so
-    each correction is one GMRES restart cycle of at most 30 iterations
-    preconditioned by ``lu``, ended once scipy's estimate of the
-    preconditioned residual falls by 1e-4; scipy's ``info`` is not
-    consulted.  A single cycle asked for the full precision stalls far
-    above the backward error with a float32 preconditioner: the
-    float64 residual of each outer step is what recovers it.
-    """
+def _gmres_correction(L, lu):
+    """Correction of ``_refine`` by the factor of a nearby frozen matrix
+    (``lu``, a ``_factor`` solve function): one GMRES restart cycle on L
+    of at most 30 iterations preconditioned by it, ended once scipy's
+    estimate of the preconditioned residual falls by 1e-4.  A change of
+    r rows is a rank-r update of the factored matrix; a single cycle
+    asked for the full precision stalls far above the backward error
+    with a float32 preconditioner, so the float64 residual of each
+    refinement step is what recovers it."""
     spla = __getattr__("spla")
     M = spla.LinearOperator(L.shape, matvec=lu, dtype=float)
-
-    def correct(r):
-        return spla.gmres(L, r, M=M, rtol=1e-4, atol=0.0, restart=30, maxiter=1)[0]
-
-    x, met = _refine(L, rhs, x0, correct)
-    return x if met else None
+    return lambda r: spla.gmres(L, r, M=M, rtol=1e-4, atol=0.0, restart=30, maxiter=1)[0]
 
 
 def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
@@ -704,30 +706,24 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
     pairs (solves so far, residual_sup), one before the first solve and
     one after each."""
     prev_sel = lu = lu_sel = None
-    reused = False
     r, sel = scheme.evaluate(u)
     res_sup = float(np.max(np.abs(r)))
     history = [(0, res_sup)]
     it = 0
     while res_sup > tol and it < max_iter:
-        settled = prev_sel is not None and np.array_equal(sel, prev_sel)
-        if settled and not reused:
-            break
         it += 1
-        # reuse only while the residual still falls: at round-off the
-        # policy flips ties, and factored solves end it as they always did
-        try_reuse = (
-            lu is not None
-            and not settled
-            and res_sup < history[-2][1]
-            and np.count_nonzero(sel != lu_sel) <= _REUSE_SHARE * sel.size
-        )
-        if not try_reuse:
+        # a settled selection is the system just solved, so it always
+        # reuses the held factor: refined to tol, it is the last step
+        settled = np.array_equal(sel, prev_sel)
+        reuse = lu is not None and np.count_nonzero(sel != lu_sel) <= _REUSE_SHARE * sel.size
+        if not reuse:
             lu = None  # free an unused factor before assembling
         L, rhs = scheme.assemble(sel)
-        x = _solve_with_held_factor(L, rhs, lu, u[scheme.unknown_flat]) if try_reuse else None
-        reused = x is not None
-        if not reused:
+        met = False
+        if reuse:
+            target = tol if settled else math.inf
+            x, met = _refine(L, rhs, u[scheme.unknown_flat], _gmres_correction(L, lu), target)
+        if not (met or settled):
             # each factorization orders L by its own graph; a solve that
             # misses the backward error at the cap keeps its iterate
             lu = None  # one factor at a time: drop a rejected one first
@@ -739,6 +735,8 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
         r, sel = scheme.evaluate(u, keep=sel)
         res_sup = float(np.max(np.abs(r)))
         history.append((it, res_sup))
+        if settled:
+            break
     return history
 
 
@@ -751,8 +749,10 @@ def solve(
     """Solve the Dirichlet problem to ``residual_sup <= tol``.
 
     Policy iteration freezes the optimal frame choice and solves the
-    resulting sparse linear system, repeating until the residual settles
-    (exact for the linear trace form in one solve).  Each linear solve
+    resulting sparse linear system, repeating until the residual is at
+    most tol or the selection settles; a settled selection gets one last
+    step that refines the iterate toward tol with the held factor (exact
+    for the linear trace form in one or two solves).  Each linear solve
     either factors the frozen matrix or, once few rows change frames,
     reuses the held factor as a GMRES preconditioner (see the module
     docstring).  The 3-D second-branch min-max form nests it: the outer

@@ -296,6 +296,21 @@ def test_solve_max_iter_caps_the_policy_steps(tmp_path, capsys):
     assert rep["solve"]["converged"] is False
 
 
+def test_solve_that_settles_above_tol_refines_to_it_and_exits_0(tmp_path, capsys):
+    # the 257^2 trace-form annulus: one factored solve leaves the residual
+    # at ~1e-9, and the settled selection is refined to tol
+    h = 2 / 256
+    path, _ = write_problem(
+        tmp_path, grid={"shape": [257, 257], "origin": [-1, -1], "h": h},
+        boundary={"expr": "(x*x+y*y)**0.25"}, hole={"min": [-0.125] * 2, "max": [0.125] * 2},
+    )
+    assert cli.main(["solve", "--problem", str(path), "--tol", "1e-10"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    schema.validate_report(rep)
+    assert rep["solve"]["converged"] is True
+    assert rep["solve"]["residual_sup"] <= 1e-10
+
+
 def test_experiment_removability_pass(tmp_path):
     _, prob = write_problem(tmp_path)
     cfg = {

@@ -194,6 +194,22 @@ def test_truncated_potentials_decrease_to_potential():
         vals = [truncated_potential_value(spec, mu, x, a) for a in (1.0, 4.0, 16.0, 64.0)]
         assert all(v1 >= v2 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
         assert vals[-1] >= target - 1e-12
+        # the floor leaves terms above -alpha alone: the same sum exactly
+        assert truncated_potential_value(spec, mu, x, 1e300) == target
+
+
+def test_truncated_potentials_apply_the_pole_rule():
+    # 1e-13 from an atom the potential is -inf (NEAR_POLE); truncations
+    # must floor that atom's term at -alpha rather than read log(1e-13)
+    spec = RieszKernelSpec(2.0, 2)
+    mu = uniform_measure([[0.0, 0.0], [0.5, 0.0]])
+    x = np.array([1e-13, 0.0])
+    assert potential_value(spec, mu, x) == -np.inf
+    alphas = (1.0, 31.0, 1e6, 1e300)
+    vals = [truncated_potential_value(spec, mu, x, a) for a in alphas]
+    assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
+    for a, v in zip(alphas, vals):
+        assert v == pytest.approx(0.5 * (-a + np.log(0.5)), rel=1e-15)
 
 
 # -- polar functions ---------------------------------------------------------------
