@@ -115,6 +115,10 @@ class ConeSpec:
             if not whole:
                 raise DomainError(f"{self.kind} index must be an integer, got {self.k!r}")
             object.__setattr__(self, "k", int(float(self.k)))
+        for name in ("p", "delta", "lam", "Lam", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{self.kind} parameter {name} must be finite, got {value}")
         k = self.kind
         if k == "pp":
             if self.p is None or not (1.0 <= self.p <= n):

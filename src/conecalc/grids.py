@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cones
 from .errors import DomainError, StencilError
@@ -117,15 +118,10 @@ class ExtensionReport:
 
 
 def _chebyshev_shells(ndim: int, cap: int) -> list[np.ndarray]:
-    shells = []
-    for r in range(1, cap + 1):
-        offs = [
-            o
-            for o in itertools.product(range(-r, r + 1), repeat=ndim)
-            if max(abs(c) for c in o) == r
-        ]
-        shells.append(np.array(offs, dtype=np.intp))
-    return shells
+    """Offsets at Chebyshev radius 1..cap, each shell in lexicographic order."""
+    cube = np.indices((2 * cap + 1,) * ndim).reshape(ndim, -1).T - cap
+    radius = np.abs(cube).max(axis=1)
+    return [cube[radius == r] for r in range(1, cap + 1)]
 
 
 def canonical_extension(
@@ -138,39 +134,51 @@ def canonical_extension(
     is non-empty.  Points with no unmasked neighbor within ``radius_cap``
     cells count as interior to the singular set and become -inf.  Unmasked
     values pass through unchanged; the operation is idempotent and
-    monotone.
+    monotone.  Each shell offset is applied to every still-open masked
+    point at once, so memory is O(masked points) whatever the cap.
     """
+    if not (isinstance(radius_cap, (int, np.integer)) and radius_cap >= 1):
+        raise DomainError(f"extension radius cap must be an integer >= 1, got {radius_cap!r}")
     mask = u.masked()
     if not mask.any():
         return ExtensionReport(u, 0, 0.0)
     if mask.all():
         raise DomainError("cannot extend a fully masked grid")
-    shells = _chebyshev_shells(u.ndim, radius_cap)
-    vals = np.array(u.values)
-    shape = np.array(u.shape)
-    changed = 0
-    sup_change = 0.0
-    for idx in np.argwhere(mask):
-        new = -np.inf
-        for shell in shells:
-            pts = idx + shell
-            ok = np.all((pts >= 0) & (pts < shape), axis=1)
-            if not ok.any():
-                continue
-            pts = pts[ok]
-            keep = ~mask[tuple(pts.T)]
-            if keep.any():
-                new = float(np.max(u.values[tuple(pts[keep].T)]))
-                break
-        old = u.values[tuple(idx)]
-        if new != old and not (np.isneginf(new) and np.isneginf(old)):
-            changed += 1
-            if np.isfinite(new) and np.isfinite(old):
-                sup_change = max(sup_change, abs(new - old))
-            else:
-                sup_change = np.inf
-        vals[tuple(idx)] = new
-    return ExtensionReport(GridFunction(vals, u.origin, u.h, u.mask), changed, sup_change)
+    flat_mask, flat_vals = mask.ravel(), u.values.ravel()
+    shape = np.array(u.shape)[:, None]
+    strides = np.array([math.prod(u.shape[d + 1 :]) for d in range(u.ndim)])
+    masked = np.flatnonzero(flat_mask)
+    new = np.full(masked.size, -np.inf)
+    pending = np.arange(masked.size)  # rows of ``new`` not yet closed
+    for shell in _chebyshev_shells(u.ndim, radius_cap):
+        cells = masked[pending]
+        coords = np.array(np.unravel_index(cells, u.shape))
+        top = np.full(pending.size, -np.inf)
+        hit = np.zeros(pending.size, dtype=bool)
+        for off in shell:
+            target = cells + off @ strides  # off-grid targets are clipped, then dropped by free
+            moved = coords + off[:, None]
+            free = np.all((moved >= 0) & (moved < shape), axis=0)
+            free &= ~flat_mask.take(target, mode="clip")
+            hit |= free
+            value = flat_vals.take(target, mode="clip")
+            # ties go to the later offset, so a 0.0 / -0.0 tie has one answer
+            top = np.where(free & (value >= top), value, top)
+        new[pending[hit]] = top[hit]
+        pending = pending[~hit]
+        if not pending.size:
+            break
+    old = flat_vals[masked]
+    changed = (new != old) & ~(np.isneginf(new) & np.isneginf(old))
+    with np.errstate(over="ignore"):
+        gaps = np.abs(new[changed] - old[changed])  # inf where one side is -inf
+    vals = flat_vals.copy()
+    vals[masked] = new
+    return ExtensionReport(
+        GridFunction(vals.reshape(u.shape), u.origin, u.h, u.mask),
+        int(gaps.size),
+        float(np.max(gaps, initial=0.0)),
+    )
 
 
 # -- discrete jets ------------------------------------------------------------
@@ -180,79 +188,50 @@ def _usable(u: GridFunction) -> np.ndarray:
     return np.isfinite(u.values) & ~u.masked()
 
 
-def _shifted(arr: np.ndarray, offset) -> np.ndarray:
-    """View of the interior block shifted by ``offset`` (offsets in -1..1)."""
-    slices = []
-    for o in offset:
-        if o == -1:
-            slices.append(slice(0, -2))
-        elif o == 0:
-            slices.append(slice(1, -1))
-        else:
-            slices.append(slice(2, None))
-    return arr[tuple(slices)]
-
-
-def _hessian_offsets(ndim: int) -> list[tuple]:
-    offs = [tuple(0 for _ in range(ndim))]
-    for i in range(ndim):
-        for s in (-1, 1):
-            o = [0] * ndim
-            o[i] = s
-            offs.append(tuple(o))
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            for si in (-1, 1):
-                for sj in (-1, 1):
-                    o = [0] * ndim
-                    o[i], o[j] = si, sj
-                    offs.append(tuple(o))
-    return offs
-
-
 def discrete_hessian_field(u: GridFunction):
     """Batched central-difference 2-jets at every admissible interior point.
 
     Returns ``(indices, values, gradients, hessians)`` with shapes
-    (N, ndim), (N,), (N, ndim), (N, ndim, ndim).  A point is admissible
-    when its full second-difference stencil stays in bounds, unmasked,
-    and finite.  Mixed derivatives use the symmetric 4-point stencil, so
-    the discrete Hessian is exactly symmetric.
+    (N, ndim), (N,), (N, ndim), (N, ndim, ndim).  Each interior point reads
+    the 3^ndim window around it; its stencil is the window cells with at
+    most two off-centre coordinates (the centre, the axis neighbors and
+    the 2-D diagonals).  A point is admissible when that stencil is
+    unmasked and finite.  Mixed derivatives use the symmetric 4-point
+    stencil, so the discrete Hessian is exactly symmetric.
     """
     nd = u.ndim
     if any(s < 3 for s in u.shape):
         raise DomainError("Hessian operations need at least 3 points per axis")
     usable = _usable(u)
-    ok = _shifted(usable, (0,) * nd).copy()
-    for off in _hessian_offsets(nd):
-        ok &= _shifted(usable, off)
+    stencil = np.sum(np.indices((3,) * nd) != 1, axis=0) <= 2
+    ok = sliding_window_view(usable, (3,) * nd)[..., stencil].all(axis=-1)
     vals = np.where(usable, u.values, 0.0)  # unusable cells feed dropped points only
+    win = sliding_window_view(vals, (3,) * nd)
+
+    def along(*axes):
+        """The window cells off the centre along ``axes`` only."""
+        return win[(...,) + tuple(slice(None) if d in axes else 1 for d in range(nd))]
+
     h = u.h
-    center = _shifted(vals, (0,) * nd)
+    center = along()
     grad = np.empty(center.shape + (nd,))
     hess = np.empty(center.shape + (nd, nd))
-    for i in range(nd):
-        up = _shifted(vals, tuple(1 if d == i else 0 for d in range(nd)))
-        dn = _shifted(vals, tuple(-1 if d == i else 0 for d in range(nd)))
-        grad[..., i] = (up - dn) / (2 * h)
-        hess[..., i, i] = (up - 2 * center + dn) / (h * h)
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            def at(si, sj):
-                off = [0] * nd
-                off[i], off[j] = si, sj
-                return _shifted(vals, tuple(off))
-
-            mixed = (at(1, 1) + at(-1, -1) - at(1, -1) - at(-1, 1)) / (4 * h * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nd):
+            up, dn = along(i)[..., 2], along(i)[..., 0]
+            grad[..., i] = (up - dn) / (2 * h)
+            hess[..., i, i] = (up - 2 * center + dn) / (h * h)
+        for i, j in itertools.combinations(range(nd), 2):
+            sq = along(i, j)
+            mixed = (sq[..., 2, 2] + sq[..., 0, 0] - sq[..., 2, 0] - sq[..., 0, 2]) / (4 * h * h)
             hess[..., i, j] = mixed
             hess[..., j, i] = mixed
-    idx = np.argwhere(ok) + 1
-    flat_ok = ok.reshape(-1)
+    flat = ok.reshape(-1)  # a 1-D mask gathers without building per-axis index arrays
     return (
-        idx,
-        center.reshape(-1)[flat_ok],
-        grad.reshape(-1, nd)[flat_ok],
-        hess.reshape(-1, nd, nd)[flat_ok],
+        np.argwhere(ok) + 1,
+        center.reshape(-1)[flat],
+        grad.reshape(-1, nd)[flat],
+        hess.reshape(-1, nd, nd)[flat],
     )
 
 
@@ -281,37 +260,23 @@ def discrete_hessian(u: GridFunction, index) -> Jet2:
 
 
 def third_difference_kappa(u: GridFunction) -> float:
-    """Largest axis third-difference magnitude, an estimate of sup|D^3 u|."""
+    """Largest axis third-difference magnitude, an estimate of sup|D^3 u|.
+
+    Each point reads the 4-cell window along each axis.  A difference that
+    overflows makes the estimate inf or nan, without a warning."""
     usable = _usable(u)
-    kappa = 0.0
-    h3 = u.h**3
+    maxima = [0.0]
     for axis in range(u.ndim):
-        n = u.shape[axis]
-        if n < 4:
+        if u.shape[axis] < 4:
             continue
-        sl = [slice(None)] * u.ndim
-
-        def take(lo, hi):
-            s = list(sl)
-            s[axis] = slice(lo, n + hi if hi < 0 else None)
-            return s
-
-        v0 = u.values[tuple(take(0, -3))]
-        v1 = u.values[tuple(take(1, -2))]
-        v2 = u.values[tuple(take(2, -1))]
-        s3 = [slice(None)] * u.ndim
-        s3[axis] = slice(3, None)
-        v3 = u.values[tuple(s3)]
-        m = (
-            usable[tuple(take(0, -3))]
-            & usable[tuple(take(1, -2))]
-            & usable[tuple(take(2, -1))]
-            & usable[tuple(s3)]
+        ok, (v0, v1, v2, v3) = (
+            np.moveaxis(sliding_window_view(a, 4, axis=axis), -1, 0) for a in (usable, u.values)
         )
+        m = np.logical_and.reduce(ok)
         if m.any():
-            d3 = np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / h3
-            kappa = max(kappa, float(d3.max()))
-    return kappa
+            with np.errstate(over="ignore", invalid="ignore"):
+                maxima.append(np.max(np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / u.h**3))
+    return float(np.max(maxima))
 
 
 @dataclass(frozen=True)
@@ -357,14 +322,19 @@ def subharmonic_verify(
 
     ``c_tol`` defaults to ``kappa * h`` with kappa estimated from the
     data's third differences, which absorbs the O(h) consistency error of
-    the stencil on resolved data.  ``region`` optionally restricts which
-    points are checked (stencils may still read values outside it).  Only
-    grid-scale certification; see the report note.
+    the stencil on resolved data.  A given or estimated ``c_tol`` that is
+    not finite or is below 0 raises DomainError.  ``region`` optionally
+    restricts which points are checked (stencils may still read values
+    outside it).  Only grid-scale certification; see the report note.
     """
     if spec.dim != u.ndim:
         raise DomainError(f"cone dim {spec.dim} != grid dim {u.ndim}")
+    source = "c_tol"
     if c_tol is None:
         c_tol = third_difference_kappa(u) * u.h
+        source = "c_tol estimated from third differences"
+    if not (math.isfinite(c_tol) and c_tol >= 0):
+        raise DomainError(f"{source} must be finite and >= 0, got {c_tol}")
     idx, _, _, hess = discrete_hessian_field(u)
     if region is not None:
         region = np.asarray(region, dtype=bool)
@@ -385,15 +355,16 @@ def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
     """Pointwise ``u + eps * psi`` with -inf absorbing; masks are unioned."""
     if not u.same_geometry(psi):
         raise DomainError("perturbation needs identical grid geometry")
-    if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     mask = None
     if u.mask is not None or psi.mask is not None:
         mask = u.masked() | psi.masked()
     if eps == 0.0:
         return GridFunction(u.values, u.origin, u.h, mask)
     neg = np.isneginf(u.values) | np.isneginf(psi.values)
-    vals = np.where(neg, -np.inf, u.values + eps * np.where(neg, 0.0, psi.values))
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected by GridFunction
+        vals = np.where(neg, -np.inf, u.values + eps * np.where(neg, 0.0, psi.values))
     return GridFunction(vals, u.origin, u.h, mask)
 
 

@@ -130,6 +130,20 @@ def test_cone_parse_error_position_and_exit():
     assert rep["error"]["position"] > 0
 
 
+@pytest.mark.parametrize("matrix", [[], ["--matrix", "A.csv"]], ids=["cone", "membership"])
+@pytest.mark.parametrize("spec", ["enl:pp:2:nan", "enl:pp:2:inf", "pdelta:inf", "pucci:1:inf"])
+def test_non_finite_cone_parameter_is_a_parse_error(tmp_path, monkeypatch, capsys, spec, matrix):
+    (tmp_path / "A.csv").write_text("1,0\n0,1\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["cone", "--spec", spec, "--dim", "2", *matrix]) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "parse"
+    assert "must be finite" in rep["error"]["message"]
+    assert err == ""
+
+
 def test_schema_rejects_report_without_command():
     schema.validate_report({"error": {"kind": "usage", "message": "bad flag"}})
     with pytest.raises(InternalConsistencyError, match="no command"):
@@ -422,6 +436,9 @@ _BAD_INPUT_FILES = {
     "originnan.grid": "grid n=2 shape=2,2 origin=nan,0 h=0.5\n0,0\n0,0\n",
     "mask2.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,2\n0,0\n0,0\n0,0\n",
     "extra.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n0,0\n0,0\n1,1\n",
+    # third differences and second differences of +-5e307 overflow
+    "overflow.grid": "grid n=2 shape=6,6 origin=0,0 h=0.5\n"
+    + "5e307,-5e307,5e307,-5e307,5e307,-5e307\n-5e307,5e307,-5e307,5e307,-5e307,5e307\n" * 3,
     "good.json": json.dumps(_GOOD_PROBLEM),
     "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
@@ -525,6 +542,22 @@ _BAD_INPUT_FILES = {
                       "--measure", "empty.csv"], id="measure-empty"),
         pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5",
                       "--measure", "comment.csv"], id="measure-comment-only"),
+        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol", "nan"],
+                     id="grid-c-tol-nan"),
+        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol", "inf"],
+                     id="grid-c-tol-inf"),
+        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol=-5"],
+                     id="grid-c-tol-negative"),
+        pytest.param(["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
+                     id="grid-verify-overflow"),
+        pytest.param(["grid", "extend", "--input", "u.grid", "--radius-cap", "0",
+                      "--grid-output", "x.grid"], id="grid-radius-cap-0"),
+        pytest.param(["grid", "extend", "--input", "u.grid", "--radius-cap=-2",
+                      "--grid-output", "x.grid"], id="grid-radius-cap-negative"),
+        pytest.param(["grid", "perturb", "--input", "u.grid", "--psi", "u.grid", "--eps", "nan",
+                      "--grid-output", "x.grid"], id="grid-perturb-eps-nan"),
+        pytest.param(["grid", "perturb", "--input", "overflow.grid", "--psi", "overflow.grid",
+                      "--eps", "3", "--grid-output", "x.grid"], id="grid-perturb-overflow"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -580,9 +613,16 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
      "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
     ["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5", "--measure", "empty.csv"],
-], ids=["magnitude-overflows", "measure-empty"])
+    ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
+    ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2", "--c-tol", "1"],
+    ["grid", "hessian", "--input", "overflow.grid", "--at", "2,2"],
+    ["grid", "perturb", "--input", "overflow.grid", "--psi", "overflow.grid", "--eps", "3",
+     "--grid-output", "x.grid"],
+], ids=["magnitude-overflows", "measure-empty", "grid-verify-overflow",
+        "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "overflow.grid").write_text(_BAD_INPUT_FILES["overflow.grid"])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))

@@ -747,6 +747,10 @@ def test_parse_cone_errors_carry_position():
         ("pp:9", 0, "pp parameter 9.0 out of range [1, 3]"),  # out of range for the dimension
         ("mapb:4:1", 0, "mapb needs an integer p in [1, 3], got 4.0"),
         ("enl:pp:2:x", 9, "expected the enlargement amount, got 'x'"),
+        ("enl:pp:2:nan", 0, "enl parameter c must be finite, got nan"),
+        ("enl:pp:2:inf", 0, "enl parameter c must be finite, got inf"),
+        ("pdelta:inf", 0, "pdelta parameter delta must be finite, got inf"),
+        ("pucci:1:inf", 0, "pucci parameter Lam must be finite, got inf"),
     ]
     for text, position, message in cases:
         with pytest.raises(SpecParseError) as err:

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +128,136 @@ def test_extension_idempotent_and_monotone(case):
     assert np.all(bigger.extended.values >= ext)
 
 
+def _reference_extension(u, radius_cap):
+    """The per-point extension loop: each masked point walks its shells
+    until one holds an unmasked in-grid cell.  The shell sup is the last of
+    its tied maxima in offset order, so a tie of 0.0 and -0.0 has one
+    answer (``np.max`` picks the sign by its SIMD lane order once a shell
+    holds 9 or more cells)."""
+    mask = u.masked()
+    shells = [
+        np.array([o for o in itertools.product(range(-r, r + 1), repeat=u.ndim)
+                  if max(abs(c) for c in o) == r])
+        for r in range(1, radius_cap + 1)
+    ]
+    vals = np.array(u.values)
+    shape = np.array(u.shape)
+    changed = 0
+    sup_change = 0.0
+    for idx in np.argwhere(mask):
+        new = -np.inf
+        for shell in shells:
+            pts = idx + shell
+            ok = np.all((pts >= 0) & (pts < shape), axis=1)
+            if not ok.any():
+                continue
+            pts = pts[ok]
+            keep = ~mask[tuple(pts.T)]
+            if keep.any():
+                found = u.values[tuple(pts[keep].T)]
+                new = float(found[np.flatnonzero(found == found.max())[-1]])
+                break
+        old = u.values[tuple(idx)]
+        if new != old and not (np.isneginf(new) and np.isneginf(old)):
+            changed += 1
+            if np.isfinite(new) and np.isfinite(old):
+                sup_change = max(sup_change, abs(new - old))
+            else:
+                sup_change = np.inf
+        vals[tuple(idx)] = new
+    return vals, changed, sup_change
+
+
+def _shifted(arr, offset):
+    """View of the interior block shifted by ``offset`` (offsets in -1..1)."""
+    slices = []
+    for o in offset:
+        if o == -1:
+            slices.append(slice(0, -2))
+        elif o == 0:
+            slices.append(slice(1, -1))
+        else:
+            slices.append(slice(2, None))
+    return arr[tuple(slices)]
+
+
+def _hessian_offsets(ndim):
+    offs = [tuple(0 for _ in range(ndim))]
+    for i in range(ndim):
+        for s in (-1, 1):
+            o = [0] * ndim
+            o[i] = s
+            offs.append(tuple(o))
+    for i in range(ndim):
+        for j in range(i + 1, ndim):
+            for si in (-1, 1):
+                for sj in (-1, 1):
+                    o = [0] * ndim
+                    o[i], o[j] = si, sj
+                    offs.append(tuple(o))
+    return offs
+
+
+def _reference_hessian_field(u):
+    """The Hessian field from shifted interior blocks, one per stencil offset."""
+    nd = u.ndim
+    usable = np.isfinite(u.values) & ~u.masked()
+    ok = _shifted(usable, (0,) * nd).copy()
+    for off in _hessian_offsets(nd):
+        ok &= _shifted(usable, off)
+    vals = np.where(usable, u.values, 0.0)
+    h = u.h
+    center = _shifted(vals, (0,) * nd)
+    grad = np.empty(center.shape + (nd,))
+    hess = np.empty(center.shape + (nd, nd))
+    for i in range(nd):
+        up = _shifted(vals, tuple(1 if d == i else 0 for d in range(nd)))
+        dn = _shifted(vals, tuple(-1 if d == i else 0 for d in range(nd)))
+        grad[..., i] = (up - dn) / (2 * h)
+        hess[..., i, i] = (up - 2 * center + dn) / (h * h)
+    for i in range(nd):
+        for j in range(i + 1, nd):
+            def at(si, sj):
+                off = [0] * nd
+                off[i], off[j] = si, sj
+                return _shifted(vals, tuple(off))
+
+            mixed = (at(1, 1) + at(-1, -1) - at(1, -1) - at(-1, 1)) / (4 * h * h)
+            hess[..., i, j] = mixed
+            hess[..., j, i] = mixed
+    idx = np.argwhere(ok) + 1
+    flat_ok = ok.reshape(-1)
+    return (
+        idx,
+        center.reshape(-1)[flat_ok],
+        grad.reshape(-1, nd)[flat_ok],
+        hess.reshape(-1, nd, nd)[flat_ok],
+    )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=extension_cases())
+def test_windowed_lattice_kernels_match_the_per_point_references(case):
+    values, mask, _, cap = case
+    u = GridFunction(values, np.zeros(values.ndim), 0.5, mask)
+    rep = canonical_extension(u, radius_cap=cap)
+    vals, changed, sup_change = _reference_extension(u, cap)
+    assert _same_bits(rep.extended.values, vals)
+    assert rep.changed_points == changed
+    assert _same_bits(np.float64(rep.sup_change), np.float64(sup_change))
+    if min(values.shape) < 3:
+        with pytest.raises(DomainError):
+            discrete_hessian_field(u)
+        return
+    for got, want in zip(discrete_hessian_field(u), _reference_hessian_field(u)):
+        assert _same_bits(got, want)
+
+
 def test_extension_deep_interior_becomes_bottom():
     vals = np.zeros((15, 15))
     mask = np.zeros((15, 15), dtype=bool)
@@ -138,6 +271,12 @@ def test_extension_deep_interior_becomes_bottom():
 def test_extension_rejects_fully_masked():
     with pytest.raises(DomainError):
         canonical_extension(masked_grid(np.zeros((3, 3)), [(i, j) for i in range(3) for j in range(3)]))
+
+
+@pytest.mark.parametrize("cap", [0, -2, 1.5])
+def test_extension_rejects_a_radius_cap_below_one(cap):
+    with pytest.raises(DomainError, match="radius cap"):
+        canonical_extension(masked_grid(np.zeros((5, 5)), [(2, 2)]), radius_cap=cap)
 
 
 # -- discrete jets -----------------------------------------------------------------
@@ -268,6 +407,25 @@ def test_verify_region_restriction():
     region[5, 5] = True
     rep = subharmonic_verify(u, cones.positivity(2), region=region)
     assert rep.points_checked == 1 and len(rep.violations) == 1
+
+
+@pytest.mark.parametrize("c_tol", [float("nan"), float("inf"), -5.0])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(c_tol):
+    u = from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x)
+    with pytest.raises(DomainError, match="c_tol"):
+        subharmonic_verify(u, cones.positivity(2), c_tol=c_tol)
+
+
+def test_verify_overflowing_differences_are_a_typed_error_without_warnings():
+    # third differences of +-5e307 overflow, so the estimated c_tol is inf
+    vals = 5e307 * (-1.0) ** np.add.outer(np.arange(6), np.arange(6))
+    u = GridFunction(vals, [0, 0], 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grids.third_difference_kappa(u) == np.inf
+        assert not np.all(np.isfinite(discrete_hessian_field(u)[3]))
+        with pytest.raises(DomainError, match="estimated"):
+            subharmonic_verify(u, cones.positivity(2))
 
 
 def test_max_of_subharmonics_verifies():
