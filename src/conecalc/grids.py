@@ -352,7 +352,8 @@ def subharmonic_verify(
 
 
 def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
-    """Pointwise ``u + eps * psi`` with -inf absorbing; masks are unioned."""
+    """Pointwise ``u + eps * psi`` with -inf absorbing; masks are unioned.
+    A finite sum that overflows float64, either way, raises DomainError."""
     if not u.same_geometry(psi):
         raise DomainError("perturbation needs identical grid geometry")
     if not 0 <= eps < math.inf:
@@ -363,8 +364,10 @@ def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
     if eps == 0.0:
         return GridFunction(u.values, u.origin, u.h, mask)
     neg = np.isneginf(u.values) | np.isneginf(psi.values)
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected by GridFunction
+    with np.errstate(over="ignore"):
         vals = np.where(neg, -np.inf, u.values + eps * np.where(neg, 0.0, psi.values))
+    if not np.all(neg | np.isfinite(vals)):
+        raise DomainError(f"u + eps * psi overflows float64 at eps {eps}")
     return GridFunction(vals, u.origin, u.h, mask)
 
 
@@ -469,31 +472,30 @@ def upper_conical_check(
     solved exactly as a small LP.  ``test_found`` returns the witness jet;
     otherwise absence is certified within the bound.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    if hess_bound < 0:
-        raise DomainError(f"hess_bound must be >= 0, got {hess_bound}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be finite and > 0, got {eps}")
+    if not 0 <= hess_bound < math.inf:
+        raise DomainError(f"hess_bound must be finite and >= 0, got {hess_bound}")
     nd = u.ndim
     idx = tuple(int(i) for i in index)
-    if any(i - _PROBE_RADIUS < 0 or i + _PROBE_RADIUS > s - 1 for i, s in zip(idx, u.shape)):
+    r = _PROBE_RADIUS
+    if any(i - r < 0 or i + r > s - 1 for i, s in zip(idx, u.shape)):
         raise DomainError("probe neighborhood touches the grid boundary")
     uq = float(u.values[idx])
     if not np.isfinite(uq):
         raise DomainError("upper conical test needs a finite value at the point")
-    offsets = np.array(
-        [
-            o
-            for o in itertools.product(range(-_PROBE_RADIUS, _PROBE_RADIUS + 1), repeat=nd)
-            if any(o)
-        ],
-        dtype=float,
-    )
-    pts = np.asarray(idx, dtype=int) + offsets.astype(int)
-    uvals = u.values[tuple(pts.T)]
-    usable = np.isfinite(uvals) & ~u.masked()[tuple(pts.T)]
+    # the probe block in C order without its centre, the flat middle entry
+    block = tuple(slice(i - r, i + r + 1) for i in idx)
+    centre = (2 * r + 1) ** nd // 2
+    offsets = np.delete(np.indices((2 * r + 1,) * nd).reshape(nd, -1).T - r, centre, axis=0)
+    uvals = np.delete(u.values[block].ravel(), centre)
+    usable = np.isfinite(uvals) & ~np.delete(u.masked()[block].ravel(), centre)
     xi = u.h * offsets[usable]
     norms = np.linalg.norm(xi, axis=1)
-    c = uvals[usable] - uq + eps * norms - 0.5 * hess_bound * norms**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = uvals[usable] - uq + eps * norms - 0.5 * hess_bound * norms**2
+    if not np.all(np.isfinite(c)):
+        raise DomainError("upper conical test overflows float64 on the probe neighborhood")
     from scipy.optimize import linprog  # 0.3 s to import; only this test needs it
 
     # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free

@@ -61,18 +61,14 @@ double-precision factor, and iterative refinement in double precision
 recovers the full accuracy while cond(L) u_32 < 1 (Buttari et al. 2007;
 Carson and Higham 2018).  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
-corrections.  The solve holds one LU factor together with the frame
-selection it was built from.  A policy step whose selection differs from
-the held one in at most 0.5% of the rows refines the current iterate by
-GMRES cycles preconditioned with that factor (late Howard steps solve
-nearby frozen systems; Bokanowski, Maroso and Zidani 2009); if that
-misses the 64-eps gate, the step drops the held factor, factors the new
-matrix and refines with it, keeping the last iterate if the gate is not
-met within the cap (data at the edge of the subnormal range cannot meet
-it).  One rule ends the policy short of tol: a selection that no longer
-changes freezes the system just solved, so that step refines the current
-iterate with the held factor until max |rhs - L x| <= tol as well, until
-a correction no longer lowers it, or to the cap, and is the last step.
+corrections, and keeps the last iterate if the cap comes first (data at
+the edge of the subnormal range cannot meet it).  The solve holds one LU
+factor, that of the system it solved last, and each policy step follows
+one rule: a changed selection drops the held factor, factors its own
+matrix and refines from zero; a selection that no longer changes freezes
+the system just solved, so that step refines the current iterate with
+the held factor until max |rhs - L x| <= tol as well, until a correction
+no longer lowers it, or to the cap, and is the last step.
 ``converged`` means residual <= tol at the returned iterate.  Each new
 selection keeps the previous frame wherever that frame is within
 1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
@@ -622,10 +618,7 @@ def _solution_grid(problem: DirichletProblem, u_flat: np.ndarray) -> GridFunctio
 # default cap on the policy steps of a solve
 POLICY_STEP_CAP = 60
 
-# A policy step reuses the held factor when at most this share of the
-# rows changed frames since it was built ...
-_REUSE_SHARE = 0.005
-# ... and every linear solve refines its iterate until the componentwise
+# Every linear solve refines its iterate until the componentwise
 # backward error max |rhs - L x| / (|L| |x| + |rhs|) is at most this,
 # which a fresh single-precision factor reaches in 3 solves at 257^2 ...
 _BACKWARD_ERROR = 64 * np.finfo(float).eps
@@ -686,49 +679,29 @@ def _refine(L, rhs, x, correct, target=math.inf):
     return (x if best is None else best[1]), False
 
 
-def _gmres_correction(L, lu):
-    """Correction of ``_refine`` by the factor of a nearby frozen matrix
-    (``lu``, a ``_factor`` solve function): one GMRES restart cycle on L
-    of at most 30 iterations preconditioned by it, ended once scipy's
-    estimate of the preconditioned residual falls by 1e-4.  A change of
-    r rows is a rank-r update of the factored matrix; a single cycle
-    asked for the full precision stalls far above the backward error
-    with a float32 preconditioner, so the float64 residual of each
-    refinement step is what recovers it."""
-    spla = __getattr__("spla")
-    M = spla.LinearOperator(L.shape, matvec=lu, dtype=float)
-    return lambda r: spla.gmres(L, r, M=M, rtol=1e-4, atol=0.0, restart=30, maxiter=1)[0]
-
-
 def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
     """Policy iteration on ``scheme`` from the iterate u, updated in place,
     for at most ``max_iter`` linear solves.  Returns the history: the
     pairs (solves so far, residual_sup), one before the first solve and
     one after each."""
-    prev_sel = lu = lu_sel = None
+    prev_sel = lu = None
     r, sel = scheme.evaluate(u)
     res_sup = float(np.max(np.abs(r)))
     history = [(0, res_sup)]
     it = 0
     while res_sup > tol and it < max_iter:
         it += 1
-        # a settled selection is the system just solved, so it always
-        # reuses the held factor: refined to tol, it is the last step
+        # a settled selection is the system just solved: the held factor
+        # refines the iterate toward tol, and that is the last step
         settled = np.array_equal(sel, prev_sel)
-        reuse = lu is not None and np.count_nonzero(sel != lu_sel) <= _REUSE_SHARE * sel.size
-        if not reuse:
-            lu = None  # free an unused factor before assembling
+        if not settled:
+            lu = None  # one factor at a time: free the old one before assembling
         L, rhs = scheme.assemble(sel)
-        met = False
-        if reuse:
-            target = tol if settled else math.inf
-            x, met = _refine(L, rhs, u[scheme.unknown_flat], _gmres_correction(L, lu), target)
-        if not (met or settled):
-            # each factorization orders L by its own graph; a solve that
-            # misses the backward error at the cap keeps its iterate
-            lu = None  # one factor at a time: drop a rejected one first
+        if settled:
+            x = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
+        else:
+            # each factorization orders L by its own graph
             lu = _factor(L, scheme.order(L))
-            lu_sel = sel
             x = _refine(L, rhs, np.zeros_like(rhs), lu)[0]
         u[scheme.unknown_flat] = x
         prev_sel = sel
@@ -752,12 +725,11 @@ def solve(
     resulting sparse linear system, repeating until the residual is at
     most tol or the selection settles; a settled selection gets one last
     step that refines the iterate toward tol with the held factor (exact
-    for the linear trace form in one or two solves).  Each linear solve
-    either factors the frozen matrix or, once few rows change frames,
-    reuses the held factor as a GMRES preconditioner (see the module
-    docstring).  The 3-D second-branch min-max form nests it: the outer
-    policy holds each point's pair, and each outer step runs the policy
-    iteration of the max form over that pair's two directions.
+    for the linear trace form in one or two solves); every other step
+    factors its frozen matrix (see the module docstring).  The 3-D
+    second-branch min-max form nests it: the outer policy holds each
+    point's pair, and each outer step runs the policy iteration of the
+    max form over that pair's two directions.
 
     ``max_iter`` caps the policy steps, and for the min-max form the
     outer steps and each inner solve.  ``iterations`` counts linear

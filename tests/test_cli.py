@@ -439,6 +439,8 @@ _BAD_INPUT_FILES = {
     # third differences and second differences of +-5e307 overflow
     "overflow.grid": "grid n=2 shape=6,6 origin=0,0 h=0.5\n"
     + "5e307,-5e307,5e307,-5e307,5e307,-5e307\n-5e307,5e307,-5e307,5e307,-5e307,5e307\n" * 3,
+    # -1e308 + 1 * -1e308 overflows to -inf, which a grid would take as its bottom
+    "overflowdown.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n-1e308,-1e308\n-1e308,-1e308\n",
     "good.json": json.dumps(_GOOD_PROBLEM),
     "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
@@ -558,6 +560,9 @@ _BAD_INPUT_FILES = {
                       "--grid-output", "x.grid"], id="grid-perturb-eps-nan"),
         pytest.param(["grid", "perturb", "--input", "overflow.grid", "--psi", "overflow.grid",
                       "--eps", "3", "--grid-output", "x.grid"], id="grid-perturb-overflow"),
+        pytest.param(["grid", "perturb", "--input", "overflowdown.grid", "--psi",
+                      "overflowdown.grid", "--eps", "1", "--grid-output", "x.grid"],
+                     id="grid-perturb-overflow-down"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -618,11 +623,14 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["grid", "hessian", "--input", "overflow.grid", "--at", "2,2"],
     ["grid", "perturb", "--input", "overflow.grid", "--psi", "overflow.grid", "--eps", "3",
      "--grid-output", "x.grid"],
+    ["grid", "perturb", "--input", "overflowdown.grid", "--psi", "overflowdown.grid",
+     "--eps", "1", "--grid-output", "x.grid"],
 ], ids=["magnitude-overflows", "measure-empty", "grid-verify-overflow",
-        "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow"])
+        "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
+        "grid-perturb-overflow-down"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
-    (tmp_path / "empty.csv").write_text("")
-    (tmp_path / "overflow.grid").write_text(_BAD_INPUT_FILES["overflow.grid"])
+    for name in ("empty.csv", "overflow.grid", "overflowdown.grid"):
+        (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))

@@ -460,6 +460,14 @@ def test_perturb_bottom_absorbs():
     assert out.mask[0, 0] and not out.mask[0, 1]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+def test_perturb_overflow_is_a_domain_error(sign):
+    # finite data whose sum leaves float64: -inf would pass as the bottom
+    u = GridFunction(np.full((2, 2), sign * 1e308), [0, 0], 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        perturb(u, u, 1.0)
+
+
 def test_perturb_family_decreasing_in_eps():
     rng = np.random.default_rng(2)
     u = GridFunction(rng.standard_normal((6, 6)), [0, 0], 1.0)
@@ -538,20 +546,47 @@ def test_distance_jet_on_set_rejected():
 # -- upper conical test ---------------------------------------------------------------------
 
 
-def test_upper_conical_smooth_data_has_no_test_function():
+def _checked_upper_conical(monkeypatch, u, index, eps, hess_bound):
+    """``upper_conical_check`` with its LP asserted, bit for bit, to be the
+    one built from the probe offsets in ``itertools.product`` order."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    seen = []
+
+    def linprog(**kwargs):
+        seen.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    res = upper_conical_check(u, index, eps, hess_bound)
+    offsets = np.array([o for o in itertools.product(range(-3, 4), repeat=u.ndim) if any(o)])
+    pts = tuple((np.asarray(index) + offsets).T)
+    uvals = u.values[pts]
+    usable = np.isfinite(uvals) & ~u.masked()[pts]
+    xi = u.h * offsets[usable]
+    norms = np.linalg.norm(xi, axis=1)
+    c = uvals[usable] - u.values[tuple(index)] + eps * norms - 0.5 * hess_bound * norms**2
+    (lp,) = seen
+    assert lp["A_ub"].tobytes() == np.column_stack([-xi, -np.ones(len(xi))]).tobytes()
+    assert lp["b_ub"].tobytes() == (-c).tobytes()
+    return res
+
+
+def test_upper_conical_smooth_data_has_no_test_function(monkeypatch):
     u = from_function((21, 21), [-1, -1], 0.1, lambda x, y: x * x - 0.5 * y * y + x)
-    res = upper_conical_check(u, (10, 10), eps=1.0, hess_bound=10.0)
+    res = _checked_upper_conical(monkeypatch, u, (10, 10), eps=1.0, hess_bound=10.0)
     assert not res.test_found
     assert res.label == "within bound"
 
 
-def test_upper_conical_cone_threshold():
+def test_upper_conical_cone_threshold(monkeypatch):
     u = from_function((41,), [-1.0], 0.05, lambda x: -np.abs(x))
-    assert upper_conical_check(u, (20,), eps=0.5, hess_bound=1.0).test_found
-    assert not upper_conical_check(u, (20,), eps=1.5, hess_bound=1.0).test_found
+    assert _checked_upper_conical(monkeypatch, u, (20,), eps=0.5, hess_bound=1.0).test_found
+    assert not _checked_upper_conical(monkeypatch, u, (20,), eps=1.5, hess_bound=1.0).test_found
 
 
-def test_upper_conical_ridge_witness_gradient():
+def test_upper_conical_ridge_witness_gradient(monkeypatch):
     # a ridge (min of two affines) plus a quadratic: any gradient in the
     # segment [a, b] dominates the crease once the Hessian bound is large
     # enough, so a witness exists and sits near that segment.  A valley
@@ -563,7 +598,7 @@ def test_upper_conical_ridge_witness_gradient():
         return np.minimum(a[0] * x + a[1] * y, b[0] * x + b[1] * y) + 4 * (x * x + y * y)
 
     u = from_function((41, 41), [-0.5, -0.5], 0.025, ridge)
-    res = upper_conical_check(u, (20, 20), eps=0.05, hess_bound=20.0)
+    res = _checked_upper_conical(monkeypatch, u, (20, 20), eps=0.05, hess_bound=20.0)
     assert res.test_found
     g = res.witness.gradient
     t = np.clip((g - b) @ (a - b) / ((a - b) @ (a - b)), 0.0, 1.0)
@@ -573,13 +608,42 @@ def test_upper_conical_ridge_witness_gradient():
         return np.maximum(a[0] * x + a[1] * y, b[0] * x + b[1] * y) + 4 * (x * x + y * y)
 
     u2 = from_function((41, 41), [-0.5, -0.5], 0.025, valley)
-    assert not upper_conical_check(u2, (20, 20), eps=0.05, hess_bound=20.0).test_found
+    res2 = _checked_upper_conical(monkeypatch, u2, (20, 20), eps=0.05, hess_bound=20.0)
+    assert not res2.test_found
+
+
+def test_upper_conical_probe_block_skips_masked_and_bottom_cells(monkeypatch):
+    # a 3-D block with one masked and one -inf cell among the 342 probes
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((9, 9, 9))
+    vals[2, 3, 5] = -np.inf
+    u = masked_grid(vals, [(6, 5, 1)], h=0.2)
+    res = _checked_upper_conical(monkeypatch, u, (4, 4, 3), eps=0.1, hess_bound=1.0)
+    assert not res.test_found
 
 
 def test_upper_conical_boundary_error():
     u = from_function((9, 9), [0, 0], 0.1, lambda x, y: x + y)
     with pytest.raises(DomainError):
         upper_conical_check(u, (1, 4), eps=0.5, hess_bound=1.0)
+
+
+@pytest.mark.parametrize(
+    "eps,hess_bound",
+    [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)],
+    ids=["eps-nan", "eps-inf", "hess-nan", "hess-inf"],
+)
+def test_upper_conical_non_finite_parameters(eps, hess_bound):
+    u = from_function((9, 9), [0, 0], 0.1, lambda x, y: x + y)
+    with pytest.raises(DomainError, match="finite"):
+        upper_conical_check(u, (4, 4), eps=eps, hess_bound=hess_bound)
+
+
+def test_upper_conical_overflowing_data():
+    # differences of +-1e308 against the centre leave float64
+    u = GridFunction(np.where(np.indices((9, 9)).sum(axis=0) % 2, 1e308, -1e308), [0, 0], 1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        upper_conical_check(u, (4, 4), eps=1.0, hess_bound=1.0)
 
 
 # -- grid files ---------------------------------------------------------------------------
