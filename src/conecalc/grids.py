@@ -29,6 +29,8 @@ GRID_SCALE_NOTE = (
 
 EXTENSION_RADIUS_CAP = 5
 _PROBE_RADIUS = 3  # Chebyshev radius of upper_conical_check's probe neighborhood
+# HiGHS reads a bound of this magnitude or more as infinite
+_LP_INFINITY = 1e20
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,7 +472,9 @@ def upper_conical_check(
         <g, x - q>  >=  U(x) - U(q) + eps |x - q| - hess_bound |x - q|^2 / 2
 
     solved exactly as a small LP.  ``test_found`` returns the witness jet;
-    otherwise absence is certified within the bound.
+    otherwise absence is certified within the bound.  A right-hand side of
+    magnitude 1e20 or more, which HiGHS reads as infinite, and an LP that
+    fails are DomainError.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
@@ -496,6 +500,13 @@ def upper_conical_check(
         c = uvals[usable] - uq + eps * norms - 0.5 * hess_bound * norms**2
     if not np.all(np.isfinite(c)):
         raise DomainError("upper conical test overflows float64 on the probe neighborhood")
+    if c.size and np.max(np.abs(c)) >= _LP_INFINITY:
+        # such a bound would fail the LP or silently drop its constraint
+        raise DomainError(
+            f"upper conical test needs LP coefficients below {_LP_INFINITY:g} in "
+            f"magnitude, got {np.max(np.abs(c)):g}: eps, hess_bound or the probe "
+            "values are out of range"
+        )
     from scipy.optimize import linprog  # 0.3 s to import; only this test needs it
 
     # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free
@@ -507,7 +518,7 @@ def upper_conical_check(
         bounds=[(None, None)] * (nd + 1),
         method="highs",
     )
-    if not res.success:  # pragma: no cover - highs handles these LPs
+    if not res.success:  # e.g. unbounded when the usable probes lie in a half-space
         raise DomainError(f"feasibility LP failed: {res.message}")
     t_star = float(res.fun)
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))) if c.size else 1.0)

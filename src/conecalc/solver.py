@@ -29,11 +29,20 @@ frames snapped to the stencil:
                      tends to (lambda_1 + lambda_2) / 2, not lambda_2
 
 Each operator's combos are two rectangular (C, k) arrays, direction
-indices and weights.  One kernel evaluates the scheme: a single gather of
-the (D, N) second differences, the combo values built slot by slot, then
-the residual and the selected combo.  The solvers, the pointwise
-``residual`` (on the one column at its point) and ``assemble`` (over the
-same arrays) all share it.
+indices and weights.  One kernel evaluates the scheme at a set of points:
+a single gather of their second differences along the D directions, the
+combo values built slot by slot, then the residual and the selected
+combo.  The solvers run it over consecutive blocks of max(1, 2^17 // C)
+unknowns, 8,192 points in 2-D at reach 3 and 120 for 3-D pp at reach 3,
+so the transient memory of an evaluation is a few MB whatever the grid
+(traced peaks: 7.5 MB at 257^2, 4.2 MB for 3-D pp at 33^3); each point's
+values depend on its own column alone, so the results do not depend on
+the blocks.  Between evaluations the scheme holds one (D, N) array, the
+bool validity of every arm, and derives neighbour indices and frame
+admissibility from it per block; the min-max inner view instead hands
+the kernel only each point's two pair directions.  The pointwise
+``residual`` is the kernel on the one column at its point, and
+``assemble`` builds the selected arms' neighbours the same way.
 
 Increasing any neighbor value never decreases a residual, so the scheme
 is monotone.  Punctured cells carry no boundary condition: they are
@@ -254,7 +263,8 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None)
     """Scheme residual and selected combo at the points ``center``.
 
     One gather gives the (D, N) second differences
-    ``(u[plus] + u[minus] - 2 u[center]) * coeff``.  The (C, N) combo
+    ``(u[plus] + u[minus] - 2 u[center]) * coeff``, where ``coeff`` is
+    (D, 1), one coefficient per direction, or (D, N).  The (C, N) combo
     values are then built slot by slot, a weighted sum or for ``minmax``
     a running maximum, so no (C, k, N) array is formed.  Combos that are
     not ``admissible`` (all are when None) are never selected; the trace
@@ -267,7 +277,7 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None)
     dv = u[plus]
     dv += u[minus]
     dv -= 2.0 * u[center]
-    dv *= coeff[:, None]
+    dv *= coeff
     vals = weights[:, :1] * dv[dirs[:, 0]]
     for s in range(1, dirs.shape[1]):
         slot = dv[dirs[:, s]]
@@ -439,14 +449,27 @@ def _bit_length(codes: np.ndarray) -> np.ndarray:
     return np.frexp(codes.astype(float))[1]
 
 
+# the max over a pair view's two local directions
+_PAIR_MAX = ("max", np.array([[0], [1]]), np.ones((2, 1)))
+
+# combo values per block of points in ``_Scheme.evaluate``: 8,192 points
+# for the 16 combos of 2-D pp at reach 3, 120 for the 1,092 of 3-D pp
+_BLOCK_VALUES = 2**17
+
+
 class _Scheme:
-    """Precomputed stencil admissibility, frame combos and dissection tree
-    for one problem."""
+    """Stencil validity, frame combos and dissection tree for one problem.
+
+    The only (D, N) array it holds is ``valid``, whether each arm of each
+    unknown lies in the grid and off the punctures.  Neighbour indices
+    and combo admissibility are derived from it per block of points.
+    """
 
     def __init__(self, problem: DirichletProblem, stencil: StencilSet):
         if stencil.ndim != problem.ndim:
             raise DomainError("stencil dimension does not match the problem")
         self.problem = problem
+        self.stencil = stencil
         shape = problem.shape
         unknown = problem.unknown_mask()
         if not unknown.any():
@@ -461,25 +484,27 @@ class _Scheme:
         self.rank = -np.ones(int(np.prod(shape)), dtype=np.intp)
         self.rank[self.unknown_flat] = np.arange(N)
 
-        # (D, N) flat neighbor indices along every direction; 0 where an
-        # arm leaves the grid, and such arms or ones landing on a puncture
-        # are not valid
-        arm = np.abs(stencil.directions)[:, None]
-        valid = np.all((idx >= arm) & (idx < np.array(shape) - arm), axis=2)
         strides = np.array([int(np.prod(shape[a + 1 :])) for a in range(len(shape))])
-        step = (stencil.directions @ strides)[:, None]
-        self.plus = np.where(valid, self.unknown_flat + step, 0)
-        self.minus = np.where(valid, self.unknown_flat - step, 0)
-        punct = problem.puncture_mask().reshape(-1)
-        valid &= ~punct[self.plus] & ~punct[self.minus]
+        self.step = stencil.directions @ strides  # (D,) flat offset of each arm
         self.coeff = 1.0 / (problem.h * stencil.lengths) ** 2
-
         self.combos = _combos(problem.operator, stencil)
         self.form, self.dirs, self.weights = self.combos
-        self.admissible = reduce(
-            operator.and_, (valid[self.dirs[:, s]] for s in range(self.dirs.shape[1]))
-        )
-        covered = self.admissible.any(axis=0)
+        self.pair_dirs = None  # (N, 2) directions of each point's pair in a pair view
+
+        # an arm is valid when both its ends lie in the grid and off the
+        # punctures; the corner, index 0, that _arms reads for the others
+        # is never a puncture
+        self.valid = np.ones((stencil.count, N), dtype=bool)
+        for a, size in enumerate(shape):
+            arm = np.abs(stencil.directions[:, a])[:, None]
+            self.valid &= (idx[:, a] >= arm) & (idx[:, a] < size - arm)
+        punct = problem.puncture_mask().reshape(-1)
+        covered = np.empty(N, dtype=bool)
+        for blk in self._blocks():
+            valid = self.valid[:, blk]  # a view: the mask is updated in place
+            plus, minus = self._arms(self.unknown_flat[blk], valid)
+            valid &= ~punct[plus] & ~punct[minus]
+            covered[blk] = self._admissible(valid).any(axis=0)
         if not covered.all():
             first = self.unknown_flat[~covered].min()  # lexicographically first
             bad = tuple(int(i) for i in np.unravel_index(first, shape))
@@ -488,13 +513,69 @@ class _Scheme:
                 "shrink the puncture set"
             )
 
+    def _blocks(self):
+        """Consecutive slices of the unknowns, ``max(1, _BLOCK_VALUES // C)``
+        points each for C combos, so a block's combo values stay bounded."""
+        n = max(1, _BLOCK_VALUES // self.dirs.shape[0])
+        N = self.unknown_flat.shape[0]
+        return [slice(lo, min(lo + n, N)) for lo in range(0, N, n)]
+
+    def _arms(self, center: np.ndarray, valid: np.ndarray):
+        """(D, n) flat neighbours ``center + step`` and ``center - step`` of
+        the points ``center``, 0 where the arm is not ``valid``."""
+        step = self.step[:, None]
+        plus, minus = center + step, center - step
+        plus *= valid
+        minus *= valid
+        return plus, minus
+
+    def _admissible(self, valid: np.ndarray) -> np.ndarray:
+        """(C, n) mask of the combos whose arms are all ``valid``."""
+        return reduce(operator.and_, (valid[self.dirs[:, s]] for s in range(self.dirs.shape[1])))
+
+    def pair_view(self, pair: np.ndarray) -> "_Scheme":
+        """The inner problem of the min-max form at the outer selection
+        ``pair``: the max form over single directions (that of branch 3),
+        each point admitting the two of its pair, so a frozen row has one
+        second difference.  Its ``evaluate`` runs the kernel on those two
+        directions alone, both valid, as the local max combos 0 and 1."""
+        inner = copy.copy(self)
+        inner.combos = inner.form, inner.dirs, inner.weights = _combos(("branch", 3), self.stencil)
+        inner.pair_dirs = self.dirs[pair]
+        return inner
+
     def evaluate(self, u_flat: np.ndarray, keep: Optional[np.ndarray] = None):
         """Residual and selected frame combo at every unknown, keeping the
-        ``keep`` selection where it ties the best (see ``_evaluate``)."""
-        return _evaluate(
-            u_flat, self.unknown_flat, self.plus, self.minus, self.coeff,
-            self.combos, self.admissible, keep,
-        )
+        ``keep`` selection where it ties the best (see ``_evaluate``).
+
+        The kernel runs block by block (``_blocks``); each point's values
+        depend only on its own column, so the results do not depend on
+        the block size."""
+        N = self.unknown_flat.shape[0]
+        res = np.empty(N)
+        sel = np.empty(N, dtype=np.intp)
+        for blk in self._blocks():
+            center = self.unknown_flat[blk]
+            kept = None if keep is None else keep[blk]
+            if self.pair_dirs is None:
+                valid = self.valid[:, blk]
+                res[blk], sel[blk] = _evaluate(
+                    u_flat, center, *self._arms(center, valid), self.coeff[:, None],
+                    self.combos, self._admissible(valid), kept,
+                )
+            else:
+                # (2, n), the lower direction first: a tie selects it, as
+                # the max over every direction would
+                pair = self.pair_dirs[blk].T
+                step = self.step[pair]
+                if kept is not None:
+                    kept = (kept == pair[1]).astype(np.intp)
+                res[blk], local = _evaluate(
+                    u_flat, center, center + step, center - step, self.coeff[pair],
+                    _PAIR_MAX, None, kept,
+                )
+                sel[blk] = pair[local, np.arange(local.size)]
+        return res, sel
 
     def separators(self, L) -> np.ndarray:
         """Dissection-tree node of every unknown for the frozen matrix L.
@@ -545,7 +626,9 @@ class _Scheme:
             d = self.dirs[selection[pts], s]
             coef = w[pts] * self.coeff[d]
             diag[pts] -= 2.0 * coef
-            for nbr in (self.plus[d, pts], self.minus[d, pts]):
+            # a selected combo's arms are valid
+            center = self.unknown_flat[pts]
+            for nbr in (center + self.step[d], center - self.step[d]):
                 r = self.rank[nbr]
                 inner = r >= 0
                 rows.append(pts[inner])
@@ -581,7 +664,7 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     uvals = u.values.reshape(-1)
     if not np.isfinite(uvals[np.concatenate([center, plus[:, 0], minus[:, 0]])]).all():
         raise StencilError(f"stencil at {tuple(idx)} reads a non-finite value")
-    coeff = 1.0 / (u.h * stencil.lengths) ** 2
+    coeff = 1.0 / (u.h * stencil.lengths[:, None]) ** 2
     return float(_evaluate(uvals, center, plus, minus, coeff, _combos(op, stencil))[0][0])
 
 
@@ -751,11 +834,6 @@ def solve(
     if scheme.form != "minmax":
         history = _policy_iteration(scheme, u, tol, max_iter)
     else:
-        # the inner view is the max form over single directions (that of
-        # branch 3) with each point admitting the two of its pair, so a
-        # frozen row has one second difference
-        inner = copy.copy(scheme)
-        inner.combos = inner.form, inner.dirs, inner.weights = _combos(("branch", 3), stencil)
         r, pair = scheme.evaluate(u)
         history = [(0, float(np.max(np.abs(r))))]
         prev = None
@@ -763,8 +841,7 @@ def solve(
         while history[-1][1] > tol and len(history) <= max_iter:
             if np.array_equal(pair, prev):
                 break
-            inner.admissible = np.zeros((stencil.count, pair.size), dtype=bool)
-            inner.admissible[scheme.dirs[pair].T, np.arange(pair.size)] = True
+            inner = scheme.pair_view(pair)
             solves = history[-1][0] + _policy_iteration(inner, u, tol, max_iter)[-1][0]
             prev = pair
             r, pair = scheme.evaluate(u, keep=pair)

@@ -646,6 +646,31 @@ def test_upper_conical_overflowing_data():
         upper_conical_check(u, (4, 4), eps=1.0, hess_bound=1.0)
 
 
+@pytest.mark.parametrize(
+    "eps,neighbour",
+    [(1e21, 0.0), (1e308, 0.0), (0.1, 1e25)],
+    ids=["eps-1e21", "eps-1e308", "neighbour-1e25"],
+)
+def test_upper_conical_coefficients_past_the_lp_range(eps, neighbour):
+    # HiGHS takes a bound of magnitude >= 1e20 as infinite
+    vals = np.zeros((21, 21))
+    vals[11, 10] = neighbour
+    u = GridFunction(vals, [0, 0], 0.1)
+    with pytest.raises(DomainError, match="below 1e\\+20"):
+        upper_conical_check(u, (10, 10), eps=eps, hess_bound=1.0)
+
+
+def test_upper_conical_failed_lp_is_a_domain_error():
+    # with every usable probe on one side of the point, the LP in the
+    # gradient is unbounded
+    mask = np.zeros((21, 21), dtype=bool)
+    mask[:10] = True
+    mask[10, :10] = True
+    u = GridFunction(np.where(mask, -np.inf, 0.0), [0, 0], 0.1, mask)
+    with pytest.raises(DomainError, match="feasibility LP failed"):
+        upper_conical_check(u, (10, 10), eps=0.1, hess_bound=1.0)
+
+
 # -- grid files ---------------------------------------------------------------------------
 
 

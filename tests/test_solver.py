@@ -1,6 +1,6 @@
-import copy
 import dataclasses
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -117,6 +117,11 @@ def lattice_problems(draw):
     return DirichletProblem(shape, np.zeros(nd), 0.1, ("pp", 2), g, hole, tuple(punctures))
 
 
+def _admissible(scheme):
+    """(C, N) mask of the admissible frame combos of every unknown."""
+    return scheme._admissible(scheme.valid)
+
+
 def _on_one_root_path(a, b):
     """Whether each pair of heap codes (root 1, children 2c and 2c + 1)
     names a node and one of its ancestors or descendants, or one node:
@@ -141,7 +146,8 @@ def test_dissection_order_follows_the_frozen_matrix(problem, op, reach, seed):
         assume(False)
     # a random admissible frame at every point
     rng = np.random.default_rng(seed)
-    scores = np.where(scheme.admissible, rng.random(scheme.admissible.shape), -1.0)
+    admissible = _admissible(scheme)
+    scores = np.where(admissible, rng.random(admissible.shape), -1.0)
     L = scheme.assemble(np.argmax(scores, axis=0))[0]
     order = scheme.order(L)
     assert np.array_equal(np.sort(order), np.arange(L.shape[0]))
@@ -202,10 +208,7 @@ def _first_frozen_matrix(cfg):
     sel = scheme.evaluate(u)[1]
     if scheme.form == "minmax":
         # the inner view of solve: single directions, the pair's two admissible
-        inner = copy.copy(scheme)
-        inner.combos = inner.form, inner.dirs, inner.weights = _combos(("branch", 3), stencil)
-        inner.admissible = np.zeros((stencil.count, sel.size), dtype=bool)
-        inner.admissible[scheme.dirs[sel].T, np.arange(sel.size)] = True
+        inner = scheme.pair_view(sel)
         scheme, sel = inner, inner.evaluate(u)[1]
     return scheme, *scheme.assemble(sel)
 
@@ -264,7 +267,8 @@ def test_factored_solve_refines_to_the_backward_error_at_any_scale(problem, op_i
         )
     except (DomainError, DiscretizationError):
         assume(False)
-    scores = np.where(scheme.admissible, rng.random(scheme.admissible.shape), -1.0)
+    admissible = _admissible(scheme)
+    scores = np.where(admissible, rng.random(admissible.shape), -1.0)
     L, rhs = scheme.assemble(np.argmax(scores, axis=0))
     x, met = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, scheme.order(L)))
     assert met
@@ -431,6 +435,132 @@ def test_pointwise_residual_is_the_scheme_residual(shape, op, reach):
             assert residual(u, idx, op, st) == batched[k], idx
             checked += 1
     assert checked == np.prod([s - 2 * reach for s in shape])
+
+
+_BLOCK_CASES = [
+    ((17, 19), 3, [("pp", 1.0), ("pp", 1.5), ("pp", 2), ("branch", 1), ("branch", 2)]),
+    ((9, 10, 11), 2, [("pp", 1.0), ("pp", 1.5), ("pp", 2.5), ("pp", 3), ("branch", 1),
+                      ("branch", 2), ("branch", 3)]),
+]
+
+
+def _block_outputs(problem, stencil, u):
+    """Residuals and selections with and without a random admissible
+    ``keep`` selection, and the frozen system of the selection, of the
+    scheme of ``problem`` and, for the min-max form, of its pair view."""
+    rng = np.random.default_rng(3)
+    out = []
+    scheme = _Scheme(problem, stencil)
+    while True:
+        if scheme.pair_dirs is None:
+            admissible = _admissible(scheme)
+            keep = np.argmax(np.where(admissible, rng.random(admissible.shape), -1.0), axis=0)
+        else:
+            pair = scheme.pair_dirs
+            keep = pair[np.arange(pair.shape[0]), rng.integers(0, 2, pair.shape[0])]
+        res, sel = scheme.evaluate(u)
+        out += [res, sel, *scheme.evaluate(u, keep=keep), scheme.valid]
+        if scheme.form != "minmax":
+            L, rhs = scheme.assemble(sel)
+            return out + [L.data, L.indices, L.indptr, rhs]
+        scheme = scheme.pair_view(sel)
+
+
+@pytest.mark.parametrize("shape, reach, ops", _BLOCK_CASES, ids=["2d", "3d"])
+def test_blocks_do_not_change_results(monkeypatch, shape, reach, ops):
+    # a hole and a puncture make some frames inadmissible, and zero data
+    # on the lower half ties every frame there, where ``keep`` wins;
+    # blocks of one point, of a prime number of points and of every
+    # point give the default blocks' outputs bit for bit
+    rng = np.random.default_rng(7)
+    nd = len(shape)
+    vals = rng.standard_normal(shape)
+    vals[: shape[0] // 2] = 0.0
+    hole = np.zeros(shape, dtype=bool)
+    hole[(slice(3, 5),) * nd] = True
+    st = make_stencil(nd, reach)
+    u = vals.reshape(-1).copy()
+    u[np.ravel_multi_index((6,) * nd, shape)] = 0.0
+    for op in ops:
+        problem = DirichletProblem(shape, np.zeros(nd), 0.1, op, vals, hole, [(6,) * nd])
+        default = _block_outputs(problem, st, u)
+        combos = _combos(problem.operator, st)[1].shape[0]
+        for values in (1, 7 * combos, combos * vals.size):
+            monkeypatch.setattr(solver, "_BLOCK_VALUES", values)
+            blocked = _block_outputs(problem, st, u)
+            assert len(blocked) == len(default)
+            for a, b in zip(blocked, default):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (op, values)
+        monkeypatch.undo()
+
+
+def test_pair_view_is_the_max_form_restricted_to_each_pair():
+    # the pair view evaluates each point's two pair directions alone; the
+    # reference evaluates every direction with all but the pair's
+    # inadmissible.  Zero data on the lower half ties both directions
+    # there, where the lower index or ``keep`` must win.
+    rng = np.random.default_rng(11)
+    shape = (9, 10, 11)
+    vals = rng.standard_normal(shape)
+    vals[:4] = 0.0
+    hole = np.zeros(shape, dtype=bool)
+    hole[3:5, 3:5, 3:5] = True
+    st = make_stencil(3, 2)
+    problem = DirichletProblem(shape, np.zeros(3), 0.1, ("branch", 2), vals, hole, [(6, 6, 6)])
+    u = vals.reshape(-1).copy()
+    u[np.ravel_multi_index((6, 6, 6), shape)] = 0.0
+    scheme = _Scheme(problem, st)
+    inner = scheme.pair_view(scheme.evaluate(u)[1])
+    cols = np.arange(scheme.unknown_flat.size)
+    admissible = np.zeros_like(scheme.valid)
+    admissible[inner.pair_dirs.T, cols] = True
+    step = st.directions @ [shape[1] * shape[2], shape[2], 1]
+    arms = [np.where(scheme.valid, scheme.unknown_flat + sign * step[:, None], 0) for sign in (1, -1)]
+    keep = inner.pair_dirs[cols, rng.integers(0, 2, cols.size)]
+    for kept in (None, keep):
+        ref = _evaluate(u, scheme.unknown_flat, *arms, scheme.coeff[:, None],
+                        _combos(("branch", 3), st), admissible, kept)
+        for a, b in zip(inner.evaluate(u, keep=kept), ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "cfg,stencil",
+    [
+        pytest.param(annulus_config(17), make_stencil(2), id="annulus-17"),
+        pytest.param(dict(_minmax_config(9), operator="pp", p=1.5), make_stencil(3, 2), id="pp1.5-9^3"),
+        pytest.param(_minmax_config(9), make_stencil(3, 2), id="minmax-9^3"),
+    ],
+)
+def test_solve_with_one_point_blocks_is_the_default_solve(monkeypatch, cfg, stencil):
+    prob = problem_from_config(cfg)
+    default = solve(prob, stencil=stencil, tol=1e-10)
+    monkeypatch.setattr(solver, "_BLOCK_VALUES", 1)
+    blocked = solve(prob, stencil=stencil, tol=1e-10)
+    assert np.array_equal(blocked.solution.values, default.solution.values)
+    assert blocked.history == default.history
+
+
+def test_evaluate_memory_is_bounded_by_the_block():
+    # 3-D pp:1.5 at reach 3 has 1,092 combos over 3,375 unknowns at 17^3,
+    # ~30 MB for each (C, N) array of the whole grid.  No bound on time.
+    prob = problem_from_config(dict(_minmax_config(17), operator="pp", p=1.5))
+    scheme = _Scheme(prob, make_stencil(3, 3))
+    u = prob.boundary_values.reshape(-1).copy()
+    held = {
+        id(a): a.nbytes
+        for v in vars(scheme).values()
+        for a in (v if isinstance(v, tuple) else (v,))
+        if isinstance(a, np.ndarray)
+    }
+    assert sum(held.values()) <= 4e6
+    tracemalloc.start()
+    try:
+        scheme.evaluate(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 # 2-D operators of every reduction form: min (pp), min and max (branch)
@@ -604,7 +734,7 @@ def test_evaluate_keeps_a_tied_frame_and_reports_the_best_value():
     # 2e-13 at the first point (a tie) and by 2e-9 at the second
     u = np.array([0.0, 0.5, 0.5 + 1e-13, 0.5 + 1e-9])
     nbrs = np.array([[1, 1], [2, 3]])
-    args = (u, np.array([0, 0]), nbrs, nbrs, np.ones(2),
+    args = (u, np.array([0, 0]), nbrs, nbrs, np.ones((2, 1)),
             ("min", np.array([[0], [1]]), np.ones((2, 1))))
     r, sel = _evaluate(*args)
     assert sel.tolist() == [0, 0]
