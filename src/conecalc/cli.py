@@ -36,8 +36,8 @@ MATH_EXIT = 1
 def _default_seed() -> int:
     try:
         return int(os.environ.get("CONECALC_SEED", "0"))
-    except ValueError:
-        return 0
+    except ValueError as exc:
+        raise SpecParseError(f"CONECALC_SEED must be an integer: {exc}") from None
 
 
 def _write_text(path, text: str) -> None:
@@ -76,7 +76,7 @@ def _load_json(path):
 
 
 def _stencil(cfg: dict, problem) -> solver.StencilSet:
-    """The stencil a problem or experiment config asks for (reach 3 by default)."""
+    """The stencil a problem object asks for (reach 3 by default)."""
     return solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
 
 
@@ -88,14 +88,18 @@ def _write_csv(path, header, rows) -> None:
     _write_text(path, buf.getvalue())
 
 
-def _write_convergence_csv(path, history) -> None:
-    _write_csv(path, ["iteration", "residual_sup"], [[it, repr(float(res))] for it, res in history])
+def _write_solve(rep: solver.SolveReport, grid_path, csv_path) -> list:
+    """Write a solve's solution grid and its convergence CSV; return both paths."""
+    grids.write_grid(grid_path, rep.solution)
+    _write_csv(csv_path, ["iteration", "residual_sup"],
+               [[it, repr(float(res))] for it, res in rep.history])
+    return [str(grid_path), str(csv_path)]
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(args) -> tuple:
     spec = cones.parse_cone(args.spec, args.dim)
     if args.matrix:
         A = symmat.read_matrix_csv(args.matrix)
@@ -104,19 +108,15 @@ def _cmd_cone(args) -> int:
         else:
             rep = cones.contains(spec, A, mode=args.mode)
         report = {
-            "command": "cone",
             "report": "membership",
             "cone": spec.describe(),
             "dim": spec.dim,
             "dual": bool(args.dual),
-            "seed": args.seed,
         }
         report.update(rep.to_dict())
-        _emit(report, args.output)
-        return 0 if report["member"] else MATH_EXIT
+        return report, 0 if report["member"] else MATH_EXIT
     rc = cones.riesz_characteristic(spec, tol=args.tol, sphere_samples=args.samples)
     report = {
-        "command": "cone",
         "cone": spec.describe(),
         "dim": spec.dim,
         "riesz_characteristic": rc.value,
@@ -125,10 +125,8 @@ def _cmd_cone(args) -> int:
         "sampled": rc.sampled,
         "dual_description": cones.dual_description(spec),
         "o_n_invariant": spec.o_n_invariant,
-        "seed": args.seed,
     }
-    _emit(report, args.output)
-    return 0
+    return report, 0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -161,15 +159,9 @@ def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
     }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
-    report = {
-        "command": "check",
-        "kind": args.kind,
-        "dim": args.dim,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    report = {"kind": args.kind, "dim": args.dim, "samples": args.samples}
     if args.kind in ("positivity", "monotone", "duality") and not args.f:
         raise DomainError(f"check {args.kind} needs --f")
     if args.kind in ("monotone", "pp-subset") and not args.m:
@@ -203,15 +195,13 @@ def _cmd_check(args) -> int:
                 "e": sub.counterexample.tolist(),
                 "margin": sub.margin,
             }
-    _emit(report, args.output)
-    return 0 if report["passed"] else MATH_EXIT
+    return report, 0 if report["passed"] else MATH_EXIT
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> tuple:
     spec = riesz.RieszKernelSpec(p=args.p, n=args.dim)
     x = _parse_vector(args.x)
-    report = {"command": "kernel", "p": args.p, "dim": args.dim, "x": x.tolist(),
-              "seed": args.seed}
+    report = {"p": args.p, "dim": args.dim, "x": x.tolist()}
     if args.measure:
         mu = riesz.read_measure_csv(args.measure)
         jet = riesz.potential_jet(spec, mu, x)
@@ -225,19 +215,16 @@ def _cmd_kernel(args) -> int:
         jet = riesz.kernel_jet(spec, x)
         report["jet"] = jet.to_dict()
         report["value"] = jet.value
-    _emit(report, args.output)
-    return 0
+    return report, 0
 
 
-def _cmd_polar(args) -> int:
+def _cmd_polar(args) -> tuple:
     points = symmat.read_vectors_csv(args.points)
     polar = riesz.build_polar(points, args.p)
     report = {
-        "command": "polar",
         "p": float(args.p),
         "dim": int(points.shape[1]),
         "atoms": int(points.shape[0]),
-        "seed": args.seed,
         "grid_output": args.grid_output,
         "box_dimension": None,
     }
@@ -257,14 +244,12 @@ def _cmd_polar(args) -> int:
         vals = polar.values(pts).reshape(shape)
         mask = np.isneginf(vals)
         grids.write_grid(args.grid_output, grids.GridFunction(vals, origin, h, mask))
-    _emit(report, args.output)
-    return 0
+    return report, 0
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(args) -> tuple:
     u = grids.read_grid(args.input)
-    report = {"command": "grid", "action": args.action, "seed": args.seed,
-              "output": args.grid_output}
+    report = {"action": args.action, "output": args.grid_output}
     code = 0
     if args.action == "extend":
         ext = grids.canonical_extension(u, radius_cap=args.radius_cap)
@@ -294,86 +279,58 @@ def _cmd_grid(args) -> int:
         except ValueError as exc:
             raise DomainError(f"could not parse grid index {args.at!r}: {exc}") from exc
         report["jet"] = grids.discrete_hessian(u, idx).to_dict()
-    _emit(report, args.output)
-    return code
+    return report, code
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     cfg = _load_json(args.problem)
     problem = solver.problem_from_config(cfg)
     rep = solver.solve(problem, _stencil(cfg, problem), tol=args.tol, max_iter=args.max_iter)
-    report = {
-        "command": "solve",
-        "solve": rep.to_dict(),
-        "seed": args.seed,
-        "solution_file": None,
-        "convergence_file": None,
-    }
+    report = {"solve": rep.to_dict(), "solution_file": None, "convergence_file": None}
     if args.output_prefix:
-        sol_path = args.output_prefix + ".grid"
-        conv_path = args.output_prefix + "_convergence.csv"
-        grids.write_grid(sol_path, rep.solution)
-        _write_convergence_csv(conv_path, rep.history)
-        report["solution_file"] = sol_path
-        report["convergence_file"] = conv_path
-    _emit(report, args.output)
-    return 0 if rep.converged else MATH_EXIT
+        report["solution_file"], report["convergence_file"] = _write_solve(
+            rep, args.output_prefix + ".grid", args.output_prefix + "_convergence.csv")
+    return report, 0 if rep.converged else MATH_EXIT
 
 
-def _experiment_removability(cfg, outdir: Path, report: dict) -> bool:
+def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
     problem = solver.problem_from_config(cfg["problem"])
     rep = solver.removability_experiment(
         problem,
         cfg["puncture"],
         polar_p=cfg.get("polar_p"),
-        stencil=_stencil(cfg, problem),
+        stencil=_stencil(cfg["problem"], problem),
         tol=cfg.get("tol", 1e-9),
         eps_values=tuple(cfg.get("eps", (1e-2, 1e-3))),
         gap_constant=cfg.get("gap_constant", 5.0),
     )
     report["removability"] = rep.to_dict()
-    outputs = []
-    for name, sol in (("full", rep.full), ("punctured", rep.punctured)):
-        path = outdir / f"solution_{name}.grid"
-        grids.write_grid(path, sol.solution)
-        outputs.append(str(path))
-        conv = outdir / f"convergence_{name}.csv"
-        _write_convergence_csv(conv, sol.history)
-        outputs.append(str(conv))
-    report["outputs"] = outputs
-    passed = rep.passed
-    for key, bound in (cfg.get("pass_criteria") or {}).items():
-        if key == "sup_gap":
-            passed = passed and rep.sup_gap <= bound
-        elif key == "masked_gap":
-            passed = passed and rep.masked_gap <= bound
-    return passed
+    report["outputs"] = [
+        path
+        for name, sol in (("full", rep.full), ("punctured", rep.punctured))
+        for path in _write_solve(sol, outdir / f"solution_{name}.grid",
+                                 outdir / f"convergence_{name}.csv")
+    ]
+    return rep.passed, {"sup_gap": rep.sup_gap, "masked_gap": rep.masked_gap}
 
 
-def _experiment_solve(cfg, outdir: Path, report: dict) -> bool:
+def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
     problem = solver.problem_from_config(cfg["problem"])
-    rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-8))
+    rep = solver.solve(problem, _stencil(cfg["problem"], problem), tol=cfg.get("tol", 1e-8))
     report["solve"] = rep.to_dict()
-    sol_path = outdir / "solution.grid"
-    conv_path = outdir / "convergence.csv"
-    grids.write_grid(sol_path, rep.solution)
-    _write_convergence_csv(conv_path, rep.history)
-    report["outputs"] = [str(sol_path), str(conv_path)]
-    passed = rep.converged
-    crit = cfg.get("pass_criteria") or {}
-    if "residual_sup" in crit:
-        passed = passed and rep.residual_sup <= crit["residual_sup"]
-    return passed
+    report["outputs"] = _write_solve(rep, outdir / "solution.grid", outdir / "convergence.csv")
+    return rep.converged, {"residual_sup": rep.residual_sup}
 
 
-def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
+def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
     base = solver.problem_from_config(cfg["problem"])
     span = (base.shape[0] - 1) * base.h
     rows = []
     for nside in cfg["resolutions"]:
         grid = {"shape": [nside] * base.ndim, "origin": base.origin.tolist(),
                 "h": span / (nside - 1)}
-        problem = solver.problem_from_config(dict(cfg["problem"], grid=grid))
+        problem_cfg = dict(cfg["problem"], grid=grid)
+        problem = solver.problem_from_config(problem_cfg)
         unk = problem.unknown_mask()
         exact = problem.boundary_values
         peak = float(np.max(np.abs(exact[unk])))
@@ -382,7 +339,7 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
                 "convergence experiment needs boundary data that do not vanish "
                 "on the unknowns (relative errors divide by their maximum)"
             )
-        rep = solver.solve(problem, _stencil(cfg, problem), tol=cfg.get("tol", 1e-9))
+        rep = solver.solve(problem, _stencil(problem_cfg, problem), tol=cfg.get("tol", 1e-9))
         err = float(np.max(np.abs(rep.solution.values[unk] - exact[unk])))
         rel = err / peak
         rows.append((problem.h, err, rel))
@@ -392,75 +349,86 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> bool:
         {"h": h, "sup_error": e, "rel_error": r} for h, e, r in rows
     ]
     report["outputs"] = [str(path)]
-    passed = True
-    crit = cfg.get("pass_criteria") or {}
-    if crit.get("monotone_decreasing"):
-        passed = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
-    if "max_rel_error" in crit:
-        passed = passed and all(r <= crit["max_rel_error"] for _, _, r in rows)
-    return passed
-
-
-_EXPERIMENT_KEYS = {
-    "removability": ("problem", "puncture"),
-    "solve": ("problem",),
-    "convergence": ("problem", "resolutions"),
-}
+    return True, {
+        "monotone_decreasing": all(a[1] > b[1] for a, b in zip(rows, rows[1:])),
+        "max_rel_error": float(np.max([r for _, _, r in rows])),  # a NaN fails the bound
+    }
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_experiment_fields(cfg: dict) -> None:
-    """Reject optional experiment fields of the wrong type up front."""
-    crit = cfg.get("pass_criteria") or {}
-    if not isinstance(crit, dict):
-        raise DomainError(f"pass_criteria must be an object, got {crit!r}")
-    numbers = [(key, cfg[key]) for key in ("tol", "gap_constant") if key in cfg]
-    if cfg.get("polar_p") is not None:
-        numbers.append(("polar_p", cfg["polar_p"]))
-    numbers += [(key, crit[key]) for key in
-                ("sup_gap", "masked_gap", "residual_sup", "max_rel_error") if key in crit]
-    for key, val in numbers:
-        if not _is_number(val):
-            raise DomainError(f"experiment field {key!r} must be a number, got {val!r}")
-    eps = cfg.get("eps", [])
-    if not (isinstance(eps, list) and all(map(_is_number, eps))):
-        raise DomainError(f"eps must be a list of numbers, got {eps!r}")
-    res = cfg.get("resolutions", [])
-    if not (isinstance(res, list) and all(type(n) is int and n >= 2 for n in res)):
-        raise DomainError(f"resolutions must be a list of integers >= 2, got {res!r}")
+# a field is (test, what its value must be); a criterion adds
+# judge(measured value, bound) -> passed
+_NUMBER = (_is_number, "a number")
+_AT_MOST = _NUMBER + (lambda value, bound: value <= bound,)
+_FLAG = (lambda v: isinstance(v, bool), "true or false", lambda holds, asked: holds or not asked)
+
+# kind -> (runner, required fields, typed fields, pass criteria); a runner
+# fills the report, writes its files and returns its verdict and each
+# criterion's measured value.  Problem and puncture parsers check the rest.
+_EXPERIMENTS = {
+    "removability": (
+        _experiment_removability,
+        ("problem", "puncture"),
+        {"tol": _NUMBER, "gap_constant": _NUMBER,
+         "polar_p": (lambda v: v is None or _is_number(v), "a number or null"),
+         "eps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")},
+        {"sup_gap": _AT_MOST, "masked_gap": _AT_MOST},
+    ),
+    "solve": (_experiment_solve, ("problem",), {"tol": _NUMBER}, {"residual_sup": _AT_MOST}),
+    "convergence": (
+        _experiment_convergence,
+        ("problem", "resolutions"),
+        {"tol": _NUMBER,
+         "resolutions": (lambda v: isinstance(v, list) and v != []
+                         and all(type(n) is int and n >= 2 for n in v),
+                         "a non-empty list of integers >= 2")},
+        {"monotone_decreasing": _FLAG, "max_rel_error": _AT_MOST},
+    ),
+}
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise DomainError("experiment config must be a JSON object")
     kind = cfg.get("kind")
-    if kind not in _EXPERIMENT_KEYS:
+    if kind not in _EXPERIMENTS:
         raise DomainError(f"experiment kind must be removability/solve/convergence, got {kind!r}")
-    missing = [key for key in _EXPERIMENT_KEYS[kind] if key not in cfg]
+    run, required, fields, criteria = _EXPERIMENTS[kind]
+    missing = [key for key in required if key not in cfg]
     if missing:
         raise DomainError(f"{kind} experiment config is missing {', '.join(missing)}")
-    _check_experiment_fields(cfg)
+    crit = cfg.get("pass_criteria") or {}
+    if not isinstance(crit, dict):
+        raise DomainError(f"pass_criteria must be an object, got {crit!r}")
+    unknown = [key for key in cfg if key not in ("kind", "pass_criteria", *required, *fields)]
+    if unknown:
+        raise DomainError(f"{kind} experiment config has no field {unknown[0]!r} (problem "
+                          "keys such as stencil_reach belong in the problem object)")
+    unknown = [key for key in crit if key not in criteria]
+    if unknown:
+        raise DomainError(f"{kind} experiment has no pass criterion {unknown[0]!r} "
+                          f"(its criteria: {', '.join(criteria)})")
+    typed = {**fields, **criteria}
+    for key, val in [*cfg.items(), *crit.items()]:
+        if key in typed and not typed[key][0](val):
+            raise DomainError(f"experiment field {key!r} must be {typed[key][1]}, got {val!r}")
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DomainError(f"could not create output directory {outdir}: {exc}") from exc
     report = {"command": "experiment", "kind": kind, "seed": args.seed, "outputs": []}
-    if kind == "removability":
-        passed = _experiment_removability(cfg, outdir, report)
-    elif kind == "solve":
-        passed = _experiment_solve(cfg, outdir, report)
-    else:
-        passed = _experiment_convergence(cfg, outdir, report)
+    passed, measured = run(cfg, outdir, report)
+    for key, bound in crit.items():
+        passed = passed and criteria[key][2](measured[key], bound)
     report["passed"] = bool(passed)
     # every file first, so that a failed write leaves stdout one report
     _write_text(outdir / "report.json", _json_text(report))
-    _emit(report, args.output)
-    return 0 if passed else MATH_EXIT
+    return report, 0 if passed else MATH_EXIT
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -566,7 +534,10 @@ def main(argv=None) -> int:
         _emit({"error": {"kind": "usage", "message": str(exc)}}, None)
         return USAGE_EXIT
     try:
-        return _COMMANDS[args.subcommand](args)
+        report, code = _COMMANDS[args.subcommand](args)
+        report.update(command=args.subcommand, seed=args.seed)
+        _emit(report, args.output)
+        return code
     except ConecalcError as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SpecParseError):

@@ -472,9 +472,11 @@ def upper_conical_check(
         <g, x - q>  >=  U(x) - U(q) + eps |x - q| - hess_bound |x - q|^2 / 2
 
     solved exactly as a small LP.  ``test_found`` returns the witness jet;
-    otherwise absence is certified within the bound.  A right-hand side of
+    otherwise absence is certified within the bound.  An unbounded LP (all
+    usable probes in a half-space) finds a test with slack inf, its witness
+    clearing every constraint by at least 1.  A right-hand side of
     magnitude 1e20 or more, which HiGHS reads as infinite, and an LP that
-    fails are DomainError.
+    fails otherwise are DomainError.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be finite and > 0, got {eps}")
@@ -509,18 +511,22 @@ def upper_conical_check(
         )
     from scipy.optimize import linprog  # 0.3 s to import; only this test needs it
 
-    # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free
+    # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free;
+    # an unbounded LP (status 3) is solved again with t bounded below
     A_ub = np.column_stack([-xi, -np.ones(xi.shape[0])])
-    res = linprog(
-        c=np.concatenate([np.zeros(nd), [1.0]]),
-        A_ub=A_ub,
-        b_ub=-c,
-        bounds=[(None, None)] * (nd + 1),
-        method="highs",
-    )
-    if not res.success:  # e.g. unbounded when the usable probes lie in a half-space
+    for t_min in (None, -(1.0 + float(np.max(np.abs(c), initial=0.0)))):
+        res = linprog(
+            c=np.concatenate([np.zeros(nd), [1.0]]),
+            A_ub=A_ub,
+            b_ub=-c,
+            bounds=[(None, None)] * nd + [(t_min, None)],
+            method="highs",
+        )
+        if res.status != 3:
+            break
+    if not res.success:
         raise DomainError(f"feasibility LP failed: {res.message}")
-    t_star = float(res.fun)
+    t_star = float(res.fun) if t_min is None else -math.inf
     feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))) if c.size else 1.0)
     if t_star <= feas_tol:
         g = res.x[:nd]

@@ -92,7 +92,7 @@ import copy
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Optional
 
@@ -396,15 +396,22 @@ class DirichletProblem:
         return m
 
     def with_punctures(self, punctures) -> "DirichletProblem":
-        return DirichletProblem(
-            self.shape,
-            self.origin,
-            self.h,
-            self.operator,
-            self.boundary_values,
-            self.hole,
-            tuple(punctures),
-        )
+        return replace(self, punctures=tuple(punctures))
+
+
+def _lattice_indices(points, origin: np.ndarray, h: float) -> list:
+    """Lattice indices of puncture coordinates, rounded to the nearest
+    node; points of the wrong dimension or not finite are DomainError."""
+    nd = origin.shape[0]
+    try:
+        pts = np.array([np.asarray(pt, dtype=float).reshape(nd) for pt in points])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"puncture points must be {nd}-D coordinates: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = np.round((pts.reshape(-1, nd) - origin) / h)
+    if not np.all(np.isfinite(idx)):
+        raise DomainError("puncture points must be finite")
+    return [tuple(int(c) for c in row) for row in idx]
 
 
 # -- scheme assembly -----------------------------------------------------------
@@ -960,11 +967,8 @@ def removability_experiment(
         raise DomainError("pass the puncture set separately, not in the problem")
     kind, val = problem.operator
     nd = problem.ndim
-    try:
-        points = [np.asarray(pt, dtype=float).reshape(nd) for pt in punctures]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"puncture points must be {nd}-D coordinates: {exc}") from exc
-    if not points:
+    idx_pts = _lattice_indices(punctures, problem.origin, problem.h)
+    if not idx_pts:
         raise DomainError("the experiment needs at least one puncture point")
     if polar_p is None:
         if kind != "pp":
@@ -986,7 +990,6 @@ def removability_experiment(
                 f"counterexample at sample {rep.failure_index}"
             )
 
-    idx_pts = [tuple(int(round(c)) for c in (pt - problem.origin) / problem.h) for pt in points]
     full = solve(problem, stencil=stencil, tol=tol)
     punctured_problem = problem.with_punctures(idx_pts)
     punct = solve(punctured_problem, stencil=stencil, tol=tol)
@@ -1152,14 +1155,12 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         box = cfg.get("hole")
         if box:
             box = [np.asarray(box[key], dtype=float).reshape(nd) for key in ("min", "max")]
-        points = [np.asarray(pt, dtype=float).reshape(nd) for pt in cfg.get("puncture") or []]
     except KeyError as exc:
         raise DomainError(f"problem config is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem config: {exc}") from exc
     _check_lattice(shape, origin, h)
-    if not all(np.all(np.isfinite(pt)) for pt in points):
-        raise DomainError("puncture points must be finite")
+    punctures = _lattice_indices(cfg.get("puncture") or [], origin, h)
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
         g = evaluate_expression(boundary["expr"], coords)
@@ -1176,5 +1177,4 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         hole = np.ones(shape, dtype=bool)
         for d in range(nd):
             hole &= (coords[d] >= lo[d] - 1e-12) & (coords[d] <= hi[d] + 1e-12)
-    punctures = [tuple(int(round(c)) for c in (pt - origin) / h) for pt in points]
     return DirichletProblem(shape, origin, h, op, g, hole, tuple(punctures))

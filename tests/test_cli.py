@@ -379,6 +379,23 @@ def test_experiment_convergence_curves(tmp_path):
     assert len(lines) == 4
 
 
+def test_stencil_reach_is_read_from_the_problem_by_solve_and_experiment(tmp_path, monkeypatch, capsys):
+    # reach 1 takes 2 linear solves on this annulus, the default reach 3 takes 5
+    path, prob = write_problem(
+        tmp_path, p=1.5, grid={"shape": [17, 17], "origin": [-1, -1], "h": 0.125},
+        boundary={"expr": "(x*x+y*y)**0.25"}, hole={"min": [-0.25] * 2, "max": [0.25] * 2},
+        stencil_reach=1,
+    )
+    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": prob}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve", "--problem", str(path), "--output-prefix", "sol"]) == 0
+    solved = json.loads(capsys.readouterr().out)["solve"]
+    assert cli.main(["experiment", "--config", "exp.json", "--output-dir", "out"]) == 0
+    assert json.loads(capsys.readouterr().out)["solve"] == solved
+    assert solved["iterations"] == 2
+    assert Path("sol.grid").read_bytes() == Path("out/solution.grid").read_bytes()
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfile = tmp_path / "bad.json"
     cfile.write_text("{not json")
@@ -411,7 +428,21 @@ _BAD_INPUT_FILES = {
     "notobject.json": "[1]",
     "reachabc.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach="abc")),
     "reach25.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2.5)),
-    "expreach.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "stencil_reach": 2.5}),
+    "expreach.json": json.dumps({"kind": "solve", "problem": dict(_GOOD_PROBLEM, stencil_reach=2.5)}),
+    "expreachtop.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "stencil_reach": 1}),
+    "expotherfield.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "eps": [0.1]}),
+    "expothercrit.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
+                                     "pass_criteria": {"sup_gap": -1, "max_rel_error": -1}}),
+    "expmisspelt.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
+                                    "pass_criteria": {"residual_sup_max": -1}}),
+    "monotoneno.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
+                                   "resolutions": [9],
+                                   "pass_criteria": {"monotone_decreasing": "no"}}),
+    "punctnan.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                 "puncture": [[float("nan"), 0]]}),
+    "punctinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                 "puncture": [[0, float("-inf")]]}),
+    "punctfar.json": json.dumps(dict(_GOOD_PROBLEM, puncture=[[1e308, 0]])),
     "convnogrid.json": json.dumps(
         {"kind": "convergence", "problem": {"operator": "pp"}, "resolutions": [9]}
     ),
@@ -488,6 +519,21 @@ _BAD_INPUT_FILES = {
         pytest.param(["solve", "--problem", "reach25.json"], id="stencil-reach-float"),
         pytest.param(["experiment", "--config", "expreach.json", "--output-dir", "out"],
                      id="experiment-stencil-reach"),
+        pytest.param(["experiment", "--config", "expreachtop.json", "--output-dir", "out"],
+                     id="experiment-top-level-stencil-reach"),
+        pytest.param(["experiment", "--config", "expotherfield.json", "--output-dir", "out"],
+                     id="experiment-field-of-another-kind"),
+        pytest.param(["experiment", "--config", "expothercrit.json", "--output-dir", "out"],
+                     id="experiment-criterion-of-another-kind"),
+        pytest.param(["experiment", "--config", "expmisspelt.json", "--output-dir", "out"],
+                     id="experiment-misspelt-criterion"),
+        pytest.param(["experiment", "--config", "monotoneno.json", "--output-dir", "out"],
+                     id="experiment-monotone-not-bool"),
+        pytest.param(["experiment", "--config", "punctnan.json", "--output-dir", "out"],
+                     id="experiment-puncture-nan"),
+        pytest.param(["experiment", "--config", "punctinf.json", "--output-dir", "out"],
+                     id="experiment-puncture-inf"),
+        pytest.param(["solve", "--problem", "punctfar.json"], id="problem-puncture-index-overflows"),
         pytest.param(["experiment", "--config", "convnogrid.json", "--output-dir", "out"],
                      id="convergence-no-grid"),
         pytest.param(["experiment", "--config", "resolutions.json", "--output-dir", "out"],
@@ -625,11 +671,14 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
      "--grid-output", "x.grid"],
     ["grid", "perturb", "--input", "overflowdown.grid", "--psi", "overflowdown.grid",
      "--eps", "1", "--grid-output", "x.grid"],
+    ["experiment", "--config", "punctnan.json", "--output-dir", "out"],
+    ["experiment", "--config", "punctinf.json", "--output-dir", "out"],
 ], ids=["magnitude-overflows", "measure-empty", "grid-verify-overflow",
         "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
-        "grid-perturb-overflow-down"])
+        "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
-    for name in ("empty.csv", "overflow.grid", "overflowdown.grid"):
+    for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
+                 "punctinf.json"):
         (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -667,6 +716,41 @@ def test_env_seed_override():
     _, rep = output_of("cone", "--spec", "pp:2", "--dim", "3",
                        env_extra={"CONECALC_SEED": "42"})
     assert rep["seed"] == 42
+
+
+@pytest.mark.parametrize("seed", ["abc", "1e3", ""])
+def test_env_seed_that_is_not_an_integer_is_a_usage_error(seed):
+    code, out, err = run_cli("cone", "--spec", "pp:2", "--dim", "3",
+                             env_extra={"CONECALC_SEED": seed})
+    assert code == 2
+    rep = json.loads(out)
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "usage"
+    assert "CONECALC_SEED" in rep["error"]["message"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--spec", "sigma:2", "--dim", "3"],
+    ["cone", "--spec", "pp:2", "--dim", "2", "--matrix", "A.csv"],
+    ["check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "50"],
+    ["kernel", "--p", "3", "--dim", "3", "--x", "2,0,0"],
+    ["polar", "--points", "pts.csv", "--p", "2"],
+    ["grid", "hessian", "--input", "u.grid", "--at", "3,3"],
+    ["solve", "--problem", "good.json"],
+    ["experiment", "--config", "exp.json", "--output-dir", "out"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_every_success_report_carries_command_and_seed(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "A.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "pts.csv").write_text("0.1,0.2\n")
+    write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD_PROBLEM))
+    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM}))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--seed", "17"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    schema.validate_report(rep)
+    assert (rep["command"], rep["seed"]) == (argv[0], 17)
 
 
 def test_output_file_matches_stdout(tmp_path):

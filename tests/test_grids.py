@@ -660,15 +660,29 @@ def test_upper_conical_coefficients_past_the_lp_range(eps, neighbour):
         upper_conical_check(u, (10, 10), eps=eps, hess_bound=1.0)
 
 
-def test_upper_conical_failed_lp_is_a_domain_error():
+@pytest.mark.parametrize("quadrant", [False, True], ids=["half-plane", "quadrant"])
+def test_upper_conical_one_sided_probe_finds_a_test(quadrant):
     # with every usable probe on one side of the point, the LP in the
-    # gradient is unbounded
+    # gradient is unbounded: t -> -inf, so a dominating quadratic exists
     mask = np.zeros((21, 21), dtype=bool)
     mask[:10] = True
     mask[10, :10] = True
-    u = GridFunction(np.where(mask, -np.inf, 0.0), [0, 0], 0.1, mask)
-    with pytest.raises(DomainError, match="feasibility LP failed"):
-        upper_conical_check(u, (10, 10), eps=0.1, hess_bound=1.0)
+    if quadrant:
+        mask[:, :10] = True
+    rng = np.random.default_rng(2)
+    u = GridFunction(np.where(mask, -np.inf, rng.uniform(-1, 1, mask.shape)), [0, 0], 0.1, mask)
+    eps, hess_bound = 0.1, 1.0
+    res = upper_conical_check(u, (10, 10), eps=eps, hess_bound=hess_bound)
+    assert res.test_found and res.slack == np.inf
+    offsets = np.array([o for o in itertools.product(range(-3, 4), repeat=2) if any(o)])
+    usable = ~mask[tuple((10 + offsets).T)]
+    xi = 0.1 * offsets[usable]
+    norms = np.linalg.norm(xi, axis=1)
+    c = u.values[tuple((10 + offsets[usable]).T)] - u.values[10, 10] + eps * norms
+    c -= 0.5 * hess_bound * norms**2
+    g = res.witness.gradient
+    assert np.all(np.isfinite(g))
+    assert np.all(xi @ g >= c)
 
 
 # -- grid files ---------------------------------------------------------------------------
