@@ -10,8 +10,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -40,15 +38,6 @@ def _default_seed() -> int:
         raise SpecParseError(f"CONECALC_SEED must be an integer: {exc}") from None
 
 
-def _write_text(path, text: str) -> None:
-    """Write an output file; a path that cannot be written is a usage
-    error, like an input that cannot be read."""
-    try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DomainError(f"could not write {path}: {exc}") from exc
-
-
 def _json_text(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -56,7 +45,7 @@ def _json_text(report: dict) -> str:
 def _emit(report: dict, output) -> None:
     text = _json_text(report)
     if output:
-        _write_text(output, text)
+        symmat.write_text(output, [text])
     sys.stdout.write(text)
 
 
@@ -68,10 +57,10 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _load_json(path):
+    text = symmat.read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DomainError(f"could not read JSON config {path}: {exc}") from exc
 
 
@@ -80,19 +69,10 @@ def _stencil(cfg: dict, problem) -> solver.StencilSet:
     return solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
 
 
-def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
-
-
 def _write_solve(rep: solver.SolveReport, grid_path, csv_path) -> list:
     """Write a solve's solution grid and its convergence CSV; return both paths."""
     grids.write_grid(grid_path, rep.solution)
-    _write_csv(csv_path, ["iteration", "residual_sup"],
-               [[it, repr(float(res))] for it, res in rep.history])
+    symmat.write_text(csv_path, ["iteration,residual_sup\n", *symmat.csv_lines(rep.history)])
     return [str(grid_path), str(csv_path)]
 
 
@@ -131,23 +111,20 @@ def _cmd_cone(args) -> tuple:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
-    """Fast-path versus definitional dual membership on random samples;
-    overflow at a huge magnitude raises a typed error, as in
-    ``cones.check_relation``."""
+    """Closed-form versus definitional dual margins on random samples, by
+    ``cones.dual_contains``' rule: they must agree to within the interior
+    threshold of each sample.  Overflow at a huge magnitude raises a typed
+    error, as in ``cones.check_relation``."""
     rng = np.random.default_rng(cfg.seed)
     mats = cones.sample_goe(rng, spec.dim, cfg.count, cfg.magnitude)
-    definitional = cones.margins(cones.dual_cone(spec), mats)
     fast = cones.dual_fast_margins(spec, mats)
     if fast is None:
-        # no closed form: check the duality involution instead
-        fast = cones.margins(cones.dual_cone(cones.dual_cone(spec)), mats)
-        definitional = cones.margins(spec, mats)
+        raise DomainError(f"check duality needs a cone with a closed-form dual "
+                          f"(p, pp, branch or cbranch), got {spec.describe()}")
+    definitional = cones.margins(cones.dual_cone(spec), mats)
     if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
         raise SamplingError("margins overflow; try a smaller magnitude")
-    band = cones.thresholds(mats, "interior")
-    decided = (np.abs(definitional) > band) & (np.abs(fast) > band)
-    agree = (definitional > 0) == (fast > 0)
-    bad = np.nonzero(decided & ~agree)[0]
+    bad = np.nonzero(np.abs(fast - definitional) > cones.thresholds(mats, "interior"))[0]
     if bad.size == 0:
         return True, None
     i = int(bad[0])
@@ -344,7 +321,7 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
         rel = err / peak
         rows.append((problem.h, err, rel))
     path = outdir / "errors.csv"
-    _write_csv(path, ["h", "sup_error", "rel_error"], [[repr(v) for v in row] for row in rows])
+    symmat.write_text(path, ["h,sup_error,rel_error\n", *symmat.csv_lines(rows)])
     report["errors"] = [
         {"h": h, "sup_error": e, "rel_error": r} for h, e, r in rows
     ]
@@ -374,7 +351,9 @@ _EXPERIMENTS = {
         ("problem", "puncture"),
         {"tol": _NUMBER, "gap_constant": _NUMBER,
          "polar_p": (lambda v: v is None or _is_number(v), "a number or null"),
-         "eps": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")},
+         "eps": (lambda v: isinstance(v, list) and v != []
+                 and all(_is_number(e) and e > 0 for e in v),
+                 "a non-empty list of numbers > 0")},
         {"sup_gap": _AT_MOST, "masked_gap": _AT_MOST},
     ),
     "solve": (_experiment_solve, ("problem",), {"tol": _NUMBER}, {"residual_sup": _AT_MOST}),
@@ -427,7 +406,7 @@ def _cmd_experiment(args) -> tuple:
         passed = passed and criteria[key][2](measured[key], bound)
     report["passed"] = bool(passed)
     # every file first, so that a failed write leaves stdout one report
-    _write_text(outdir / "report.json", _json_text(report))
+    symmat.write_text(outdir / "report.json", [_json_text(report)])
     return report, 0 if passed else MATH_EXIT
 
 

@@ -56,7 +56,6 @@ from .symmat import (
     partial_sum_eigs,
     pfold_index_sets,
     pfold_sums_eigs,
-    scale_of,
     top_partial_sum_eigs,
 )
 
@@ -760,8 +759,7 @@ def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = 250) -> PPSubset
     eye = np.eye(M.dim)
     mats = eye[None, :, :] - p * np.einsum("ki,kj->kij", es, es)
     m = margins(M, mats)
-    tol = CLOSED_TOL * scale_of(mats)
-    bad = np.nonzero(m < -tol)[0]
+    bad = np.nonzero(m < thresholds(mats))[0]
     if bad.size == 0:
         return PPSubsetReport(passed=True, p=float(p), checked=es.shape[0])
     i = int(bad[0])

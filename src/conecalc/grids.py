@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cones
 from .errors import DomainError, StencilError
-from .symmat import Frame, Jet2, SymMatrix
+from .symmat import Frame, Jet2, SymMatrix, csv_lines, read_text, write_text
 
 GRID_SCALE_NOTE = (
     "certified at grid scale only: subharmonicity of non-smooth data "
@@ -539,22 +539,15 @@ def upper_conical_check(
 
 
 def write_grid(path, u: GridFunction) -> None:
-    """Write the grid format: header, optional mask block, then value
-    rows.  A path that cannot be written raises DomainError."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            shape = ",".join(str(s) for s in u.shape)
-            origin = ",".join(repr(float(v)) for v in u.origin)
-            fh.write(f"grid n={u.ndim} shape={shape} origin={origin} h={u.h!r}\n")
-            # repr of a Python float is the shortest round-trip form, "-inf" included
-            if u.mask is not None:
-                fh.write("mask\n")
-                for row in u.mask.reshape(-1, u.shape[-1]).tolist():
-                    fh.write(",".join("1" if v else "0" for v in row) + "\n")
-            for row in u.values.reshape(-1, u.shape[-1]).tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
-    except OSError as exc:
-        raise DomainError(f"could not write grid file {path}: {exc}") from exc
+    """Write the grid format: header, optional mask block of 0/1 rows,
+    then value rows.  A path that cannot be written raises DomainError."""
+    shape = ",".join(str(s) for s in u.shape)
+    origin = ",".join(repr(float(v)) for v in u.origin)
+    blocks = [[f"grid n={u.ndim} shape={shape} origin={origin} h={u.h!r}\n"]]
+    if u.mask is not None:
+        blocks += [["mask\n"], csv_lines(u.mask.view(np.int8).reshape(-1, u.shape[-1]).tolist())]
+    blocks.append(csv_lines(u.values.reshape(-1, u.shape[-1]).tolist()))
+    write_text(path, itertools.chain.from_iterable(blocks))
 
 
 def parse_geometry(text: str):
@@ -579,12 +572,8 @@ _MASK_TOKENS = {"0": False, "1": True}
 
 
 def read_grid(path) -> GridFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"could not read grid file {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("grid "):
+    lines = read_text(path).split("\n")
+    if not lines[0].startswith("grid "):
         raise DomainError(f"not a grid file: {path}")
     shape, origin, h = parse_geometry(lines[0][len("grid ") :])
     nrows = math.prod(shape[:-1])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, PoleError, UnsupportedPolarError
-from .symmat import Jet2, SymMatrix, read_vectors_csv
+from .symmat import Jet2, SymMatrix, csv_lines, read_vectors_csv, write_text
 
 NEAR_POLE = 1e-12
 
@@ -295,7 +295,4 @@ def read_measure_csv(path) -> DiscreteMeasure:
 
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
-    data = np.column_stack([mu.points, mu.weights])
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_text(path, csv_lines(np.column_stack([mu.points, mu.weights]).tolist()))

@@ -956,7 +956,8 @@ def removability_experiment(
     solution plus eps times the polar stays subharmonic off the punctures
     for each eps; (v) compare extension with the full solution.  Passing
     needs the off-puncture sup gap below ``gap_constant * (h + tol)`` and
-    every perturbation check clean.
+    every perturbation check clean; ``eps_values`` must be a non-empty
+    sequence of finite numbers > 0, so that the polar enters every check.
 
     The partial-sum operator needs ``p >= 2`` (no finite point set is
     polar below that); branch operators additionally need a randomized
@@ -965,6 +966,9 @@ def removability_experiment(
     """
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
+    eps_values = tuple(eps_values)
+    if not (eps_values and all(0 < eps < math.inf for eps in eps_values)):
+        raise DomainError(f"eps values must be finite numbers > 0, at least one, got {eps_values}")
     kind, val = problem.operator
     nd = problem.ndim
     idx_pts = _lattice_indices(punctures, problem.origin, problem.h)

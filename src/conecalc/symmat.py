@@ -437,7 +437,33 @@ def pfold_sums(A, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# file formats
+# file formats: every file conecalc reads or writes goes through read_text
+# or write_text, and every numeric row through csv_lines
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded
+    raises DomainError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"could not read {path}: {exc}") from exc
+
+
+def write_text(path, chunks) -> None:
+    """Stream an iterable of strings to a UTF-8 file; a path that cannot be
+    written raises DomainError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DomainError(f"could not write {path}: {exc}") from exc
+
+
+def csv_lines(rows):
+    """Lines of comma-separated ``repr`` values, one per row, lazily."""
+    return (",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _parse_float_row(line: str, path, lineno: int) -> list[float]:
@@ -450,16 +476,12 @@ def _parse_float_row(line: str, path, lineno: int) -> list[float]:
 def _read_csv_blocks(path) -> list[list[list[float]]]:
     """Float rows of a CSV file, grouped into blocks at blank lines."""
     blocks = [[]]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    blocks[-1].append(_parse_float_row(line, path, lineno))
-                elif blocks[-1]:
-                    blocks.append([])
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"could not read {path}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.strip()
+        if line:
+            blocks[-1].append(_parse_float_row(line, path, lineno))
+        elif blocks[-1]:
+            blocks.append([])
     if len({len(row) for block in blocks for row in block}) > 1:
         raise DomainError(f"rows of {path} differ in length")
     return [block for block in blocks if block]
@@ -471,10 +493,7 @@ def read_matrix_csv(path) -> SymMatrix:
 
 
 def write_matrix_csv(path, A) -> None:
-    A = as_matrix(A)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in A.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_text(path, csv_lines(as_matrix(A).entries.tolist()))
 
 
 def read_vectors_csv(path) -> np.ndarray:

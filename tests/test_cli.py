@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conecalc import cli, grids, schema, solver
+from conecalc import cli, cones, grids, schema, solver
 from conecalc.errors import InternalConsistencyError
 from conecalc.grids import GridFunction, from_function, write_grid
 
@@ -169,6 +169,20 @@ def test_check_duality_branch():
     assert code == 0 and rep["passed"]
 
 
+def test_check_duality_catches_a_wrong_closed_form(monkeypatch, capsys):
+    # branch:k dualizes to eigenvalue n - k + 1 (1-based); n - k is wrong
+    def reflect_wrong(spec, mats):
+        return np.linalg.eigvalsh(mats)[..., spec.dim - spec.k - 1]
+
+    monkeypatch.setattr(cones, "dual_fast_margins", reflect_wrong)
+    assert cli.main(["check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "200"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    schema.validate_report(rep)
+    assert not rep["passed"]
+    bad = rep["counterexample"]
+    assert bad["fast_margin"] != pytest.approx(bad["definitional_margin"])
+
+
 def test_check_pp_subset_failure_carries_witness():
     code, rep = output_of(
         "check", "pp-subset", "--m", "pdelta:1", "--dim", "3", "--p", "2.01"
@@ -291,9 +305,11 @@ def test_solve_writes_solution_and_history(tmp_path):
     sol = grids.read_grid(str(prefix) + ".grid")
     X, Y = grids.grid_coordinates(sol.shape, sol.origin, sol.h)
     assert np.max(np.abs(sol.values - (X * X - Y * Y))) <= 1e-8
-    lines = Path(str(prefix) + "_convergence.csv").read_text().splitlines()
+    raw = Path(str(prefix) + "_convergence.csv").read_bytes()
+    lines = raw.decode().splitlines()
     assert lines[0] == "iteration,residual_sup"
     assert len(lines) >= 2
+    assert raw.endswith(b"\n") and b"\r" not in raw  # "\n" line ends, as in every file
 
 
 def test_solve_max_iter_caps_the_policy_steps(tmp_path, capsys):
@@ -374,9 +390,11 @@ def test_experiment_convergence_curves(tmp_path):
     outdir = tmp_path / "out"
     code, rep = output_of("experiment", "--config", cfile, "--output-dir", outdir)
     assert code == 0 and rep["passed"]
-    lines = (outdir / "errors.csv").read_text().splitlines()
+    raw = (outdir / "errors.csv").read_bytes()
+    lines = raw.decode().splitlines()
     assert lines[0] == "h,sup_error,rel_error"
     assert len(lines) == 4
+    assert raw.endswith(b"\n") and b"\r" not in raw
 
 
 def test_stencil_reach_is_read_from_the_problem_by_solve_and_experiment(tmp_path, monkeypatch, capsys):
@@ -426,6 +444,7 @@ _BAD_INPUT_FILES = {
     "nopuncture.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM}),
     "noresolutions.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM}),
     "notobject.json": "[1]",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
     "reachabc.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach="abc")),
     "reach25.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2.5)),
     "expreach.json": json.dumps({"kind": "solve", "problem": dict(_GOOD_PROBLEM, stencil_reach=2.5)}),
@@ -452,6 +471,12 @@ _BAD_INPUT_FILES = {
     "tol.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": "x"}),
     "eps.json": json.dumps(
         {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": "ab"}
+    ),
+    "epsnone.json": json.dumps(
+        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": []}
+    ),
+    "epszero.json": json.dumps(
+        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": [0]}
     ),
     "gap.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
                             "puncture": [[0, 0]], "gap_constant": "x"}),
@@ -504,6 +529,7 @@ _BAD_INPUT_FILES = {
                      id="polar-grid-dimension"),
         pytest.param(["solve", "--problem", "list.json"], id="problem-list"),
         pytest.param(["solve", "--problem", "pabc.json"], id="problem-p-text"),
+        pytest.param(["solve", "--problem", "deep.json"], id="problem-nested-too-deep"),
         pytest.param(["solve", "--problem", "origin.json"], id="problem-origin-dimension"),
         pytest.param(["solve", "--problem", "hole.json"], id="problem-hole-no-max"),
         pytest.param(["solve", "--problem", "puncture.json"], id="problem-puncture-not-list"),
@@ -542,6 +568,10 @@ _BAD_INPUT_FILES = {
                      id="experiment-tol-text"),
         pytest.param(["experiment", "--config", "eps.json", "--output-dir", "out"],
                      id="experiment-eps-text"),
+        pytest.param(["experiment", "--config", "epsnone.json", "--output-dir", "out"],
+                     id="experiment-eps-empty"),
+        pytest.param(["experiment", "--config", "epszero.json", "--output-dir", "out"],
+                     id="experiment-eps-zero"),
         pytest.param(["experiment", "--config", "gap.json", "--output-dir", "out"],
                      id="experiment-gap-constant-text"),
         pytest.param(["experiment", "--config", "polarp.json", "--output-dir", "out"],
@@ -569,9 +599,11 @@ _BAD_INPUT_FILES = {
         pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
                       "--samples", "200", "--seed", "1", "--magnitude", "inf"],
                      id="magnitude-inf"),
-        pytest.param(["check", "duality", "--f", "sigma:2", "--dim", "3",
-                      "--samples", "200", "--seed", "1", "--magnitude", "1e300"],
+        pytest.param(["check", "duality", "--f", "pp:2", "--dim", "3",
+                      "--samples", "200", "--seed", "1", "--magnitude", "1e308"],
                      id="duality-margins-overflow"),
+        pytest.param(["check", "duality", "--f", "pdelta:0.5", "--dim", "3", "--samples", "200"],
+                     id="duality-without-closed-form"),
         pytest.param(["grid", "extend", "--input", "hinf.grid", "--grid-output", "x.grid"],
                      id="grid-h-inf"),
         pytest.param(["grid", "extend", "--input", "originnan.grid", "--grid-output", "x.grid"],

@@ -2,17 +2,19 @@
 error (a ConecalcError that the CLI maps to exit 2), never another
 exception and never a warning."""
 
+import ast
 import json
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecalc import cli, grids, riesz, solver, symmat
-from conecalc.errors import ConecalcError
+from conecalc.errors import ConecalcError, DomainError
 
 # valid numbers outweigh the junk, so that many drawn files parse
 _NUMBERS = ["0", "1", "-1", "0.5", "-0", "2.5e-3", "1e-320", "1.7e308", "-inf"]
@@ -153,3 +155,66 @@ def test_reader_gives_an_object_or_a_usage_error(name, data):
             assert read(str(path)) is not None
         except ConecalcError as exc:
             assert cli.exit_code(exc) == cli.USAGE_EXIT
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_a_file_that_is_not_utf8_is_a_usage_error(name, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"grid n=1 shape=2 origin=0 h=1\n0,1\xff\n")
+    with pytest.raises(DomainError, match="could not read"):
+        _READERS[name][0](str(path))
+
+
+_WRITERS = {
+    "grid": lambda path: grids.write_grid(path, grids.GridFunction(np.eye(2), [0, 0], 1.0)),
+    "matrix": lambda path: symmat.write_matrix_csv(path, np.eye(2)),
+    "measure": lambda path: riesz.write_measure_csv(path, riesz.DiscreteMeasure([[0, 1]], [1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_a_writer_into_a_missing_directory_is_a_usage_error(name, tmp_path):
+    with pytest.raises(DomainError, match="could not write"):
+        _WRITERS[name](tmp_path / "missing" / "out")
+
+
+# -- one text-file layer ---------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "conecalc"
+# (module, function) that may open a file; the schema is a package resource
+_FILE_ACCESS = {("symmat.py", "read_text"), ("symmat.py", "write_text"),
+                ("schema.py", "load_schema")}
+_OPENERS = {"open", "fdopen", "loadtxt", "savetxt", "genfromtxt"}
+_PATH_IO = {"read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_openings(path):
+    """(line, enclosing function) of each call in a module that can open a
+    file: ``open`` in any form, numpy's text readers and writers, and the
+    ``Path`` text methods (``symmat.read_text`` and ``write_text`` aside)."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((inner, node.name) for inner in ast.walk(node))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            opens = f.id in _OPENERS
+        elif isinstance(f, ast.Attribute):
+            via_symmat = isinstance(f.value, ast.Name) and f.value.id == "symmat"
+            opens = f.attr in _OPENERS or (f.attr in _PATH_IO and not via_symmat)
+        else:
+            opens = False
+        if opens:
+            yield node.lineno, owner.get(node)
+
+
+def test_only_symmat_read_text_and_write_text_open_files():
+    found = {(path.name, line, func) for path in sorted(_SRC.glob("*.py"))
+             for line, func in _file_openings(path)}
+    assert {(name, func) for name, _, func in found} >= _FILE_ACCESS  # the scan sees them
+    assert sorted((name, line, func) for name, line, func in found
+                  if (name, func) not in _FILE_ACCESS) == []

@@ -859,6 +859,21 @@ def test_3d_minmax_branch_by_nested_policy_iteration():
     assert worst <= 1e-8
 
 
+def test_3d_minmax_outer_loop_stops_when_the_pairs_repeat():
+    # at tol 0 the residual cannot reach tol; the outer loop ends because
+    # its fourth step would hold the same pairs as its third, well before
+    # the step cap
+    prob = problem_from_config(_minmax_config(7))
+    reports = [solve(prob, stencil=make_stencil(3, 2), tol=0.0) for _ in range(2)]
+    rep = reports[0]
+    assert [n for n, _ in rep.history] == [0, 5, 8, 10]
+    assert [r for _, r in rep.history[:3]] == pytest.approx([1.0, 1.3, 0.363636], rel=1e-5)
+    assert rep.iterations == 10 and len(rep.history) - 1 < solver.POLICY_STEP_CAP
+    assert rep.residual_sup <= 1e-14 and not rep.converged
+    assert reports[1].history == rep.history
+    assert np.array_equal(reports[1].solution.values, rep.solution.values)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the min-max form discretizes (lambda_1 + lambda_2) / 2, not lambda_2",
@@ -958,6 +973,20 @@ def test_removability_rejects_uncertified_branch():
     prob = problem_from_config(cfg)
     with pytest.raises(DomainError):
         removability_experiment(prob, [[0.25, 0.25]], polar_p=2.0)
+
+
+@pytest.mark.parametrize("eps_values", [(), (0.0,), (1e-2, -1e-3), (float("inf"),)],
+                         ids=["none", "zero", "negative", "inf"])
+def test_removability_needs_positive_eps(eps_values):
+    # eps = 0 leaves u unchanged, so the polar would enter no check
+    prob = problem_from_config({
+        "operator": "pp",
+        "p": 2,
+        "grid": {"shape": [9, 9], "origin": [-1, -1], "h": 0.25},
+        "boundary": {"expr": "x*x - y*y"},
+    })
+    with pytest.raises(DomainError, match="eps"):
+        removability_experiment(prob, [[0.0, 0.0]], eps_values=eps_values)
 
 
 def test_removability_quadratic_case():
