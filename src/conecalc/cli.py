@@ -22,7 +22,6 @@ from .errors import (
     ConecalcError,
     DomainError,
     PoleError,
-    SamplingError,
     SpecParseError,
     UnsupportedPolarError,
 )
@@ -109,33 +108,6 @@ def _cmd_cone(args) -> tuple:
     return report, 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _duality_check(spec: cones.ConeSpec, cfg: cones.SampleConfig):
-    """Closed-form versus definitional dual margins on random samples, by
-    ``cones.dual_contains``' rule: they must agree to within the interior
-    threshold of each sample.  Overflow at a huge magnitude raises a typed
-    error, as in ``cones.check_relation``."""
-    rng = np.random.default_rng(cfg.seed)
-    mats = cones.sample_goe(rng, spec.dim, cfg.count, cfg.magnitude)
-    fast = cones.dual_fast_margins(spec, mats)
-    if fast is None:
-        raise DomainError(f"check duality needs a cone with a closed-form dual "
-                          f"(p, pp, branch or cbranch), got {spec.describe()}")
-    definitional = cones.margins(cones.dual_cone(spec), mats)
-    if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
-        raise SamplingError("margins overflow; try a smaller magnitude")
-    bad = np.nonzero(np.abs(fast - definitional) > cones.thresholds(mats, "interior"))[0]
-    if bad.size == 0:
-        return True, None
-    i = int(bad[0])
-    return False, {
-        "sample_index": i,
-        "A": mats[i].tolist(),
-        "definitional_margin": float(definitional[i]),
-        "fast_margin": float(fast[i]),
-    }
-
-
 def _cmd_check(args) -> tuple:
     cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
     report = {"kind": args.kind, "dim": args.dim, "samples": args.samples}
@@ -157,10 +129,11 @@ def _cmd_check(args) -> tuple:
             report["margins"] = rel.to_dict()["margins"]
     elif args.kind == "duality":
         F = cones.parse_cone(args.f, args.dim)
-        passed, counter = _duality_check(F, cfg)
-        report.update({"f": F.describe(), "passed": passed})
-        if counter:
-            report["counterexample"] = counter
+        dual = cones.check_duality(F, cfg)
+        report.update({"f": F.describe(), "passed": dual.passed})
+        if not dual.passed:
+            report["counterexample"] = {"sample_index": dual.failure_index,
+                                        "A": dual.counterexample.tolist(), **dual.margins}
     elif args.kind == "pp-subset":
         M = cones.parse_cone(args.m, args.dim)
         if args.p is None:
@@ -302,6 +275,8 @@ def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
 def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
     base = solver.problem_from_config(cfg["problem"])
     span = (base.shape[0] - 1) * base.h
+    for nside in cfg["resolutions"]:  # every size before any solve
+        grids.check_point_count([nside] * base.ndim)
     rows = []
     for nside in cfg["resolutions"]:
         grid = {"shape": [nside] * base.ndim, "origin": base.origin.tolist(),

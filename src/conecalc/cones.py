@@ -24,9 +24,10 @@ whether it is asked as ``dual:<base>`` or through ``dual_contains``.
 Geometric cones are exact for their listed planes only and their reports
 carry ``sampled=True``.
 
-Randomized certifications are deterministic given a seed and independent
-of any worker split: samples are generated up front from one generator
-and processed in index order.
+Randomized checks are deterministic given a seed and independent of any
+worker split: samples are drawn from one seeded generator and tested in
+index order, in blocks of at most ``_BLOCK_ENTRIES`` matrix entries per
+stack, so their memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ from .symmat import (
 CLOSED_TOL = 1e-9
 INTERIOR_TOL = 1e-7
 GARDING_DIM_CAP = 12
+
+# entries per sample stack in one block of a randomized check: 256 KiB of
+# float64, whatever the sample count
+_BLOCK_ENTRIES = 2**15
+# the largest ambient dimension: one matrix of it still fits in a block
+DIM_CAP = math.isqrt(_BLOCK_ENTRIES)  # 181
+# the largest sample count: at the ~6e4 samples/s of a dim-6 relation
+# (mapb:3:k against pp:3, one core), 10^8 samples take half an hour
+SAMPLE_CAP = 10**8
 
 
 def _whole(tok: str) -> float:
@@ -104,8 +114,8 @@ class ConeSpec:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown cone kind {self.kind!r}")
         n = self.dim
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise DomainError(f"ambient dim must be a positive integer, got {n!r}")
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= DIM_CAP):
+            raise DomainError(f"ambient dim must be an integer in [1, {DIM_CAP}], got {n!r}")
         if self.k is not None:
             try:
                 whole = float(self.k).is_integer()
@@ -555,16 +565,29 @@ class SampleConfig:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise DomainError(f"sample count must be >= 1, got {self.count}")
+        if not 1 <= self.count <= SAMPLE_CAP:
+            raise DomainError(f"sample count must be in [1, {SAMPLE_CAP}], got {self.count}")
         if not 0 < self.magnitude < math.inf:
             raise DomainError(f"magnitude must be finite and > 0, got {self.magnitude}")
 
 
 def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 1.0):
-    """Gaussian-orthogonal-ensemble matrices of shape (count, n, n)."""
-    G = rng.standard_normal((count, n, n)) * magnitude
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    """Gaussian-orthogonal-ensemble matrices of shape (count, n, n),
+    ``0.5 * (G + G^T)`` for ``G = magnitude * standard normal``, built in
+    the drawn array."""
+    G = rng.standard_normal((count, n, n))
+    G *= magnitude
+    G += np.swapaxes(G, -1, -2)  # numpy buffers the overlapping operand
+    G *= 0.5
+    return G
+
+
+def _blocks(count: int, dim: int):
+    """``(start, size)`` of each sampling block of ``count`` samples in
+    ``dim``, in index order; DIM_CAP keeps every block at least one matrix."""
+    step = _BLOCK_ENTRIES // dim**2
+    for start in range(0, count, step):
+        yield start, min(step, count - start)
 
 
 def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
@@ -594,22 +617,27 @@ def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
 
 def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
     """Shift each matrix along the identity onto the cone boundary, by
-    ``membership_shift``: members come back unchanged, every other matrix
-    lands essentially on the boundary, from inside."""
+    ``membership_shift``, and return the stack: members stay unchanged,
+    every other matrix lands essentially on the boundary, from inside.
+    A writable float stack is shifted in place, any other input in a copy
+    (a SymMatrix's entries are read-only)."""
     mats = _stack(mats)
+    if not mats.flags.writeable:
+        mats = mats.copy()
     t = membership_shift(spec, mats)
     rows = np.nonzero(t)[0]
-    if rows.size == 0:
-        return mats
-    out = mats.copy()
     diag = np.arange(spec.dim)
-    out[rows[:, None], diag, diag] += t[rows, None]
-    return out
+    mats[rows[:, None], diag, diag] += t[rows, None]
+    return mats
 
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Result of a randomized ``F + M subset F`` certification."""
+    """Result of a randomized ``F + M subset F`` certification.
+
+    ``checked`` counts the samples tested: all of them on a pass, those
+    through the failing block otherwise.
+    """
 
     passed: bool
     checked: int
@@ -640,39 +668,98 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     """Certify ``F + M subset F`` on seeded random samples.
 
     Draws A in F and B in M (GOE samples shifted along the identity onto
-    the cone boundary) and verifies A + B stays in F.  Returns the first
-    counterexample with margins, or a pass.  Deterministic given the seed.
-    Overflow at a huge magnitude raises a typed error, not a warning:
-    DomainError for non-finite samples (``eigenvalues_of``), SamplingError
-    for non-finite shifts or margins.
+    the cone boundary) and verifies A + B stays in F.  Each block of
+    ``_blocks`` draws its A stack and then its B stack from the one
+    generator seeded with ``cfg.seed``, so a count within one block draws
+    the stream of an unblocked check.  Returns at the first block with a
+    counterexample: its global index, the pair, and its rows of the
+    block's stacked margins; or a pass.  Overflow at a huge magnitude
+    raises a typed error, not a warning: DomainError for non-finite
+    samples (``eigenvalues_of``), SamplingError for non-finite shifts or
+    margins.
     """
     if F.dim != M.dim:
         raise DimensionMismatchError(f"cone dims differ: {F.dim} vs {M.dim}")
     rng = np.random.default_rng(cfg.seed)
-    A = force_membership(F, sample_goe(rng, F.dim, cfg.count, cfg.magnitude))
-    B = force_membership(M, sample_goe(rng, M.dim, cfg.count, cfg.magnitude))
-    S = A + B
-    m = margins(F, S)
-    if not np.all(np.isfinite(m)):
-        raise SamplingError("margins overflow; try a smaller magnitude")
-    bad = np.nonzero(m < thresholds(S))[0]
-    if bad.size == 0:
-        return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)
-    i = int(bad[0])
-    # rows of the stacked margins: for geom/horiz a lone matrix's margin can
-    # differ from its stack row in the last bit (einsum's summation order)
-    return RelationReport(
-        passed=False,
-        checked=cfg.count,
-        seed=cfg.seed,
-        failure_index=i,
-        counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
-        margins={
-            "margin_a": float(margins(F, A)[i]),
-            "margin_b": float(margins(M, B)[i]),
-            "margin_sum": float(m[i]),
-        },
-    )
+    for start, size in _blocks(cfg.count, F.dim):
+        A = force_membership(F, sample_goe(rng, F.dim, size, cfg.magnitude))
+        B = force_membership(M, sample_goe(rng, M.dim, size, cfg.magnitude))
+        S = A + B
+        m = margins(F, S)
+        if not np.all(np.isfinite(m)):
+            raise SamplingError("margins overflow; try a smaller magnitude")
+        bad = np.nonzero(m < thresholds(S))[0]
+        if bad.size == 0:
+            continue
+        i = int(bad[0])
+        # rows of the stacked margins: for geom/horiz a lone matrix's margin can
+        # differ from its stack row in the last bit (einsum's summation order)
+        return RelationReport(
+            passed=False,
+            checked=start + size,
+            seed=cfg.seed,
+            failure_index=start + i,
+            counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
+            margins={
+                "margin_a": float(margins(F, A)[i]),
+                "margin_b": float(margins(M, B)[i]),
+                "margin_sum": float(m[i]),
+            },
+        )
+    return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)
+
+
+@dataclass(frozen=True)
+class DualityReport:
+    """Result of a randomized check of a closed-form dual margin.
+
+    ``checked`` counts as in RelationReport; a failure carries the sample
+    and its ``definitional_margin`` and ``fast_margin``.
+    """
+
+    passed: bool
+    checked: int
+    seed: int
+    failure_index: Optional[int] = None
+    counterexample: Optional[np.ndarray] = None
+    margins: Optional[dict] = None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
+    """Closed-form versus definitional dual margins on seeded GOE samples,
+    by ``dual_contains``' rule: they must agree to within the interior
+    threshold of each sample.  Samples are drawn and tested block by
+    block, as in ``check_relation``, which also gives the overflow errors.
+    A cone without a closed-form dual raises DomainError.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    dual = dual_cone(spec)
+    for start, size in _blocks(cfg.count, spec.dim):
+        mats = sample_goe(rng, spec.dim, size, cfg.magnitude)
+        fast = dual_fast_margins(spec, mats)
+        if fast is None:
+            raise DomainError(f"check duality needs a cone with a closed-form dual "
+                              f"(p, pp, branch or cbranch), got {spec.describe()}")
+        definitional = margins(dual, mats)
+        if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
+            raise SamplingError("margins overflow; try a smaller magnitude")
+        bad = np.nonzero(np.abs(fast - definitional) > thresholds(mats, "interior"))[0]
+        if bad.size == 0:
+            continue
+        i = int(bad[0])
+        return DualityReport(
+            passed=False,
+            checked=start + size,
+            seed=cfg.seed,
+            failure_index=start + i,
+            counterexample=mats[i].copy(),
+            margins={
+                "definitional_margin": float(definitional[i]),
+                "fast_margin": float(fast[i]),
+            },
+        )
+    return DualityReport(passed=True, checked=cfg.count, seed=cfg.seed)
 
 
 # -- unit-vector family test and Riesz characteristic ------------------------

@@ -28,6 +28,9 @@ GRID_SCALE_NOTE = (
 )
 
 EXTENSION_RADIUS_CAP = 5
+# the most points a lattice may have, checked before any array over it is
+# built: 1025^2 and 128^3 lattices fit, and one float64 array is 16 MiB
+POINT_CAP = 2**21
 _PROBE_RADIUS = 3  # Chebyshev radius of upper_conical_check's probe neighborhood
 # HiGHS reads a bound of this magnitude or more as infinite
 _LP_INFINITY = 1e20
@@ -550,6 +553,14 @@ def write_grid(path, u: GridFunction) -> None:
     write_text(path, itertools.chain.from_iterable(blocks))
 
 
+def check_point_count(shape) -> None:
+    """Raise DomainError for a lattice of more than POINT_CAP points."""
+    count = math.prod(shape)
+    if count > POINT_CAP:
+        raise DomainError(f"a lattice of shape {list(shape)} has {count} points, "
+                          f"above the cap of {POINT_CAP}")
+
+
 def parse_geometry(text: str):
     """Shape, origin and h from ``shape=.. origin=.. h=..`` tokens; an
     ``n=`` token, as in a grid file header, must agree with the shape."""
@@ -563,6 +574,7 @@ def parse_geometry(text: str):
         raise DomainError(f"malformed grid geometry {text!r}: {exc}") from exc
     if len(shape) != nd or origin.shape[0] != nd or min(shape) < 1:
         raise DomainError(f"grid geometry {text!r} has inconsistent dimensions")
+    check_point_count(shape)
     if not (0 < h < math.inf and np.all(np.isfinite(origin))):
         raise DomainError(f"grid geometry {text!r} needs a finite origin and a finite h > 0")
     return shape, origin, h

@@ -312,6 +312,7 @@ def _check_lattice(shape: tuple, origin: np.ndarray, h: float) -> None:
         raise DomainError("origin dimension does not match the shape")
     if any(s < 5 for s in shape):
         raise DomainError("grids need at least 5 points per axis")
+    grids.check_point_count(shape)
     if not 0 < h < math.inf:
         raise DomainError(f"grid spacing must be finite and > 0, got {h}")
     if not np.all(np.isfinite(origin)):

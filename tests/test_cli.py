@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,17 @@ def test_cone_parse_error_position_and_exit():
     schema.validate_report(rep)
     assert rep["error"]["kind"] == "parse"
     assert rep["error"]["position"] > 0
+
+
+def test_cone_dimension_above_the_cap_is_a_parse_error(capsys):
+    argv = ["check", "monotone", "--f", "pp:2", "--m", "pp:2", "--dim", str(cones.DIM_CAP + 1)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "parse"
+    assert f"[1, {cones.DIM_CAP}]" in rep["error"]["message"]
+    assert err == ""
 
 
 @pytest.mark.parametrize("matrix", [[], ["--matrix", "A.csv"]], ids=["cone", "membership"])
@@ -505,6 +517,14 @@ _BAD_INPUT_FILES = {
         {"kind": "convergence", "problem": dict(_GOOD_PROBLEM, boundary={"expr": "0*x"}),
          "resolutions": [9]}
     ),
+    # lattices of more points than grids.POINT_CAP, one of them just above it
+    "hugeshape.json": json.dumps(dict(_GOOD_PROBLEM, grid={"shape": [5, 10**12],
+                                                           "origin": [-1, -1], "h": 0.25})),
+    "capshape.json": json.dumps(dict(_GOOD_PROBLEM, grid={"shape": [5, grids.POINT_CAP // 5 + 1],
+                                                          "origin": [-1, -1], "h": 0.25})),
+    "capheader.grid": f"grid n=2 shape={grids.POINT_CAP + 1},1 origin=0,0 h=0.5\n",
+    "capconvergence.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
+                                       "resolutions": [9, math.isqrt(grids.POINT_CAP) + 1]}),
 }
 
 
@@ -604,6 +624,19 @@ _BAD_INPUT_FILES = {
                      id="duality-margins-overflow"),
         pytest.param(["check", "duality", "--f", "pdelta:0.5", "--dim", "3", "--samples", "200"],
                      id="duality-without-closed-form"),
+        pytest.param(["check", "monotone", "--f", "mapb:3:1", "--m", "pp:3", "--dim", "6",
+                      "--samples", str(cones.SAMPLE_CAP + 1)], id="samples-above-cap"),
+        pytest.param(["check", "duality", "--f", "pp:2", "--dim", "3", "--samples", str(10**12)],
+                     id="duality-samples-above-cap"),
+        pytest.param(["solve", "--problem", "hugeshape.json"], id="problem-shape-huge"),
+        pytest.param(["solve", "--problem", "capshape.json"], id="problem-shape-above-cap"),
+        pytest.param(["grid", "extend", "--input", "capheader.grid", "--grid-output", "x.grid"],
+                     id="grid-header-above-cap"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      f"shape={grids.POINT_CAP + 1},1 origin=0,0 h=0.25", "--grid-output",
+                      "x.grid"], id="polar-grid-above-cap"),
+        pytest.param(["experiment", "--config", "capconvergence.json", "--output-dir", "out"],
+                     id="convergence-resolution-above-cap"),
         pytest.param(["grid", "extend", "--input", "hinf.grid", "--grid-output", "x.grid"],
                      id="grid-h-inf"),
         pytest.param(["grid", "extend", "--input", "originnan.grid", "--grid-output", "x.grid"],
@@ -695,6 +728,7 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
 @pytest.mark.parametrize("argv", [
     ["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
      "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
+    ["check", "positivity", "--f", "pp:2", "--dim", "3", "--samples", str(10**12)],
     ["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5", "--measure", "empty.csv"],
     ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
     ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2", "--c-tol", "1"],
@@ -705,7 +739,7 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
      "--eps", "1", "--grid-output", "x.grid"],
     ["experiment", "--config", "punctnan.json", "--output-dir", "out"],
     ["experiment", "--config", "punctinf.json", "--output-dir", "out"],
-], ids=["magnitude-overflows", "measure-empty", "grid-verify-overflow",
+], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
         "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
         "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_membership_shift_is_minimal_and_lands_inside(name, data):
     spec, mats, _ = data.draw(shifted_stacks(name))
     f, _ = cones._margin_machine(spec, mats)
     t = cones.membership_shift(spec, mats)
-    out = cones.force_membership(spec, mats)
+    out = cones.force_membership(spec, mats.copy())  # shifts its stack in place
     members = f(0.0) >= 0.0
     # members come back bitwise unchanged; the rest move by t along I
     assert out[members].tobytes() == mats[members].tobytes()
@@ -308,6 +309,16 @@ def test_membership_shift_beyond_the_float_range_is_a_sampling_error(spec):
     # the eigenvalues are finite, their sum and so the shift are not
     with np.errstate(all="ignore"), pytest.raises(SamplingError, match="smaller magnitude"):
         cones.membership_shift(spec, -1e308 * np.eye(3))
+
+
+def test_force_membership_shifts_a_writable_stack_in_place():
+    mats = np.array([np.diag([-1.0, 2.0]), np.eye(2)])
+    assert cones.force_membership(positivity(2), mats) is mats
+    assert mats.tolist() == [[[0.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 1.0]]]
+    # a SymMatrix's read-only entries are shifted in a copy
+    A = SymMatrix(np.diag([-1.0, 2.0]))
+    assert cones.force_membership(positivity(2), A).tolist() == [[[0.0, 0.0], [0.0, 3.0]]]
+    assert A.entries.tolist() == [[-1.0, 0.0], [0.0, 2.0]]
 
 
 def test_pucci_shift_at_the_float_range_is_its_breakpoint():
@@ -433,23 +444,84 @@ def test_check_relation_deterministic():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_check_relation_reports_the_stacked_margins():
-    # a geom margin of one matrix can differ in the last bit from its row in
-    # the sampled stack; the report carries the rows that were tested
-    F = geometric_cone([Frame(np.array([[0.6, 0.8]]))], 2)
-    M = branch_cone(2, 2)
-    cfg = SampleConfig(seed=2, count=50)
-    rep = check_relation(F, M, cfg)
-    assert not rep.passed
+def _replay_block(F, M, cfg, index):
+    """Draw ``check_relation``'s blocks in order up to the one that holds
+    sample ``index``; return its first global index and its A, B stacks."""
     rng = np.random.default_rng(cfg.seed)
-    A = cones.force_membership(F, cones.sample_goe(rng, 2, cfg.count, cfg.magnitude))
-    B = cones.force_membership(M, cones.sample_goe(rng, 2, cfg.count, cfg.magnitude))
-    i = rep.failure_index
+    step = cones._BLOCK_ENTRIES // F.dim**2
+    for start in range(0, cfg.count, step):
+        size = min(step, cfg.count - start)
+        A = cones.force_membership(F, cones.sample_goe(rng, F.dim, size, cfg.magnitude))
+        B = cones.force_membership(M, cones.sample_goe(rng, M.dim, size, cfg.magnitude))
+        if index < start + size:
+            return start, A, B
+    raise AssertionError(f"sample {index} is past the count {cfg.count}")
+
+
+def _assert_report_is_replayed(F, M, cfg, rep):
+    start, A, B = _replay_block(F, M, cfg, rep.failure_index)
+    i = rep.failure_index - start
+    assert rep.checked == start + A.shape[0]
+    assert rep.counterexample[0].entries.tobytes() == A[i].tobytes()
+    assert rep.counterexample[1].entries.tobytes() == B[i].tobytes()
     assert rep.margins == {
         "margin_a": margins(F, A)[i],
         "margin_b": margins(M, B)[i],
         "margin_sum": margins(F, A + B)[i],
     }
+
+
+def test_check_relation_reports_the_stacked_margins():
+    # a geom margin of one matrix can differ in the last bit from its row in
+    # the sampled stack; the report carries the rows that were tested, in
+    # one block and in a count of several blocks (8192 matrices each in dim 2)
+    F = geometric_cone([Frame(np.array([[0.6, 0.8]]))], 2)
+    M = branch_cone(2, 2)
+    for count in (50, 20_000):
+        cfg = SampleConfig(seed=2, count=count)
+        rep = check_relation(F, M, cfg)
+        assert not rep.passed
+        _assert_report_is_replayed(F, M, cfg, rep)
+
+
+def test_check_relation_reports_a_failure_in_a_later_block():
+    # pp:1.5 is not pp:1.6-monotone; with this seed the first counterexample
+    # is sample 2231, in the second block of 2048 matrices in dim 4
+    F, M = pp_cone(1.5, 4), pp_cone(1.6, 4)
+    cfg = SampleConfig(seed=1, count=5000)
+    rep = check_relation(F, M, cfg)
+    assert not rep.passed
+    assert rep.failure_index == 2231 and rep.checked == 4096
+    _assert_report_is_replayed(F, M, cfg, rep)
+
+
+@pytest.mark.parametrize("check", ["relation", "duality"])
+def test_randomized_checks_run_in_bounded_memory(check):
+    # 3e4 samples in dim 6 take 33 blocks of 910 matrices; a relation that
+    # held every stack at once traced a 46.6 MB peak
+    cfg = SampleConfig(seed=1, count=30_000)
+    tracemalloc.start()
+    try:
+        if check == "relation":
+            rep = check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), cfg)
+        else:
+            rep = cones.check_duality(pp_cone(3.0, 6), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checked == cfg.count
+    assert peak < 2e6
+
+
+def test_sample_count_and_dimension_caps():
+    # just above each cap, so that nothing is allocated
+    SampleConfig(count=cones.SAMPLE_CAP)
+    with pytest.raises(DomainError, match="sample count"):
+        SampleConfig(count=cones.SAMPLE_CAP + 1)
+    assert cones.DIM_CAP**2 <= cones._BLOCK_ENTRIES < (cones.DIM_CAP + 1) ** 2
+    positivity(cones.DIM_CAP)
+    with pytest.raises(DomainError, match="ambient dim"):
+        positivity(cones.DIM_CAP + 1)
 
 
 def test_pdelta_margin_with_entries_near_lapack_underflow():
