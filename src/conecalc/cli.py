@@ -94,7 +94,7 @@ def _cmd_cone(args) -> tuple:
         }
         report.update(rep.to_dict())
         return report, 0 if report["member"] else MATH_EXIT
-    rc = cones.riesz_characteristic(spec, tol=args.tol, sphere_samples=args.samples)
+    rc = cones.riesz_characteristic(spec, sphere_samples=args.samples)
     report = {
         "cone": spec.describe(),
         "dim": spec.dim,
@@ -138,7 +138,7 @@ def _cmd_check(args) -> tuple:
         M = cones.parse_cone(args.m, args.dim)
         if args.p is None:
             raise DomainError("pp-subset needs --p")
-        sub = cones.pp_subset_test(M, args.p, sphere_samples=max(args.samples, 1))
+        sub = cones.pp_subset_test(M, args.p, sphere_samples=args.samples)
         report.update({"m": M.describe(), "p": float(args.p), "passed": sub.passed})
         if not sub.passed:
             report["counterexample"] = {
@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="Riesz characteristic and dual of a cone")
     p.add_argument("--spec", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=250)
     p.add_argument("--matrix", default=None,
                    help="matrix CSV; report membership instead of the characteristic")

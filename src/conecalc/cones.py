@@ -776,20 +776,22 @@ def _normal_quantile(u: np.ndarray) -> np.ndarray:
     return np.frompyfunc(NormalDist().inv_cdf, 1, 1)(u).astype(float)
 
 
-def sphere_lattice(n: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit vectors, shape (count, n).
+def sphere_lattice(n: int, count: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows ``start:stop`` (default all) of ``count`` deterministic
+    low-discrepancy unit vectors in R^n; each row depends only on its index.
 
     Uses equal angles on the circle, a Fibonacci spiral on the 2-sphere,
     and a Weyl sequence pushed through the inverse normal CDF above.
     """
     count = max(1, int(count))
+    k = np.arange(start, count if stop is None else stop)
     if n == 1:
-        return np.ones((1, 1))
+        return np.ones((k.size, 1))
     if n == 2:
-        theta = np.pi * np.arange(count) / count
+        theta = np.pi * k / count
         return np.column_stack([np.cos(theta), np.sin(theta)])
     if n == 3:
-        i = np.arange(count) + 0.5
+        i = k + 0.5
         z = 1.0 - 2.0 * i / count
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -798,26 +800,32 @@ def sphere_lattice(n: int, count: int) -> np.ndarray:
     if n > len(_PRIMES):
         raise ResourceLimitError(f"sphere lattice supports n <= {len(_PRIMES)}")
     alphas = np.sqrt(np.array(_PRIMES[:n], dtype=float))
-    k = np.arange(1, count + 1)[:, None]
-    u = np.mod(k * alphas, 1.0)
+    u = np.mod((k + 1)[:, None] * alphas, 1.0)
     g = _normal_quantile(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     norms[norms < 1e-12] = 1.0
     return g / norms[:, None]
 
 
-def _test_directions(spec: ConeSpec, sphere_samples: int) -> np.ndarray:
+def _test_directions(spec: ConeSpec, sphere_samples: int):
+    """The direction family in index order, in the blocks of ``_blocks``:
+    one axis when the cone depends only on eigenvalues, else a sphere
+    lattice of ``2 * sphere_samples`` points and then the coordinate axes."""
+    n = spec.dim
     if spec.o_n_invariant:
-        e = np.zeros((1, spec.dim))
-        e[0, 0] = 1.0
-        return e
-    lattice = sphere_lattice(spec.dim, 2 * sphere_samples)
-    return np.vstack([lattice, np.eye(spec.dim)])
+        yield np.eye(n)[:1]
+        return
+    count = 2 * sphere_samples
+    for start, size in _blocks(count + n, n):
+        stop = start + size
+        yield np.vstack([sphere_lattice(n, count, start, min(stop, count)),
+                         np.eye(n)[max(start - count, 0):stop - count]])
 
 
 @dataclass(frozen=True)
 class PPSubsetReport:
-    """Result of testing ``I - p P_e`` membership over a direction family."""
+    """Result of testing ``I - p P_e`` membership over a direction family;
+    ``checked`` counts directions as RelationReport counts samples."""
 
     passed: bool
     p: float
@@ -838,52 +846,62 @@ def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = 250) -> PPSubset
 
     A single direction suffices (and is used) when M depends only on
     eigenvalues; otherwise a sphere lattice of ``2 * sphere_samples``
-    points plus the coordinate axes is probed.
+    points plus the coordinate axes is probed, block by block, up to the
+    first failing block; ``sphere_samples`` must lie in [1, SAMPLE_CAP].
     """
     if not (1.0 <= p <= M.dim):
         raise DomainError(f"p={p} out of range [1, {M.dim}]")
-    es = _test_directions(M, sphere_samples)
-    eye = np.eye(M.dim)
-    mats = eye[None, :, :] - p * np.einsum("ki,kj->kij", es, es)
-    m = margins(M, mats)
-    bad = np.nonzero(m < thresholds(mats))[0]
-    if bad.size == 0:
-        return PPSubsetReport(passed=True, p=float(p), checked=es.shape[0])
-    i = int(bad[0])
-    return PPSubsetReport(
-        passed=False,
-        p=float(p),
-        checked=es.shape[0],
-        counterexample=es[i],
-        margin=float(m[i]),
-    )
+    if not 1 <= sphere_samples <= SAMPLE_CAP:
+        raise DomainError(f"sphere sample count must be in [1, {SAMPLE_CAP}], got {sphere_samples}")
+    checked = 0
+    for es in _test_directions(M, sphere_samples):
+        mats = np.eye(M.dim) - p * np.einsum("ki,kj->kij", es, es)
+        m = margins(M, mats)
+        bad = np.nonzero(m < thresholds(mats))[0]
+        checked += es.shape[0]
+        if bad.size:
+            i = int(bad[0])
+            return PPSubsetReport(passed=False, p=float(p), checked=checked,
+                                  counterexample=es[i], margin=float(m[i]))
+    return PPSubsetReport(passed=True, p=float(p), checked=checked)
+
+
+def _cone_and_shift(spec: ConeSpec):
+    """``(H, a)`` with A in spec exactly when ``A + a I`` is in H, for a
+    cone H closed under positive scaling: an enlargement adds its amount
+    to a, a dual dualizes H and negates a."""
+    if spec.kind == "enl":
+        H, a = _cone_and_shift(spec.base)
+        return H, a + spec.c
+    if spec.kind == "dual":
+        H, a = _cone_and_shift(spec.base)
+        return dual_cone(H), -a
+    return spec, 0.0
 
 
 def closed_form_characteristic(spec: ConeSpec) -> Optional[float]:
     """Catalogue closed form for the identity-minus-projector threshold,
-    uncapped (may exceed the ambient dimension)."""
-    n = spec.dim
-    kind = spec.kind
+    uncapped (may exceed the ambient dimension): ``(1 + a)`` times H's for
+    ``(H, a) = _cone_and_shift(spec)``, so nested enlargements add."""
+    H, a = _cone_and_shift(spec)
+    n, kind, scale = H.dim, H.kind, 1.0 + a
     if kind == "positivity":
-        return 1.0
+        return scale
     if kind == "pp":
-        return float(spec.p)
+        return scale * H.p
     if kind == "branch":
-        return 1.0 if spec.k == 1 else float(n)
+        return scale * (1.0 if H.k == 1 else n)
     if kind == "cbranch":
-        return 2.0 if spec.k == 1 else float(n)
+        return scale * (2.0 if H.k == 1 else n)
     if kind == "pdelta":
-        return (1.0 + spec.delta * n) / (1.0 + spec.delta)
+        return scale * (1.0 + H.delta * n) / (1.0 + H.delta)
     if kind == "pucci":
-        return (spec.lam / spec.Lam) * (n - 1) + 1.0
+        return scale * ((H.lam / H.Lam) * (n - 1) + 1.0)
     if kind == "sigma":
-        return n / spec.k
+        return scale * n / H.k
     if kind == "mapb":
-        p = int(spec.p)
-        return float(p) if spec.k <= math.comb(n - 1, p - 1) else float(n)
-    if kind == "enl":
-        base = closed_form_characteristic(spec.base)
-        return None if base is None else (1.0 + spec.c) * base
+        p = int(H.p)
+        return scale * (p if H.k <= math.comb(n - 1, p - 1) else n)
     return None
 
 
@@ -892,8 +910,9 @@ class RieszCharacteristic:
     """Threshold exponent of a cone with its catalogue closed form.
 
     ``at_cap`` flags 'characteristic >= n' (the family test passed at the
-    ambient dimension); ``sampled`` flags direction-sampled results for
-    cones that do not depend on eigenvalues alone.
+    ambient dimension, with the closed tolerance); ``sampled`` flags
+    direction-sampled results for cones that do not depend on eigenvalues
+    alone.  ``iterations`` is always 0: no search runs.
     """
 
     value: float
@@ -912,60 +931,35 @@ class RieszCharacteristic:
         }
 
 
-# cap on the bisection steps of riesz_characteristic: 60 halvings of
-# [1, n] reach the spacing of doubles near n, where a tol of 0 would
-# otherwise never end the bisection
-_BISECTION_STEPS = 60
+def riesz_characteristic(M: ConeSpec, sphere_samples: int = 250) -> RieszCharacteristic:
+    """Largest p <= n with ``I - p P_e`` in M for the tested direction family.
 
-
-def riesz_characteristic(
-    M: ConeSpec,
-    tol: float = 1e-8,
-    sphere_samples: int = 250,
-) -> RieszCharacteristic:
-    """Largest p with ``I - p P_e`` in M for the tested direction family.
-
-    Bisection on p is valid because the passing set is a down-set (the
-    partial-sum cones are nested in p).  When the catalogue provides a
-    closed form, agreement within tolerance is asserted.  ``tol`` must be
-    finite and >= 0.
+    With ``(H, a) = _cone_and_shift(M)``, ``I - p P_e`` is in M exactly
+    when ``((1 + a)/p) I - P_e`` is in H, so direction e passes up to
+    ``p = (1 + a)/t`` for ``t = membership_shift(H, -P_e)``: no search, and
+    exact to a few ulps.  Agreement with a catalogue closed form is asserted.
     """
-    if not 0.0 <= tol < math.inf:  # a nan tol would skip the bisection
-        raise DomainError(f"tolerance must be finite and >= 0, got {tol!r}")
     if not contains(M, symmat.identity(M.dim), mode="interior").member:
         raise DomainError(
             "riesz_characteristic needs the identity in the cone interior"
         )
-    n = M.dim
-    cf = closed_form_characteristic(M)
-
-    def passes(p: float) -> bool:
-        return pp_subset_test(M, p, sphere_samples).passed
-
-    if not passes(1.0):
+    n = float(M.dim)
+    if not pp_subset_test(M, 1.0, sphere_samples).passed:
         raise InternalConsistencyError(
             f"{M.describe()} rejected I - P_e; positivity is violated"
         )
-    lo, hi = 1.0, float(n)
-    iterations = 0
-    at_cap = passes(hi)
-    if at_cap:
-        value = hi
-    else:
-        while hi - lo > tol and iterations < _BISECTION_STEPS:
-            mid = 0.5 * (lo + hi)
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        value = 0.5 * (lo + hi)
-    if cf is not None and abs(value - min(cf, float(n))) > max(10.0 * tol, 1e-6):
+    at_cap = pp_subset_test(M, n, sphere_samples).passed
+    H, a = _cone_and_shift(M)
+    t = max(float(membership_shift(H, -np.einsum("ki,kj->kij", es, es)).max())
+            for es in _test_directions(M, sphere_samples))
+    value = min(n, (1.0 + a) / t) if t > 0.0 else n
+    cf = closed_form_characteristic(M)
+    if cf is not None and abs(value - min(cf, n)) > 1e-6:
         raise InternalConsistencyError(
-            f"bisection characteristic {value:.9g} disagrees with the "
-            f"closed form {min(cf, float(n)):.9g} for {M.describe()}"
+            f"characteristic {value:.9g} disagrees with the "
+            f"closed form {min(cf, n):.9g} for {M.describe()}"
         )
-    return RieszCharacteristic(value, cf, at_cap, not M.o_n_invariant, iterations)
+    return RieszCharacteristic(value, cf, at_cap, not M.o_n_invariant, 0)
 
 
 def dual_description(spec: ConeSpec) -> str:

@@ -28,6 +28,9 @@ from .errors import DimensionMismatchError, DomainError, PoleError, UnsupportedP
 from .symmat import Jet2, SymMatrix, csv_lines, read_vectors_csv, write_text
 
 NEAR_POLE = 1e-12
+# entries of the (points, atoms, n) difference array of one block of an
+# atom sum: 2 MiB of float64, whatever the point count
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,24 @@ def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> n
 
     A point within ``NEAR_POLE`` of an atom reads the pole value there
     before the floor; a -inf term of positive weight makes the sum -inf.
+    Points are summed in blocks of at most ``_BLOCK_ENTRIES`` differences;
+    each point's row reduces on its own, so the values do not depend on
+    the block size.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if mu.n != spec.n:
         raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
     if xs.shape[-1] != spec.n:
         raise DimensionMismatchError(f"point dim {xs.shape[-1]} != kernel dim {spec.n}")
-    r = np.linalg.norm(xs[:, None, :] - mu.points[None, :, :], axis=-1)
-    vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
-    neg = np.isneginf(vals)
-    out = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1)
-    out[np.any(neg & (mu.weights > 0)[None, :], axis=1)] = -np.inf
+    out = np.empty(xs.shape[0])
+    step = max(1, _BLOCK_ENTRIES // mu.points.size)
+    for start in range(0, xs.shape[0], step):
+        r = np.linalg.norm(xs[start:start + step, None, :] - mu.points[None, :, :], axis=-1)
+        vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
+        neg = np.isneginf(vals)
+        block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1)
+        block[np.any(neg & (mu.weights > 0)[None, :], axis=1)] = -np.inf
+        out[start:start + step] = block
     return out
 
 

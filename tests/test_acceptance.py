@@ -50,7 +50,7 @@ def test_criterion_1_riesz_characteristics():
             cases.append((sigma_cone(k, n), n / k))
     worst = 0.0
     for spec, expected in cases:
-        rc = riesz_characteristic(spec, tol=1e-8)
+        rc = riesz_characteristic(spec)
         worst = max(worst, abs(rc.value - expected))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed < 10.0

@@ -73,6 +73,13 @@ def test_cone_report_pucci_arithmetic():
     assert "tr(A+)" in rep["dual_description"]
 
 
+def test_cone_report_nested_enlargement():
+    # enlargements add: (1 + 0.3 + 0.2) * 2, not (1.3)(1.2) * 2 = 3.12
+    code, rep = output_of("cone", "--spec", "enl:enl:sigma:2:0.3:0.2", "--dim", "4")
+    assert code == 0
+    assert rep["riesz_characteristic"] == 3.0 and rep["closed_form"] == 3.0
+
+
 def test_cone_membership_report(tmp_path):
     mat = tmp_path / "A.csv"
     mat.write_text("1.0,0.0\n0.0,-1.0\n")
@@ -606,7 +613,10 @@ _BAD_INPUT_FILES = {
         pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
                      id="convergence-zero-data"),
         pytest.param(["solve", "--problem", "branchfrac.json"], id="problem-branch-fraction"),
-        pytest.param(["cone", "--spec", "pp:1.5", "--dim", "3", "--tol", "nan"], id="cone-tol-nan"),
+        pytest.param(["cone", "--spec", "pp:1.5", "--dim", "3", "--samples", "0"],
+                     id="cone-samples-zero"),
+        pytest.param(["cone", "--spec", "pp:1.5", "--dim", "3", "--samples", "100000001"],
+                     id="cone-samples-above-cap"),
         pytest.param(["solve", "--problem", "good.json", "--tol", "-1"], id="solve-tol-negative"),
         pytest.param(["solve", "--problem", "good.json", "--max-iter", "0"], id="solve-max-iter-0"),
         pytest.param(["solve", "--problem", "good.json", "--max-iter=-3"],
@@ -757,6 +767,11 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
 def test_unknown_flags_rejected():
     code, out, _ = run_cli("cone", "--spec", "pp:2", "--dim", "3", "--bogus", "1")
     assert code == 2
+    # the characteristic is read off zero crossings: cone has no --tol
+    code, out, _ = run_cli("cone", "--spec", "pp:2", "--dim", "3", "--tol", "1e-8")
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "usage",
+                                        "message": "unrecognized arguments: --tol 1e-8"}
 
 
 def test_missing_subcommand_flags_are_usage_errors(tmp_path):

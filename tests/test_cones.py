@@ -522,6 +522,13 @@ def test_sample_count_and_dimension_caps():
     positivity(cones.DIM_CAP)
     with pytest.raises(DomainError, match="ambient dim"):
         positivity(cones.DIM_CAP + 1)
+    # the sphere-sample count of the family test, invariant cone or not
+    for spec in (pp_cone(1.5, 3), horizontal_cone(Frame(np.eye(3)[:2]), 3)):
+        for count in (0, -3, cones.SAMPLE_CAP + 1):
+            with pytest.raises(DomainError, match="sphere sample count"):
+                pp_subset_test(spec, 1.5, sphere_samples=count)
+            with pytest.raises(DomainError, match="sphere sample count"):
+                riesz_characteristic(spec, sphere_samples=count)
 
 
 def test_pdelta_margin_with_entries_near_lapack_underflow():
@@ -608,26 +615,89 @@ def test_sphere_lattice_loads_no_scipy():
     assert out.strip() == "False"
 
 
-# riesz_characteristic of criterion C4's 17 transition cones, as computed
-# with scipy.special.ndtri in the 4-D sphere lattice
+def test_sphere_lattice_by_index_range_is_bitwise_the_whole_lattice():
+    for n in (1, 2, 3, 4, 5, 6, 9, 16):
+        for count in (1, 7, 500, 4100):
+            whole = sphere_lattice(n, count)
+            assert whole.shape == (count, n)
+            step = cones._BLOCK_ENTRIES // n**2
+            parts = [sphere_lattice(n, count, start, start + size)
+                     for start, size in cones._blocks(count, n)]
+            assert np.vstack(parts).tobytes() == whole.tobytes()
+            assert sphere_lattice(n, count, step // 3, count).tobytes() == whole[step // 3:].tobytes()
+
+
+def _one_shot_pp_subset(M, p, sphere_samples):
+    """pp_subset_test over the whole direction family at once: the first
+    failing direction, its margin and the end of its block, or None."""
+    n = M.dim
+    es = np.vstack([sphere_lattice(n, 2 * sphere_samples), np.eye(n)])
+    mats = np.eye(n) - p * np.einsum("ki,kj->kij", es, es)
+    m = margins(M, mats)
+    bad = np.nonzero(m < cones.thresholds(mats))[0]
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    step = cones._BLOCK_ENTRIES // n**2
+    return es[i], float(m[i]), min(es.shape[0], (i // step + 1) * step)
+
+
+@pytest.mark.parametrize("case", ["random-frames", "coordinate-plane"])
+def test_pp_subset_failure_in_a_later_block_is_the_one_shot_counterexample(case):
+    # 10,004 directions in dim 4 take 5 blocks of 2,048; the first passes
+    n, samples = 4, 5000
+    if case == "random-frames":
+        rng = np.random.default_rng(4)
+        M = geometric_cone([symmat.random_frame(n, 2, rng) for _ in range(3)], n)
+        p = 2.0003
+    else:
+        # only the axes e1 and e2, after the lattice, bind the coordinate plane
+        M = horizontal_cone(Frame(np.eye(n)[:2]), n)
+        lattice = sphere_lattice(n, 2 * samples)
+        p = 1.0 + 1.0 / (lattice[:, :2] ** 2).sum(axis=1).max()
+    rep = pp_subset_test(M, p, sphere_samples=samples)
+    e, margin, checked = _one_shot_pp_subset(M, p, samples)
+    assert not rep.passed
+    assert rep.counterexample.tobytes() == e.tobytes() and rep.margin == margin
+    assert rep.checked == checked > cones._BLOCK_ENTRIES // n**2
+    assert pp_subset_test(M, 2.0, sphere_samples=samples).checked == 2 * samples + n
+
+
+def test_the_direction_family_streams_in_bounded_memory():
+    # 20,004 directions in dim 4 take 10 blocks of 2,048; the whole family
+    # and its matrices at once traced a 6.1 MB peak
+    spec = horizontal_cone(Frame(np.eye(4)[:2]), 4)
+    tracemalloc.start()
+    try:
+        sub = pp_subset_test(spec, 1.5, sphere_samples=10_000)
+        rc = riesz_characteristic(spec, sphere_samples=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.passed and sub.checked == 20_004 and rc.value == 2.0
+    assert peak < 2e6
+
+
+# riesz_characteristic of criterion C4's 17 transition cones: exact
+# crossings, to a few ulps of the closed forms
 _C4_TRANSITIONS = [
-    (positivity(4), 1.0000000027939677),
-    (pp_cone(1.5, 4), 1.5000000009313226),
-    (pp_cone(2.0, 4), 2.000000004656613),
-    (pp_cone(2.5, 4), 2.5000000027939677),
-    (pdelta_cone(0.1, 4), 1.2727272724732757),
-    (pdelta_cone(1.0, 4), 2.5000000027939677),
-    (pdelta_cone(2.0, 4), 3.0000000009313226),
-    (pucci_cone(1.0, 2.0, 4), 2.5000000027939677),
-    (pucci_cone(2.0, 5.0, 4), 2.1999999983236194),
+    (positivity(4), 1.0),
+    (pp_cone(1.5, 4), 1.5),
+    (pp_cone(2.0, 4), 2.0),
+    (pp_cone(2.5, 4), 2.5),
+    (pdelta_cone(0.1, 4), 1.2727272727272725),
+    (pdelta_cone(1.0, 4), 2.5),
+    (pdelta_cone(2.0, 4), 3.0),
+    (pucci_cone(1.0, 2.0, 4), 2.5),
+    (pucci_cone(2.0, 5.0, 4), 2.1999999999999997),
     (sigma_cone(1, 4), 4.0),
-    (sigma_cone(2, 4), 1.9999999990686774),
-    (sigma_cone(3, 4), 1.3333333330228925),
-    (sigma_cone(4, 4), 1.0000000027939677),
-    (map_branch_cone(2, 1, 4), 2.000000004656613),
-    (enlarged_cone(pp_cone(2.0, 4), 0.25), 2.5000000027939677),
-    (complex_branch_cone(1, 4), 2.000000004656613),
-    (horizontal_cone(Frame(np.eye(4)[:2]), 4), 2.000000004656613),
+    (sigma_cone(2, 4), 2.0),
+    (sigma_cone(3, 4), 1.3333333333333333),
+    (sigma_cone(4, 4), 1.0),
+    (map_branch_cone(2, 1, 4), 2.0),
+    (enlarged_cone(pp_cone(2.0, 4), 0.25), 2.5),
+    (complex_branch_cone(1, 4), 1.9999999999999991),
+    (horizontal_cone(Frame(np.eye(4)[:2]), 4), 2.0),
 ]
 
 
@@ -636,10 +706,85 @@ def test_c4_transition_characteristics_are_unchanged():
         assert riesz_characteristic(spec).value == value, spec.describe()
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-def test_riesz_characteristic_rejects_a_bad_tolerance(tol):
-    with pytest.raises(DomainError):
-        riesz_characteristic(pp_cone(1.5, 3), tol=tol)
+def _bisection_characteristic(M, sphere_samples=250, tol=1e-8):
+    """Reference: bisection on p over pp_subset_test, whose passing set is
+    a down-set in p; n when the test passes at n."""
+    lo, hi = 1.0, float(M.dim)
+    if pp_subset_test(M, hi, sphere_samples).passed:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pp_subset_test(M, mid, sphere_samples).passed:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _characteristic_catalogue():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (3, 4, 6):
+        specs = [
+            positivity(n), pp_cone(1.5, n), pp_cone(2.5, n), branch_cone(1, n),
+            branch_cone(2, n), pdelta_cone(0.5, n), pucci_cone(1.0, 3.0, n),
+            sigma_cone(2, n), sigma_cone(3, n), map_branch_cone(2, 1, n),
+            map_branch_cone(2, n, n), enlarged_cone(pp_cone(2.0, n), 0.3),
+            enlarged_cone(enlarged_cone(pp_cone(1.5, n), 0.2), 0.1),
+            enlarged_cone(enlarged_cone(sigma_cone(2, n), 0.3), 0.2),
+            dual_cone(pp_cone(2.0, n)), dual_cone(branch_cone(n, n)),
+            dual_cone(pucci_cone(1.0, 3.0, n)), dual_cone(map_branch_cone(2, n, n)),
+            dual_cone(enlarged_cone(pp_cone(2.0, n), 0.2)),
+            enlarged_cone(dual_cone(branch_cone(n, n)), 0.2),
+            dual_cone(enlarged_cone(dual_cone(pp_cone(1.5, n)), 0.3)),
+            dual_cone(dual_cone(enlarged_cone(pp_cone(1.5, n), 0.4))),
+        ]
+        if n % 2 == 0:
+            specs += [complex_branch_cone(1, n), complex_branch_cone(2, n)]
+        cases += [pytest.param(spec, 250, id=f"{spec.describe()}-n{n}") for spec in specs]
+        # sampled cones, also at a family that spans several blocks
+        for samples in (250, 3000):
+            sampled = {
+                "horiz-coordinate": horizontal_cone(Frame(np.eye(n)[:2]), n),
+                "horiz-random": horizontal_cone(symmat.random_frame(n, 2, rng), n),
+                "geom-random": geometric_cone(
+                    [symmat.random_frame(n, 2, rng) for _ in range(3)], n),
+                "enl-horiz-random": enlarged_cone(
+                    horizontal_cone(symmat.random_frame(n, 2, rng), n), 0.1),
+            }
+            cases += [pytest.param(spec, samples, id=f"{label}-n{n}-s{samples}")
+                      for label, spec in sampled.items()]
+    return cases
+
+
+@pytest.mark.parametrize("spec,samples", _characteristic_catalogue())
+def test_characteristic_is_the_bisection_and_the_closed_form(spec, samples):
+    rc = riesz_characteristic(spec, sphere_samples=samples)
+    assert rc.iterations == 0
+    assert abs(rc.value - _bisection_characteristic(spec, samples)) <= 1e-8
+    assert rc.at_cap == pp_subset_test(spec, float(spec.dim), samples).passed
+    if rc.closed_form is not None:
+        assert abs(rc.value - min(rc.closed_form, spec.dim)) <= 1e-12 * spec.dim
+
+
+def test_characteristic_runs_no_search(monkeypatch):
+    calls = []
+    test = cones.pp_subset_test
+    monkeypatch.setattr(cones, "pp_subset_test", lambda *a: calls.append(a[1]) or test(*a))
+    rc = riesz_characteristic(horizontal_cone(Frame(np.eye(4)[:2]), 4), sphere_samples=250)
+    assert rc.iterations == 0 and calls == [1.0, 4.0]  # positivity and at_cap only
+
+
+def test_nested_enlargements_add():
+    # enl(enl(B, c1), c2) = enl(B, c1 + c2): closed form (1 + c1 + c2) cf(B)
+    spec = parse_cone("enl:enl:sigma:2:0.3:0.2", 4)
+    assert cones.closed_form_characteristic(spec) == 3.0
+    rc = riesz_characteristic(spec)
+    assert abs(rc.value - 3.0) <= 4e-12 and not rc.at_cap
+    assert not pp_subset_test(spec, 3.05).passed  # (1.3)(1.2) * 2 = 3.12 would pass it
+    rc = riesz_characteristic(parse_cone("enl:enl:pp:2:0.5:0.5", 4))
+    assert rc.closed_form == 4.0 and rc.value == 4.0 and rc.at_cap
+    assert cones.closed_form_characteristic(parse_cone("enl:enl:pp:2:0.5:0.5", 5)) == 4.0
 
 
 # -- Riesz characteristics ------------------------------------------------------------
