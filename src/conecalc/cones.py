@@ -938,15 +938,20 @@ def riesz_characteristic(M: ConeSpec, sphere_samples: int = 250) -> RieszCharact
     when ``((1 + a)/p) I - P_e`` is in H, so direction e passes up to
     ``p = (1 + a)/t`` for ``t = membership_shift(H, -P_e)``: no search, and
     exact to a few ulps.  Agreement with a catalogue closed form is asserted.
+    A cone without the identity in its interior, or without ``I - P_e``
+    for some tested direction e, is a DomainError.
     """
     if not contains(M, symmat.identity(M.dim), mode="interior").member:
         raise DomainError(
             "riesz_characteristic needs the identity in the cone interior"
         )
     n = float(M.dim)
-    if not pp_subset_test(M, 1.0, sphere_samples).passed:
-        raise InternalConsistencyError(
-            f"{M.describe()} rejected I - P_e; positivity is violated"
+    positivity = pp_subset_test(M, 1.0, sphere_samples)
+    if not positivity.passed:
+        raise DomainError(
+            "riesz_characteristic needs I - P_e in the cone for every direction e; "
+            f"{M.describe()} rejects it at e = {positivity.counterexample.tolist()} "
+            f"(margin {positivity.margin:.6g})"
         )
     at_cap = pp_subset_test(M, n, sphere_samples).passed
     H, a = _cone_and_shift(M)

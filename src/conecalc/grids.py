@@ -221,7 +221,7 @@ def discrete_hessian_field(u: GridFunction):
     center = along()
     grad = np.empty(center.shape + (nd,))
     hess = np.empty(center.shape + (nd, nd))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(nd):
             up, dn = along(i)[..., 2], along(i)[..., 0]
             grad[..., i] = (up - dn) / (2 * h)
@@ -267,8 +267,9 @@ def discrete_hessian(u: GridFunction, index) -> Jet2:
 def third_difference_kappa(u: GridFunction) -> float:
     """Largest axis third-difference magnitude, an estimate of sup|D^3 u|.
 
-    Each point reads the 4-cell window along each axis.  A difference that
-    overflows makes the estimate inf or nan, without a warning."""
+    Each point reads the 4-cell window along each axis.  A difference or
+    a spacing that overflows makes the estimate inf, nan or 0, without a
+    warning."""
     usable = _usable(u)
     maxima = [0.0]
     for axis in range(u.ndim):
@@ -279,8 +280,9 @@ def third_difference_kappa(u: GridFunction) -> float:
         )
         m = np.logical_and.reduce(ok)
         if m.any():
-            with np.errstate(over="ignore", invalid="ignore"):
-                maxima.append(np.max(np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / u.h**3))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                h3 = np.float64(u.h) ** 3  # inf or 0 at an extreme spacing, not OverflowError
+                maxima.append(np.max(np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / h3))
     return float(np.max(maxima))
 
 

@@ -20,6 +20,8 @@ pairwise reduction, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,25 @@ class RieszKernelSpec:
         return 0.0 if self.p < 2.0 else float("-inf")
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, without overflow or underflow
+    wherever x is finite.
+
+    ``np.linalg.norm`` squares before it takes the root, so a norm
+    outside [1e-150, 1e150] is taken again of x scaled by its largest
+    entry; inside that range the values are ``np.linalg.norm``'s.
+    """
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(x, axis=-1 if x.ndim > 1 else None)
+    rescale = ~((r >= 1e-150) & (r <= 1e150))
+    if not rescale.any():
+        return r
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    ok = (top > 0.0) & np.isfinite(top)  # else r is 0, inf or nan as it should be
+    scaled = top[..., 0] * np.linalg.norm(x / np.where(ok, top, 1.0), axis=-1)
+    return np.where(rescale & ok[..., 0], scaled, r)
+
+
 def kernel_value(spec: RieszKernelSpec, r) -> np.ndarray:
     """Kernel value at radius r (vectorized; r=0 maps to the pole value)."""
     r = np.asarray(r, dtype=float)
@@ -77,7 +98,7 @@ def kernel_jet(spec: RieszKernelSpec, x) -> Jet2:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != spec.n:
         raise DimensionMismatchError(f"point dim {x.shape[0]} != kernel dim {spec.n}")
-    r = float(np.linalg.norm(x))
+    r = float(_norm(x))
     if r <= NEAR_POLE:
         raise PoleError(
             f"kernel jet requested at the pole (|x| = {r:.3g})",
@@ -123,7 +144,7 @@ class DiscreteMeasure:
         return self.points.shape[0]
 
     def nearest_atom(self, x) -> tuple[int, float]:
-        d = np.linalg.norm(self.points - np.asarray(x, dtype=float), axis=1)
+        d = _norm(self.points - np.asarray(x, dtype=float))
         i = int(np.argmin(d))
         return i, float(d[i])
 
@@ -160,7 +181,7 @@ def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> n
     out = np.empty(xs.shape[0])
     step = max(1, _BLOCK_ENTRIES // mu.points.size)
     for start in range(0, xs.shape[0], step):
-        r = np.linalg.norm(xs[start:start + step, None, :] - mu.points[None, :, :], axis=-1)
+        r = _norm(xs[start:start + step, None, :] - mu.points[None, :, :])
         vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
         neg = np.isneginf(vals)
         block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1)
@@ -191,7 +212,7 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
             limit_value=potential_value(spec, mu, x),
         )
     diffs = x[None, :] - mu.points
-    r = np.linalg.norm(diffs, axis=1)
+    r = _norm(diffs)
     e = diffs / r[:, None]
     c = spec.c_p
     w = mu.weights
@@ -263,13 +284,21 @@ def build_polar(points, p: float) -> PolarFunction:
 
 
 def box_counts(points, scales) -> np.ndarray:
-    """Occupied-box counts of a point cloud at each scale (anchored grid)."""
+    """Occupied-box counts of a point cloud at each scale (anchored grid).
+
+    A scale must be finite, > 0 and coarse enough that every box index
+    fits in int64; otherwise DomainError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lo = pts.min(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.max(pts - lo)
     counts = []
     for s in scales:
-        if not s > 0:
-            raise DomainError(f"scales must be > 0, got {s}")
+        if not 0 < s < math.inf:
+            raise DomainError(f"scales must be finite and > 0, got {s}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not span / s < 2.0**63:
+                raise DomainError(f"box scale {s} is too fine: box indices of the points overflow int64")
         idx = np.floor((pts - lo) / s).astype(np.int64)
         counts.append(np.unique(idx, axis=0).shape[0])
     return np.array(counts, dtype=float)
@@ -279,16 +308,25 @@ def box_dimension(points, scales) -> float:
     """Least-squares slope of log(box count) against log(1/scale).
 
     Advisory only: a sampled diagnostic, not a measure computation.  A
-    degenerate cloud (all points identical) returns 0.
+    degenerate cloud (all points identical) returns 0.  The scales must
+    be distinct, and far enough apart that the fit has a slope.
     """
     scales = np.asarray(list(scales), dtype=float)
     if scales.size < 2:
         raise DomainError("box dimension needs at least two scales")
+    if np.unique(scales).size < scales.size:
+        raise DomainError(f"box scales must be distinct, got {scales.tolist()}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.allclose(pts, pts[0], atol=0.0, rtol=0.0):
+    if np.all(pts == pts[0]):
         return 0.0
     counts = box_counts(pts, scales)
-    slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
+    with warnings.catch_warnings():
+        # polyfit's RankWarning, whose base class differs between numpy versions
+        warnings.simplefilter("error")
+        try:
+            slope = np.polyfit(np.log(1.0 / scales), np.log(counts), 1)[0]
+        except Warning:
+            raise DomainError(f"box scales {scales.tolist()} are too close for a slope fit") from None
     return float(slope)
 
 

@@ -50,12 +50,12 @@ excluded from the unknown set and every stencil direction touching them
 is dropped, with a minimum-frame guarantee checked up front.
 
 Every form is solved by exact policy (Howard) iteration over the frozen
-frame choices, which converges in a handful of sparse linear solves.  The
-min-max form nests it (Hoffman and Karp 1966): the outer policy freezes
-each point's pair, the min player's choice, and the inner problem, the
-max over that pair's two directions, runs the same policy iteration.  A
-frozen inner row has one second difference.  Outputs are bitwise
-reproducible.
+frame choices, which converges in a handful of sparse linear solves.
+One loop serves every operator, nested for min-max (Hoffman and Karp
+1966): an outer step freezes each point's pair, the min player's
+choice, and solves the inner problem, the max over that pair's two
+directions, by the same loop.  A frozen inner row has one second
+difference.  Outputs are bitwise reproducible.
 
 Unknowns are numbered lattice-wise.  A dissection tree is built once per
 problem by cutting the lattice with single planes (George 1973); every
@@ -81,8 +81,7 @@ no longer lowers it, or to the cap, and is the last step.
 ``converged`` means residual <= tol at the returned iterate.  Each new
 selection keeps the previous frame wherever that frame is within
 1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
-flip the policy forever; the outer min-max policy keeps tied pairs the
-same way and stops once its pairs no longer change.
+flip the policy forever; a settled min-max outer step ends the loop.
 """
 
 from __future__ import annotations
@@ -317,6 +316,18 @@ def _check_lattice(shape: tuple, origin: np.ndarray, h: float) -> None:
         raise DomainError(f"grid spacing must be finite and > 0, got {h}")
     if not np.all(np.isfinite(origin)):
         raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+    _coefficients(h, np.ones(1), nd)  # the axis directions, in every stencil
+
+
+def _coefficients(h: float, lengths: np.ndarray, ndim: int) -> np.ndarray:
+    """Scheme coefficients 1/(h |v|)^2 for directions of these lengths; a
+    spacing that makes one 0, or a frozen row's diagonal (at most 2 ndim
+    of them) overflow, is a DomainError."""
+    with np.errstate(over="ignore", divide="ignore"):
+        coeff = 1.0 / (h * lengths) ** 2
+        if not np.all((coeff > 0.0) & np.isfinite(2 * ndim * coeff)):
+            raise DomainError(f"grid spacing {h!r} is out of range: 1/(h |v|)^2 overflows or is 0")
+    return coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,18 +388,11 @@ class DirichletProblem:
         return len(self.shape)
 
     def unknown_mask(self) -> np.ndarray:
-        m = np.ones(self.shape, dtype=bool)
-        for axis in range(self.ndim):
-            sl = [slice(None)] * self.ndim
-            sl[axis] = 0
-            m[tuple(sl)] = False
-            sl[axis] = -1
-            m[tuple(sl)] = False
+        m = np.zeros(self.shape, dtype=bool)
+        m[(slice(1, -1),) * self.ndim] = True
         if self.hole is not None:
             m &= ~self.hole
-        for pt in self.punctures:
-            m[pt] = False
-        return m
+        return m & ~self.puncture_mask()
 
     def puncture_mask(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=bool)
@@ -418,13 +422,17 @@ def _lattice_indices(points, origin: np.ndarray, h: float) -> list:
 # -- scheme assembly -----------------------------------------------------------
 
 
-def _dissection_tree(points: np.ndarray, leaf: int = 64):
+# points in a dissection leaf; 16, 64 and 256 factor 3-D solves alike
+_LEAF = 64
+
+
+def _dissection_tree(points: np.ndarray):
     """Geometric nested-dissection tree of lattice points (George 1973).
 
     The bounding box of ``points`` (n, ndim) is cut across its longest
     axis by one lattice plane: the points below it form the left subtree,
     those above it the right one, and the plane's own points stay at the
-    node.  Boxes of at most ``leaf`` points, or too thin to cut, are
+    node.  Boxes of at most ``_LEAF`` points, or too thin to cut, are
     leaves.  Nodes carry heap codes, the root 1 and the children of c
     2c and 2c + 1, so the binary digits of a code spell its path.
 
@@ -435,7 +443,7 @@ def _dissection_tree(points: np.ndarray, leaf: int = 64):
     postorder = []
 
     def visit(ids, code):
-        if ids.size > leaf:
+        if ids.size > _LEAF:
             pts = points[ids]
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             axis = int(np.argmax(hi - lo))
@@ -494,7 +502,7 @@ class _Scheme:
 
         strides = np.array([int(np.prod(shape[a + 1 :])) for a in range(len(shape))])
         self.step = stencil.directions @ strides  # (D,) flat offset of each arm
-        self.coeff = 1.0 / (problem.h * stencil.lengths) ** 2
+        self.coeff = _coefficients(problem.h, stencil.lengths, problem.ndim)
         self.combos = _combos(problem.operator, stencil)
         self.form, self.dirs, self.weights = self.combos
         self.pair_dirs = None  # (N, 2) directions of each point's pair in a pair view
@@ -657,7 +665,8 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     """Scheme residual of one operator at one interior point.
 
     The full stencil must fit inside the grid at the point and the values
-    it reads must be finite; otherwise StencilError is raised.
+    it reads must be finite, else StencilError; a spacing out of range
+    is a DomainError, as for a solve.
     """
     op = _normalize_op(op, u.ndim)
     if stencil is None:
@@ -672,7 +681,7 @@ def residual(u: GridFunction, index, op, stencil: Optional[StencilSet] = None) -
     uvals = u.values.reshape(-1)
     if not np.isfinite(uvals[np.concatenate([center, plus[:, 0], minus[:, 0]])]).all():
         raise StencilError(f"stencil at {tuple(idx)} reads a non-finite value")
-    coeff = 1.0 / (u.h * stencil.lengths[:, None]) ** 2
+    coeff = _coefficients(u.h, stencil.lengths, u.ndim)[:, None]
     return float(_evaluate(uvals, center, plus, minus, coeff, _combos(op, stencil))[0][0])
 
 
@@ -772,33 +781,37 @@ def _refine(L, rhs, x, correct, target=math.inf):
 
 def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
     """Policy iteration on ``scheme`` from the iterate u, updated in place,
-    for at most ``max_iter`` linear solves.  Returns the history: the
-    pairs (solves so far, residual_sup), one before the first solve and
-    one after each."""
+    for at most ``max_iter`` steps.  A step solves the frozen selection's
+    system: one linear solve, or for the min-max form this loop on its
+    pair view.  Returns the history: the pairs (linear solves so far,
+    residual_sup), one before the first step and one after each."""
     prev_sel = lu = None
     r, sel = scheme.evaluate(u)
-    res_sup = float(np.max(np.abs(r)))
-    history = [(0, res_sup)]
-    it = 0
-    while res_sup > tol and it < max_iter:
-        it += 1
-        # a settled selection is the system just solved: the held factor
-        # refines the iterate toward tol, and that is the last step
+    history = [(0, float(np.max(np.abs(r))))]
+    while history[-1][1] > tol and len(history) <= max_iter:
+        # a settled selection is the system just solved: the min-max form
+        # stops, and a linear step refines the iterate toward tol with the
+        # held factor as the last step
         settled = np.array_equal(sel, prev_sel)
-        if not settled:
-            lu = None  # one factor at a time: free the old one before assembling
-        L, rhs = scheme.assemble(sel)
-        if settled:
-            x = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
+        if scheme.form == "minmax":
+            if settled:
+                break
+            solves = _policy_iteration(scheme.pair_view(sel), u, tol, max_iter)[-1][0]
         else:
-            # each factorization orders L by its own graph
-            lu = _factor(L, scheme.order(L))
-            x = _refine(L, rhs, np.zeros_like(rhs), lu)[0]
-        u[scheme.unknown_flat] = x
+            if not settled:
+                lu = None  # one factor at a time: free the old one before assembling
+            L, rhs = scheme.assemble(sel)
+            if settled:
+                x = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
+            else:
+                # each factorization orders L by its own graph
+                lu = _factor(L, scheme.order(L))
+                x = _refine(L, rhs, np.zeros_like(rhs), lu)[0]
+            u[scheme.unknown_flat] = x
+            solves = 1
         prev_sel = sel
         r, sel = scheme.evaluate(u, keep=sel)
-        res_sup = float(np.max(np.abs(r)))
-        history.append((it, res_sup))
+        history.append((history[-1][0] + solves, float(np.max(np.abs(r)))))
         if settled:
             break
     return history
@@ -813,21 +826,18 @@ def solve(
     """Solve the Dirichlet problem to ``residual_sup <= tol``.
 
     Policy iteration freezes the optimal frame choice and solves the
-    resulting sparse linear system, repeating until the residual is at
-    most tol or the selection settles; a settled selection gets one last
-    step that refines the iterate toward tol with the held factor (exact
-    for the linear trace form in one or two solves); every other step
-    factors its frozen matrix (see the module docstring).  The 3-D
-    second-branch min-max form nests it: the outer policy holds each
-    point's pair, and each outer step runs the policy iteration of the
-    max form over that pair's two directions.
+    resulting sparse linear system until the residual is at most tol or
+    the selection settles (see the module docstring; the linear trace
+    form takes one or two solves).  One loop serves every operator,
+    nested for min-max: for the 3-D second branch an outer step holds
+    each point's pair and runs the same loop on the max form over that
+    pair's two directions.
 
-    ``max_iter`` caps the policy steps, and for the min-max form the
-    outer steps and each inner solve.  ``iterations`` counts linear
-    solves; ``history`` holds (solves so far, residual_sup) before the
-    first solve and after each policy step, or each outer step of the
-    min-max form, so its last entry is (iterations, residual_sup).
-    ``tol`` must be finite and >= 0 and ``max_iter`` an integer >= 1.
+    ``max_iter`` caps the policy steps at each level.  ``iterations``
+    counts linear solves; ``history`` holds (solves so far, residual_sup)
+    before the first step and after each (outer) step, so its last entry
+    is (iterations, residual_sup).  ``tol`` must be finite and >= 0 and
+    ``max_iter`` an integer >= 1.
     """
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"solve tolerance must be finite and >= 0, got {tol!r}")
@@ -839,21 +849,7 @@ def solve(
     u = problem.boundary_values.reshape(-1).astype(float).copy()
     if problem.punctures:
         u[np.ravel_multi_index(np.array(problem.punctures).T, problem.shape)] = 0.0
-    if scheme.form != "minmax":
-        history = _policy_iteration(scheme, u, tol, max_iter)
-    else:
-        r, pair = scheme.evaluate(u)
-        history = [(0, float(np.max(np.abs(r))))]
-        prev = None
-        # at most max_iter outer steps, which end once the pairs are stable
-        while history[-1][1] > tol and len(history) <= max_iter:
-            if np.array_equal(pair, prev):
-                break
-            inner = scheme.pair_view(pair)
-            solves = history[-1][0] + _policy_iteration(inner, u, tol, max_iter)[-1][0]
-            prev = pair
-            r, pair = scheme.evaluate(u, keep=pair)
-            history.append((solves, float(np.max(np.abs(r)))))
+    history = _policy_iteration(scheme, u, tol, max_iter)
     it, res_sup = history[-1]
     return SolveReport(
         _solution_grid(problem, u), res_sup, it, res_sup <= tol, "policy", tuple(history)

@@ -28,9 +28,13 @@ def run_cli(*args, env_extra=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def output_of(*args, **kw):
     code, out, err = run_cli(*args, **kw)
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_reject_constant)
     schema.validate_report(report)
     return code, report
 
@@ -93,10 +97,6 @@ def test_cone_membership_report(tmp_path):
         "cone", "--spec", "p", "--dim", "2", "--matrix", mat, "--dual"
     )
     assert code == 0 and rep["member"] is True
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
 
 
 @pytest.mark.parametrize("dual", [[], ["--dual"]], ids=["cone", "dual"])
@@ -226,6 +226,18 @@ def test_kernel_jet_report():
     assert rep["value"] == pytest.approx(-0.5)
     hess = np.array(rep["jet"]["hessian"])
     assert np.allclose(np.sort(np.linalg.eigvalsh(hess)), [-0.25, 0.125, 0.125])
+
+
+def test_kernel_jet_far_from_the_pole(tmp_path):
+    # |x| = 1e200: the norm overflowed, with a RuntimeWarning, to value -0.0
+    # and gradient 0
+    (tmp_path / "atom.csv").write_text("0,0,0,1\n")
+    for measure in ([], ["--measure", tmp_path / "atom.csv"]):
+        code, out, err = run_cli("kernel", "--p", "2.5", "--dim", "3", "--x", "1e200,0,0", *measure)
+        rep = json.loads(out, parse_constant=_reject_constant)
+        assert (code, err) == (0, "")
+        assert rep["value"] == pytest.approx(-1e-100, rel=1e-15)
+        assert rep["jet"]["gradient"] == pytest.approx([5e-301, 0.0, 0.0], rel=1e-15)
 
 
 def test_kernel_pole_is_math_failure():
@@ -517,6 +529,19 @@ _BAD_INPUT_FILES = {
     # -1e308 + 1 * -1e308 overflows to -inf, which a grid would take as its bottom
     "overflowdown.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n-1e308,-1e308\n-1e308,-1e308\n",
     "good.json": json.dumps(_GOOD_PROBLEM),
+    # 1/h^2 overflows to inf, and 1/h^2 underflows to 0
+    "tinyh.json": json.dumps(dict(_GOOD_PROBLEM, p=1.5,
+                                  grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})),
+    "hugeh.json": json.dumps(dict(_GOOD_PROBLEM, p=1.5, boundary={"expr": "sin(x/1e150)"},
+                                  grid={"shape": [9, 9], "origin": [0, 0], "h": 1e200})),
+    "exptinyh.json": json.dumps({"kind": "solve", "problem": dict(
+        _GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})}),
+    "removetinyh.json": json.dumps({"kind": "removability", "puncture": [[0, 0]], "problem": dict(
+        _GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})}),
+    "convhugeh.json": json.dumps({"kind": "convergence", "resolutions": [9], "problem": dict(
+        _GOOD_PROBLEM, boundary={"expr": "sin(x/1e150)"},
+        grid={"shape": [9, 9], "origin": [0, 0], "h": 1e200})}),
+    "tinyh.grid": "grid n=2 shape=5,5 origin=0,0 h=1e-200\n" + "0,1,4,9,16\n" * 5,
     "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
     "comment.csv": "# no atoms\n",
@@ -684,6 +709,22 @@ _BAD_INPUT_FILES = {
         pytest.param(["grid", "perturb", "--input", "overflowdown.grid", "--psi",
                       "overflowdown.grid", "--eps", "1", "--grid-output", "x.grid"],
                      id="grid-perturb-overflow-down"),
+        pytest.param(["cone", "--spec", "dual:enl:branch:3:0.2", "--dim", "3"],
+                     id="cone-without-positivity"),
+        pytest.param(["solve", "--problem", "tinyh.json"], id="solve-coefficients-overflow"),
+        pytest.param(["solve", "--problem", "hugeh.json"], id="solve-coefficients-underflow"),
+        pytest.param(["experiment", "--config", "exptinyh.json", "--output-dir", "out"],
+                     id="experiment-solve-coefficients-overflow"),
+        pytest.param(["experiment", "--config", "removetinyh.json", "--output-dir", "out"],
+                     id="experiment-removability-coefficients-overflow"),
+        pytest.param(["experiment", "--config", "convhugeh.json", "--output-dir", "out"],
+                     id="experiment-convergence-coefficients-underflow"),
+        pytest.param(["grid", "hessian", "--input", "tinyh.grid", "--at", "2,2"],
+                     id="grid-hessian-spacing-underflows"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
+                     id="box-scales-repeated"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
+                     id="box-scales-index-overflow"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -749,18 +790,34 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
      "--eps", "1", "--grid-output", "x.grid"],
     ["experiment", "--config", "punctnan.json", "--output-dir", "out"],
     ["experiment", "--config", "punctinf.json", "--output-dir", "out"],
+    ["solve", "--problem", "tinyh.json"],
+    ["solve", "--problem", "hugeh.json"],
+    ["experiment", "--config", "exptinyh.json", "--output-dir", "out"],
+    ["experiment", "--config", "removetinyh.json", "--output-dir", "out"],
+    ["experiment", "--config", "convhugeh.json", "--output-dir", "out"],
+    ["grid", "hessian", "--input", "tinyh.grid", "--at", "2,2"],
+    ["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
+    ["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
+    ["cone", "--spec", "dual:enl:branch:3:0.2", "--dim", "3"],
 ], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
         "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
-        "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf"])
+        "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf",
+        "solve-coefficients-overflow", "solve-coefficients-underflow",
+        "experiment-solve-coefficients-overflow",
+        "experiment-removability-coefficients-overflow",
+        "experiment-convergence-coefficients-underflow", "grid-hessian-spacing-underflows",
+        "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
-                 "punctinf.json"):
+                 "punctinf.json", "tinyh.json", "hugeh.json", "exptinyh.json",
+                 "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv"):
         (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 2
-    assert json.loads(proc.stdout)["error"]["kind"] in ("DomainError", "SamplingError")
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert rep["error"]["kind"] in ("DomainError", "SamplingError")
     assert proc.stderr == ""
 
 

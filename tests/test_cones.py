@@ -813,6 +813,15 @@ def test_riesz_characteristic_at_cap():
     assert rc.at_cap and rc.value == 4.0
 
 
+def test_riesz_characteristic_without_positivity_is_a_domain_error():
+    # the dual of the enlarged branch:3 is the set lambda_min >= 0.2, not a
+    # cone: I - P_e fails at every e, which is bad input, not a fault of
+    # the program
+    spec = parse_cone("dual:enl:branch:3:0.2", 3)
+    with pytest.raises(DomainError, match=r"needs I - P_e in the cone.*e = \[1\.0, 0\.0, 0\.0\]"):
+        riesz_characteristic(spec)
+
+
 def test_riesz_characteristic_horizontal_plane():
     # a coordinate 2-plane: the axis directions catch the binding vector
     spec = horizontal_cone(Frame(np.eye(4)[:2]), 4)

@@ -428,6 +428,18 @@ def test_verify_overflowing_differences_are_a_typed_error_without_warnings():
             subharmonic_verify(u, cones.positivity(2))
 
 
+def test_extreme_spacings_are_typed_errors_or_finite_without_warnings():
+    vals = np.add.outer(np.arange(9.0), np.arange(9.0) ** 3)
+    # h * h underflows to 0: the divide by zero warned before the DomainError
+    tiny = GridFunction(vals, [0, 0], 1e-200)
+    with pytest.raises(DomainError):
+        discrete_hessian(tiny, (4, 4))
+    # h**3 overflowed as a Python float: OverflowError, not a report
+    huge = GridFunction(vals, [0, 0], 1e200)
+    assert grids.third_difference_kappa(huge) == 0.0
+    assert subharmonic_verify(huge, cones.positivity(2)).c_tol == 0.0
+
+
 def test_max_of_subharmonics_verifies():
     # two crossing paraboloids: each passes, so does their pointwise max
     f = lambda x, y: x * x + y * y + 2 * x

@@ -113,6 +113,33 @@ def test_kernel_pole_errors():
     assert err.value.limit_value == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 3e160, 2e154])
+def test_kernel_and_potential_jets_far_from_the_pole(scale):
+    # np.linalg.norm squares first: at |x| = 1e200 it overflowed, and the
+    # jet read r = inf, value -0.0 and gradient 0
+    spec = RieszKernelSpec(p=2.5, n=3)
+    x = np.array([0.6, 0.0, 0.8]) * scale
+    jet = kernel_jet(spec, x)
+    assert jet.value == pytest.approx(-scale ** -0.5, rel=1e-15)
+    expected = 0.5 * scale ** -1.5 * np.array([0.6, 0.0, 0.8])
+    assert np.allclose(jet.gradient, expected, rtol=1e-15, atol=0.0)
+    atom = DiscreteMeasure(np.zeros((1, 3)), np.ones(1))
+    pjet = potential_jet(spec, atom, x)
+    assert pjet.value == jet.value and np.array_equal(pjet.gradient, jet.gradient)
+    assert potential_values(spec, atom, np.stack([x, -x])).tolist() == [jet.value] * 2
+
+
+def test_norm_is_numpys_at_ordinary_points():
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-140, 140, (500, 1))
+    assert np.array_equal(riesz._norm(pts), np.linalg.norm(pts, axis=-1))
+    assert all(riesz._norm(x) == np.linalg.norm(x) for x in pts)
+    assert riesz._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert riesz._norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    edge = riesz._norm(np.array([[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]]))
+    assert edge[0] == 0.0 and edge[1] == np.inf and np.isnan(edge[2])
+
+
 def test_kernel_spec_validation():
     with pytest.raises(DomainError):
         RieszKernelSpec(0.5, 3)
@@ -327,6 +354,27 @@ def test_box_dimension_square_patch():
 def test_box_dimension_needs_two_scales():
     with pytest.raises(DomainError):
         box_dimension([[0.0], [1.0]], [0.5])
+
+
+@pytest.mark.parametrize("scales,match", [
+    pytest.param([0.1, 0.1], "distinct", id="repeated"),
+    pytest.param([0.5, 0.25, 0.5], "distinct", id="repeated-of-three"),
+    pytest.param([0.1, 0.1000000000000001], "too close", id="one-ulp-apart"),
+    pytest.param([0.1, 1e-300], "int64", id="index-overflows-int64"),
+    pytest.param([0.1, np.inf], "finite", id="infinite"),
+])
+def test_box_dimension_rejects_degenerate_scales(scales, match):
+    # repeated scales gave a meaningless slope with a RankWarning, and a
+    # scale of 1e-300 an index cast of inf with "invalid value" and a
+    # slope of -1.9e-19
+    with pytest.raises(DomainError, match=match):
+        box_dimension([[0.0, 0.0], [0.5, 0.5]], scales)
+
+
+def test_box_counts_of_far_apart_points_are_a_domain_error():
+    # the span 2e308 overflows; no subtraction warning, no int64 cast of inf
+    with pytest.raises(DomainError, match="int64"):
+        box_dimension([[1e308, 0.0], [-1e308, 0.0]], [0.5, 0.25])
 
 
 # -- measures and files ----------------------------------------------------------------

@@ -874,6 +874,35 @@ def test_3d_minmax_outer_loop_stops_when_the_pairs_repeat():
     assert np.array_equal(reports[1].solution.values, rep.solution.values)
 
 
+def test_3d_minmax_step_cap_holds_at_each_level():
+    # max_iter 2 allows two outer steps, each of at most two inner solves
+    prob = problem_from_config(_minmax_config(7))
+    rep = solve(prob, stencil=make_stencil(3, 2), tol=0.0, max_iter=2)
+    assert [n for n, _ in rep.history] == [0, 2, 4]
+    assert [r for _, r in rep.history] == pytest.approx([1.0, 1.30136, 0.5], rel=1e-5)
+    assert rep.iterations == 4 and not rep.converged
+
+
+@pytest.mark.parametrize("config,forms", [
+    pytest.param(annulus_config(17), ["min"], id="pp-2d"),
+    pytest.param(_minmax_config(7), ["minmax", "max", "max", "max"], id="minmax-3d"),
+])
+def test_one_policy_loop_nested_for_minmax(monkeypatch, config, forms):
+    # solve calls the loop once; the min-max form's outer steps call the
+    # same loop on their pair views
+    calls = []
+    loop = solver._policy_iteration
+
+    def spy(scheme, *args):
+        calls.append(scheme.form)
+        return loop(scheme, *args)
+
+    monkeypatch.setattr(solver, "_policy_iteration", spy)
+    solve(problem_from_config(config), stencil=make_stencil(len(config["grid"]["shape"]), 2),
+          tol=0.0)
+    assert calls == forms
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the min-max form discretizes (lambda_1 + lambda_2) / 2, not lambda_2",
@@ -1113,6 +1142,33 @@ def test_problem_validation():
         DirichletProblem((9, 9), np.zeros(2), 0.1, ("pp", 2), g, punctures=((0, 3),))
     with pytest.raises(DomainError):
         DirichletProblem((9, 9), np.zeros(2), 0.1, ("pp", 2.5), g)
+
+
+@pytest.mark.parametrize("h,origin,expr", [
+    pytest.param(1e-160, [-1e-159, -1e-159], "x*x", id="coefficients-overflow"),
+    pytest.param(1e200, [0.0, 0.0], "sin(x/1e150)", id="coefficients-underflow"),
+])
+def test_spacing_whose_coefficients_leave_the_float_range_is_a_domain_error(h, origin, expr):
+    # at h = 1e-160 a solve gave residual_sup NaN with four RuntimeWarnings;
+    # at h = 1e200 every coefficient was 0 and the data "converged" in 0 steps
+    cfg = {"operator": "pp", "p": 1.5, "grid": {"shape": [9, 9], "origin": origin, "h": h},
+           "boundary": {"expr": expr}}
+    with pytest.raises(DomainError, match="grid spacing .* out of range"):
+        problem_from_config(cfg)
+    with pytest.raises(DomainError, match="out of range"):
+        DirichletProblem((9, 9), origin, h, ("pp", 1.5), np.zeros((9, 9)))
+    u = GridFunction(np.zeros((9, 9)), np.array(origin), h)
+    with pytest.raises(DomainError, match="out of range"):
+        residual(u, (4, 4), ("pp", 1.5))
+
+
+def test_spacing_checked_against_the_longest_stencil_direction():
+    # at h = 5e153 the reach-1 coefficients are in range, but the reach-3
+    # direction (2, 3) has (h |v|)^2 = 3.25e308, which overflows
+    prob = DirichletProblem((9, 9), [0.0, 0.0], 5e153, ("pp", 1.5), np.zeros((9, 9)))
+    assert solve(prob, stencil=make_stencil(2, 1)).converged
+    with pytest.raises(DomainError, match="out of range"):
+        solve(prob)
 
 
 @pytest.mark.parametrize(
