@@ -98,13 +98,10 @@ def _cmd_cone(args) -> tuple:
     report = {
         "cone": spec.describe(),
         "dim": spec.dim,
-        "riesz_characteristic": rc.value,
-        "closed_form": rc.closed_form,
-        "at_cap": rc.at_cap,
-        "sampled": rc.sampled,
         "dual_description": cones.dual_description(spec),
         "o_n_invariant": spec.o_n_invariant,
     }
+    report.update(rc.to_dict())
     return report, 0
 
 
@@ -122,30 +119,20 @@ def _cmd_check(args) -> tuple:
             if args.kind == "positivity"
             else cones.parse_cone(args.m, args.dim)
         )
-        rel = cones.check_relation(F, M, cfg)
-        report.update({"f": F.describe(), "m": M.describe(), "passed": rel.passed})
-        if not rel.passed:
-            report["counterexample"] = rel.to_dict()["counterexample"]
-            report["margins"] = rel.to_dict()["margins"]
+        report.update(f=F.describe(), m=M.describe())
+        result = cones.check_relation(F, M, cfg)
     elif args.kind == "duality":
         F = cones.parse_cone(args.f, args.dim)
-        dual = cones.check_duality(F, cfg)
-        report.update({"f": F.describe(), "passed": dual.passed})
-        if not dual.passed:
-            report["counterexample"] = {"sample_index": dual.failure_index,
-                                        "A": dual.counterexample.tolist(), **dual.margins}
-    elif args.kind == "pp-subset":
+        report["f"] = F.describe()
+        result = cones.check_duality(F, cfg)
+    else:
         M = cones.parse_cone(args.m, args.dim)
         if args.p is None:
             raise DomainError("pp-subset needs --p")
-        sub = cones.pp_subset_test(M, args.p, sphere_samples=args.samples)
-        report.update({"m": M.describe(), "p": float(args.p), "passed": sub.passed})
-        if not sub.passed:
-            report["counterexample"] = {
-                "e": sub.counterexample.tolist(),
-                "margin": sub.margin,
-            }
-    return report, 0 if report["passed"] else MATH_EXIT
+        report["m"] = M.describe()
+        result = cones.pp_subset_test(M, args.p, sphere_samples=args.samples)
+    report.update(result.to_dict())
+    return report, 0 if result.passed else MATH_EXIT
 
 
 def _cmd_kernel(args) -> tuple:
@@ -203,10 +190,7 @@ def _cmd_grid(args) -> tuple:
     code = 0
     if args.action == "extend":
         ext = grids.canonical_extension(u, radius_cap=args.radius_cap)
-        report["changed_points"] = ext.changed_points
-        report["sup_change"] = (
-            float(ext.sup_change) if np.isfinite(ext.sup_change) else None
-        )
+        report.update(ext.to_dict())
         if args.grid_output:
             grids.write_grid(args.grid_output, ext.extended)
     elif args.action == "verify":

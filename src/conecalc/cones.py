@@ -647,18 +647,10 @@ class RelationReport:
     margins: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "passed": bool(self.passed),
-            "checked": int(self.checked),
-            "seed": int(self.seed),
-        }
+        out = {"passed": bool(self.passed)}
         if not self.passed:
             A, B = self.counterexample
-            out["failure_index"] = int(self.failure_index)
-            out["counterexample"] = {
-                "A": A.entries.tolist(),
-                "B": B.entries.tolist(),
-            }
+            out["counterexample"] = {"A": A.entries.tolist(), "B": B.entries.tolist()}
             out["margins"] = {k: float(v) for k, v in self.margins.items()}
         return out
 
@@ -723,6 +715,13 @@ class DualityReport:
     failure_index: Optional[int] = None
     counterexample: Optional[np.ndarray] = None
     margins: Optional[dict] = None
+
+    def to_dict(self) -> dict:
+        out = {"passed": bool(self.passed)}
+        if not self.passed:
+            out["counterexample"] = {"sample_index": int(self.failure_index),
+                                     "A": self.counterexample.tolist(), **self.margins}
+        return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -834,10 +833,9 @@ class PPSubsetReport:
     margin: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {"passed": bool(self.passed), "p": float(self.p), "checked": self.checked}
+        out = {"passed": bool(self.passed), "p": float(self.p)}
         if not self.passed:
-            out["counterexample"] = self.counterexample.tolist()
-            out["margin"] = float(self.margin)
+            out["counterexample"] = {"e": self.counterexample.tolist(), "margin": float(self.margin)}
         return out
 
 
@@ -923,11 +921,10 @@ class RieszCharacteristic:
 
     def to_dict(self) -> dict:
         return {
-            "value": float(self.value),
+            "riesz_characteristic": float(self.value),
             "closed_form": None if self.closed_form is None else float(self.closed_form),
             "at_cap": bool(self.at_cap),
             "sampled": bool(self.sampled),
-            "iterations": int(self.iterations),
         }
 
 
@@ -1006,14 +1003,6 @@ class GardingPucciResult:
     factors: np.ndarray
     subsets: tuple
     family_size: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "factors": self.factors.tolist(),
-            "subsets": [list(s) for s in self.subsets],
-            "family_size": int(self.family_size),
-        }
 
 
 def garding_index_family(n: int, lam: float, Lam: float) -> list[tuple]:

@@ -121,6 +121,11 @@ class ExtensionReport:
     changed_points: int
     sup_change: float
 
+    def to_dict(self) -> dict:  # an infinite sup_change (a cell to or from -inf) is null
+        sup = float(self.sup_change)
+        return {"changed_points": int(self.changed_points),
+                "sup_change": sup if math.isfinite(sup) else None}
+
 
 def _chebyshev_shells(ndim: int, cap: int) -> list[np.ndarray]:
     """Offsets at Chebyshev radius 1..cap, each shell in lexicographic order."""
@@ -189,6 +194,16 @@ def canonical_extension(
 # -- discrete jets ------------------------------------------------------------
 
 
+def _spacing_power(h: float, k: int) -> np.float64:
+    """h^k, inf where it overflows (not OverflowError); a power that
+    underflows to 0 is a DomainError naming the spacing."""
+    with np.errstate(over="ignore"):
+        hk = np.float64(h) ** k
+    if hk == 0.0:
+        raise DomainError(f"grid spacing {h!r} is out of range: h^{k} underflows to 0")
+    return hk
+
+
 def _usable(u: GridFunction) -> np.ndarray:
     return np.isfinite(u.values) & ~u.masked()
 
@@ -202,11 +217,13 @@ def discrete_hessian_field(u: GridFunction):
     most two off-centre coordinates (the centre, the axis neighbors and
     the 2-D diagonals).  A point is admissible when that stencil is
     unmasked and finite.  Mixed derivatives use the symmetric 4-point
-    stencil, so the discrete Hessian is exactly symmetric.
+    stencil, so the discrete Hessian is exactly symmetric.  A spacing
+    whose square underflows to 0 is a DomainError.
     """
     nd = u.ndim
     if any(s < 3 for s in u.shape):
         raise DomainError("Hessian operations need at least 3 points per axis")
+    _spacing_power(u.h, 2)
     usable = _usable(u)
     stencil = np.sum(np.indices((3,) * nd) != 1, axis=0) <= 2
     ok = sliding_window_view(usable, (3,) * nd)[..., stencil].all(axis=-1)
@@ -269,7 +286,7 @@ def third_difference_kappa(u: GridFunction) -> float:
 
     Each point reads the 4-cell window along each axis.  A difference or
     a spacing that overflows makes the estimate inf, nan or 0, without a
-    warning."""
+    warning; a spacing whose cube underflows to 0 is a DomainError."""
     usable = _usable(u)
     maxima = [0.0]
     for axis in range(u.ndim):
@@ -280,8 +297,8 @@ def third_difference_kappa(u: GridFunction) -> float:
         )
         m = np.logical_and.reduce(ok)
         if m.any():
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                h3 = np.float64(u.h) ** 3  # inf or 0 at an extreme spacing, not OverflowError
+            h3 = _spacing_power(u.h, 3)
+            with np.errstate(over="ignore", invalid="ignore"):
                 maxima.append(np.max(np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / h3))
     return float(np.max(maxima))
 
@@ -448,18 +465,6 @@ class UpperConicalResult:
     eps: float
     hess_bound: float
     label: str = "within bound"
-
-    def to_dict(self) -> dict:
-        out = {
-            "test_found": bool(self.test_found),
-            "slack": float(self.slack),
-            "eps": float(self.eps),
-            "hess_bound": float(self.hess_bound),
-            "label": self.label,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        return out
 
 
 def upper_conical_check(

@@ -93,7 +93,8 @@ def kernel_jet(spec: RieszKernelSpec, x) -> Jet2:
     """Exact 2-jet of the kernel at x != 0.
 
     Raises PoleError at (or within 1e-12 of) the origin; the error carries
-    the limiting value (-inf for p >= 2, 0 for p < 2).
+    the limiting value (-inf for p >= 2, 0 for p < 2).  Elsewhere it is the
+    potential jet of a unit atom at the origin.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != spec.n:
@@ -104,12 +105,7 @@ def kernel_jet(spec: RieszKernelSpec, x) -> Jet2:
             f"kernel jet requested at the pole (|x| = {r:.3g})",
             limit_value=spec.pole_value(),
         )
-    e = x / r
-    c = spec.c_p
-    value = float(kernel_value(spec, r))
-    grad = c * r ** (1.0 - spec.p) * e
-    hess = c * r ** (-spec.p) * (np.eye(spec.n) - spec.p * np.outer(e, e))
-    return Jet2(value, grad, SymMatrix(hess))
+    return potential_jet(spec, DiscreteMeasure(np.zeros((1, spec.n)), np.ones(1)), x)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,8 @@ def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> n
     before the floor; a -inf term of positive weight makes the sum -inf.
     Points are summed in blocks of at most ``_BLOCK_ENTRIES`` differences;
     each point's row reduces on its own, so the values do not depend on
-    the block size.
+    the block size.  Sums here and in ``potential_jet`` start from -0.0,
+    the additive identity, so that one atom's term keeps its sign of zero.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if mu.n != spec.n:
@@ -184,7 +181,7 @@ def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> n
         r = _norm(xs[start:start + step, None, :] - mu.points[None, :, :])
         vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
         neg = np.isneginf(vals)
-        block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1)
+        block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1, initial=-0.0)
         block[np.any(neg & (mu.weights > 0)[None, :], axis=1)] = -np.inf
         out[start:start + step] = block
     return out
@@ -198,31 +195,25 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     undefined, so a PoleError (carrying that finite value) is raised.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if mu.n != spec.n:
-        raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
-    if x.shape[0] != spec.n:
-        raise DimensionMismatchError(f"point dim {x.shape[0]} != kernel dim {spec.n}")
-    _, dist = mu.nearest_atom(x)
-    if dist <= NEAR_POLE:
+    value = float(_atom_sum(spec, mu, x, np.inf)[0])  # checks both dimensions
+    diffs = x[None, :] - mu.points
+    r = _norm(diffs)
+    if r.min() <= NEAR_POLE:
         if spec.p >= 2.0:
             return float("-inf")
         raise PoleError(
-            "potential jet undefined on an atom for p < 2 "
-            f"(value is finite: {potential_value(spec, mu, x):.6g})",
-            limit_value=potential_value(spec, mu, x),
+            f"potential jet undefined on an atom for p < 2 (value is finite: {value:.6g})",
+            limit_value=value,
         )
-    diffs = x[None, :] - mu.points
-    r = _norm(diffs)
     e = diffs / r[:, None]
     c = spec.c_p
     w = mu.weights
-    value = float(np.add.reduce(w * kernel_value(spec, r)))
-    grad = np.add.reduce(w[:, None] * c * r[:, None] ** (1.0 - spec.p) * e, axis=0)
+    grad = np.add.reduce(w[:, None] * c * r[:, None] ** (1.0 - spec.p) * e, axis=0, initial=-0.0)
     outer = np.einsum("mi,mj->mij", e, e)
     hs = c * r[:, None, None] ** (-spec.p) * (
         np.eye(spec.n)[None, :, :] - spec.p * outer
     )
-    hess = np.add.reduce(w[:, None, None] * hs, axis=0)
+    hess = np.add.reduce(w[:, None, None] * hs, axis=0, initial=-0.0)
     return Jet2(value, grad, SymMatrix(hess))
 
 

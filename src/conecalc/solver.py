@@ -258,6 +258,7 @@ def _combos(op: tuple, stencil: StencilSet):
 _TIE = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None):
     """Scheme residual and selected combo at the points ``center``.
 
@@ -270,7 +271,9 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None)
     form selects the first admissible one.  A ``keep`` selection (of
     admissible combos) is kept wherever its value ties the best one to
     within ``_TIE * (1 + |r|)``.  Returns ``(residual, selection)``, both
-    (N,); the residual is always the best value.
+    (N,); the residual is always the best value.  Values of u too large
+    for their second differences, which make a selected value overflow,
+    raise DomainError.
     """
     form, dirs, weights = combos
     dv = u[plus]
@@ -294,6 +297,9 @@ def _evaluate(u, center, plus, minus, coeff, combos, admissible=None, keep=None)
         sel = np.argmax(vals, axis=0) if form == "max" else np.argmin(vals, axis=0)
     cols = np.arange(n)
     best = vals[sel, cols]
+    if not np.all(np.isfinite(best)):
+        raise DomainError("the scheme's second differences overflow: "
+                          "the values are too large for the grid spacing")
     if keep is not None:
         tied = np.abs(vals[keep, cols] - best) <= _TIE * (1.0 + np.abs(best))
         sel = np.where(tied, keep, sel)
@@ -779,12 +785,15 @@ def _refine(L, rhs, x, correct, target=math.inf):
     return (x if best is None else best[1]), False
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int) -> list:
     """Policy iteration on ``scheme`` from the iterate u, updated in place,
     for at most ``max_iter`` steps.  A step solves the frozen selection's
     system: one linear solve, or for the min-max form this loop on its
     pair view.  Returns the history: the pairs (linear solves so far,
-    residual_sup), one before the first step and one after each."""
+    residual_sup), one before the first step and one after each.  A step
+    that overflows leaves a non-finite iterate, which the next evaluate
+    reports as DomainError."""
     prev_sel = lu = None
     r, sel = scheme.evaluate(u)
     history = [(0, float(np.max(np.abs(r))))]
@@ -864,13 +873,6 @@ class HarmonicReport:
     subharmonic: grids.SubharmonicReport
     dual_subharmonic: grids.SubharmonicReport
     harmonic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "harmonic": bool(self.harmonic),
-            "subharmonic": self.subharmonic.to_dict(),
-            "dual_subharmonic": self.dual_subharmonic.to_dict(),
-        }
 
 
 def _negated(u: GridFunction) -> GridFunction:

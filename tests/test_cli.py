@@ -188,12 +188,13 @@ def test_check_duality_branch():
     assert code == 0 and rep["passed"]
 
 
-def test_check_duality_catches_a_wrong_closed_form(monkeypatch, capsys):
+def _reflect_wrong(spec, mats):
     # branch:k dualizes to eigenvalue n - k + 1 (1-based); n - k is wrong
-    def reflect_wrong(spec, mats):
-        return np.linalg.eigvalsh(mats)[..., spec.dim - spec.k - 1]
+    return np.linalg.eigvalsh(mats)[..., spec.dim - spec.k - 1]
 
-    monkeypatch.setattr(cones, "dual_fast_margins", reflect_wrong)
+
+def test_check_duality_catches_a_wrong_closed_form(monkeypatch, capsys):
+    monkeypatch.setattr(cones, "dual_fast_margins", _reflect_wrong)
     assert cli.main(["check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "200"]) == 1
     rep = json.loads(capsys.readouterr().out)
     schema.validate_report(rep)
@@ -215,6 +216,65 @@ def test_check_positivity_of_catalogue_cone():
         "check", "positivity", "--f", "pucci:1:2", "--dim", "3", "--samples", "500"
     )
     assert code == 0 and rep["passed"]
+
+
+def _relation(f, m):
+    return lambda: cones.check_relation(cones.parse_cone(f, 3), cones.parse_cone(m, 3),
+                                        cones.SampleConfig(seed=1, count=1000))
+
+
+# the keys a subcommand adds to its result's to_dict: its inputs, and the
+# command and seed that main adds
+_CONTEXT = {
+    "cone": {"cone", "dim", "dual_description", "o_n_invariant", "command", "seed"},
+    "check": {"kind", "dim", "samples", "f", "m", "command", "seed"},
+    "grid": {"action", "output", "command", "seed"},
+}
+
+
+@pytest.mark.parametrize("argv, code, result, wrong_dual", [
+    pytest.param(["cone", "--spec", "pdelta:0.5", "--dim", "4"], 0,
+                 lambda: cones.riesz_characteristic(cones.parse_cone("pdelta:0.5", 4)), False,
+                 id="cone"),
+    pytest.param(["cone", "--spec", "horiz:@frame.csv", "--dim", "4", "--samples", "40"], 0,
+                 lambda: cones.riesz_characteristic(cones.parse_cone("horiz:@frame.csv", 4), 40),
+                 False, id="cone-sampled"),
+    pytest.param(["check", "duality", "--f", "pp:2", "--dim", "3", "--samples", "300"], 0,
+                 lambda: cones.check_duality(cones.pp_cone(2, 3), cones.SampleConfig(0, 300)),
+                 False, id="duality-pass"),
+    pytest.param(["check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "200"], 1,
+                 lambda: cones.check_duality(cones.branch_cone(1, 3), cones.SampleConfig(0, 200)),
+                 True, id="duality-fail"),
+    pytest.param(["check", "pp-subset", "--m", "pp:2", "--dim", "3", "--p", "1.5"], 0,
+                 lambda: cones.pp_subset_test(cones.pp_cone(2, 3), 1.5, 10000), False,
+                 id="pp-subset-pass"),
+    pytest.param(["check", "pp-subset", "--m", "pdelta:1", "--dim", "3", "--p", "2.01"], 1,
+                 lambda: cones.pp_subset_test(cones.pdelta_cone(1, 3), 2.01, 10000), False,
+                 id="pp-subset-fail"),
+    pytest.param(["check", "monotone", "--f", "pp:2", "--m", "pp:2", "--dim", "3",
+                  "--samples", "1000", "--seed", "1"], 0, _relation("pp:2", "pp:2"), False,
+                 id="monotone-pass"),
+    pytest.param(["check", "monotone", "--f", "branch:1", "--m", "branch:3", "--dim", "3",
+                  "--samples", "1000", "--seed", "1"], 1, _relation("branch:1", "branch:3"),
+                 False, id="monotone-fail"),
+    pytest.param(["grid", "extend", "--input", "u.grid"], 0,
+                 lambda: grids.canonical_extension(grids.read_grid("u.grid")), False,
+                 id="grid-extend"),
+])
+def test_report_is_context_plus_the_result_to_dict(tmp_path, monkeypatch, capsys, argv, code,
+                                                   result, wrong_dual):
+    (tmp_path / "frame.csv").write_text("1,0,0,0\n0,1,0,0\n")
+    u = from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x + y * y)
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[4, 4:6] = True
+    write_grid(tmp_path / "u.grid", GridFunction(u.values, u.origin, u.h, mask))
+    monkeypatch.chdir(tmp_path)
+    if wrong_dual:
+        monkeypatch.setattr(cones, "dual_fast_margins", _reflect_wrong)
+    assert cli.main(argv) == code
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    schema.validate_report(rep)
+    assert {k: v for k, v in rep.items() if k not in _CONTEXT[argv[0]]} == result().to_dict()
 
 
 # -- kernels and polars ----------------------------------------------------------------
@@ -542,6 +602,9 @@ _BAD_INPUT_FILES = {
         _GOOD_PROBLEM, boundary={"expr": "sin(x/1e150)"},
         grid={"shape": [9, 9], "origin": [0, 0], "h": 1e200})}),
     "tinyh.grid": "grid n=2 shape=5,5 origin=0,0 h=1e-200\n" + "0,1,4,9,16\n" * 5,
+    "hugedata.json": json.dumps({"operator": "pp", "p": 1.5, "boundary": {"expr": "1e308*sin(9*x)"},
+                                 "grid": {"shape": [9, 9], "origin": [-1, -1], "h": 0.25}}),
+    "tinyh9.grid": "grid n=2 shape=9,9 origin=0,0 h=1e-200\n" + "0,1,4,9,16,25,36,49,64\n" * 9,
     "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
     "comment.csv": "# no atoms\n",
@@ -721,6 +784,11 @@ _BAD_INPUT_FILES = {
                      id="experiment-convergence-coefficients-underflow"),
         pytest.param(["grid", "hessian", "--input", "tinyh.grid", "--at", "2,2"],
                      id="grid-hessian-spacing-underflows"),
+        pytest.param(["solve", "--problem", "hugedata.json"], id="solve-data-overflow"),
+        pytest.param(["grid", "hessian", "--input", "tinyh9.grid", "--at", "4,4"],
+                     id="grid-hessian-spacing-underflows-9"),
+        pytest.param(["grid", "verify", "--input", "tinyh9.grid", "--cone", "pp:1.5"],
+                     id="grid-verify-spacing-underflows-9"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
                      id="box-scales-repeated"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
@@ -739,6 +807,9 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     schema.validate_report(rep)
     assert rep["command"] == argv[0]
     assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError", "SamplingError")
+    if {"tinyh.grid", "tinyh9.grid"} & set(argv):
+        # the second and third differences divide by 0: the spacing is at fault
+        assert rep["error"]["message"].startswith("grid spacing 1e-200 is out of range")
     assert err == ""
     assert not (tmp_path / "x.grid").exists()
 

@@ -1171,6 +1171,34 @@ def test_spacing_checked_against_the_longest_stencil_direction():
         solve(prob)
 
 
+@pytest.mark.parametrize("op, nd", [(("pp", 1.5), 2), (("pp", 2), 2), (("branch", 1), 2),
+                                    (("branch", 2), 3)], ids=["min", "trace", "max", "minmax"])
+def test_data_too_large_for_their_second_differences_is_a_domain_error(op, nd):
+    # a 9^2 pp:1.5 solve of 1e308*sin(9*x) gave residual_sup NaN with five
+    # RuntimeWarnings, and from about 3e306 the linear solves overflowed;
+    # each run ends in a finite report or a DomainError (warnings fail here)
+    stencil = make_stencil(nd, 1)
+    outcomes = set()
+    for scale in (1e305, 3e305, 1e306, 3e306, 1e307, 3e307, 1e308, 1.7976931348623157e308):
+        cfg = {"operator": op[0], ("p" if op[0] == "pp" else "k"): op[1],
+               "grid": {"shape": [9] * nd, "origin": [-1] * nd, "h": 0.25},
+               "boundary": {"expr": f"{scale!r}*sin(9*x)*cos(2*y)"}}
+        prob = problem_from_config(cfg)
+        u = GridFunction(prob.boundary_values, prob.origin, prob.h)
+        try:
+            rep = solve(prob, stencil)
+            assert np.isfinite(rep.residual_sup) and np.all(np.isfinite(rep.solution.values))
+            outcomes.add("solved")
+        except DomainError as exc:
+            assert "overflow" in str(exc)
+            outcomes.add("rejected")
+        try:
+            assert np.isfinite(residual(u, (4,) * nd, op, stencil))
+        except DomainError as exc:
+            assert "overflow" in str(exc)
+    assert outcomes == {"solved", "rejected"}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=-1.0), dict(max_iter=0),
