@@ -16,6 +16,13 @@ under adding positive matrices.  The catalogue covers:
 * ``enl:<base>:c``        A + c I in base (enlargement by c >= 0)
 * ``dual:<base>``         -A not in the interior of base
 
+Each kind is one ``_Kind`` record in ``_KINDS`` with every rule the
+catalogue has for it: descriptor head and typed fields, parameter check,
+``o_n_invariant`` and ``sampled`` flags, margin rule with zero crossing,
+witness, dual (a mirror cone, or a closed-form dual margin and text) and
+closed-form characteristic; ``enl`` and ``dual`` delegate to their base.
+A new kind is one record plus its rows in ``tests/test_cone_catalogue.py``.
+
 Membership tolerances scale with ``1 + max|A_ij|``: a slack of at least
 ``-1e-9 * scale`` counts as closed membership and interior membership
 requires slack of at least ``+1e-7 * scale`` (``thresholds``).  A dual
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,22 +86,6 @@ def _whole(tok: str) -> float:
     return float(int(tok))
 
 
-# descriptor head -> (kind, typed parameter fields), for the kinds whose
-# parameters are scalars; parse_cone and ConeSpec.describe both read it
-_DESCRIPTORS = {
-    "p": ("positivity", ()),
-    "pp": ("pp", (("p", float),)),
-    "branch": ("branch", (("k", int),)),
-    "cbranch": ("cbranch", (("k", int),)),
-    "pdelta": ("pdelta", (("delta", float),)),
-    "pucci": ("pucci", (("lam", float), ("Lam", float))),
-    "sigma": ("sigma", (("k", int),)),
-    "mapb": ("mapb", (("p", _whole), ("k", int))),
-}
-_HEADS = {kind: (head, fields) for head, (kind, fields) in _DESCRIPTORS.items()}
-_KINDS = (*_HEADS, "geom", "horiz", "enl", "dual")
-
-
 @dataclass(frozen=True, eq=False)
 class ConeSpec:
     """Descriptor of one catalogue cone; immutable and validated."""
@@ -128,93 +119,25 @@ class ConeSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"{self.kind} parameter {name} must be finite, got {value}")
-        k = self.kind
-        if k == "pp":
-            if self.p is None or not (1.0 <= self.p <= n):
-                raise DomainError(f"pp parameter {self.p} out of range [1, {n}]")
-        elif k == "branch":
-            if self.k is None or not (1 <= self.k <= n):
-                raise DomainError(f"branch index {self.k} out of range [1, {n}]")
-        elif k == "cbranch":
-            if n % 2 != 0:
-                raise DomainError("cbranch needs an even ambient dimension")
-            m = n // 2
-            if self.k is None or not (1 <= self.k <= m):
-                raise DomainError(f"cbranch index {self.k} out of range [1, {m}]")
-        elif k == "pdelta":
-            if self.delta is None or not self.delta > 0:
-                raise DomainError(f"pdelta parameter must be > 0, got {self.delta}")
-        elif k == "pucci":
-            if self.lam is None or self.Lam is None or not 0 < self.lam < self.Lam:
-                raise DomainError(
-                    f"pucci needs 0 < lam < Lam, got ({self.lam}, {self.Lam})"
-                )
-        elif k == "sigma":
-            if self.k is None or not (1 <= self.k <= n):
-                raise DomainError(f"sigma index {self.k} out of range [1, {n}]")
-        elif k in ("geom", "horiz"):
-            frames = self.frames
-            if not frames:
-                raise DomainError(f"{k} cone needs a non-empty frame list")
-            frames = tuple(frames)
-            if k == "horiz" and len(frames) != 1:
-                raise DomainError("horiz cone takes exactly one frame")
-            pdims = {f.plane_dim for f in frames}
-            if len(pdims) != 1:
-                raise DomainError("all frames must share one plane dimension")
-            for f in frames:
-                if f.ambient_dim != n:
-                    raise DimensionMismatchError(
-                        f"frame ambient dim {f.ambient_dim} != cone dim {n}"
-                    )
-            object.__setattr__(self, "frames", frames)
-        elif k == "mapb":
-            if self.p is None or not (
-                abs(self.p - round(self.p)) < 1e-12 and 1 <= self.p <= n
-            ):
-                raise DomainError(f"mapb needs an integer p in [1, {n}], got {self.p}")
-            object.__setattr__(self, "p", float(round(self.p)))
-            count = math.comb(n, int(self.p))
-            if self.k is None or not (1 <= self.k <= count):
-                raise DomainError(
-                    f"mapb branch index {self.k} out of range [1, {count}]"
-                )
-        elif k in ("enl", "dual"):
-            if self.base is None or self.base.dim != n:
-                raise DomainError(f"{k} cone needs a base cone in the same dim")
-            if k == "enl" and (self.c is None or self.c < 0):
-                raise DomainError(f"enlargement amount must be >= 0, got {self.c}")
+        _KINDS[self.kind].check(self)
 
     @property
     def o_n_invariant(self) -> bool:
         """True when membership depends only on eigenvalues."""
-        if self.kind in ("geom", "horiz", "cbranch"):
-            return False
-        if self.kind in ("enl", "dual"):
-            return self.base.o_n_invariant
-        return True
+        spectral = _KINDS[self.kind].spectral
+        return self.base.o_n_invariant if spectral is None else spectral
 
     @property
     def sampled(self) -> bool:
         """True when results are exact only for a sampled plane family."""
-        if self.kind == "geom":
-            return True
-        if self.kind in ("enl", "dual"):
-            return self.base.sampled
-        return False
+        sampled = _KINDS[self.kind].sampled
+        return self.base.sampled if sampled is None else sampled
 
     def describe(self) -> str:
-        k = self.kind
-        if k in _HEADS:
-            head, fields = _HEADS[k]
-            return ":".join([head] + [_fmt(getattr(self, name)) for name, _ in fields])
-        if k == "geom":
-            return f"geom:{len(self.frames)}x{self.frames[0].plane_dim}-frames"
-        if k == "horiz":
-            return f"horiz:{self.frames[0].plane_dim}-plane"
-        if k == "enl":
-            return f"enl:{self.base.describe()}:{_fmt(self.c)}"
-        return f"dual:{self.base.describe()}"
+        kind = _KINDS[self.kind]
+        if kind.describe:
+            return kind.describe(self)
+        return ":".join([kind.head] + [_fmt(getattr(self, name)) for name, _ in kind.fields])
 
     def __repr__(self):
         return f"ConeSpec({self.describe()}, dim={self.dim})"
@@ -277,7 +200,99 @@ def dual_cone(base: ConeSpec) -> ConeSpec:
     return ConeSpec("dual", base.dim, base=base)
 
 
-# -- margins ----------------------------------------------------------------
+# -- the rules of each kind -----------------------------------------------------
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise DomainError(message)
+
+
+def _within(value, top, what: str) -> None:
+    _require(value is not None and 1 <= value <= top, f"{what} {value} out of range [1, {top}]")
+
+
+def _check_cbranch(spec: ConeSpec) -> None:
+    _require(spec.dim % 2 == 0, "cbranch needs an even ambient dimension")
+    _within(spec.k, spec.dim // 2, "cbranch index")
+
+
+def _check_mapb(spec: ConeSpec) -> None:
+    n, p = spec.dim, spec.p
+    _require(p is not None and abs(p - round(p)) < 1e-12 and 1 <= p <= n,
+             f"mapb needs an integer p in [1, {n}], got {p}")
+    object.__setattr__(spec, "p", float(round(p)))
+    _within(spec.k, math.comb(n, int(spec.p)), "mapb branch index")
+
+
+def _check_frames(spec: ConeSpec) -> None:
+    _require(bool(spec.frames), f"{spec.kind} cone needs a non-empty frame list")
+    frames = tuple(spec.frames)
+    _require(spec.kind != "horiz" or len(frames) == 1, "horiz cone takes exactly one frame")
+    _require(len({f.plane_dim for f in frames}) == 1, "all frames must share one plane dimension")
+    for f in frames:
+        if f.ambient_dim != spec.dim:
+            raise DimensionMismatchError(
+                f"frame ambient dim {f.ambient_dim} != cone dim {spec.dim}"
+            )
+    object.__setattr__(spec, "frames", frames)
+
+
+def _check_base(spec: ConeSpec, amount_ok: bool = True) -> None:
+    _require(spec.base is not None and spec.base.dim == spec.dim,
+             f"{spec.kind} cone needs a base cone in the same dim")
+    _require(amount_ok, f"enlargement amount must be >= 0, got {spec.c}")
+
+
+def _arity(head: str, rest: list, count: int) -> None:
+    if len(rest) != count:
+        raise SpecParseError(f"{head!r} takes {count} parameter(s), got {len(rest)}", len(head))
+
+
+def _parse_scalars(kind, rest: list, text: str, dim: int) -> ConeSpec:
+    _arity(kind.head, rest, len(kind.fields))
+    params = {}
+    for i, (name, typ) in enumerate(kind.fields):
+        try:
+            params[name] = typ(rest[i])
+        except ValueError:
+            pos = len(":".join([kind.head, *rest[:i]])) + 1
+            raise SpecParseError(
+                f"expected a number at position {pos}, got {rest[i]!r}", pos
+            ) from None
+    return ConeSpec(kind.name, dim, **params)
+
+
+def _parse_frames(kind, rest: list, text: str, dim: int) -> ConeSpec:
+    _arity(kind.head, rest, 1)
+    if not rest[0].startswith("@"):
+        raise SpecParseError(
+            f"{kind.head!r} expects @<frames file>, got {rest[0]!r}", len(kind.head) + 1
+        )
+    frames = symmat.read_frames_csv(rest[0][1:])
+    if kind.name == "horiz" and len(frames) != 1:
+        raise SpecParseError("horiz frame file must hold one frame", len(kind.head) + 1)
+    return ConeSpec(kind.name, dim, frames=tuple(frames))
+
+
+def _parse_enl(kind, rest: list, text: str, dim: int) -> ConeSpec:
+    if len(rest) < 2:
+        raise SpecParseError("enl:<base...>:<c>", len(kind.head))
+    base = parse_cone(":".join(rest[:-1]), dim)
+    try:
+        c = float(rest[-1])
+    except ValueError:
+        raise SpecParseError(
+            f"expected the enlargement amount, got {rest[-1]!r}",
+            len(text) - len(rest[-1]),
+        ) from None
+    return enlarged_cone(base, c)
+
+
+def _parse_dual(kind, rest: list, text: str, dim: int) -> ConeSpec:
+    if not rest:
+        raise SpecParseError("dual:<base...>", len(kind.head))
+    return dual_cone(parse_cone(":".join(rest), dim))
 
 
 def _stack(mats) -> np.ndarray:
@@ -298,6 +313,203 @@ def _affine(base: np.ndarray, slope: float):
     return f, lambda: -base / slope
 
 
+def _pucci_machine(spec: ConeSpec, lam: np.ndarray):
+    lam_c, Lam_c = spec.lam, spec.Lam
+
+    def value(shifted):
+        pos = np.clip(shifted, 0.0, None).sum(axis=-1)
+        neg = np.clip(shifted, None, 0.0).sum(axis=-1)
+        return lam_c * pos + Lam_c * neg
+
+    def f(t):
+        return value(lam + np.asarray(t, dtype=float)[..., None])
+
+    def root():
+        # f at the breakpoints t = -lambda_i, nonincreasing in i; the
+        # q of them with f >= 0 bound the crossing segment, on which the
+        # q lowest shifted eigenvalues are <= 0 and the rest >= 0
+        at = value(lam[:, None, :] - lam[:, :, None])
+        q = (at >= 0.0).sum(axis=-1)
+        rows, i = np.arange(q.shape[0]), q - 1
+        slope = Lam_c * q + lam_c * (lam.shape[-1] - q)
+        t = -lam[rows, i] - at[rows, i] / slope
+        t[~np.isfinite(at).all(axis=-1)] = np.nan  # overflow
+        return t
+
+    return f, root
+
+
+def _sigma_machine(spec: ConeSpec, lam: np.ndarray):
+    k = spec.k
+
+    def f(t):
+        shifted = lam + np.asarray(t, dtype=float)[..., None]
+        return elementary_symmetric(shifted, k)[..., 1:].min(axis=-1)
+
+    def root():
+        # sigma_k(lambda + t 1) is real-rooted in t (Garding); right of
+        # its largest root it and sigma_1 .. sigma_{k-1} are positive, and
+        # Newton from t = -lambda_1 descends monotonically onto that root
+        t = -lam[..., 0]
+        tol = 4.0 * np.spacing(np.abs(lam).max(axis=-1))
+        weight = lam.shape[-1] - k + 1
+        rows = np.arange(t.shape[0])
+        while rows.size:
+            e = elementary_symmetric(lam[rows] + t[rows, None], k)
+            p, dp = e[:, k], weight * e[:, k - 1]
+            finite = np.isfinite(e).all(axis=-1)  # nan marks an overflow
+            step = np.divide(p, dp, out=np.where(finite, 0.0, np.nan),
+                             where=finite & (p > 0.0) & (dp > 0.0))
+            t[rows] -= step
+            rows = rows[step > tol[rows]]
+        return t
+
+    return f, root
+
+
+def _frames_machine(spec: ConeSpec, mats: np.ndarray):
+    traces = frame_traces(mats, spec.frames)
+    pdim = spec.frames[0].plane_dim
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return (traces + pdim * t[..., None]).min(axis=-1)
+
+    return f, lambda: -traces.min(axis=-1) / pdim
+
+
+def _enl_machine(spec: ConeSpec, mats: np.ndarray):
+    fb, root_b = _margin_machine(spec.base, mats)
+    return lambda t: fb(np.asarray(t, dtype=float) + spec.c), lambda: root_b() - spec.c
+
+
+def _dual_machine(spec: ConeSpec, mats: np.ndarray):
+    fneg, root_neg = _margin_machine(spec.base, -mats)
+    return lambda t: -fneg(-np.asarray(t, dtype=float)), lambda: -root_neg()
+
+
+def _frames_witness(spec: ConeSpec, A: SymMatrix) -> dict:
+    return {"frame_index": int(np.argmin(frame_traces(A.entries, spec.frames))) + 1}
+
+
+def _pp_witness(spec: ConeSpec, A: SymMatrix) -> dict:
+    k, frac = divmod(spec.p, 1.0)
+    last = int(k) + (1 if frac > 1e-9 else 0)
+    return {"eigen_indices": list(range(1, max(last, 1) + 1))}
+
+
+def _mapb_witness(spec: ConeSpec, A: SymMatrix) -> dict:
+    lam = symmat.eigenvalues_of(A)
+    idx = pfold_index_sets(spec.dim, int(spec.p))
+    order = np.argsort(lam[idx].sum(axis=-1), kind="stable")
+    return {"eigen_subset": [int(i) + 1 for i in idx[order[spec.k - 1]]]}
+
+
+def _dual_witness(spec: ConeSpec, A: SymMatrix) -> dict:
+    # the dual of a kind with a mirror is the mirror; any other base is witnessed at -A
+    mirror = _KINDS[spec.base.kind].mirror
+    return _witness(mirror(spec.base), A) if mirror else _witness(spec.base, -A)
+
+
+_REFLECTION = "reflection: A is a dual member iff -A is not interior to the cone"
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """The rules of kind ``name`` (see the module docstring).  ``parse``
+    reads the tokens after ``head``, ``describe`` is None for a descriptor
+    of scalar ``fields`` only, and a None flag means as the base.
+    ``machine`` and ``dual_margins`` read the ascending eigenvalues of a
+    spectral kind's stack (``machine`` any other kind's stack), and
+    ``characteristic(spec, s)`` is s times the closed form."""
+
+    name: str
+    head: str
+    machine: Callable
+    fields: tuple = ()
+    parse: Callable = _parse_scalars
+    describe: Optional[Callable] = None
+    check: Callable = lambda spec: None
+    spectral: Optional[bool] = True
+    sampled: Optional[bool] = False
+    witness: Callable = lambda spec, A: None
+    mirror: Optional[Callable] = None
+    dual_margins: Optional[Callable] = None
+    dual_text: Callable = lambda spec: _REFLECTION
+    characteristic: Callable = lambda spec, scale: None
+
+
+_KINDS = {kind.name: kind for kind in (
+    _Kind("positivity", "p",
+          machine=lambda s, lam: _affine(lam[..., 0], 1.0),
+          witness=lambda s, A: {"eigen_index": 1},
+          dual_margins=lambda s, lam: top_partial_sum_eigs(lam, 1.0),
+          dual_text=lambda s: f"branch:{s.dim} (largest eigenvalue >= 0)",
+          characteristic=lambda s, scale: scale),
+    _Kind("pp", "pp", fields=(("p", float),),
+          check=lambda s: _within(s.p, s.dim, "pp parameter"),
+          machine=lambda s, lam: _affine(partial_sum_eigs(lam, s.p), s.p),
+          witness=_pp_witness,
+          dual_margins=lambda s, lam: top_partial_sum_eigs(lam, s.p),
+          dual_text=lambda s: f"sum of the {_fmt(s.p)} largest eigenvalues >= 0",
+          characteristic=lambda s, scale: scale * s.p),
+    _Kind("branch", "branch", fields=(("k", int),),
+          check=lambda s: _within(s.k, s.dim, "branch index"),
+          machine=lambda s, lam: _affine(lam[..., s.k - 1], 1.0),
+          witness=lambda s, A: {"eigen_index": s.k},
+          mirror=lambda s: branch_cone(s.dim - s.k + 1, s.dim),
+          characteristic=lambda s, scale: scale * (1.0 if s.k == 1 else s.dim)),
+    _Kind("cbranch", "cbranch", fields=(("k", int),), check=_check_cbranch, spectral=False,
+          machine=lambda s, mats: _affine(hermitian_eigenvalues(mats)[..., s.k - 1], 1.0),
+          witness=lambda s, A: {"hermitian_eigen_index": s.k},
+          mirror=lambda s: complex_branch_cone(s.dim // 2 - s.k + 1, s.dim),
+          characteristic=lambda s, scale: scale * (2.0 if s.k == 1 else s.dim)),
+    _Kind("pdelta", "pdelta", fields=(("delta", float),),
+          check=lambda s: _require(s.delta is not None and s.delta > 0,
+                                   f"pdelta parameter must be > 0, got {s.delta}"),
+          machine=lambda s, lam: _affine(lam[..., 0] + s.delta * lam.sum(axis=-1),
+                                         1.0 + s.delta * s.dim),
+          characteristic=lambda s, scale: scale * (1.0 + s.delta * s.dim) / (1.0 + s.delta)),
+    _Kind("pucci", "pucci", fields=(("lam", float), ("Lam", float)),
+          check=lambda s: _require(s.lam is not None and s.Lam is not None and 0 < s.lam < s.Lam,
+                                   f"pucci needs 0 < lam < Lam, got ({s.lam}, {s.Lam})"),
+          machine=_pucci_machine,
+          dual_text=lambda s: (f"{_fmt(s.Lam)}*tr(A+) + {_fmt(s.lam)}*tr(A-) >= 0 "
+                               "(coefficients swapped)"),
+          characteristic=lambda s, scale: scale * ((s.lam / s.Lam) * (s.dim - 1) + 1.0)),
+    _Kind("sigma", "sigma", fields=(("k", int),),
+          check=lambda s: _within(s.k, s.dim, "sigma index"),
+          machine=_sigma_machine,
+          witness=lambda s, A: {"sigma_index": int(np.argmin(
+              elementary_symmetric(symmat.eigenvalues_of(A), s.k)[1:])) + 1},
+          characteristic=lambda s, scale: scale * s.dim / s.k),
+    _Kind("mapb", "mapb", fields=(("p", _whole), ("k", int)), check=_check_mapb,
+          machine=lambda s, lam: _affine(pfold_sums_eigs(lam, int(s.p))[..., s.k - 1], s.p),
+          witness=_mapb_witness,
+          dual_text=lambda s: f"mapb:{int(s.p)}:{math.comb(s.dim, int(s.p)) - s.k + 1}",
+          characteristic=lambda s, scale: scale * (
+              int(s.p) if s.k <= math.comb(s.dim - 1, int(s.p) - 1) else s.dim)),
+    _Kind("geom", "geom", parse=_parse_frames, check=_check_frames, spectral=False, sampled=True,
+          describe=lambda s: f"geom:{len(s.frames)}x{s.frames[0].plane_dim}-frames",
+          machine=_frames_machine, witness=_frames_witness),
+    _Kind("horiz", "horiz", parse=_parse_frames, check=_check_frames, spectral=False,
+          describe=lambda s: f"horiz:{s.frames[0].plane_dim}-plane",
+          machine=_frames_machine, witness=_frames_witness),
+    _Kind("enl", "enl", parse=_parse_enl, spectral=None, sampled=None,
+          check=lambda s: _check_base(s, amount_ok=s.c is not None and s.c >= 0),
+          describe=lambda s: f"enl:{s.base.describe()}:{_fmt(s.c)}",
+          machine=_enl_machine,
+          witness=lambda s, A: _witness(s.base, A + s.c * symmat.identity(s.dim))),
+    _Kind("dual", "dual", parse=_parse_dual, check=_check_base, spectral=None, sampled=None,
+          describe=lambda s: f"dual:{s.base.describe()}",
+          machine=_dual_machine, witness=_dual_witness),
+)}
+_HEADS = {kind.head: kind for kind in _KINDS.values()}
+
+
+# -- margins ----------------------------------------------------------------
+
+
 def _margin_machine(spec: ConeSpec, mats: np.ndarray):
     """Return ``(f, root)``: f(t) -> margins of ``mats + t I`` computed
     from cached spectra, and root() -> per matrix the t at which that
@@ -311,97 +523,8 @@ def _margin_machine(spec: ConeSpec, mats: np.ndarray):
     all (for ``diag(-3, 1)`` in ``sigma:2`` it is -3, -3.75, -4, -3, 0 at
     t = 0, 0.5, 1, 2, 3); each solves for its crossing directly.
     """
-    kind = spec.kind
-    if kind == "cbranch":
-        return _affine(hermitian_eigenvalues(mats)[..., spec.k - 1], 1.0)
-    if kind in ("geom", "horiz"):
-        traces = frame_traces(mats, spec.frames)
-        pdim = spec.frames[0].plane_dim
-
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return (traces + pdim * t[..., None]).min(axis=-1)
-
-        return f, lambda: -traces.min(axis=-1) / pdim
-    if kind == "enl":
-        fb, root_b = _margin_machine(spec.base, mats)
-        c = spec.c
-
-        def f(t):
-            return fb(np.asarray(t, dtype=float) + c)
-
-        return f, lambda: root_b() - c
-    if kind == "dual":
-        fneg, root_neg = _margin_machine(spec.base, -mats)
-
-        def f(t):
-            return -fneg(-np.asarray(t, dtype=float))
-
-        return f, lambda: -root_neg()
-
-    lam = symmat.eigenvalues_of(mats)
-
-    if kind in ("positivity", "branch"):
-        return _affine(lam[..., (spec.k or 1) - 1], 1.0)
-    if kind == "pp":
-        return _affine(partial_sum_eigs(lam, spec.p), spec.p)
-    if kind == "pdelta":
-        delta = spec.delta
-        return _affine(lam[..., 0] + delta * lam.sum(axis=-1), 1.0 + delta * spec.dim)
-    if kind == "mapb":
-        p = spec.p  # a whole number, kept as a float
-        return _affine(pfold_sums_eigs(lam, int(p))[..., spec.k - 1], p)
-    if kind == "pucci":
-        lam_c, Lam_c = spec.lam, spec.Lam
-
-        def value(shifted):
-            pos = np.clip(shifted, 0.0, None).sum(axis=-1)
-            neg = np.clip(shifted, None, 0.0).sum(axis=-1)
-            return lam_c * pos + Lam_c * neg
-
-        def f(t):
-            return value(lam + np.asarray(t, dtype=float)[..., None])
-
-        def root():
-            # f at the breakpoints t = -lambda_i, nonincreasing in i; the
-            # q of them with f >= 0 bound the crossing segment, on which the
-            # q lowest shifted eigenvalues are <= 0 and the rest >= 0
-            at = value(lam[:, None, :] - lam[:, :, None])
-            q = (at >= 0.0).sum(axis=-1)
-            rows, i = np.arange(q.shape[0]), q - 1
-            slope = Lam_c * q + lam_c * (lam.shape[-1] - q)
-            t = -lam[rows, i] - at[rows, i] / slope
-            t[~np.isfinite(at).all(axis=-1)] = np.nan  # overflow
-            return t
-
-        return f, root
-    if kind == "sigma":
-        k = spec.k
-
-        def f(t):
-            shifted = lam + np.asarray(t, dtype=float)[..., None]
-            return elementary_symmetric(shifted, k)[..., 1:].min(axis=-1)
-
-        def root():
-            # sigma_k(lambda + t 1) is real-rooted in t (Garding); right of
-            # its largest root it and sigma_1 .. sigma_{k-1} are positive, and
-            # Newton from t = -lambda_1 descends monotonically onto that root
-            t = -lam[..., 0]
-            tol = 4.0 * np.spacing(np.abs(lam).max(axis=-1))
-            weight = lam.shape[-1] - k + 1
-            rows = np.arange(t.shape[0])
-            while rows.size:
-                e = elementary_symmetric(lam[rows] + t[rows, None], k)
-                p, dp = e[:, k], weight * e[:, k - 1]
-                finite = np.isfinite(e).all(axis=-1)  # nan marks an overflow
-                step = np.divide(p, dp, out=np.where(finite, 0.0, np.nan),
-                                 where=finite & (p > 0.0) & (dp > 0.0))
-                t[rows] -= step
-                rows = rows[step > tol[rows]]
-            return t
-
-        return f, root
-    raise DomainError(f"no margin rule for kind {kind!r}")  # pragma: no cover
+    kind = _KINDS[spec.kind]
+    return kind.machine(spec, symmat.eigenvalues_of(mats) if kind.spectral else mats)
 
 
 def margins(spec: ConeSpec, mats) -> np.ndarray:
@@ -416,40 +539,7 @@ def margins(spec: ConeSpec, mats) -> np.ndarray:
 
 def _witness(spec: ConeSpec, A: SymMatrix):
     """Identify the binding constraint for a single matrix (1-based indices)."""
-    kind = spec.kind
-    if kind == "positivity":
-        return {"eigen_index": 1}
-    if kind == "pp":
-        k, frac = divmod(spec.p, 1.0)
-        last = int(k) + (1 if frac > 1e-9 else 0)
-        return {"eigen_indices": list(range(1, max(last, 1) + 1))}
-    if kind == "branch":
-        return {"eigen_index": spec.k}
-    if kind == "cbranch":
-        return {"hermitian_eigen_index": spec.k}
-    if kind == "sigma":
-        e = elementary_symmetric(symmat.eigenvalues_of(A), spec.k)[1:]
-        return {"sigma_index": int(np.argmin(e)) + 1}
-    if kind in ("geom", "horiz"):
-        traces = frame_traces(A.entries, spec.frames)
-        return {"frame_index": int(np.argmin(traces)) + 1}
-    if kind == "mapb":
-        lam = symmat.eigenvalues_of(A)
-        idx = pfold_index_sets(spec.dim, int(spec.p))
-        sums = lam[idx].sum(axis=-1)
-        order = np.argsort(sums, kind="stable")
-        binding = idx[order[spec.k - 1]]
-        return {"eigen_subset": [int(i) + 1 for i in binding]}
-    if kind == "enl":
-        return _witness(spec.base, A + spec.c * symmat.identity(spec.dim))
-    if kind == "dual":
-        base = spec.base
-        if base.kind == "branch":
-            return {"eigen_index": spec.dim - base.k + 1}
-        if base.kind == "cbranch":
-            return {"hermitian_eigen_index": spec.dim // 2 - base.k + 1}
-        return _witness(base, -A)
-    return None
+    return _KINDS[spec.kind].witness(spec, A)
 
 
 @dataclass(frozen=True)
@@ -538,18 +628,15 @@ def dual_contains(spec: ConeSpec, A) -> MembershipReport:
 def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
     """Closed-form dual margins where the catalogue provides them.
 
-    Partial-sum cones dualize to top partial sums and branches reflect
-    their index; other kinds return None (definitional evaluation only).
+    Partial-sum cones dualize to top partial sums and branches to their
+    mirror (reflected index); other kinds return None (definitional only).
     """
     arr = _stack(mats)
-    if spec.kind in ("pp", "positivity"):
-        p = spec.p if spec.kind == "pp" else 1.0
-        return top_partial_sum_eigs(symmat.eigenvalues_of(arr), p)
-    if spec.kind == "branch":
-        lam = symmat.eigenvalues_of(arr)
-        return lam[..., spec.dim - spec.k]
-    if spec.kind == "cbranch":
-        return hermitian_eigenvalues(arr)[..., spec.dim // 2 - spec.k]
+    kind = _KINDS[spec.kind]
+    if kind.mirror:
+        return _margin_machine(kind.mirror(spec), arr)[0](0.0)
+    if kind.dual_margins:
+        return kind.dual_margins(spec, symmat.eigenvalues_of(arr))
     return None
 
 
@@ -641,7 +728,6 @@ class RelationReport:
 
     passed: bool
     checked: int
-    seed: int
     failure_index: Optional[int] = None
     counterexample: Optional[tuple] = None  # (SymMatrix, SymMatrix)
     margins: Optional[dict] = None
@@ -689,7 +775,6 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
         return RelationReport(
             passed=False,
             checked=start + size,
-            seed=cfg.seed,
             failure_index=start + i,
             counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
             margins={
@@ -698,7 +783,7 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
                 "margin_sum": float(m[i]),
             },
         )
-    return RelationReport(passed=True, checked=cfg.count, seed=cfg.seed)
+    return RelationReport(passed=True, checked=cfg.count)
 
 
 @dataclass(frozen=True)
@@ -711,7 +796,6 @@ class DualityReport:
 
     passed: bool
     checked: int
-    seed: int
     failure_index: Optional[int] = None
     counterexample: Optional[np.ndarray] = None
     margins: Optional[dict] = None
@@ -750,7 +834,6 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
         return DualityReport(
             passed=False,
             checked=start + size,
-            seed=cfg.seed,
             failure_index=start + i,
             counterexample=mats[i].copy(),
             margins={
@@ -758,7 +841,7 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
                 "fast_margin": float(fast[i]),
             },
         )
-    return DualityReport(passed=True, checked=cfg.count, seed=cfg.seed)
+    return DualityReport(passed=True, checked=cfg.count)
 
 
 # -- unit-vector family test and Riesz characteristic ------------------------
@@ -882,25 +965,7 @@ def closed_form_characteristic(spec: ConeSpec) -> Optional[float]:
     uncapped (may exceed the ambient dimension): ``(1 + a)`` times H's for
     ``(H, a) = _cone_and_shift(spec)``, so nested enlargements add."""
     H, a = _cone_and_shift(spec)
-    n, kind, scale = H.dim, H.kind, 1.0 + a
-    if kind == "positivity":
-        return scale
-    if kind == "pp":
-        return scale * H.p
-    if kind == "branch":
-        return scale * (1.0 if H.k == 1 else n)
-    if kind == "cbranch":
-        return scale * (2.0 if H.k == 1 else n)
-    if kind == "pdelta":
-        return scale * (1.0 + H.delta * n) / (1.0 + H.delta)
-    if kind == "pucci":
-        return scale * ((H.lam / H.Lam) * (n - 1) + 1.0)
-    if kind == "sigma":
-        return scale * n / H.k
-    if kind == "mapb":
-        p = int(H.p)
-        return scale * (p if H.k <= math.comb(n - 1, p - 1) else n)
-    return None
+    return _KINDS[H.kind].characteristic(H, 1.0 + a)
 
 
 @dataclass(frozen=True)
@@ -965,26 +1030,9 @@ def riesz_characteristic(M: ConeSpec, sphere_samples: int = 250) -> RieszCharact
 
 
 def dual_description(spec: ConeSpec) -> str:
-    """Human-readable description of the dual cone."""
-    n = spec.dim
-    kind = spec.kind
-    if kind == "positivity":
-        return f"branch:{n} (largest eigenvalue >= 0)"
-    if kind == "pp":
-        return f"sum of the {_fmt(spec.p)} largest eigenvalues >= 0"
-    if kind == "branch":
-        return f"branch:{n - spec.k + 1}"
-    if kind == "cbranch":
-        return f"cbranch:{n // 2 - spec.k + 1}"
-    if kind == "pucci":
-        return (
-            f"{_fmt(spec.Lam)}*tr(A+) + {_fmt(spec.lam)}*tr(A-) >= 0 "
-            "(coefficients swapped)"
-        )
-    if kind == "mapb":
-        N = math.comb(n, int(spec.p))
-        return f"mapb:{int(spec.p)}:{N - spec.k + 1}"
-    return "reflection: A is a dual member iff -A is not interior to the cone"
+    """Human-readable description of the dual cone (a mirror's descriptor)."""
+    kind = _KINDS[spec.kind]
+    return kind.mirror(spec).describe() if kind.mirror else kind.dual_text(spec)
 
 
 # -- Pucci Garding polynomial -------------------------------------------------
@@ -1080,59 +1128,11 @@ def parse_cone(text: str, dim: int) -> ConeSpec:
     text = text.strip()
     if not text:
         raise SpecParseError("empty cone descriptor", 0)
-    tokens = text.split(":")
-    head = tokens[0]
-    rest = tokens[1:]
-
-    def _arity(k):
-        if len(rest) != k:
-            raise SpecParseError(
-                f"{head!r} takes {k} parameter(s), got {len(rest)}", len(head)
-            )
-
+    head, *rest = text.split(":")
+    if head not in _HEADS:
+        raise SpecParseError(f"unknown cone kind {head!r}", 0)
+    kind = _HEADS[head]
     try:
-        if head in _DESCRIPTORS:
-            kind, fields = _DESCRIPTORS[head]
-            _arity(len(fields))
-            params = {}
-            for i, (name, typ) in enumerate(fields):
-                try:
-                    params[name] = typ(rest[i])
-                except ValueError:
-                    pos = len(":".join(tokens[: i + 1])) + 1
-                    raise SpecParseError(
-                        f"expected a number at position {pos}, got {rest[i]!r}", pos
-                    ) from None
-            return ConeSpec(kind, dim, **params)
-        if head == "geom" or head == "horiz":
-            _arity(1)
-            tok = rest[0]
-            if not tok.startswith("@"):
-                raise SpecParseError(
-                    f"{head!r} expects @<frames file>, got {tok!r}", len(head) + 1
-                )
-            frames = symmat.read_frames_csv(tok[1:])
-            if head == "geom":
-                return geometric_cone(frames, dim)
-            if len(frames) != 1:
-                raise SpecParseError("horiz frame file must hold one frame", len(head) + 1)
-            return horizontal_cone(frames[0], dim)
-        if head == "enl":
-            if len(rest) < 2:
-                raise SpecParseError("enl:<base...>:<c>", len(head))
-            base = parse_cone(":".join(rest[:-1]), dim)
-            try:
-                c = float(rest[-1])
-            except ValueError:
-                raise SpecParseError(
-                    f"expected the enlargement amount, got {rest[-1]!r}",
-                    len(text) - len(rest[-1]),
-                ) from None
-            return enlarged_cone(base, c)
-        if head == "dual":
-            if not rest:
-                raise SpecParseError("dual:<base...>", len(head))
-            return dual_cone(parse_cone(":".join(rest), dim))
+        return kind.parse(kind, rest, text, dim)
     except DomainError as exc:
         raise SpecParseError(str(exc), 0) from exc
-    raise SpecParseError(f"unknown cone kind {head!r}", 0)

@@ -204,6 +204,14 @@ def _spacing_power(h: float, k: int) -> np.float64:
     return hk
 
 
+def _check_second_differences(h: float) -> None:
+    """A spacing whose second-difference coefficient 1/h^2 is not finite
+    is a DomainError naming it, by the rule of ``solver._coefficients``."""
+    with np.errstate(over="ignore", divide="ignore"):
+        if not np.isfinite(1.0 / np.float64(h) ** 2):
+            raise DomainError(f"grid spacing {h!r} is out of range: 1/h^2 overflows")
+
+
 def _usable(u: GridFunction) -> np.ndarray:
     return np.isfinite(u.values) & ~u.masked()
 
@@ -218,12 +226,12 @@ def discrete_hessian_field(u: GridFunction):
     the 2-D diagonals).  A point is admissible when that stencil is
     unmasked and finite.  Mixed derivatives use the symmetric 4-point
     stencil, so the discrete Hessian is exactly symmetric.  A spacing
-    whose square underflows to 0 is a DomainError.
+    whose 1/h^2 is not finite is a DomainError, whatever the data.
     """
     nd = u.ndim
     if any(s < 3 for s in u.shape):
         raise DomainError("Hessian operations need at least 3 points per axis")
-    _spacing_power(u.h, 2)
+    _check_second_differences(u.h)
     usable = _usable(u)
     stencil = np.sum(np.indices((3,) * nd) != 1, axis=0) <= 2
     ok = sliding_window_view(usable, (3,) * nd)[..., stencil].all(axis=-1)

@@ -605,6 +605,8 @@ _BAD_INPUT_FILES = {
     "hugedata.json": json.dumps({"operator": "pp", "p": 1.5, "boundary": {"expr": "1e308*sin(9*x)"},
                                  "grid": {"shape": [9, 9], "origin": [-1, -1], "h": 0.25}}),
     "tinyh9.grid": "grid n=2 shape=9,9 origin=0,0 h=1e-200\n" + "0,1,4,9,16,25,36,49,64\n" * 9,
+    # h^2 is subnormal, not 0, and 1/h^2 overflows
+    "subnormalh.grid": "grid n=2 shape=9,9 origin=0,0 h=1e-158\n" + "0,1,4,9,16,25,36,49,64\n" * 9,
     "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
     "empty.csv": "",
     "comment.csv": "# no atoms\n",
@@ -789,6 +791,10 @@ _BAD_INPUT_FILES = {
                      id="grid-hessian-spacing-underflows-9"),
         pytest.param(["grid", "verify", "--input", "tinyh9.grid", "--cone", "pp:1.5"],
                      id="grid-verify-spacing-underflows-9"),
+        pytest.param(["grid", "hessian", "--input", "subnormalh.grid", "--at", "4,4"],
+                     id="grid-hessian-inverse-square-spacing-overflows"),
+        pytest.param(["grid", "verify", "--input", "subnormalh.grid", "--cone", "pp:1.5",
+                      "--c-tol", "0.1"], id="grid-verify-inverse-square-spacing-overflows"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
                      id="box-scales-repeated"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
@@ -807,9 +813,10 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     schema.validate_report(rep)
     assert rep["command"] == argv[0]
     assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError", "SamplingError")
-    if {"tinyh.grid", "tinyh9.grid"} & set(argv):
-        # the second and third differences divide by 0: the spacing is at fault
-        assert rep["error"]["message"].startswith("grid spacing 1e-200 is out of range")
+    for name, h in (("tinyh.grid", "1e-200"), ("tinyh9.grid", "1e-200"), ("subnormalh.grid", "1e-158")):
+        if name in argv:
+            # the second and third differences divide by 0 or overflow: the spacing is at fault
+            assert rep["error"]["message"].startswith(f"grid spacing {h} is out of range")
     assert err == ""
     assert not (tmp_path / "x.grid").exists()
 

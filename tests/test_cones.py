@@ -442,7 +442,7 @@ def test_check_relation_deterministic():
     r1 = check_relation(pucci_cone(1, 2, 3), positivity(3), cfg)
     r2 = check_relation(pucci_cone(1, 2, 3), positivity(3), cfg)
     assert r1.to_dict() == r2.to_dict()
-    assert (r1.checked, r1.seed, r1.failure_index) == (r2.checked, r2.seed, r2.failure_index)
+    assert (r1.checked, r1.failure_index) == (r2.checked, r2.failure_index)
 
 
 def _replay_block(F, M, cfg, index):

@@ -434,6 +434,10 @@ def test_extreme_spacings_are_typed_errors_or_finite_without_warnings():
     tiny = GridFunction(vals, [0, 0], 1e-200)
     with pytest.raises(DomainError):
         discrete_hessian(tiny, (4, 4))
+    # h * h is subnormal and 1/h^2 overflows: the spacing is at fault, whatever the data
+    for data in (vals, np.ones_like(vals)):
+        with pytest.raises(DomainError, match="grid spacing 1e-158 is out of range"):
+            discrete_hessian(GridFunction(data, [0, 0], 1e-158), (4, 4))
     # h**3 overflowed as a Python float: OverflowError, not a report
     huge = GridFunction(vals, [0, 0], 1e200)
     assert grids.third_difference_kappa(huge) == 0.0
