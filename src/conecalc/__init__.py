@@ -1,128 +1,7 @@
 """conecalc: eigenvalue-cone calculus, Riesz potentials, and monotone
-wide-stencil Dirichlet solvers with removable-singularity experiments."""
+wide-stencil Dirichlet solvers with removable-singularity experiments.
 
-from .cones import (
-    ConeSpec,
-    MembershipReport,
-    SampleConfig,
-    branch_cone,
-    check_relation,
-    complex_branch_cone,
-    contains,
-    dual_cone,
-    dual_contains,
-    enlarged_cone,
-    garding_pucci,
-    geometric_cone,
-    horizontal_cone,
-    map_branch_cone,
-    parse_cone,
-    pdelta_cone,
-    positivity,
-    pp_cone,
-    pp_subset_test,
-    pucci_cone,
-    riesz_characteristic,
-    sigma_cone,
-)
-from .grids import (
-    AffineFlat,
-    GridFunction,
-    canonical_extension,
-    discrete_hessian,
-    distance_jet,
-    perturb,
-    subharmonic_verify,
-    upper_conical_check,
-)
-from .riesz import (
-    DiscreteMeasure,
-    PolarFunction,
-    RieszKernelSpec,
-    box_dimension,
-    build_polar,
-    kernel_jet,
-    potential_jet,
-)
-from .solver import (
-    DirichletProblem,
-    StencilSet,
-    harmonic_verify,
-    make_stencil,
-    removability_experiment,
-    residual,
-    solve,
-)
-from .symmat import (
-    Frame,
-    Jet2,
-    Spectrum,
-    SymMatrix,
-    eigh,
-    hermitian_eigenvalues,
-    partial_sum,
-    pfold_sums,
-    projector,
-    sigma_elementary,
-    trace_over_frame,
-)
+Each name is imported from its module: ``cones``, ``riesz``, ``grids``,
+``solver`` or ``symmat`` (``cli`` is the command-line front end)."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineFlat",
-    "ConeSpec",
-    "DirichletProblem",
-    "DiscreteMeasure",
-    "Frame",
-    "GridFunction",
-    "Jet2",
-    "MembershipReport",
-    "PolarFunction",
-    "RieszKernelSpec",
-    "SampleConfig",
-    "Spectrum",
-    "StencilSet",
-    "SymMatrix",
-    "box_dimension",
-    "branch_cone",
-    "build_polar",
-    "canonical_extension",
-    "check_relation",
-    "complex_branch_cone",
-    "contains",
-    "discrete_hessian",
-    "distance_jet",
-    "dual_cone",
-    "dual_contains",
-    "eigh",
-    "enlarged_cone",
-    "garding_pucci",
-    "geometric_cone",
-    "harmonic_verify",
-    "hermitian_eigenvalues",
-    "horizontal_cone",
-    "kernel_jet",
-    "make_stencil",
-    "map_branch_cone",
-    "parse_cone",
-    "partial_sum",
-    "pdelta_cone",
-    "perturb",
-    "pfold_sums",
-    "positivity",
-    "potential_jet",
-    "pp_cone",
-    "pp_subset_test",
-    "projector",
-    "pucci_cone",
-    "removability_experiment",
-    "residual",
-    "riesz_characteristic",
-    "sigma_cone",
-    "sigma_elementary",
-    "solve",
-    "subharmonic_verify",
-    "trace_over_frame",
-    "upper_conical_check",
-]

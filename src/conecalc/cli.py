@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cones, grids, riesz, solver, symmat
+from . import symmat  # each command imports the other modules it runs: start-up loads no more
 from .errors import (
     ConecalcError,
     DomainError,
@@ -63,13 +63,15 @@ def _load_json(path):
         raise DomainError(f"could not read JSON config {path}: {exc}") from exc
 
 
-def _stencil(cfg: dict, problem) -> solver.StencilSet:
+def _stencil(cfg: dict, problem):
     """The stencil a problem object asks for (reach 3 by default)."""
+    from . import solver
     return solver.make_stencil(problem.ndim, reach=cfg.get("stencil_reach", 3))
 
 
-def _write_solve(rep: solver.SolveReport, grid_path, csv_path) -> list:
+def _write_solve(rep, grid_path, csv_path) -> list:
     """Write a solve's solution grid and its convergence CSV; return both paths."""
+    from . import grids
     grids.write_grid(grid_path, rep.solution)
     symmat.write_text(csv_path, ["iteration,residual_sup\n", *symmat.csv_lines(rep.history)])
     return [str(grid_path), str(csv_path)]
@@ -79,6 +81,7 @@ def _write_solve(rep: solver.SolveReport, grid_path, csv_path) -> list:
 
 
 def _cmd_cone(args) -> tuple:
+    from . import cones
     spec = cones.parse_cone(args.spec, args.dim)
     if args.matrix:
         A = symmat.read_matrix_csv(args.matrix)
@@ -106,6 +109,7 @@ def _cmd_cone(args) -> tuple:
 
 
 def _cmd_check(args) -> tuple:
+    from . import cones
     cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
     report = {"kind": args.kind, "dim": args.dim, "samples": args.samples}
     if args.kind in ("positivity", "monotone", "duality") and not args.f:
@@ -136,6 +140,7 @@ def _cmd_check(args) -> tuple:
 
 
 def _cmd_kernel(args) -> tuple:
+    from . import riesz
     spec = riesz.RieszKernelSpec(p=args.p, n=args.dim)
     x = _parse_vector(args.x)
     report = {"p": args.p, "dim": args.dim, "x": x.tolist()}
@@ -156,6 +161,7 @@ def _cmd_kernel(args) -> tuple:
 
 
 def _cmd_polar(args) -> tuple:
+    from . import grids, riesz
     points = symmat.read_vectors_csv(args.points)
     polar = riesz.build_polar(points, args.p)
     report = {
@@ -185,11 +191,13 @@ def _cmd_polar(args) -> tuple:
 
 
 def _cmd_grid(args) -> tuple:
+    from . import cones, grids
     u = grids.read_grid(args.input)
     report = {"action": args.action, "output": args.grid_output}
     code = 0
     if args.action == "extend":
-        ext = grids.canonical_extension(u, radius_cap=args.radius_cap)
+        cap = grids.EXTENSION_RADIUS_CAP if args.radius_cap is None else args.radius_cap
+        ext = grids.canonical_extension(u, radius_cap=cap)
         report.update(ext.to_dict())
         if args.grid_output:
             grids.write_grid(args.grid_output, ext.extended)
@@ -217,9 +225,11 @@ def _cmd_grid(args) -> tuple:
 
 
 def _cmd_solve(args) -> tuple:
+    from . import solver
     cfg = _load_json(args.problem)
     problem = solver.problem_from_config(cfg)
-    rep = solver.solve(problem, _stencil(cfg, problem), tol=args.tol, max_iter=args.max_iter)
+    max_iter = solver.POLICY_STEP_CAP if args.max_iter is None else args.max_iter
+    rep = solver.solve(problem, _stencil(cfg, problem), tol=args.tol, max_iter=max_iter)
     report = {"solve": rep.to_dict(), "solution_file": None, "convergence_file": None}
     if args.output_prefix:
         report["solution_file"], report["convergence_file"] = _write_solve(
@@ -228,6 +238,7 @@ def _cmd_solve(args) -> tuple:
 
 
 def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
+    from . import solver
     problem = solver.problem_from_config(cfg["problem"])
     rep = solver.removability_experiment(
         problem,
@@ -249,6 +260,7 @@ def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
 
 
 def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
+    from . import solver
     problem = solver.problem_from_config(cfg["problem"])
     rep = solver.solve(problem, _stencil(cfg["problem"], problem), tol=cfg.get("tol", 1e-8))
     report["solve"] = rep.to_dict()
@@ -257,6 +269,7 @@ def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
 
 
 def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
+    from . import grids, solver
     base = solver.problem_from_config(cfg["problem"])
     span = (base.shape[0] - 1) * base.h
     for nside in cfg["resolutions"]:  # every size before any solve
@@ -429,14 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default=None, help="perturbation grid file")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--at", default=None, help="grid index, comma separated")
-    p.add_argument("--radius-cap", type=int, default=grids.EXTENSION_RADIUS_CAP)
+    p.add_argument("--radius-cap", type=int, default=None)
     p.add_argument("--grid-output", default=None)
     common(p)
 
     p = sub.add_parser("solve", help="wide-stencil Dirichlet solve")
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=solver.POLICY_STEP_CAP)
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--output-prefix", default=None)
     common(p)
 

@@ -458,12 +458,13 @@ _KINDS = {kind.name: kind for kind in (
           machine=lambda s, lam: _affine(lam[..., s.k - 1], 1.0),
           witness=lambda s, A: {"eigen_index": s.k},
           mirror=lambda s: branch_cone(s.dim - s.k + 1, s.dim),
-          characteristic=lambda s, scale: scale * (1.0 if s.k == 1 else s.dim)),
+          # k >= 2 holds every I - pP_e: n, raised by an enlargement, not cut by a dual
+          characteristic=lambda s, scale: scale if s.k == 1 else max(scale, 1.0) * s.dim),
     _Kind("cbranch", "cbranch", fields=(("k", int),), check=_check_cbranch, spectral=False,
           machine=lambda s, mats: _affine(hermitian_eigenvalues(mats)[..., s.k - 1], 1.0),
           witness=lambda s, A: {"hermitian_eigen_index": s.k},
           mirror=lambda s: complex_branch_cone(s.dim // 2 - s.k + 1, s.dim),
-          characteristic=lambda s, scale: scale * (2.0 if s.k == 1 else s.dim)),
+          characteristic=lambda s, scale: 2.0 * scale if s.k == 1 else max(scale, 1.0) * s.dim),
     _Kind("pdelta", "pdelta", fields=(("delta", float),),
           check=lambda s: _require(s.delta is not None and s.delta > 0,
                                    f"pdelta parameter must be > 0, got {s.delta}"),
@@ -950,13 +951,13 @@ def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = 250) -> PPSubset
 def _cone_and_shift(spec: ConeSpec):
     """``(H, a)`` with A in spec exactly when ``A + a I`` is in H, for a
     cone H closed under positive scaling: an enlargement adds its amount
-    to a, a dual dualizes H and negates a."""
+    to a, a dual takes H to its mirror or its dual and negates a."""
     if spec.kind == "enl":
         H, a = _cone_and_shift(spec.base)
         return H, a + spec.c
     if spec.kind == "dual":
         H, a = _cone_and_shift(spec.base)
-        return dual_cone(H), -a
+        return (_KINDS[H.kind].mirror or dual_cone)(H), -a
     return spec, 0.0
 
 

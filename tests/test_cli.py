@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -50,6 +49,43 @@ def test_cli_import_loads_no_scipy_solver_modules():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+_LOADED_BY_IMPORT = ["conecalc", "conecalc.cli", "conecalc.errors", "conecalc.symmat"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param(None, [], id="import"),
+    pytest.param(["cone", "--spec", "sigma:2", "--dim", "4"], ["cones"], id="cone"),
+    pytest.param(["check", "positivity", "--f", "pp:2", "--dim", "3", "--samples", "50"],
+                 ["cones"], id="check"),
+    pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0"], ["riesz"], id="kernel"),
+    pytest.param(["polar", "--points", "{tmp}/points.csv", "--p", "2"],
+                 ["cones", "grids", "riesz"], id="polar"),
+    pytest.param(["grid", "hessian", "--input", "{tmp}/u.grid", "--at", "4,4"],
+                 ["cones", "grids"], id="grid-hessian"),
+    pytest.param(["solve", "--problem", "{tmp}/problem.json"],
+                 ["cones", "grids", "riesz", "solver"], id="solve"),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    write_grid(tmp_path / "u.grid",
+               from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x - y * y))
+    (tmp_path / "points.csv").write_text("0,0\n1,0\n")
+    write_problem(tmp_path, grid={"shape": [9, 9], "origin": [-1, -1], "h": 0.25})
+    argv = argv and [arg.format(tmp=tmp_path) for arg in argv]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from conecalc import cli",
+        f"argv = {argv!r}",
+        "if argv is not None:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0",
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'conecalc'))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr(sorted(_LOADED_BY_IMPORT + [f"conecalc.{m}" for m in loaded]))
 
 
 # -- cone reports -----------------------------------------------------------------
@@ -352,6 +388,23 @@ def test_grid_extend_and_verify(tmp_path):
     assert "grid scale" in rep["verification"]["note"]
 
 
+def test_grid_extend_radius_cap_defaults_to_the_extension_cap(tmp_path, capsys):
+    # the centre of a 13^2 masked block lies 7 cells from the unmasked ring,
+    # so caps 5 and 7 extend it differently
+    u = from_function((15, 15), [-1, -1], 1 / 7, lambda x, y: x * x + y * y)
+    mask = np.zeros((15, 15), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    path, out = tmp_path / "u.grid", tmp_path / "ext.grid"
+    write_grid(path, GridFunction(u.values, u.origin, u.h, mask))
+    results = []
+    for cap in ([], ["--radius-cap", str(grids.EXTENSION_RADIUS_CAP)],
+                ["--radius-cap", str(grids.EXTENSION_RADIUS_CAP + 2)]):
+        assert cli.main(["grid", "extend", "--input", str(path), "--grid-output", str(out),
+                         *cap]) == 0
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1] != results[2]
+
+
 def test_grid_verify_failure_exit_code(tmp_path):
     u = from_function((9, 9), [-1, -1], 0.25, lambda x, y: -(x * x) - y * y)
     path = tmp_path / "u.grid"
@@ -409,8 +462,12 @@ def test_solve_max_iter_caps_the_policy_steps(tmp_path, capsys):
         tmp_path, p=1.5, grid={"shape": [17, 17], "origin": [-1, -1], "h": 0.125},
         boundary={"expr": "(x*x+y*y)**0.25"}, hole={"min": [-0.125] * 2, "max": [0.125] * 2},
     )
-    args = cli.build_parser().parse_args(["solve", "--problem", str(path)])
-    assert args.max_iter == inspect.signature(solver.solve).parameters["max_iter"].default
+    # an omitted --max-iter is the solver's step cap
+    assert cli.main(["solve", "--problem", str(path)]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["solve", "--problem", str(path),
+                     "--max-iter", str(solver.POLICY_STEP_CAP)]) == 0
+    assert capsys.readouterr().out == default
     assert cli.main(["solve", "--problem", str(path), "--max-iter", "1"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["solve"]["iterations"] == 1

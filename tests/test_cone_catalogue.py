@@ -134,7 +134,7 @@ _CATALOGUE = {
     },
     "dual:branch:2": {
         "cone": ("dual:branch:2", _REFLECTION,
-                 True, 4.0, None, True, False),
+                 True, 4.0, 4.0, True, False),
         "contains": [(True, 1.0931907477145866, {"eigen_index": 3}, False),
                      (True, 0.6692282331597267, {"eigen_index": 3}, False)],
         "dual_contains": [(True, 0.6485278784170783, {"eigen_index": 3}, False),

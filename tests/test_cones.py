@@ -739,9 +739,11 @@ def _characteristic_catalogue():
             enlarged_cone(dual_cone(branch_cone(n, n)), 0.2),
             dual_cone(enlarged_cone(dual_cone(pp_cone(1.5, n)), 0.3)),
             dual_cone(dual_cone(enlarged_cone(pp_cone(1.5, n), 0.4))),
+            dual_cone(branch_cone(2, n)), dual_cone(enlarged_cone(branch_cone(2, n), 0.5)),
         ]
         if n % 2 == 0:
-            specs += [complex_branch_cone(1, n), complex_branch_cone(2, n)]
+            specs += [complex_branch_cone(1, n), complex_branch_cone(2, n),
+                      dual_cone(complex_branch_cone(1, n))]
         cases += [pytest.param(spec, 250, id=f"{spec.describe()}-n{n}") for spec in specs]
         # sampled cones, also at a family that spans several blocks
         for samples in (250, 3000):
@@ -801,6 +803,13 @@ def test_nested_enlargements_add():
         (pp_cone(2.5, 4), 2.5),
         (enlarged_cone(pp_cone(2.0, 5), 0.5), 3.0),
         (complex_branch_cone(1, 6), 2.0),
+        # the dual of branch:k is its mirror branch:n-k+1
+        (dual_cone(branch_cone(2, 4)), 4.0),
+        (dual_cone(branch_cone(4, 4)), 1.0),
+        (dual_cone(complex_branch_cone(1, 4)), 4.0),
+        (enlarged_cone(dual_cone(branch_cone(4, 4)), 0.5), 1.5),
+        # lambda_3 >= 0.5 holds every I - pP_e: a negative shift leaves n
+        (dual_cone(enlarged_cone(branch_cone(2, 4), 0.5)), 4.0),
     ],
 )
 def test_riesz_characteristic_closed_forms(spec, expected):
