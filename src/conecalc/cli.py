@@ -82,13 +82,15 @@ def _write_solve(rep, grid_path, csv_path) -> list:
 
 def _cmd_cone(args) -> tuple:
     from . import cones
+    if not args.matrix and (args.mode or args.dual):
+        raise DomainError("--mode and --dual test the membership of a --matrix")
     spec = cones.parse_cone(args.spec, args.dim)
     if args.matrix:
         A = symmat.read_matrix_csv(args.matrix)
         if args.dual:
             rep = cones.dual_contains(spec, A)
         else:
-            rep = cones.contains(spec, A, mode=args.mode)
+            rep = cones.contains(spec, A, mode=args.mode or "closed")
         report = {
             "report": "membership",
             "cone": spec.describe(),
@@ -97,7 +99,8 @@ def _cmd_cone(args) -> tuple:
         }
         report.update(rep.to_dict())
         return report, 0 if report["member"] else MATH_EXIT
-    rc = cones.riesz_characteristic(spec, sphere_samples=args.samples)
+    samples = 250 if args.samples is None else args.samples
+    rc = cones.riesz_characteristic(spec, sphere_samples=samples)
     report = {
         "cone": spec.describe(),
         "dim": spec.dim,
@@ -110,31 +113,22 @@ def _cmd_cone(args) -> tuple:
 
 def _cmd_check(args) -> tuple:
     from . import cones
-    cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
     report = {"kind": args.kind, "dim": args.dim, "samples": args.samples}
-    if args.kind in ("positivity", "monotone", "duality") and not args.f:
-        raise DomainError(f"check {args.kind} needs --f")
-    if args.kind in ("monotone", "pp-subset") and not args.m:
-        raise DomainError(f"check {args.kind} needs --m")
-    if args.kind in ("positivity", "monotone"):
-        F = cones.parse_cone(args.f, args.dim)
-        M = (
-            cones.positivity(args.dim)
-            if args.kind == "positivity"
-            else cones.parse_cone(args.m, args.dim)
-        )
-        report.update(f=F.describe(), m=M.describe())
-        result = cones.check_relation(F, M, cfg)
-    elif args.kind == "duality":
-        F = cones.parse_cone(args.f, args.dim)
-        report["f"] = F.describe()
-        result = cones.check_duality(F, cfg)
-    else:
+    if args.kind == "pp-subset":
         M = cones.parse_cone(args.m, args.dim)
-        if args.p is None:
-            raise DomainError("pp-subset needs --p")
         report["m"] = M.describe()
         result = cones.pp_subset_test(M, args.p, sphere_samples=args.samples)
+    else:
+        cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
+        F = cones.parse_cone(args.f, args.dim)
+        report["f"] = F.describe()
+        if args.kind == "duality":
+            result = cones.check_duality(F, cfg)
+        else:
+            M = (cones.positivity(args.dim) if args.kind == "positivity"
+                 else cones.parse_cone(args.m, args.dim))
+            report["m"] = M.describe()
+            result = cones.check_relation(F, M, cfg)
     report.update(result.to_dict())
     return report, 0 if result.passed else MATH_EXIT
 
@@ -162,6 +156,8 @@ def _cmd_kernel(args) -> tuple:
 
 def _cmd_polar(args) -> tuple:
     from . import grids, riesz
+    if bool(args.grid) != bool(args.grid_output):
+        raise DomainError("--grid and --grid-output need each other")
     points = symmat.read_vectors_csv(args.points)
     polar = riesz.build_polar(points, args.p)
     report = {
@@ -179,8 +175,6 @@ def _cmd_polar(args) -> tuple:
             f"{args.p - 2:g} when judging removability size hypotheses"
         )
     if args.grid_output:
-        if not args.grid:
-            raise DomainError("--grid-output needs --grid geometry")
         shape, origin, h = grids.parse_geometry(args.grid)
         coords = grids.grid_coordinates(shape, origin, h)
         pts = np.stack([c.reshape(-1) for c in coords], axis=1)
@@ -191,7 +185,7 @@ def _cmd_polar(args) -> tuple:
 
 
 def _cmd_grid(args) -> tuple:
-    from . import cones, grids
+    from . import grids
     u = grids.read_grid(args.input)
     report = {"action": args.action, "output": args.grid_output}
     code = 0
@@ -202,20 +196,14 @@ def _cmd_grid(args) -> tuple:
         if args.grid_output:
             grids.write_grid(args.grid_output, ext.extended)
     elif args.action == "verify":
-        if not args.cone:
-            raise DomainError("grid verify needs --cone")
-        spec = cones.parse_cone(args.cone, u.ndim)
-        rep = grids.subharmonic_verify(u, spec, c_tol=args.c_tol)
+        from . import cones
+        rep = grids.subharmonic_verify(u, cones.parse_cone(args.cone, u.ndim), c_tol=args.c_tol)
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else MATH_EXIT
     elif args.action == "perturb":
-        if not args.psi or not args.grid_output:
-            raise DomainError("grid perturb needs --psi and --grid-output")
         psi = grids.read_grid(args.psi)
         grids.write_grid(args.grid_output, grids.perturb(u, psi, args.eps))
-    elif args.action == "hessian":
-        if not args.at:
-            raise DomainError("grid hessian needs --at")
+    else:
         try:
             idx = tuple(int(tok) for tok in args.at.split(","))
         except ValueError as exc:
@@ -402,22 +390,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="Riesz characteristic and dual of a cone")
     p.add_argument("--spec", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, default=250)
-    p.add_argument("--matrix", default=None,
-                   help="matrix CSV; report membership instead of the characteristic")
-    p.add_argument("--mode", choices=["closed", "interior"], default="closed")
-    p.add_argument("--dual", action="store_true", help="test dual membership")
+    source, test = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
+    source.add_argument("--samples", type=int, default=None, help="default 250")
+    source.add_argument("--matrix", default=None,
+                        help="matrix CSV; report membership instead of the characteristic")
+    test.add_argument("--mode", choices=["closed", "interior"], default=None,
+                      help="default closed")
+    test.add_argument("--dual", action="store_true", help="test dual membership")
     common(p)
 
-    p = sub.add_parser("check", help="randomized certification suites")
-    p.add_argument("kind", choices=["positivity", "monotone", "duality", "pp-subset"])
-    p.add_argument("--f", default=None, help="cone under test")
-    p.add_argument("--m", default=None, help="monotonicity cone / tested cone")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--magnitude", type=float, default=1.0)
-    common(p)
+    kinds = sub.add_parser("check", help="randomized certification suites").add_subparsers(
+        dest="kind", required=True)
+    for kind in ("positivity", "monotone", "duality", "pp-subset"):
+        p = kinds.add_parser(kind)
+        if kind != "pp-subset":
+            p.add_argument("--f", required=True, help="cone under test")
+        if kind in ("monotone", "pp-subset"):
+            p.add_argument("--m", required=True, help="monotonicity cone / tested cone")
+        p.add_argument("--dim", type=int, required=True)
+        if kind == "pp-subset":
+            p.add_argument("--p", type=float, required=True)
+        p.add_argument("--samples", type=int, default=10000)
+        if kind != "pp-subset":
+            p.add_argument("--magnitude", type=float, default=1.0)
+        common(p)
 
     p = sub.add_parser("kernel", help="kernel or potential 2-jets")
     p.add_argument("--p", type=float, required=True)
@@ -434,17 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-scales", default=None, help="comma-separated box-counting scales")
     common(p)
 
-    p = sub.add_parser("grid", help="grid-function operations")
-    p.add_argument("action", choices=["extend", "verify", "perturb", "hessian"])
-    p.add_argument("--input", required=True, help="grid file")
-    p.add_argument("--cone", default=None, help="cone spec for verify")
-    p.add_argument("--c-tol", type=float, default=None)
-    p.add_argument("--psi", default=None, help="perturbation grid file")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--at", default=None, help="grid index, comma separated")
-    p.add_argument("--radius-cap", type=int, default=None)
-    p.add_argument("--grid-output", default=None)
-    common(p)
+    actions = sub.add_parser("grid", help="grid-function operations").add_subparsers(
+        dest="action", required=True)
+    grid = {action: actions.add_parser(action)
+            for action in ("extend", "verify", "perturb", "hessian")}
+    for p in grid.values():
+        p.add_argument("--input", required=True, help="grid file")
+    grid["extend"].add_argument("--radius-cap", type=int, default=None)
+    grid["verify"].add_argument("--cone", required=True, help="cone spec")
+    grid["verify"].add_argument("--c-tol", type=float, default=None)
+    grid["perturb"].add_argument("--psi", required=True, help="perturbation grid file")
+    grid["perturb"].add_argument("--eps", type=float, default=0.01)
+    grid["hessian"].add_argument("--at", required=True, help="grid index, comma separated")
+    for action, p in grid.items():
+        if action in ("extend", "perturb"):
+            p.add_argument("--grid-output", required=action == "perturb")
+        else:
+            p.set_defaults(grid_output=None)  # reported as "output": null
+        common(p)
 
     p = sub.add_parser("solve", help="wide-stencil Dirichlet solve")
     p.add_argument("--problem", required=True, help="problem JSON file")

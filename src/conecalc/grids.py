@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import cones
 from .errors import DomainError, StencilError
 from .symmat import Frame, Jet2, SymMatrix, csv_lines, read_text, write_text
 
@@ -127,11 +126,12 @@ class ExtensionReport:
                 "sup_change": sup if math.isfinite(sup) else None}
 
 
-def _chebyshev_shells(ndim: int, cap: int) -> list[np.ndarray]:
-    """Offsets at Chebyshev radius 1..cap, each shell in lexicographic order."""
-    cube = np.indices((2 * cap + 1,) * ndim).reshape(ndim, -1).T - cap
-    radius = np.abs(cube).max(axis=1)
-    return [cube[radius == r] for r in range(1, cap + 1)]
+def _chebyshev_shells(ndim: int, cap: int):
+    """Offsets at Chebyshev radius 1..cap, one shell at a time, each in
+    lexicographic order."""
+    for r in range(1, cap + 1):
+        cube = np.indices((2 * r + 1,) * ndim).reshape(ndim, -1).T - r
+        yield cube[np.abs(cube).max(axis=1) == r]
 
 
 def canonical_extension(
@@ -145,7 +145,10 @@ def canonical_extension(
     cells count as interior to the singular set and become -inf.  Unmasked
     values pass through unchanged; the operation is idempotent and
     monotone.  Each shell offset is applied to every still-open masked
-    point at once, so memory is O(masked points) whatever the cap.
+    point at once.  Shells are built one radius at a time and stop at
+    ``max(u.shape) - 1``, past which no offset lands on the grid, so
+    memory is O(masked points + (2r + 1)^ndim) for the widest shell r
+    reached, whatever the cap.
     """
     if not (isinstance(radius_cap, (int, np.integer)) and radius_cap >= 1):
         raise DomainError(f"extension radius cap must be an integer >= 1, got {radius_cap!r}")
@@ -160,7 +163,7 @@ def canonical_extension(
     masked = np.flatnonzero(flat_mask)
     new = np.full(masked.size, -np.inf)
     pending = np.arange(masked.size)  # rows of ``new`` not yet closed
-    for shell in _chebyshev_shells(u.ndim, radius_cap):
+    for shell in _chebyshev_shells(u.ndim, min(radius_cap, max(u.shape) - 1)):
         cells = masked[pending]
         coords = np.array(np.unravel_index(cells, u.shape))
         top = np.full(pending.size, -np.inf)
@@ -359,6 +362,7 @@ def subharmonic_verify(
     restricts which points are checked (stencils may still read values
     outside it).  Only grid-scale certification; see the report note.
     """
+    from . import cones  # the cone catalogue loads for verification only
     if spec.dim != u.ndim:
         raise DomainError(f"cone dim {spec.dim} != grid dim {u.ndim}")
     source = "c_tol"

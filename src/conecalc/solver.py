@@ -97,7 +97,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cones, grids, riesz
+from . import cones, grids
 from .cones import ConeSpec, SampleConfig
 from .errors import (
     DiscretizationError,
@@ -963,6 +963,7 @@ def removability_experiment(
     monotonicity certification against the requested polar exponent, on
     2,000 samples drawn with seed 0.
     """
+    from . import riesz  # the polar kernel loads for this experiment only
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
     eps_values = tuple(eps_values)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -61,17 +62,23 @@ _LOADED_BY_IMPORT = ["conecalc", "conecalc.cli", "conecalc.errors", "conecalc.sy
                  ["cones"], id="check"),
     pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0"], ["riesz"], id="kernel"),
     pytest.param(["polar", "--points", "{tmp}/points.csv", "--p", "2"],
-                 ["cones", "grids", "riesz"], id="polar"),
+                 ["grids", "riesz"], id="polar"),
     pytest.param(["grid", "hessian", "--input", "{tmp}/u.grid", "--at", "4,4"],
-                 ["cones", "grids"], id="grid-hessian"),
+                 ["grids"], id="grid-hessian"),
+    pytest.param(["grid", "verify", "--input", "{tmp}/u.grid", "--cone", "pp:2"],
+                 ["cones", "grids"], id="grid-verify"),
     pytest.param(["solve", "--problem", "{tmp}/problem.json"],
-                 ["cones", "grids", "riesz", "solver"], id="solve"),
+                 ["cones", "grids", "solver"], id="solve"),
+    pytest.param(["experiment", "--config", "{tmp}/experiment.json", "--output-dir", "{tmp}/out"],
+                 ["cones", "grids", "riesz", "solver"], id="experiment"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     write_grid(tmp_path / "u.grid",
                from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x - y * y))
     (tmp_path / "points.csv").write_text("0,0\n1,0\n")
-    write_problem(tmp_path, grid={"shape": [9, 9], "origin": [-1, -1], "h": 0.25})
+    _, problem = write_problem(tmp_path, grid={"shape": [9, 9], "origin": [-1, -1], "h": 0.25})
+    (tmp_path / "experiment.json").write_text(
+        json.dumps({"kind": "removability", "problem": problem, "puncture": [[0, 0]]}))
     argv = argv and [arg.format(tmp=tmp_path) for arg in argv]
     code = "\n".join([
         "import contextlib, io, sys",
@@ -964,6 +971,89 @@ def test_unknown_flags_rejected():
     assert code == 2
     assert json.loads(out)["error"] == {"kind": "usage",
                                         "message": "unrecognized arguments: --tol 1e-8"}
+
+
+_CHECK = {kind: ["check", kind, *flags, "--dim", "3", "--samples", "50"] for kind, flags in (
+    ("positivity", ["--f", "pp:2"]), ("duality", ["--f", "pp:2"]),
+    ("monotone", ["--f", "pp:2", "--m", "pp:2"]), ("pp-subset", ["--m", "pp:2", "--p", "1.5"]))}
+_GRID = {
+    "extend": ["grid", "extend", "--input", "u.grid", "--grid-output", "x.grid"],
+    "verify": ["grid", "verify", "--input", "u.grid", "--cone", "pp:2"],
+    "perturb": ["grid", "perturb", "--input", "u.grid", "--psi", "u.grid",
+                "--grid-output", "x.grid"],
+    "hessian": ["grid", "hessian", "--input", "u.grid", "--at", "3,3"],
+}
+_GRID_FLAGS = {"--cone": "pp:2", "--c-tol": "0.1", "--psi": "u.grid", "--eps": "0.1",
+               "--at": "1,1", "--radius-cap": "3", "--grid-output": "x.grid"}
+_CONE = ["cone", "--spec", "pp:2", "--dim", "2"]
+
+
+@pytest.fixture
+def leaf_inputs(tmp_path, monkeypatch):
+    write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
+    (tmp_path / "A.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "pts.csv").write_text("0.1,0.2\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+# each call adds to a valid one a flag that its command does not read
+@pytest.mark.parametrize("argv", [
+    *[pytest.param(_CHECK[kind] + [flag, value], id=f"check-{kind}{flag}")
+      for kind, flag, value in (
+          ("positivity", "--m", "pp:2"), ("positivity", "--p", "2"),
+          ("duality", "--m", "pp:2"), ("duality", "--p", "2"), ("monotone", "--p", "2"),
+          ("pp-subset", "--f", "pp:2"), ("pp-subset", "--magnitude", "2"))],
+    *[pytest.param(_GRID[action] + [flag, _GRID_FLAGS[flag]], id=f"grid-{action}{flag}")
+      for action, flags in (
+          ("extend", ["--cone", "--c-tol", "--psi", "--eps", "--at"]),
+          ("verify", ["--psi", "--eps", "--at", "--radius-cap", "--grid-output"]),
+          ("perturb", ["--cone", "--c-tol", "--at", "--radius-cap"]),
+          ("hessian", ["--cone", "--c-tol", "--psi", "--eps", "--radius-cap", "--grid-output"]))
+      for flag in flags],
+    pytest.param(_CONE + ["--mode", "interior"], id="cone-mode-without-matrix"),
+    pytest.param(_CONE + ["--dual"], id="cone-dual-without-matrix"),
+    pytest.param(_CONE + ["--matrix", "A.csv", "--samples", "40"], id="cone-samples-with-matrix"),
+    pytest.param(_CONE + ["--matrix", "A.csv", "--mode", "closed", "--dual"],
+                 id="cone-mode-with-dual"),
+    pytest.param(["polar", "--points", "pts.csv", "--p", "2", "--grid", "shape=nonsense"],
+                 id="polar-grid-without-grid-output"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(leaf_inputs, capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)  # one report and nothing after it
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] in ("usage", "DomainError")
+    assert err == ""
+    assert not (leaf_inputs / "x.grid").exists()
+
+
+@pytest.mark.parametrize("argv", [*_CHECK.values(), *_GRID.values(), _CONE,
+                                  _CONE + ["--matrix", "A.csv"],
+                                  ["polar", "--points", "pts.csv", "--p", "2"]],
+                         ids=lambda argv: "-".join(argv[:2]))
+def test_the_calls_those_flags_are_added_to_pass(leaf_inputs, capsys, argv):
+    assert cli.main(argv) == 0
+
+
+def _readme_tour():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI quick tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("conecalc ")]
+
+
+@pytest.mark.parametrize("argv", _readme_tour(), ids=lambda argv: "-".join(argv[1:3]))
+def test_every_readme_tour_command_parses(argv):
+    assert cli.build_parser().parse_args(argv[1:]).subcommand == argv[1]
+
+
+def test_readme_tour_runs_every_leaf_command():
+    leaves = {" ".join(argv[1:3]) if argv[1] in ("check", "grid") else argv[1]
+              for argv in _readme_tour()}
+    assert leaves == (set(cli._COMMANDS) - {"check", "grid"} | {f"check {k}" for k in _CHECK}
+                      | {f"grid {a}" for a in _GRID})
 
 
 def test_missing_subcommand_flags_are_usage_errors(tmp_path):

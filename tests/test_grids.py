@@ -279,6 +279,26 @@ def test_extension_rejects_a_radius_cap_below_one(cap):
         canonical_extension(masked_grid(np.zeros((5, 5)), [(2, 2)]), radius_cap=cap)
 
 
+@pytest.mark.parametrize("shape", [(9, 9), (5, 5, 5)])
+def test_extension_radius_cap_past_the_grid_extends_as_the_grid_span(shape):
+    # no shell wider than the grid's longest side holds a grid point, so a
+    # cap of 10^6 extends as the cap max(shape) - 1 does, without building
+    # a (2 * 10^6 + 1)^n offset cube; one unmasked corner reaches every point
+    corner = (0,) * len(shape)
+    mask = np.ones(shape, dtype=bool)
+    mask[corner] = False
+    u = GridFunction(np.arange(np.prod(shape), dtype=float).reshape(shape),
+                     np.zeros(len(shape)), 0.5, mask)
+    span = max(shape) - 1
+    got = canonical_extension(u, radius_cap=10**6)
+    vals, changed, sup_change = _reference_extension(u, span)
+    assert _same_bits(got.extended.values, vals)
+    assert (got.changed_points, got.sup_change) == (changed, sup_change)
+    assert np.all(vals == 0.0)
+    short = canonical_extension(u, radius_cap=span - 1).extended.values
+    assert np.isneginf(short[(-1,) * len(shape)])  # the far corner lies span cells away
+
+
 # -- discrete jets -----------------------------------------------------------------
 
 
