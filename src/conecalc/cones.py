@@ -31,15 +31,23 @@ whether it is asked as ``dual:<base>`` or through ``dual_contains``.
 Geometric cones are exact for their listed planes only and their reports
 carry ``sampled=True``.
 
-Randomized checks are deterministic given a seed and independent of any
-worker split: samples are drawn from one seeded generator and tested in
-index order, in blocks of at most ``_BLOCK_ENTRIES`` matrix entries per
-stack, so their memory does not grow with the sample count.
+Randomized checks are deterministic given a seed and independent of the
+worker split: samples are drawn from one seeded generator in blocks of at
+most ``_BLOCK_ENTRIES`` matrix entries per stack, so their memory does not
+grow with the sample count, and the blocks are split over the CPUs the
+process may run on (``_first_failure``); the report is the lowest failing
+block's, as in a serial scan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -76,8 +84,9 @@ GARDING_DIM_CAP = 12
 _BLOCK_ENTRIES = 2**15
 # the largest ambient dimension: one matrix of it still fits in a block
 DIM_CAP = math.isqrt(_BLOCK_ENTRIES)  # 181
-# the largest sample count: at the ~6e4 samples/s of a dim-6 relation
-# (mapb:3:k against pp:3, one core), 10^8 samples take half an hour
+# the largest sample count: at the ~6e4 samples/s per CPU of a dim-6
+# relation (mapb:3:k against pp:3), 10^8 samples take half an hour on one
+# CPU and about a quarter of an hour on two
 SAMPLE_CAP = 10**8
 
 
@@ -661,13 +670,14 @@ class SampleConfig:
 
 def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 1.0):
     """Gaussian-orthogonal-ensemble matrices of shape (count, n, n),
-    ``0.5 * (G + G^T)`` for ``G = magnitude * standard normal``, built in
-    the drawn array."""
+    ``0.5 * (G + G^T)`` for ``G = magnitude * standard normal``, in one
+    pass: an in-place ``G += G^T`` would make numpy buffer its overlapping
+    operand."""
     G = rng.standard_normal((count, n, n))
     G *= magnitude
-    G += np.swapaxes(G, -1, -2)  # numpy buffers the overlapping operand
-    G *= 0.5
-    return G
+    S = G + np.swapaxes(G, -1, -2)
+    S *= 0.5
+    return S
 
 
 def _blocks(count: int, dim: int):
@@ -676,6 +686,148 @@ def _blocks(count: int, dim: int):
     step = _BLOCK_ENTRIES // dim**2
     for start in range(0, count, step):
         yield start, min(step, count - start)
+
+
+def _worker_count(blocks: int) -> int:
+    """Processes for a check of ``blocks`` blocks: one per CPU this process
+    may run on, at most one per block; 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), blocks))
+
+
+def _scan(cfg: SampleConfig, dim: int, stacks: int, test, worker: int, workers: int, stops):
+    """Worker ``worker`` of ``workers``: test the blocks b = worker (mod
+    workers) and return ``(b, report or exception)`` of the first that
+    fails or raises, or None.
+
+    Every block draws ``stacks`` GOE stacks from the one generator seeded
+    with ``cfg.seed``; the normals of another worker's block are drawn into
+    a scratch buffer and dropped, so each block gets the samples of a
+    serial scan.  ``stops[w]`` holds the block at which worker w stopped
+    (initially the block count): a block past any of them cannot be the
+    first failure, so the scan ends there.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    spare = np.empty(_BLOCK_ENTRIES)
+    for b, (start, size) in enumerate(_blocks(cfg.count, dim)):
+        if b % workers != worker:
+            for _ in range(stacks):
+                rng.standard_normal(out=spare[: size * dim * dim])
+            continue
+        if stops.min() < b:
+            return None
+        try:
+            found = test(start, *(sample_goe(rng, dim, size, cfg.magnitude) for _ in range(stacks)))
+        except Exception as exc:
+            found = exc
+        if found is not None:
+            stops[worker] = b
+            return b, found
+    return None
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold SIGINT pending in this thread while the block runs; yields the
+    signal mask to restore."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _fork_scan(scan, worker: int, children: dict) -> None:
+    """Run ``scan(worker)`` in a child process, which writes its pickled
+    result to a pipe, and record ``children[pid]`` = the pipe's read end.
+
+    The child leaves through ``os._exit`` whatever happens, and writes
+    nothing if it fails.  SIGINT is held from before the fork until the
+    child is inside that exit path and its pid is recorded here, so an
+    interrupt can neither run the caller's code in the child nor lose a
+    child.  Python >= 3.12 warns that a fork while other threads run may
+    deadlock the child; the only other threads here are BLAS workers,
+    whose pool OpenBLAS shuts down before a fork (its pthread_atfork
+    handler), and the child runs numpy on its one thread and never returns
+    into the caller, so that warning is silenced for this call.
+    """
+    r, w = os.pipe()
+    try:
+        with _sigint_held() as mask:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(r)
+                    payload = memoryview(pickle.dumps(scan(worker)))
+                    while payload:
+                        payload = payload[os.write(w, payload):]
+                finally:
+                    os._exit(0)
+            children[pid] = r
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
+    """The report of the lowest block of ``cfg.count`` samples in ``dim``
+    for which ``test(start, *stacks)`` returns one, or None if no block
+    fails; an exception raised at a lower block than any report is raised.
+
+    The blocks are split over ``_worker_count`` workers by ``_scan``: this
+    process and a forked child for each other worker, all sharing their
+    stopping blocks through an anonymous mmap.  Every child is reaped
+    before this returns or raises; on an interrupt or error here the
+    children are killed first.  A child that exits without a result is an
+    InternalConsistencyError.
+    """
+    blocks = -(-cfg.count // (_BLOCK_ENTRIES // dim**2))
+    workers = _worker_count(blocks)
+    stops = np.frombuffer(mmap.mmap(-1, 8 * workers), dtype=np.int64)
+    stops[:] = blocks
+
+    def scan(worker):
+        return _scan(cfg, dim, stacks, test, worker, workers, stops)
+
+    children = {}
+    try:
+        for worker in range(1, workers):
+            _fork_scan(scan, worker, children)
+        results = [scan(0)]
+        payloads = [_read_to_end(fd) for fd in children.values()]
+        with _sigint_held():  # each child closed its pipe, so it is exiting
+            for pid, fd in children.items():
+                os.waitpid(pid, 0)
+                os.close(fd)
+            children.clear()
+    finally:
+        for pid, fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    if not all(payloads):
+        raise InternalConsistencyError("a sampling worker exited without a result")
+    results += [pickle.loads(payload) for payload in payloads]
+    found = min((r for r in results if r is not None), key=lambda r: r[0], default=None)
+    if found is None:
+        return None
+    if isinstance(found[1], Exception):
+        raise found[1]
+    return found[1]
 
 
 def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
@@ -750,7 +902,8 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     the cone boundary) and verifies A + B stays in F.  Each block of
     ``_blocks`` draws its A stack and then its B stack from the one
     generator seeded with ``cfg.seed``, so a count within one block draws
-    the stream of an unblocked check.  Returns at the first block with a
+    the stream of an unblocked check.  The blocks are split over the CPUs
+    by ``_first_failure``; the report is that of the first block with a
     counterexample: its global index, the pair, and its rows of the
     block's stacked margins; or a pass.  Overflow at a huge magnitude
     raises a typed error, not a warning: DomainError for non-finite
@@ -759,23 +912,23 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     """
     if F.dim != M.dim:
         raise DimensionMismatchError(f"cone dims differ: {F.dim} vs {M.dim}")
-    rng = np.random.default_rng(cfg.seed)
-    for start, size in _blocks(cfg.count, F.dim):
-        A = force_membership(F, sample_goe(rng, F.dim, size, cfg.magnitude))
-        B = force_membership(M, sample_goe(rng, M.dim, size, cfg.magnitude))
+
+    def test(start, A, B):
+        A = force_membership(F, A)
+        B = force_membership(M, B)
         S = A + B
         m = margins(F, S)
         if not np.all(np.isfinite(m)):
             raise SamplingError("margins overflow; try a smaller magnitude")
         bad = np.nonzero(m < thresholds(S))[0]
         if bad.size == 0:
-            continue
+            return None
         i = int(bad[0])
         # rows of the stacked margins: for geom/horiz a lone matrix's margin can
         # differ from its stack row in the last bit (einsum's summation order)
         return RelationReport(
             passed=False,
-            checked=start + size,
+            checked=start + len(S),
             failure_index=start + i,
             counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
             margins={
@@ -784,7 +937,8 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
                 "margin_sum": float(m[i]),
             },
         )
-    return RelationReport(passed=True, checked=cfg.count)
+
+    return _first_failure(cfg, F.dim, 2, test) or RelationReport(passed=True, checked=cfg.count)
 
 
 @dataclass(frozen=True)
@@ -817,24 +971,24 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
     block, as in ``check_relation``, which also gives the overflow errors.
     A cone without a closed-form dual raises DomainError.
     """
-    rng = np.random.default_rng(cfg.seed)
     dual = dual_cone(spec)
-    for start, size in _blocks(cfg.count, spec.dim):
-        mats = sample_goe(rng, spec.dim, size, cfg.magnitude)
+    kind = _KINDS[spec.kind]
+    if not (kind.mirror or kind.dual_margins):  # dual_fast_margins would return None
+        raise DomainError(f"check duality needs a cone with a closed-form dual "
+                          f"(p, pp, branch or cbranch), got {spec.describe()}")
+
+    def test(start, mats):
         fast = dual_fast_margins(spec, mats)
-        if fast is None:
-            raise DomainError(f"check duality needs a cone with a closed-form dual "
-                              f"(p, pp, branch or cbranch), got {spec.describe()}")
         definitional = margins(dual, mats)
         if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
             raise SamplingError("margins overflow; try a smaller magnitude")
         bad = np.nonzero(np.abs(fast - definitional) > thresholds(mats, "interior"))[0]
         if bad.size == 0:
-            continue
+            return None
         i = int(bad[0])
         return DualityReport(
             passed=False,
-            checked=start + size,
+            checked=start + len(mats),
             failure_index=start + i,
             counterexample=mats[i].copy(),
             margins={
@@ -842,7 +996,8 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
                 "fast_margin": float(fast[i]),
             },
         )
-    return DualityReport(passed=True, checked=cfg.count)
+
+    return _first_failure(cfg, spec.dim, 1, test) or DualityReport(passed=True, checked=cfg.count)
 
 
 # -- unit-vector family test and Riesz characteristic ------------------------

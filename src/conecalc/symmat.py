@@ -69,6 +69,11 @@ class SymMatrix:
         sym.flags.writeable = False
         object.__setattr__(self, "entries", sym)
 
+    def __setstate__(self, state):
+        # unpickled entries (a counterexample sent by a sampling worker) stay read-only
+        state["entries"].flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]

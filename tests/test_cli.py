@@ -602,6 +602,7 @@ _BAD_INPUT_FILES = {
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "reachabc.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach="abc")),
     "reach25.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2.5)),
+    "reach2000.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2000)),
     "expreach.json": json.dumps({"kind": "solve", "problem": dict(_GOOD_PROBLEM, stencil_reach=2.5)}),
     "expreachtop.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "stencil_reach": 1}),
     "expotherfield.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "eps": [0.1]}),
@@ -724,6 +725,9 @@ _BAD_INPUT_FILES = {
                      id="experiment-not-object"),
         pytest.param(["solve", "--problem", "reachabc.json"], id="stencil-reach-text"),
         pytest.param(["solve", "--problem", "reach25.json"], id="stencil-reach-float"),
+        # refused before any direction is enumerated: reach 2000 took 27 s
+        # and ended in a MemoryError traceback
+        pytest.param(["solve", "--problem", "reach2000.json"], id="stencil-reach-above-cap"),
         pytest.param(["experiment", "--config", "expreach.json", "--output-dir", "out"],
                      id="experiment-stencil-reach"),
         pytest.param(["experiment", "--config", "expreachtop.json", "--output-dir", "out"],

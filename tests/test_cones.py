@@ -1,8 +1,11 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from conecalc.cones import (
     sigma_cone,
     sphere_lattice,
 )
-from conecalc.errors import DomainError, SamplingError, SpecParseError
+from conecalc.errors import DomainError, InternalConsistencyError, SamplingError, SpecParseError
 from conecalc.symmat import Frame, SymMatrix
 
 
@@ -512,6 +515,173 @@ def test_randomized_checks_run_in_bounded_memory(check):
         tracemalloc.stop()
     assert rep.passed and rep.checked == cfg.count
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 3.0])
+def test_sample_goe_is_the_symmetrized_scaled_draw(magnitude):
+    G = magnitude * np.random.default_rng(5).standard_normal((40, 4, 4))
+    expected = 0.5 * (G + np.swapaxes(G, -1, -2))
+    got = cones.sample_goe(np.random.default_rng(5), 4, 40, magnitude)
+    assert got.tobytes() == expected.tobytes()
+
+
+# -- the split of sample blocks over worker processes -------------------------------
+
+
+def _workers(monkeypatch, count):
+    """Make the randomized checks see ``count`` CPUs, so ``count`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _skew_dual_margins(monkeypatch, level):
+    """A closed-form dual margin that is wrong wherever A_00 > level."""
+    fast = cones.dual_fast_margins
+    monkeypatch.setattr(cones, "dual_fast_margins",
+                        lambda spec, mats: fast(spec, mats) + (mats[:, 0, 0] > level))
+
+
+def _relation(F, M, seed, count):
+    return lambda: check_relation(F, M, SampleConfig(seed=seed, count=count))
+
+
+def _duality(spec, seed, count):
+    return lambda: cones.check_duality(spec, SampleConfig(seed=seed, count=count))
+
+
+# (check, expected failure_index or None, level of a skewed dual margin);
+# every count spans 3 or more blocks
+_SPLIT_CASES = {
+    "relation-pass": (_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), 1, 3000), None, None),
+    # blocks of 3640 in dim 3: the first counterexample is sample 0
+    "relation-fail-block-0": (_relation(positivity(3), branch_cone(3, 3), 1, 20_000), 0, None),
+    # blocks of 2048 in dim 4: sample 2231 is in block 1, the second worker's
+    "relation-fail-block-1": (_relation(pp_cone(1.5, 4), pp_cone(1.6, 4), 1, 5000), 2231, None),
+    "duality-pass": (_duality(pp_cone(3.0, 6), 2, 3000), None, None),
+    "duality-fail-block-0": (_duality(pp_cone(1.5, 4), 1, 8000), 88, 2.5),
+    "duality-fail-block-1": (_duality(pp_cone(1.5, 4), 4, 8000), 2360, 3.3),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_reports_do_not_depend_on_the_worker_count(monkeypatch, case):
+    check, failure_index, level = _SPLIT_CASES[case]
+    if level is not None:
+        _skew_dual_margins(monkeypatch, level)
+    # 4 workers: more than the cores of a 2-CPU host, all sharing the stop slots
+    reports = []
+    for count in (1, 2, 4):
+        _workers(monkeypatch, count)
+        reports.append(check())
+        _assert_no_child_left()
+    one = reports[0]
+    assert one.failure_index == failure_index
+    if case.startswith("relation-fail"):  # a worker's pair came through a pipe
+        assert not any(A.entries.flags.writeable for rep in reports for A in rep.counterexample)
+    for other in reports[1:]:
+        assert (one.passed, one.checked, one.failure_index) == (other.passed, other.checked, other.failure_index)
+        assert json.dumps(one.to_dict()) == json.dumps(other.to_dict())
+
+
+def test_errors_do_not_depend_on_the_worker_count(monkeypatch):
+    # every block overflows; the error is block 0's, with its type and text
+    errors = []
+    for count in (1, 2):
+        _workers(monkeypatch, count)
+        with pytest.raises(DomainError) as info:
+            check_relation(pp_cone(1.5, 4), pp_cone(2.0, 4), SampleConfig(seed=1, count=5000, magnitude=1e308))
+        _assert_no_child_left()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+    # with two workers, the child's error in block 1 comes before the
+    # caller's report in block 2 (blocks of 2048 in dim 4)
+    def test(first, mats):
+        if first == 2048:
+            raise SamplingError("block 1")
+        return "block 2" if first == 4096 else None
+
+    for count in (1, 2):
+        _workers(monkeypatch, count)
+        with pytest.raises(SamplingError, match="block 1"):
+            cones._first_failure(SampleConfig(seed=1, count=8000), 4, 1, test)
+        _assert_no_child_left()
+
+
+def test_the_fork_with_threads_warning_does_not_escape(monkeypatch):
+    # Python >= 3.12 warns in os.fork when other threads run, as OpenBLAS's
+    # do; under this suite's filterwarnings = error it would be a failure
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks "
+                      "in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    _workers(monkeypatch, 2)
+    rep = check_relation(pp_cone(1.5, 4), pp_cone(1.6, 4), SampleConfig(seed=1, count=5000))
+    assert rep.failure_index == 2231
+    _assert_no_child_left()
+
+
+def test_a_child_without_a_result_is_an_internal_error(monkeypatch):
+    # a child that leaves early, here by SystemExit, sends nothing and
+    # returns into no caller's code; the check must not read that as a pass
+    _workers(monkeypatch, 2)
+    parent, force = os.getpid(), cones.force_membership
+
+    def force_or_exit(spec, mats):
+        if os.getpid() != parent:
+            raise SystemExit(3)
+        return force(spec, mats)
+
+    monkeypatch.setattr(cones, "force_membership", force_or_exit)
+    with pytest.raises(InternalConsistencyError, match="without a result"):
+        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=3000))
+    _assert_no_child_left()
+
+
+def test_an_interrupted_check_kills_and_reaps_its_children(monkeypatch):
+    # the caller is interrupted in its second block while the child still
+    # has ~10^5 blocks to go: the child is killed, not waited out
+    _workers(monkeypatch, 2)
+    parent, force, calls = os.getpid(), cones.force_membership, []
+
+    def force_or_interrupt(spec, mats):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) > 2:
+                raise KeyboardInterrupt
+        return force(spec, mats)
+
+    monkeypatch.setattr(cones, "force_membership", force_or_interrupt)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=cones.SAMPLE_CAP))
+    assert time.perf_counter() - start < 2.0
+    _assert_no_child_left()
+
+
+def test_a_failure_in_the_first_block_stops_every_worker(monkeypatch):
+    start = time.perf_counter()
+    rep = check_relation(positivity(3), branch_cone(3, 3), SampleConfig(seed=1, count=cones.SAMPLE_CAP))
+    assert time.perf_counter() - start < 2.0
+    assert not rep.passed and rep.failure_index == 0 and rep.checked == 3640
+    _assert_no_child_left()
+    # the relation fails in nearly every block; here only block 0 fails, so
+    # the second worker returns only because it is told to stop
+    _workers(monkeypatch, 2)
+    start = time.perf_counter()
+    found = cones._first_failure(SampleConfig(seed=1, count=cones.SAMPLE_CAP), 4, 1,
+                                 lambda first, mats: "block 0" if first == 0 else None)
+    assert time.perf_counter() - start < 2.0
+    assert found == "block 0"
+    _assert_no_child_left()
 
 
 def test_sample_count_and_dimension_caps():

@@ -98,6 +98,15 @@ def test_stencil_rejects_bad_inputs():
         make_stencil(2, 0)
 
 
+def test_stencil_reach_cap():
+    # the largest reach builds; the next is refused before any direction
+    # is enumerated (a 2000 reach ran 27 s into a MemoryError)
+    assert make_stencil(3, solver.REACH_CAP).reach == solver.REACH_CAP
+    for reach in (solver.REACH_CAP + 1, 2000, 10**18):
+        with pytest.raises(DomainError, match=r"stencil reach must be an integer in \[1, 5\]"):
+            make_stencil(2, reach)
+
+
 @st.composite
 def lattice_problems(draw):
     """Small 2-D/3-D problems with an optional hole box and punctures."""
