@@ -501,10 +501,12 @@ _KINDS = {kind.name: kind for kind in (
               int(s.p) if s.k <= math.comb(s.dim - 1, int(s.p) - 1) else s.dim)),
     _Kind("geom", "geom", parse=_parse_frames, check=_check_frames, spectral=False, sampled=True,
           describe=lambda s: f"geom:{len(s.frames)}x{s.frames[0].plane_dim}-frames",
-          machine=_frames_machine, witness=_frames_witness),
+          machine=_frames_machine, witness=_frames_witness,
+          characteristic=lambda s, scale: scale * s.frames[0].plane_dim),
     _Kind("horiz", "horiz", parse=_parse_frames, check=_check_frames, spectral=False,
           describe=lambda s: f"horiz:{s.frames[0].plane_dim}-plane",
-          machine=_frames_machine, witness=_frames_witness),
+          machine=_frames_machine, witness=_frames_witness,
+          characteristic=lambda s, scale: scale * s.frames[0].plane_dim),
     _Kind("enl", "enl", parse=_parse_enl, spectral=None, sampled=None,
           check=lambda s: _check_base(s, amount_ok=s.c is not None and s.c >= 0),
           describe=lambda s: f"enl:{s.base.describe()}:{_fmt(s.c)}",
@@ -1048,16 +1050,21 @@ def sphere_lattice(n: int, count: int, start: int = 0, stop: Optional[int] = Non
 def _test_directions(spec: ConeSpec, sphere_samples: int):
     """The direction family in index order, in the blocks of ``_blocks``:
     one axis when the cone depends only on eigenvalues, else a sphere
-    lattice of ``2 * sphere_samples`` points and then the coordinate axes."""
+    lattice of ``2 * sphere_samples`` points, the coordinate axes and the
+    vectors of the frames the cone is built on, if any."""
     n = spec.dim
     if spec.o_n_invariant:
         yield np.eye(n)[:1]
         return
+    base = spec
+    while base.base is not None:
+        base = base.base
+    tail = np.vstack([np.eye(n), *(f.vectors for f in base.frames or ())])
     count = 2 * sphere_samples
-    for start, size in _blocks(count + n, n):
+    for start, size in _blocks(count + len(tail), n):
         stop = start + size
         yield np.vstack([sphere_lattice(n, count, start, min(stop, count)),
-                         np.eye(n)[max(start - count, 0):stop - count]])
+                         tail[max(start - count, 0):max(stop - count, 0)]])
 
 
 @dataclass(frozen=True)
@@ -1118,8 +1125,11 @@ def _cone_and_shift(spec: ConeSpec):
 
 def closed_form_characteristic(spec: ConeSpec) -> Optional[float]:
     """Catalogue closed form for the identity-minus-projector threshold,
-    uncapped (may exceed the ambient dimension): ``(1 + a)`` times H's for
-    ``(H, a) = _cone_and_shift(spec)``, so nested enlargements add."""
+    uncapped: ``(1 + a)`` times H's for ``(H, a) = _cone_and_shift(spec)``,
+    so nested enlargements add.  A value at or above the dimension n is
+    not a threshold: it means that the cone holds every ``I - p P_e``
+    with p <= n (``enl:branch:2:0.25`` in dim 4 gives 5.0), so the
+    characteristic is n."""
     H, a = _cone_and_shift(spec)
     return _KINDS[H.kind].characteristic(H, 1.0 + a)
 
@@ -1131,7 +1141,9 @@ class RieszCharacteristic:
     ``at_cap`` flags 'characteristic >= n' (the family test passed at the
     ambient dimension, with the closed tolerance); ``sampled`` flags
     direction-sampled results for cones that do not depend on eigenvalues
-    alone.  ``iterations`` is always 0: no search runs.
+    alone.  ``closed_form`` is uncapped: at or above n it says that the
+    cone holds every ``I - p P_e`` with p <= n, not where it stops.
+    ``iterations`` is always 0: no search runs.
     """
 
     value: float

@@ -107,7 +107,7 @@ _CATALOGUE = {
     },
     "horiz:@frame.csv": {
         "cone": ("horiz:2-plane", _REFLECTION,
-                 False, 2.000917665519607, None, False, True),
+                 False, 1.9999999999999996, 2.0, False, True),
         "contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
                      (False, -0.37600000000000006, {"frame_index": 1}, False)],
         "dual_contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
@@ -116,7 +116,7 @@ _CATALOGUE = {
     },
     "geom:@frames.csv": {
         "cone": ("geom:2x2-frames", _REFLECTION,
-                 False, 2.0, None, False, True),
+                 False, 1.9999999999999996, 2.0, False, True),
         "contains": [(False, -1.0, {"frame_index": 1}, True),
                      (False, -0.6, {"frame_index": 1}, True)],
         "dual_contains": [(True, 0.8399999999999996, {"frame_index": 2}, True),

@@ -802,7 +802,7 @@ def _one_shot_pp_subset(M, p, sphere_samples):
     """pp_subset_test over the whole direction family at once: the first
     failing direction, its margin and the end of its block, or None."""
     n = M.dim
-    es = np.vstack([sphere_lattice(n, 2 * sphere_samples), np.eye(n)])
+    es = np.vstack([sphere_lattice(n, 2 * sphere_samples), np.eye(n), *(f.vectors for f in M.frames)])
     mats = np.eye(n) - p * np.einsum("ki,kj->kij", es, es)
     m = margins(M, mats)
     bad = np.nonzero(m < cones.thresholds(mats))[0]
@@ -831,12 +831,15 @@ def test_pp_subset_failure_in_a_later_block_is_the_one_shot_counterexample(case)
     assert not rep.passed
     assert rep.counterexample.tobytes() == e.tobytes() and rep.margin == margin
     assert rep.checked == checked > cones._BLOCK_ENTRIES // n**2
-    assert pp_subset_test(M, 2.0, sphere_samples=samples).checked == 2 * samples + n
+    # the family ends with the vectors of the cone's frames
+    frame_vectors = sum(f.plane_dim for f in M.frames)
+    assert pp_subset_test(M, 2.0, sphere_samples=samples).checked == 2 * samples + n + frame_vectors
 
 
 def test_the_direction_family_streams_in_bounded_memory():
-    # 20,004 directions in dim 4 take 10 blocks of 2,048; the whole family
-    # and its matrices at once traced a 6.1 MB peak
+    # 20,006 directions in dim 4 (the lattice, the axes and the frame's two
+    # vectors) take 10 blocks of 2,048; the whole family and its matrices
+    # at once traced a 6.1 MB peak
     spec = horizontal_cone(Frame(np.eye(4)[:2]), 4)
     tracemalloc.start()
     try:
@@ -845,7 +848,7 @@ def test_the_direction_family_streams_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sub.passed and sub.checked == 20_004 and rc.value == 2.0
+    assert sub.passed and sub.checked == 20_006 and rc.value == 2.0
     assert peak < 2e6
 
 
@@ -1010,13 +1013,15 @@ def test_riesz_characteristic_horizontal_plane():
     assert rc.value == pytest.approx(2.0, abs=1e-6)
 
 
-def test_riesz_characteristic_geometric_is_sampled_only():
+def test_riesz_characteristic_geometric_is_the_plane_dimension():
+    # I - p P_e leaves the cone first at a vector e of one of its planes,
+    # which the direction family holds, so the sampled value is the
+    # closed form, the plane dimension, for planes in general position
     rng = np.random.default_rng(8)
     frames = [symmat.random_frame(4, 2, rng) for _ in range(3)]
     rc = riesz_characteristic(geometric_cone(frames, 4), sphere_samples=100)
-    assert rc.sampled and rc.closed_form is None
-    # the finite frame list constrains less than the full plane family
-    assert rc.value >= 2.0 - 1e-6
+    assert rc.sampled and rc.closed_form == 2.0
+    assert abs(rc.value - 2.0) <= 1e-12
 
 
 def test_enlarged_nesting_and_stabilization():

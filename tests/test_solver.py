@@ -174,6 +174,116 @@ def test_dissection_order_follows_the_frozen_matrix(problem, op, reach, seed):
     assert np.all((first < second)[deeper > 0]) and np.all((first > second)[deeper < 0])
 
 
+def _coo_assemble(scheme, selection):
+    """Reference system: the selected arms as COO lists with the diagonal,
+    converted (and summed) by scipy into CSR."""
+    N = scheme.unknown_flat.shape[0]
+    g = scheme.problem.boundary_values.reshape(-1)
+    rows, cols, data = [], [], []
+    rhs, diag = np.zeros(N), np.zeros(N)
+    for s in range(scheme.dirs.shape[1]):
+        w = scheme.weights[selection, s]
+        pts = np.nonzero(w != 0.0)[0]
+        d = scheme.dirs[selection[pts], s]
+        coef = w[pts] * scheme.coeff[d]
+        diag[pts] -= 2.0 * coef
+        center = scheme.unknown_flat[pts]
+        for nbr in (center + scheme.step[d], center - scheme.step[d]):
+            r = scheme.rank[nbr]
+            inner = r >= 0
+            rows.append(pts[inner])
+            cols.append(r[inner])
+            data.append(coef[inner])
+            rhs[pts[~inner]] -= coef[~inner] * g[nbr[~inner]]
+    rows.append(np.arange(N))
+    cols.append(np.arange(N))
+    data.append(diag)
+    L = solver.sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
+    )
+    return L, rhs
+
+
+def _coo_separators(scheme, L):
+    """Reference ``separators``: the off-diagonal entries read through tocoo."""
+    coo = L.tocoo()
+    off = coo.row != coo.col
+    i, j = coo.row[off], coo.col[off]
+    a, b = scheme.home[i], scheme.home[j]
+    da, db = solver._bit_length(a), solver._bit_length(b)
+    depth = np.minimum(da, db)
+    a, b = a >> (da - depth), b >> (db - depth)
+    below = solver._bit_length(a ^ b)
+    jump = below > 0
+    a, below = a[jump], below[jump]
+    right = ((a >> (below - 1)) & 1).astype(bool)
+    node = scheme.home.copy()
+    np.minimum.at(node, np.where(right, i[jump], j[jump]), a >> below)
+    return node
+
+
+def _permuted_factor_input(L, order):
+    """Reference float32 CSC for ``splu``: L permuted by fancy indexing,
+    then scaled by a power of two to a largest entry in [1/2, 1)."""
+    A = L[order][:, order].tocsc()
+    shift = np.frexp(np.max(np.abs(A.data)))[1]
+    A.data = np.ldexp(A.data, -shift).astype(np.float32)
+    return A
+
+
+def _factor_input(L, order):
+    """The matrix ``solver._factor`` hands to ``splu``."""
+    real, seen = solver.spla, []
+    stand_in = types.ModuleType(real.__name__)
+    stand_in.__dict__.update(real.__dict__, splu=lambda A, **kw: seen.append(A) or real.splu(A, **kw))
+    solver.spla = stand_in
+    try:
+        solver._factor(L, order)
+    finally:
+        solver.spla = real
+    return seen[0]
+
+
+def _same_bytes(*pairs):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in pairs)
+
+
+def _same_matrix(A, B):
+    return type(A) is type(B) and A.shape == B.shape and _same_bytes(
+        (A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data))
+
+
+# pp:1 skips its zero-weight slot, pp:ndim is the trace form, and the
+# min-max form (branch:2 in 3-D) assembles through its pair view
+@pytest.mark.parametrize("op", ["pp:1", "pp:1.5", "pp:ndim", "pp:2.5", "branch:1",
+                                "branch:ndim", "minmax"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(problem=lattice_problems(), reach=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_assembly_ordering_and_factor_input_match_the_coo_references(op, problem, reach, seed):
+    nd = problem.ndim
+    assume(op != "minmax" or nd == 3)
+    kind, val = ("branch", 2) if op == "minmax" else op.replace("ndim", str(nd)).split(":")
+    try:
+        scheme = _Scheme(dataclasses.replace(problem, operator=(kind, float(val))),
+                         make_stencil(nd, reach))
+    except (DomainError, DiscretizationError):
+        assume(False)
+    rng = np.random.default_rng(seed)
+    admissible = _admissible(scheme)
+    selection = np.argmax(np.where(admissible, rng.random(admissible.shape), -1.0), axis=0)
+    if op == "minmax":
+        scheme = scheme.pair_view(selection)
+        selection = scheme.pair_dirs[np.arange(selection.size), rng.integers(0, 2, selection.size)]
+    L, rhs = scheme.assemble(selection)
+    L_ref, rhs_ref = _coo_assemble(scheme, selection)
+    assert L.has_canonical_format
+    assert _same_matrix(L, L_ref) and _same_bytes((rhs, rhs_ref))
+    assert _same_bytes((scheme.separators(L), _coo_separators(scheme, L)))
+    order = scheme.order(L)
+    assert _same_matrix(_factor_input(L, order), _permuted_factor_input(L, order))
+
+
 def _strip_dissection(points, reach, leaf=64):
     """Geometric nested-dissection order of lattice points by separator
     strips ``reach`` cells wide, which no stencil arm can cross, fixed
@@ -570,6 +680,32 @@ def test_evaluate_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+def _traced(f, *args):
+    """f(*args) and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_policy_step_memory_at_257():
+    # the first policy step of acceptance C6 at 257^2: 63,936 unknowns,
+    # 316,624 entries.  Traced peaks 8.4, 7.1 and 6.1 MB for assemble,
+    # order and the factor's Python side (SuperLU's own allocations are
+    # not traced), bounded here with ~20% to spare, against 25.9, 17.8
+    # and 8.9 MB through COO lists, tocoo and fancy-index permutations.
+    # scipy loads before tracing, or the first assemble traces its import.
+    prob = problem_from_config(annulus_config(257))
+    scheme = _Scheme(prob, make_stencil(2))
+    selection = scheme.evaluate(prob.boundary_values.reshape(-1).copy())[1]
+    assert callable(solver.spla.splu)
+    (L, rhs), assemble_peak = _traced(scheme.assemble, selection)
+    order, order_peak = _traced(scheme.order, L)
+    factor_peak = _traced(solver._factor, L, order)[1]
+    assert assemble_peak <= 10e6 and order_peak <= 8.5e6 and factor_peak <= 7.3e6
 
 
 # 2-D operators of every reduction form: min (pp), min and max (branch)
