@@ -506,6 +506,7 @@ _KINDS = {kind.name: kind for kind in (
     _Kind("horiz", "horiz", parse=_parse_frames, check=_check_frames, spectral=False,
           describe=lambda s: f"horiz:{s.frames[0].plane_dim}-plane",
           machine=_frames_machine, witness=_frames_witness,
+          mirror=lambda s: s,  # a half-space {tr(A|W) >= 0} is its own dual
           characteristic=lambda s, scale: scale * s.frames[0].plane_dim),
     _Kind("enl", "enl", parse=_parse_enl, spectral=None, sampled=None,
           check=lambda s: _check_base(s, amount_ok=s.c is not None and s.c >= 0),
@@ -640,8 +641,9 @@ def dual_contains(spec: ConeSpec, A) -> MembershipReport:
 def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
     """Closed-form dual margins where the catalogue provides them.
 
-    Partial-sum cones dualize to top partial sums and branches to their
-    mirror (reflected index); other kinds return None (definitional only).
+    Partial-sum cones dualize to top partial sums, branches to their
+    mirror (reflected index) and ``horiz`` to itself; other kinds return
+    None (definitional only).
     """
     arr = _stack(mats)
     kind = _KINDS[spec.kind]
@@ -977,7 +979,7 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
     kind = _KINDS[spec.kind]
     if not (kind.mirror or kind.dual_margins):  # dual_fast_margins would return None
         raise DomainError(f"check duality needs a cone with a closed-form dual "
-                          f"(p, pp, branch or cbranch), got {spec.describe()}")
+                          f"(p, pp, branch, cbranch or horiz), got {spec.describe()}")
 
     def test(start, mats):
         fast = dual_fast_margins(spec, mats)

@@ -126,12 +126,14 @@ class ExtensionReport:
                 "sup_change": sup if math.isfinite(sup) else None}
 
 
-def _chebyshev_shells(ndim: int, cap: int):
-    """Offsets at Chebyshev radius 1..cap, one shell at a time, each in
-    lexicographic order."""
-    for r in range(1, cap + 1):
-        cube = np.indices((2 * r + 1,) * ndim).reshape(ndim, -1).T - r
-        yield cube[np.abs(cube).max(axis=1) == r]
+# signed order on these int64 keys of float64 bits is IEEE totalOrder
+# (-0.0 < +0.0): a negative float flips its magnitude bits.  The map is its
+# own inverse, and int64.min, the key of a NaN, lies below every grid value
+_UNREACHED = np.iinfo(np.int64).min
+
+
+def _total_order(bits: np.ndarray) -> np.ndarray:
+    return bits ^ ((bits >> 63) & np.int64(2**63 - 1))
 
 
 def canonical_extension(
@@ -144,11 +146,18 @@ def canonical_extension(
     is non-empty.  Points with no unmasked neighbor within ``radius_cap``
     cells count as interior to the singular set and become -inf.  Unmasked
     values pass through unchanged; the operation is idempotent and
-    monotone.  Each shell offset is applied to every still-open masked
-    point at once.  Shells are built one radius at a time and stop at
-    ``max(u.shape) - 1``, past which no offset lands on the grid, so
-    memory is O(masked points + (2r + 1)^ndim) for the widest shell r
-    reached, whatever the cap.
+    monotone.
+
+    Method: masked cells start below every value, and each radius takes a
+    3-wide max along every axis in turn, so after radius r each cell holds
+    the max of the unmasked values in its (2r + 1)^ndim cube.  A masked
+    cell is closed at the first radius that reaches it; no unmasked cell
+    lies nearer, so that cube max is the max over its nearest shell.  The
+    max is IEEE totalOrder: a shell holding 0.0 and -0.0 gives 0.0, and
+    every extended value is, bit for bit, that of an unmasked cell.  Each
+    radius costs O(ndim * N) work and O(N) memory on an N-point grid; the
+    radii stop at ``max(u.shape) - 1``, past which no cube grows, whatever
+    the cap.
     """
     if not (isinstance(radius_cap, (int, np.integer)) and radius_cap >= 1):
         raise DomainError(f"extension radius cap must be an integer >= 1, got {radius_cap!r}")
@@ -157,38 +166,25 @@ def canonical_extension(
         return ExtensionReport(u, 0, 0.0)
     if mask.all():
         raise DomainError("cannot extend a fully masked grid")
-    flat_mask, flat_vals = mask.ravel(), u.values.ravel()
-    shape = np.array(u.shape)[:, None]
-    strides = np.array([math.prod(u.shape[d + 1 :]) for d in range(u.ndim)])
-    masked = np.flatnonzero(flat_mask)
-    new = np.full(masked.size, -np.inf)
-    pending = np.arange(masked.size)  # rows of ``new`` not yet closed
-    for shell in _chebyshev_shells(u.ndim, min(radius_cap, max(u.shape) - 1)):
-        cells = masked[pending]
-        coords = np.array(np.unravel_index(cells, u.shape))
-        top = np.full(pending.size, -np.inf)
-        hit = np.zeros(pending.size, dtype=bool)
-        for off in shell:
-            target = cells + off @ strides  # off-grid targets are clipped, then dropped by free
-            moved = coords + off[:, None]
-            free = np.all((moved >= 0) & (moved < shape), axis=0)
-            free &= ~flat_mask.take(target, mode="clip")
-            hit |= free
-            value = flat_vals.take(target, mode="clip")
-            # ties go to the later offset, so a 0.0 / -0.0 tie has one answer
-            top = np.where(free & (value >= top), value, top)
-        new[pending[hit]] = top[hit]
-        pending = pending[~hit]
-        if not pending.size:
+    top = np.where(mask, _UNREACHED, _total_order(u.values.view(np.int64)))
+    keys, pending = top.copy(), mask.copy()
+    for _ in range(min(radius_cap, max(u.shape) - 1)):
+        for axis in range(u.ndim):  # numpy buffers the overlapping operands
+            line = np.moveaxis(top, axis, 0)
+            np.maximum(line[:-1], line[1:], out=line[:-1])
+            np.maximum(line[1:], line[:-1], out=line[1:])
+        hit = pending & (top != _UNREACHED)
+        np.copyto(keys, top, where=hit)
+        pending ^= hit
+        if not pending.any():
             break
-    old = flat_vals[masked]
+    vals = np.where(keys == _UNREACHED, -np.inf, _total_order(keys).view(np.float64))
+    new, old = vals[mask], u.values[mask]
     changed = (new != old) & ~(np.isneginf(new) & np.isneginf(old))
     with np.errstate(over="ignore"):
         gaps = np.abs(new[changed] - old[changed])  # inf where one side is -inf
-    vals = flat_vals.copy()
-    vals[masked] = new
     return ExtensionReport(
-        GridFunction(vals.reshape(u.shape), u.origin, u.h, u.mask),
+        GridFunction(vals, u.origin, u.h, u.mask),
         int(gaps.size),
         float(np.max(gaps, initial=0.0)),
     )

@@ -106,7 +106,16 @@ _CATALOGUE = {
         "dual_fast_margins": None,
     },
     "horiz:@frame.csv": {
-        "cone": ("horiz:2-plane", _REFLECTION,
+        "cone": ("horiz:2-plane", "horiz:2-plane",
+                 False, 1.9999999999999996, 2.0, False, True),
+        "contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
+                     (False, -0.37600000000000006, {"frame_index": 1}, False)],
+        "dual_contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
+                          (False, -0.37600000000000006, {"frame_index": 1}, False)],
+        "dual_fast_margins": [0.8399999999999996, -0.37600000000000006],
+    },
+    "dual:horiz:@frame.csv": {
+        "cone": ("dual:horiz:2-plane", _REFLECTION,
                  False, 1.9999999999999996, 2.0, False, True),
         "contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
                      (False, -0.37600000000000006, {"frame_index": 1}, False)],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -130,10 +131,9 @@ def test_extension_idempotent_and_monotone(case):
 
 def _reference_extension(u, radius_cap):
     """The per-point extension loop: each masked point walks its shells
-    until one holds an unmasked in-grid cell.  The shell sup is the last of
-    its tied maxima in offset order, so a tie of 0.0 and -0.0 has one
-    answer (``np.max`` picks the sign by its SIMD lane order once a shell
-    holds 9 or more cells)."""
+    until one holds an unmasked in-grid cell.  The shell sup is the max in
+    IEEE totalOrder, so a tie of 0.0 and -0.0 is 0.0 (``np.max`` picks the
+    sign by its SIMD lane order once a shell holds 9 or more cells)."""
     mask = u.masked()
     shells = [
         np.array([o for o in itertools.product(range(-r, r + 1), repeat=u.ndim)
@@ -155,7 +155,7 @@ def _reference_extension(u, radius_cap):
             keep = ~mask[tuple(pts.T)]
             if keep.any():
                 found = u.values[tuple(pts[keep].T)]
-                new = float(found[np.flatnonzero(found == found.max())[-1]])
+                new = max(found.tolist(), key=lambda v: (v, math.copysign(1.0, v)))
                 break
         old = u.values[tuple(idx)]
         if new != old and not (np.isneginf(new) and np.isneginf(old)):
@@ -256,6 +256,24 @@ def test_windowed_lattice_kernels_match_the_per_point_references(case):
         return
     for got, want in zip(discrete_hessian_field(u), _reference_hessian_field(u)):
         assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("values, at", [
+    pytest.param([0.0, 0.0, -0.0], (1,), id="zero-left"),
+    pytest.param([-0.0, 0.0, 0.0], (1,), id="zero-right"),
+    # the 3x3 shell around the centre: 0.0 among seven -0.0
+    pytest.param([[-0.0, -0.0, -0.0], [-0.0, 5.0, -0.0], [-0.0, 0.0, -0.0]], (1, 1),
+                 id="square-shell"),
+])
+def test_extension_shell_with_both_zeros_gives_positive_zero(values, at):
+    got = canonical_extension(masked_grid(values, [at])).extended.values[at]
+    assert got == 0.0 and not np.signbit(got)
+
+
+def test_extension_shell_of_negative_zeros_gives_negative_zero():
+    u = masked_grid(np.full((5, 5), -0.0), [(2, 2), (1, 2)])
+    got = canonical_extension(u).extended.values
+    assert np.all(got == 0.0) and np.all(np.signbit(got))
 
 
 def test_extension_deep_interior_becomes_bottom():
