@@ -20,7 +20,8 @@ Each kind is one ``_Kind`` record in ``_KINDS`` with every rule the
 catalogue has for it: descriptor head and typed fields, parameter check,
 ``o_n_invariant`` and ``sampled`` flags, margin rule with zero crossing,
 witness, dual (a mirror cone, or a closed-form dual margin and text) and
-closed-form characteristic; ``enl`` and ``dual`` delegate to their base.
+closed-form characteristic; ``enl`` and ``dual`` delegate to their base,
+and the dual of a ``dual`` is its base.
 A new kind is one record plus its rows in ``tests/test_cone_catalogue.py``.
 
 Membership tolerances scale with ``1 + max|A_ij|``: a slack of at least
@@ -34,20 +35,18 @@ carry ``sampled=True``.
 Randomized checks are deterministic given a seed and independent of the
 worker split: samples are drawn from one seeded generator in blocks of at
 most ``_BLOCK_ENTRIES`` matrix entries per stack, so their memory does not
-grow with the sample count, and the blocks are split over the CPUs the
-process may run on (``_first_failure``); the report is the lowest failing
-block's, as in a serial scan.
+grow with the sample count, and the blocks are tested by one thread per
+CPU the process may run on (``_first_failure``), each drawing its block's
+samples in index order; the report is the lowest failing block's, as in a
+serial scan.
 """
 
 from __future__ import annotations
 
-import contextlib
+import contextvars
 import math
-import mmap
 import os
-import pickle
-import signal
-import warnings
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -497,8 +496,9 @@ _KINDS = {kind.name: kind for kind in (
           machine=lambda s, lam: _affine(pfold_sums_eigs(lam, int(s.p))[..., s.k - 1], s.p),
           witness=_mapb_witness,
           dual_text=lambda s: f"mapb:{int(s.p)}:{math.comb(s.dim, int(s.p)) - s.k + 1}",
-          characteristic=lambda s, scale: scale * (
-              int(s.p) if s.k <= math.comb(s.dim - 1, int(s.p) - 1) else s.dim)),
+          # above C(n-1, p-1) the index holds every I - pP_e, as branch's k >= 2 does
+          characteristic=lambda s, scale: (scale * int(s.p) if s.k <= math.comb(s.dim - 1, int(s.p) - 1)
+                                           else max(scale, 1.0) * s.dim)),
     _Kind("geom", "geom", parse=_parse_frames, check=_check_frames, spectral=False, sampled=True,
           describe=lambda s: f"geom:{len(s.frames)}x{s.frames[0].plane_dim}-frames",
           machine=_frames_machine, witness=_frames_witness,
@@ -515,7 +515,8 @@ _KINDS = {kind.name: kind for kind in (
           witness=lambda s, A: _witness(s.base, A + s.c * symmat.identity(s.dim))),
     _Kind("dual", "dual", parse=_parse_dual, check=_check_base, spectral=None, sampled=None,
           describe=lambda s: f"dual:{s.base.describe()}",
-          machine=_dual_machine, witness=_dual_witness),
+          machine=_dual_machine, witness=_dual_witness,
+          mirror=lambda s: s.base),  # the dual of a dual is the base
 )}
 _HEADS = {kind.head: kind for kind in _KINDS.values()}
 
@@ -642,8 +643,8 @@ def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
     """Closed-form dual margins where the catalogue provides them.
 
     Partial-sum cones dualize to top partial sums, branches to their
-    mirror (reflected index) and ``horiz`` to itself; other kinds return
-    None (definitional only).
+    mirror (reflected index), ``horiz`` to itself and a ``dual`` to its
+    base; other kinds return None (definitional only).
     """
     arr = _stack(mats)
     kind = _KINDS[spec.kind]
@@ -693,98 +694,12 @@ def _blocks(count: int, dim: int):
 
 
 def _worker_count(blocks: int) -> int:
-    """Processes for a check of ``blocks`` blocks: one per CPU this process
-    may run on, at most one per block; 1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """Threads for a check of ``blocks`` blocks: one per CPU this process
+    may run on, at most one per block; 1 where ``os.sched_getaffinity`` is
+    missing."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
-
-
-def _scan(cfg: SampleConfig, dim: int, stacks: int, test, worker: int, workers: int, stops):
-    """Worker ``worker`` of ``workers``: test the blocks b = worker (mod
-    workers) and return ``(b, report or exception)`` of the first that
-    fails or raises, or None.
-
-    Every block draws ``stacks`` GOE stacks from the one generator seeded
-    with ``cfg.seed``; the normals of another worker's block are drawn into
-    a scratch buffer and dropped, so each block gets the samples of a
-    serial scan.  ``stops[w]`` holds the block at which worker w stopped
-    (initially the block count): a block past any of them cannot be the
-    first failure, so the scan ends there.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    spare = np.empty(_BLOCK_ENTRIES)
-    for b, (start, size) in enumerate(_blocks(cfg.count, dim)):
-        if b % workers != worker:
-            for _ in range(stacks):
-                rng.standard_normal(out=spare[: size * dim * dim])
-            continue
-        if stops.min() < b:
-            return None
-        try:
-            found = test(start, *(sample_goe(rng, dim, size, cfg.magnitude) for _ in range(stacks)))
-        except Exception as exc:
-            found = exc
-        if found is not None:
-            stops[worker] = b
-            return b, found
-    return None
-
-
-@contextlib.contextmanager
-def _sigint_held():
-    """Hold SIGINT pending in this thread while the block runs; yields the
-    signal mask to restore."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        yield mask
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _fork_scan(scan, worker: int, children: dict) -> None:
-    """Run ``scan(worker)`` in a child process, which writes its pickled
-    result to a pipe, and record ``children[pid]`` = the pipe's read end.
-
-    The child leaves through ``os._exit`` whatever happens, and writes
-    nothing if it fails.  SIGINT is held from before the fork until the
-    child is inside that exit path and its pid is recorded here, so an
-    interrupt can neither run the caller's code in the child nor lose a
-    child.  Python >= 3.12 warns that a fork while other threads run may
-    deadlock the child; the only other threads here are BLAS workers,
-    whose pool OpenBLAS shuts down before a fork (its pthread_atfork
-    handler), and the child runs numpy on its one thread and never returns
-    into the caller, so that warning is silenced for this call.
-    """
-    r, w = os.pipe()
-    try:
-        with _sigint_held() as mask:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(r)
-                    payload = memoryview(pickle.dumps(scan(worker)))
-                    while payload:
-                        payload = payload[os.write(w, payload):]
-                finally:
-                    os._exit(0)
-            children[pid] = r
-    except OSError:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
@@ -792,46 +707,61 @@ def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
     for which ``test(start, *stacks)`` returns one, or None if no block
     fails; an exception raised at a lower block than any report is raised.
 
-    The blocks are split over ``_worker_count`` workers by ``_scan``: this
-    process and a forked child for each other worker, all sharing their
-    stopping blocks through an anonymous mmap.  Every child is reaped
-    before this returns or raises; on an interrupt or error here the
-    children are killed first.  A child that exits without a result is an
-    InternalConsistencyError.
+    ``_worker_count`` threads, the caller one of them, take the blocks in
+    index order.  A thread draws its block's ``stacks`` GOE stacks from the
+    one generator seeded with ``cfg.seed`` under a lock, so every block
+    gets the samples of a serial scan, and tests them outside it (numpy's
+    ``eigvalsh`` releases the GIL).  An exception while drawing or testing
+    block b is block b's result, and no block at or past the lowest failing
+    block found so far is taken.  A KeyboardInterrupt or SystemExit in any
+    thread stops every thread at its next block and is raised whatever
+    its block.  Each thread runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds in it, and every thread is joined before
+    this returns or raises.
     """
-    blocks = -(-cfg.count // (_BLOCK_ENTRIES // dim**2))
-    workers = _worker_count(blocks)
-    stops = np.frombuffer(mmap.mmap(-1, 8 * workers), dtype=np.int64)
-    stops[:] = blocks
+    step = _BLOCK_ENTRIES // dim**2
+    blocks = -(-cfg.count // step)
+    rng = np.random.default_rng(cfg.seed)
+    lock = threading.Lock()
+    found = {}  # block -> its report or exception; -1 -> an interrupt
+    taken = 0  # the next block to draw; ``blocks`` once the scan stops
 
-    def scan(worker):
-        return _scan(cfg, dim, stacks, test, worker, workers, stops)
+    def scan():
+        nonlocal taken
+        while True:
+            try:
+                with lock:
+                    if taken >= min(found, default=blocks):
+                        return
+                    b, taken = taken, taken + 1
+                    start = b * step
+                    drawn = [sample_goe(rng, dim, min(step, cfg.count - start), cfg.magnitude)
+                             for _ in range(stacks)]
+                result = test(start, *drawn)
+            except Exception as exc:
+                result = exc
+            except BaseException as exc:
+                b, result = -1, exc
+            if result is not None:
+                with lock:
+                    found[b] = result
 
-    children = {}
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(scan,))
+               for _ in range(_worker_count(blocks) - 1)]
     try:
-        for worker in range(1, workers):
-            _fork_scan(scan, worker, children)
-        results = [scan(0)]
-        payloads = [_read_to_end(fd) for fd in children.values()]
-        with _sigint_held():  # each child closed its pipe, so it is exiting
-            for pid, fd in children.items():
-                os.waitpid(pid, 0)
-                os.close(fd)
-            children.clear()
+        for thread in threads:
+            thread.start()
+        scan()
     finally:
-        for pid, fd in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-    if not all(payloads):
-        raise InternalConsistencyError("a sampling worker exited without a result")
-    results += [pickle.loads(payload) for payload in payloads]
-    found = min((r for r in results if r is not None), key=lambda r: r[0], default=None)
-    if found is None:
-        return None
-    if isinstance(found[1], Exception):
-        raise found[1]
-    return found[1]
+        with lock:
+            taken = blocks
+        for thread in threads:
+            if thread.is_alive():  # not one that failed to start
+                thread.join()
+    result = found[min(found)] if found else None
+    if isinstance(result, BaseException):
+        raise result
+    return result
 
 
 def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
@@ -979,7 +909,7 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
     kind = _KINDS[spec.kind]
     if not (kind.mirror or kind.dual_margins):  # dual_fast_margins would return None
         raise DomainError(f"check duality needs a cone with a closed-form dual "
-                          f"(p, pp, branch, cbranch or horiz), got {spec.describe()}")
+                          f"(p, pp, branch, cbranch, horiz or any dual:), got {spec.describe()}")
 
     def test(start, mats):
         fast = dual_fast_margins(spec, mats)

@@ -78,10 +78,12 @@ corrections, and keeps the last iterate if the cap comes first (data at
 the edge of the subnormal range cannot meet it).  The solve holds one LU
 factor, that of the system it solved last, and each policy step follows
 one rule: a changed selection drops the held factor, factors its own
-matrix and refines from zero; a selection that no longer changes freezes
-the system just solved, so that step refines the current iterate with
-the held factor until max |rhs - L x| <= tol as well, until a correction
-no longer lowers it, or to the cap, and is the last step.
+matrix and refines from zero; a selection that no longer changes, or
+that repeats one solved earlier in the loop (near-tied frames can cycle
+at round-off), freezes the system just solved, so that step refines the
+current iterate with the held factor until max |rhs - L x| <= tol as
+well, until a correction no longer lowers it, or to the cap, and is the
+last step.
 ``converged`` means residual <= tol at the returned iterate.  Each new
 selection keeps the previous frame wherever that frame is within
 1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
@@ -92,6 +94,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import hashlib
 import itertools
 import math
 import operator
@@ -815,20 +818,29 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
     that overflows leaves a non-finite iterate, which the next evaluate
     reports as DomainError."""
     prev_sel = lu = None
+    solved = set()  # digests of the selections factored in this loop
     r, sel = scheme.evaluate(u)
     history = [(0, float(np.max(np.abs(r))))]
     while history[-1][1] > tol and len(history) <= max_iter:
         # a settled selection is the system just solved: the min-max form
         # stops, and a linear step refines the iterate toward tol with the
-        # held factor as the last step
-        settled = np.array_equal(sel, prev_sel)
+        # held factor as the last step.  A linear step's selection solved
+        # earlier in this loop settles it as well: frames that each look
+        # better from the other's solution at round-off can cycle, so the
+        # step goes back to the held factor's system
         if scheme.form == "minmax":
+            settled = np.array_equal(sel, prev_sel)
             if settled:
                 break
             solves = _policy_iteration(scheme.pair_view(sel), u, tol, max_iter)[-1][0]
         else:
-            if not settled:
+            digest = hashlib.sha256(sel).digest()
+            settled = digest in solved
+            if settled:
+                sel = prev_sel
+            else:
                 lu = None  # one factor at a time: free the old one before assembling
+                solved.add(digest)
             L, rhs = scheme.assemble(sel)
             if settled:
                 x = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]

@@ -70,7 +70,7 @@ class SymMatrix:
         object.__setattr__(self, "entries", sym)
 
     def __setstate__(self, state):
-        # unpickled entries (a counterexample sent by a sampling worker) stay read-only
+        # numpy unpickles an array writable: keep the entries read-only, as constructed
         state["entries"].flags.writeable = False
         self.__dict__.update(state)
 

@@ -289,6 +289,10 @@ _CONTEXT = {
                  0, lambda: cones.check_duality(cones.parse_cone("horiz:@frame.csv", 4),
                                                 cones.SampleConfig(0, 300)),
                  False, id="duality-self-dual"),
+    pytest.param(["check", "duality", "--f", "dual:branch:2", "--dim", "4", "--samples", "300"],
+                 0, lambda: cones.check_duality(cones.parse_cone("dual:branch:2", 4),
+                                                cones.SampleConfig(0, 300)),
+                 False, id="duality-dual-of-a-mirror"),
     pytest.param(["check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "200"], 1,
                  lambda: cones.check_duality(cones.branch_cone(1, 3), cones.SampleConfig(0, 200)),
                  True, id="duality-fail"),

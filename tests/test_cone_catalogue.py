@@ -115,13 +115,13 @@ _CATALOGUE = {
         "dual_fast_margins": [0.8399999999999996, -0.37600000000000006],
     },
     "dual:horiz:@frame.csv": {
-        "cone": ("dual:horiz:2-plane", _REFLECTION,
+        "cone": ("dual:horiz:2-plane", "horiz:2-plane",
                  False, 1.9999999999999996, 2.0, False, True),
         "contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
                      (False, -0.37600000000000006, {"frame_index": 1}, False)],
         "dual_contains": [(True, 0.8399999999999996, {"frame_index": 1}, False),
                           (False, -0.37600000000000006, {"frame_index": 1}, False)],
-        "dual_fast_margins": None,
+        "dual_fast_margins": [0.8399999999999996, -0.37600000000000006],
     },
     "geom:@frames.csv": {
         "cone": ("geom:2x2-frames", _REFLECTION,
@@ -142,13 +142,22 @@ _CATALOGUE = {
         "dual_fast_margins": None,
     },
     "dual:branch:2": {
-        "cone": ("dual:branch:2", _REFLECTION,
+        "cone": ("dual:branch:2", "branch:2",
                  True, 4.0, 4.0, True, False),
         "contains": [(True, 1.0931907477145866, {"eigen_index": 3}, False),
                      (True, 0.6692282331597267, {"eigen_index": 3}, False)],
-        "dual_contains": [(True, 0.6485278784170783, {"eigen_index": 3}, False),
-                          (False, -0.7271296552182563, {"eigen_index": 3}, False)],
-        "dual_fast_margins": None,
+        "dual_contains": [(True, 0.6485278784170783, {"eigen_index": 2}, False),
+                          (False, -0.7271296552182563, {"eigen_index": 2}, False)],
+        "dual_fast_margins": [0.6485278784170783, -0.7271296552182563],
+    },
+    "dual:dual:pp:1.5": {
+        "cone": ("dual:dual:pp:1.5", "dual:pp:1.5",
+                 True, 1.5, 1.5, False, False),
+        "contains": [(False, -1.954423458877958, {"eigen_indices": [1, 2]}, False),
+                     (False, -1.670426081981381, {"eigen_indices": [1, 2]}, False)],
+        "dual_contains": [(True, 3.583564145812127, {"eigen_indices": [1, 2]}, False),
+                          (True, 1.7993767930106466, {"eigen_indices": [1, 2]}, False)],
+        "dual_fast_margins": [3.583564145812127, 1.7993767930106466],
     },
     "enl:dual:mapb:2:1:0.25": {
         "cone": ("enl:dual:mapb:2:1:0.25", _REFLECTION,
@@ -160,13 +169,13 @@ _CATALOGUE = {
         "dual_fast_margins": None,
     },
     "dual:enl:sigma:2:0.5": {
-        "cone": ("dual:enl:sigma:2:0.5", _REFLECTION,
+        "cone": ("dual:enl:sigma:2:0.5", "enl:sigma:2:0.5",
                  True, 4.0, None, True, False),
         "contains": [(True, 7.1406249999999964, {"sigma_index": 2}, False),
                      (True, 1.0600000000000005, {"sigma_index": 2}, False)],
         "dual_contains": [(True, 0.3593750000000071, {"sigma_index": 2}, False),
                           (False, -0.7599999999999991, {"sigma_index": 2}, False)],
-        "dual_fast_margins": None,
+        "dual_fast_margins": [0.3593750000000071, -0.7599999999999991],
     },
 }
 

@@ -3,9 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from conecalc.cones import (
     sigma_cone,
     sphere_lattice,
 )
-from conecalc.errors import DomainError, InternalConsistencyError, SamplingError, SpecParseError
+from conecalc.errors import DomainError, SamplingError, SpecParseError
 from conecalc.symmat import Frame, SymMatrix
 
 
@@ -499,10 +499,13 @@ def test_check_relation_reports_a_failure_in_a_later_block():
     _assert_report_is_replayed(F, M, cfg, rep)
 
 
-@pytest.mark.parametrize("check", ["relation", "duality"])
-def test_randomized_checks_run_in_bounded_memory(check):
+@pytest.mark.parametrize("check, workers", [("relation", 1), ("duality", 1), ("relation", 2), ("duality", 2)],
+                         ids=["relation", "duality", "relation-2-workers", "duality-2-workers"])
+def test_randomized_checks_run_in_bounded_memory(monkeypatch, check, workers):
     # 3e4 samples in dim 6 take 33 blocks of 910 matrices; a relation that
-    # held every stack at once traced a 46.6 MB peak
+    # held every stack at once traced a 46.6 MB peak.  Each worker thread
+    # holds its own block, so the bound is per worker
+    _workers(monkeypatch, workers)
     cfg = SampleConfig(seed=1, count=30_000)
     tracemalloc.start()
     try:
@@ -514,7 +517,7 @@ def test_randomized_checks_run_in_bounded_memory(check):
     finally:
         tracemalloc.stop()
     assert rep.passed and rep.checked == cfg.count
-    assert peak < 2e6
+    assert peak < workers * 2e6
 
 
 @pytest.mark.parametrize("magnitude", [1.0, 3.0])
@@ -525,7 +528,7 @@ def test_sample_goe_is_the_symmetrized_scaled_draw(magnitude):
     assert got.tobytes() == expected.tobytes()
 
 
-# -- the split of sample blocks over worker processes -------------------------------
+# -- the split of sample blocks over worker threads -------------------------------
 
 
 def _workers(monkeypatch, count):
@@ -536,6 +539,7 @@ def _workers(monkeypatch, count):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def _skew_dual_margins(monkeypatch, level):
@@ -572,7 +576,7 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, case):
     check, failure_index, level = _SPLIT_CASES[case]
     if level is not None:
         _skew_dual_margins(monkeypatch, level)
-    # 4 workers: more than the cores of a 2-CPU host, all sharing the stop slots
+    # 4 workers: more than the cores of a 2-CPU host, all drawing from one generator
     reports = []
     for count in (1, 2, 4):
         _workers(monkeypatch, count)
@@ -580,8 +584,6 @@ def test_reports_do_not_depend_on_the_worker_count(monkeypatch, case):
         _assert_no_child_left()
     one = reports[0]
     assert one.failure_index == failure_index
-    if case.startswith("relation-fail"):  # a worker's pair came through a pipe
-        assert not any(A.entries.flags.writeable for rep in reports for A in rep.counterexample)
     for other in reports[1:]:
         assert (one.passed, one.checked, one.failure_index) == (other.passed, other.checked, other.failure_index)
         assert json.dumps(one.to_dict()) == json.dumps(other.to_dict())
@@ -598,62 +600,64 @@ def test_errors_do_not_depend_on_the_worker_count(monkeypatch):
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
 
-    # with two workers, the child's error in block 1 comes before the
-    # caller's report in block 2 (blocks of 2048 in dim 4)
+    # the error in block 1 comes before the report in block 2 (blocks of
+    # 2048 in dim 4), whichever thread tests each, and an error while
+    # drawing block 1 (the second stack of normals) is block 1's as well
     def test(first, mats):
         if first == 2048:
             raise SamplingError("block 1")
         return "block 2" if first == 4096 else None
 
-    for count in (1, 2):
+    draw, draws = cones.sample_goe, []
+
+    def draw_or_fail(rng, n, count, magnitude):
+        draws.append(1)
+        if len(draws) == 2:
+            raise SamplingError("drawing block 1")
+        return draw(rng, n, count, magnitude)
+
+    for count in (1, 2, 4):
         _workers(monkeypatch, count)
-        with pytest.raises(SamplingError, match="block 1"):
+        with pytest.raises(SamplingError, match="^block 1"):
             cones._first_failure(SampleConfig(seed=1, count=8000), 4, 1, test)
+        _assert_no_child_left()
+        draws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cones, "sample_goe", draw_or_fail)
+            with pytest.raises(SamplingError, match="drawing block 1"):
+                cones._first_failure(SampleConfig(seed=1, count=8000), 4, 1,
+                                     lambda first, mats: "block 2" if first == 4096 else None)
         _assert_no_child_left()
 
 
-def test_the_fork_with_threads_warning_does_not_escape(monkeypatch):
-    # Python >= 3.12 warns in os.fork when other threads run, as OpenBLAS's
-    # do; under this suite's filterwarnings = error it would be a failure
-    fork = os.fork
-
-    def warning_fork():
-        warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks "
-                      "in the child.", DeprecationWarning, stacklevel=2)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", warning_fork)
+def test_a_worker_threads_system_exit_propagates(monkeypatch):
+    # a SystemExit in a worker thread is not dropped with the thread: it
+    # stops the caller, whose scan has ~10^3 blocks (~15 s) to go, and is raised
     _workers(monkeypatch, 2)
-    rep = check_relation(pp_cone(1.5, 4), pp_cone(1.6, 4), SampleConfig(seed=1, count=5000))
-    assert rep.failure_index == 2231
-    _assert_no_child_left()
-
-
-def test_a_child_without_a_result_is_an_internal_error(monkeypatch):
-    # a child that leaves early, here by SystemExit, sends nothing and
-    # returns into no caller's code; the check must not read that as a pass
-    _workers(monkeypatch, 2)
-    parent, force = os.getpid(), cones.force_membership
+    force = cones.force_membership
 
     def force_or_exit(spec, mats):
-        if os.getpid() != parent:
+        if threading.current_thread() is not threading.main_thread():
             raise SystemExit(3)
         return force(spec, mats)
 
     monkeypatch.setattr(cones, "force_membership", force_or_exit)
-    with pytest.raises(InternalConsistencyError, match="without a result"):
-        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=3000))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=10**6))
+    assert time.perf_counter() - start < 2.0
+    assert info.value.code == 3
     _assert_no_child_left()
 
 
-def test_an_interrupted_check_kills_and_reaps_its_children(monkeypatch):
-    # the caller is interrupted in its second block while the child still
-    # has ~10^5 blocks to go: the child is killed, not waited out
+def test_an_interrupted_check_stops_every_worker_thread(monkeypatch):
+    # the caller is interrupted in its second block while the other thread
+    # still has ~10^3 blocks (~15 s) to go: it stops at its next block
     _workers(monkeypatch, 2)
-    parent, force, calls = os.getpid(), cones.force_membership, []
+    force, calls = cones.force_membership, []
 
     def force_or_interrupt(spec, mats):
-        if os.getpid() == parent:
+        if threading.current_thread() is threading.main_thread():
             calls.append(1)
             if len(calls) > 2:
                 raise KeyboardInterrupt
@@ -662,9 +666,55 @@ def test_an_interrupted_check_kills_and_reaps_its_children(monkeypatch):
     monkeypatch.setattr(cones, "force_membership", force_or_interrupt)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=cones.SAMPLE_CAP))
+        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=10**6))
     assert time.perf_counter() - start < 2.0
     _assert_no_child_left()
+
+
+def test_an_interrupt_while_starting_the_threads_stops_those_started(monkeypatch):
+    # of three workers, the first thread starts and the second does not: the
+    # first, with ~10^3 blocks to go, is stopped and joined, and the
+    # interrupt is what the check raises
+    _workers(monkeypatch, 3)
+    start_thread, starts = threading.Thread.start, []
+
+    def start_or_interrupt(thread):
+        starts.append(1)
+        if len(starts) == 2:
+            raise KeyboardInterrupt
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_interrupt)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        check_relation(map_branch_cone(3, 1, 6), pp_cone(3.0, 6), SampleConfig(seed=1, count=10**6))
+    assert time.perf_counter() - start < 2.0
+    _assert_no_child_left()
+
+
+def test_worker_threads_draw_each_block_once_in_order(monkeypatch):
+    # 8 threads, more than the cores, switching every microsecond: every
+    # block tested is tested once, with the samples of a serial draw, and
+    # the lowest failing block of 40 (128 matrices each in dim 16) wins
+    step, dim, seen = 128, 16, {}
+    rng = np.random.default_rng(7)
+    serial = [cones.sample_goe(rng, dim, step, 2.0).tobytes() for _ in range(40)]
+
+    def test(first, mats):
+        seen.setdefault(first // step, []).append(mats.tobytes())
+        return first // step if first // step in (23, 31, 37) else None
+
+    _workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        found = cones._first_failure(SampleConfig(seed=7, count=40 * step, magnitude=2.0), dim, 1, test)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_no_child_left()
+    assert found == 23
+    assert set(range(24)) <= set(seen)
+    assert all(seen[b] == [serial[b]] for b in seen)
 
 
 def test_a_failure_in_the_first_block_stops_every_worker(monkeypatch):

@@ -865,6 +865,17 @@ def test_a_settled_selection_is_refined_to_tol(monkeypatch):
     assert _factorizations(log) == [1, 0]
 
 
+def test_a_policy_cycle_at_round_off_is_refined_to_tol(monkeypatch):
+    # pp:1.2 at 257^2: from step 11 one row flips its frame back and forth
+    # and the residual alternates 7.3e-10 / 5.9e-10 above tol.  The step
+    # whose selection repeats one already solved refines the last system
+    # with the held factor instead, to 1.3e-11, and is the last step
+    log = _logged_spla(monkeypatch)
+    rep = solve(problem_from_config(annulus_config(257, p=1.2)), tol=1e-10, max_iter=16)
+    assert rep.converged and rep.residual_sup <= 1e-10 < rep.history[-2][1]
+    assert _factorizations(log) == [1] * 14 + [0]
+
+
 def test_tol_below_round_off_ends_early_and_refines_with_the_held_factor(monkeypatch):
     # below round-off the policy settles on tied frames, refines once
     # more and stops

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ def test_symmetrization_and_validation():
         SymMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         SymMatrix(np.ones((2, 3)))
+
+
+def test_a_pickled_matrix_keeps_read_only_entries():
+    # numpy unpickles an array writable; SymMatrix keeps its entries read-only
+    A = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    B = pickle.loads(pickle.dumps(A))
+    assert B.entries.tobytes() == A.entries.tobytes()
+    assert not B.entries.flags.writeable
+    with pytest.raises(ValueError):
+        B.entries[0, 0] = 5.0
 
 
 # -- partial sums --------------------------------------------------------------
