@@ -228,15 +228,11 @@ def _cmd_solve(args) -> tuple:
 def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
     from . import solver
     problem = solver.problem_from_config(cfg["problem"])
+    # only the keys the config holds: the experiment keeps the defaults
+    names = {"polar_p": "polar_p", "tol": "tol", "eps": "eps_values", "gap_constant": "gap_constant"}
+    opts = {names[key]: val for key, val in cfg.items() if key in names}
     rep = solver.removability_experiment(
-        problem,
-        cfg["puncture"],
-        polar_p=cfg.get("polar_p"),
-        stencil=_stencil(cfg["problem"], problem),
-        tol=cfg.get("tol", 1e-9),
-        eps_values=tuple(cfg.get("eps", (1e-2, 1e-3))),
-        gap_constant=cfg.get("gap_constant", 5.0),
-    )
+        problem, cfg["puncture"], stencil=_stencil(cfg["problem"], problem), **opts)
     report["removability"] = rep.to_dict()
     report["outputs"] = [
         path

@@ -75,19 +75,20 @@ recovers the full accuracy while cond(L) u_32 < 1 (Buttari et al. 2007;
 Carson and Higham 2018).  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
 corrections, and keeps the last iterate if the cap comes first (data at
-the edge of the subnormal range cannot meet it).  The solve holds one LU
-factor, that of the system it solved last, and each policy step follows
-one rule: a changed selection drops the held factor, factors its own
-matrix and refines from zero; a selection that no longer changes, or
-that repeats one solved earlier in the loop (near-tied frames can cycle
-at round-off), freezes the system just solved, so that step refines the
-current iterate with the held factor until max |rhs - L x| <= tol as
-well, until a correction no longer lowers it, or to the cap, and is the
-last step.
+the edge of the subnormal range cannot meet it).  The loop holds one
+system, matrix, right-hand side and LU factor, the one it solved last,
+and both of its levels follow one rule: a new selection is solved (a
+linear step drops the held system, assembles and factors its own and
+refines from zero), and a selection solved earlier in the loop, one
+that no longer changes or that near-tied frames cycle back to at
+round-off, settles the loop.  A settled min-max outer step ends it; a
+settled linear step refines the current iterate on the held system
+until max |rhs - L x| <= tol as well, until a correction no longer
+lowers it, or to the cap, and is the last step.
 ``converged`` means residual <= tol at the returned iterate.  Each new
 selection keeps the previous frame wherever that frame is within
 1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
-flip the policy forever; a settled min-max outer step ends the loop.
+flip the policy forever.
 """
 
 from __future__ import annotations
@@ -813,44 +814,38 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
     """Policy iteration on ``scheme`` from the iterate u, updated in place,
     for at most ``max_iter`` steps.  A step solves the frozen selection's
     system: one linear solve, or for the min-max form this loop on its
-    pair view.  Returns the history: the pairs (linear solves so far,
-    residual_sup), one before the first step and one after each.  A step
-    that overflows leaves a non-finite iterate, which the next evaluate
-    reports as DomainError."""
-    prev_sel = lu = None
-    solved = set()  # digests of the selections factored in this loop
+    pair view.  A selection solved earlier in this loop settles it: the
+    min-max form stops, and a linear step refines the iterate toward tol
+    on the held system, the one solved last, and is the last step.
+    Returns the history: the pairs (linear solves so far, residual_sup),
+    one before the first step and one after each.  A step that overflows
+    leaves a non-finite iterate, which the next evaluate reports as
+    DomainError."""
+    held = None  # (L, rhs, factor) of the system solved last
+    solved = set()  # digests of the selections solved in this loop
     r, sel = scheme.evaluate(u)
     history = [(0, float(np.max(np.abs(r))))]
     while history[-1][1] > tol and len(history) <= max_iter:
-        # a settled selection is the system just solved: the min-max form
-        # stops, and a linear step refines the iterate toward tol with the
-        # held factor as the last step.  A linear step's selection solved
-        # earlier in this loop settles it as well: frames that each look
-        # better from the other's solution at round-off can cycle, so the
-        # step goes back to the held factor's system
+        # a selection solved earlier in this loop is a policy that no
+        # longer changes, or near-tied frames that each look better from
+        # the other's solution at round-off cycling: either settles it
+        digest = hashlib.sha256(sel).digest()
+        settled = digest in solved
+        solved.add(digest)
+        solves = 1
         if scheme.form == "minmax":
-            settled = np.array_equal(sel, prev_sel)
             if settled:
                 break
             solves = _policy_iteration(scheme.pair_view(sel), u, tol, max_iter)[-1][0]
+        elif settled:
+            L, rhs, lu = held
+            u[scheme.unknown_flat] = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
         else:
-            digest = hashlib.sha256(sel).digest()
-            settled = digest in solved
-            if settled:
-                sel = prev_sel
-            else:
-                lu = None  # one factor at a time: free the old one before assembling
-                solved.add(digest)
+            held = None  # one factor at a time: free the old one before assembling
             L, rhs = scheme.assemble(sel)
-            if settled:
-                x = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
-            else:
-                # each factorization orders L by its own graph
-                lu = _factor(L, scheme.order(L))
-                x = _refine(L, rhs, np.zeros_like(rhs), lu)[0]
-            u[scheme.unknown_flat] = x
-            solves = 1
-        prev_sel = sel
+            # each factorization orders L by its own graph
+            held = L, rhs, _factor(L, scheme.order(L))
+            u[scheme.unknown_flat] = _refine(L, rhs, np.zeros_like(rhs), held[2])[0]
         r, sel = scheme.evaluate(u, keep=sel)
         history.append((history[-1][0] + solves, float(np.max(np.abs(r)))))
         if settled:
@@ -868,8 +863,8 @@ def solve(
 
     Policy iteration freezes the optimal frame choice and solves the
     resulting sparse linear system until the residual is at most tol or
-    the selection settles (see the module docstring; the linear trace
-    form takes one or two solves).  One loop serves every operator,
+    a selection repeats one solved before (see the module docstring; the
+    linear trace form takes one or two solves).  One loop serves every operator,
     nested for min-max: for the 3-D second branch an outer step holds
     each point's pair and runs the same loop on the max form over that
     pair's two directions.
@@ -990,10 +985,10 @@ def removability_experiment(
     every perturbation check clean; ``eps_values`` must be a non-empty
     sequence of finite numbers > 0, so that the polar enters every check.
 
-    The partial-sum operator needs ``p >= 2`` (no finite point set is
-    polar below that); branch operators additionally need a randomized
-    monotonicity certification against the requested polar exponent, on
-    2,000 samples drawn with seed 0.
+    The polar exponent must be at least 2 (no finite point set is polar
+    below that), and the operator's cone F must pass a randomized
+    certification of F + pp:polar_p in F, on 2,000 samples drawn with
+    seed 0; a partial-sum operator pp:p passes exactly when polar_p <= p.
     """
     from . import riesz  # the polar kernel loads for this experiment only
     if problem.punctures:
@@ -1016,15 +1011,13 @@ def removability_experiment(
             "(no finite point set is polar below 2)"
         )
     cone = operator_cone(problem.operator, nd)
-    if kind == "branch":
-        rep = cones.check_relation(
-            cone, cones.pp_cone(polar_p, nd), SampleConfig(seed=0, count=2000)
+    polar_cone = cones.pp_cone(polar_p, nd)
+    rep = cones.check_relation(cone, polar_cone, SampleConfig(seed=0, count=2000))
+    if not rep.passed:
+        raise DomainError(
+            f"{cone.describe()} is not certified monotone for {polar_cone.describe()}; "
+            f"counterexample at sample {rep.failure_index}"
         )
-        if not rep.passed:
-            raise DomainError(
-                f"branch:{int(val)} is not certified monotone for pp:{polar_p}; "
-                f"counterexample at sample {rep.failure_index}"
-            )
 
     full = solve(problem, stencil=stencil, tol=tol)
     punctured_problem = problem.with_punctures(idx_pts)

@@ -534,6 +534,22 @@ def test_experiment_rejects_low_polar_exponent(tmp_path):
     assert json.loads(out)["error"]["kind"] == "UnsupportedPolarError"
 
 
+def test_experiment_rejects_uncertified_polar_exponent(tmp_path):
+    # pp:2.5 + pp:3 does not lie in pp:2.5: a usage error, before any solve
+    prob = {"operator": "pp", "p": 2.5, "boundary": {"expr": "x*x + y*y - z*z"},
+            "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25}}
+    cfile = tmp_path / "exp.json"
+    cfile.write_text(json.dumps({"kind": "removability", "problem": prob,
+                                 "puncture": [[0.0, 0.0, 0.0]], "polar_p": 3}))
+    outdir = tmp_path / "o"
+    code, out, err = run_cli("experiment", "--config", cfile, "--output-dir", outdir)
+    assert code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["kind"] == "DomainError"
+    assert error["message"].startswith("pp:2.5 is not certified monotone for pp:3")
+    assert not (outdir / "solution_full.grid").exists()
+
+
 def test_experiment_convergence_curves(tmp_path):
     cfg = {
         "kind": "convergence",

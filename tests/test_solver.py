@@ -819,25 +819,33 @@ def test_solve_is_deterministic():
 
 def _logged_spla(monkeypatch):
     """Put a copy of scipy.sparse.linalg that logs its ``splu`` calls in
-    place of ``solver.spla``; returns one list per policy step (each
-    assembles its frozen system once) of that step's ``splu`` calls."""
+    place of ``solver.spla``, and log the scheme's ``assemble`` and
+    ``order`` and ``solver._factor`` calls too; returns one list per
+    linear policy step (each refines its iterate once) of that step's
+    calls."""
     real = solver.spla
-    steps = []
+    steps, calls = [], []
 
-    def splu(*args, **kwargs):
-        steps[-1].append("splu")
-        return real.splu(*args, **kwargs)
+    def logged(name, call):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+        return spy
 
-    assemble = _Scheme.assemble
+    refine = solver._refine
 
-    def assemble_step(self, selection):
-        steps.append([])
-        return assemble(self, selection)
+    def refine_step(*args, **kwargs):
+        steps.append(calls[:])
+        calls.clear()
+        return refine(*args, **kwargs)
 
     copy = types.ModuleType(real.__name__)
-    copy.__dict__.update(real.__dict__, splu=splu)
+    copy.__dict__.update(real.__dict__, splu=logged("splu", real.splu))
     monkeypatch.setattr(solver, "spla", copy)
-    monkeypatch.setattr(_Scheme, "assemble", assemble_step)
+    monkeypatch.setattr(solver, "_refine", refine_step)
+    monkeypatch.setattr(solver, "_factor", logged("factor", solver._factor))
+    for name in ("assemble", "order"):
+        monkeypatch.setattr(_Scheme, name, logged(name, getattr(_Scheme, name)))
     return steps
 
 
@@ -863,6 +871,15 @@ def test_a_settled_selection_is_refined_to_tol(monkeypatch):
     assert rep.converged and rep.iterations == 2
     assert rep.residual_sup <= 1e-10 < rep.history[1][1]
     assert _factorizations(log) == [1, 0]
+
+
+def test_a_settled_step_reuses_the_held_system(monkeypatch):
+    # the settled last step refines on the system solved last: it
+    # assembles, orders and factors nothing
+    log = _logged_spla(monkeypatch)
+    rep = solve(problem_from_config(annulus_config(65)), tol=1e-16)
+    assert len(log) == rep.iterations > 1
+    assert log == [["assemble", "order", "factor", "splu"]] * (len(log) - 1) + [[]]
 
 
 def test_a_policy_cycle_at_round_off_is_refined_to_tol(monkeypatch):
@@ -968,6 +985,42 @@ def test_solve_records_history_and_report_fields():
     assert rep.history[-1][1] <= 1e-10
     d = rep.to_dict()
     assert set(d) == {"residual_sup", "iterations", "converged", "method"}
+
+
+def _hull_envelope(prob, upper):
+    """Convex envelope (or, ``upper``, concave envelope) of the Dirichlet
+    data at the unknowns: the lower (upper) facets of the convex hull of
+    the boundary nodes' graph points, a max (min) of affine functions."""
+    from scipy.spatial import ConvexHull
+
+    coords = np.stack([c.reshape(-1) for c in grid_coordinates(prob.shape, prob.origin, prob.h)],
+                      axis=1)
+    g = prob.boundary_values.reshape(-1)
+    unk = prob.unknown_mask().reshape(-1)
+    eq = ConvexHull(np.column_stack([coords[~unk], g[~unk]])).equations
+    eq = eq[eq[:, -2] > 1e-12] if upper else eq[eq[:, -2] < -1e-12]
+    planes = -(coords[unk] @ eq[:, :-2].T + eq[:, -1]) / eq[:, -2]
+    return planes.min(axis=1) if upper else planes.max(axis=1)
+
+
+@pytest.mark.parametrize("ndim,nside,k", [
+    (2, 17, 1), (2, 33, 1), (2, 65, 1), (3, 9, 1), (2, 33, 2), (3, 9, 3),
+])
+def test_extreme_branches_are_the_convex_and_concave_envelopes(ndim, nside, k):
+    # on a full box, branch:1 solves to the convex envelope of the data
+    # and branch:n to the concave one, to round-off (<= 4.3e-14 here);
+    # without the (1, +-1) diagonals the 2-D cases miss by 4e-3 to 3e-2
+    xs = "x*x+y*y+z*z" if ndim == 3 else "x*x+y*y"
+    prob = problem_from_config({
+        "operator": "branch",
+        "k": k,
+        "grid": {"shape": [nside] * ndim, "origin": [-1] * ndim, "h": 2 / (nside - 1)},
+        "boundary": {"expr": f"({xs})**0.25"},
+    })
+    rep = solve(prob, tol=1e-10)
+    assert rep.converged
+    got = rep.solution.values[prob.unknown_mask()]
+    assert np.max(np.abs(got - _hull_envelope(prob, upper=k == ndim))) <= 1e-12
 
 
 def test_branch_two_resolves_max_of_affines():
@@ -1158,6 +1211,20 @@ def test_removability_rejects_uncertified_branch():
     prob = problem_from_config(cfg)
     with pytest.raises(DomainError):
         removability_experiment(prob, [[0.25, 0.25]], polar_p=2.0)
+
+
+@pytest.mark.parametrize("p,polar_p", [(2, 2.5), (2, 3), (2.5, 3)])
+def test_removability_rejects_uncertified_partial_sum(p, polar_p):
+    # pp:p + pp:q lies in pp:p only for q <= p, so a larger polar exponent
+    # fails the certification before any solve
+    prob = problem_from_config({
+        "operator": "pp",
+        "p": p,
+        "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
+        "boundary": {"expr": "x*x + y*y - z*z"},
+    })
+    with pytest.raises(DomainError, match=f"pp:{p:g} is not certified monotone for pp:{polar_p}"):
+        removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=polar_p)
 
 
 @pytest.mark.parametrize("eps_values", [(), (0.0,), (1e-2, -1e-3), (float("inf"),)],
