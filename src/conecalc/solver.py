@@ -864,10 +864,10 @@ def solve(
     Policy iteration freezes the optimal frame choice and solves the
     resulting sparse linear system until the residual is at most tol or
     a selection repeats one solved before (see the module docstring; the
-    linear trace form takes one or two solves).  One loop serves every operator,
-    nested for min-max: for the 3-D second branch an outer step holds
-    each point's pair and runs the same loop on the max form over that
-    pair's two directions.
+    linear trace form takes one or two solves).  One loop serves every
+    operator, nested for min-max: for the 3-D second branch an outer
+    step holds each point's pair and runs the same loop on the max form
+    over that pair's two directions.
 
     ``max_iter`` caps the policy steps at each level.  ``iterations``
     counts linear solves; ``history`` holds (solves so far, residual_sup)
