@@ -99,7 +99,7 @@ def _cmd_cone(args) -> tuple:
         }
         report.update(rep.to_dict())
         return report, 0 if report["member"] else MATH_EXIT
-    samples = 250 if args.samples is None else args.samples
+    samples = cones.SPHERE_SAMPLES if args.samples is None else args.samples
     rc = cones.riesz_characteristic(spec, sphere_samples=samples)
     report = {
         "cone": spec.describe(),
@@ -387,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--dim", type=int, required=True)
     source, test = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
-    source.add_argument("--samples", type=int, default=None, help="default 250")
+    # the help names the default, not its value: reading it would load the
+    # cone catalogue at every command's start-up
+    source.add_argument("--samples", type=int, default=None,
+                        help="default conecalc.cones.SPHERE_SAMPLES")
     source.add_argument("--matrix", default=None,
                         help="matrix CSV; report membership instead of the characteristic")
     test.add_argument("--mode", choices=["closed", "interior"], default=None,

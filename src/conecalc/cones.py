@@ -87,6 +87,9 @@ DIM_CAP = math.isqrt(_BLOCK_ENTRIES)  # 181
 # relation (mapb:3:k against pp:3), 10^8 samples take half an hour on one
 # CPU and about a quarter of an hour on two
 SAMPLE_CAP = 10**8
+# half the sphere-lattice directions of the family test and the Riesz
+# characteristic when no count is given
+SPHERE_SAMPLES = 250
 
 
 def _whole(tok: str) -> float:
@@ -983,7 +986,10 @@ def _test_directions(spec: ConeSpec, sphere_samples: int):
     """The direction family in index order, in the blocks of ``_blocks``:
     one axis when the cone depends only on eigenvalues, else a sphere
     lattice of ``2 * sphere_samples`` points, the coordinate axes and the
-    vectors of the frames the cone is built on, if any."""
+    vectors of the frames the cone is built on, if any; ``sphere_samples``
+    must lie in [1, SAMPLE_CAP]."""
+    if not 1 <= sphere_samples <= SAMPLE_CAP:
+        raise DomainError(f"sphere sample count must be in [1, {SAMPLE_CAP}], got {sphere_samples}")
     n = spec.dim
     if spec.o_n_invariant:
         yield np.eye(n)[:1]
@@ -1017,29 +1023,34 @@ class PPSubsetReport:
         return out
 
 
-def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = 250) -> PPSubsetReport:
+def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = SPHERE_SAMPLES) -> PPSubsetReport:
     """Test ``I - p P_e in M`` over a deterministic direction family.
 
     A single direction suffices (and is used) when M depends only on
     eigenvalues; otherwise a sphere lattice of ``2 * sphere_samples``
     points plus the coordinate axes is probed, block by block, up to the
-    first failing block; ``sphere_samples`` must lie in [1, SAMPLE_CAP].
+    first failing block.
     """
     if not (1.0 <= p <= M.dim):
         raise DomainError(f"p={p} out of range [1, {M.dim}]")
-    if not 1 <= sphere_samples <= SAMPLE_CAP:
-        raise DomainError(f"sphere sample count must be in [1, {SAMPLE_CAP}], got {sphere_samples}")
     checked = 0
     for es in _test_directions(M, sphere_samples):
-        mats = np.eye(M.dim) - p * np.einsum("ki,kj->kij", es, es)
-        m = margins(M, mats)
-        bad = np.nonzero(m < thresholds(mats))[0]
         checked += es.shape[0]
-        if bad.size:
-            i = int(bad[0])
-            return PPSubsetReport(passed=False, p=float(p), checked=checked,
-                                  counterexample=es[i], margin=float(m[i]))
+        failure = _first_nonmember(M, es, np.eye(M.dim) - p * np.einsum("ki,kj->kij", es, es))
+        if failure is not None:
+            return PPSubsetReport(False, float(p), checked, *failure)
     return PPSubsetReport(passed=True, p=float(p), checked=checked)
+
+
+def _first_nonmember(M: ConeSpec, es: np.ndarray, mats: np.ndarray):
+    """``(e, margin)`` of the first of ``mats``, one per row e of ``es``,
+    outside M with the closed tolerance, or None."""
+    m = margins(M, mats)
+    bad = np.nonzero(m < thresholds(mats))[0]
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return es[i], float(m[i])
 
 
 def _cone_and_shift(spec: ConeSpec):
@@ -1093,13 +1104,15 @@ class RieszCharacteristic:
         }
 
 
-def riesz_characteristic(M: ConeSpec, sphere_samples: int = 250) -> RieszCharacteristic:
+def riesz_characteristic(M: ConeSpec, sphere_samples: int = SPHERE_SAMPLES) -> RieszCharacteristic:
     """Largest p <= n with ``I - p P_e`` in M for the tested direction family.
 
     With ``(H, a) = _cone_and_shift(M)``, ``I - p P_e`` is in M exactly
     when ``((1 + a)/p) I - P_e`` is in H, so direction e passes up to
     ``p = (1 + a)/t`` for ``t = membership_shift(H, -P_e)``: no search, and
-    exact to a few ulps.  Agreement with a catalogue closed form is asserted.
+    exact to a few ulps.  Each block of directions is built once and
+    tested for ``I - P_e``, for ``I - n P_e`` until that first fails, and
+    for its shifts.  Agreement with a catalogue closed form is asserted.
     A cone without the identity in its interior, or without ``I - P_e``
     for some tested direction e, is a DomainError.
     """
@@ -1108,17 +1121,19 @@ def riesz_characteristic(M: ConeSpec, sphere_samples: int = 250) -> RieszCharact
             "riesz_characteristic needs the identity in the cone interior"
         )
     n = float(M.dim)
-    positivity = pp_subset_test(M, 1.0, sphere_samples)
-    if not positivity.passed:
-        raise DomainError(
-            "riesz_characteristic needs I - P_e in the cone for every direction e; "
-            f"{M.describe()} rejects it at e = {positivity.counterexample.tolist()} "
-            f"(margin {positivity.margin:.6g})"
-        )
-    at_cap = pp_subset_test(M, n, sphere_samples).passed
     H, a = _cone_and_shift(M)
-    t = max(float(membership_shift(H, -np.einsum("ki,kj->kij", es, es)).max())
-            for es in _test_directions(M, sphere_samples))
+    at_cap, t = True, 0.0
+    for es in _test_directions(M, sphere_samples):
+        Pe = np.einsum("ki,kj->kij", es, es)
+        positivity = _first_nonmember(M, es, np.eye(M.dim) - Pe)
+        if positivity is not None:
+            e, margin = positivity
+            raise DomainError(
+                "riesz_characteristic needs I - P_e in the cone for every direction e; "
+                f"{M.describe()} rejects it at e = {e.tolist()} (margin {margin:.6g})"
+            )
+        at_cap = at_cap and _first_nonmember(M, es, np.eye(M.dim) - n * Pe) is None
+        t = max(t, float(membership_shift(H, -Pe).max()))
     value = min(n, (1.0 + a) / t) if t > 0.0 else n
     cf = closed_form_characteristic(M)
     if cf is not None and abs(value - min(cf, n)) > 1e-6:

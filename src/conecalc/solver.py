@@ -72,7 +72,10 @@ monotone scheme's, factors without pivoting, in single precision: scaled
 by a power of two to entries of at most 1, it takes half the memory of a
 double-precision factor, and iterative refinement in double precision
 recovers the full accuracy while cond(L) u_32 < 1 (Buttari et al. 2007;
-Carson and Higham 2018).  Every linear solve refines its iterate until
+Carson and Higham 2018).  SuperLU factors it in panels of 4 columns
+(Demmel et al. 1999): its work arrays grow with the panel width, and
+4-column panels lower the C6 257^2 solve's peak RSS from ~174 to
+~162 MB at the same fill.  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
 corrections, and keeps the last iterate if the cap comes first (data at
 the edge of the subnormal range cannot meet it).  The loop holds one
@@ -446,6 +449,15 @@ def _lattice_indices(points, origin: np.ndarray, h: float) -> list:
 
 # points in a dissection leaf; 16, 64 and 256 factor 3-D solves alike
 _LEAF = 64
+# columns in one SuperLU panel (Demmel et al. 1999).  SuperLU's work
+# arrays grow with the panel width: at 4 columns, not its default, the
+# policy-2d round (C6 at 129^2 and 257^2) peaks at 161.9 MB RSS instead
+# of 173.8 MB (medians of 10 alternating pairs on a 2-vCPU host), with the
+# same fill and factor time within noise.  The factor's bits move with
+# the width, and widths 1, 2 and 8 each change a solve count (193^2
+# pp:1.2 takes 11 solves at width 1, 257^2 pp:1.2 with max_iter 16 takes
+# 16 at width 2 and does not converge at width 8); 4 keeps every one seen
+_PANEL = 4
 
 
 def _dissection_tree(points: np.ndarray):
@@ -759,7 +771,9 @@ def _factor(L, order):
     unknowns eliminated in ``order``; it takes and returns float64.
 
     The permuted L is a nonsingular M-matrix, so it factors without
-    pivoting or column reordering.  L and each right-hand side are
+    pivoting or column reordering, in SuperLU panels of ``_PANEL``
+    columns, which hold its work arrays to about 12 MB below its
+    default width's at 257^2.  L and each right-hand side are
     scaled by powers of two to a largest entry in [1/2, 1) before the
     float32 cast, which keeps the scaling exact and data far below
     float32's range (subnormal boundary values, say) from flushing to
@@ -770,7 +784,8 @@ def _factor(L, order):
     # P L P^T scaled: columns renamed to their places in ``order``, rows taken in it
     A = __getattr__("sp").csr_matrix((np.ldexp(L.data, -shift).astype(np.float32),
                                       place[L.indices], L.indptr), shape=L.shape)[order].tocsc()
-    lu = __getattr__("spla").splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    lu = __getattr__("spla").splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                  panel_size=_PANEL)
 
     def solve(b):
         e = np.frexp(np.max(np.abs(b)))[1]

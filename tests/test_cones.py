@@ -994,11 +994,20 @@ def test_characteristic_is_the_bisection_and_the_closed_form(spec, samples):
 
 
 def test_characteristic_runs_no_search(monkeypatch):
-    calls = []
-    test = cones.pp_subset_test
-    monkeypatch.setattr(cones, "pp_subset_test", lambda *a: calls.append(a[1]) or test(*a))
-    rc = riesz_characteristic(horizontal_cone(Frame(np.eye(4)[:2]), 4), sphere_samples=250)
-    assert rc.iterations == 0 and calls == [1.0, 4.0]  # positivity and at_cap only
+    # one pass over the direction family: each lattice block is built once
+    # and tested for positivity, the cap and the shift; 6,006 directions
+    # in dim 4 are three blocks of at most 2,048
+    starts = []
+    lattice = cones.sphere_lattice
+    monkeypatch.setattr(cones, "sphere_lattice", lambda *a: starts.append(a[2]) or lattice(*a))
+    horiz = horizontal_cone(Frame(np.eye(4)[:2]), 4)
+    rc = riesz_characteristic(horiz, sphere_samples=3000)
+    assert rc.iterations == 0 and starts == [0, 2048, 4096]
+    # a cone without I - P_e stops at the first failing block
+    starts.clear()
+    with pytest.raises(DomainError, match="needs I - P_e"):
+        riesz_characteristic(dual_cone(enlarged_cone(horiz, 0.9)), sphere_samples=3000)
+    assert starts == [0]
 
 
 def test_nested_enlargements_add():

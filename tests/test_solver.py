@@ -1004,12 +1004,13 @@ def _hull_envelope(prob, upper):
 
 
 @pytest.mark.parametrize("ndim,nside,k", [
-    (2, 17, 1), (2, 33, 1), (2, 65, 1), (3, 9, 1), (2, 33, 2), (3, 9, 3),
+    (2, 17, 1), (2, 33, 1), (2, 65, 1), (3, 9, 1), (3, 17, 1), (2, 33, 2), (3, 9, 3),
 ])
 def test_extreme_branches_are_the_convex_and_concave_envelopes(ndim, nside, k):
     # on a full box, branch:1 solves to the convex envelope of the data
     # and branch:n to the concave one, to round-off (<= 4.3e-14 here);
-    # without the (1, +-1) diagonals the 2-D cases miss by 4e-3 to 3e-2
+    # without the (1, +-1) diagonals the 2-D cases miss by 4e-3 to 3e-2,
+    # and without the face and body diagonals 17^3 misses by 5.7e-3
     xs = "x*x+y*y+z*z" if ndim == 3 else "x*x+y*y"
     prob = problem_from_config({
         "operator": "branch",
@@ -1021,6 +1022,28 @@ def test_extreme_branches_are_the_convex_and_concave_envelopes(ndim, nside, k):
     assert rep.converged
     got = rep.solution.values[prob.unknown_mask()]
     assert np.max(np.abs(got - _hull_envelope(prob, upper=k == ndim))) <= 1e-12
+
+
+def test_branch_one_on_generic_data_stops_at_the_reach_floor():
+    # on exp(0.7x + 0.3y)(1 + 0.2xy) the error against the convex envelope
+    # does not fall with h at a fixed reach (the same to 3 digits at 65^2
+    # and 129^2), only with the reach, about as 1/reach^2: measured 0.0581,
+    # 0.0204, 0.00796, 0.00420 and 0.00257 at reach 1-5.  Without the
+    # diagonal directions it is 0.253, 0.046, 0.018, 0.0090 and 0.0054
+    prob = problem_from_config({
+        "operator": "branch",
+        "k": 1,
+        "grid": {"shape": [65, 65], "origin": [-1, -1], "h": 2 / 64},
+        "boundary": {"expr": "exp(0.7*x+0.3*y)*(1+0.2*x*y)"},
+    })
+    envelope = _hull_envelope(prob, upper=False)
+    errors = []
+    for reach, bound in zip(range(1, 6), (0.059, 0.021, 0.0081, 0.0043, 0.0026)):
+        rep = solve(prob, stencil=make_stencil(2, reach), tol=1e-10)
+        assert rep.converged
+        errors.append(np.max(np.abs(rep.solution.values[prob.unknown_mask()] - envelope)))
+        assert errors[-1] <= bound, reach
+    assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
 def test_branch_two_resolves_max_of_affines():
