@@ -404,9 +404,8 @@ def _frames_witness(spec: ConeSpec, A: SymMatrix) -> dict:
 
 
 def _pp_witness(spec: ConeSpec, A: SymMatrix) -> dict:
-    k, frac = divmod(spec.p, 1.0)
-    last = int(k) + (1 if frac > 1e-9 else 0)
-    return {"eigen_indices": list(range(1, max(last, 1) + 1))}
+    k, frac = symmat._split_p(spec.p)
+    return {"eigen_indices": list(range(1, k + (frac > 0.0) + 1))}
 
 
 def _mapb_witness(spec: ConeSpec, A: SymMatrix) -> dict:
@@ -688,12 +687,11 @@ def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 
     return S
 
 
-def _blocks(count: int, dim: int):
-    """``(start, size)`` of each sampling block of ``count`` samples in
-    ``dim``, in index order; DIM_CAP keeps every block at least one matrix."""
-    step = _BLOCK_ENTRIES // dim**2
-    for start in range(0, count, step):
-        yield start, min(step, count - start)
+def _blocks(count: int, dim: int) -> range:
+    """The start of each sampling block of ``count`` samples in ``dim``, in
+    index order; a block ends at the next start or at ``count``.  DIM_CAP
+    keeps every block at least one matrix."""
+    return range(0, count, _BLOCK_ENTRIES // dim**2)
 
 
 def _worker_count(blocks: int) -> int:
@@ -722,8 +720,8 @@ def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
     caller's ``np.errstate`` holds in it, and every thread is joined before
     this returns or raises.
     """
-    step = _BLOCK_ENTRIES // dim**2
-    blocks = -(-cfg.count // step)
+    starts = _blocks(cfg.count, dim)
+    blocks = len(starts)
     rng = np.random.default_rng(cfg.seed)
     lock = threading.Lock()
     found = {}  # block -> its report or exception; -1 -> an interrupt
@@ -737,8 +735,8 @@ def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
                     if taken >= min(found, default=blocks):
                         return
                     b, taken = taken, taken + 1
-                    start = b * step
-                    drawn = [sample_goe(rng, dim, min(step, cfg.count - start), cfg.magnitude)
+                    start = starts[b]
+                    drawn = [sample_goe(rng, dim, min(starts.step, cfg.count - start), cfg.magnitude)
                              for _ in range(stacks)]
                 result = test(start, *drawn)
             except Exception as exc:
@@ -999,8 +997,9 @@ def _test_directions(spec: ConeSpec, sphere_samples: int):
         base = base.base
     tail = np.vstack([np.eye(n), *(f.vectors for f in base.frames or ())])
     count = 2 * sphere_samples
-    for start, size in _blocks(count + len(tail), n):
-        stop = start + size
+    starts = _blocks(count + len(tail), n)
+    for start in starts:
+        stop = min(start + starts.step, starts.stop)
         yield np.vstack([sphere_lattice(n, count, start, min(stop, count)),
                          tail[max(start - count, 0):max(stop - count, 0)]])
 
@@ -1031,8 +1030,7 @@ def pp_subset_test(M: ConeSpec, p: float, sphere_samples: int = SPHERE_SAMPLES) 
     points plus the coordinate axes is probed, block by block, up to the
     first failing block.
     """
-    if not (1.0 <= p <= M.dim):
-        raise DomainError(f"p={p} out of range [1, {M.dim}]")
+    symmat._check_p(p, M.dim)
     checked = 0
     for es in _test_directions(M, sphere_samples):
         checked += es.shape[0]
@@ -1171,39 +1169,28 @@ class GardingPucciResult:
 def garding_index_family(n: int, lam: float, Lam: float) -> list[tuple]:
     """Index subsets whose cube vertex is unreachable by the open segment.
 
-    For each subset I the vertex has value lam on I and Lam elsewhere;
-    I is retained exactly when ``{t * v(I): 0 < t < 1}`` misses the cube
-    ``[lam, Lam]^n`` (exact interval test, no combinatorial shortcut).
+    For each subset I the vertex v has value lam on I and Lam elsewhere;
+    I is retained exactly when ``{t * v: 0 < t < 1}`` misses the cube
+    ``[lam, Lam]^n``.  The point t * v lies in the cube iff t lies in
+    every interval [lam / v_i, Lam / v_i].  A member i gives lam / v_i = 1,
+    so no t < 1 reaches the cube, while the empty set reaches it at
+    t = lam / Lam < 1: the family is every nonempty subset, in the order
+    of their bit masks.
     """
+    return _garding_factors(n, lam, Lam)[0]
+
+
+def _garding_factors(n: int, lam: float, Lam: float):
+    """Index family and coefficients: ``eigs @ coeffs.T`` gives every factor."""
     if not 0 < lam < Lam:
         raise DomainError(f"need 0 < lam < Lam, got ({lam}, {Lam})")
     if n > GARDING_DIM_CAP:
         raise ResourceLimitError(
             f"dimension {n} exceeds the Garding cap {GARDING_DIM_CAP} (2^n subsets)"
         )
-    family = []
-    for mask in range(2**n):
-        members = tuple(i for i in range(n) if mask >> i & 1)
-        v = np.full(n, Lam)
-        if members:
-            v[list(members)] = lam
-        # the segment point t*v lies in the cube iff t is in every
-        # per-coordinate interval [lam/v_i, Lam/v_i]
-        t_lo = float(np.max(lam / v))
-        t_hi = float(np.min(Lam / v))
-        meets_cube = t_lo <= t_hi and t_lo < 1.0 and t_hi > 0.0
-        if not meets_cube:
-            family.append(tuple(i + 1 for i in members))
-    return family
-
-
-def _garding_factors(n: int, lam: float, Lam: float):
-    """Index family and coefficients: ``eigs @ coeffs.T`` gives every factor."""
-    family = garding_index_family(n, lam, Lam)
-    coeffs = np.full((len(family), n), Lam)
-    for i, subset in enumerate(family):
-        coeffs[i, [j - 1 for j in subset]] = lam
-    return family, coeffs
+    members = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1) == 1
+    family = [tuple((np.flatnonzero(row) + 1).tolist()) for row in members]
+    return family, np.where(members, lam, Lam)
 
 
 def garding_pucci(A, lam: float, Lam: float) -> GardingPucciResult:

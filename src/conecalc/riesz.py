@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, PoleError, UnsupportedPolarError
-from .symmat import Jet2, SymMatrix, csv_lines, read_vectors_csv, write_text
+from .symmat import Jet2, SymMatrix, _check_p, csv_lines, read_vectors_csv, write_text
 
 NEAR_POLE = 1e-12
 # entries of the (points, atoms, n) difference array of one block of an
@@ -45,8 +45,7 @@ class RieszKernelSpec:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError(f"ambient dimension must be >= 1, got {self.n}")
-        if not (1.0 <= self.p <= self.n):
-            raise DomainError(f"p={self.p} out of range [1, {self.n}]")
+        _check_p(self.p, self.n)
 
     @property
     def c_p(self) -> float:

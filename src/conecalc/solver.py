@@ -46,7 +46,7 @@ the kernel only each point's two pair directions.  The pointwise
 by block, into a per-row table that it compresses to canonical CSR;
 ``separators`` reads that CSR and ``_factor`` permutes it once (traced
 peaks at the first 257^2 step: 8.4 MB assemble, 7.1 MB order, 6.1 MB
-factor input, against 25.9, 17.8 and 8.9 MB through COO lists).
+factor input).
 
 Increasing any neighbor value never decreases a residual, so the scheme
 is monotone.  Punctured cells carry no boundary condition: they are
@@ -74,8 +74,8 @@ double-precision factor, and iterative refinement in double precision
 recovers the full accuracy while cond(L) u_32 < 1 (Buttari et al. 2007;
 Carson and Higham 2018).  SuperLU factors it in panels of 4 columns
 (Demmel et al. 1999): its work arrays grow with the panel width, and
-4-column panels lower the C6 257^2 solve's peak RSS from ~174 to
-~162 MB at the same fill.  Every linear solve refines its iterate until
+4-column panels keep the C6 257^2 solve's peak RSS at ~162 MB with
+the same fill.  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
 corrections, and keeps the last iterate if the cap comes first (data at
 the edge of the subnormal range cannot meet it).  The loop holds one
@@ -99,7 +99,6 @@ from __future__ import annotations
 import ast
 import copy
 import hashlib
-import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -164,23 +163,17 @@ class StencilSet:
 
 
 def _coprime_directions(ndim: int, reach: int) -> np.ndarray:
-    dirs = []
-    for v in itertools.product(range(-reach, reach + 1), repeat=ndim):
-        if not any(v):
-            continue
-        first = next(c for c in v if c != 0)
-        if first < 0:
-            continue  # one representative per line
-        if reduce(math.gcd, (abs(c) for c in v)) != 1:
-            continue
-        dirs.append(v)
-    dirs.sort(key=lambda v: (max(abs(c) for c in v), sum(c * c for c in v), v))
-    return np.array(dirs, dtype=np.intp)
+    axis = np.arange(-reach, reach + 1, dtype=np.intp)
+    cube = np.stack(np.meshgrid(*[axis] * ndim, indexing="ij"), axis=-1).reshape(-1, ndim)
+    first = cube[np.arange(len(cube)), np.argmax(cube != 0, axis=1)]
+    dirs = cube[(first > 0) & (np.gcd.reduce(cube, axis=1) == 1)]  # one per line
+    return dirs[np.lexsort((*dirs.T[::-1], (dirs**2).sum(axis=1), np.abs(dirs).max(axis=1)))]
 
 
 # the largest stencil reach: a 3-D stencil of reach 5 has 577 directions,
-# 3,234 orthogonal pairs and 266 triples and builds in ~0.2 s and a few MB
-# (reach 6 takes ~0.9 s); the enumeration grows as reach^6
+# 3,234 orthogonal pairs and 266 triples and builds in ~0.02 s; the cap
+# bounds the solver, which holds every direction and evaluates every frame
+# at each unknown (reach 6 has 865 directions and 5,502 pairs)
 REACH_CAP = 5
 
 
@@ -202,19 +195,20 @@ def make_stencil(ndim: int, reach: int = 3) -> StencilSet:
 @lru_cache(maxsize=None)
 def _make_stencil(ndim: int, reach: int) -> StencilSet:
     dirs = _coprime_directions(ndim, reach)
-    dots = dirs @ dirs.T
-    D = dirs.shape[0]
-    pairs = [(i, j) for i in range(D) for j in range(i + 1, D) if dots[i, j] == 0]
-    pairs.sort(key=lambda ij: (max(np.abs(dirs[list(ij)]).max(axis=1)), ij))
-    triples = []
-    if ndim == 3:
-        for i, j in pairs:
-            for k in range(D):
-                if k > j and dots[i, k] == 0 and dots[j, k] == 0:
-                    triples.append((i, j, k))
-        triples.sort(key=lambda t: (max(np.abs(dirs[list(t)]).max(axis=1)), t))
+    ortho = dirs @ dirs.T == 0
+    maxnorm = np.abs(dirs).max(axis=1)
+
+    def by_reach(frames):  # ascending index rows, by their longest direction
+        frames = frames[np.lexsort((*frames.T[::-1], maxnorm[frames].max(axis=1)))]
+        return tuple(map(tuple, frames.tolist()))
+
+    pairs = np.argwhere(np.triu(ortho))
+    # a third direction orthogonal to both of a pair, past its second (none in 2-D)
+    at, k = np.nonzero(ortho[pairs[:, 0]] & ortho[pairs[:, 1]]
+                       & (np.arange(len(dirs)) > pairs[:, 1:]))
+    triples = np.column_stack([pairs[at], k])
     lengths = np.linalg.norm(dirs.astype(float), axis=1)
-    return StencilSet(dirs, lengths, tuple(pairs), tuple(triples))
+    return StencilSet(dirs, lengths, by_reach(pairs), by_reach(triples))
 
 
 # -- operators ----------------------------------------------------------------
@@ -998,7 +992,8 @@ def removability_experiment(
     for each eps; (v) compare extension with the full solution.  Passing
     needs the off-puncture sup gap below ``gap_constant * (h + tol)`` and
     every perturbation check clean; ``eps_values`` must be a non-empty
-    sequence of finite numbers > 0, so that the polar enters every check.
+    sequence of finite numbers > 0, so that the polar enters every check,
+    and ``gap_constant`` a finite number > 0 with a finite threshold.
 
     The polar exponent must be at least 2 (no finite point set is polar
     below that), and the operator's cone F must pass a randomized
@@ -1011,6 +1006,11 @@ def removability_experiment(
     eps_values = tuple(eps_values)
     if not (eps_values and all(0 < eps < math.inf for eps in eps_values)):
         raise DomainError(f"eps values must be finite numbers > 0, at least one, got {eps_values}")
+    if not 0 < gap_constant < math.inf:
+        raise DomainError(f"gap constant must be a finite number > 0, got {gap_constant}")
+    threshold = gap_constant * (problem.h + tol)
+    if not math.isfinite(threshold):
+        raise DomainError(f"gap threshold gap_constant * (h + tol) must be finite, got {threshold}")
     kind, val = problem.operator
     nd = problem.ndim
     idx_pts = _lattice_indices(punctures, problem.origin, problem.h)
@@ -1066,7 +1066,6 @@ def removability_experiment(
         checks[float(eps)] = len(rep.violations)
         ok = ok and rep.passed
 
-    threshold = gap_constant * (problem.h + tol)
     passed = ok and sup_gap <= threshold
     return RemovabilityReport(
         sup_gap=sup_gap,
@@ -1180,12 +1179,21 @@ def evaluate_expression(expr: str, coords) -> np.ndarray:
         raise DomainError(f"boundary expression failed: {exc}") from exc
 
 
+def _refuse_unread(obj: dict, name: str, keys) -> None:
+    """Raise DomainError naming the first key of ``obj`` not in ``keys``."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise DomainError(f"problem {name} has no key {unknown[0]!r} (its keys: {', '.join(keys)})")
+
+
 def problem_from_config(cfg: dict) -> DirichletProblem:
     """Build a problem from its JSON dict form.
 
     Keys: ``operator`` ("pp"/"branch") with ``p`` or ``k``; ``grid`` with
-    shape/origin/h; ``boundary`` with ``expr`` or ``grid_file``; optional
-    ``hole`` box {min, max} and ``puncture`` point list.
+    shape/origin/h; ``boundary`` with one of ``expr`` and ``grid_file``;
+    optional ``hole`` box {min, max}, ``puncture`` point list and
+    ``stencil_reach``, which the caller reads (``make_stencil``).  Any
+    other key, at the top or in an object, is a DomainError.
     """
     try:
         grid = cfg["grid"]
@@ -1194,7 +1202,8 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         origin = np.asarray(grid["origin"], dtype=float).reshape(nd)
         h = float(grid["h"])
         op_kind = cfg["operator"]
-        op = _normalize_op((op_kind, cfg["p"] if op_kind == "pp" else cfg["k"]), nd)
+        param = "p" if op_kind == "pp" else "k"
+        op = _normalize_op((op_kind, cfg[param]), nd)
         boundary = dict(cfg["boundary"])
         box = cfg.get("hole")
         if box:
@@ -1203,18 +1212,24 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
         raise DomainError(f"problem config is missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem config: {exc}") from exc
+    _refuse_unread(cfg, "config", ("operator", param, "grid", "boundary", "hole", "puncture",
+                                   "stencil_reach"))
+    _refuse_unread(grid, "grid", ("shape", "origin", "h"))
+    if box:
+        _refuse_unread(cfg["hole"], "hole", ("min", "max"))
+    _refuse_unread(boundary, "boundary", ("expr", "grid_file"))
+    if ("expr" in boundary) == ("grid_file" in boundary):
+        raise DomainError("boundary needs exactly one of 'expr' and 'grid_file'")
     _check_lattice(shape, origin, h)
     punctures = _lattice_indices(cfg.get("puncture") or [], origin, h)
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
         g = evaluate_expression(boundary["expr"], coords)
-    elif "grid_file" in boundary:
+    else:
         gf = grids.read_grid(boundary["grid_file"])
         if gf.shape != shape:
             raise DomainError("boundary grid file does not match the problem grid")
         g = np.array(gf.values)
-    else:
-        raise DomainError("boundary needs 'expr' or 'grid_file'")
     hole = None
     if box:
         lo, hi = box

@@ -278,7 +278,7 @@ def eigenvalues_of(A) -> np.ndarray:
 
 
 def _check_p(p: float, n: int):
-    if not np.isfinite(p) or p < 1.0 or p > n:
+    if not 1.0 <= p <= n:  # NaN fails too
         raise DomainError(f"p={p} out of range [1, {n}]")
 
 

@@ -642,6 +642,11 @@ _BAD_INPUT_FILES = {
     "punctinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
                                  "puncture": [[0, float("-inf")]]}),
     "punctfar.json": json.dumps(dict(_GOOD_PROBLEM, puncture=[[1e308, 0]])),
+    "misspelled.json": json.dumps(dict(_GOOD_PROBLEM, stencil_rech=1)),
+    "gapinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                               "puncture": [[0, 0]], "gap_constant": float("inf")}),
+    "gapnan.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                               "puncture": [[0, 0]], "gap_constant": float("nan")}),
     "convnogrid.json": json.dumps(
         {"kind": "convergence", "problem": {"operator": "pp"}, "resolutions": [9]}
     ),
@@ -969,6 +974,9 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
     ["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
     ["cone", "--spec", "dual:enl:branch:3:0.2", "--dim", "3"],
+    ["solve", "--problem", "misspelled.json"],
+    ["experiment", "--config", "gapinf.json", "--output-dir", "out"],
+    ["experiment", "--config", "gapnan.json", "--output-dir", "out"],
 ], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
         "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
         "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf",
@@ -976,11 +984,13 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
         "experiment-solve-coefficients-overflow",
         "experiment-removability-coefficients-overflow",
         "experiment-convergence-coefficients-underflow", "grid-hessian-spacing-underflows",
-        "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity"])
+        "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity",
+        "solve-misspelled-key", "experiment-gap-constant-inf", "experiment-gap-constant-nan"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
                  "punctinf.json", "tinyh.json", "hugeh.json", "exptinyh.json",
-                 "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv"):
+                 "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv",
+                 "misspelled.json", "gapinf.json", "gapnan.json"):
         (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -989,6 +999,43 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     rep = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert rep["error"]["kind"] in ("DomainError", "SamplingError")
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"stencil_rech": 1}, "problem config has no key 'stencil_rech'", id="top"),
+    pytest.param({"hol": {"min": [0, 0], "max": [0.25, 0.25]}}, "problem config has no key 'hol'",
+                 id="top-hole"),
+    pytest.param({"k": 1}, "problem config has no key 'k'", id="pp-with-k"),
+    pytest.param({"operator": "branch", "k": 1}, "problem config has no key 'p'",
+                 id="branch-with-p"),
+    pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], spacing=0.5)},
+                 "problem grid has no key 'spacing'", id="grid"),
+    pytest.param({"hole": {"min": [0, 0], "max": [0.25, 0.25], "mx": [1, 1]}},
+                 "problem hole has no key 'mx'", id="hole"),
+    pytest.param({"boundary": {"exprr": "x*x"}}, "problem boundary has no key 'exprr'",
+                 id="boundary"),
+    pytest.param({"boundary": {"expr": "x*x", "grid_file": "u.grid"}},
+                 "boundary needs exactly one of 'expr' and 'grid_file'", id="both-sources"),
+    pytest.param({"boundary": {}}, "boundary needs exactly one of 'expr' and 'grid_file'",
+                 id="no-source"),
+])
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_problem_key_nothing_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, change,
+                                                    message, command):
+    write_grid(tmp_path / "u.grid", from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x))
+    problem = dict(_GOOD_PROBLEM, **change)
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": problem}))
+    monkeypatch.chdir(tmp_path)
+    argv = (["solve", "--problem", "problem.json"] if command == "solve"
+            else ["experiment", "--config", "exp.json", "--output-dir", "out"])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "DomainError"
+    assert rep["error"]["message"].startswith(message)
+    assert err == ""
 
 
 def test_unknown_flags_rejected():

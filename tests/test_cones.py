@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -842,8 +843,8 @@ def test_sphere_lattice_by_index_range_is_bitwise_the_whole_lattice():
             whole = sphere_lattice(n, count)
             assert whole.shape == (count, n)
             step = cones._BLOCK_ENTRIES // n**2
-            parts = [sphere_lattice(n, count, start, start + size)
-                     for start, size in cones._blocks(count, n)]
+            parts = [sphere_lattice(n, count, start, min(start + step, count))
+                     for start in cones._blocks(count, n)]
             assert np.vstack(parts).tobytes() == whole.tobytes()
             assert sphere_lattice(n, count, step // 3, count).tobytes() == whole[step // 3:].tobytes()
 
@@ -1133,6 +1134,14 @@ def test_garding_family_matches_brute_force(n):
             expected.add(members)
     assert family == expected
     assert len(family) == 2**n - 1
+
+
+def test_garding_family_at_extreme_ellipticity_divides_nothing():
+    # the interval test overflowed in Lam / lam here, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = garding_index_family(3, 1e-300, 1e300)
+    assert family == [(1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
 
 
 def test_garding_value_example():

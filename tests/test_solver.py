@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import types
 
@@ -64,6 +65,13 @@ def _minmax_config(nside):
     }
 
 
+def _pp_cube_config(nside):
+    """The min-max problem's cube and datum under pp:1.5."""
+    cfg = dict(_minmax_config(nside), operator="pp", p=1.5)
+    del cfg["k"]
+    return cfg
+
+
 # -- stencils ---------------------------------------------------------------------
 
 
@@ -89,6 +97,43 @@ def test_3d_stencil_orthogonal_triples():
     for i, j, k in st.ortho_triples:
         D = st.directions[[i, j, k]]
         assert D[0] @ D[1] == 0 and D[0] @ D[2] == 0 and D[1] @ D[2] == 0
+
+
+def _loop_stencil(ndim, reach):
+    """Directions, ortho pairs and ortho triples by loops over the
+    coordinate product and the index sets: the reference enumeration."""
+    dirs = []
+    for v in itertools.product(range(-reach, reach + 1), repeat=ndim):
+        if any(v) and next(c for c in v if c != 0) > 0 and math.gcd(*v) == 1:
+            dirs.append(v)
+    dirs.sort(key=lambda v: (max(abs(c) for c in v), sum(c * c for c in v), v))
+    D = len(dirs)
+
+    def dot(i, j):
+        return sum(a * b for a, b in zip(dirs[i], dirs[j]))
+
+    def frame_reach(frame):
+        return max(max(abs(c) for c in dirs[i]) for i in frame), frame
+
+    pairs = sorted(((i, j) for i in range(D) for j in range(i + 1, D) if dot(i, j) == 0),
+                   key=frame_reach)
+    triples = sorted(((i, j, k) for i, j in pairs for k in range(j + 1, D)
+                      if dot(i, k) == 0 and dot(j, k) == 0), key=frame_reach)
+    return dirs, tuple(pairs), tuple(triples)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("reach", range(1, solver.REACH_CAP + 1))
+def test_stencil_is_the_loop_enumeration(ndim, reach):
+    dirs, pairs, triples = _loop_stencil(ndim, reach)
+    st = make_stencil(ndim, reach)
+    assert st.directions.dtype == np.intp
+    assert st.directions.tolist() == [list(v) for v in dirs]
+    assert st.lengths.tobytes() == np.linalg.norm(np.array(dirs, dtype=float), axis=1).tobytes()
+    # tuples of int tuples, in the reference order
+    assert st.ortho_pairs == pairs and st.ortho_triples == triples
+    assert all(type(i) is int for frame in st.ortho_pairs + st.ortho_triples for i in frame)
+    assert (len(triples) > 0) == (ndim == 3)
 
 
 def test_stencil_rejects_bad_inputs():
@@ -335,7 +380,7 @@ def _first_frozen_matrix(cfg):
 _FROZEN_CASES = [
     pytest.param(annulus_config(65), id="annulus-65-pp1.5"),
     pytest.param(annulus_config(65, p=2), id="annulus-65-trace"),
-    pytest.param(dict(_minmax_config(11), operator="pp", p=1.5), id="pp1.5-11^3"),
+    pytest.param(_pp_cube_config(11), id="pp1.5-11^3"),
     pytest.param(_minmax_config(11), id="minmax-inner-11^3"),
 ]
 
@@ -647,7 +692,7 @@ def test_pair_view_is_the_max_form_restricted_to_each_pair():
     "cfg,stencil",
     [
         pytest.param(annulus_config(17), make_stencil(2), id="annulus-17"),
-        pytest.param(dict(_minmax_config(9), operator="pp", p=1.5), make_stencil(3, 2), id="pp1.5-9^3"),
+        pytest.param(_pp_cube_config(9), make_stencil(3, 2), id="pp1.5-9^3"),
         pytest.param(_minmax_config(9), make_stencil(3, 2), id="minmax-9^3"),
     ],
 )
@@ -663,7 +708,7 @@ def test_solve_with_one_point_blocks_is_the_default_solve(monkeypatch, cfg, sten
 def test_evaluate_memory_is_bounded_by_the_block():
     # 3-D pp:1.5 at reach 3 has 1,092 combos over 3,375 unknowns at 17^3,
     # ~30 MB for each (C, N) array of the whole grid.  No bound on time.
-    prob = problem_from_config(dict(_minmax_config(17), operator="pp", p=1.5))
+    prob = problem_from_config(_pp_cube_config(17))
     scheme = _Scheme(prob, make_stencil(3, 3))
     u = prob.boundary_values.reshape(-1).copy()
     held = {
