@@ -1151,21 +1151,6 @@ def dual_description(spec: ConeSpec) -> str:
 # -- Pucci Garding polynomial -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GardingPucciResult:
-    """Factored hyperbolic polynomial attached to a Pucci cone.
-
-    ``subsets`` lists the retained index families (1-based ascending
-    eigenvalue positions); ``factors[i]`` is the linear factor of
-    ``subsets[i]`` and ``value`` their product.
-    """
-
-    value: float
-    factors: np.ndarray
-    subsets: tuple
-    family_size: int
-
-
 def garding_index_family(n: int, lam: float, Lam: float) -> list[tuple]:
     """Index subsets whose cube vertex is unreachable by the open segment.
 
@@ -1191,23 +1176,6 @@ def _garding_factors(n: int, lam: float, Lam: float):
     members = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1) == 1
     family = [tuple((np.flatnonzero(row) + 1).tolist()) for row in members]
     return family, np.where(members, lam, Lam)
-
-
-def garding_pucci(A, lam: float, Lam: float) -> GardingPucciResult:
-    """Evaluate the Pucci hyperbolic polynomial as a product of factors.
-
-    Each retained subset I contributes ``lam * sum_{i in I} lam_i(A) +
-    Lam * sum_{i not in I} lam_i(A)`` over the ascending eigenvalues.
-    """
-    A = as_matrix(A)
-    family, coeffs = _garding_factors(A.n, lam, Lam)
-    factors = symmat.eigenvalues_of(A) @ coeffs.T
-    return GardingPucciResult(
-        value=float(np.prod(factors)) if factors.size else 1.0,
-        factors=factors,
-        subsets=tuple(family),
-        family_size=len(family),
-    )
 
 
 def garding_pucci_min_factors(lams: np.ndarray, lam: float, Lam: float) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Extended-real functions on rectangular lattices: canonical extension
 across singular sets, discrete 2-jets, cone-membership verification at
-grid scale, perturbation by polar functions, distance-function jets, and
-the upper-conical test.
+grid scale, perturbation by polar functions, and the grid file format.
 
 A note on certification: the verification routines certify inequalities
 at grid scale only.  Viscosity properties of non-smooth data are not
@@ -19,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, StencilError
-from .symmat import Frame, Jet2, SymMatrix, csv_lines, read_text, write_text
+from .symmat import Jet2, SymMatrix, csv_lines, read_text, write_text
 
 GRID_SCALE_NOTE = (
     "certified at grid scale only: subharmonicity of non-smooth data "
@@ -30,9 +29,6 @@ EXTENSION_RADIUS_CAP = 5
 # the most points a lattice may have, checked before any array over it is
 # built: 1025^2 and 128^3 lattices fit, and one float64 array is 16 MiB
 POINT_CAP = 2**21
-_PROBE_RADIUS = 3  # Chebyshev radius of upper_conical_check's probe neighborhood
-# HiGHS reads a bound of this magnitude or more as infinite
-_LP_INFINITY = 1e20
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,6 +379,17 @@ def subharmonic_verify(
     return SubharmonicReport(violations, float(c_tol), int(idx.shape[0]))
 
 
+def chebyshev_dilation(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Cells within Chebyshev distance ``radius`` of a True cell of ``mask``:
+    a cube dilation, taken as a ``2 radius + 1`` window along each axis."""
+    out = np.asarray(mask, dtype=bool)
+    for axis in range(out.ndim):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        out = sliding_window_view(np.pad(out, pad), 2 * radius + 1, axis=axis).any(axis=-1)
+    return out
+
+
 def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
     """Pointwise ``u + eps * psi`` with -inf absorbing; masks are unioned.
     A finite sum that overflows float64, either way, raises DomainError."""
@@ -401,156 +408,6 @@ def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
     if not np.all(neg | np.isfinite(vals)):
         raise DomainError(f"u + eps * psi overflows float64 at eps {eps}")
     return GridFunction(vals, u.origin, u.h, mask)
-
-
-# -- distance jets for flat singular sets -------------------------------------
-
-
-@dataclass(frozen=True)
-class AffineFlat:
-    """A point (tangent=None) or an affine plane through ``point`` spanned
-    by the tangent frame."""
-
-    point: np.ndarray
-    tangent: Optional[Frame] = None
-
-    def __post_init__(self):
-        q = np.asarray(self.point, dtype=float).ravel()
-        q.flags.writeable = False
-        object.__setattr__(self, "point", q)
-        if self.tangent is not None and self.tangent.ambient_dim != q.shape[0]:
-            raise DomainError("tangent frame dimension does not match the point")
-
-    @property
-    def n(self) -> int:
-        return self.point.shape[0]
-
-
-def distance_jet(flat: AffineFlat, x) -> Jet2:
-    """Exact 2-jet of the distance function to a flat set at x off the set.
-
-    The value is the distance, the gradient the unit vector from the foot
-    point, and the Hessian ``(1/dist) P_S`` with S the normal space of the
-    set intersected with the gradient's orthogonal complement (flat sets
-    carry no curvature term).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != flat.n:
-        raise DomainError(f"point dim {x.shape[0]} != set dim {flat.n}")
-    q = flat.point
-    if flat.tangent is None:
-        foot = q
-        normal_proj = np.eye(flat.n)
-    else:
-        V = flat.tangent.vectors
-        foot = q + V.T @ (V @ (x - q))
-        normal_proj = np.eye(flat.n) - V.T @ V
-    diff = x - foot
-    dist = float(np.linalg.norm(diff))
-    if dist <= 1e-12 * (1.0 + np.linalg.norm(x)):
-        raise DomainError("distance jet is undefined on the set itself")
-    nu = diff / dist
-    hess = (normal_proj - np.outer(nu, nu)) / dist
-    return Jet2(dist, nu, SymMatrix(hess))
-
-
-# -- upper-conical test --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpperConicalResult:
-    """Outcome of the dominating-quadratic search at a grid point.
-
-    ``test_found`` means some quadratic with Hessian norm at most
-    ``hess_bound`` dominates ``U + eps * |x - q|`` near q with equality at
-    q; absence is certified only within that bound (label ``within
-    bound``) and on the probed neighborhood.
-    """
-
-    test_found: bool
-    witness: Optional[Jet2]
-    slack: float
-    eps: float
-    hess_bound: float
-    label: str = "within bound"
-
-
-def upper_conical_check(
-    u: GridFunction,
-    index,
-    eps: float,
-    hess_bound: float,
-) -> UpperConicalResult:
-    """Search for a test function of ``U + eps dist(., q)`` at a grid point.
-
-    Any admissible Hessian is dominated by ``hess_bound * I``, so the
-    search reduces to linear feasibility in the gradient alone over the
-    probe neighborhood (the cells within Chebyshev distance 3):
-
-        <g, x - q>  >=  U(x) - U(q) + eps |x - q| - hess_bound |x - q|^2 / 2
-
-    solved exactly as a small LP.  ``test_found`` returns the witness jet;
-    otherwise absence is certified within the bound.  An unbounded LP (all
-    usable probes in a half-space) finds a test with slack inf, its witness
-    clearing every constraint by at least 1.  A right-hand side of
-    magnitude 1e20 or more, which HiGHS reads as infinite, and an LP that
-    fails otherwise are DomainError.
-    """
-    if not 0 < eps < math.inf:
-        raise DomainError(f"eps must be finite and > 0, got {eps}")
-    if not 0 <= hess_bound < math.inf:
-        raise DomainError(f"hess_bound must be finite and >= 0, got {hess_bound}")
-    nd = u.ndim
-    idx = tuple(int(i) for i in index)
-    r = _PROBE_RADIUS
-    if any(i - r < 0 or i + r > s - 1 for i, s in zip(idx, u.shape)):
-        raise DomainError("probe neighborhood touches the grid boundary")
-    uq = float(u.values[idx])
-    if not np.isfinite(uq):
-        raise DomainError("upper conical test needs a finite value at the point")
-    # the probe block in C order without its centre, the flat middle entry
-    block = tuple(slice(i - r, i + r + 1) for i in idx)
-    centre = (2 * r + 1) ** nd // 2
-    offsets = np.delete(np.indices((2 * r + 1,) * nd).reshape(nd, -1).T - r, centre, axis=0)
-    uvals = np.delete(u.values[block].ravel(), centre)
-    usable = np.isfinite(uvals) & ~np.delete(u.masked()[block].ravel(), centre)
-    xi = u.h * offsets[usable]
-    norms = np.linalg.norm(xi, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = uvals[usable] - uq + eps * norms - 0.5 * hess_bound * norms**2
-    if not np.all(np.isfinite(c)):
-        raise DomainError("upper conical test overflows float64 on the probe neighborhood")
-    if c.size and np.max(np.abs(c)) >= _LP_INFINITY:
-        # such a bound would fail the LP or silently drop its constraint
-        raise DomainError(
-            f"upper conical test needs LP coefficients below {_LP_INFINITY:g} in "
-            f"magnitude, got {np.max(np.abs(c)):g}: eps, hess_bound or the probe "
-            "values are out of range"
-        )
-    from scipy.optimize import linprog  # 0.3 s to import; only this test needs it
-
-    # minimize t subject to <g, xi_i> + t >= c_i, variables (g, t) free;
-    # an unbounded LP (status 3) is solved again with t bounded below
-    A_ub = np.column_stack([-xi, -np.ones(xi.shape[0])])
-    for t_min in (None, -(1.0 + float(np.max(np.abs(c), initial=0.0)))):
-        res = linprog(
-            c=np.concatenate([np.zeros(nd), [1.0]]),
-            A_ub=A_ub,
-            b_ub=-c,
-            bounds=[(None, None)] * nd + [(t_min, None)],
-            method="highs",
-        )
-        if res.status != 3:
-            break
-    if not res.success:
-        raise DomainError(f"feasibility LP failed: {res.message}")
-    t_star = float(res.fun) if t_min is None else -math.inf
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(c))) if c.size else 1.0)
-    if t_star <= feas_tol:
-        g = res.x[:nd]
-        witness = Jet2(uq, g, SymMatrix(hess_bound * np.eye(nd)))
-        return UpperConicalResult(True, witness, -t_star, eps, hess_bound)
-    return UpperConicalResult(False, None, -t_star, eps, hess_bound)
 
 
 # -- grid file format ----------------------------------------------------------

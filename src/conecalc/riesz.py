@@ -156,18 +156,18 @@ def potential_value(spec: RieszKernelSpec, mu: DiscreteMeasure, x) -> float:
 
 def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
     """Vectorized potential values at a batch of points, shape (N,)."""
-    return _atom_sum(spec, mu, xs, np.inf)
+    return _atom_sum(spec, mu, xs)
 
 
-def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> np.ndarray:
-    """Weighted atom sums of the kernel floored at -alpha, shape (N,).
+def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
+    """Weighted atom sums of the kernel, shape (N,).
 
-    A point within ``NEAR_POLE`` of an atom reads the pole value there
-    before the floor; a -inf term of positive weight makes the sum -inf.
-    Points are summed in blocks of at most ``_BLOCK_ENTRIES`` differences;
-    each point's row reduces on its own, so the values do not depend on
-    the block size.  Sums here and in ``potential_jet`` start from -0.0,
-    the additive identity, so that one atom's term keeps its sign of zero.
+    A point within ``NEAR_POLE`` of an atom reads the pole value there;
+    a -inf term of positive weight makes the sum -inf.  Points are summed
+    in blocks of at most ``_BLOCK_ENTRIES`` differences; each point's row
+    reduces on its own, so the values do not depend on the block size.
+    Sums here and in ``potential_jet`` start from -0.0, the additive
+    identity, so that one atom's term keeps its sign of zero.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if mu.n != spec.n:
@@ -178,7 +178,7 @@ def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs, alpha: float) -> n
     step = max(1, _BLOCK_ENTRIES // mu.points.size)
     for start in range(0, xs.shape[0], step):
         r = _norm(xs[start:start + step, None, :] - mu.points[None, :, :])
-        vals = np.maximum(kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r)), -alpha)
+        vals = kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r))
         neg = np.isneginf(vals)
         block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1, initial=-0.0)
         block[np.any(neg & (mu.weights > 0)[None, :], axis=1)] = -np.inf
@@ -194,7 +194,7 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     undefined, so a PoleError (carrying that finite value) is raised.
     """
     x = np.asarray(x, dtype=float).ravel()
-    value = float(_atom_sum(spec, mu, x, np.inf)[0])  # checks both dimensions
+    value = float(_atom_sum(spec, mu, x)[0])  # checks both dimensions
     diffs = x[None, :] - mu.points
     r = _norm(diffs)
     if r.min() <= NEAR_POLE:
@@ -214,21 +214,6 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     )
     hess = np.add.reduce(w[:, None, None] * hs, axis=0, initial=-0.0)
     return Jet2(value, grad, SymMatrix(hess))
-
-
-def truncated_potential_value(
-    spec: RieszKernelSpec, mu: DiscreteMeasure, x, alpha: float
-) -> float:
-    """Potential of the kernel truncated below at -alpha (continuous).
-
-    The same atom sum as ``potential_values``, each term floored at
-    -alpha after the pole rule, so these values decrease to the
-    potential value as alpha grows; the limit device behind upper
-    semicontinuity of potentials.
-    """
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    return float(_atom_sum(spec, mu, np.asarray(x, dtype=float).ravel(), alpha)[0])
 
 
 @dataclass(frozen=True)

@@ -905,42 +905,6 @@ def solve(
 
 
 @dataclass(frozen=True)
-class HarmonicReport:
-    subharmonic: grids.SubharmonicReport
-    dual_subharmonic: grids.SubharmonicReport
-    harmonic: bool
-
-
-def _negated(u: GridFunction) -> GridFunction:
-    neg = np.isneginf(u.values)
-    vals = np.where(neg, -np.inf, -u.values)
-    mask = None
-    if u.mask is not None or neg.any():
-        mask = u.masked() | neg
-    return GridFunction(vals, u.origin, u.h, mask)
-
-
-def harmonic_verify(
-    u: GridFunction,
-    spec: ConeSpec,
-    c_tol: Optional[float] = None,
-    region: Optional[np.ndarray] = None,
-) -> HarmonicReport:
-    """Check u against the cone and -u against its dual at grid scale.
-
-    ``region`` restricts the checked points, e.g. to the unknown set of a
-    solve so that Dirichlet data cells are not probed.
-    """
-    if c_tol is None:
-        c_tol = grids.third_difference_kappa(u) * u.h
-    sub = grids.subharmonic_verify(u, spec, c_tol, region=region)
-    dual = grids.subharmonic_verify(
-        _negated(u), cones.dual_cone(spec), c_tol, region=region
-    )
-    return HarmonicReport(sub, dual, sub.passed and dual.passed)
-
-
-@dataclass(frozen=True)
 class RemovabilityReport:
     """Full-vs-punctured comparison with the perturbation verification.
 
@@ -974,6 +938,47 @@ class RemovabilityReport:
         }
 
 
+# Chebyshev distances from the punctures beyond which the perturbation
+# check reads kappa and checks cells
+_KAPPA_CLEARANCE = 4
+_CHECK_CLEARANCE = 2
+
+
+def _perturbation_checks(
+    u: GridFunction, problem: DirichletProblem, cone: ConeSpec, polar_p: float, eps_values
+) -> dict:
+    """Check ``u + eps * psi`` against ``cone`` for each eps, with psi the
+    polar of exponent ``polar_p`` on the problem's punctures E.
+
+    ``c_tol`` is kappa * h with kappa from the third differences of the
+    cells more than ``_KAPPA_CLEARANCE`` cells from E, and only unknown
+    cells more than ``_CHECK_CLEARANCE`` from E are checked: near E the
+    polar's own third differences would raise ``c_tol`` above any defect
+    of u.  A grid with no cell that far from E, such as 9^2 punctured at
+    its centre, reads kappa from every cell.  Returns
+    ``{eps: SubharmonicReport}``.
+    """
+    from . import riesz  # the polar kernel loads for this experiment only
+    polar = riesz.build_polar(
+        [problem.origin + problem.h * np.asarray(pt) for pt in problem.punctures], polar_p
+    )
+    coords = grids.grid_coordinates(problem.shape, problem.origin, problem.h)
+    pts = np.stack([c.reshape(-1) for c in coords], axis=1)
+    E = problem.puncture_mask()
+    psi = GridFunction(polar.values(pts).reshape(problem.shape), problem.origin, problem.h, E)
+    near_kappa = grids.chebyshev_dilation(E, _KAPPA_CLEARANCE)
+    if near_kappa.all():
+        near_kappa = E
+    region = problem.unknown_mask() & ~grids.chebyshev_dilation(E, _CHECK_CLEARANCE)
+    reps = {}
+    for eps in eps_values:
+        v = grids.perturb(u, psi, eps)
+        far = GridFunction(v.values, v.origin, v.h, near_kappa)
+        c_tol = grids.third_difference_kappa(far) * v.h
+        reps[float(eps)] = grids.subharmonic_verify(v, cone, c_tol, region=region)
+    return reps
+
+
 def removability_experiment(
     problem: DirichletProblem,
     punctures,
@@ -988,8 +993,10 @@ def removability_experiment(
     Steps: (i) solve the full problem; (ii) solve with the punctures
     excluded; (iii) extend the punctured solution across them; (iv) build
     the polar function of the punctures and verify that the punctured
-    solution plus eps times the polar stays subharmonic off the punctures
-    for each eps; (v) compare extension with the full solution.  Passing
+    solution plus eps times the polar stays subharmonic more than 2 cells
+    from the punctures for each eps, at a ``c_tol`` read more than 4 cells
+    from them (``_perturbation_checks``); (v) compare extension with the
+    full solution.  Passing
     needs the off-puncture sup gap below ``gap_constant * (h + tol)`` and
     every perturbation check clean; ``eps_values`` must be a non-empty
     sequence of finite numbers > 0, so that the polar enters every check,
@@ -1000,7 +1007,6 @@ def removability_experiment(
     certification of F + pp:polar_p in F, on 2,000 samples drawn with
     seed 0; a partial-sum operator pp:p passes exactly when polar_p <= p.
     """
-    from . import riesz  # the polar kernel loads for this experiment only
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
     eps_values = tuple(eps_values)
@@ -1047,26 +1053,9 @@ def removability_experiment(
         np.max(np.abs(ext.extended.values[~off] - full.solution.values[~off]))
     )
 
-    polar = riesz.build_polar(
-        [problem.origin + problem.h * np.asarray(pt) for pt in idx_pts], polar_p
-    )
-    coords = grids.grid_coordinates(problem.shape, problem.origin, problem.h)
-    pts = np.stack([c.reshape(-1) for c in coords], axis=1)
-    psi_vals = polar.values(pts).reshape(problem.shape)
-    psi = GridFunction(
-        psi_vals, problem.origin, problem.h, punctured_problem.puncture_mask()
-    )
-    region = punctured_problem.unknown_mask()
-    checks = {}
-    ok = True
-    for eps in eps_values:
-        rep = grids.subharmonic_verify(
-            grids.perturb(punct.solution, psi, eps), cone, region=region
-        )
-        checks[float(eps)] = len(rep.violations)
-        ok = ok and rep.passed
-
-    passed = ok and sup_gap <= threshold
+    reps = _perturbation_checks(punct.solution, punctured_problem, cone, polar_p, eps_values)
+    checks = {eps: len(rep.violations) for eps, rep in reps.items()}
+    passed = not any(checks.values()) and sup_gap <= threshold
     return RemovabilityReport(
         sup_gap=sup_gap,
         masked_gap=masked_gap,

@@ -388,14 +388,6 @@ def elementary_symmetric(lam: np.ndarray, k: int) -> np.ndarray:
     return e
 
 
-def sigma_elementary(A, k: int) -> float:
-    """k-th elementary symmetric polynomial of the eigenvalues."""
-    A = as_matrix(A)
-    if not 1 <= k <= A.n:
-        raise DomainError(f"k={k} out of range [1, {A.n}]")
-    return float(elementary_symmetric(eigenvalues_of(A), k)[k])
-
-
 def frame_traces(mats, frames) -> np.ndarray:
     """Traces of a matrix or ``(..., n, n)`` stack restricted to the planes
     of F frames of one plane dimension, shape ``(..., F)``."""
@@ -430,15 +422,6 @@ def pfold_sums_eigs(lam: np.ndarray, p: int) -> np.ndarray:
     idx = pfold_index_sets(n, int(p))
     sums = lam[..., idx].sum(axis=-1)
     return np.sort(sums, axis=-1)
-
-
-def pfold_sums(A, p: int) -> np.ndarray:
-    """All sums of p distinct eigenvalues, sorted ascending.
-
-    The first entry equals partial_sum(A, p); the last equals the top
-    partial sum.  Raises ResourceLimitError when C(n,p) exceeds the cap.
-    """
-    return pfold_sums_eigs(eigenvalues_of(as_matrix(A)), p)
 
 
 # ---------------------------------------------------------------------------

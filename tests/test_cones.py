@@ -25,7 +25,6 @@ from conecalc.cones import (
     dual_contains,
     enlarged_cone,
     garding_index_family,
-    garding_pucci,
     geometric_cone,
     horizontal_cone,
     map_branch_cone,
@@ -1145,11 +1144,10 @@ def test_garding_family_at_extreme_ellipticity_divides_nothing():
 
 
 def test_garding_value_example():
-    res = garding_pucci(np.eye(2), 1.0, 2.0)
-    assert res.family_size == 3
-    assert sorted(res.factors.tolist()) == pytest.approx([2.0, 3.0, 3.0])
-    assert res.value == pytest.approx(18.0)
-    assert set(res.subsets) == {(1,), (2,), (1, 2)}
+    # I_2 with (lam, Lam) = (1, 2): factors 2, 3 and 3, one per subset
+    assert garding_index_family(2, 1.0, 2.0) == [(1,), (2,), (1, 2)]
+    eigs = symmat.eigenvalues_of(SymMatrix(np.eye(2)))
+    assert cones.garding_pucci_min_factors(eigs, 1.0, 2.0) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -11,20 +11,16 @@ from hypothesis.extra import numpy as hnp
 from conecalc import cones, grids, riesz
 from conecalc.errors import DomainError, StencilError
 from conecalc.grids import (
-    AffineFlat,
     GridFunction,
     canonical_extension,
     discrete_hessian,
     discrete_hessian_field,
-    distance_jet,
     from_function,
     perturb,
     read_grid,
     subharmonic_verify,
-    upper_conical_check,
     write_grid,
 )
-from conecalc.symmat import Frame
 
 
 def masked_grid(values, mask_indices, origin=None, h=0.5):
@@ -539,204 +535,6 @@ def test_perturb_geometry_mismatch():
     psi = GridFunction(np.zeros((4, 4)), [0, 0], 0.5)
     with pytest.raises(DomainError):
         perturb(u, psi, 0.1)
-
-
-# -- distance jets -----------------------------------------------------------------------
-
-
-def test_distance_jet_point_in_3d():
-    jet = distance_jet(AffineFlat(np.zeros(3)), [0.7, 0.0, 0.0])
-    assert jet.value == pytest.approx(0.7)
-    assert np.allclose(jet.gradient, [1.0, 0.0, 0.0])
-    assert np.allclose(jet.hessian.entries, np.diag([0.0, 1 / 0.7, 1 / 0.7]))
-
-
-def test_distance_jet_line_matches_finite_differences():
-    line = AffineFlat(np.zeros(3), Frame(np.array([[0.0, 0.0, 1.0]])))
-    x = np.array([0.6, 0.0, 0.4])
-    jet = distance_jet(line, x)
-    assert np.allclose(jet.hessian.entries, np.diag([0.0, 1 / 0.6, 0.0]))
-
-    def dist(y):
-        return np.linalg.norm(y[:2])
-
-    h = 1e-5
-    for i in range(3):
-        for j in range(3):
-            ei, ej = np.eye(3)[i] * h, np.eye(3)[j] * h
-            fd = (dist(x + ei + ej) - dist(x + ei - ej) - dist(x - ei + ej) + dist(x - ei - ej)) / (4 * h * h)
-            assert jet.hessian.entries[i, j] == pytest.approx(fd, abs=1e-4)
-
-
-def test_distance_jet_one_dimensional_point():
-    jet = distance_jet(AffineFlat(np.zeros(1)), [0.3])
-    assert jet.hessian.entries[0, 0] == 0.0
-
-
-def test_distance_jet_hessian_in_enlarged_positivity():
-    # flat sets have curvature zero, so the unit enlargement suffices
-    rng = np.random.default_rng(3)
-    flats = [
-        AffineFlat(np.zeros(3)),
-        AffineFlat(np.zeros(3), Frame(np.array([[1.0, 0.0, 0.0]]))),
-        AffineFlat(np.ones(3), Frame(np.eye(3)[:2])),
-    ]
-    for flat in flats:
-        for _ in range(20):
-            x = rng.standard_normal(3) * 2
-            try:
-                jet = distance_jet(flat, x)
-            except DomainError:
-                continue
-            rep = cones.contains(cones.enlarged_cone(cones.positivity(3), 1.0), jet.hessian)
-            assert rep.member
-
-
-def test_distance_jet_on_set_rejected():
-    with pytest.raises(DomainError):
-        distance_jet(AffineFlat(np.zeros(2)), [0.0, 0.0])
-
-
-# -- upper conical test ---------------------------------------------------------------------
-
-
-def _checked_upper_conical(monkeypatch, u, index, eps, hess_bound):
-    """``upper_conical_check`` with its LP asserted, bit for bit, to be the
-    one built from the probe offsets in ``itertools.product`` order."""
-    import scipy.optimize
-
-    real = scipy.optimize.linprog
-    seen = []
-
-    def linprog(**kwargs):
-        seen.append(kwargs)
-        return real(**kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
-    res = upper_conical_check(u, index, eps, hess_bound)
-    offsets = np.array([o for o in itertools.product(range(-3, 4), repeat=u.ndim) if any(o)])
-    pts = tuple((np.asarray(index) + offsets).T)
-    uvals = u.values[pts]
-    usable = np.isfinite(uvals) & ~u.masked()[pts]
-    xi = u.h * offsets[usable]
-    norms = np.linalg.norm(xi, axis=1)
-    c = uvals[usable] - u.values[tuple(index)] + eps * norms - 0.5 * hess_bound * norms**2
-    (lp,) = seen
-    assert lp["A_ub"].tobytes() == np.column_stack([-xi, -np.ones(len(xi))]).tobytes()
-    assert lp["b_ub"].tobytes() == (-c).tobytes()
-    return res
-
-
-def test_upper_conical_smooth_data_has_no_test_function(monkeypatch):
-    u = from_function((21, 21), [-1, -1], 0.1, lambda x, y: x * x - 0.5 * y * y + x)
-    res = _checked_upper_conical(monkeypatch, u, (10, 10), eps=1.0, hess_bound=10.0)
-    assert not res.test_found
-    assert res.label == "within bound"
-
-
-def test_upper_conical_cone_threshold(monkeypatch):
-    u = from_function((41,), [-1.0], 0.05, lambda x: -np.abs(x))
-    assert _checked_upper_conical(monkeypatch, u, (20,), eps=0.5, hess_bound=1.0).test_found
-    assert not _checked_upper_conical(monkeypatch, u, (20,), eps=1.5, hess_bound=1.0).test_found
-
-
-def test_upper_conical_ridge_witness_gradient(monkeypatch):
-    # a ridge (min of two affines) plus a quadratic: any gradient in the
-    # segment [a, b] dominates the crease once the Hessian bound is large
-    # enough, so a witness exists and sits near that segment.  A valley
-    # (max of affines) admits no dominating quadratic at all: 1-D oracle,
-    # no C^2 function through the vertex dominates |x|.
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-
-    def ridge(x, y):
-        return np.minimum(a[0] * x + a[1] * y, b[0] * x + b[1] * y) + 4 * (x * x + y * y)
-
-    u = from_function((41, 41), [-0.5, -0.5], 0.025, ridge)
-    res = _checked_upper_conical(monkeypatch, u, (20, 20), eps=0.05, hess_bound=20.0)
-    assert res.test_found
-    g = res.witness.gradient
-    t = np.clip((g - b) @ (a - b) / ((a - b) @ (a - b)), 0.0, 1.0)
-    assert np.linalg.norm(g - (b + t * (a - b))) <= 0.2
-
-    def valley(x, y):
-        return np.maximum(a[0] * x + a[1] * y, b[0] * x + b[1] * y) + 4 * (x * x + y * y)
-
-    u2 = from_function((41, 41), [-0.5, -0.5], 0.025, valley)
-    res2 = _checked_upper_conical(monkeypatch, u2, (20, 20), eps=0.05, hess_bound=20.0)
-    assert not res2.test_found
-
-
-def test_upper_conical_probe_block_skips_masked_and_bottom_cells(monkeypatch):
-    # a 3-D block with one masked and one -inf cell among the 342 probes
-    rng = np.random.default_rng(4)
-    vals = rng.standard_normal((9, 9, 9))
-    vals[2, 3, 5] = -np.inf
-    u = masked_grid(vals, [(6, 5, 1)], h=0.2)
-    res = _checked_upper_conical(monkeypatch, u, (4, 4, 3), eps=0.1, hess_bound=1.0)
-    assert not res.test_found
-
-
-def test_upper_conical_boundary_error():
-    u = from_function((9, 9), [0, 0], 0.1, lambda x, y: x + y)
-    with pytest.raises(DomainError):
-        upper_conical_check(u, (1, 4), eps=0.5, hess_bound=1.0)
-
-
-@pytest.mark.parametrize(
-    "eps,hess_bound",
-    [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)],
-    ids=["eps-nan", "eps-inf", "hess-nan", "hess-inf"],
-)
-def test_upper_conical_non_finite_parameters(eps, hess_bound):
-    u = from_function((9, 9), [0, 0], 0.1, lambda x, y: x + y)
-    with pytest.raises(DomainError, match="finite"):
-        upper_conical_check(u, (4, 4), eps=eps, hess_bound=hess_bound)
-
-
-def test_upper_conical_overflowing_data():
-    # differences of +-1e308 against the centre leave float64
-    u = GridFunction(np.where(np.indices((9, 9)).sum(axis=0) % 2, 1e308, -1e308), [0, 0], 1.0)
-    with pytest.raises(DomainError, match="overflows"):
-        upper_conical_check(u, (4, 4), eps=1.0, hess_bound=1.0)
-
-
-@pytest.mark.parametrize(
-    "eps,neighbour",
-    [(1e21, 0.0), (1e308, 0.0), (0.1, 1e25)],
-    ids=["eps-1e21", "eps-1e308", "neighbour-1e25"],
-)
-def test_upper_conical_coefficients_past_the_lp_range(eps, neighbour):
-    # HiGHS takes a bound of magnitude >= 1e20 as infinite
-    vals = np.zeros((21, 21))
-    vals[11, 10] = neighbour
-    u = GridFunction(vals, [0, 0], 0.1)
-    with pytest.raises(DomainError, match="below 1e\\+20"):
-        upper_conical_check(u, (10, 10), eps=eps, hess_bound=1.0)
-
-
-@pytest.mark.parametrize("quadrant", [False, True], ids=["half-plane", "quadrant"])
-def test_upper_conical_one_sided_probe_finds_a_test(quadrant):
-    # with every usable probe on one side of the point, the LP in the
-    # gradient is unbounded: t -> -inf, so a dominating quadratic exists
-    mask = np.zeros((21, 21), dtype=bool)
-    mask[:10] = True
-    mask[10, :10] = True
-    if quadrant:
-        mask[:, :10] = True
-    rng = np.random.default_rng(2)
-    u = GridFunction(np.where(mask, -np.inf, rng.uniform(-1, 1, mask.shape)), [0, 0], 0.1, mask)
-    eps, hess_bound = 0.1, 1.0
-    res = upper_conical_check(u, (10, 10), eps=eps, hess_bound=hess_bound)
-    assert res.test_found and res.slack == np.inf
-    offsets = np.array([o for o in itertools.product(range(-3, 4), repeat=2) if any(o)])
-    usable = ~mask[tuple((10 + offsets).T)]
-    xi = 0.1 * offsets[usable]
-    norms = np.linalg.norm(xi, axis=1)
-    c = u.values[tuple((10 + offsets[usable]).T)] - u.values[10, 10] + eps * norms
-    c -= 0.5 * hess_bound * norms**2
-    g = res.witness.gradient
-    assert np.all(np.isfinite(g))
-    assert np.all(xi @ g >= c)
 
 
 # -- grid files ---------------------------------------------------------------------------

@@ -218,3 +218,25 @@ def test_only_symmat_read_text_and_write_text_open_files():
     assert {(name, func) for name, _, func in found} >= _FILE_ACCESS  # the scan sees them
     assert sorted((name, line, func) for name, line, func in found
                   if (name, func) not in _FILE_ACCESS) == []
+
+
+# the scipy packages a module may import: the solver's sparse matrices and
+# factorization, loaded on a solve's first access
+_SCIPY_ALLOWED = {"scipy.sparse", "scipy.sparse.linalg"}
+
+
+def test_src_imports_no_scipy_package_but_the_sparse_ones():
+    found = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update((path.name, name) for name in names if name.split(".")[0] == "scipy")
+    assert ("solver.py", "scipy.sparse.linalg") in found  # the scan sees them
+    assert sorted(item for item in found if item[1] not in _SCIPY_ALLOWED) == []

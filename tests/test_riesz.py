@@ -20,7 +20,6 @@ from conecalc.riesz import (
     potential_jet,
     potential_value,
     potential_values,
-    truncated_potential_value,
     uniform_measure,
 )
 
@@ -221,13 +220,11 @@ def test_atom_sums_in_blocks_are_bitwise_one_block(monkeypatch, p):
     mu = DiscreteMeasure(atoms, rng.uniform(0.0, 1.0, 37))
     xs = np.vstack([rng.uniform(-1.0, 1.0, (5000, 3)), atoms[:4]])  # atoms read the pole
     spec = RieszKernelSpec(p=p, n=3)
-    blocked = [potential_values(spec, mu, xs), riesz._atom_sum(spec, mu, xs, 2.0)]
+    blocked = potential_values(spec, mu, xs)
     assert riesz._BLOCK_ENTRIES < xs.size * atoms.shape[0]
     monkeypatch.setattr(riesz, "_BLOCK_ENTRIES", xs.size * atoms.shape[0])
-    whole = [potential_values(spec, mu, xs), riesz._atom_sum(spec, mu, xs, 2.0)]
-    for a, b in zip(blocked, whole):
-        assert a.tobytes() == b.tobytes()
-    assert np.isneginf(blocked[0][-4:]).all() == (p >= 2.0)
+    assert blocked.tobytes() == potential_values(spec, mu, xs).tobytes()
+    assert np.isneginf(blocked[-4:]).all() == (p >= 2.0)
 
 
 def test_atom_sums_run_in_bounded_memory():
@@ -243,33 +240,6 @@ def test_atom_sums_run_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert np.isfinite(vals).all() and peak < 12e6
-
-
-def test_truncated_potentials_decrease_to_potential():
-    rng = np.random.default_rng(5)
-    spec = RieszKernelSpec(3.0, 3)
-    mu = DiscreteMeasure(rng.standard_normal((4, 3)), rng.random(4))
-    for x in random_points(rng, 10, 3, lo=0.05, hi=2.5):
-        target = potential_value(spec, mu, x)
-        vals = [truncated_potential_value(spec, mu, x, a) for a in (1.0, 4.0, 16.0, 64.0)]
-        assert all(v1 >= v2 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
-        assert vals[-1] >= target - 1e-12
-        # the floor leaves terms above -alpha alone: the same sum exactly
-        assert truncated_potential_value(spec, mu, x, 1e300) == target
-
-
-def test_truncated_potentials_apply_the_pole_rule():
-    # 1e-13 from an atom the potential is -inf (NEAR_POLE); truncations
-    # must floor that atom's term at -alpha rather than read log(1e-13)
-    spec = RieszKernelSpec(2.0, 2)
-    mu = uniform_measure([[0.0, 0.0], [0.5, 0.0]])
-    x = np.array([1e-13, 0.0])
-    assert potential_value(spec, mu, x) == -np.inf
-    alphas = (1.0, 31.0, 1e6, 1e300)
-    vals = [truncated_potential_value(spec, mu, x, a) for a in alphas]
-    assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
-    for a, v in zip(alphas, vals):
-        assert v == pytest.approx(0.5 * (-a + np.log(0.5)), rel=1e-15)
 
 
 # -- polar functions ---------------------------------------------------------------

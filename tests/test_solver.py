@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conecalc import cones, grids, riesz, solver
+from conecalc import cones, grids, solver
 from conecalc.errors import (
     DiscretizationError,
     DomainError,
@@ -24,7 +24,6 @@ from conecalc.solver import (
     _combos,
     _evaluate,
     evaluate_expression,
-    harmonic_verify,
     make_stencil,
     problem_from_config,
     removability_experiment,
@@ -1223,43 +1222,6 @@ def test_punctured_cell_carries_no_value():
     assert np.isneginf(rep.solution.values[24, 24])
 
 
-# -- verification -------------------------------------------------------------------
-
-
-def test_kernel_sample_is_harmonic_for_its_cone():
-    spec = riesz.RieszKernelSpec(1.5, 2)
-    h = 0.05
-    u = from_function(
-        (21, 21),
-        [0.3, -10 * h],
-        h,
-        lambda x, y: np.asarray(riesz.kernel_value(spec, np.sqrt(x * x + y * y))),
-    )
-    rep = harmonic_verify(u, cones.pp_cone(1.5, 2))
-    assert rep.harmonic
-
-
-def test_saddle_is_trace_harmonic_but_paraboloid_is_not():
-    saddle = from_function((17, 17), [-1, -1], 0.125, lambda x, y: x * x - y * y)
-    assert harmonic_verify(saddle, cones.pp_cone(2.0, 2)).harmonic
-    bowl = from_function((17, 17), [-1, -1], 0.125, lambda x, y: x * x + y * y)
-    rep = harmonic_verify(bowl, cones.pp_cone(2.0, 2))
-    assert rep.subharmonic.passed and not rep.dual_subharmonic.passed
-    assert not rep.harmonic
-
-
-def test_solve_output_passes_harmonic_verify():
-    prob = problem_from_config(annulus_config(65))
-    rep = solve(prob, tol=1e-10)
-    check = harmonic_verify(
-        rep.solution,
-        cones.pp_cone(1.5, 2),
-        c_tol=None,
-        region=prob.unknown_mask(),
-    )
-    assert check.harmonic
-
-
 # -- removability experiment -----------------------------------------------------------
 
 
@@ -1322,6 +1284,31 @@ def test_removability_quadratic_case():
     assert rep.sup_gap <= 1e-8
     assert rep.masked_gap <= 2 * prob.h**2
     assert all(v == 0 for v in rep.perturbation_checks.values())
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_perturbation_check_rejects_a_superharmonic_control(n):
+    # acceptance C7's quadratic case on analytic data: x^2 - y^2 is
+    # harmonic, and x^2 - y^2 - 3|x|^2 has Laplacian -12.  Its c_tol was
+    # read from the polar's eps / h^3 third differences next to the
+    # puncture (5.96 at 65^2, 23.8 at 129^2 for eps 1e-2), so the control
+    # passed with every cell clean
+    prob = problem_from_config({
+        "operator": "pp",
+        "p": 2,
+        "grid": {"shape": [n, n], "origin": [-1, -1], "h": 2 / (n - 1)},
+        "boundary": {"expr": "x*x - y*y"},
+        "puncture": [[0.0, 0.0]],
+    })
+    checked = prob.unknown_mask().sum() - 24  # the 5x5 block around E is skipped
+    for fn, flagged in ((lambda x, y: x * x - y * y, 0),
+                        (lambda x, y: -2 * x * x - 4 * y * y, checked)):
+        u = from_function(prob.shape, prob.origin, prob.h, fn, prob.puncture_mask())
+        reps = solver._perturbation_checks(u, prob, cones.pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+        assert set(reps) == {1e-2, 1e-3}
+        for rep in reps.values():
+            assert rep.points_checked == checked
+            assert len(rep.violations) == flagged
 
 
 def test_removability_3d_point():
