@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, StencilError
-from .symmat import Jet2, SymMatrix, csv_lines, read_text, write_text
+from .symmat import Jet2, SymMatrix, _parse_float_row, csv_lines, read_text, write_text
 
 GRID_SCALE_NOTE = (
     "certified at grid scale only: subharmonicity of non-smooth data "
@@ -51,10 +51,7 @@ class GridFunction:
             raise DomainError(
                 f"origin dim {origin.shape[0]} != value array dim {vals.ndim}"
             )
-        if not 0 < self.h < math.inf:
-            raise DomainError(f"grid spacing must be finite and > 0, got {self.h}")
-        if not np.all(np.isfinite(origin)):
-            raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+        check_spacing_and_origin(self.h, origin)
         if np.any(np.isnan(vals)) or np.any(np.isposinf(vals)):
             raise DomainError("grid values must be finite or -inf")
         mask = self.mask
@@ -433,6 +430,14 @@ def check_point_count(shape) -> None:
                           f"above the cap of {POINT_CAP}")
 
 
+def check_spacing_and_origin(h: float, origin: np.ndarray) -> None:
+    """Raise DomainError unless h is finite and > 0 and the origin finite."""
+    if not 0 < h < math.inf:
+        raise DomainError(f"grid spacing must be finite and > 0, got {h}")
+    if not np.all(np.isfinite(origin)):
+        raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+
+
 def parse_geometry(text: str):
     """Shape, origin and h from ``shape=.. origin=.. h=..`` tokens; an
     ``n=`` token, as in a grid file header, must agree with the shape."""
@@ -447,8 +452,7 @@ def parse_geometry(text: str):
     if len(shape) != nd or origin.shape[0] != nd or min(shape) < 1:
         raise DomainError(f"grid geometry {text!r} has inconsistent dimensions")
     check_point_count(shape)
-    if not (0 < h < math.inf and np.all(np.isfinite(origin))):
-        raise DomainError(f"grid geometry {text!r} needs a finite origin and a finite h > 0")
+    check_spacing_and_origin(h, origin)
     return shape, origin, h
 
 
@@ -473,11 +477,13 @@ def read_grid(path) -> GridFunction:
             mask = np.array(rows, dtype=bool).reshape(shape)
         rows = []
         for _ in range(nrows):
-            rows.append([float(tok) for tok in lines[cursor].split(",")])
+            rows.append(_parse_float_row(lines[cursor], path, cursor + 1))
             cursor += 1
         values = np.array(rows, dtype=float).reshape(shape)
     except KeyError as exc:
         raise DomainError(f"mask entries in {path} must be 0 or 1, got {exc}") from exc
+    except DomainError:
+        raise
     except (IndexError, ValueError) as exc:
         raise DomainError(f"malformed grid data in {path}: {exc}") from exc
     if any(line.strip() for line in lines[cursor:]):

@@ -232,10 +232,6 @@ class PolarFunction:
     def jet(self, x):
         return potential_jet(self.spec, self.measure, x)
 
-    @property
-    def atoms(self) -> np.ndarray:
-        return self.measure.points
-
 
 def build_polar(points, p: float) -> PolarFunction:
     """Uniform-weight polar function of a finite point set, p >= 2 only.

@@ -331,10 +331,7 @@ def _check_lattice(shape: tuple, origin: np.ndarray, h: float) -> None:
     if any(s < 5 for s in shape):
         raise DomainError("grids need at least 5 points per axis")
     grids.check_point_count(shape)
-    if not 0 < h < math.inf:
-        raise DomainError(f"grid spacing must be finite and > 0, got {h}")
-    if not np.all(np.isfinite(origin)):
-        raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+    grids.check_spacing_and_origin(h, origin)
     _coefficients(h, np.ones(1), nd)  # the axis directions, in every stencil
 
 

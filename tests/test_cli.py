@@ -224,6 +224,23 @@ def test_check_monotone_map_branch():
     assert rep["seed"] == 7
 
 
+@pytest.mark.xfail(strict=True, reason="10^5 GOE samples miss the counterexamples: "
+                                       "pp:1.5 + pp:1.6 leaves pp:1.5, yet the check passes")
+def test_check_monotone_refutes_a_larger_pp_exponent():
+    code, _, _ = run_cli("check", "monotone", "--f", "pp:1.5", "--m", "pp:1.6", "--dim", "6",
+                         "--samples", "100000", "--seed", "1")
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0"], 0, id="kernel"),
+    pytest.param(["cone", "--spec", "bogus:1", "--dim", "2"], 2, id="cone-unknown-kind"),
+])
+def test_console_script_calls_give_json_reports(argv, code):
+    # CI makes these two calls through the installed conecalc script
+    assert output_of(*argv)[0] == code
+
+
 def test_check_duality_branch():
     code, rep = output_of(
         "check", "duality", "--f", "branch:1", "--dim", "3", "--samples", "2000"
@@ -977,6 +994,9 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["solve", "--problem", "misspelled.json"],
     ["experiment", "--config", "gapinf.json", "--output-dir", "out"],
     ["experiment", "--config", "gapnan.json", "--output-dir", "out"],
+    ["solve", "--problem", "hugedata.json"],
+    ["grid", "hessian", "--input", "tinyh9.grid", "--at", "4,4"],
+    ["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0", "--output", "missing/r.json"],
 ], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
         "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
         "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf",
@@ -985,19 +1005,20 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
         "experiment-removability-coefficients-overflow",
         "experiment-convergence-coefficients-underflow", "grid-hessian-spacing-underflows",
         "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity",
-        "solve-misspelled-key", "experiment-gap-constant-inf", "experiment-gap-constant-nan"])
+        "solve-misspelled-key", "experiment-gap-constant-inf", "experiment-gap-constant-nan",
+        "solve-data-overflow", "grid-hessian-spacing-underflows-9", "output-unwritable"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
                  "punctinf.json", "tinyh.json", "hugeh.json", "exptinyh.json",
                  "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv",
-                 "misspelled.json", "gapinf.json", "gapnan.json"):
+                 "misspelled.json", "gapinf.json", "gapnan.json", "hugedata.json", "tinyh9.grid"):
         (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 2
     rep = json.loads(proc.stdout, parse_constant=_reject_constant)
-    assert rep["error"]["kind"] in ("DomainError", "SamplingError")
+    assert rep["error"]["kind"] == "DomainError"
     assert proc.stderr == ""
 
 
@@ -1099,7 +1120,10 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(leaf_inputs, capsys, 
     out, err = capsys.readouterr()
     rep = json.loads(out)  # one report and nothing after it
     schema.validate_report(rep)
-    assert rep["error"]["kind"] in ("usage", "DomainError")
+    # argparse refuses the flag, except --mode or --dual without --matrix
+    # and --grid without --grid-output, which are DomainErrors
+    domain = argv[0] in ("cone", "polar") and "--matrix" not in argv
+    assert rep["error"]["kind"] == ("DomainError" if domain else "usage")
     assert err == ""
     assert not (leaf_inputs / "x.grid").exists()
 

@@ -588,6 +588,15 @@ def test_grid_file_rejects_garbage(tmp_path):
         read_grid(path)
 
 
+def test_grid_file_names_the_line_of_a_bad_cell(tmp_path):
+    # as a CSV file does: path, line number, then the token
+    path = tmp_path / "bad.grid"
+    path.write_text("grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,1\n0,0\n0,0\n0,abc\n")
+    with pytest.raises(DomainError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}:6: could not convert string to float: 'abc'"
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         GridFunction(np.array([[np.nan, 0.0]]), [0, 0], 1.0)

@@ -1311,6 +1311,27 @@ def test_perturbation_check_rejects_a_superharmonic_control(n):
             assert len(rep.violations) == flagged
 
 
+@pytest.mark.xfail(strict=True, reason="c_tol read from the log data's third differences next "
+                                       "to the hole passes every cell of the control")
+def test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel_annulus():
+    # acceptance C7's kernel annulus: 0.5 log|x| is harmonic off the hole,
+    # and 0.5 log|x| - 3|x|^2 has Laplacian -12
+    h = 2 / 64
+    prob = problem_from_config({
+        "operator": "pp",
+        "p": 2,
+        "grid": {"shape": [65, 65], "origin": [-1 + h / 2, -1 + h / 2], "h": h},
+        "boundary": {"expr": "0.5*log(x*x+y*y)"},
+        "hole": {"min": [-0.125, -0.125], "max": [0.125, 0.125]},
+        "puncture": [[-1 + h / 2 + 48 * h] * 2],
+    })
+    u = from_function(prob.shape, prob.origin, prob.h,
+                      lambda x, y: 0.5 * np.log(x * x + y * y) - 3 * (x * x + y * y),
+                      prob.puncture_mask())
+    reps = solver._perturbation_checks(u, prob, cones.pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+    assert all(rep.violations for rep in reps.values())
+
+
 def test_removability_3d_point():
     cfg = {
         "operator": "pp",
