@@ -25,10 +25,6 @@ class SpecParseError(ConecalcError, ValueError):
         self.position = position
 
 
-class EigenSolveError(ConecalcError, RuntimeError):
-    """The eigensolver failed to converge."""
-
-
 class InternalConsistencyError(ConecalcError, RuntimeError):
     """A cross-check between two internal computations disagreed."""
 

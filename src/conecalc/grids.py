@@ -129,6 +129,15 @@ def _total_order(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & np.int64(2**63 - 1))
 
 
+def _grow_cube(a: np.ndarray) -> None:
+    """Replace each cell of ``a``, in place, by the max over its 3^ndim
+    cube: a 3-wide max along each axis in turn."""
+    for axis in range(a.ndim):  # numpy buffers the overlapping operands
+        line = np.moveaxis(a, axis, 0)
+        np.maximum(line[:-1], line[1:], out=line[:-1])
+        np.maximum(line[1:], line[:-1], out=line[1:])
+
+
 def canonical_extension(
     u: GridFunction, radius_cap: int = EXTENSION_RADIUS_CAP
 ) -> ExtensionReport:
@@ -162,10 +171,7 @@ def canonical_extension(
     top = np.where(mask, _UNREACHED, _total_order(u.values.view(np.int64)))
     keys, pending = top.copy(), mask.copy()
     for _ in range(min(radius_cap, max(u.shape) - 1)):
-        for axis in range(u.ndim):  # numpy buffers the overlapping operands
-            line = np.moveaxis(top, axis, 0)
-            np.maximum(line[:-1], line[1:], out=line[:-1])
-            np.maximum(line[1:], line[:-1], out=line[1:])
+        _grow_cube(top)
         hit = pending & (top != _UNREACHED)
         np.copyto(keys, top, where=hit)
         pending ^= hit
@@ -378,12 +384,10 @@ def subharmonic_verify(
 
 def chebyshev_dilation(mask: np.ndarray, radius: int) -> np.ndarray:
     """Cells within Chebyshev distance ``radius`` of a True cell of ``mask``:
-    a cube dilation, taken as a ``2 radius + 1`` window along each axis."""
-    out = np.asarray(mask, dtype=bool)
-    for axis in range(out.ndim):
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (radius, radius)
-        out = sliding_window_view(np.pad(out, pad), 2 * radius + 1, axis=axis).any(axis=-1)
+    a cube dilation, taken as ``radius`` radius-1 cube dilations."""
+    out = np.array(mask, dtype=bool)
+    for _ in range(radius):
+        _grow_cube(out)
     return out
 
 
@@ -440,8 +444,16 @@ def check_spacing_and_origin(h: float, origin: np.ndarray) -> None:
 
 def parse_geometry(text: str):
     """Shape, origin and h from ``shape=.. origin=.. h=..`` tokens; an
-    ``n=`` token, as in a grid file header, must agree with the shape."""
-    fields = dict(token.partition("=")[::2] for token in text.split())
+    ``n=`` token, as in a grid file header, must agree with the shape.
+    Any other token, or one of these given twice, raises DomainError
+    naming it."""
+    fields = {}
+    for token in text.split():
+        key, _, value = token.partition("=")
+        if key in fields or key not in ("n", "shape", "origin", "h"):
+            why = "repeats a key" if key in fields else "is not one of n, shape, origin, h"
+            raise DomainError(f"grid geometry token {token!r} {why}")
+        fields[key] = value
     try:
         shape = tuple(int(s) for s in fields["shape"].split(","))
         origin = np.array([float(v) for v in fields["origin"].split(",")])

@@ -155,12 +155,8 @@ def potential_value(spec: RieszKernelSpec, mu: DiscreteMeasure, x) -> float:
 
 
 def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
-    """Vectorized potential values at a batch of points, shape (N,)."""
-    return _atom_sum(spec, mu, xs)
-
-
-def _atom_sum(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
-    """Weighted atom sums of the kernel, shape (N,).
+    """Potential values at a batch of points: weighted atom sums of the
+    kernel, shape (N,).
 
     A point within ``NEAR_POLE`` of an atom reads the pole value there;
     a -inf term of positive weight makes the sum -inf.  Points are summed
@@ -194,7 +190,7 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     undefined, so a PoleError (carrying that finite value) is raised.
     """
     x = np.asarray(x, dtype=float).ravel()
-    value = float(_atom_sum(spec, mu, x)[0])  # checks both dimensions
+    value = float(potential_values(spec, mu, x)[0])  # checks both dimensions
     diffs = x[None, :] - mu.points
     r = _norm(diffs)
     if r.min() <= NEAR_POLE:

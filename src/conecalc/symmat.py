@@ -8,8 +8,6 @@ views of it.
 Conventions fixed here and relied on everywhere else:
 
 * eigenvalues are reported in ascending order;
-* eigenvector signs are normalized so the largest-magnitude component of
-  each column is positive (deterministic output for identical input);
 * the complex structure ``J`` pairs coordinates as (x1, y1, ..., xm, ym);
 * tolerances scale by ``1 + max|A_ij|`` so pass/fail is invariant under
   matrix scaling.
@@ -20,7 +18,6 @@ functions, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,7 +27,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    EigenSolveError,
     InternalConsistencyError,
     ResourceLimitError,
 )
@@ -112,39 +108,6 @@ def identity(n: int) -> SymMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        Q = self.eigenvectors
-        return (Q * self.eigenvalues) @ Q.T
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues": self.eigenvalues.tolist(),
-                "eigenvectors": self.eigenvectors.tolist(),
-            },
-            sort_keys=True,
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class Frame:
     """Orthonormal vectors spanning a k-plane, stored as rows of shape (k, n)."""
 
@@ -221,32 +184,7 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    # flip each column so its largest-magnitude component is positive
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
-
-
-def eigh(A) -> Spectrum:
-    """Eigendecomposition with ascending eigenvalues and fixed vector signs.
-
-    Backed by LAPACK through numpy; deterministic for identical input.
-    Raises EigenSolveError (naming the matrix norm) on non-convergence.
-    """
-    A = as_matrix(A)
-    try:
-        vals, vecs = np.linalg.eigh(A.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(
-            f"eigensolver failed to converge for matrix with max-norm "
-            f"{np.max(np.abs(A.entries)):.6g}: {exc}"
-        ) from exc
-    return Spectrum(vals, _fix_signs(vecs))
+# eigenvalues
 
 
 def eigenvalues_of(A) -> np.ndarray:
@@ -320,21 +258,6 @@ def partial_sum(A, p: float) -> float:
     """Sum of the p smallest eigenvalues, with fractional interpolation."""
     lam = eigenvalues_of(as_matrix(A))
     return float(partial_sum_eigs(lam, p))
-
-
-def projector(e) -> SymMatrix:
-    """Orthogonal projection ``e e^T`` onto the line through a unit vector.
-
-    Inputs whose norm deviates from 1 by more than 1e-12 are normalized
-    first; the zero vector is rejected.
-    """
-    e = np.asarray(e, dtype=float).ravel()
-    norm = float(np.linalg.norm(e))
-    if norm < 1e-300:
-        raise DomainError("cannot project onto the zero vector")
-    if abs(norm - 1.0) > 1e-12:
-        e = e / norm
-    return SymMatrix(np.outer(e, e))
 
 
 def complex_structure(n: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 line (run with ``pytest tests/test_acceptance.py -s`` to see them live).
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -143,6 +144,25 @@ def test_criterion_3_branch_duality():
     report("C3", ok, f"{checked} decided samples, {disagreements} disagreements")
 
 
+def test_criterion_3_rejects_a_shifted_branch_mirror(monkeypatch):
+    # control: with the mirror index n - k + 1 moved one step either way,
+    # check_duality must fail on every cone whose shifted index is in [1, n]
+    cfg = SampleConfig(seed=3, count=10_000)
+    sweep = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
+    unpatched = [(n, k) for n, k in sweep
+                 if not cones.check_duality(branch_cone(k, n), cfg).passed]
+    kind = cones._KINDS["branch"]
+    missed = []
+    for shift in (1, -1):
+        monkeypatch.setitem(cones._KINDS, "branch", dataclasses.replace(
+            kind, mirror=lambda s, shift=shift: branch_cone(s.dim - s.k + 1 + shift, s.dim)))
+        missed += [(n, k, shift) for n, k in sweep if 1 <= n - k + 1 + shift <= n
+                   and cones.check_duality(branch_cone(k, n), cfg).passed]
+    ok = not unpatched and not missed
+    report("C3 control", ok,
+           f"unpatched failures {unpatched}; shifted mirrors passed {missed}")
+
+
 # -- criterion 4: monotonicity and family-test transitions -----------------------------
 
 
@@ -224,8 +244,7 @@ def test_criterion_5_frame_traces_dominate_partial_sums():
         q = np.linalg.qr(raw)[0]  # (10000, n, p), orthonormal columns
         traces = np.einsum("fip,ij,fjp->f", q, A.entries, q)
         worst_floor = min(worst_floor, float(traces.min() - s_p))
-        spectrum = symmat.eigh(A)
-        eigenframe = symmat.Frame(spectrum.eigenvectors[:, :p].T)
+        eigenframe = symmat.Frame(np.linalg.eigh(A.entries)[1][:, :p].T)
         worst_eigen = max(
             worst_eigen, abs(symmat.trace_over_frame(A, eigenframe) - s_p)
         )

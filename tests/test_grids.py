@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conecalc import cones, grids, riesz
 from conecalc.errors import DomainError, StencilError
@@ -595,6 +596,41 @@ def test_grid_file_names_the_line_of_a_bad_cell(tmp_path):
     with pytest.raises(DomainError) as err:
         read_grid(path)
     assert str(err.value) == f"{path}:6: could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize("text, token", [
+    ("shape=5,5 origin=0,0 h=0.1 h=0.2", "h=0.2"),
+    ("shape=5,5 origin=0,0 h=0.1 hh=3", "hh=3"),
+    ("shape=5,5 origin=0,0 h=0.1 bogus", "bogus"),
+    ("n=2 shape=5,5 origin=0,0 n=2 h=0.1", "n=2"),
+])
+def test_geometry_refuses_a_repeated_or_unknown_token(text, token):
+    with pytest.raises(DomainError, match=f"token '{token}'"):
+        grids.parse_geometry(text)
+
+
+def _window_dilation(mask, radius):
+    # reference: a 2 radius + 1 window along each axis of the padded mask
+    out = np.asarray(mask, dtype=bool)
+    for axis in range(out.ndim):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        out = sliding_window_view(np.pad(out, pad), 2 * radius + 1, axis=axis).any(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_chebyshev_dilation_is_the_window_dilation(ndim):
+    rng = np.random.default_rng(ndim)
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 12 if ndim < 3 else 8, size=ndim))
+        mask = rng.random(shape) < rng.choice([0.0, 0.02, 0.1, 0.5])
+        before = mask.copy()
+        for radius in range(6):
+            got = grids.chebyshev_dilation(mask, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, _window_dilation(mask, radius)), (shape, radius)
+        assert np.array_equal(mask, before)  # the input mask is not dilated in place
 
 
 def test_grid_validation():

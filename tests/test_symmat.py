@@ -1,4 +1,3 @@
-import json
 import pickle
 
 import numpy as np
@@ -19,7 +18,6 @@ from conecalc.symmat import (
     SymMatrix,
     as_matrix,
     eigenvalues_of,
-    eigh,
     elementary_symmetric,
     frame_traces,
     hermitian_eigenvalues,
@@ -27,7 +25,6 @@ from conecalc.symmat import (
     partial_sum,
     partial_sum_eigs,
     pfold_sums_eigs,
-    projector,
     random_frame,
     trace_over_frame,
 )
@@ -36,52 +33,6 @@ from conecalc.symmat import (
 def random_sym(rng, n, scale=1.0):
     G = rng.standard_normal((n, n)) * scale
     return SymMatrix(0.5 * (G + G.T))
-
-
-# -- eigendecomposition -------------------------------------------------------
-
-
-def test_eigh_diagonal_case():
-    s = eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(s.eigenvalues, [1.0, 2.0, 3.0])
-
-
-def test_eigh_identity():
-    s = eigh(np.eye(4))
-    assert np.allclose(s.eigenvalues, np.ones(4))
-
-
-def test_eigh_2x2_closed_form():
-    # quadratic-formula oracle for the characteristic polynomial
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        A = random_sym(rng, 2)
-        a, b, c = A.entries[0, 0], A.entries[0, 1], A.entries[1, 1]
-        disc = np.sqrt(((a - c) / 2) ** 2 + b * b)
-        expected = np.sort([(a + c) / 2 - disc, (a + c) / 2 + disc])
-        assert np.allclose(eigh(A).eigenvalues, expected, atol=1e-12 * A.scale)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_eigh_reconstruction_and_orthonormality(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(1000):
-        A = random_sym(rng, n)
-        s = eigh(A)
-        tol = 1e-10 * (1.0 + np.linalg.norm(A.entries))
-        assert np.max(np.abs(s.reconstruct() - A.entries)) <= tol
-        assert np.max(np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(n))) <= 1e-10
-        assert np.all(np.diff(s.eigenvalues) >= -1e-14 * A.scale)
-
-
-def test_eigh_deterministic_with_sign_convention():
-    rng = np.random.default_rng(3)
-    A = random_sym(rng, 5)
-    s1, s2 = eigh(A), eigh(SymMatrix(A.entries.copy()))
-    assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-    assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
-    for col in s1.eigenvectors.T:
-        assert col[np.argmax(np.abs(col))] > 0
 
 
 def test_symmetrization_and_validation():
@@ -120,7 +71,7 @@ def test_partial_sum_identity_minus_projector(p):
     for _ in range(10):
         e = rng.standard_normal(4)
         e /= np.linalg.norm(e)
-        A = np.eye(4) - p * projector(e).entries
+        A = np.eye(4) - p * np.outer(e, e)
         assert partial_sum(A, p) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -150,23 +101,6 @@ def test_partial_sum_domain_errors():
         partial_sum(np.eye(3), 0.5)
     with pytest.raises(DomainError):
         partial_sum(np.eye(3), 3.5)
-
-
-# -- projector ------------------------------------------------------------------
-
-
-def test_projector_basis_vector():
-    assert np.allclose(projector([1.0, 0.0]).entries, np.diag([1.0, 0.0]))
-
-
-def test_projector_trace_idempotence_normalization():
-    rng = np.random.default_rng(8)
-    e = rng.standard_normal(6)
-    P = projector(e).entries  # normalized internally
-    assert np.trace(P) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(P @ P - P)) <= 1e-14
-    with pytest.raises(DomainError):
-        projector(np.zeros(3))
 
 
 # -- hermitian eigenvalues -------------------------------------------------------
@@ -237,8 +171,7 @@ def test_trace_over_frame_eigenframe_minimum():
     rng = np.random.default_rng(13)
     A = random_sym(rng, 5)
     p = 2
-    s = eigh(A)
-    eigenframe = Frame(s.eigenvectors[:, :p].T)
+    eigenframe = Frame(np.linalg.eigh(A.entries)[1][:, :p].T)
     assert trace_over_frame(A, eigenframe) == pytest.approx(
         partial_sum(A, p), abs=1e-10
     )
@@ -347,13 +280,6 @@ def test_matrix_csv_roundtrip(tmp_path):
     symmat.write_matrix_csv(path, A)
     B = symmat.read_matrix_csv(path)
     assert np.array_equal(A.entries, B.entries)
-
-
-def test_spectrum_json_fields():
-    s = eigh(np.diag([2.0, 1.0]))
-    obj = json.loads(s.to_json())
-    assert set(obj) == {"eigenvalues", "eigenvectors"}
-    assert obj["eigenvalues"] == [1.0, 2.0]
 
 
 def test_frames_csv_roundtrip(tmp_path):
