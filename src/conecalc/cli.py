@@ -119,7 +119,7 @@ def _cmd_check(args) -> tuple:
         report["m"] = M.describe()
         result = cones.pp_subset_test(M, args.p, sphere_samples=args.samples)
     else:
-        cfg = cones.SampleConfig(seed=args.seed, count=args.samples, magnitude=args.magnitude)
+        cfg = cones.SampleConfig(seed=args.seed, count=args.samples)
         F = cones.parse_cone(args.f, args.dim)
         report["f"] = F.describe()
         if args.kind == "duality":
@@ -410,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "pp-subset":
             p.add_argument("--p", type=float, required=True)
         p.add_argument("--samples", type=int, default=10000)
-        if kind != "pp-subset":
-            p.add_argument("--magnitude", type=float, default=1.0)
         common(p)
 
     p = sub.add_parser("kernel", help="kernel or potential 2-jets")

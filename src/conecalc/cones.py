@@ -38,7 +38,8 @@ most ``_BLOCK_ENTRIES`` matrix entries per stack, so their memory does not
 grow with the sample count, and the blocks are tested by one thread per
 CPU the process may run on (``_first_failure``), each drawing its block's
 samples in index order; the report is the lowest failing block's, as in a
-serial scan.
+serial scan.  ``check_relation``'s commuting pairs are a second such scan,
+from a generator spawned from the seed.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     ResourceLimitError,
-    SamplingError,
     SpecParseError,
 )
 from .symmat import (
@@ -666,25 +666,25 @@ class SampleConfig:
 
     seed: int = 0
     count: int = 1000
-    magnitude: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.count <= SAMPLE_CAP:
             raise DomainError(f"sample count must be in [1, {SAMPLE_CAP}], got {self.count}")
-        if not 0 < self.magnitude < math.inf:
-            raise DomainError(f"magnitude must be finite and > 0, got {self.magnitude}")
 
 
-def sample_goe(rng: np.random.Generator, n: int, count: int, magnitude: float = 1.0):
+def sample_goe(rng: np.random.Generator, n: int, count: int):
     """Gaussian-orthogonal-ensemble matrices of shape (count, n, n),
-    ``0.5 * (G + G^T)`` for ``G = magnitude * standard normal``, in one
-    pass: an in-place ``G += G^T`` would make numpy buffer its overlapping
-    operand."""
+    ``0.5 * (G + G^T)`` for a standard normal G, in one pass: an in-place
+    ``G += G^T`` would make numpy buffer its overlapping operand."""
     G = rng.standard_normal((count, n, n))
-    G *= magnitude
     S = G + np.swapaxes(G, -1, -2)
     S *= 0.5
     return S
+
+
+def _draw_goe(rng: np.random.Generator, n: int, stacks: int):
+    """A block draw for ``_first_failure``: ``stacks`` GOE stacks from rng."""
+    return lambda size: [sample_goe(rng, n, size) for _ in range(stacks)]
 
 
 def _blocks(count: int, dim: int) -> range:
@@ -703,26 +703,25 @@ def _worker_count(blocks: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
 
 
-def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
-    """The report of the lowest block of ``cfg.count`` samples in ``dim``
-    for which ``test(start, *stacks)`` returns one, or None if no block
+def _first_failure(count: int, dim: int, draw, test):
+    """The report of the lowest block of ``count`` samples in ``dim`` for
+    which ``test(start, *draw(size))`` returns one, or None if no block
     fails; an exception raised at a lower block than any report is raised.
 
     ``_worker_count`` threads, the caller one of them, take the blocks in
-    index order.  A thread draws its block's ``stacks`` GOE stacks from the
-    one generator seeded with ``cfg.seed`` under a lock, so every block
-    gets the samples of a serial scan, and tests them outside it (numpy's
-    ``eigvalsh`` releases the GIL).  An exception while drawing or testing
-    block b is block b's result, and no block at or past the lowest failing
-    block found so far is taken.  A KeyboardInterrupt or SystemExit in any
-    thread stops every thread at its next block and is raised whatever
-    its block.  Each thread runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds in it, and every thread is joined before
-    this returns or raises.
+    index order.  A thread draws its block under a lock, so every block
+    gets the samples of a serial scan from the one generator ``draw``
+    reads, and tests them outside it (numpy's ``eigvalsh`` releases the
+    GIL).  An exception while drawing or testing block b is block b's
+    result, and no block at or past the lowest failing block found so far
+    is taken.  A KeyboardInterrupt or SystemExit in any thread stops every
+    thread at its next block and is raised whatever its block.  Each
+    thread runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds in it, and every thread is joined before this
+    returns or raises.
     """
-    starts = _blocks(cfg.count, dim)
+    starts = _blocks(count, dim)
     blocks = len(starts)
-    rng = np.random.default_rng(cfg.seed)
     lock = threading.Lock()
     found = {}  # block -> its report or exception; -1 -> an interrupt
     taken = 0  # the next block to draw; ``blocks`` once the scan stops
@@ -736,8 +735,7 @@ def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
                         return
                     b, taken = taken, taken + 1
                     start = starts[b]
-                    drawn = [sample_goe(rng, dim, min(starts.step, cfg.count - start), cfg.magnitude)
-                             for _ in range(stacks)]
+                    drawn = draw(min(starts.step, count - start))
                 result = test(start, *drawn)
             except Exception as exc:
                 result = exc
@@ -765,6 +763,26 @@ def _first_failure(cfg: SampleConfig, dim: int, stacks: int, test):
     return result
 
 
+def _finite(spec: ConeSpec, m: np.ndarray, what: str = "margins") -> np.ndarray:
+    """m, or a DomainError naming the cone where m overflows."""
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"{what} of {spec.describe()} overflow")
+    return m
+
+
+def _shift(spec: ConeSpec, f, root) -> np.ndarray:
+    """``membership_shift`` from a margin rule ``(f, root)`` of ``spec``."""
+    need = f(0.0) < 0.0
+    t = np.where(need, root(), 0.0)
+    step = np.spacing(np.abs(t))
+    short = need & (f(t) < 0.0)
+    while np.any(short):
+        t[short] += step[short]
+        step[short] *= 2.0
+        short &= f(t) < 0.0
+    return _finite(spec, t, "membership shifts")
+
+
 def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
     """The smallest t >= 0 per matrix, to a few ulps of its scale, with
     ``A + t I`` in the cone.
@@ -774,20 +792,9 @@ def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
     starts at one ulp of t and doubles until the margin is >= 0: a fixed
     ulp can stall for enl, where ``t + c`` rounds back to c while t is
     much smaller than c, and a crossing near 0 can round to just below it.
-    A crossing that overflows raises SamplingError.
+    A crossing that overflows raises DomainError.
     """
-    f, root = _margin_machine(spec, _stack(mats))
-    need = f(0.0) < 0.0
-    t = np.where(need, root(), 0.0)
-    step = np.spacing(np.abs(t))
-    short = need & (f(t) < 0.0)
-    while np.any(short):
-        t[short] += step[short]
-        step[short] *= 2.0
-        short &= f(t) < 0.0
-    if not np.all(np.isfinite(t)):
-        raise SamplingError("membership shift overflows; try a smaller magnitude")
-    return t
+    return _shift(spec, *_margin_machine(spec, _stack(mats)))
 
 
 def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
@@ -806,12 +813,21 @@ def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
     return mats
 
 
+def _spectral_margins(spec: ConeSpec, lam: np.ndarray) -> np.ndarray:
+    """The margins of a kind with ``spectral=True`` at rows of ascending
+    eigenvalues, without a matrix."""
+    return _finite(spec, _KINDS[spec.kind].machine(spec, lam)[0](0.0))
+
+
 @dataclass(frozen=True)
 class RelationReport:
     """Result of a randomized ``F + M subset F`` certification.
 
-    ``checked`` counts the samples tested: all of them on a pass, those
-    through the failing block otherwise.
+    ``checked`` counts the samples of the reported ``family`` that were
+    tested: all of them on a pass, those through the failing block
+    otherwise; ``failure_index`` indexes that family's samples, for the
+    commuting family its draws.  A GOE failure's dict carries no family
+    key.
     """
 
     passed: bool
@@ -819,6 +835,7 @@ class RelationReport:
     failure_index: Optional[int] = None
     counterexample: Optional[tuple] = None  # (SymMatrix, SymMatrix)
     margins: Optional[dict] = None
+    family: str = "goe"
 
     def to_dict(self) -> dict:
         out = {"passed": bool(self.passed)}
@@ -826,6 +843,8 @@ class RelationReport:
             A, B = self.counterexample
             out["counterexample"] = {"A": A.entries.tolist(), "B": B.entries.tolist()}
             out["margins"] = {k: float(v) for k, v in self.margins.items()}
+            if self.family != "goe":
+                out["family"] = self.family
         return out
 
 
@@ -840,40 +859,80 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
     the stream of an unblocked check.  The blocks are split over the CPUs
     by ``_first_failure``; the report is that of the first block with a
     counterexample: its global index, the pair, and its rows of the
-    block's stacked margins; or a pass.  Overflow at a huge magnitude
-    raises a typed error, not a warning: DomainError for non-finite
-    samples (``eigenvalues_of``), SamplingError for non-finite shifts or
+    block's stacked margins; or a pass.
+
+    Where F and M are both kinds with ``spectral=True`` (positivity, pp,
+    branch, pdelta, pucci, sigma, mapb) and the GOE samples pass, half as
+    many commuting pairs follow, family ``commuting``: independent GOE
+    pairs rarely align their low eigenvectors in higher dimensions, which
+    is where a relation false by a small margin fails.  Its samples are
+    ``ceil(cfg.count / 4)`` draws, in blocks from a generator spawned from
+    ``cfg.seed``, so the GOE stream is untouched.  A draw is two sorted
+    rows of standard normals, ascending eigenvalues a and b, each moved
+    onto its cone's boundary by its margin rule's crossing.  Then
+    ``diag(a) + diag(sigma b)`` has the eigenvalues ``a + b`` for sigma
+    the identity and ``sort(a + reversed b)`` for the reversal; both are
+    tested against F's margin and the closed threshold, with no
+    ``eigvalsh``.  A failure reports
+    ``diag(a)``, ``diag(sigma b)`` and their margins.  ``enl``, ``dual``,
+    ``cbranch``, ``geom`` and ``horiz`` have no such diagonal family and
+    get the GOE samples only.
+
+    Overflow raises DomainError, not a warning: for non-finite samples
+    (``eigenvalues_of``), and naming the cone for non-finite shifts or
     margins.
     """
     if F.dim != M.dim:
         raise DimensionMismatchError(f"cone dims differ: {F.dim} vs {M.dim}")
 
-    def test(start, A, B):
+    def failure(start, size, i, A, B, m_a, m_b, m_sum, family):
+        return RelationReport(
+            passed=False,
+            checked=start + size,
+            failure_index=start + i,
+            counterexample=(SymMatrix(A), SymMatrix(B)),
+            margins={"margin_a": float(m_a), "margin_b": float(m_b), "margin_sum": float(m_sum)},
+            family=family,
+        )
+
+    def goe(start, A, B):
         A = force_membership(F, A)
         B = force_membership(M, B)
         S = A + B
-        m = margins(F, S)
-        if not np.all(np.isfinite(m)):
-            raise SamplingError("margins overflow; try a smaller magnitude")
+        m = _finite(F, margins(F, S))
         bad = np.nonzero(m < thresholds(S))[0]
         if bad.size == 0:
             return None
         i = int(bad[0])
         # rows of the stacked margins: for geom/horiz a lone matrix's margin can
         # differ from its stack row in the last bit (einsum's summation order)
-        return RelationReport(
-            passed=False,
-            checked=start + len(S),
-            failure_index=start + i,
-            counterexample=(SymMatrix(A[i]), SymMatrix(B[i])),
-            margins={
-                "margin_a": float(margins(F, A)[i]),
-                "margin_b": float(margins(M, B)[i]),
-                "margin_sum": float(m[i]),
-            },
-        )
+        return failure(start, len(S), i, A[i], B[i], margins(F, A)[i], margins(M, B)[i], m[i], "goe")
 
-    return _first_failure(cfg, F.dim, 2, test) or RelationReport(passed=True, checked=cfg.count)
+    def commuting(start, pair):
+        pair.sort(axis=-1)
+        a, b = pair
+        for spec, lam in ((F, a), (M, b)):
+            lam += _shift(spec, *_KINDS[spec.kind].machine(spec, lam))[:, None]
+        sigma_b = (b, b[:, ::-1])
+        S = np.stack([a + b, np.sort(a + sigma_b[1], axis=-1)])
+        m = _spectral_margins(F, S)
+        # the closed thresholds of diag(S): an ascending row has max|s_i| = max(-s_1, s_n)
+        low = m < -CLOSED_TOL * (1.0 + np.maximum(-S[..., 0], S[..., -1]))
+        bad = np.nonzero(low.any(axis=0))[0]
+        if bad.size == 0:
+            return None
+        i = int(bad[0])
+        j = 0 if low[0, i] else 1
+        return failure(start, len(a), i, np.diag(a[i]), np.diag(sigma_b[j][i]), _spectral_margins(F, a[i:i + 1])[0],
+                       _spectral_margins(M, b[i:i + 1])[0], m[j, i], "commuting")
+
+    n = F.dim
+    report = _first_failure(cfg.count, n, _draw_goe(np.random.default_rng(cfg.seed), n, 2), goe)
+    if report is None and _KINDS[F.kind].spectral and _KINDS[M.kind].spectral:
+        rng = np.random.default_rng(cfg.seed).spawn(1)[0]
+        draws = (cfg.count + 3) // 4  # two pairs a draw: half as many pairs as samples
+        report = _first_failure(draws, n, lambda size: [rng.standard_normal((2, size, n))], commuting)
+    return report or RelationReport(passed=True, checked=cfg.count)
 
 
 @dataclass(frozen=True)
@@ -902,7 +961,7 @@ class DualityReport:
 def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
     """Closed-form versus definitional dual margins on seeded GOE samples,
     by ``dual_contains``' rule: they must agree to within the interior
-    threshold of each sample.  Samples are drawn and tested block by
+    threshold of each sample.  GOE samples are drawn and tested block by
     block, as in ``check_relation``, which also gives the overflow errors.
     A cone without a closed-form dual raises DomainError.
     """
@@ -913,10 +972,8 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
                           f"(p, pp, branch, cbranch, horiz or any dual:), got {spec.describe()}")
 
     def test(start, mats):
-        fast = dual_fast_margins(spec, mats)
-        definitional = margins(dual, mats)
-        if not (np.all(np.isfinite(definitional)) and np.all(np.isfinite(fast))):
-            raise SamplingError("margins overflow; try a smaller magnitude")
+        fast = _finite(spec, dual_fast_margins(spec, mats), "dual margins")
+        definitional = _finite(spec, margins(dual, mats), "dual margins")
         bad = np.nonzero(np.abs(fast - definitional) > thresholds(mats, "interior"))[0]
         if bad.size == 0:
             return None
@@ -932,7 +989,8 @@ def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
             },
         )
 
-    return _first_failure(cfg, spec.dim, 1, test) or DualityReport(passed=True, checked=cfg.count)
+    report = _first_failure(cfg.count, spec.dim, _draw_goe(np.random.default_rng(cfg.seed), spec.dim, 1), test)
+    return report or DualityReport(passed=True, checked=cfg.count)
 
 
 # -- unit-vector family test and Riesz characteristic ------------------------

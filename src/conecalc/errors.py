@@ -33,10 +33,6 @@ class ResourceLimitError(ConecalcError, RuntimeError):
     """A combinatorial size cap was exceeded."""
 
 
-class SamplingError(ConecalcError, RuntimeError):
-    """Rejection sampling failed to produce admissible samples."""
-
-
 class PoleError(ConecalcError, ArithmeticError):
     """A jet was requested at a kernel pole.
 

@@ -1032,9 +1032,10 @@ def removability_experiment(
     polar_cone = cones.pp_cone(polar_p, nd)
     rep = cones.check_relation(cone, polar_cone, SampleConfig(seed=0, count=2000))
     if not rep.passed:
+        family = "" if rep.family == "goe" else f" of the {rep.family} pairs"
         raise DomainError(
             f"{cone.describe()} is not certified monotone for {polar_cone.describe()}; "
-            f"counterexample at sample {rep.failure_index}"
+            f"counterexample at sample {rep.failure_index}{family}"
         )
 
     full = solve(problem, stencil=stencil, tol=tol)

@@ -115,6 +115,8 @@ def test_one_corner_extends_across_a_1025_grid_in_bounded_time_and_memory(tmp_pa
 @pytest.mark.parametrize("argv, code", [
     pytest.param("monotone --f mapb:3:1 --m pp:3 --dim 6", 0, id="monotone-pass"),
     pytest.param("monotone --f branch:1 --m pp:2 --dim 4", 1, id="monotone-counterexample"),
+    # GOE passes it; a commuting pair, drawn from a generator spawned from the seed, fails it
+    pytest.param("monotone --f pp:1.5 --m pp:1.6 --dim 6", 1, id="monotone-commuting-counterexample"),
     pytest.param("duality --f pp:1.5 --dim 6", 0, id="duality"),
     pytest.param("duality --f dual:branch:2 --dim 4", 0, id="duality-dual-of-a-mirror"),
 ])

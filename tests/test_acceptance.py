@@ -116,7 +116,7 @@ def test_criterion_3_branch_duality():
     disagreements = 0
     checked = 0
     for n in range(2, 7):
-        mats = cones.sample_goe(rng, n, 10_000, 1.0)
+        mats = cones.sample_goe(rng, n, 10_000)
         scale = 1.0 + np.abs(mats).reshape(len(mats), -1).max(axis=1)
         for k in range(1, n + 1):
             definitional = margins(dual_cone(branch_cone(k, n)), mats)
@@ -129,7 +129,7 @@ def test_criterion_3_branch_duality():
             checked += int(decided.sum())
     for m in (1, 2, 3):
         n = 2 * m
-        mats = cones.sample_goe(rng, n, 10_000, 1.0)
+        mats = cones.sample_goe(rng, n, 10_000)
         scale = 1.0 + np.abs(mats).reshape(len(mats), -1).max(axis=1)
         for k in range(1, m + 1):
             definitional = margins(dual_cone(complex_branch_cone(k, n)), mats)
@@ -183,6 +183,14 @@ def test_criterion_4_monotonicity_and_transitions():
                 )
                 if not rep.passed:
                     failures.append((n, p, k))
+    # controls it must reject: pp:p + pp:q leaves pp:p for q > p, near the
+    # threshold, and branch:3 + pp:2 leaves branch:3 (at the removability gate's draw)
+    controls = [(pp_cone(p, n), pp_cone(q, n), SampleConfig(seed=0, count=10_000))
+                for n in (3, 4, 6, 8, 12)
+                for p, q in ((1.5, 1.51), (1.5, 1.6), (2.0, 2.05), (2.5, 2.51), (2.5, 2.6))]
+    controls.append((branch_cone(3, 3), pp_cone(2.0, 3), SampleConfig(seed=0, count=2000)))
+    passed_controls = [f"{F.describe()}/{M.describe()}@{F.dim}" for F, M, cfg in controls
+                       if check_relation(F, M, cfg).passed]
     transitions = [
         positivity(4),
         pp_cone(1.5, 4),
@@ -218,11 +226,12 @@ def test_criterion_4_monotonicity_and_transitions():
             bad_transitions.append(spec.describe() + " (below)")
         if pp_subset_test(spec, cf + 1e-6).passed:
             bad_transitions.append(spec.describe() + " (above)")
-    ok = not failures and not bad_transitions
+    ok = not failures and not bad_transitions and not passed_controls
     report(
         "C4",
         ok,
         f"{cone_count} branch cones x 10^4 samples, failures {failures}; "
+        f"false relations passed {passed_controls} of {len(controls)}; "
         f"transition errors {bad_transitions}; {time.time() - t0:.1f}s",
     )
 
@@ -388,7 +397,7 @@ def test_criterion_8_pucci_garding_polynomial():
     mismatches = 0
     decided_total = 0
     for n in (2, 3, 4):
-        mats = cones.sample_goe(rng, n, 10_000, 1.0)
+        mats = cones.sample_goe(rng, n, 10_000)
         eigs = np.linalg.eigvalsh(mats)
         minf = cones.garding_pucci_min_factors(eigs, lam, Lam)
         interior = margins(pucci_cone(lam, Lam, n), mats)
@@ -418,29 +427,59 @@ def random_masked_grid(rng):
     return GridFunction(vals, np.zeros(nd), 0.5, mask)
 
 
-def test_criterion_9_canonical_extension_properties():
-    rng = np.random.default_rng(9)
-    checked = 0
+def _shell_values(u, late=0, radius_cap=grids.EXTENSION_RADIUS_CAP):
+    """The oracle of C9 at ``late`` 0: per masked point, the max of u over
+    its nearest Chebyshev shell of unmasked cells, at distance r, found by
+    measuring its distance to each of them; -inf where r passes the cap.
+    At ``late`` 1 each point takes its cube of radius r + 1 instead, past
+    its nearest shell, and -inf where that passes the cap or the grid."""
+    mask = u.masked()
+    vals = np.array(u.values)
+    free, free_vals = np.argwhere(~mask), u.values[~mask]
+    for idx in np.argwhere(mask):
+        dist = np.abs(free - idx).max(axis=1)
+        r = dist.min() + late
+        vals[tuple(idx)] = free_vals[dist <= r].max() if r <= min(radius_cap, max(u.shape) - 1) else -np.inf
+    return vals
+
+
+def _extension_one_radius_late(u, radius_cap=grids.EXTENSION_RADIUS_CAP):
+    """A wrong canonical extension that closes each masked cell one radius
+    after the first that reaches it, so it takes the max over the
+    second-nearest cube; it is idempotent and monotone."""
+    vals = _shell_values(u, 1, radius_cap)
+    mask = u.masked()
+    changed = int(np.sum(vals[mask] != u.values[mask]))
+    return grids.ExtensionReport(GridFunction(vals, u.origin, u.h, u.mask), changed, np.nan)
+
+
+def _criterion_9_violations(rng):
+    """How many of C9's 500 random grids break each property of
+    ``grids.canonical_extension``."""
+    counts = dict.fromkeys(("pass-through", "idempotence", "monotonicity", "nearest shell"), 0)
     for _ in range(500):
         u = random_masked_grid(rng)
-        first = canonical_extension(u)
-        # exact pass-through off the mask
+        first = grids.canonical_extension(u)
+        values = first.extended.values
         off = ~u.masked()
-        assert np.array_equal(first.extended.values[off], u.values[off])
-        # idempotence
-        second = canonical_extension(first.extended)
-        assert np.array_equal(second.extended.values, first.extended.values)
-        assert second.changed_points == 0
+        counts["pass-through"] += not np.array_equal(values[off], u.values[off])
+        second = grids.canonical_extension(first.extended)
+        counts["idempotence"] += not (np.array_equal(second.extended.values, values)
+                                      and second.changed_points == 0)
         # monotonicity against a dominating partner
-        v = GridFunction(
-            u.values + rng.random(u.shape), u.origin, u.h, u.mask
-        )
-        bigger = canonical_extension(v)
-        finite = np.isfinite(first.extended.values)
-        assert np.all(
-            bigger.extended.values[finite] >= first.extended.values[finite] - 1e-12
-        )
-        checked += 1
+        v = GridFunction(u.values + rng.random(u.shape), u.origin, u.h, u.mask)
+        bigger = grids.canonical_extension(v).extended.values
+        finite = np.isfinite(values)
+        counts["monotonicity"] += not np.all(bigger[finite] >= values[finite] - 1e-12)
+        counts["nearest shell"] += not np.array_equal(values, _shell_values(u))
+    return counts
+
+
+def test_criterion_9_canonical_extension_properties():
+    rng = np.random.default_rng(9)
+    violations = _criterion_9_violations(rng)
+    assert not any(violations.values()), violations
+    checked = 500
 
     # deep-interior masked points (beyond the shell cap) drop to -inf
     vals = np.zeros((15, 15))
@@ -467,3 +506,11 @@ def test_criterion_9_canonical_extension_properties():
         assert neg.sum() == 1 and neg[idx]
         atom_checks += 1
     report("C9", True, f"{checked} randomized grids + {atom_checks} polar samplings")
+
+
+def test_criterion_9_rejects_an_extension_one_radius_late(monkeypatch):
+    # control: pass-through, idempotence and monotonicity hold for it; the
+    # nearest-shell oracle must catch it
+    monkeypatch.setattr(grids, "canonical_extension", _extension_one_radius_late)
+    violations = _criterion_9_violations(np.random.default_rng(9))
+    report("C9 control", violations["nearest shell"] > 0, f"violations on 500 grids: {violations}")

@@ -224,12 +224,11 @@ def test_check_monotone_map_branch():
     assert rep["seed"] == 7
 
 
-@pytest.mark.xfail(reason="10^5 GOE samples miss the counterexamples: "
-                          "pp:1.5 + pp:1.6 leaves pp:1.5, yet the check passes")
 def test_check_monotone_refutes_a_larger_pp_exponent():
-    code, _, _ = run_cli("check", "monotone", "--f", "pp:1.5", "--m", "pp:1.6", "--dim", "6",
-                         "--samples", "100000", "--seed", "1")
-    assert code == 1
+    # 10^5 GOE samples miss the counterexamples; a commuting pair finds one
+    code, rep = output_of("check", "monotone", "--f", "pp:1.5", "--m", "pp:1.6", "--dim", "6",
+                          "--samples", "100000", "--seed", "1")
+    assert code == 1 and rep["family"] == "commuting"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -325,6 +324,11 @@ _CONTEXT = {
     pytest.param(["check", "monotone", "--f", "branch:1", "--m", "branch:3", "--dim", "3",
                   "--samples", "1000", "--seed", "1"], 1, _relation("branch:1", "branch:3"),
                  False, id="monotone-fail"),
+    pytest.param(["check", "monotone", "--f", "pp:1.5", "--m", "pp:1.6", "--dim", "6",
+                  "--samples", "1000", "--seed", "1"], 1,
+                 lambda: cones.check_relation(cones.pp_cone(1.5, 6), cones.pp_cone(1.6, 6),
+                                              cones.SampleConfig(seed=1, count=1000)),
+                 False, id="monotone-fail-commuting"),
     pytest.param(["grid", "extend", "--input", "u.grid"], 0,
                  lambda: grids.canonical_extension(grids.read_grid("u.grid")), False,
                  id="grid-extend"),
@@ -828,14 +832,15 @@ _BAD_INPUT_FILES = {
                      id="solve-max-iter-negative"),
         pytest.param(["experiment", "--config", "tolneg.json", "--output-dir", "out"],
                      id="experiment-tol-negative"),
-        pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
-                      "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
+        # cone parameters of a magnitude whose margins overflow
+        pytest.param(["check", "monotone", "--f", "pdelta:1e308", "--m", "pp:2", "--dim", "3",
+                      "--samples", "200", "--seed", "1"],
                      id="magnitude-overflows"),
-        pytest.param(["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
-                      "--samples", "200", "--seed", "1", "--magnitude", "inf"],
+        pytest.param(["check", "monotone", "--f", "enl:pp:2:1e308", "--m", "branch:1", "--dim", "3",
+                      "--samples", "200", "--seed", "1"],
                      id="magnitude-inf"),
-        pytest.param(["check", "duality", "--f", "pp:2", "--dim", "3",
-                      "--samples", "200", "--seed", "1", "--magnitude", "1e308"],
+        pytest.param(["check", "duality", "--f", "dual:pdelta:1e308", "--dim", "3",
+                      "--samples", "200", "--seed", "1"],
                      id="duality-margins-overflow"),
         pytest.param(["check", "duality", "--f", "pdelta:0.5", "--dim", "3", "--samples", "200"],
                      id="duality-without-closed-form"),
@@ -932,7 +937,7 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     rep = json.loads(out)
     schema.validate_report(rep)
     assert rep["command"] == argv[0]
-    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError", "SamplingError")
+    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError")
     for name, h in (("tinyh.grid", "1e-200"), ("tinyh9.grid", "1e-200"), ("subnormalh.grid", "1e-158")):
         if name in argv:
             # the second and third differences divide by 0 or overflow: the spacing is at fault
@@ -975,8 +980,8 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "monotone", "--f", "pp:2", "--m", "branch:1", "--dim", "3",
-     "--samples", "200", "--seed", "1", "--magnitude", "3e307"],
+    ["check", "monotone", "--f", "pdelta:1e308", "--m", "pp:2", "--dim", "3",
+     "--samples", "200", "--seed", "1"],
     ["check", "positivity", "--f", "pp:2", "--dim", "3", "--samples", str(10**12)],
     ["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5", "--measure", "empty.csv"],
     ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
@@ -1105,7 +1110,9 @@ def leaf_inputs(tmp_path, monkeypatch):
       for kind, flag, value in (
           ("positivity", "--m", "pp:2"), ("positivity", "--p", "2"),
           ("duality", "--m", "pp:2"), ("duality", "--p", "2"), ("monotone", "--p", "2"),
-          ("pp-subset", "--f", "pp:2"), ("pp-subset", "--magnitude", "2"))],
+          ("pp-subset", "--f", "pp:2"), ("pp-subset", "--magnitude", "2"),
+          ("positivity", "--magnitude", "2"), ("duality", "--magnitude", "2"),
+          ("monotone", "--magnitude", "2"))],
     *[pytest.param(_GRID[action] + [flag, _GRID_FLAGS[flag]], id=f"grid-{action}{flag}")
       for action, flags in (
           ("extend", ["--cone", "--c-tol", "--psi", "--eps", "--at"]),

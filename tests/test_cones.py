@@ -39,7 +39,7 @@ from conecalc.cones import (
     sigma_cone,
     sphere_lattice,
 )
-from conecalc.errors import DomainError, SamplingError, SpecParseError
+from conecalc.errors import DomainError, SpecParseError
 from conecalc.symmat import Frame, SymMatrix
 
 
@@ -62,9 +62,9 @@ def catalogue(n=4):
     return specs
 
 
-def random_sym_stack(seed, count, n, magnitude=1.0):
+def random_sym_stack(seed, count, n):
     rng = np.random.default_rng(seed)
-    return cones.sample_goe(rng, n, count, magnitude)
+    return cones.sample_goe(rng, n, count)
 
 
 # -- membership ------------------------------------------------------------------
@@ -307,11 +307,11 @@ def test_membership_shift_is_minimal_and_lands_inside(name, data):
     assert np.all(f(np.maximum(t - slack, 0.0))[~members] < 0.0)
 
 
-@pytest.mark.parametrize("spec", [pp_cone(3.0, 3)])
-def test_membership_shift_beyond_the_float_range_is_a_sampling_error(spec):
-    # the eigenvalues are finite, their sum and so the shift are not
-    with np.errstate(all="ignore"), pytest.raises(SamplingError, match="smaller magnitude"):
-        cones.membership_shift(spec, -1e308 * np.eye(3))
+@pytest.mark.parametrize("spec", [pucci_cone(1.0, 1e308, 3)])
+def test_membership_shift_beyond_the_float_range_is_a_domain_error(spec):
+    # the eigenvalues are finite; Lam times their gaps, and so the shift, are not
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"^membership shifts of pucci:1:\d+ overflow$"):
+        cones.membership_shift(spec, np.diag([-1.0, 0.0, 1.0]))
 
 
 def test_force_membership_shifts_a_writable_stack_in_place():
@@ -455,8 +455,8 @@ def _replay_block(F, M, cfg, index):
     step = cones._BLOCK_ENTRIES // F.dim**2
     for start in range(0, cfg.count, step):
         size = min(step, cfg.count - start)
-        A = cones.force_membership(F, cones.sample_goe(rng, F.dim, size, cfg.magnitude))
-        B = cones.force_membership(M, cones.sample_goe(rng, M.dim, size, cfg.magnitude))
+        A = cones.force_membership(F, cones.sample_goe(rng, F.dim, size))
+        B = cones.force_membership(M, cones.sample_goe(rng, M.dim, size))
         if index < start + size:
             return start, A, B
     raise AssertionError(f"sample {index} is past the count {cfg.count}")
@@ -520,11 +520,10 @@ def test_randomized_checks_run_in_bounded_memory(monkeypatch, check, workers):
     assert peak < workers * 2e6
 
 
-@pytest.mark.parametrize("magnitude", [1.0, 3.0])
-def test_sample_goe_is_the_symmetrized_scaled_draw(magnitude):
-    G = magnitude * np.random.default_rng(5).standard_normal((40, 4, 4))
+def test_sample_goe_is_the_symmetrized_draw():
+    G = np.random.default_rng(5).standard_normal((40, 4, 4))
     expected = 0.5 * (G + np.swapaxes(G, -1, -2))
-    got = cones.sample_goe(np.random.default_rng(5), 4, 40, magnitude)
+    got = cones.sample_goe(np.random.default_rng(5), 4, 40)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -565,6 +564,8 @@ _SPLIT_CASES = {
     "relation-fail-block-0": (_relation(positivity(3), branch_cone(3, 3), 1, 20_000), 0, None),
     # blocks of 2048 in dim 4: sample 2231 is in block 1, the second worker's
     "relation-fail-block-1": (_relation(pp_cone(1.5, 4), pp_cone(1.6, 4), 1, 5000), 2231, None),
+    # GOE passes; the commuting pairs fail first in block 1
+    "relation-commuting-fail-block-1": (_relation(pucci_cone(1, 2, 4), pdelta_cone(0.5, 4), 4, 16_000), 2619, None),
     "duality-pass": (_duality(pp_cone(3.0, 6), 2, 3000), None, None),
     "duality-fail-block-0": (_duality(pp_cone(1.5, 4), 1, 8000), 88, 2.5),
     "duality-fail-block-1": (_duality(pp_cone(1.5, 4), 4, 8000), 2360, 3.3),
@@ -595,7 +596,7 @@ def test_errors_do_not_depend_on_the_worker_count(monkeypatch):
     for count in (1, 2):
         _workers(monkeypatch, count)
         with pytest.raises(DomainError) as info:
-            check_relation(pp_cone(1.5, 4), pp_cone(2.0, 4), SampleConfig(seed=1, count=5000, magnitude=1e308))
+            check_relation(pdelta_cone(1e308, 4), pp_cone(2.0, 4), SampleConfig(seed=1, count=5000))
         _assert_no_child_left()
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
@@ -605,28 +606,30 @@ def test_errors_do_not_depend_on_the_worker_count(monkeypatch):
     # drawing block 1 (the second stack of normals) is block 1's as well
     def test(first, mats):
         if first == 2048:
-            raise SamplingError("block 1")
+            raise DomainError("block 1")
         return "block 2" if first == 4096 else None
 
     draw, draws = cones.sample_goe, []
 
-    def draw_or_fail(rng, n, count, magnitude):
+    def draw_or_fail(rng, n, count):
         draws.append(1)
         if len(draws) == 2:
-            raise SamplingError("drawing block 1")
-        return draw(rng, n, count, magnitude)
+            raise DomainError("drawing block 1")
+        return draw(rng, n, count)
+
+    def goe():
+        return cones._draw_goe(np.random.default_rng(1), 4, 1)
 
     for count in (1, 2, 4):
         _workers(monkeypatch, count)
-        with pytest.raises(SamplingError, match="^block 1"):
-            cones._first_failure(SampleConfig(seed=1, count=8000), 4, 1, test)
+        with pytest.raises(DomainError, match="^block 1"):
+            cones._first_failure(8000, 4, goe(), test)
         _assert_no_child_left()
         draws.clear()
         with monkeypatch.context() as patch:
             patch.setattr(cones, "sample_goe", draw_or_fail)
-            with pytest.raises(SamplingError, match="drawing block 1"):
-                cones._first_failure(SampleConfig(seed=1, count=8000), 4, 1,
-                                     lambda first, mats: "block 2" if first == 4096 else None)
+            with pytest.raises(DomainError, match="drawing block 1"):
+                cones._first_failure(8000, 4, goe(), lambda first, mats: "block 2" if first == 4096 else None)
         _assert_no_child_left()
 
 
@@ -698,7 +701,7 @@ def test_worker_threads_draw_each_block_once_in_order(monkeypatch):
     # the lowest failing block of 40 (128 matrices each in dim 16) wins
     step, dim, seen = 128, 16, {}
     rng = np.random.default_rng(7)
-    serial = [cones.sample_goe(rng, dim, step, 2.0).tobytes() for _ in range(40)]
+    serial = [cones.sample_goe(rng, dim, step).tobytes() for _ in range(40)]
 
     def test(first, mats):
         seen.setdefault(first // step, []).append(mats.tobytes())
@@ -708,7 +711,7 @@ def test_worker_threads_draw_each_block_once_in_order(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        found = cones._first_failure(SampleConfig(seed=7, count=40 * step, magnitude=2.0), dim, 1, test)
+        found = cones._first_failure(40 * step, dim, cones._draw_goe(np.random.default_rng(7), dim, 1), test)
     finally:
         sys.setswitchinterval(interval)
     _assert_no_child_left()
@@ -727,7 +730,7 @@ def test_a_failure_in_the_first_block_stops_every_worker(monkeypatch):
     # the second worker returns only because it is told to stop
     _workers(monkeypatch, 2)
     start = time.perf_counter()
-    found = cones._first_failure(SampleConfig(seed=1, count=cones.SAMPLE_CAP), 4, 1,
+    found = cones._first_failure(cones.SAMPLE_CAP, 4, cones._draw_goe(np.random.default_rng(1), 4, 1),
                                  lambda first, mats: "block 0" if first == 0 else None)
     assert time.perf_counter() - start < 2.0
     assert found == "block 0"
@@ -779,9 +782,8 @@ def test_monotonicity_mirrors_to_the_dual():
     assert not contains(dual_cone(positivity(4)), A + B).member
 
 
-# pp:p is a convex cone, so pp:p + pp:q stays in pp:p exactly when q <= p
-@pytest.mark.xfail(reason="10^4 GOE samples miss the counterexamples of a "
-                          "near-equal exponent: randomized certification passes")
+# pp:p is a convex cone, so pp:p + pp:q stays in pp:p exactly when q <= p;
+# GOE samples miss these near-equal exponents, and the commuting pairs catch them
 @pytest.mark.parametrize("p, q, dim", [(2.5, 2.51, 4), (1.5, 1.51, 4), (1.5, 1.6, 6)])
 def test_check_relation_refutes_a_slightly_larger_pp_exponent(p, q, dim):
     assert not check_relation(pp_cone(p, dim), pp_cone(q, dim), SampleConfig(seed=0, count=10**4)).passed
@@ -793,10 +795,50 @@ def test_check_relation_refutes_a_larger_pp_exponent(p, q, index):
     assert (rep.passed, rep.failure_index) == (False, index)
 
 
-@pytest.mark.xfail(reason="2,000 samples miss branch:3's counterexamples")
 def test_removability_gate_refutes_branch_3_for_a_pp_2_polar():
     # removability_experiment's certification of F + pp:polar_p in F
     assert not check_relation(branch_cone(3, 3), pp_cone(2.0, 3), SampleConfig(seed=0, count=2000)).passed
+
+
+# GOE passes each at its count; pdelta:0.5 is not inside the convex cone
+# pucci:1:2 in dim 4 (diag(-0.2, -0.2, -0.2, 1) is in one, not the other)
+@pytest.mark.parametrize("F, M, cfg", [
+    (pp_cone(1.5, 6), pp_cone(1.6, 6), SampleConfig(seed=0, count=10**4)),
+    (pucci_cone(1.0, 2.0, 4), pdelta_cone(0.5, 4), SampleConfig(seed=1, count=8000)),
+    (branch_cone(3, 3), pp_cone(2.0, 3), SampleConfig(seed=0, count=2000)),
+], ids=["pp", "pucci-pdelta", "branch"])
+def test_a_commuting_counterexample_is_a_diagonal_pair(F, M, cfg):
+    rep = check_relation(F, M, cfg)
+    assert not rep.passed and rep.family == "commuting" and rep.to_dict()["family"] == "commuting"
+    A, B = (X.entries for X in rep.counterexample)
+    a, b = np.diag(A), np.diag(B)
+    assert np.array_equal(A, np.diag(a)) and np.array_equal(B, np.diag(b))
+    assert np.all(np.diff(a) >= 0.0)
+    assert np.all(np.diff(b) >= 0.0) or np.all(np.diff(b) <= 0.0)  # aligned or reversed
+    assert contains(F, A).member and contains(M, B).member and not contains(F, A + B).member
+    # the reported margins are those of the matrices, to the last bits of eigvalsh
+    for key, m in (("margin_a", margins(F, A)), ("margin_b", margins(M, B)), ("margin_sum", margins(F, A + B))):
+        assert rep.margins[key] == pytest.approx(m[0], abs=1e-12)
+
+
+def test_only_spectral_kind_pairs_get_commuting_pairs(monkeypatch):
+    families = []
+    scan = cones._first_failure
+
+    def recording(count, dim, draw, test):
+        families.append(test.__name__)
+        return scan(count, dim, draw, test)
+
+    monkeypatch.setattr(cones, "_first_failure", recording)
+    spectral = {"positivity", "pp", "branch", "pdelta", "pucci", "sigma", "mapb"}
+    # true relations; the trace cone pp:4 holds the sum of geom's two plane traces
+    pairs = [(spec, positivity(4)) for spec in [*catalogue(4), dual_cone(pp_cone(2.0, 4))]]
+    pairs.append((pp_cone(4.0, 4), geometric_cone([Frame(np.eye(4)[:2]), Frame(np.eye(4)[2:])], 4)))
+    for F, M in pairs:
+        families.clear()
+        assert check_relation(F, M, SampleConfig(seed=2, count=100)).passed, (F, M)
+        both = F.kind in spectral and M.kind in spectral
+        assert families == (["goe", "commuting"] if both else ["goe"]), (F, M)
 
 
 def test_branch_3_is_not_pp_2_monotone():

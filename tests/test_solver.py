@@ -1254,6 +1254,20 @@ def test_removability_rejects_uncertified_partial_sum(p, polar_p):
         removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=polar_p)
 
 
+def test_removability_rejects_branch_3_for_a_pp_2_polar():
+    # branch:3 + pp:2 leaves branch:3 (diag(0, -10, -10) + diag(-1, 1, 1)); the
+    # gate's GOE samples miss it, a commuting pair does not
+    prob = problem_from_config({
+        "operator": "branch",
+        "k": 3,
+        "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
+        "boundary": {"expr": "x*x + y*y - z*z"},
+    })
+    with pytest.raises(DomainError, match=r"^branch:3 is not certified monotone for pp:2; "
+                                          r"counterexample at sample \d+ of the commuting pairs$"):
+        removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=2.0)
+
+
 @pytest.mark.parametrize("eps_values", [(), (0.0,), (1e-2, -1e-3), (float("inf"),)],
                          ids=["none", "zero", "negative", "inf"])
 def test_removability_needs_positive_eps(eps_values):
