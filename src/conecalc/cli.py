@@ -82,21 +82,13 @@ def _write_solve(rep, grid_path, csv_path) -> list:
 
 def _cmd_cone(args) -> tuple:
     from . import cones
-    if not args.matrix and (args.mode or args.dual):
-        raise DomainError("--mode and --dual test the membership of a --matrix")
+    if not args.matrix and args.mode:
+        raise DomainError("--mode tests the membership of a --matrix")
     spec = cones.parse_cone(args.spec, args.dim)
     if args.matrix:
         A = symmat.read_matrix_csv(args.matrix)
-        if args.dual:
-            rep = cones.dual_contains(spec, A)
-        else:
-            rep = cones.contains(spec, A, mode=args.mode or "closed")
-        report = {
-            "report": "membership",
-            "cone": spec.describe(),
-            "dim": spec.dim,
-            "dual": bool(args.dual),
-        }
+        rep = cones.contains(spec, A, mode=args.mode or "closed")
+        report = {"report": "membership", "cone": spec.describe(), "dim": spec.dim}
         report.update(rep.to_dict())
         return report, 0 if report["member"] else MATH_EXIT
     samples = cones.SPHERE_SAMPLES if args.samples is None else args.samples
@@ -386,16 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="Riesz characteristic and dual of a cone")
     p.add_argument("--spec", required=True)
     p.add_argument("--dim", type=int, required=True)
-    source, test = p.add_mutually_exclusive_group(), p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group()
     # the help names the default, not its value: reading it would load the
     # cone catalogue at every command's start-up
     source.add_argument("--samples", type=int, default=None,
                         help="default conecalc.cones.SPHERE_SAMPLES")
     source.add_argument("--matrix", default=None,
                         help="matrix CSV; report membership instead of the characteristic")
-    test.add_argument("--mode", choices=["closed", "interior"], default=None,
-                      help="default closed")
-    test.add_argument("--dual", action="store_true", help="test dual membership")
+    p.add_argument("--mode", choices=["closed", "interior"], default=None, help="default closed")
     common(p)
 
     kinds = sub.add_parser("check", help="randomized certification suites").add_subparsers(

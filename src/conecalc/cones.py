@@ -26,9 +26,9 @@ A new kind is one record plus its rows in ``tests/test_cone_catalogue.py``.
 
 Membership tolerances scale with ``1 + max|A_ij|``: a slack of at least
 ``-1e-9 * scale`` counts as closed membership and interior membership
-requires slack of at least ``+1e-7 * scale`` (``thresholds``).  A dual
-cone's closed membership uses the closed tolerance like every other kind,
-whether it is asked as ``dual:<base>`` or through ``dual_contains``.
+requires slack of at least ``+1e-7 * scale`` (``thresholds``).  Dual
+membership is membership in ``dual:<base>``, with the closed tolerance
+like every other kind.
 Geometric cones are exact for their listed planes only and their reports
 carry ``sampled=True``.
 
@@ -155,7 +155,8 @@ class ConeSpec:
 
 
 def _fmt(x: float) -> str:
-    if abs(x - round(x)) < 1e-12:
+    # whole values print as integers below 2**53 only: every float above is whole
+    if abs(x) < 2.0**53 and abs(x - round(x)) < 1e-12:
         return str(int(round(x)))
     return repr(float(x))
 
@@ -622,25 +623,6 @@ def contains(spec: ConeSpec, A, mode: str = "closed") -> MembershipReport:
     )
 
 
-def dual_contains(spec: ConeSpec, A) -> MembershipReport:
-    """Closed membership of A in the dual cone, ``-A not interior to the base``.
-
-    The same report as ``contains(dual_cone(spec), A)``, closed tolerance
-    included.  Where ``dual_fast_margins`` has a closed form (top partial
-    sum; reflected branch index) it is evaluated as well and must agree
-    with the definitional margin.
-    """
-    A = as_matrix(A)
-    rep = contains(dual_cone(spec), A)
-    fast = dual_fast_margins(spec, A)
-    if fast is not None and abs(fast[0] - rep.margin) > thresholds(A, "interior")[0]:
-        raise InternalConsistencyError(
-            f"dual fast path {fast[0]:.6g} disagrees with definitional margin "
-            f"{rep.margin:.6g} for {spec.describe()}"
-        )
-    return rep
-
-
 def dual_fast_margins(spec: ConeSpec, mats) -> Optional[np.ndarray]:
     """Closed-form dual margins where the catalogue provides them.
 
@@ -773,9 +755,12 @@ def _finite(spec: ConeSpec, m: np.ndarray, what: str = "margins") -> np.ndarray:
 def _shift(spec: ConeSpec, f, root) -> np.ndarray:
     """``membership_shift`` from a margin rule ``(f, root)`` of ``spec``."""
     need = f(0.0) < 0.0
-    t = np.where(need, root(), 0.0)
+    t = _finite(spec, np.where(need, root(), 0.0), "membership shifts")
+    m = f(t)  # f(0) where no shift is needed
+    if np.isnan(m).any():
+        raise DomainError(f"margins of {spec.describe()} overflow")
     step = np.spacing(np.abs(t))
-    short = need & (f(t) < 0.0)
+    short = need & (m < 0.0)
     while np.any(short):
         t[short] += step[short]
         step[short] *= 2.0
@@ -783,6 +768,7 @@ def _shift(spec: ConeSpec, f, root) -> np.ndarray:
     return _finite(spec, t, "membership shifts")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
     """The smallest t >= 0 per matrix, to a few ulps of its scale, with
     ``A + t I`` in the cone.
@@ -792,7 +778,8 @@ def membership_shift(spec: ConeSpec, mats) -> np.ndarray:
     starts at one ulp of t and doubles until the margin is >= 0: a fixed
     ulp can stall for enl, where ``t + c`` rounds back to c while t is
     much smaller than c, and a crossing near 0 can round to just below it.
-    A crossing that overflows raises DomainError.
+    A crossing that overflows, or a margin that is NaN at 0 or at the
+    crossing, raises DomainError.
     """
     return _shift(spec, *_margin_machine(spec, _stack(mats)))
 
@@ -959,10 +946,11 @@ class DualityReport:
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_duality(spec: ConeSpec, cfg: SampleConfig) -> DualityReport:
-    """Closed-form versus definitional dual margins on seeded GOE samples,
-    by ``dual_contains``' rule: they must agree to within the interior
-    threshold of each sample.  GOE samples are drawn and tested block by
-    block, as in ``check_relation``, which also gives the overflow errors.
+    """Closed-form (``dual_fast_margins``) versus definitional (the
+    ``dual:`` kind's) margins on seeded GOE samples: they must agree to
+    within the interior threshold of each sample.  GOE samples are drawn
+    and tested block by block, as in ``check_relation``, which also gives
+    the overflow errors.
     A cone without a closed-form dual raises DomainError.
     """
     dual = dual_cone(spec)

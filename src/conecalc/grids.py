@@ -74,9 +74,6 @@ class GridFunction:
     def shape(self) -> tuple:
         return self.values.shape
 
-    def point(self, index) -> np.ndarray:
-        return self.origin + self.h * np.asarray(index, dtype=float)
-
     def masked(self) -> np.ndarray:
         if self.mask is None:
             return np.zeros(self.shape, dtype=bool)

@@ -138,11 +138,6 @@ class DiscreteMeasure:
     def count(self) -> int:
         return self.points.shape[0]
 
-    def nearest_atom(self, x) -> tuple[int, float]:
-        d = _norm(self.points - np.asarray(x, dtype=float))
-        i = int(np.argmin(d))
-        return i, float(d[i])
-
 
 def uniform_measure(points) -> DiscreteMeasure:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -219,14 +214,8 @@ class PolarFunction:
     spec: RieszKernelSpec
     measure: DiscreteMeasure
 
-    def value(self, x) -> float:
-        return potential_value(self.spec, self.measure, x)
-
     def values(self, xs) -> np.ndarray:
         return potential_values(self.spec, self.measure, xs)
-
-    def jet(self, x):
-        return potential_jet(self.spec, self.measure, x)
 
 
 def build_polar(points, p: float) -> PolarFunction:

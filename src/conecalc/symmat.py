@@ -135,24 +135,6 @@ class Frame:
         return self.vectors.shape[1]
 
 
-def orthonormal_frame(vectors) -> Frame:
-    """Build a Frame from possibly non-orthonormal spanning vectors via QR."""
-    vecs = np.atleast_2d(np.asarray(vectors, dtype=float))
-    q, r = np.linalg.qr(vecs.T)
-    if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(vecs))):
-        raise DomainError("frame vectors are linearly dependent")
-    # fix signs so the result is deterministic
-    signs = np.sign(np.diag(r))
-    return Frame((q * signs).T)
-
-
-def random_frame(n: int, k: int, rng: np.random.Generator) -> Frame:
-    """Haar-ish random k-frame in R^n (QR of a Gaussian matrix)."""
-    if not 1 <= k <= n:
-        raise DomainError(f"frame dimension {k} out of range for n={n}")
-    return orthonormal_frame(rng.standard_normal((k, n)))
-
-
 @dataclass(frozen=True, eq=False)
 class Jet2:
     """2-jet (value, gradient, Hessian) of a C^2 function at a point."""

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -137,18 +139,18 @@ def test_cone_membership_report(tmp_path):
     assert rep["margin"] == pytest.approx(-1.0)
     assert {"cone", "dim", "member", "margin", "witness", "seed"} <= set(rep)
     code, rep = output_of(
-        "cone", "--spec", "p", "--dim", "2", "--matrix", mat, "--dual"
+        "cone", "--spec", "dual:p", "--dim", "2", "--matrix", mat
     )
     assert code == 0 and rep["member"] is True
 
 
-@pytest.mark.parametrize("dual", [[], ["--dual"]], ids=["cone", "dual"])
-def test_membership_margin_overflow_is_a_usage_error(tmp_path, dual):
+@pytest.mark.parametrize("spec", ["sigma:3", "dual:sigma:3"], ids=["cone", "dual"])
+def test_membership_margin_overflow_is_a_usage_error(tmp_path, spec):
     # sigma_3 of diag(1e200, 1e200, -1e200) overflows to -inf
     (tmp_path / "M.csv").write_text("1e200,0,0\n0,1e200,0\n0,0,-1e200\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "conecalc.cli", "cone", "--spec", "sigma:3", "--dim", "3",
-         "--matrix", "M.csv", *dual],
+        [sys.executable, "-m", "conecalc.cli", "cone", "--spec", spec, "--dim", "3",
+         "--matrix", "M.csv"],
         cwd=tmp_path, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
@@ -159,17 +161,24 @@ def test_membership_margin_overflow_is_a_usage_error(tmp_path, dual):
     assert proc.stderr == ""
 
 
-def test_dual_flag_and_dual_descriptor_agree(tmp_path, monkeypatch, capsys):
+def test_dual_membership_is_a_dual_descriptor_not_a_flag(tmp_path, monkeypatch, capsys):
     # the dual margin -5e-8 lies between the closed and interior tolerance bands
     (tmp_path / "A.csv").write_text("-1,0,0\n0,0,0\n0,0,-5e-8\n")
     monkeypatch.chdir(tmp_path)
     reports = []
     for argv in (["--spec", "pp:2", "--dual"], ["--spec", "dual:pp:2"]):
         code = cli.main(["cone", *argv, "--dim", "3", "--matrix", "A.csv"])
-        rep = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        rep = json.loads(out)  # one report and nothing after it
         schema.validate_report(rep)
-        reports.append((code, rep["member"], rep["margin"], rep["threshold"], rep["witness"]))
-    assert reports[0] == reports[1] == (1, False, -5e-8, -2e-9, {"eigen_indices": [1, 2]})
+        assert err == ""
+        reports.append((code, rep))
+    (code, retired), (code_dual, rep) = reports
+    assert code == 2 and retired["error"]["kind"] == "usage"
+    assert "--dual" in retired["error"]["message"]
+    assert (code_dual, rep["member"], rep["margin"], rep["threshold"], rep["witness"]) == (
+        1, False, -5e-8, -2e-9, {"eigen_indices": [1, 2]})
+    assert "dual" not in rep
 
 
 def test_cone_parse_error_position_and_exit():
@@ -946,6 +955,14 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "x.grid").exists()
 
 
+def test_an_overflowing_cone_parameter_is_named_in_short(capsys):
+    # 1e308 prints as 1e+308, not as its 309 integer digits
+    assert cli.main(["check", "monotone", "--f", "pdelta:1e308", "--m", "pp:2", "--dim", "3"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"kind": "DomainError", "message": "margins of pdelta:1e+308 overflow"}
+    assert len(error["message"]) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1133,9 +1150,9 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(leaf_inputs, capsys, 
     out, err = capsys.readouterr()
     rep = json.loads(out)  # one report and nothing after it
     schema.validate_report(rep)
-    # argparse refuses the flag, except --mode or --dual without --matrix
-    # and --grid without --grid-output, which are DomainErrors
-    domain = argv[0] in ("cone", "polar") and "--matrix" not in argv
+    # argparse refuses the flag, and the retired --dual, except --mode
+    # without --matrix and --grid without --grid-output, which are DomainErrors
+    domain = argv[0] in ("cone", "polar") and "--matrix" not in argv and "--dual" not in argv
     assert rep["error"]["kind"] == ("DomainError" if domain else "usage")
     assert err == ""
     assert not (leaf_inputs / "x.grid").exists()
@@ -1166,6 +1183,32 @@ def test_readme_tour_runs_every_leaf_command():
               for argv in _readme_tour()}
     assert leaves == (set(cli._COMMANDS) - {"check", "grid"} | {f"check {k}" for k in _CHECK}
                       | {f"grid {a}" for a in _GRID})
+
+
+def _leaf_flags(parser, path=()):
+    """Leaf command -> the flags its parser reads, but --help and the shared ones."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {flag for a in parser._actions for flag in a.option_strings}
+                - {"-h", "--help", "--seed", "--output"}}
+    return {leaf: flags for name, sub in subs[0].choices.items()
+            for leaf, flags in _leaf_flags(sub, (*path, name)).items()}
+
+
+def _readme_flag_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("Each leaf command reads these flags", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:  # past the header and its rule
+        # `cone`'s row holds an escaped \| inside a cell
+        _, commands, flags, _ = re.split(r"(?<!\\)\|", line)
+        for command in re.findall(r"`([^`]+)`", commands):
+            rows[command] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    return rows
+
+
+def test_readme_flag_table_is_every_leaf_with_its_flags():
+    assert _readme_flag_table() == _leaf_flags(cli.build_parser())
 
 
 def test_missing_subcommand_flags_are_usage_errors(tmp_path):

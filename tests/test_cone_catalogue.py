@@ -1,12 +1,12 @@
 """Characterization of every kind in the cone catalogue, in dim 4.
 
 Each row pins what the catalogue gives for one descriptor: the ``cone``
-report of the CLI, ``contains`` and ``dual_contains`` on two fixed
-matrices (witness included), ``dual_fast_margins`` on the stack of both,
-and the descriptor round trip ``parse_cone(describe())``.  The values
-are the outputs of the code when the rows were written, not derived by
-hand, so a failing row means that a catalogue output changed.  A new
-kind of cone is one record in ``conecalc.cones`` plus its rows here.
+report of the CLI, ``contains`` on the cone and on its ``dual_cone``
+for two fixed matrices (witness included), ``dual_fast_margins`` on the
+stack of both, and the descriptor round trip ``parse_cone(describe())``.
+The values are the outputs of the code when the rows were written, not
+derived by hand, so a failing row means that a catalogue output changed.
+A new kind of cone is one record in ``conecalc.cones`` plus its rows here.
 """
 
 import json
@@ -30,8 +30,9 @@ _REFLECTION = "reflection: A is a dual member iff -A is not interior to the cone
 
 # descriptor -> "cone": (cone, dual_description, o_n_invariant,
 # riesz_characteristic, closed_form, at_cap, sampled) of the CLI report;
-# "contains" and "dual_contains": (member, margin, witness, sampled) on _A
-# and _B; "dual_fast_margins" on the stack [_A, _B]
+# "contains" and "dual_contains": (member, margin, witness, sampled) of
+# ``contains`` on the cone and on its dual for _A and _B;
+# "dual_fast_margins" on the stack [_A, _B]
 _CATALOGUE = {
     "p": {
         "cone": ("p", "branch:4 (largest eigenvalue >= 0)",
@@ -209,11 +210,13 @@ def test_cone_report(text, frame_files, capsys):
 @pytest.mark.parametrize("member", ["contains", "dual_contains"])
 def test_membership(text, member, frame_files):
     spec = cones.parse_cone(text, 4)
+    if member == "dual_contains":
+        spec = cones.dual_cone(spec)
     rows = _CATALOGUE[text][member]
     for A, threshold, (inside, margin, witness, sampled) in zip((_A, _B), _THRESHOLDS, rows):
         expected = {"member": inside, "margin": margin, "witness": witness,
                     "mode": "closed", "threshold": threshold, "sampled": sampled}
-        assert _json(getattr(cones, member)(spec, A).to_dict()) == _json(expected)
+        assert _json(cones.contains(spec, A).to_dict()) == _json(expected)
 
 
 @pytest.mark.parametrize("text", list(_CATALOGUE))

@@ -22,7 +22,6 @@ from conecalc.cones import (
     complex_branch_cone,
     contains,
     dual_cone,
-    dual_contains,
     enlarged_cone,
     garding_index_family,
     geometric_cone,
@@ -60,6 +59,11 @@ def catalogue(n=4):
     if n % 2 == 0:
         specs.append(complex_branch_cone(1, n))
     return specs
+
+
+def random_frame(n, k, rng):
+    # a random k-plane in R^n; a trace over it does not see a vector's sign
+    return Frame(np.linalg.qr(rng.standard_normal((k, n)).T)[0].T)
 
 
 def random_sym_stack(seed, count, n):
@@ -110,11 +114,11 @@ def test_membership_report_threshold_consistency():
                 assert rep.member == (rep.margin >= rep.threshold)
 
 
-@pytest.mark.parametrize("member", [contains, dual_contains], ids=["contains", "dual_contains"])
-def test_overflowing_margin_is_a_domain_error(member):
+@pytest.mark.parametrize("text", ["sigma:3", "dual:sigma:3"], ids=["contains", "dual"])
+def test_overflowing_margin_is_a_domain_error(text):
     # sigma_3 of diag(1e200, 1e200, -1e200) overflows; no warning escapes
     with pytest.raises(DomainError, match="overflows"):
-        member(parse_cone("sigma:3", 3), np.diag([1e200, 1e200, -1e200]))
+        contains(parse_cone(text, 3), np.diag([1e200, 1e200, -1e200]))
 
 
 def test_geometric_results_are_labeled_sampled():
@@ -192,7 +196,7 @@ def catalogue_specs(draw, name):
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         pdim = draw(st.integers(1, n))
         count = draw(st.integers(1, 3)) if kind == "geom" else 1
-        frames = [symmat.random_frame(n, pdim, rng) for _ in range(count)]
+        frames = [random_frame(n, pdim, rng) for _ in range(count)]
         spec = geometric_cone(frames, n) if kind == "geom" else horizontal_cone(frames[0], n)
     if wrap == "enl":
         spec = enlarged_cone(spec, draw(st.floats(0.0, 1.0)))
@@ -310,8 +314,27 @@ def test_membership_shift_is_minimal_and_lands_inside(name, data):
 @pytest.mark.parametrize("spec", [pucci_cone(1.0, 1e308, 3)])
 def test_membership_shift_beyond_the_float_range_is_a_domain_error(spec):
     # the eigenvalues are finite; Lam times their gaps, and so the shift, are not
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"^membership shifts of pucci:1:\d+ overflow$"):
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=r"^membership shifts of pucci:1:1e\+308 overflow$"):
         cones.membership_shift(spec, np.diag([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("A", [np.eye(3), -np.eye(3)], ids=["positive", "negative"])
+def test_a_nan_margin_is_a_domain_error_not_a_member(A):
+    # the slope 1 + delta n overflows, so the margin at 0 is base + inf * 0 = NaN
+    spec = pdelta_cone(1e308, 3)
+    with pytest.raises(DomainError, match=r"^margins of pdelta:1e\+308 overflow$"):
+        cones.membership_shift(spec, A)
+    with pytest.raises(DomainError, match=r"^membership margin of pdelta:1e\+308 overflows"):
+        contains(spec, A)
+
+
+def test_a_margin_nan_at_its_crossing_is_a_domain_error():
+    # a rule with margin -1 at 0 and NaN at the crossing it reports: not nudged
+    def f(t):
+        return np.where(np.asarray(t) > 0.0, np.nan, -1.0)
+
+    with pytest.raises(DomainError, match=r"^margins of pp:2 overflow$"):
+        cones._shift(pp_cone(2, 3), f, lambda: np.ones(2))
 
 
 def test_force_membership_shifts_a_writable_stack_in_place():
@@ -348,13 +371,13 @@ def test_zero_matrix_in_every_dual():
     # true cones only: an enlargement is a shifted set with 0 interior
     for spec in catalogue(4):
         if spec.kind == "enl":
-            assert not dual_contains(spec, np.zeros((4, 4))).member
+            assert not contains(dual_cone(spec), np.zeros((4, 4))).member
             continue
-        assert dual_contains(spec, np.zeros((4, 4))).member, spec.describe()
+        assert contains(dual_cone(spec), np.zeros((4, 4))).member, spec.describe()
 
 
 def test_dual_of_positivity_definitional_example():
-    rep = dual_contains(positivity(2), np.diag([-1.0, 2.0]))
+    rep = contains(parse_cone("dual:p", 2), np.diag([-1.0, 2.0]))
     assert rep.member and rep.margin == pytest.approx(2.0)
 
 
@@ -393,7 +416,7 @@ def test_branch_duality_reflection(n, k):
 def test_dual_branch_witness_is_reflected(spec, expected):
     A = random_sym_stack(11, 1, spec.dim)[0]
     assert contains(dual_cone(spec), A).witness == expected
-    assert dual_contains(spec, A).witness == expected
+    assert contains(parse_cone(f"dual:{spec.describe()}", spec.dim), A).witness == expected
 
 
 def test_complex_branch_duality_reflection():
@@ -872,7 +895,7 @@ def test_pp_subset_positivity():
 
 def test_geometric_cones_pass_at_their_plane_dimension():
     rng = np.random.default_rng(6)
-    frames = [symmat.random_frame(5, 2, rng) for _ in range(4)]
+    frames = [random_frame(5, 2, rng) for _ in range(4)]
     assert pp_subset_test(geometric_cone(frames, 5), 2.0, sphere_samples=100).passed
 
 
@@ -939,7 +962,7 @@ def test_pp_subset_failure_in_a_later_block_is_the_one_shot_counterexample(case)
     n, samples = 4, 5000
     if case == "random-frames":
         rng = np.random.default_rng(4)
-        M = geometric_cone([symmat.random_frame(n, 2, rng) for _ in range(3)], n)
+        M = geometric_cone([random_frame(n, 2, rng) for _ in range(3)], n)
         p = 2.0003
     else:
         # only the axes e1 and e2, after the lattice, bind the coordinate plane
@@ -1042,11 +1065,11 @@ def _characteristic_catalogue():
         for samples in (250, 3000):
             sampled = {
                 "horiz-coordinate": horizontal_cone(Frame(np.eye(n)[:2]), n),
-                "horiz-random": horizontal_cone(symmat.random_frame(n, 2, rng), n),
+                "horiz-random": horizontal_cone(random_frame(n, 2, rng), n),
                 "geom-random": geometric_cone(
-                    [symmat.random_frame(n, 2, rng) for _ in range(3)], n),
+                    [random_frame(n, 2, rng) for _ in range(3)], n),
                 "enl-horiz-random": enlarged_cone(
-                    horizontal_cone(symmat.random_frame(n, 2, rng), n), 0.1),
+                    horizontal_cone(random_frame(n, 2, rng), n), 0.1),
             }
             cases += [pytest.param(spec, samples, id=f"{label}-n{n}-s{samples}")
                       for label, spec in sampled.items()]
@@ -1147,7 +1170,7 @@ def test_riesz_characteristic_geometric_is_the_plane_dimension():
     # which the direction family holds, so the sampled value is the
     # closed form, the plane dimension, for planes in general position
     rng = np.random.default_rng(8)
-    frames = [symmat.random_frame(4, 2, rng) for _ in range(3)]
+    frames = [random_frame(4, 2, rng) for _ in range(3)]
     rc = riesz_characteristic(geometric_cone(frames, 4), sphere_samples=100)
     assert rc.sampled and rc.closed_form == 2.0
     assert abs(rc.value - 2.0) <= 1e-12
@@ -1268,6 +1291,15 @@ def test_garding_dimension_cap():
 )
 def test_parse_cone_roundtrip(text, expected):
     assert parse_cone(text, 4).describe() == expected
+
+
+def test_whole_parameters_print_as_integers_below_two_to_the_53():
+    # above 2**53 every float is whole; its integer digits would fill the descriptor
+    assert parse_cone("pdelta:1e20", 3).describe() == "pdelta:1e+20"
+    assert parse_cone("pdelta:9007199254740991", 3).describe() == "pdelta:9007199254740991"
+    for delta in (1e20, 1e308, 2.0**53):
+        spec = pdelta_cone(delta, 3)
+        assert parse_cone(spec.describe(), 3).delta == delta
 
 
 def test_parse_cone_frames(tmp_path):
