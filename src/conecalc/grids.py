@@ -284,14 +284,14 @@ def discrete_hessian(u: GridFunction, index) -> Jet2:
     return Jet2(float(value[0]), grad[0], SymMatrix(hess[0]))
 
 
-def third_difference_kappa(u: GridFunction) -> float:
-    """Largest axis third-difference magnitude, an estimate of sup|D^3 u|.
-
-    Each point reads the 4-cell window along each axis.  A difference or
-    a spacing that overflows makes the estimate inf, nan or 0, without a
+def third_difference_tolerance(u: GridFunction) -> np.ndarray:
+    """Per-cell tolerance c(x) = h * kappa(x), with kappa(x) the largest
+    axis third-difference magnitude of the 4-cell windows that meet x's
+    3^ndim cube, an estimate of sup|D^3 u| near x; windows with a masked
+    or -inf cell are skipped.  Overflow makes c inf, nan or 0 without a
     warning; a spacing whose cube underflows to 0 is a DomainError."""
     usable = _usable(u)
-    maxima = [0.0]
+    kappa = np.zeros(u.shape)
     for axis in range(u.ndim):
         if u.shape[axis] < 4:
             continue
@@ -299,11 +299,17 @@ def third_difference_kappa(u: GridFunction) -> float:
             np.moveaxis(sliding_window_view(a, 4, axis=axis), -1, 0) for a in (usable, u.values)
         )
         m = np.logical_and.reduce(ok)
-        if m.any():
-            h3 = _spacing_power(u.h, 3)
-            with np.errstate(over="ignore", invalid="ignore"):
-                maxima.append(np.max(np.abs(v3[m] - 3 * v2[m] + 3 * v1[m] - v0[m]) / h3))
-    return float(np.max(maxima))
+        if not m.any():
+            continue
+        h3 = _spacing_power(u.h, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.moveaxis(np.where(m, np.abs(v3 - 3 * v2 + 3 * v1 - v0) / h3, 0.0), axis, 0)
+        line = np.moveaxis(kappa, axis, 0)
+        for k in range(4):
+            np.maximum(line[k : k + d.shape[0]], d, out=line[k : k + d.shape[0]])
+    _grow_cube(kappa)
+    with np.errstate(over="ignore"):
+        return kappa * u.h
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class SubharmonicReport:
-    """Points where the discrete Hessian leaves the enlarged cone."""
+    """Cells whose discrete Hessian plus their tolerance leaves the cone."""
 
     violations: list
     c_tol: float
@@ -345,24 +351,22 @@ def subharmonic_verify(
     c_tol: Optional[float] = None,
     region: Optional[np.ndarray] = None,
 ) -> SubharmonicReport:
-    """Check discrete Hessians against the cone enlarged by ``c_tol``.
+    """Check that each discrete Hessian A(x) + c(x) I lies in ``spec``.
 
-    ``c_tol`` defaults to ``kappa * h`` with kappa estimated from the
-    data's third differences, which absorbs the O(h) consistency error of
-    the stencil on resolved data.  A given or estimated ``c_tol`` that is
-    not finite or is below 0 raises DomainError.  ``region`` optionally
-    restricts which points are checked (stencils may still read values
-    outside it).  Only grid-scale certification; see the report note.
+    c(x) is ``c_tol`` at every cell if given, else
+    ``third_difference_tolerance(u)`` at x: it absorbs the O(h) error of
+    the stencil on resolved data, and a steep feature raises it only next
+    to that feature.  The report's ``c_tol`` is the largest c(x) checked
+    (0 if none).  A c(x) that is not finite, or a ``c_tol`` below 0,
+    raises DomainError.  ``region`` optionally restricts which points
+    are checked (stencils and windows may still read values outside it).
+    Only grid-scale certification; see the report note.
     """
     from . import cones  # the cone catalogue loads for verification only
     if spec.dim != u.ndim:
         raise DomainError(f"cone dim {spec.dim} != grid dim {u.ndim}")
-    source = "c_tol"
-    if c_tol is None:
-        c_tol = third_difference_kappa(u) * u.h
-        source = "c_tol estimated from third differences"
-    if not (math.isfinite(c_tol) and c_tol >= 0):
-        raise DomainError(f"{source} must be finite and >= 0, got {c_tol}")
+    if c_tol is not None and not (math.isfinite(c_tol) and c_tol >= 0):
+        raise DomainError(f"c_tol must be finite and >= 0, got {c_tol}")
     idx, _, _, hess = discrete_hessian_field(u)
     if region is not None:
         region = np.asarray(region, dtype=bool)
@@ -370,22 +374,20 @@ def subharmonic_verify(
             raise DomainError("region mask shape must match the grid")
         keep = region[tuple(idx.T)]
         idx, hess = idx[keep], hess[keep]
+    c = c_tol
+    if c_tol is None:
+        c = third_difference_tolerance(u)[tuple(idx.T)]
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise DomainError(f"c_tol estimated from third differences must be finite, "
+                              f"got {c[bad[0]]} at {tuple(idx[bad[0]].tolist())}")
+        c_tol = np.max(c, initial=0.0)
     if idx.shape[0] == 0:
         return SubharmonicReport([], float(c_tol), 0)
-    enlarged = cones.enlarged_cone(spec, float(c_tol)) if c_tol > 0 else spec
-    m = cones.margins(enlarged, hess)
+    m = cones._margin_machine(spec, hess)[0](c)
     bad = np.nonzero(m < cones.thresholds(hess))[0]
     violations = [Violation(tuple(int(i) for i in idx[b]), float(m[b])) for b in bad]
     return SubharmonicReport(violations, float(c_tol), int(idx.shape[0]))
-
-
-def chebyshev_dilation(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Cells within Chebyshev distance ``radius`` of a True cell of ``mask``:
-    a cube dilation, taken as ``radius`` radius-1 cube dilations."""
-    out = np.array(mask, dtype=bool)
-    for _ in range(radius):
-        _grow_cube(out)
-    return out
 
 
 def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:

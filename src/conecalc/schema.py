@@ -2,6 +2,7 @@
 
 Implements the small JSON Schema subset the reports need (type,
 properties, required, items, enum) so no extra dependency is pulled in.
+An object whose schema lists ``properties`` may hold no other key.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ def _check(obj, schema, path, defs):
         for key in schema.get("required", []):
             if key not in obj:
                 raise InternalConsistencyError(f"{path}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in obj:
-                _check(obj[key], sub, f"{path}.{key}", defs)
+        if "properties" in schema:
+            for key, value in obj.items():
+                if key not in schema["properties"]:
+                    raise InternalConsistencyError(f"{path}: undeclared key {key!r}")
+                _check(value, schema["properties"][key], f"{path}.{key}", defs)
     if isinstance(obj, list) and "items" in schema:
         for i, item in enumerate(obj):
             _check(item, schema["items"], f"{path}[{i}]", defs)

@@ -935,24 +935,16 @@ class RemovabilityReport:
         }
 
 
-# Chebyshev distances from the punctures beyond which the perturbation
-# check reads kappa and checks cells
-_KAPPA_CLEARANCE = 4
-_CHECK_CLEARANCE = 2
-
-
 def _perturbation_checks(
     u: GridFunction, problem: DirichletProblem, cone: ConeSpec, polar_p: float, eps_values
 ) -> dict:
     """Check ``u + eps * psi`` against ``cone`` for each eps, with psi the
     polar of exponent ``polar_p`` on the problem's punctures E.
 
-    ``c_tol`` is kappa * h with kappa from the third differences of the
-    cells more than ``_KAPPA_CLEARANCE`` cells from E, and only unknown
-    cells more than ``_CHECK_CLEARANCE`` from E are checked: near E the
-    polar's own third differences would raise ``c_tol`` above any defect
-    of u.  A grid with no cell that far from E, such as 9^2 punctured at
-    its centre, reads kappa from every cell.  Returns
+    Every unknown cell whose stencil avoids E is checked, each at its own
+    tolerance c(x) (``grids.subharmonic_verify``): the polar's third
+    differences, which grow as eps / h^3 next to E, raise c only at the
+    cells beside E, so a defect of u elsewhere is not absorbed.  Returns
     ``{eps: SubharmonicReport}``.
     """
     from . import riesz  # the polar kernel loads for this experiment only
@@ -963,17 +955,9 @@ def _perturbation_checks(
     pts = np.stack([c.reshape(-1) for c in coords], axis=1)
     E = problem.puncture_mask()
     psi = GridFunction(polar.values(pts).reshape(problem.shape), problem.origin, problem.h, E)
-    near_kappa = grids.chebyshev_dilation(E, _KAPPA_CLEARANCE)
-    if near_kappa.all():
-        near_kappa = E
-    region = problem.unknown_mask() & ~grids.chebyshev_dilation(E, _CHECK_CLEARANCE)
-    reps = {}
-    for eps in eps_values:
-        v = grids.perturb(u, psi, eps)
-        far = GridFunction(v.values, v.origin, v.h, near_kappa)
-        c_tol = grids.third_difference_kappa(far) * v.h
-        reps[float(eps)] = grids.subharmonic_verify(v, cone, c_tol, region=region)
-    return reps
+    region = problem.unknown_mask()
+    return {float(eps): grids.subharmonic_verify(grids.perturb(u, psi, eps), cone, region=region)
+            for eps in eps_values}
 
 
 def removability_experiment(
@@ -990,14 +974,14 @@ def removability_experiment(
     Steps: (i) solve the full problem; (ii) solve with the punctures
     excluded; (iii) extend the punctured solution across them; (iv) build
     the polar function of the punctures and verify that the punctured
-    solution plus eps times the polar stays subharmonic more than 2 cells
-    from the punctures for each eps, at a ``c_tol`` read more than 4 cells
-    from them (``_perturbation_checks``); (v) compare extension with the
-    full solution.  Passing
-    needs the off-puncture sup gap below ``gap_constant * (h + tol)`` and
-    every perturbation check clean; ``eps_values`` must be a non-empty
-    sequence of finite numbers > 0, so that the polar enters every check,
-    and ``gap_constant`` a finite number > 0 with a finite threshold.
+    solution plus eps times the polar stays subharmonic, for each eps, at
+    every unknown cell whose stencil avoids the punctures, each cell at
+    its own tolerance (``_perturbation_checks``); (v) compare extension
+    with the full solution.  Passing needs the off-puncture sup gap below
+    ``gap_constant * (h + tol)`` and every perturbation check clean;
+    ``eps_values`` must be a non-empty sequence of finite numbers > 0, so
+    that the polar enters every check, and ``gap_constant`` a finite
+    number > 0 with a finite threshold.
 
     The polar exponent must be at least 2 (no finite point set is polar
     below that), and the operator's cone F must pass a randomized

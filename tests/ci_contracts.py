@@ -1,6 +1,7 @@
 """CLI contracts that take a child process each and minutes in all: peak
-memory and time bounds, and reports and files that are byte-identical on
-one CPU and on all of them, and at any OpenBLAS thread count.
+memory and time bounds, reports and files that are byte-identical on
+one CPU and on all of them and at any OpenBLAS thread count, and a
+mutant of the perturbation check that its control tests must catch.
 
 Run from the repository root with ``python -m pytest -q tests/ci_contracts.py``.
 The file name does not match ``test_*.py``, so the Tier-1 run does not
@@ -9,6 +10,8 @@ collect it; CI runs it by path.
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -153,3 +156,35 @@ def test_outputs_do_not_depend_on_blas_threads_or_cpus(inputs, argv):
         outputs.append((report, files))
     assert outputs[0][1]
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# with the per-cell tolerance c(x) replaced by its largest value, as when
+# one c_tol served every cell, the superharmonic controls pass and each
+# of these tests fails.  The 65^2 quadratic case and the 3-D control are
+# caught by that global tolerance too, so they are not listed
+_CONTROL_TESTS = [
+    "tests/test_solver.py::test_perturbation_check_rejects_a_superharmonic_control[129]",
+    "tests/test_solver.py::"
+    "test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel_annulus",
+    "tests/test_acceptance.py::test_criterion_7_removability",
+    "tests/test_grids.py::test_tolerance_is_local_to_a_steep_feature",
+]
+_GLOBAL_TOLERANCE = ("        return kappa * u.h\n",
+                     "        return np.full_like(kappa, kappa.max()) * u.h\n")
+
+
+def test_control_tests_fail_on_a_global_tolerance_mutant(tmp_path):
+    root = Path(__file__).parents[1]
+    shutil.copytree(root / "src", tmp_path / "src")
+    grids_py = tmp_path / "src" / "conecalc" / "grids.py"
+    text = grids_py.read_text()
+    old, new = _GLOBAL_TOLERANCE
+    assert text.count(old) == 1
+    grids_py.write_text(text.replace(old, new))
+    env = dict(_ENV, PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), *sys.path]))
+    where = subprocess.run([sys.executable, "-c", "import conecalc; print(conecalc.__file__)"],
+                           cwd=root, env=env, capture_output=True, text=True)
+    assert where.stdout.startswith(str(tmp_path / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *_CONTROL_TESTS], cwd=root, env=env, capture_output=True, text=True)
+    assert re.fullmatch(r"5 failed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from conecalc import cones, grids, riesz, symmat
+from conecalc import cones, grids, riesz, solver, symmat
 from conecalc.cones import (
     SampleConfig,
     branch_cone,
@@ -355,18 +355,30 @@ def test_criterion_7_removability():
     perturbations_ok = all(v == 0 for v in rq.perturbation_checks.values()) and all(
         v == 0 for v in rk.perturbation_checks.values()
     )
+    # gate power: the punctured solution minus 3|x|^2, whose Laplacian is
+    # -12, must be flagged at >= 90% of the checked cells for each eps
+    flagged = []
+    for prob, rep, pt in ((quad, rq, [32, 32]), (ann, rk, [48, 48])):
+        punct = prob.with_punctures([tuple(pt)])
+        r2 = sum(c * c for c in grids.grid_coordinates(prob.shape, prob.origin, prob.h))
+        u = rep.punctured.solution
+        control = GridFunction(u.values - 3 * r2, u.origin, u.h, punct.puncture_mask())
+        checks = solver._perturbation_checks(control, punct, pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+        flagged += [len(c.violations) / c.points_checked for c in checks.values()]
     ok = (
         rq.sup_gap <= 1e-6
         and max(rk.sup_gap, rk.masked_gap) <= five_h
         and set(rq.perturbation_checks) == {1e-2, 1e-3}
         and perturbations_ok
+        and min(flagged) >= 0.9
     )
     report(
         "C7",
         ok,
         f"quadratic sup gap {rq.sup_gap:.1e} (tol 1e-6); kernel annulus gap "
         f"{max(rk.sup_gap, rk.masked_gap):.3f} (tol 5h = {five_h:.3f}); "
-        f"perturbation checks clean for eps 1e-2, 1e-3: {perturbations_ok}",
+        f"perturbation checks clean for eps 1e-2, 1e-3: {perturbations_ok}; "
+        f"-12 controls flagged at {min(flagged):.1%} of checked cells or more (need 90%)",
     )
 
 

@@ -221,6 +221,21 @@ def test_schema_rejects_report_without_command():
         schema.validate_report({"kind": "monotone", "passed": True, "seed": 0, "dim": 2})
 
 
+def test_schema_rejects_a_key_it_does_not_declare():
+    report = {"command": "grid", "action": "verify", "seed": 0, "output": None,
+              "verification": {"passed": True, "violations": [], "violation_count": 0,
+                               "c_tol": 0.5, "points_checked": 9, "note": "n"}}
+    schema.validate_report(report)
+    for extra in ({**report, "extra": 1},
+                  {**report, "verification": {**report["verification"], "extra": 1}},
+                  {"error": {"kind": "usage", "message": "m", "extra": 1}}):
+        with pytest.raises(InternalConsistencyError, match="undeclared key 'extra'"):
+            schema.validate_report(extra)
+    # an object declared without properties stays open
+    schema.validate_report({"command": "experiment", "kind": "removability", "passed": True,
+                            "seed": 0, "removability": {"extra": 1}})
+
+
 # -- check suites ------------------------------------------------------------------
 
 
@@ -379,6 +394,15 @@ def test_kernel_jet_far_from_the_pole(tmp_path):
         assert (code, err) == (0, "")
         assert rep["value"] == pytest.approx(-1e-100, rel=1e-15)
         assert rep["jet"]["gradient"] == pytest.approx([5e-301, 0.0, 0.0], rel=1e-15)
+
+
+def test_potential_at_an_atom_is_a_pole_report(tmp_path):
+    # the log potential of an atom is -inf there: no jet, a null value
+    (tmp_path / "atom.csv").write_text("0,0,1\n")
+    code, rep = output_of("kernel", "--p", "2", "--dim", "2", "--x", "0,0",
+                          "--measure", tmp_path / "atom.csv")
+    assert (code, rep["pole"], rep["value"]) == (0, True, None)
+    assert "jet" not in rep
 
 
 def test_kernel_pole_is_math_failure():

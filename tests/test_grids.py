@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from conecalc import cones, grids, riesz
 from conecalc.errors import DomainError, StencilError
@@ -457,7 +456,7 @@ def test_verify_overflowing_differences_are_a_typed_error_without_warnings():
     u = GridFunction(vals, [0, 0], 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert grids.third_difference_kappa(u) == np.inf
+        assert np.all(grids.third_difference_tolerance(u) == np.inf)
         assert not np.all(np.isfinite(discrete_hessian_field(u)[3]))
         with pytest.raises(DomainError, match="estimated"):
             subharmonic_verify(u, cones.positivity(2))
@@ -475,8 +474,61 @@ def test_extreme_spacings_are_typed_errors_or_finite_without_warnings():
             discrete_hessian(GridFunction(data, [0, 0], 1e-158), (4, 4))
     # h**3 overflowed as a Python float: OverflowError, not a report
     huge = GridFunction(vals, [0, 0], 1e200)
-    assert grids.third_difference_kappa(huge) == 0.0
+    assert not grids.third_difference_tolerance(huge).any()
     assert subharmonic_verify(huge, cones.positivity(2)).c_tol == 0.0
+
+
+def _tolerance_by_definition(u):
+    # reference: at each cell, the largest usable axis window through any
+    # cell of its 3^ndim cube
+    usable = np.isfinite(u.values) & ~u.masked()
+    c = np.zeros(u.shape)
+    for x in np.ndindex(u.shape):
+        for off in itertools.product((-1, 0, 1), repeat=u.ndim):
+            y = tuple(np.add(x, off))
+            if not all(0 <= i < s for i, s in zip(y, u.shape)):
+                continue
+            for axis in range(u.ndim):
+                for start in range(max(y[axis] - 3, 0), min(y[axis], u.shape[axis] - 4) + 1):
+                    cells = [y[:axis] + (start + k,) + y[axis + 1:] for k in range(4)]
+                    if all(usable[cell] for cell in cells):
+                        v0, v1, v2, v3 = (u.values[cell] for cell in cells)
+                        third = abs(v3 - 3 * v2 + 3 * v1 - v0) / np.float64(u.h) ** 3
+                        c[x] = max(c[x], third * u.h)
+    return c
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_tolerance_is_the_largest_window_near_each_cell(ndim):
+    rng = np.random.default_rng(ndim)
+    for _ in range(10):
+        shape = tuple(rng.integers(1, 12 if ndim < 3 else 7, size=ndim))
+        vals = rng.standard_normal(shape) ** 3
+        vals[rng.random(shape) < 0.05] = -np.inf
+        mask = rng.random(shape) < rng.choice([0.0, 0.05, 0.2])
+        u = GridFunction(vals, np.zeros(ndim), 0.3, mask)
+        assert np.array_equal(grids.third_difference_tolerance(u), _tolerance_by_definition(u))
+
+
+def test_tolerance_is_local_to_a_steep_feature():
+    # quadratic data, whose third differences vanish, with one cell raised
+    # by 100: the axis windows through that cell reach 3 cells along each
+    # axis, and the cube max one cell more
+    f = lambda x, y: -(x * x - x * y + 2 * y * y)
+    u = from_function((21, 21), [-1, -1], 0.1, f)
+    vals = u.values.copy()
+    vals[8, 12] += 100.0
+    spiked = GridFunction(vals, u.origin, u.h)
+    c = grids.third_difference_tolerance(spiked)
+    di, dj = (np.abs(k - at) for k, at in zip(np.indices(c.shape), (8, 12)))
+    near = ((di <= 4) & (dj <= 1)) | ((di <= 1) & (dj <= 4))
+    assert np.all(c[~near] <= 1e-9)
+    assert c[near].min() >= 0.99 * 100 / u.h**2 and c.max() >= 0.99 * 300 / u.h**2
+    # the concave data is flagged at every checked cell away from the spike
+    rep = subharmonic_verify(spiked, cones.positivity(2))
+    flagged = {v.index for v in rep.violations}
+    assert all(tuple(ij) in flagged for ij in np.argwhere(~near[1:-1, 1:-1]) + 1)
+    assert rep.c_tol == c[1:-1, 1:-1].max()
 
 
 def test_max_of_subharmonics_verifies():
@@ -607,30 +659,6 @@ def test_grid_file_names_the_line_of_a_bad_cell(tmp_path):
 def test_geometry_refuses_a_repeated_or_unknown_token(text, token):
     with pytest.raises(DomainError, match=f"token '{token}'"):
         grids.parse_geometry(text)
-
-
-def _window_dilation(mask, radius):
-    # reference: a 2 radius + 1 window along each axis of the padded mask
-    out = np.asarray(mask, dtype=bool)
-    for axis in range(out.ndim):
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (radius, radius)
-        out = sliding_window_view(np.pad(out, pad), 2 * radius + 1, axis=axis).any(axis=-1)
-    return out
-
-
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-def test_chebyshev_dilation_is_the_window_dilation(ndim):
-    rng = np.random.default_rng(ndim)
-    for _ in range(40):
-        shape = tuple(rng.integers(1, 12 if ndim < 3 else 8, size=ndim))
-        mask = rng.random(shape) < rng.choice([0.0, 0.02, 0.1, 0.5])
-        before = mask.copy()
-        for radius in range(6):
-            got = grids.chebyshev_dilation(mask, radius)
-            assert got.dtype == bool
-            assert np.array_equal(got, _window_dilation(mask, radius)), (shape, radius)
-        assert np.array_equal(mask, before)  # the input mask is not dilated in place
 
 
 def test_grid_validation():
