@@ -247,6 +247,9 @@ def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
 def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
     from . import grids, solver
     base = solver.problem_from_config(cfg["problem"])
+    if len(set(base.shape)) > 1:
+        raise DomainError("convergence experiment refines every axis alike, so it needs "
+                          f"the same number of points on each, got shape {list(base.shape)}")
     span = (base.shape[0] - 1) * base.h
     for nside in cfg["resolutions"]:  # every size before any solve
         grids.check_point_count([nside] * base.ndim)

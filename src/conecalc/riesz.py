@@ -88,14 +88,22 @@ def kernel_value(spec: RieszKernelSpec, r) -> np.ndarray:
     return out
 
 
+def _finite_point(x) -> np.ndarray:
+    """x as a flat float array; DomainError naming it unless it is finite."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"point x = {x.tolist()} must be finite")
+    return x
+
+
 def kernel_jet(spec: RieszKernelSpec, x) -> Jet2:
-    """Exact 2-jet of the kernel at x != 0.
+    """Exact 2-jet of the kernel at a finite x != 0.
 
     Raises PoleError at (or within 1e-12 of) the origin; the error carries
     the limiting value (-inf for p >= 2, 0 for p < 2).  Elsewhere it is the
     potential jet of a unit atom at the origin.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _finite_point(x)
     if x.shape[0] != spec.n:
         raise DimensionMismatchError(f"point dim {x.shape[0]} != kernel dim {spec.n}")
     r = float(_norm(x))
@@ -178,13 +186,13 @@ def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarr
 
 
 def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
-    """Termwise 2-jet of the potential at x.
+    """Termwise 2-jet of the potential at a finite x.
 
     Returns the float ``-inf`` marker when x coincides with an atom and
     p >= 2.  For p < 2 the value at an atom is finite but the jet is
     undefined, so a PoleError (carrying that finite value) is raised.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _finite_point(x)
     value = float(potential_values(spec, mu, x)[0])  # checks both dimensions
     diffs = x[None, :] - mu.points
     r = _norm(diffs)

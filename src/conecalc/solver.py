@@ -78,16 +78,16 @@ Carson and Higham 2018).  SuperLU factors it in panels of 4 columns
 the same fill.  Every linear solve refines its iterate until
 the componentwise backward error is at most 64 eps, for at most 8
 corrections, and keeps the last iterate if the cap comes first (data at
-the edge of the subnormal range cannot meet it).  The loop holds one
-system, matrix, right-hand side and LU factor, the one it solved last,
-and both of its levels follow one rule: a new selection is solved (a
-linear step drops the held system, assembles and factors its own and
-refines from zero), and a selection solved earlier in the loop, one
-that no longer changes or that near-tied frames cycle back to at
-round-off, settles the loop.  A settled min-max outer step ends it; a
-settled linear step refines the current iterate on the held system
-until max |rhs - L x| <= tol as well, until a correction no longer
-lowers it, or to the cap, and is the last step.
+the edge of the subnormal range cannot meet it).  Both levels of the
+loop follow one rule: a selection not solved before in the loop is
+solved, and a selection solved before, one that no longer changes or
+that near-tied frames cycle back to at round-off, ends the loop with no
+further step.  A linear step assembles, orders and factors its own
+system and refines from the current iterate until max |rhs - L x| <=
+tol as well, until a correction no longer lowers it, or to the cap; a
+min-max outer step runs the loop on its pair view.  A tol below
+round-off cannot be met, so there each step spends about one correction
+more than the backward error needs.
 ``converged`` means residual <= tol at the returned iterate.  Each new
 selection keeps the previous frame wherever that frame is within
 1e-12 (1 + |r|) of the best, so near-tied frames at round-off do not
@@ -751,7 +751,8 @@ POLICY_STEP_CAP = 60
 
 # Every linear solve refines its iterate until the componentwise
 # backward error max |rhs - L x| / (|L| |x| + |rhs|) is at most this,
-# which a fresh single-precision factor reaches in 3 solves at 257^2 ...
+# which a fresh single-precision factor reaches in 2-3 solves at 257^2
+# (2 from the previous policy step's iterate) ...
 _BACKWARD_ERROR = 64 * np.finfo(float).eps
 # ... or until this many corrections have been taken
 _REFINE_STEPS = 8
@@ -788,7 +789,7 @@ def _factor(L, order):
     return solve
 
 
-def _refine(L, rhs, x, correct, target=math.inf):
+def _refine(L, rhs, x, correct, target):
     """Iterative refinement of x toward ``L x = rhs`` in float64: add
     ``correct(rhs - L x)`` until the componentwise backward error is at
     most ``_BACKWARD_ERROR`` and max |rhs - L x| <= ``target``, for at
@@ -796,7 +797,6 @@ def _refine(L, rhs, x, correct, target=math.inf):
     of precision u suffices while cond(L) u < 1).  Once the backward
     error is met, a correction that no longer lowers max |rhs - L x|
     ends the refinement, and the best iterate that met it is kept.
-    Returns the iterate and whether it met both bounds.
     """
     absL = __getattr__("sp").csr_matrix((np.abs(L.data), L.indices, L.indptr), shape=L.shape)
     best = None  # (max |r|, x) of the best iterate that met the backward error
@@ -805,14 +805,24 @@ def _refine(L, rhs, x, correct, target=math.inf):
         if np.all(np.abs(r) <= _BACKWARD_ERROR * (absL @ np.abs(x) + np.abs(rhs))):
             top = np.max(np.abs(r))
             if top <= target:
-                return x, True
+                return x
             if best is not None and top >= best[0]:
                 break
             best = top, x
         if step == _REFINE_STEPS:
             break
         x = x + correct(r)
-    return (x if best is None else best[1]), False
+    return x if best is None else best[1]
+
+
+def _linear_step(scheme: _Scheme, sel: np.ndarray, u: np.ndarray, tol: float) -> None:
+    """Solve the frozen selection's system from the iterate u toward tol,
+    updating u's unknowns in place: assemble, order by the matrix's own
+    graph, factor and refine.  The system and its factor are freed on
+    return, before the next step assembles its own."""
+    L, rhs = scheme.assemble(sel)
+    correct = _factor(L, scheme.order(L))
+    u[scheme.unknown_flat] = _refine(L, rhs, u[scheme.unknown_flat], correct, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -820,42 +830,29 @@ def _policy_iteration(scheme: _Scheme, u: np.ndarray, tol: float, max_iter: int)
     """Policy iteration on ``scheme`` from the iterate u, updated in place,
     for at most ``max_iter`` steps.  A step solves the frozen selection's
     system: one linear solve, or for the min-max form this loop on its
-    pair view.  A selection solved earlier in this loop settles it: the
-    min-max form stops, and a linear step refines the iterate toward tol
-    on the held system, the one solved last, and is the last step.
+    pair view.  A selection solved earlier in this loop ends it.
     Returns the history: the pairs (linear solves so far, residual_sup),
     one before the first step and one after each.  A step that overflows
     leaves a non-finite iterate, which the next evaluate reports as
     DomainError."""
-    held = None  # (L, rhs, factor) of the system solved last
     solved = set()  # digests of the selections solved in this loop
     r, sel = scheme.evaluate(u)
     history = [(0, float(np.max(np.abs(r))))]
     while history[-1][1] > tol and len(history) <= max_iter:
         # a selection solved earlier in this loop is a policy that no
         # longer changes, or near-tied frames that each look better from
-        # the other's solution at round-off cycling: either settles it
+        # the other's solution at round-off cycling: either ends it
         digest = hashlib.sha256(sel).digest()
-        settled = digest in solved
+        if digest in solved:
+            break
         solved.add(digest)
-        solves = 1
         if scheme.form == "minmax":
-            if settled:
-                break
             solves = _policy_iteration(scheme.pair_view(sel), u, tol, max_iter)[-1][0]
-        elif settled:
-            L, rhs, lu = held
-            u[scheme.unknown_flat] = _refine(L, rhs, u[scheme.unknown_flat], lu, tol)[0]
         else:
-            held = None  # one factor at a time: free the old one before assembling
-            L, rhs = scheme.assemble(sel)
-            # each factorization orders L by its own graph
-            held = L, rhs, _factor(L, scheme.order(L))
-            u[scheme.unknown_flat] = _refine(L, rhs, np.zeros_like(rhs), held[2])[0]
+            solves = 1
+            _linear_step(scheme, sel, u, tol)
         r, sel = scheme.evaluate(u, keep=sel)
         history.append((history[-1][0] + solves, float(np.max(np.abs(r)))))
-        if settled:
-            break
     return history
 
 
@@ -870,7 +867,7 @@ def solve(
     Policy iteration freezes the optimal frame choice and solves the
     resulting sparse linear system until the residual is at most tol or
     a selection repeats one solved before (see the module docstring; the
-    linear trace form takes one or two solves).  One loop serves every
+    linear trace form takes one solve).  One loop serves every
     operator, nested for min-max: for the 3-D second branch an outer
     step holds each point's pair and runs the same loop on the max form
     over that pair's two directions.

@@ -1,7 +1,8 @@
 """CLI contracts that take a child process each and minutes in all: peak
 memory and time bounds, reports and files that are byte-identical on
-one CPU and on all of them and at any OpenBLAS thread count, and a
-mutant of the perturbation check that its control tests must catch.
+one CPU and on all of them and at any OpenBLAS thread count, bad input
+that ends in one JSON report and nothing on stderr, and a mutant of the
+perturbation check that its control tests must catch.
 
 Run from the repository root with ``python -m pytest -q tests/ci_contracts.py``.
 The file name does not match ``test_*.py``, so the Tier-1 run does not
@@ -47,6 +48,11 @@ _FILES = {
                            "problem": {"operator": "pp", "p": 2, "boundary": {"expr": "x*x - y*y"},
                                        "grid": {"shape": [65, 65], "origin": [-1, -1],
                                                 "h": 0.03125}}}),
+    "ragged.grid": "grid n=2 shape=3,3 origin=0,0 h=1\n0,0,0\n0,0\n0,0,0\n",
+    "noncubic.json": json.dumps({"kind": "convergence", "resolutions": [9, 17],
+                                 "problem": {"operator": "pp", "p": 2, "boundary": {"expr": "x*x"},
+                                             "grid": {"shape": [9, 17], "origin": [-1, -1],
+                                                      "h": 0.25}}}),
 }
 
 
@@ -127,6 +133,23 @@ def test_check_report_is_the_same_on_one_cpu(tmp_path, argv, code):
     argv = ["check", *argv.split(), "--samples", "100000"]
     one, every = (_run(tmp_path, argv, one_cpu=one_cpu)[:3] for one_cpu in (True, False))
     assert one == every == (code, one[1], b"")
+
+
+# a warning or traceback that an in-process test cannot see still reaches a
+# real process's stderr: bad input ends in its exit code and one report
+@pytest.mark.parametrize("argv, code", [
+    pytest.param("kernel --p 3 --dim 3 --x inf,0,0", 2, id="kernel-x-inf"),
+    pytest.param("kernel --p 3 --dim 3 --x nan,0,0", 2, id="kernel-x-nan"),
+    pytest.param("kernel --p 3 --dim 3 --x 0,0,0", 1, id="kernel-pole"),
+    pytest.param("experiment --config noncubic.json --output-dir out", 2,
+                 id="convergence-non-cubic-grid"),
+    pytest.param("grid verify --input ragged.grid --cone pp:2", 2, id="ragged-grid"),
+    pytest.param("cone --spec nosuch:1 --dim 3", 2, id="unknown-cone"),
+])
+def test_bad_input_prints_one_report_and_no_stderr(inputs, argv, code):
+    returned, out, err, _, _ = _run(inputs, argv.split())
+    assert (returned, err) == (code, b"")
+    assert "error" in json.loads(out)
 
 
 _WAYS = {  # environment and CPU restriction of each run

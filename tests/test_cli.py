@@ -544,8 +544,8 @@ def test_solve_max_iter_caps_the_policy_steps(tmp_path, capsys):
 
 
 def test_solve_that_settles_above_tol_refines_to_it_and_exits_0(tmp_path, capsys):
-    # the 257^2 trace-form annulus: one factored solve leaves the residual
-    # at ~1e-9, and the settled selection is refined to tol
+    # the 257^2 trace-form annulus: its one factored solve meets the 64-eps
+    # backward error at residual ~1e-9, and refines on to tol
     h = 2 / 256
     path, _ = write_problem(
         tmp_path, grid={"shape": [257, 257], "origin": [-1, -1], "h": h},
@@ -771,6 +771,10 @@ _BAD_INPUT_FILES = {
     "capheader.grid": f"grid n=2 shape={grids.POINT_CAP + 1},1 origin=0,0 h=0.5\n",
     "capconvergence.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
                                        "resolutions": [9, math.isqrt(grids.POINT_CAP) + 1]}),
+    # [-1, 1] x [-1, 3]: refined as a square of the first axis's span, it
+    # would solve [-1, 1]^2 and pass
+    "convnoncubic.json": json.dumps({"kind": "convergence", "resolutions": [9, 17], "problem": dict(
+        _GOOD_PROBLEM, grid={"shape": [9, 17], "origin": [-1, -1], "h": 0.25})}),
 }
 
 
@@ -854,6 +858,8 @@ _BAD_INPUT_FILES = {
                      id="polar-grid-origin-dimension"),
         pytest.param(["experiment", "--config", "convzero.json", "--output-dir", "out"],
                      id="convergence-zero-data"),
+        pytest.param(["experiment", "--config", "convnoncubic.json", "--output-dir", "out"],
+                     id="convergence-non-cubic-grid"),
         pytest.param(["solve", "--problem", "branchfrac.json"], id="problem-branch-fraction"),
         pytest.param(["cone", "--spec", "pp:1.5", "--dim", "3", "--samples", "0"],
                      id="cone-samples-zero"),
@@ -953,6 +959,10 @@ _BAD_INPUT_FILES = {
                      id="grid-hessian-inverse-square-spacing-overflows"),
         pytest.param(["grid", "verify", "--input", "subnormalh.grid", "--cone", "pp:1.5",
                       "--c-tol", "0.1"], id="grid-verify-inverse-square-spacing-overflows"),
+        pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "inf,0,0"], id="kernel-x-inf"),
+        pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "nan,0,0"], id="kernel-x-nan"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=inf,0", "--measure", "atoms2.csv"],
+                     id="kernel-measure-x-inf"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,0.1"],
                      id="box-scales-repeated"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
@@ -975,6 +985,13 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
         if name in argv:
             # the second and third differences divide by 0 or overflow: the spacing is at fault
             assert rep["error"]["message"].startswith(f"grid spacing {h} is out of range")
+    for x, point in (("inf,0,0", "[inf, 0.0, 0.0]"), ("nan,0,0", "[nan, 0.0, 0.0]"),
+                     ("--x=inf,0", "[inf, 0.0]")):
+        if x in argv:
+            # the point the user gave is at fault, not a matrix built from it
+            assert rep["error"]["message"] == f"point x = {point} must be finite"
+    if "convnoncubic.json" in argv:
+        assert rep["error"]["message"].endswith("got shape [9, 17]")
     assert err == ""
     assert not (tmp_path / "x.grid").exists()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -396,8 +397,7 @@ def test_permuted_factor_solve_meets_the_backward_error(cfg):
     scheme, L, rhs = _first_frozen_matrix(cfg)
     order = scheme.order(L)
     assert not np.array_equal(order, np.arange(order.size))
-    x, met = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, order))
-    assert met
+    x = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, order), math.inf)
     scale = abs(L) @ np.abs(x) + np.abs(rhs)
     assert np.all(np.abs(rhs - L @ x) <= solver._BACKWARD_ERROR * scale)
 
@@ -433,8 +433,7 @@ def test_factored_solve_refines_to_the_backward_error_at_any_scale(problem, op_i
     admissible = _admissible(scheme)
     scores = np.where(admissible, rng.random(admissible.shape), -1.0)
     L, rhs = scheme.assemble(np.argmax(scores, axis=0))
-    x, met = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, scheme.order(L)))
-    assert met
+    x = solver._refine(L, rhs, np.zeros_like(rhs), solver._factor(L, scheme.order(L)), math.inf)
     assert np.all(np.abs(rhs - L @ x) <= solver._BACKWARD_ERROR * (abs(L) @ np.abs(x) + np.abs(rhs)))
 
 
@@ -906,44 +905,114 @@ def test_every_changed_selection_is_factored(monkeypatch):
     assert _factorizations(log) == [1] * 5
 
 
-def test_a_settled_selection_is_refined_to_tol(monkeypatch):
+def test_a_new_selection_is_refined_to_tol(monkeypatch):
     # the linear trace form at 257^2: the factored solve meets the 64-eps
-    # backward error at residual ~1e-9, and the settled second step
-    # refines that iterate with the held factor down to tol
+    # backward error at residual ~1e-9, and refining on toward tol ends
+    # the solve in its one step, at ~6.9e-11
     log = _logged_spla(monkeypatch)
     rep = solve(problem_from_config(annulus_config(257, p=2.0)), tol=1e-10)
-    assert rep.converged and rep.iterations == 2
-    assert rep.residual_sup <= 1e-10 < rep.history[1][1]
-    assert _factorizations(log) == [1, 0]
+    assert rep.converged and rep.iterations == 1
+    assert rep.residual_sup <= 1e-10
+    assert _factorizations(log) == [1]
 
 
-def test_a_settled_step_reuses_the_held_system(monkeypatch):
-    # the settled last step refines on the system solved last: it
-    # assembles, orders and factors nothing
+def _selection_digests(monkeypatch):
+    """Log the digest of every selection that ``_Scheme.assemble`` is
+    given, and of every selection that ``_Scheme.evaluate`` returns;
+    returns the two lists."""
+    assembled, evaluated = [], []
+    assemble, evaluate = _Scheme.assemble, _Scheme.evaluate
+
+    def logged_assemble(self, sel):
+        assembled.append(hashlib.sha256(sel).digest())
+        return assemble(self, sel)
+
+    def logged_evaluate(self, *args, **kwargs):
+        r, sel = evaluate(self, *args, **kwargs)
+        evaluated.append(hashlib.sha256(sel).digest())
+        return r, sel
+
+    monkeypatch.setattr(_Scheme, "assemble", logged_assemble)
+    monkeypatch.setattr(_Scheme, "evaluate", logged_evaluate)
+    return assembled, evaluated
+
+
+def test_a_repeated_selection_ends_the_loop_without_a_step(monkeypatch):
+    # tol 1e-16 is below round-off: every step assembles, orders and
+    # factors its own system, and the loop ends on the first selection
+    # that repeats one already solved, with no step for it
     log = _logged_spla(monkeypatch)
+    assembled, evaluated = _selection_digests(monkeypatch)
     rep = solve(problem_from_config(annulus_config(65)), tol=1e-16)
-    assert len(log) == rep.iterations > 1
-    assert log == [["assemble", "order", "factor", "splu"]] * (len(log) - 1) + [[]]
+    assert not rep.converged and len(rep.history) - 1 == rep.iterations > 1
+    assert log == [["assemble", "order", "factor", "splu"]] * rep.iterations
+    assert len(set(assembled)) == len(assembled) == rep.iterations
+    assert evaluated[-1] in assembled
+
+
+@st.composite
+def policy_problems(draw):
+    """2-D pp and branch problems on [-1, 1]^2 with seeded data of unit
+    size and an optional centred hole."""
+    n = draw(st.integers(9, 33))
+    op = draw(st.sampled_from([("pp", 1.2), ("pp", 1.5), ("pp", 2), ("branch", 1), ("branch", 2)]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (n, n))
+    hole = None
+    if draw(st.booleans()):
+        hole = np.zeros((n, n), dtype=bool)
+        a = draw(st.integers(1, n // 4))
+        hole[n // 2 - a:n // 2 + a + 1, n // 2 - a:n // 2 + a + 1] = True
+    return DirichletProblem((n, n), np.array([-1.0, -1.0]), 2.0 / (n - 1), op, g, hole)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    problem=policy_problems(),
+    reach=st.integers(1, 3),
+    tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-6]),
+)
+@example(problem=problem_from_config(annulus_config(257, p=2.0)), reach=3, tol=1e-10)
+def test_every_linear_step_factors_a_new_selection(problem, reach, tol):
+    # one rule ends the loop: a step is taken only for a selection not
+    # solved before in this solve, so each step factors once, and a
+    # solve that stops short of tol and the step cap stops at a repeat
+    with pytest.MonkeyPatch.context() as mp:
+        log = _logged_spla(mp)
+        assembled, evaluated = _selection_digests(mp)
+        rep = solve(problem, stencil=make_stencil(2, reach), tol=tol)
+    assert len(set(assembled)) == len(assembled)
+    assert rep.iterations == sum(_factorizations(log)) == len(assembled)
+    if not rep.converged and rep.iterations < solver.POLICY_STEP_CAP:
+        assert evaluated[-1] in assembled
 
 
 def test_a_policy_cycle_at_round_off_is_refined_to_tol(monkeypatch):
-    # pp:1.2 at 257^2: from step 11 one row flips its frame back and forth
-    # and the residual alternates 7.3e-10 / 5.9e-10 above tol.  The step
-    # whose selection repeats one already solved refines the last system
-    # with the held factor instead, to 1.3e-11, and is the last step
+    # pp:1.2 at 257^2: refined to the 64-eps backward error alone, one row
+    # flips its frame back and forth from step 11 with the residual
+    # alternating 7.3e-10 / 5.9e-10 above tol.  Each step refined toward
+    # tol instead converges in 10 steps, each factoring a new selection
     log = _logged_spla(monkeypatch)
     rep = solve(problem_from_config(annulus_config(257, p=1.2)), tol=1e-10, max_iter=16)
-    assert rep.converged and rep.residual_sup <= 1e-10 < rep.history[-2][1]
-    assert _factorizations(log) == [1] * 14 + [0]
+    assert rep.converged and rep.residual_sup <= 1e-10
+    assert rep.iterations <= 10
+    assert _factorizations(log) == [1] * rep.iterations
 
 
-def test_tol_below_round_off_ends_early_and_refines_with_the_held_factor(monkeypatch):
-    # below round-off the policy settles on tied frames, refines once
-    # more and stops
-    log = _logged_spla(monkeypatch)
+def test_tol_below_round_off_ends_early_and_refines_from_the_current_iterate(monkeypatch):
+    # below round-off the policy ends on a repeated selection; each step
+    # after the first refines from the iterate the step before left
+    starts, ends = [], []
+    refine = solver._refine
+
+    def logged(L, rhs, x, correct, target):
+        starts.append(x.copy())
+        ends.append(refine(L, rhs, x, correct, target))
+        return ends[-1]
+
+    monkeypatch.setattr(solver, "_refine", logged)
     rep = solve(problem_from_config(annulus_config(65)), tol=1e-16)
-    assert not rep.converged and len(log) == rep.iterations < 20
-    assert 0 in _factorizations(log)
+    assert not rep.converged and len(starts) == rep.iterations < 20
+    assert all(np.array_equal(x, y) for x, y in zip(starts[1:], ends))
 
 
 def test_evaluate_keeps_a_tied_frame_and_reports_the_best_value():
@@ -967,7 +1036,7 @@ def test_tol_below_round_off_settles_on_tied_frames(nside, p):
     rep = solve(problem_from_config(annulus_config(nside, p=p)), tol=1e-12)
     assert rep.iterations <= 12
     assert rep.converged == (rep.residual_sup <= 1e-12)
-    # a run that stops on a settled selection counts only its solves
+    # a run that stops on a repeated selection counts only its solves
     assert rep.history[-1] == (rep.iterations, rep.residual_sup)
 
 
@@ -1142,9 +1211,9 @@ def test_3d_minmax_outer_loop_stops_when_the_pairs_repeat():
     prob = problem_from_config(_minmax_config(7))
     reports = [solve(prob, stencil=make_stencil(3, 2), tol=0.0) for _ in range(2)]
     rep = reports[0]
-    assert [n for n, _ in rep.history] == [0, 5, 8, 10]
+    assert [n for n, _ in rep.history] == [0, 4, 6, 7]
     assert [r for _, r in rep.history[:3]] == pytest.approx([1.0, 1.3, 0.363636], rel=1e-5)
-    assert rep.iterations == 10 and len(rep.history) - 1 < solver.POLICY_STEP_CAP
+    assert rep.iterations == 7 and len(rep.history) - 1 < solver.POLICY_STEP_CAP
     assert rep.residual_sup <= 1e-14 and not rep.converged
     assert reports[1].history == rep.history
     assert np.array_equal(reports[1].solution.values, rep.solution.values)
