@@ -189,7 +189,7 @@ def _cmd_grid(args) -> tuple:
             grids.write_grid(args.grid_output, ext.extended)
     elif args.action == "verify":
         from . import cones
-        rep = grids.subharmonic_verify(u, cones.parse_cone(args.cone, u.ndim), c_tol=args.c_tol)
+        rep = grids.subharmonic_verify(u, cones.parse_cone(args.cone, u.ndim))
         report["verification"] = rep.to_dict()
         code = 0 if rep.passed else MATH_EXIT
     elif args.action == "perturb":
@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="grid file")
     grid["extend"].add_argument("--radius-cap", type=int, default=None)
     grid["verify"].add_argument("--cone", required=True, help="cone spec")
-    grid["verify"].add_argument("--c-tol", type=float, default=None)
     grid["perturb"].add_argument("--psi", required=True, help="perturbation grid file")
     grid["perturb"].add_argument("--eps", type=float, default=0.01)
     grid["hessian"].add_argument("--at", required=True, help="grid index, comma separated")

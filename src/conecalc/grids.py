@@ -51,7 +51,7 @@ class GridFunction:
             raise DomainError(
                 f"origin dim {origin.shape[0]} != value array dim {vals.ndim}"
             )
-        check_spacing_and_origin(self.h, origin)
+        check_geometry(vals.shape, origin, self.h)
         if np.any(np.isnan(vals)) or np.any(np.isposinf(vals)):
             raise DomainError("grid values must be finite or -inf")
         mask = self.mask
@@ -348,25 +348,21 @@ class SubharmonicReport:
 def subharmonic_verify(
     u: GridFunction,
     spec: cones.ConeSpec,
-    c_tol: Optional[float] = None,
     region: Optional[np.ndarray] = None,
 ) -> SubharmonicReport:
     """Check that each discrete Hessian A(x) + c(x) I lies in ``spec``.
 
-    c(x) is ``c_tol`` at every cell if given, else
-    ``third_difference_tolerance(u)`` at x: it absorbs the O(h) error of
-    the stencil on resolved data, and a steep feature raises it only next
-    to that feature.  The report's ``c_tol`` is the largest c(x) checked
-    (0 if none).  A c(x) that is not finite, or a ``c_tol`` below 0,
-    raises DomainError.  ``region`` optionally restricts which points
-    are checked (stencils and windows may still read values outside it).
+    c(x) is ``third_difference_tolerance(u)`` at x: it absorbs the O(h)
+    error of the stencil on resolved data, and a steep feature raises it
+    only next to that feature.  The report's ``c_tol`` is the largest
+    c(x) checked (0 if none).  A c(x) that is not finite raises
+    DomainError.  ``region`` optionally restricts which points are
+    checked (stencils and windows may still read values outside it).
     Only grid-scale certification; see the report note.
     """
     from . import cones  # the cone catalogue loads for verification only
     if spec.dim != u.ndim:
         raise DomainError(f"cone dim {spec.dim} != grid dim {u.ndim}")
-    if c_tol is not None and not (math.isfinite(c_tol) and c_tol >= 0):
-        raise DomainError(f"c_tol must be finite and >= 0, got {c_tol}")
     idx, _, _, hess = discrete_hessian_field(u)
     if region is not None:
         region = np.asarray(region, dtype=bool)
@@ -374,20 +370,17 @@ def subharmonic_verify(
             raise DomainError("region mask shape must match the grid")
         keep = region[tuple(idx.T)]
         idx, hess = idx[keep], hess[keep]
-    c = c_tol
-    if c_tol is None:
-        c = third_difference_tolerance(u)[tuple(idx.T)]
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
-            raise DomainError(f"c_tol estimated from third differences must be finite, "
-                              f"got {c[bad[0]]} at {tuple(idx[bad[0]].tolist())}")
-        c_tol = np.max(c, initial=0.0)
+    c = third_difference_tolerance(u)[tuple(idx.T)]
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise DomainError(f"c_tol estimated from third differences must be finite, "
+                          f"got {c[bad[0]]} at {tuple(idx[bad[0]].tolist())}")
     if idx.shape[0] == 0:
-        return SubharmonicReport([], float(c_tol), 0)
+        return SubharmonicReport([], 0.0, 0)
     m = cones._margin_machine(spec, hess)[0](c)
     bad = np.nonzero(m < cones.thresholds(hess))[0]
     violations = [Violation(tuple(int(i) for i in idx[b]), float(m[b])) for b in bad]
-    return SubharmonicReport(violations, float(c_tol), int(idx.shape[0]))
+    return SubharmonicReport(violations, float(c.max()), int(idx.shape[0]))
 
 
 def perturb(u: GridFunction, psi: GridFunction, eps: float) -> GridFunction:
@@ -433,12 +426,19 @@ def check_point_count(shape) -> None:
                           f"above the cap of {POINT_CAP}")
 
 
-def check_spacing_and_origin(h: float, origin: np.ndarray) -> None:
-    """Raise DomainError unless h is finite and > 0 and the origin finite."""
+def check_geometry(shape, origin: np.ndarray, h: float) -> None:
+    """Raise DomainError unless h is finite and > 0 and the origin and
+    the far corner ``origin + h * (shape - 1)`` are finite: then every
+    lattice coordinate is finite."""
     if not 0 < h < math.inf:
         raise DomainError(f"grid spacing must be finite and > 0, got {h}")
     if not np.all(np.isfinite(origin)):
         raise DomainError(f"grid origin must be finite, got {origin.tolist()}")
+    with np.errstate(over="ignore"):
+        corner = origin + h * (np.asarray(shape) - 1)
+    if not np.all(np.isfinite(corner)):
+        raise DomainError(f"a lattice of shape {list(shape)}, origin {origin.tolist()} and "
+                          f"spacing {h} overflows float64: its far corner is {corner.tolist()}")
 
 
 def parse_geometry(text: str):
@@ -463,7 +463,7 @@ def parse_geometry(text: str):
     if len(shape) != nd or origin.shape[0] != nd or min(shape) < 1:
         raise DomainError(f"grid geometry {text!r} has inconsistent dimensions")
     check_point_count(shape)
-    check_spacing_and_origin(h, origin)
+    check_geometry(shape, origin, h)
     return shape, origin, h
 
 

@@ -58,7 +58,7 @@ class RieszKernelSpec:
 
 def _norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, without overflow or underflow
-    wherever x is finite.
+    wherever x is finite, and inf where the norm exceeds float64.
 
     ``np.linalg.norm`` squares before it takes the root, so a norm
     outside [1e-150, 1e150] is taken again of x scaled by its largest
@@ -71,7 +71,8 @@ def _norm(x: np.ndarray) -> np.ndarray:
         return r
     top = np.max(np.abs(x), axis=-1, keepdims=True)
     ok = (top > 0.0) & np.isfinite(top)  # else r is 0, inf or nan as it should be
-    scaled = top[..., 0] * np.linalg.norm(x / np.where(ok, top, 1.0), axis=-1)
+    with np.errstate(over="ignore"):  # a norm above the largest float64 is inf
+        scaled = top[..., 0] * np.linalg.norm(x / np.where(ok, top, 1.0), axis=-1)
     return np.where(rescale & ok[..., 0], scaled, r)
 
 
@@ -162,9 +163,11 @@ def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarr
     kernel, shape (N,).
 
     A point within ``NEAR_POLE`` of an atom reads the pole value there;
-    a -inf term of positive weight makes the sum -inf.  Points are summed
-    in blocks of at most ``_BLOCK_ENTRIES`` differences; each point's row
-    reduces on its own, so the values do not depend on the block size.
+    a -inf term of positive weight makes the sum -inf.  A point that is
+    not finite, or whose distance to an atom overflows, is a DomainError.
+    Points are summed in blocks of at most ``_BLOCK_ENTRIES``
+    differences; each point's row reduces on its own, so the values do
+    not depend on the block size.
     Sums here and in ``potential_jet`` start from -0.0, the additive
     identity, so that one atom's term keeps its sign of zero.
     """
@@ -173,10 +176,18 @@ def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarr
         raise DimensionMismatchError(f"measure dim {mu.n} != kernel dim {spec.n}")
     if xs.shape[-1] != spec.n:
         raise DimensionMismatchError(f"point dim {xs.shape[-1]} != kernel dim {spec.n}")
+    finite = np.all(np.isfinite(xs), axis=-1)
+    if not finite.all():
+        raise DomainError(f"point x = {xs[np.argmin(finite)].tolist()} must be finite")
     out = np.empty(xs.shape[0])
     step = max(1, _BLOCK_ENTRIES // mu.points.size)
     for start in range(0, xs.shape[0], step):
-        r = _norm(xs[start:start + step, None, :] - mu.points[None, :, :])
+        with np.errstate(over="ignore"):
+            r = _norm(xs[start:start + step, None, :] - mu.points[None, :, :])
+        if not np.all(np.isfinite(r)):
+            i, j = np.argwhere(~np.isfinite(r))[0]
+            raise DomainError(f"the distance from point x = {xs[start + i].tolist()} to the atom "
+                              f"at {mu.points[j].tolist()} overflows float64")
         vals = kernel_value(spec, np.where(r <= NEAR_POLE, 0.0, r))
         neg = np.isneginf(vals)
         block = np.add.reduce(mu.weights * np.where(neg, 0.0, vals), axis=1, initial=-0.0)

@@ -331,7 +331,7 @@ def _check_lattice(shape: tuple, origin: np.ndarray, h: float) -> None:
     if any(s < 5 for s in shape):
         raise DomainError("grids need at least 5 points per axis")
     grids.check_point_count(shape)
-    grids.check_spacing_and_origin(h, origin)
+    grids.check_geometry(shape, origin, h)
     _coefficients(h, np.ones(1), nd)  # the axis directions, in every stencil
 
 

@@ -12,6 +12,7 @@ collect it; CI runs it by path.
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -49,6 +50,7 @@ _FILES = {
                                        "grid": {"shape": [65, 65], "origin": [-1, -1],
                                                 "h": 0.03125}}}),
     "ragged.grid": "grid n=2 shape=3,3 origin=0,0 h=1\n0,0,0\n0,0\n0,0,0\n",
+    "pts.csv": "0.1,0.2\n",
     "noncubic.json": json.dumps({"kind": "convergence", "resolutions": [9, 17],
                                  "problem": {"operator": "pp", "p": 2, "boundary": {"expr": "x*x"},
                                              "grid": {"shape": [9, 17], "origin": [-1, -1],
@@ -145,9 +147,18 @@ def test_check_report_is_the_same_on_one_cpu(tmp_path, argv, code):
                  id="convergence-non-cubic-grid"),
     pytest.param("grid verify --input ragged.grid --cone pp:2", 2, id="ragged-grid"),
     pytest.param("cone --spec nosuch:1 --dim 3", 2, id="unknown-cone"),
+    pytest.param("grid verify --input masked.grid --cone pp:2 --c-tol 0.1", 2,
+                 id="retired-c-tol"),
+    # finite input whose lattice coordinates or distances to an atom overflow float64
+    pytest.param("polar --points pts.csv --p 2 --grid 'shape=9,9 origin=1e308,1e308 h=1e307' "
+                 "--grid-output o.grid", 2, id="polar-grid-far-corner-overflows"),
+    pytest.param("polar --points pts.csv --p 2 --grid 'shape=9,9 origin=1.5e308,1.5e308 h=1e300' "
+                 "--grid-output o.grid", 2, id="polar-grid-distance-overflows"),
+    pytest.param("kernel --p 2 --dim 2 --x=1.5e308,1.5e308", 2, id="kernel-log-distance-overflows"),
+    pytest.param("kernel --p 3 --dim 3 --x=1.5e308,1.5e308,0", 2, id="kernel-distance-overflows"),
 ])
 def test_bad_input_prints_one_report_and_no_stderr(inputs, argv, code):
-    returned, out, err, _, _ = _run(inputs, argv.split())
+    returned, out, err, _, _ = _run(inputs, shlex.split(argv))
     assert (returned, err) == (code, b"")
     assert "error" in json.loads(out)
 

@@ -732,6 +732,8 @@ _BAD_INPUT_FILES = {
     "mask2.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\nmask\n0,2\n0,0\n0,0\n0,0\n",
     "extra.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5\n0,0\n0,0\n1,1\n",
     "bogus.grid": "grid n=2 shape=2,2 origin=0,0 h=0.5 bogus=1\n0,0\n0,0\n",
+    # the origin and the spacing are finite, the far corner 1.7e308 + 1e308 is not
+    "farcorner.grid": "grid n=2 shape=2,2 origin=1.7e308,0 h=1e308\n0,0\n0,0\n",
     # third differences and second differences of +-5e307 overflow
     "overflow.grid": "grid n=2 shape=6,6 origin=0,0 h=0.5\n"
     + "5e307,-5e307,5e307,-5e307,5e307,-5e307\n-5e307,5e307,-5e307,5e307,-5e307,5e307\n" * 3,
@@ -915,16 +917,22 @@ _BAD_INPUT_FILES = {
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
                       "shape=9,9 origin=nan,0 h=0.25", "--grid-output", "x.grid"],
                      id="polar-grid-origin-nan"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=9,9 origin=1e308,1e308 h=1e307", "--grid-output", "x.grid"],
+                     id="polar-grid-far-corner-overflows"),
+        pytest.param(["grid", "extend", "--input", "farcorner.grid", "--grid-output", "x.grid"],
+                     id="grid-far-corner-overflows"),
+        pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--grid",
+                      "shape=9,9 origin=1.5e308,1.5e308 h=1e300", "--grid-output", "x.grid"],
+                     id="polar-grid-distance-overflows"),
+        pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=1.5e308,1.5e308"],
+                     id="kernel-log-distance-overflows"),
+        pytest.param(["kernel", "--p", "3", "--dim", "3", "--x=1.5e308,1.5e308,0"],
+                     id="kernel-distance-overflows"),
         pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5",
                       "--measure", "empty.csv"], id="measure-empty"),
         pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5",
                       "--measure", "comment.csv"], id="measure-comment-only"),
-        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol", "nan"],
-                     id="grid-c-tol-nan"),
-        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol", "inf"],
-                     id="grid-c-tol-inf"),
-        pytest.param(["grid", "verify", "--input", "u.grid", "--cone", "pp:2", "--c-tol=-5"],
-                     id="grid-c-tol-negative"),
         pytest.param(["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
                      id="grid-verify-overflow"),
         pytest.param(["grid", "extend", "--input", "u.grid", "--radius-cap", "0",
@@ -957,8 +965,8 @@ _BAD_INPUT_FILES = {
                      id="grid-verify-spacing-underflows-9"),
         pytest.param(["grid", "hessian", "--input", "subnormalh.grid", "--at", "4,4"],
                      id="grid-hessian-inverse-square-spacing-overflows"),
-        pytest.param(["grid", "verify", "--input", "subnormalh.grid", "--cone", "pp:1.5",
-                      "--c-tol", "0.1"], id="grid-verify-inverse-square-spacing-overflows"),
+        pytest.param(["grid", "verify", "--input", "subnormalh.grid", "--cone", "pp:1.5"],
+                     id="grid-verify-inverse-square-spacing-overflows"),
         pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "inf,0,0"], id="kernel-x-inf"),
         pytest.param(["kernel", "--p", "3", "--dim", "3", "--x", "nan,0,0"], id="kernel-x-nan"),
         pytest.param(["kernel", "--p", "2", "--dim", "2", "--x=inf,0", "--measure", "atoms2.csv"],
@@ -990,6 +998,20 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
         if x in argv:
             # the point the user gave is at fault, not a matrix built from it
             assert rep["error"]["message"] == f"point x = {point} must be finite"
+    for where, message in (
+            ("farcorner.grid", "a lattice of shape [2, 2], origin [1.7e+308, 0.0] and spacing "
+                               "1e+308 overflows float64: its far corner is [inf, 1e+308]"),
+            ("shape=9,9 origin=1e308,1e308 h=1e307", "a lattice of shape [9, 9], origin "
+             "[1e+308, 1e+308] and spacing 1e+307 overflows float64: its far corner is [inf, inf]"),
+            ("shape=9,9 origin=1.5e308,1.5e308 h=1e300", "the distance from point x = "
+             "[1.5e+308, 1.5e+308] to the atom at [0.1, 0.2] overflows float64"),
+            ("--x=1.5e308,1.5e308", "the distance from point x = [1.5e+308, 1.5e+308] to the "
+                                    "atom at [0.0, 0.0] overflows float64"),
+            ("--x=1.5e308,1.5e308,0", "the distance from point x = [1.5e+308, 1.5e+308, 0.0] "
+                                      "to the atom at [0.0, 0.0, 0.0] overflows float64")):
+        if where in argv:
+            # the lattice or the point is at fault, not the values computed from it
+            assert rep["error"]["message"] == message
     if "convnoncubic.json" in argv:
         assert rep["error"]["message"].endswith("got shape [9, 17]")
     assert err == ""
@@ -1043,7 +1065,6 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["check", "positivity", "--f", "pp:2", "--dim", "3", "--samples", str(10**12)],
     ["kernel", "--p", "2", "--dim", "2", "--x=0.5,0.5", "--measure", "empty.csv"],
     ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2"],
-    ["grid", "verify", "--input", "overflow.grid", "--cone", "pp:2", "--c-tol", "1"],
     ["grid", "hessian", "--input", "overflow.grid", "--at", "2,2"],
     ["grid", "perturb", "--input", "overflow.grid", "--psi", "overflow.grid", "--eps", "3",
      "--grid-output", "x.grid"],
@@ -1067,7 +1088,7 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["grid", "hessian", "--input", "tinyh9.grid", "--at", "4,4"],
     ["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0", "--output", "missing/r.json"],
 ], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
-        "grid-verify-overflow-c-tol", "grid-hessian-overflow", "grid-perturb-overflow",
+        "grid-hessian-overflow", "grid-perturb-overflow",
         "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf",
         "solve-coefficients-overflow", "solve-coefficients-underflow",
         "experiment-solve-coefficients-overflow",
@@ -1174,7 +1195,7 @@ def leaf_inputs(tmp_path, monkeypatch):
     *[pytest.param(_GRID[action] + [flag, _GRID_FLAGS[flag]], id=f"grid-{action}{flag}")
       for action, flags in (
           ("extend", ["--cone", "--c-tol", "--psi", "--eps", "--at"]),
-          ("verify", ["--psi", "--eps", "--at", "--radius-cap", "--grid-output"]),
+          ("verify", ["--c-tol", "--psi", "--eps", "--at", "--radius-cap", "--grid-output"]),
           ("perturb", ["--cone", "--c-tol", "--at", "--radius-cap"]),
           ("hessian", ["--cone", "--c-tol", "--psi", "--eps", "--radius-cap", "--grid-output"]))
       for flag in flags],

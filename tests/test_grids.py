@@ -443,13 +443,6 @@ def test_verify_region_restriction():
     assert rep.points_checked == 1 and len(rep.violations) == 1
 
 
-@pytest.mark.parametrize("c_tol", [float("nan"), float("inf"), -5.0])
-def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(c_tol):
-    u = from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x)
-    with pytest.raises(DomainError, match="c_tol"):
-        subharmonic_verify(u, cones.positivity(2), c_tol=c_tol)
-
-
 def test_verify_overflowing_differences_are_a_typed_error_without_warnings():
     # third differences of +-5e307 overflow, so the estimated c_tol is inf
     vals = 5e307 * (-1.0) ** np.add.outer(np.arange(6), np.arange(6))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ def test_norm_is_numpys_at_ordinary_points():
     assert riesz._norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
     edge = riesz._norm(np.array([[0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]]))
     assert edge[0] == 0.0 and edge[1] == np.inf and np.isnan(edge[2])
+
+
+def test_potential_at_a_point_too_far_from_an_atom_is_a_typed_error():
+    # the points and atoms are finite; a distance, or the difference behind
+    # it, overflows float64 and reached the kernel as inf
+    spec = RieszKernelSpec(p=2.0, n=2)
+    mu = DiscreteMeasure(np.array([[0.1, 0.2], [-1e308, 0.0]]), np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the distance from point x = \[1\.5e\+308, "
+                           r"1\.5e\+308\] to the atom at \[0\.1, 0\.2\] overflows float64$"):
+            potential_values(spec, mu, [[0.0, 0.0], [1.5e308, 1.5e308]])
+        with pytest.raises(DomainError, match=r"to the atom at \[-1e\+308, 0\.0\] overflows"):
+            potential_values(spec, mu, [[1e308, 0.0]])
+        with pytest.raises(DomainError, match=r"^point x = \[nan, 0\.0\] must be finite$"):
+            potential_values(spec, mu, [[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(DomainError, match="overflows float64"):
+            kernel_jet(RieszKernelSpec(p=3.0, n=3), [1.5e308, 1.5e308, 0.0])
 
 
 def test_kernel_spec_validation():
