@@ -221,8 +221,7 @@ def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
     from . import solver
     problem = solver.problem_from_config(cfg["problem"])
     # only the keys the config holds: the experiment keeps the defaults
-    names = {"polar_p": "polar_p", "tol": "tol", "eps": "eps_values", "gap_constant": "gap_constant"}
-    opts = {names[key]: val for key, val in cfg.items() if key in names}
+    opts = {key: val for key, val in cfg.items() if key in ("polar_p", "tol")}
     rep = solver.removability_experiment(
         problem, cfg["puncture"], stencil=_stencil(cfg["problem"], problem), **opts)
     report["removability"] = rep.to_dict()
@@ -233,15 +232,6 @@ def _experiment_removability(cfg, outdir: Path, report: dict) -> tuple:
                                  outdir / f"convergence_{name}.csv")
     ]
     return rep.passed, {"sup_gap": rep.sup_gap, "masked_gap": rep.masked_gap}
-
-
-def _experiment_solve(cfg, outdir: Path, report: dict) -> tuple:
-    from . import solver
-    problem = solver.problem_from_config(cfg["problem"])
-    rep = solver.solve(problem, _stencil(cfg["problem"], problem), tol=cfg.get("tol", 1e-8))
-    report["solve"] = rep.to_dict()
-    report["outputs"] = _write_solve(rep, outdir / "solution.grid", outdir / "convergence.csv")
-    return rep.converged, {"residual_sup": rep.residual_sup}
 
 
 def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
@@ -300,14 +290,9 @@ _EXPERIMENTS = {
     "removability": (
         _experiment_removability,
         ("problem", "puncture"),
-        {"tol": _NUMBER, "gap_constant": _NUMBER,
-         "polar_p": (lambda v: v is None or _is_number(v), "a number or null"),
-         "eps": (lambda v: isinstance(v, list) and v != []
-                 and all(_is_number(e) and e > 0 for e in v),
-                 "a non-empty list of numbers > 0")},
+        {"tol": _NUMBER, "polar_p": (lambda v: v is None or _is_number(v), "a number or null")},
         {"sup_gap": _AT_MOST, "masked_gap": _AT_MOST},
     ),
-    "solve": (_experiment_solve, ("problem",), {"tol": _NUMBER}, {"residual_sup": _AT_MOST}),
     "convergence": (
         _experiment_convergence,
         ("problem", "resolutions"),
@@ -326,7 +311,7 @@ def _cmd_experiment(args) -> tuple:
         raise DomainError("experiment config must be a JSON object")
     kind = cfg.get("kind")
     if kind not in _EXPERIMENTS:
-        raise DomainError(f"experiment kind must be removability/solve/convergence, got {kind!r}")
+        raise DomainError(f"experiment kind must be removability/convergence, got {kind!r}")
     run, required, fields, criteria = _EXPERIMENTS[kind]
     missing = [key for key in required if key not in cfg]
     if missing:

@@ -422,16 +422,22 @@ class DirichletProblem:
 
 def _lattice_indices(points, origin: np.ndarray, h: float) -> list:
     """Lattice indices of puncture coordinates, rounded to the nearest
-    node; points of the wrong dimension or not finite are DomainError."""
+    node; points of the wrong dimension, not finite, or so far out that
+    an index overflows int64 are DomainError, which names the point."""
     nd = origin.shape[0]
     try:
-        pts = np.array([np.asarray(pt, dtype=float).reshape(nd) for pt in points])
+        pts = np.array([np.asarray(pt, dtype=float).reshape(nd) for pt in points]).reshape(-1, nd)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"puncture points must be {nd}-D coordinates: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        idx = np.round((pts.reshape(-1, nd) - origin) / h)
-    if not np.all(np.isfinite(idx)):
-        raise DomainError("puncture points must be finite")
+    finite = np.all(np.isfinite(pts), axis=1)
+    if not finite.all():
+        raise DomainError(f"puncture point {pts[np.argmin(finite)].tolist()} must be finite")
+    with np.errstate(over="ignore"):
+        idx = np.round((pts - origin) / h)
+    fits = np.all(np.abs(idx) < 2.0**63, axis=1)
+    if not fits.all():
+        raise DomainError(f"puncture point {pts[np.argmin(fits)].tolist()} is finite, but its "
+                          "lattice index (x - origin) / h overflows")
     return [tuple(int(c) for c in row) for row in idx]
 
 
@@ -932,6 +938,12 @@ class RemovabilityReport:
         }
 
 
+# the sizes eps of the perturbations u + eps * psi that a removability
+# experiment verifies, and C in its gap threshold C * (h + tol)
+PERTURBATION_EPS = (1e-2, 1e-3)
+GAP_CONSTANT = 5.0
+
+
 def _perturbation_checks(
     u: GridFunction, problem: DirichletProblem, cone: ConeSpec, polar_p: float, eps_values
 ) -> dict:
@@ -963,22 +975,18 @@ def removability_experiment(
     polar_p: Optional[float] = None,
     stencil: Optional[StencilSet] = None,
     tol: float = 1e-9,
-    eps_values=(1e-2, 1e-3),
-    gap_constant: float = 5.0,
 ) -> RemovabilityReport:
     """Solve, puncture, extend, and verify the perturbation by a polar.
 
     Steps: (i) solve the full problem; (ii) solve with the punctures
     excluded; (iii) extend the punctured solution across them; (iv) build
     the polar function of the punctures and verify that the punctured
-    solution plus eps times the polar stays subharmonic, for each eps, at
-    every unknown cell whose stencil avoids the punctures, each cell at
-    its own tolerance (``_perturbation_checks``); (v) compare extension
-    with the full solution.  Passing needs the off-puncture sup gap below
-    ``gap_constant * (h + tol)`` and every perturbation check clean;
-    ``eps_values`` must be a non-empty sequence of finite numbers > 0, so
-    that the polar enters every check, and ``gap_constant`` a finite
-    number > 0 with a finite threshold.
+    solution plus eps times the polar stays subharmonic, for each eps in
+    ``PERTURBATION_EPS``, at every unknown cell whose stencil avoids the
+    punctures, each cell at its own tolerance (``_perturbation_checks``);
+    (v) compare extension with the full solution.  Passing needs the
+    off-puncture sup gap below ``GAP_CONSTANT * (h + tol)``, which must
+    be finite, and every perturbation check clean.
 
     The polar exponent must be at least 2 (no finite point set is polar
     below that), and the operator's cone F must pass a randomized
@@ -987,14 +995,10 @@ def removability_experiment(
     """
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
-    eps_values = tuple(eps_values)
-    if not (eps_values and all(0 < eps < math.inf for eps in eps_values)):
-        raise DomainError(f"eps values must be finite numbers > 0, at least one, got {eps_values}")
-    if not 0 < gap_constant < math.inf:
-        raise DomainError(f"gap constant must be a finite number > 0, got {gap_constant}")
-    threshold = gap_constant * (problem.h + tol)
+    threshold = GAP_CONSTANT * (problem.h + tol)
     if not math.isfinite(threshold):
-        raise DomainError(f"gap threshold gap_constant * (h + tol) must be finite, got {threshold}")
+        raise DomainError(
+            f"gap threshold {GAP_CONSTANT:g} * (h + tol) must be finite, got {threshold}")
     kind, val = problem.operator
     nd = problem.ndim
     idx_pts = _lattice_indices(punctures, problem.origin, problem.h)
@@ -1032,7 +1036,7 @@ def removability_experiment(
         np.max(np.abs(ext.extended.values[~off] - full.solution.values[~off]))
     )
 
-    reps = _perturbation_checks(punct.solution, punctured_problem, cone, polar_p, eps_values)
+    reps = _perturbation_checks(punct.solution, punctured_problem, cone, polar_p, PERTURBATION_EPS)
     checks = {eps: len(rep.violations) for eps, rep in reps.items()}
     passed = not any(checks.values()) and sup_gap <= threshold
     return RemovabilityReport(

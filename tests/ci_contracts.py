@@ -1,8 +1,8 @@
 """CLI contracts that take a child process each and minutes in all: peak
 memory and time bounds, reports and files that are byte-identical on
 one CPU and on all of them and at any OpenBLAS thread count, bad input
-that ends in one JSON report and nothing on stderr, and a mutant of the
-perturbation check that its control tests must catch.
+that ends in one JSON report and nothing on stderr, and a table of named
+source mutants that their Tier-1 tests must kill.
 
 Run from the repository root with ``python -m pytest -q tests/ci_contracts.py``.
 The file name does not match ``test_*.py``, so the Tier-1 run does not
@@ -192,33 +192,73 @@ def test_outputs_do_not_depend_on_blas_threads_or_cpus(inputs, argv):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-# with the per-cell tolerance c(x) replaced by its largest value, as when
-# one c_tol served every cell, the superharmonic controls pass and each
-# of these tests fails.  The 65^2 quadratic case and the 3-D control are
-# caught by that global tolerance too, so they are not listed
-_CONTROL_TESTS = [
-    "tests/test_solver.py::test_perturbation_check_rejects_a_superharmonic_control[129]",
-    "tests/test_solver.py::"
-    "test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel_annulus",
-    "tests/test_acceptance.py::test_criterion_7_removability",
-    "tests/test_grids.py::test_tolerance_is_local_to_a_steep_feature",
+# Named source mutants: (file under src/conecalc, text that occurs there
+# once, its replacement, the test ids that must all fail on the mutated
+# copy).  Each list holds the quickest of the Tier-1 tests that kill its
+# mutant; a mutant that survives them fails its case
+_SOLVER = "tests/test_solver.py::"
+_CONES = "tests/test_cones.py::"
+_MUTANTS = [
+    # the per-cell tolerance c(x) replaced by its largest value, as when one
+    # c_tol served every cell: the superharmonic controls pass.  The 65^2
+    # quadratic case and the 3-D control are caught by that global
+    # tolerance too, so they are not listed
+    pytest.param("grids.py", "        return kappa * u.h\n",
+                 "        return np.full_like(kappa, kappa.max()) * u.h\n",
+                 [f"{_SOLVER}test_perturbation_check_rejects_a_superharmonic_control[129]",
+                  f"{_SOLVER}test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel"
+                  "_annulus[65]",
+                  f"{_SOLVER}test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel"
+                  "_annulus[129]",
+                  "tests/test_acceptance.py::test_criterion_7_removability",
+                  "tests/test_grids.py::test_tolerance_is_local_to_a_steep_feature"],
+                 id="global-tolerance"),
+    # a policy step keeps its previous frame within 1e-6 of the best, not
+    # 1e-12: ties absorb real improvements.  The min-max comparison
+    # principle kills it too, but Hypothesis takes ~100 s shrinking there
+    pytest.param("solver.py", "_TIE = 1e-12\n", "_TIE = 1e-6\n",
+                 [f"{_SOLVER}test_evaluate_keeps_a_tied_frame_and_reports_the_best_value",
+                  f"{_SOLVER}test_comparison_principle_for_ordered_data",
+                  f"{_SOLVER}test_branch_one_on_generic_data_stops_at_the_reach_floor"],
+                 id="tie-1e-6"),
+    # refinement stops at a backward error of 1e-7, not 64 eps
+    pytest.param("solver.py", "_BACKWARD_ERROR = 64 * np.finfo(float).eps\n",
+                 "_BACKWARD_ERROR = 1e-7\n",
+                 [f"{_SOLVER}test_permuted_factor_solve_meets_the_backward_error[annulus-65-pp1.5]",
+                  f"{_SOLVER}test_permuted_factor_solve_meets_the_backward_error[pp1.5-11^3]"],
+                 id="backward-error-1e-7"),
+    # a stencil arm whose minus end lands on a puncture stays valid
+    pytest.param("solver.py", "            valid &= ~punct[plus] & ~punct[minus]\n",
+                 "            valid &= ~punct[plus]\n",
+                 [f"{_SOLVER}test_scheme_kernel_matches_loop_reference[{case}]"
+                  for case in ("shape0-op0-3", "shape4-op4-3", "shape8-op8-2")],
+                 id="no-puncture-test-on-minus-arm"),
+    # check_relation stops after the GOE samples, with no commuting pairs
+    pytest.param("cones.py",
+                 "    if report is None and _KINDS[F.kind].spectral and _KINDS[M.kind].spectral:\n",
+                 "    if False:\n",
+                 [f"{_CONES}test_a_commuting_counterexample_is_a_diagonal_pair[pp]",
+                  f"{_CONES}test_a_commuting_counterexample_is_a_diagonal_pair[branch]",
+                  f"{_CONES}test_check_relation_refutes_a_slightly_larger_pp_exponent[1.5-1.6-6]",
+                  f"{_CONES}test_only_spectral_kind_pairs_get_commuting_pairs",
+                  f"{_SOLVER}test_removability_rejects_branch_3_for_a_pp_2_polar"],
+                 id="no-commuting-pass"),
 ]
-_GLOBAL_TOLERANCE = ("        return kappa * u.h\n",
-                     "        return np.full_like(kappa, kappa.max()) * u.h\n")
 
 
-def test_control_tests_fail_on_a_global_tolerance_mutant(tmp_path):
+@pytest.mark.parametrize("file, old, new, killers", _MUTANTS)
+def test_named_mutant_is_killed(tmp_path, file, old, new, killers):
     root = Path(__file__).parents[1]
     shutil.copytree(root / "src", tmp_path / "src")
-    grids_py = tmp_path / "src" / "conecalc" / "grids.py"
-    text = grids_py.read_text()
-    old, new = _GLOBAL_TOLERANCE
+    path = tmp_path / "src" / "conecalc" / file
+    text = path.read_text()
     assert text.count(old) == 1
-    grids_py.write_text(text.replace(old, new))
+    path.write_text(text.replace(old, new))
     env = dict(_ENV, PYTHONPATH=os.pathsep.join([str(tmp_path / "src"), *sys.path]))
     where = subprocess.run([sys.executable, "-c", "import conecalc; print(conecalc.__file__)"],
                            cwd=root, env=env, capture_output=True, text=True)
     assert where.stdout.startswith(str(tmp_path / "src"))
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           *_CONTROL_TESTS], cwd=root, env=env, capture_output=True, text=True)
-    assert re.fullmatch(r"5 failed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout
+                           *killers], cwd=root, env=env, capture_output=True, text=True)
+    assert re.fullmatch(rf"{len(killers)} failed in .*", proc.stdout.strip().splitlines()[-1]), \
+        proc.stdout

@@ -77,7 +77,9 @@ def fd_hessian(spec, x, h):
     return FD
 
 
-def test_criterion_2_kernel_harmonicity_and_consistency():
+def _criterion_2_measures():
+    """(largest |partial sum of order p| of the exact Hessians, FD error
+    ratios at h = 1e-2 against 5e-3) over C2's sample points."""
     rng = np.random.default_rng(2024)
     worst_sum = 0.0
     ratios = []
@@ -98,7 +100,11 @@ def test_criterion_2_kernel_harmonicity_and_consistency():
                 e1 = np.linalg.norm(fd_hessian(spec, x, 1e-2) - exact)
                 e2 = np.linalg.norm(fd_hessian(spec, x, 5e-3) - exact)
                 ratios.append(e1 / e2)
-    ratios = np.array(ratios)
+    return worst_sum, np.array(ratios)
+
+
+def test_criterion_2_kernel_harmonicity_and_consistency():
+    worst_sum, ratios = _criterion_2_measures()
     ok = worst_sum <= 1e-10 and np.all((ratios >= 3.5) & (ratios <= 4.5))
     report(
         "C2",
@@ -106,6 +112,36 @@ def test_criterion_2_kernel_harmonicity_and_consistency():
         f"partial sums <= {worst_sum:.1e} (tol 1e-10); "
         f"FD ratios in [{ratios.min():.2f}, {ratios.max():.2f}] (need 4 +- 0.5)",
     )
+
+
+def test_criterion_2_rejects_a_hessian_with_p_off_by_1e_3(monkeypatch):
+    # control: c_p |x|^-p (I - (p + 1e-3) P_e) has bottom partial sum
+    # -1e-3 c_p |x|^-p, which must break the 1e-10 bound (measured: the
+    # largest reaches 7.9e-2, against 9.9e-14 for the exact Hessians)
+    exact = riesz.kernel_jet
+
+    def shifted(spec, x):
+        jet = exact(spec, x)
+        r = np.linalg.norm(x)
+        shift = 1e-3 * spec.c_p * r ** -spec.p * np.outer(x, x) / r**2
+        return symmat.Jet2(jet.value, jet.gradient, symmat.SymMatrix(jet.hessian.entries - shift))
+
+    monkeypatch.setattr(riesz, "kernel_jet", shifted)
+    worst_sum, _ = _criterion_2_measures()
+    report("C2 control (p)", worst_sum > 1e-10, f"partial sums reach {worst_sum:.1e} (tol 1e-10)")
+
+
+def test_criterion_2_rejects_c_p_off_by_1e_3(monkeypatch):
+    # control: the jet's Hessian scaled by 1 + 1e-3 keeps its partial sums
+    # at 0, but no longer matches the kernel values' finite differences
+    # (measured: all 110 ratios fall to [0.93, 1.41], from [4.00, 4.01])
+    c_p = riesz.RieszKernelSpec.c_p
+    monkeypatch.setattr(riesz.RieszKernelSpec, "c_p", property(lambda s: (1 + 1e-3) * c_p.fget(s)))
+    _, ratios = _criterion_2_measures()
+    outside = (ratios < 3.5) | (ratios > 4.5)
+    report("C2 control (c_p)", outside.any(),
+           f"{outside.sum()} of {ratios.size} FD ratios outside [3.5, 4.5], "
+           f"in [{ratios.min():.2f}, {ratios.max():.2f}]")
 
 
 # -- criterion 3: branch duality ------------------------------------------------------

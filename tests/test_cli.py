@@ -232,8 +232,40 @@ def test_schema_rejects_a_key_it_does_not_declare():
         with pytest.raises(InternalConsistencyError, match="undeclared key 'extra'"):
             schema.validate_report(extra)
     # an object declared without properties stays open
-    schema.validate_report({"command": "experiment", "kind": "removability", "passed": True,
-                            "seed": 0, "removability": {"extra": 1}})
+    schema.validate_report({"command": "check", "kind": "monotone", "passed": False, "seed": 0,
+                            "dim": 2, "counterexample": {"extra": 1}})
+
+
+def test_schema_closes_the_experiment_report(tmp_path, monkeypatch, capsys):
+    # every key that RemovabilityReport.to_dict and the convergence rows
+    # write is declared, and a misspelt one inside them is rejected
+    _, prob = write_problem(tmp_path, grid={"shape": [9, 9], "origin": [-1, -1], "h": 0.25})
+    (tmp_path / "rem.json").write_text(
+        json.dumps({"kind": "removability", "problem": prob, "puncture": [[0, 0]]}))
+    (tmp_path / "conv.json").write_text(
+        json.dumps({"kind": "convergence", "problem": prob, "resolutions": [5, 9]}))
+    monkeypatch.chdir(tmp_path)
+    props = schema.load_schema()["definitions"]["experiment_report"]["properties"]
+    reports = []
+    for config in ("rem.json", "conv.json"):
+        assert cli.main(["experiment", "--config", config, "--output-dir", "out"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        schema.validate_report(reports[-1])
+    removability, convergence = reports
+    assert set(removability["removability"]) == set(props["removability"]["properties"])
+    assert set(removability["removability"]) == set(props["removability"]["required"])
+    assert set(convergence["errors"][0]) == set(props["errors"]["items"]["properties"])
+    bad_rows = [dict(convergence["errors"][0], sup_eror=0.0), *convergence["errors"][1:]]
+    for bad, where in (
+            (dict(removability, removability=dict(removability["removability"], sup_gaps=0.0)),
+             r"\$\.removability: undeclared key 'sup_gaps'"),
+            (dict(convergence, errors=bad_rows), r"\$\.errors\[0\]: undeclared key 'sup_eror'")):
+        with pytest.raises(InternalConsistencyError, match=where):
+            schema.validate_report(bad)
+    missing = dict(removability["removability"])
+    del missing["gap_threshold"]
+    with pytest.raises(InternalConsistencyError, match="missing required key 'gap_threshold'"):
+        schema.validate_report(dict(removability, removability=missing))
 
 
 # -- check suites ------------------------------------------------------------------
@@ -631,20 +663,24 @@ def test_experiment_convergence_curves(tmp_path):
 
 
 def test_stencil_reach_is_read_from_the_problem_by_solve_and_experiment(tmp_path, monkeypatch, capsys):
-    # reach 1 takes 2 linear solves on this annulus, the default reach 3 takes 5
+    # 3-D pp:2 on (x^2 + y^2 + z^2)^(1/4): reach 1 takes 5 linear solves,
+    # reach 2 takes 7 and the default reach 3 takes 8 (2-D pp:2 solves
+    # alike at every reach)
     path, prob = write_problem(
-        tmp_path, p=1.5, grid={"shape": [17, 17], "origin": [-1, -1], "h": 0.125},
-        boundary={"expr": "(x*x+y*y)**0.25"}, hole={"min": [-0.25] * 2, "max": [0.25] * 2},
-        stencil_reach=1,
+        tmp_path, grid={"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
+        boundary={"expr": "(x*x+y*y+z*z)**0.25"}, stencil_reach=1,
     )
-    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": prob}))
+    (tmp_path / "exp.json").write_text(json.dumps(
+        {"kind": "removability", "problem": prob, "puncture": [[0.25, 0.25, 0.25]]}))
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["solve", "--problem", str(path), "--output-prefix", "sol"]) == 0
+    # the experiment solves at its default tol, 1e-9
+    assert cli.main(["solve", "--problem", str(path), "--tol", "1e-9",
+                     "--output-prefix", "sol"]) == 0
     solved = json.loads(capsys.readouterr().out)["solve"]
     assert cli.main(["experiment", "--config", "exp.json", "--output-dir", "out"]) == 0
-    assert json.loads(capsys.readouterr().out)["solve"] == solved
-    assert solved["iterations"] == 2
-    assert Path("sol.grid").read_bytes() == Path("out/solution.grid").read_bytes()
+    assert json.loads(capsys.readouterr().out)["removability"]["full"] == solved
+    assert solved["iterations"] == 5
+    assert Path("sol.grid").read_bytes() == Path("out/solution_full.grid").read_bytes()
 
 
 def test_malformed_config_is_usage_error(tmp_path):
@@ -673,7 +709,7 @@ _BAD_INPUT_FILES = {
     "origin.json": json.dumps(dict(_GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1], "h": 0.25})),
     "hole.json": json.dumps(dict(_GOOD_PROBLEM, hole={"min": [0, 0]})),
     "puncture.json": json.dumps(dict(_GOOD_PROBLEM, puncture=5)),
-    "noproblem.json": json.dumps({"kind": "solve"}),
+    "noproblem.json": json.dumps({"kind": "removability", "puncture": [[0, 0]]}),
     "nopuncture.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM}),
     "noresolutions.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM}),
     "notobject.json": "[1]",
@@ -681,13 +717,25 @@ _BAD_INPUT_FILES = {
     "reachabc.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach="abc")),
     "reach25.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2.5)),
     "reach2000.json": json.dumps(dict(_GOOD_PROBLEM, stencil_reach=2000)),
-    "expreach.json": json.dumps({"kind": "solve", "problem": dict(_GOOD_PROBLEM, stencil_reach=2.5)}),
-    "expreachtop.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "stencil_reach": 1}),
-    "expotherfield.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "eps": [0.1]}),
-    "expothercrit.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
-                                     "pass_criteria": {"sup_gap": -1, "max_rel_error": -1}}),
-    "expmisspelt.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
-                                    "pass_criteria": {"residual_sup_max": -1}}),
+    "expreach.json": json.dumps({"kind": "removability", "puncture": [[0, 0]],
+                                 "problem": dict(_GOOD_PROBLEM, stencil_reach=2.5)}),
+    "expreachtop.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
+                                    "resolutions": [9], "stencil_reach": 1}),
+    "expotherfield.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
+                                      "resolutions": [9], "puncture": [[0, 0]]}),
+    "expothercrit.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                     "puncture": [[0, 0]],
+                                     "pass_criteria": {"max_rel_error": -1, "sup_gap": -1}}),
+    "expmisspelt.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
+                                    "resolutions": [9], "pass_criteria": {"max_rel_err": -1}}),
+    "expeps.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                               "puncture": [[0, 0]], "eps": [0.01]}),
+    "expgap.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                               "puncture": [[0, 0]], "gap_constant": 5}),
+    "expsolve.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM}),
+    # h and tol are finite, 5 * (h + tol) is not
+    "expgapinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                  "puncture": [[0, 0]], "tol": 1e308}),
     "monotoneno.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM,
                                    "resolutions": [9],
                                    "pass_criteria": {"monotone_decreasing": "no"}}),
@@ -696,33 +744,21 @@ _BAD_INPUT_FILES = {
     "punctinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
                                  "puncture": [[0, float("-inf")]]}),
     "punctfar.json": json.dumps(dict(_GOOD_PROBLEM, puncture=[[1e308, 0]])),
+    "exppunctfar.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                    "puncture": [[0, 0], [1e308, 0]]}),
     "misspelled.json": json.dumps(dict(_GOOD_PROBLEM, stencil_rech=1)),
-    "gapinf.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
-                               "puncture": [[0, 0]], "gap_constant": float("inf")}),
-    "gapnan.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
-                               "puncture": [[0, 0]], "gap_constant": float("nan")}),
     "convnogrid.json": json.dumps(
         {"kind": "convergence", "problem": {"operator": "pp"}, "resolutions": [9]}
     ),
     "resolutions.json": json.dumps(
         {"kind": "convergence", "problem": _GOOD_PROBLEM, "resolutions": ["a", 9]}
     ),
-    "tol.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": "x"}),
-    "eps.json": json.dumps(
-        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": "ab"}
-    ),
-    "epsnone.json": json.dumps(
-        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": []}
-    ),
-    "epszero.json": json.dumps(
-        {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]], "eps": [0]}
-    ),
-    "gap.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
-                            "puncture": [[0, 0]], "gap_constant": "x"}),
+    "tol.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM, "resolutions": [9],
+                            "tol": "x"}),
     "polarp.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
                                "puncture": [[0, 0]], "polar_p": "x"}),
-    "bound.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM,
-                              "pass_criteria": {"residual_sup": "x"}}),
+    "bound.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                              "puncture": [[0, 0]], "pass_criteria": {"sup_gap": "x"}}),
     "punctpoint.json": json.dumps(
         {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [["a", 0]]}
     ),
@@ -745,7 +781,7 @@ _BAD_INPUT_FILES = {
                                   grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})),
     "hugeh.json": json.dumps(dict(_GOOD_PROBLEM, p=1.5, boundary={"expr": "sin(x/1e150)"},
                                   grid={"shape": [9, 9], "origin": [0, 0], "h": 1e200})),
-    "exptinyh.json": json.dumps({"kind": "solve", "problem": dict(
+    "exptinyh.json": json.dumps({"kind": "convergence", "resolutions": [9], "problem": dict(
         _GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})}),
     "removetinyh.json": json.dumps({"kind": "removability", "puncture": [[0, 0]], "problem": dict(
         _GOOD_PROBLEM, grid={"shape": [9, 9], "origin": [-1, -1], "h": 1e-160})}),
@@ -758,7 +794,8 @@ _BAD_INPUT_FILES = {
     "tinyh9.grid": "grid n=2 shape=9,9 origin=0,0 h=1e-200\n" + "0,1,4,9,16,25,36,49,64\n" * 9,
     # h^2 is subnormal, not 0, and 1/h^2 overflows
     "subnormalh.grid": "grid n=2 shape=9,9 origin=0,0 h=1e-158\n" + "0,1,4,9,16,25,36,49,64\n" * 9,
-    "tolneg.json": json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM, "tol": -1}),
+    "tolneg.json": json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM, "resolutions": [9],
+                               "tol": -1}),
     "empty.csv": "",
     "comment.csv": "# no atoms\n",
     "convzero.json": json.dumps(
@@ -777,6 +814,31 @@ _BAD_INPUT_FILES = {
     # would solve [-1, 1]^2 and pass
     "convnoncubic.json": json.dumps({"kind": "convergence", "resolutions": [9, 17], "problem": dict(
         _GOOD_PROBLEM, grid={"shape": [9, 17], "origin": [-1, -1], "h": 0.25})}),
+}
+
+_NOT_READ = " (problem keys such as stencil_reach belong in the problem object)"
+_FAR_PUNCTURE = ("puncture point [1e+308, 0.0] is finite, but its lattice index (x - origin) / h "
+                 "overflows")
+# config file -> the message its error report carries
+_CONFIG_MESSAGES = {
+    "noproblem.json": "removability experiment config is missing problem",
+    "expreach.json": "stencil reach must be an integer in [1, 5], got 2.5",
+    "expreachtop.json": "convergence experiment config has no field 'stencil_reach'" + _NOT_READ,
+    "expotherfield.json": "convergence experiment config has no field 'puncture'" + _NOT_READ,
+    "expothercrit.json": "removability experiment has no pass criterion 'max_rel_error' "
+                         "(its criteria: sup_gap, masked_gap)",
+    "expmisspelt.json": "convergence experiment has no pass criterion 'max_rel_err' "
+                        "(its criteria: monotone_decreasing, max_rel_error)",
+    "expeps.json": "removability experiment config has no field 'eps'" + _NOT_READ,
+    "expgap.json": "removability experiment config has no field 'gap_constant'" + _NOT_READ,
+    "expsolve.json": "experiment kind must be removability/convergence, got 'solve'",
+    "expgapinf.json": "gap threshold 5 * (h + tol) must be finite, got inf",
+    "tol.json": "experiment field 'tol' must be a number, got 'x'",
+    "bound.json": "experiment field 'sup_gap' must be a number, got 'x'",
+    "tolneg.json": "solve tolerance must be finite and >= 0, got -1",
+    "exptinyh.json": "grid spacing 1e-160 is out of range: 1/(h |v|)^2 overflows or is 0",
+    "punctfar.json": _FAR_PUNCTURE,
+    "exppunctfar.json": _FAR_PUNCTURE,
 }
 
 
@@ -828,6 +890,14 @@ _BAD_INPUT_FILES = {
                      id="experiment-criterion-of-another-kind"),
         pytest.param(["experiment", "--config", "expmisspelt.json", "--output-dir", "out"],
                      id="experiment-misspelt-criterion"),
+        pytest.param(["experiment", "--config", "expeps.json", "--output-dir", "out"],
+                     id="experiment-retired-eps"),
+        pytest.param(["experiment", "--config", "expgap.json", "--output-dir", "out"],
+                     id="experiment-retired-gap-constant"),
+        pytest.param(["experiment", "--config", "expsolve.json", "--output-dir", "out"],
+                     id="experiment-retired-solve-kind"),
+        pytest.param(["experiment", "--config", "expgapinf.json", "--output-dir", "out"],
+                     id="experiment-gap-threshold-overflows"),
         pytest.param(["experiment", "--config", "monotoneno.json", "--output-dir", "out"],
                      id="experiment-monotone-not-bool"),
         pytest.param(["experiment", "--config", "punctnan.json", "--output-dir", "out"],
@@ -835,20 +905,14 @@ _BAD_INPUT_FILES = {
         pytest.param(["experiment", "--config", "punctinf.json", "--output-dir", "out"],
                      id="experiment-puncture-inf"),
         pytest.param(["solve", "--problem", "punctfar.json"], id="problem-puncture-index-overflows"),
+        pytest.param(["experiment", "--config", "exppunctfar.json", "--output-dir", "out"],
+                     id="experiment-puncture-index-overflows"),
         pytest.param(["experiment", "--config", "convnogrid.json", "--output-dir", "out"],
                      id="convergence-no-grid"),
         pytest.param(["experiment", "--config", "resolutions.json", "--output-dir", "out"],
                      id="resolutions-not-integers"),
         pytest.param(["experiment", "--config", "tol.json", "--output-dir", "out"],
                      id="experiment-tol-text"),
-        pytest.param(["experiment", "--config", "eps.json", "--output-dir", "out"],
-                     id="experiment-eps-text"),
-        pytest.param(["experiment", "--config", "epsnone.json", "--output-dir", "out"],
-                     id="experiment-eps-empty"),
-        pytest.param(["experiment", "--config", "epszero.json", "--output-dir", "out"],
-                     id="experiment-eps-zero"),
-        pytest.param(["experiment", "--config", "gap.json", "--output-dir", "out"],
-                     id="experiment-gap-constant-text"),
         pytest.param(["experiment", "--config", "polarp.json", "--output-dir", "out"],
                      id="experiment-polar-p-text"),
         pytest.param(["experiment", "--config", "bound.json", "--output-dir", "out"],
@@ -1014,6 +1078,9 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
             assert rep["error"]["message"] == message
     if "convnoncubic.json" in argv:
         assert rep["error"]["message"].endswith("got shape [9, 17]")
+    for name, message in _CONFIG_MESSAGES.items():
+        if name in argv:
+            assert rep["error"]["message"] == message
     assert err == ""
     assert not (tmp_path / "x.grid").exists()
 
@@ -1047,7 +1114,8 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     (tmp_path / "taken" / "report.json").mkdir(parents=True)
     write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
     (tmp_path / "good.json").write_text(json.dumps(_GOOD_PROBLEM))
-    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM}))
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"kind": "convergence", "problem": _GOOD_PROBLEM, "resolutions": [9]}))
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
@@ -1082,8 +1150,7 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
     ["cone", "--spec", "dual:enl:branch:3:0.2", "--dim", "3"],
     ["solve", "--problem", "misspelled.json"],
-    ["experiment", "--config", "gapinf.json", "--output-dir", "out"],
-    ["experiment", "--config", "gapnan.json", "--output-dir", "out"],
+    ["experiment", "--config", "exppunctfar.json", "--output-dir", "out"],
     ["solve", "--problem", "hugedata.json"],
     ["grid", "hessian", "--input", "tinyh9.grid", "--at", "4,4"],
     ["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0", "--output", "missing/r.json"],
@@ -1095,13 +1162,13 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
         "experiment-removability-coefficients-overflow",
         "experiment-convergence-coefficients-underflow", "grid-hessian-spacing-underflows",
         "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity",
-        "solve-misspelled-key", "experiment-gap-constant-inf", "experiment-gap-constant-nan",
+        "solve-misspelled-key", "experiment-puncture-index-overflows",
         "solve-data-overflow", "grid-hessian-spacing-underflows-9", "output-unwritable"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
                  "punctinf.json", "tinyh.json", "hugeh.json", "exptinyh.json",
                  "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv",
-                 "misspelled.json", "gapinf.json", "gapnan.json", "hugedata.json", "tinyh9.grid"):
+                 "misspelled.json", "exppunctfar.json", "hugedata.json", "tinyh9.grid"):
         (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -1136,7 +1203,8 @@ def test_problem_key_nothing_reads_is_a_usage_error(tmp_path, monkeypatch, capsy
     write_grid(tmp_path / "u.grid", from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x))
     problem = dict(_GOOD_PROBLEM, **change)
     (tmp_path / "problem.json").write_text(json.dumps(problem))
-    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": problem}))
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"kind": "removability", "problem": problem, "puncture": [[0, 0]]}))
     monkeypatch.chdir(tmp_path)
     argv = (["solve", "--problem", "problem.json"] if command == "solve"
             else ["experiment", "--config", "exp.json", "--output-dir", "out"])
@@ -1325,7 +1393,8 @@ def test_every_success_report_carries_command_and_seed(tmp_path, monkeypatch, ca
     (tmp_path / "pts.csv").write_text("0.1,0.2\n")
     write_grid(tmp_path / "u.grid", from_function((7, 7), [0, 0], 0.1, lambda x, y: x * x))
     (tmp_path / "good.json").write_text(json.dumps(_GOOD_PROBLEM))
-    (tmp_path / "exp.json").write_text(json.dumps({"kind": "solve", "problem": _GOOD_PROBLEM}))
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]]}))
     monkeypatch.chdir(tmp_path)
     assert cli.main([*argv, "--seed", "17"]) == 0
     rep = json.loads(capsys.readouterr().out)
