@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,13 +27,6 @@ from .errors import (
 
 USAGE_EXIT = 2
 MATH_EXIT = 1
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("CONECALC_SEED", "0"))
-    except ValueError as exc:
-        raise SpecParseError(f"CONECALC_SEED must be an integer: {exc}") from None
 
 
 def _json_text(report: dict) -> str:
@@ -273,13 +265,9 @@ def _experiment_convergence(cfg, outdir: Path, report: dict) -> tuple:
     }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # a field is (test, what its value must be); a criterion adds
 # judge(measured value, bound) -> passed
-_NUMBER = (_is_number, "a number")
+_NUMBER = (symmat.is_number, "a number")
 _AT_MOST = _NUMBER + (lambda value, bound: value <= bound,)
 _FLAG = (lambda v: isinstance(v, bool), "true or false", lambda holds, asked: holds or not asked)
 
@@ -290,7 +278,10 @@ _EXPERIMENTS = {
     "removability": (
         _experiment_removability,
         ("problem", "puncture"),
-        {"tol": _NUMBER, "polar_p": (lambda v: v is None or _is_number(v), "a number or null")},
+        {"tol": _NUMBER, "polar_p": (lambda v: v is None or symmat.is_number(v), "a number or null"),
+         "puncture": (lambda v: isinstance(v, list) and all(
+             isinstance(pt, list) and all(map(symmat.is_number, pt)) for pt in v),
+             "a list of points, each a list of numbers")},
         {"sup_gap": _AT_MOST, "masked_gap": _AT_MOST},
     ),
     "convergence": (
@@ -357,10 +348,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="conecalc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    seed = _default_seed()
 
     def common(p):
-        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("cone", help="Riesz characteristic and dual of a cone")

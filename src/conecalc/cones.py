@@ -76,7 +76,6 @@ from .symmat import (
 
 CLOSED_TOL = 1e-9
 INTERIOR_TOL = 1e-7
-GARDING_DIM_CAP = 12
 
 # entries per sample stack in one block of a randomized check: 256 KiB of
 # float64, whatever the sample count
@@ -1192,43 +1191,6 @@ def dual_description(spec: ConeSpec) -> str:
     """Human-readable description of the dual cone (a mirror's descriptor)."""
     kind = _KINDS[spec.kind]
     return kind.mirror(spec).describe() if kind.mirror else kind.dual_text(spec)
-
-
-# -- Pucci Garding polynomial -------------------------------------------------
-
-
-def garding_index_family(n: int, lam: float, Lam: float) -> list[tuple]:
-    """Index subsets whose cube vertex is unreachable by the open segment.
-
-    For each subset I the vertex v has value lam on I and Lam elsewhere;
-    I is retained exactly when ``{t * v: 0 < t < 1}`` misses the cube
-    ``[lam, Lam]^n``.  The point t * v lies in the cube iff t lies in
-    every interval [lam / v_i, Lam / v_i].  A member i gives lam / v_i = 1,
-    so no t < 1 reaches the cube, while the empty set reaches it at
-    t = lam / Lam < 1: the family is every nonempty subset, in the order
-    of their bit masks.
-    """
-    return _garding_factors(n, lam, Lam)[0]
-
-
-def _garding_factors(n: int, lam: float, Lam: float):
-    """Index family and coefficients: ``eigs @ coeffs.T`` gives every factor."""
-    if not 0 < lam < Lam:
-        raise DomainError(f"need 0 < lam < Lam, got ({lam}, {Lam})")
-    if n > GARDING_DIM_CAP:
-        raise ResourceLimitError(
-            f"dimension {n} exceeds the Garding cap {GARDING_DIM_CAP} (2^n subsets)"
-        )
-    members = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1) == 1
-    family = [tuple((np.flatnonzero(row) + 1).tolist()) for row in members]
-    return family, np.where(members, lam, Lam)
-
-
-def garding_pucci_min_factors(lams: np.ndarray, lam: float, Lam: float) -> np.ndarray:
-    """Minimum factor over the index family for a stack of eigenvalue rows."""
-    lams = np.asarray(lams, dtype=float)
-    coeffs = _garding_factors(lams.shape[-1], lam, Lam)[1]
-    return (lams @ coeffs.T).min(axis=-1)
 
 
 # -- descriptor parsing -------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, PoleError, UnsupportedPolarError
-from .symmat import Jet2, SymMatrix, _check_p, csv_lines, read_vectors_csv, write_text
+from .symmat import Jet2, SymMatrix, _check_p, read_vectors_csv
 
 NEAR_POLE = 1e-12
 # entries of the (points, atoms, n) difference array of one block of an
@@ -151,11 +151,6 @@ class DiscreteMeasure:
 def uniform_measure(points) -> DiscreteMeasure:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return DiscreteMeasure(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]))
-
-
-def potential_value(spec: RieszKernelSpec, mu: DiscreteMeasure, x) -> float:
-    """Potential value at x; -inf when x sits on an atom and p >= 2."""
-    return float(potential_values(spec, mu, np.asarray(x, dtype=float).ravel())[0])
 
 
 def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarray:
@@ -315,7 +310,3 @@ def read_measure_csv(path) -> DiscreteMeasure:
     if rows.shape[1] < 2:
         raise DomainError("measure rows need coordinates plus a weight column")
     return DiscreteMeasure(rows[:, :-1], rows[:, -1])
-
-
-def write_measure_csv(path, mu: DiscreteMeasure) -> None:
-    write_text(path, csv_lines(np.column_stack([mu.points, mu.weights]).tolist()))

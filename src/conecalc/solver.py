@@ -107,7 +107,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cones, grids
+from . import cones, grids, symmat
 from .cones import ConeSpec, SampleConfig
 from .errors import (
     DiscretizationError,
@@ -1158,6 +1158,22 @@ def _refuse_unread(obj: dict, name: str, keys) -> None:
         raise DomainError(f"problem {name} has no key {unknown[0]!r} (its keys: {', '.join(keys)})")
 
 
+def _numbers(value, what: str, count: Optional[int] = None) -> np.ndarray:
+    """A JSON number, or with ``count`` a list of that many, as floats; any
+    other value, a bool or a string among them, is a DomainError naming it."""
+    if count is None:
+        ok, need = symmat.is_number(value), "a number"
+    else:
+        ok = isinstance(value, list) and len(value) == count and all(map(symmat.is_number, value))
+        need = f"a list of {count} numbers"
+    if not ok:
+        raise DomainError(f"problem {what} must be {need}, got {value!r}")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer past float64's range
+        raise DomainError(f"problem {what} overflows float64") from None
+
+
 def problem_from_config(cfg: dict) -> DirichletProblem:
     """Build a problem from its JSON dict form.
 
@@ -1165,25 +1181,37 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
     shape/origin/h; ``boundary`` with one of ``expr`` and ``grid_file``;
     optional ``hole`` box {min, max}, ``puncture`` point list and
     ``stencil_reach``, which the caller reads (``make_stencil``).  Any
-    other key, at the top or in an object, is a DomainError.
+    other key, at the top or in an object, is a DomainError.  ``p``, ``k``,
+    ``h`` and every coordinate must be JSON numbers, and ``shape`` whole
+    ones.
     """
     try:
-        grid = cfg["grid"]
-        shape = tuple(int(s) for s in grid["shape"])
-        nd = len(shape)
-        origin = np.asarray(grid["origin"], dtype=float).reshape(nd)
-        h = float(grid["h"])
-        op_kind = cfg["operator"]
-        param = "p" if op_kind == "pp" else "k"
-        op = _normalize_op((op_kind, cfg[param]), nd)
-        boundary = dict(cfg["boundary"])
+        grid, op_kind, boundary = cfg["grid"], cfg["operator"], dict(cfg["boundary"])
+        shape, origin, h = grid["shape"], grid["origin"], grid["h"]
         box = cfg.get("hole")
         if box:
-            box = [np.asarray(box[key], dtype=float).reshape(nd) for key in ("min", "max")]
+            box = [box["min"], box["max"]]
     except KeyError as exc:
         raise DomainError(f"problem config is missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed problem config: {exc}") from exc
+    if op_kind not in ("pp", "branch"):
+        raise DomainError(f"problem operator must be 'pp' or 'branch', got {op_kind!r}")
+    param = "p" if op_kind == "pp" else "k"
+    if param not in cfg:
+        raise DomainError(f"problem config is missing key {param!r}")
+    if not (isinstance(shape, list) and all(
+            symmat.is_number(s) and (isinstance(s, int) or s.is_integer()) for s in shape)):
+        raise DomainError(f"problem grid shape must be a list of whole numbers, got {shape!r}")
+    shape, nd = tuple(int(s) for s in shape), len(shape)
+    origin, h = _numbers(origin, "grid origin", nd), float(_numbers(h, "grid spacing h"))
+    _numbers(cfg[param], param)  # its range is the catalogue cone's check
+    if box:
+        box = [_numbers(bound, f"hole {key}", nd) for bound, key in zip(box, ("min", "max"))]
+    points = cfg.get("puncture") or []
+    if not isinstance(points, list):
+        raise DomainError(f"problem puncture must be a list of points, got {points!r}")
+    points = [_numbers(pt, "puncture point", nd) for pt in points]
     _refuse_unread(cfg, "config", ("operator", param, "grid", "boundary", "hole", "puncture",
                                    "stencil_reach"))
     _refuse_unread(grid, "grid", ("shape", "origin", "h"))
@@ -1192,8 +1220,9 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
     _refuse_unread(boundary, "boundary", ("expr", "grid_file"))
     if ("expr" in boundary) == ("grid_file" in boundary):
         raise DomainError("boundary needs exactly one of 'expr' and 'grid_file'")
+    op = _normalize_op((op_kind, cfg[param]), nd)
     _check_lattice(shape, origin, h)
-    punctures = _lattice_indices(cfg.get("puncture") or [], origin, h)
+    punctures = _lattice_indices(points, origin, h)
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
         g = evaluate_expression(boundary["expr"], coords)

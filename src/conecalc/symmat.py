@@ -1,9 +1,10 @@
 """Spectral core: symmetric matrices, ordered eigenvalues, and the
 eigenvalue functionals consumed by every cone predicate.
 
-Each functional has one implementation, vectorized over leading axes;
-``cones`` calls it on stacks and the pointwise functions are one-matrix
-views of it.
+Each functional has one implementation, vectorized over leading axes,
+and ``cones`` calls it on stacks.  ``eigenvalues_of`` and
+``hermitian_eigenvalues`` also take one matrix: they are the only
+one-matrix views left.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -19,6 +20,7 @@ functions, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -74,10 +76,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def scale(self) -> float:
-        return scale_of(self.entries)
-
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         return SymMatrix(self.entries + as_matrix(other).entries)
 
@@ -120,6 +118,8 @@ class Frame:
         k, n = vecs.shape
         if not 1 <= k <= n:
             raise DomainError(f"frame must have 1..n vectors, got {k} in dim {n}")
+        if not np.all(np.isfinite(vecs)):  # NaN would pass the orthonormality test
+            raise DomainError(f"frame vectors {vecs.tolist()} must be finite")
         gram = vecs @ vecs.T
         if np.max(np.abs(gram - np.eye(k))) > 1e-12:
             raise DomainError("frame vectors are not orthonormal to 1e-12")
@@ -236,12 +236,6 @@ def top_partial_sum_eigs(lam: np.ndarray, p: float) -> np.ndarray:
     return -partial_sum_eigs(-lam[..., ::-1], p)
 
 
-def partial_sum(A, p: float) -> float:
-    """Sum of the p smallest eigenvalues, with fractional interpolation."""
-    lam = eigenvalues_of(as_matrix(A))
-    return float(partial_sum_eigs(lam, p))
-
-
 def complex_structure(n: int) -> np.ndarray:
     """The fixed complex structure J on R^n with coordinates paired
     (x1, y1, ..., xm, ym): J e_{2i} = e_{2i+1}, J e_{2i+1} = -e_{2i}."""
@@ -303,11 +297,6 @@ def frame_traces(mats, frames) -> np.ndarray:
     return np.einsum("fpi,...ij,fpj->...f", V, mats, V)
 
 
-def trace_over_frame(A, W: Frame) -> float:
-    """Trace of the quadratic form A restricted to the plane spanned by W."""
-    return float(frame_traces(as_matrix(A).entries, [W])[0])
-
-
 def pfold_index_sets(n: int, p: int) -> np.ndarray:
     """Index subsets of size p as an array of shape (C(n,p), p)."""
     count = math.comb(n, p)
@@ -334,9 +323,21 @@ def pfold_sums_eigs(lam: np.ndarray, p: int) -> np.ndarray:
 # or write_text, and every numeric row through csv_lines
 
 
+def is_number(value) -> bool:
+    """Whether a value read from JSON is a number: a bool or a string is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_path(path) -> None:
+    # open() takes an integer as a file descriptor: 1 would close stdout
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"a file path must be a string, got {path!r}")
+
+
 def read_text(path) -> str:
-    """The text of a UTF-8 file; a file that cannot be read or decoded
-    raises DomainError."""
+    """The text of a UTF-8 file; a path that is not a string or a path
+    object, or a file that cannot be read or decoded, raises DomainError."""
+    _check_path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -345,8 +346,9 @@ def read_text(path) -> str:
 
 
 def write_text(path, chunks) -> None:
-    """Stream an iterable of strings to a UTF-8 file; a path that cannot be
-    written raises DomainError."""
+    """Stream an iterable of strings to a UTF-8 file; a path that is not a
+    string or a path object, or cannot be written, raises DomainError."""
+    _check_path(path)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
@@ -383,10 +385,6 @@ def _read_csv_blocks(path) -> list[list[list[float]]]:
 def read_matrix_csv(path) -> SymMatrix:
     """Read a matrix stored as n lines of n comma-separated floats."""
     return SymMatrix(read_vectors_csv(path))
-
-
-def write_matrix_csv(path, A) -> None:
-    write_text(path, csv_lines(as_matrix(A).entries.tolist()))
 
 
 def read_vectors_csv(path) -> np.ndarray:

@@ -243,6 +243,22 @@ _MUTANTS = [
                   f"{_CONES}test_only_spectral_kind_pairs_get_commuting_pairs",
                   f"{_SOLVER}test_removability_rejects_branch_3_for_a_pp_2_polar"],
                  id="no-commuting-pass"),
+    # worker threads of a randomized check run outside the caller's context,
+    # so under numpy's default np.errstate
+    pytest.param("cones.py",
+                 "    threads = [threading.Thread(target=contextvars.copy_context().run, args=(scan,))\n",
+                 "    threads = [threading.Thread(target=scan)\n",
+                 [f"{_CONES}test_every_block_runs_under_the_callers_errstate"],
+                 id="no-context-copy"),
+    # an unpickled matrix keeps the writable entries numpy gives it
+    pytest.param("symmat.py",
+                 "    def __setstate__(self, state):\n"
+                 "        # numpy unpickles an array writable: keep the entries read-only, as constructed\n"
+                 "        state[\"entries\"].flags.writeable = False\n"
+                 "        self.__dict__.update(state)\n",
+                 "",
+                 ["tests/test_symmat.py::test_a_pickled_matrix_keeps_read_only_entries"],
+                 id="no-setstate"),
 ]
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from conecalc import cones, grids, riesz, solver, symmat
 from conecalc.cones import (
@@ -92,7 +93,7 @@ def _criterion_2_measures():
                 x = rng.standard_normal(n)
                 x *= (0.5 + 1.5 * rng.random()) / np.linalg.norm(x)
                 H = riesz.kernel_jet(spec, x).hessian
-                worst_sum = max(worst_sum, abs(symmat.partial_sum(H, p)))
+                worst_sum = max(worst_sum, abs(symmat.partial_sum_eigs(symmat.eigenvalues_of(H), p)))
             for _ in range(10):
                 x = rng.standard_normal(n)
                 x *= (0.5 + 1.5 * rng.random()) / np.linalg.norm(x)
@@ -284,14 +285,14 @@ def test_criterion_5_frame_traces_dominate_partial_sums():
         p = int(rng.integers(1, n + 1))
         G = rng.standard_normal((n, n))
         A = symmat.SymMatrix(0.5 * (G + G.T))
-        s_p = symmat.partial_sum(A, p)
+        s_p = symmat.partial_sum_eigs(symmat.eigenvalues_of(A), p)
         raw = rng.standard_normal((10_000, n, p))
         q = np.linalg.qr(raw)[0]  # (10000, n, p), orthonormal columns
         traces = np.einsum("fip,ij,fjp->f", q, A.entries, q)
         worst_floor = min(worst_floor, float(traces.min() - s_p))
         eigenframe = symmat.Frame(np.linalg.eigh(A.entries)[1][:, :p].T)
         worst_eigen = max(
-            worst_eigen, abs(symmat.trace_over_frame(A, eigenframe) - s_p)
+            worst_eigen, abs(symmat.frame_traces(A.entries, [eigenframe])[0] - s_p)
         )
     ok = worst_floor >= -1e-9 and worst_eigen <= 1e-10
     report(
@@ -433,45 +434,83 @@ def test_criterion_7_removability():
 # -- criterion 8: Pucci hyperbolic polynomial -----------------------------------------------------
 
 
+def garding_members(n):
+    """C8's oracle, the index family of pucci:lam:Lam on R^n as membership
+    rows: every nonempty subset of the n indices, in the order of its bit
+    mask."""
+    return ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1) == 1
+
+
+def garding_min_factors(eigs, lam, Lam):
+    """The smallest factor lam * (sum over I) + Lam * (sum over the rest)
+    over the family, per row of ascending eigenvalues."""
+    return (eigs @ np.where(garding_members(eigs.shape[-1]), lam, Lam).T).min(axis=-1)
+
+
 def segment_meets_cube(vertex, lam, Lam):
     ts = np.linspace(0.0, 1.0, 2001)[1:-1]
     pts = ts[:, None] * vertex[None, :]
     return bool(np.all((pts >= lam - 1e-12) & (pts <= Lam + 1e-12), axis=1).any())
 
 
-def test_criterion_8_pucci_garding_polynomial():
+def _criterion_8_measures():
+    """(whether the family of each n = 2, 3, 4 is the set of subsets whose
+    cube vertex, lam on the subset and Lam off it, the open segment from 0
+    misses; decided samples; sign mismatches between the oracle's smallest
+    factor and the pucci margin)."""
     lam, Lam = 1.0, 2.0
     rng = np.random.default_rng(8)
     family_ok = True
     for n in (2, 3, 4):
-        family = cones.garding_index_family(n, lam, Lam)
-        brute = 0
+        brute = set()
         for mask in range(2**n):
-            vertex = np.full(n, Lam)
-            for i in range(n):
-                if mask >> i & 1:
-                    vertex[i] = lam
-            if not segment_meets_cube(vertex, lam, Lam):
-                brute += 1
-        family_ok = family_ok and len(family) == 2**n - 1 == brute
+            member = tuple(bool(mask >> i & 1) for i in range(n))
+            if not segment_meets_cube(np.where(member, lam, Lam), lam, Lam):
+                brute.add(member)
+        family = {tuple(row) for row in garding_members(n).tolist()}
+        family_ok = family_ok and family == brute and len(family) == 2**n - 1
     mismatches = 0
     decided_total = 0
     for n in (2, 3, 4):
         mats = cones.sample_goe(rng, n, 10_000)
         eigs = np.linalg.eigvalsh(mats)
-        minf = cones.garding_pucci_min_factors(eigs, lam, Lam)
+        minf = garding_min_factors(eigs, lam, Lam)
         interior = margins(pucci_cone(lam, Lam, n), mats)
         band = 1e-7 * (1.0 + np.abs(mats).reshape(len(mats), -1).max(axis=1))
         decided = (np.abs(minf) > band) & (np.abs(interior) > band)
         mismatches += int(np.sum((minf[decided] > 0) != (interior[decided] > 0)))
         decided_total += int(decided.sum())
-    ok = family_ok and mismatches == 0
+    return family_ok, decided_total, mismatches
+
+
+def test_criterion_8_pucci_garding_polynomial():
+    family_ok, decided_total, mismatches = _criterion_8_measures()
     report(
         "C8",
-        ok,
+        family_ok and mismatches == 0,
         f"family sizes 2^n - 1 via segment-cube oracle: {family_ok}; "
         f"{decided_total} decided samples, {mismatches} sign mismatches",
     )
+
+
+def test_criterion_8_rejects_a_pucci_margin_with_Lam_off_by_1e_3(monkeypatch):
+    # control: the catalogue's pucci margin with Lam scaled by 1 + 1e-3
+    # disagrees in sign with the oracle on 10 of the 30,000 decided
+    # samples (84 at 1 + 1e-2), so C8's sign check fails
+    kind = cones._KINDS["pucci"]
+    monkeypatch.setitem(cones._KINDS, "pucci", dataclasses.replace(
+        kind, machine=lambda s, lam: kind.machine(dataclasses.replace(s, Lam=s.Lam * (1 + 1e-3)), lam)))
+    _, decided_total, mismatches = _criterion_8_measures()
+    report("C8 control (Lam)", mismatches > 0,
+           f"{mismatches} sign mismatches of {decided_total} decided samples")
+    assert (mismatches, decided_total) == (10, 30_000)
+
+
+def test_garding_value_example():
+    # I_2 with (lam, Lam) = (1, 2): subsets {1}, {2}, {1, 2} give factors 3, 3 and 2
+    assert garding_members(2).tolist() == [[True, False], [False, True], [True, True]]
+    eigs = symmat.eigenvalues_of(np.eye(2))
+    assert garding_min_factors(eigs, 1.0, 2.0) == pytest.approx(2.0)
 
 
 # -- criterion 9: canonical extension properties ------------------------------------------------------

@@ -17,10 +17,7 @@ from conecalc.grids import GridFunction, from_function, write_grid
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("CONECALC_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+    env = dict(os.environ, **(env_extra or {}))
     proc = subprocess.run(
         [sys.executable, "-m", "conecalc.cli", *map(str, args)],
         capture_output=True,
@@ -700,6 +697,10 @@ _GOOD_PROBLEM = {
     "boundary": {"expr": "x*x"},
 }
 
+# boundary.grid_file values that are not paths: open() took an integer as a
+# file descriptor, so 0 read stdin and 1 closed stdout
+_GRID_FILES = {"0": 0, "1": 1, "null": None, "1.5": 1.5}
+
 _BAD_INPUT_FILES = {
     "pts2.csv": "0.1,0.2\n0.3,0.4\n",
     "atoms2.csv": "0.1,0.2,1\n0.3,0.4,1\n",
@@ -814,13 +815,20 @@ _BAD_INPUT_FILES = {
     # would solve [-1, 1]^2 and pass
     "convnoncubic.json": json.dumps({"kind": "convergence", "resolutions": [9, 17], "problem": dict(
         _GOOD_PROBLEM, grid={"shape": [9, 17], "origin": [-1, -1], "h": 0.25})}),
+    # a NaN passed the orthonormality test; an inf also warned from the Gram matrix
+    "framenan.csv": "1,0,0,0\n0,nan,0,0\n",
+    "frameinf.csv": "1,0,0,0\n0,inf,0,0\n",
+    "exppunctbool.json": json.dumps({"kind": "removability", "problem": _GOOD_PROBLEM,
+                                     "puncture": [[True, 0]]}),
+    **{f"gridfile{name}.json": json.dumps(dict(_GOOD_PROBLEM, boundary={"grid_file": value}))
+       for name, value in _GRID_FILES.items()},
 }
 
 _NOT_READ = " (problem keys such as stencil_reach belong in the problem object)"
 _FAR_PUNCTURE = ("puncture point [1e+308, 0.0] is finite, but its lattice index (x - origin) / h "
                  "overflows")
-# config file -> the message its error report carries
-_CONFIG_MESSAGES = {
+# input file or argument -> the message its error report carries
+_INPUT_MESSAGES = {
     "noproblem.json": "removability experiment config is missing problem",
     "expreach.json": "stencil reach must be an integer in [1, 5], got 2.5",
     "expreachtop.json": "convergence experiment config has no field 'stencil_reach'" + _NOT_READ,
@@ -839,6 +847,12 @@ _CONFIG_MESSAGES = {
     "exptinyh.json": "grid spacing 1e-160 is out of range: 1/(h |v|)^2 overflows or is 0",
     "punctfar.json": _FAR_PUNCTURE,
     "exppunctfar.json": _FAR_PUNCTURE,
+    "exppunctbool.json": "experiment field 'puncture' must be a list of points, each a list of "
+                         "numbers, got [[True, 0]]",
+    **{f"gridfile{name}.json": f"a file path must be a string, got {value!r}"
+       for name, value in _GRID_FILES.items()},
+    "horiz:@framenan.csv": "frame vectors [[1.0, 0.0, 0.0, 0.0], [0.0, nan, 0.0, 0.0]] must be finite",
+    "horiz:@frameinf.csv": "frame vectors [[1.0, 0.0, 0.0, 0.0], [0.0, inf, 0.0, 0.0]] must be finite",
 }
 
 
@@ -1039,6 +1053,10 @@ _CONFIG_MESSAGES = {
                      id="box-scales-repeated"),
         pytest.param(["polar", "--points", "pts2.csv", "--p", "2", "--box-scales", "0.1,1e-300"],
                      id="box-scales-index-overflow"),
+        pytest.param(["cone", "--spec", "horiz:@framenan.csv", "--dim", "4"], id="cone-frame-nan"),
+        pytest.param(["cone", "--spec", "horiz:@frameinf.csv", "--dim", "4"], id="cone-frame-inf"),
+        pytest.param(["experiment", "--config", "exppunctbool.json", "--output-dir", "out"],
+                     id="experiment-puncture-bool"),
     ],
 )
 def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -1052,7 +1070,9 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
     rep = json.loads(out)
     schema.validate_report(rep)
     assert rep["command"] == argv[0]
-    assert rep["error"]["kind"] in ("DomainError", "DimensionMismatchError")
+    # a frame file is read as part of its cone descriptor
+    frames = any(arg.startswith("horiz:@") for arg in argv)
+    assert rep["error"]["kind"] in (("parse",) if frames else ("DomainError", "DimensionMismatchError"))
     for name, h in (("tinyh.grid", "1e-200"), ("tinyh9.grid", "1e-200"), ("subnormalh.grid", "1e-158")):
         if name in argv:
             # the second and third differences divide by 0 or overflow: the spacing is at fault
@@ -1078,7 +1098,7 @@ def test_bad_input_is_typed_usage_error(tmp_path, monkeypatch, capsys, argv):
             assert rep["error"]["message"] == message
     if "convnoncubic.json" in argv:
         assert rep["error"]["message"].endswith("got shape [9, 17]")
-    for name, message in _CONFIG_MESSAGES.items():
+    for name, message in _INPUT_MESSAGES.items():
         if name in argv:
             assert rep["error"]["message"] == message
     assert err == ""
@@ -1154,6 +1174,9 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
     ["solve", "--problem", "hugedata.json"],
     ["grid", "hessian", "--input", "tinyh9.grid", "--at", "4,4"],
     ["kernel", "--p", "3", "--dim", "3", "--x", "1,0,0", "--output", "missing/r.json"],
+    *[["solve", "--problem", f"gridfile{name}.json"] for name in _GRID_FILES],
+    ["cone", "--spec", "horiz:@framenan.csv", "--dim", "4"],
+    ["cone", "--spec", "horiz:@frameinf.csv", "--dim", "4"],
 ], ids=["magnitude-overflows", "samples-above-cap", "measure-empty", "grid-verify-overflow",
         "grid-hessian-overflow", "grid-perturb-overflow",
         "grid-perturb-overflow-down", "experiment-puncture-nan", "experiment-puncture-inf",
@@ -1163,19 +1186,22 @@ def test_unwritable_output_is_typed_usage_error(tmp_path, monkeypatch, capsys, a
         "experiment-convergence-coefficients-underflow", "grid-hessian-spacing-underflows",
         "box-scales-repeated", "box-scales-index-overflow", "cone-without-positivity",
         "solve-misspelled-key", "experiment-puncture-index-overflows",
-        "solve-data-overflow", "grid-hessian-spacing-underflows-9", "output-unwritable"])
+        "solve-data-overflow", "grid-hessian-spacing-underflows-9", "output-unwritable",
+        *[f"grid-file-{name}" for name in _GRID_FILES], "frame-nan", "frame-inf"])
 def test_usage_errors_leave_stderr_empty(tmp_path, argv):
-    for name in ("empty.csv", "overflow.grid", "overflowdown.grid", "punctnan.json",
-                 "punctinf.json", "tinyh.json", "hugeh.json", "exptinyh.json",
-                 "removetinyh.json", "convhugeh.json", "tinyh.grid", "pts2.csv",
-                 "misspelled.json", "exppunctfar.json", "hugedata.json", "tinyh9.grid"):
-        (tmp_path / name).write_text(_BAD_INPUT_FILES[name])
+    for name, text in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    # the child's stdin is empty, so a read of file descriptor 0 would not block
     proc = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv], cwd=tmp_path,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, stdin=subprocess.DEVNULL,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 2
     rep = json.loads(proc.stdout, parse_constant=_reject_constant)
-    assert rep["error"]["kind"] == "DomainError"
+    frames = any(arg.startswith("horiz:@") for arg in argv)
+    assert rep["error"]["kind"] == ("parse" if frames else "DomainError")
+    for name, message in _INPUT_MESSAGES.items():
+        if name in argv:
+            assert rep["error"]["message"] == message
     assert proc.stderr == ""
 
 
@@ -1196,6 +1222,28 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
                  "boundary needs exactly one of 'expr' and 'grid_file'", id="both-sources"),
     pytest.param({"boundary": {}}, "boundary needs exactly one of 'expr' and 'grid_file'",
                  id="no-source"),
+    # numbers are JSON numbers: true ran pp:1 and branch:1, "0.25" was read as
+    # 0.25, a 9.7 in the shape as 9 and a puncture at [true, 0] as x = 1
+    pytest.param({"p": True}, "problem p must be a number, got True", id="p-bool"),
+    pytest.param({"operator": "branch", "k": True}, "problem k must be a number, got True",
+                 id="k-bool"),
+    pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], shape=[9.7, 9])},
+                 "problem grid shape must be a list of whole numbers, got [9.7, 9]",
+                 id="shape-fraction"),
+    pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], h="0.25")},
+                 "problem grid spacing h must be a number, got '0.25'", id="h-text"),
+    pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], h=10**400)},
+                 "problem grid spacing h overflows float64", id="h-integer-overflows"),
+    pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], origin=[True, "-1"])},
+                 "problem grid origin must be a list of 2 numbers, got [True, '-1']",
+                 id="origin-bool-and-text"),
+    pytest.param({"hole": {"min": [0, "0"], "max": [0.25, 0.25]}},
+                 "problem hole min must be a list of 2 numbers, got [0, '0']", id="hole-text"),
+    pytest.param({"puncture": [[True, 0]]},
+                 "problem puncture point must be a list of 2 numbers, got [True, 0]",
+                 id="puncture-bool"),
+    pytest.param({"operator": "foo"}, "problem operator must be 'pp' or 'branch', got 'foo'",
+                 id="operator-unknown"),
 ])
 @pytest.mark.parametrize("command", ["solve", "experiment"])
 def test_problem_key_nothing_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, change,
@@ -1360,22 +1408,10 @@ def test_byte_identical_reruns(tmp_path):
     assert out1 == out2
 
 
-def test_env_seed_override():
-    _, rep = output_of("cone", "--spec", "pp:2", "--dim", "3",
-                       env_extra={"CONECALC_SEED": "42"})
-    assert rep["seed"] == 42
-
-
-@pytest.mark.parametrize("seed", ["abc", "1e3", ""])
-def test_env_seed_that_is_not_an_integer_is_a_usage_error(seed):
-    code, out, err = run_cli("cone", "--spec", "pp:2", "--dim", "3",
-                             env_extra={"CONECALC_SEED": seed})
-    assert code == 2
-    rep = json.loads(out)
-    schema.validate_report(rep)
-    assert rep["error"]["kind"] == "usage"
-    assert "CONECALC_SEED" in rep["error"]["message"]
-    assert err == ""
+def test_a_seed_in_the_environment_changes_nothing():
+    # --seed, default 0, is the only way to set a seed
+    argv = ("cone", "--spec", "pp:2", "--dim", "3")
+    assert run_cli(*argv, env_extra={"CONECALC_SEED": "42"}) == run_cli(*argv)
 
 
 @pytest.mark.parametrize("argv", [

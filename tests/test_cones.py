@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from conecalc.cones import (
     contains,
     dual_cone,
     enlarged_cone,
-    garding_index_family,
     geometric_cone,
     horizontal_cone,
     map_branch_cone,
@@ -743,6 +741,25 @@ def test_worker_threads_draw_each_block_once_in_order(monkeypatch):
     assert all(seen[b] == [serial[b]] for b in seen)
 
 
+def test_every_block_runs_under_the_callers_errstate(monkeypatch):
+    # two workers, and the barrier holds the first block's thread until
+    # another thread has taken block 1: both threads test a block, and each
+    # sees the np.errstate of the caller, not numpy's default
+    _workers(monkeypatch, 2)
+    barrier, seen = threading.Barrier(2, timeout=10), []
+
+    def test(first, mats):
+        if first < 2 * 2048:  # blocks 0 and 1 of 2048 matrices in dim 4
+            barrier.wait()
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+
+    with np.errstate(over="ignore"):
+        assert cones._first_failure(8000, 4, cones._draw_goe(np.random.default_rng(1), 4, 1), test) is None
+    _assert_no_child_left()
+    assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
+    assert {over for _, over in seen} == {"ignore"}
+
+
 def test_a_failure_in_the_first_block_stops_every_worker(monkeypatch):
     start = time.perf_counter()
     rep = check_relation(positivity(3), branch_cone(3, 3), SampleConfig(seed=1, count=cones.SAMPLE_CAP))
@@ -1199,65 +1216,6 @@ def test_enlarged_nesting_and_stabilization():
         else:
             c_small = abs(m0[i]) / 16.0
             assert margins(enlarged_cone(base, c_small), mats[i])[0] < 0
-
-
-# -- Pucci Garding polynomial -----------------------------------------------------------
-
-
-def segment_meets_cube_oracle(vertex, lam, Lam, samples=4001):
-    # brute force: sample the open segment and test cube membership
-    ts = np.linspace(0.0, 1.0, samples)[1:-1]
-    pts = ts[:, None] * vertex[None, :]
-    inside = np.all((pts >= lam - 1e-12) & (pts <= Lam + 1e-12), axis=1)
-    return bool(inside.any())
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_garding_family_matches_brute_force(n):
-    lam, Lam = 1.0, 2.0
-    family = set(garding_index_family(n, lam, Lam))
-    expected = set()
-    for mask in range(2**n):
-        members = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        vertex = np.full(n, Lam)
-        for i in members:
-            vertex[i - 1] = lam
-        if not segment_meets_cube_oracle(vertex, lam, Lam):
-            expected.add(members)
-    assert family == expected
-    assert len(family) == 2**n - 1
-
-
-def test_garding_family_at_extreme_ellipticity_divides_nothing():
-    # the interval test overflowed in Lam / lam here, with a RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        family = garding_index_family(3, 1e-300, 1e300)
-    assert family == [(1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
-
-
-def test_garding_value_example():
-    # I_2 with (lam, Lam) = (1, 2): factors 2, 3 and 3, one per subset
-    assert garding_index_family(2, 1.0, 2.0) == [(1,), (2,), (1, 2)]
-    eigs = symmat.eigenvalues_of(SymMatrix(np.eye(2)))
-    assert cones.garding_pucci_min_factors(eigs, 1.0, 2.0) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_garding_min_factor_sign_matches_interior(n):
-    lam, Lam = 1.0, 2.5
-    mats = random_sym_stack(20 + n, 1000, n)
-    eigs = np.linalg.eigvalsh(mats)
-    minf = cones.garding_pucci_min_factors(eigs, lam, Lam)
-    pucci_m = margins(pucci_cone(lam, Lam, n), mats)
-    band = 1e-7 * (1.0 + np.abs(mats).reshape(1000, -1).max(axis=1))
-    decided = (np.abs(minf) > band) & (np.abs(pucci_m) > band)
-    assert np.all((minf[decided] > 0) == (pucci_m[decided] > 0))
-
-
-def test_garding_dimension_cap():
-    with pytest.raises(Exception):
-        garding_index_family(13, 1.0, 2.0)
 
 
 # -- parsing -----------------------------------------------------------------------------

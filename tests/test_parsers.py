@@ -167,8 +167,8 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(name, tmp_path):
 
 _WRITERS = {
     "grid": lambda path: grids.write_grid(path, grids.GridFunction(np.eye(2), [0, 0], 1.0)),
-    "matrix": lambda path: symmat.write_matrix_csv(path, np.eye(2)),
-    "measure": lambda path: riesz.write_measure_csv(path, riesz.DiscreteMeasure([[0, 1]], [1])),
+    "matrix": lambda path: symmat.write_text(path, symmat.csv_lines(np.eye(2).tolist())),
+    "measure": lambda path: symmat.write_text(path, symmat.csv_lines([[0.0, 1.0, 1.0]])),
 }
 
 

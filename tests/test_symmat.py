@@ -21,10 +21,9 @@ from conecalc.symmat import (
     elementary_symmetric,
     frame_traces,
     hermitian_eigenvalues,
-    partial_sum,
     partial_sum_eigs,
     pfold_sums_eigs,
-    trace_over_frame,
+    scale_of,
 )
 
 
@@ -61,11 +60,12 @@ def test_a_pickled_matrix_keeps_read_only_entries():
 
 
 def test_partial_sum_zero_matrix():
-    assert partial_sum(np.zeros((3, 3)), 2) == 0.0
+    assert partial_sum_eigs(eigenvalues_of(np.zeros((3, 3))), 2) == 0.0
 
 
 def test_partial_sum_fractional_arithmetic():
-    assert partial_sum(np.diag([-2.0, 1.0, 1.0, 1.0]), 2.5) == pytest.approx(-0.5)
+    lam = eigenvalues_of(np.diag([-2.0, 1.0, 1.0, 1.0]))
+    assert partial_sum_eigs(lam, 2.5) == pytest.approx(-0.5)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -75,7 +75,7 @@ def test_partial_sum_identity_minus_projector(p):
         e = rng.standard_normal(4)
         e /= np.linalg.norm(e)
         A = np.eye(4) - p * np.outer(e, e)
-        assert partial_sum(A, p) == pytest.approx(0.0, abs=1e-12)
+        assert partial_sum_eigs(eigenvalues_of(A), p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_sum_concavity():
@@ -84,8 +84,9 @@ def test_partial_sum_concavity():
     for _ in range(200):
         A, B = random_sym(rng, 4), random_sym(rng, 4)
         p = 1 + 3 * rng.random()
-        mid = partial_sum(SymMatrix(0.5 * (A.entries + B.entries)), p)
-        assert mid >= 0.5 * partial_sum(A, p) + 0.5 * partial_sum(B, p) - 1e-10
+        mid, a, b = partial_sum_eigs(eigenvalues_of(np.stack(
+            [0.5 * (A.entries + B.entries), A.entries, B.entries])), p)
+        assert mid >= 0.5 * a + 0.5 * b - 1e-10
 
 
 def test_partial_sum_orthogonal_invariance():
@@ -94,16 +95,15 @@ def test_partial_sum_orthogonal_invariance():
         A = random_sym(rng, 5)
         Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         p = 1 + 4 * rng.random()
-        assert partial_sum(SymMatrix(Q @ A.entries @ Q.T), p) == pytest.approx(
-            partial_sum(A, p), abs=1e-9 * A.scale
-        )
+        rotated, plain = partial_sum_eigs(eigenvalues_of(np.stack([Q @ A.entries @ Q.T, A.entries])), p)
+        assert rotated == pytest.approx(plain, abs=1e-9 * scale_of(A.entries))
 
 
 def test_partial_sum_domain_errors():
     with pytest.raises(DomainError):
-        partial_sum(np.eye(3), 0.5)
+        partial_sum_eigs(eigenvalues_of(np.eye(3)), 0.5)
     with pytest.raises(DomainError):
-        partial_sum(np.eye(3), 3.5)
+        partial_sum_eigs(eigenvalues_of(np.eye(3)), 3.5)
 
 
 # -- hermitian eigenvalues -------------------------------------------------------
@@ -163,11 +163,11 @@ def test_trace_over_frame_full_basis_and_identity():
     rng = np.random.default_rng(12)
     A = random_sym(rng, 4)
     W = Frame(np.eye(4))
-    assert trace_over_frame(A, W) == pytest.approx(np.trace(A.entries), abs=1e-12)
+    assert frame_traces(A.entries, [W])[0] == pytest.approx(np.trace(A.entries), abs=1e-12)
     W2 = random_frame(4, 2, rng)
-    assert trace_over_frame(SymMatrix(np.eye(4)), W2) == pytest.approx(2.0)
+    assert frame_traces(np.eye(4), [W2])[0] == pytest.approx(2.0)
     with pytest.raises(DimensionMismatchError):
-        trace_over_frame(A, Frame(np.eye(3)))
+        frame_traces(A.entries, [Frame(np.eye(3))])
 
 
 def test_trace_over_frame_eigenframe_minimum():
@@ -175,11 +175,10 @@ def test_trace_over_frame_eigenframe_minimum():
     A = random_sym(rng, 5)
     p = 2
     eigenframe = Frame(np.linalg.eigh(A.entries)[1][:, :p].T)
-    assert trace_over_frame(A, eigenframe) == pytest.approx(
-        partial_sum(A, p), abs=1e-10
-    )
-    best = min(trace_over_frame(A, random_frame(5, p, rng)) for _ in range(2000))
-    assert best >= partial_sum(A, p) - 1e-9
+    s_p = partial_sum_eigs(eigenvalues_of(A), p)
+    assert frame_traces(A.entries, [eigenframe])[0] == pytest.approx(s_p, abs=1e-10)
+    best = min(frame_traces(A.entries, [random_frame(5, p, rng) for _ in range(2000)]))
+    assert best >= s_p - 1e-9
 
 
 # -- p-fold sums --------------------------------------------------------------------
@@ -197,7 +196,8 @@ def test_pfold_first_entry_is_partial_sum():
         A = random_sym(rng, 6)
         p = int(rng.integers(1, 7))
         sums = pfold_sums_eigs(eigenvalues_of(A), p)
-        assert sums[0] == pytest.approx(partial_sum(A, p), abs=1e-10 * A.scale)
+        assert sums[0] == pytest.approx(partial_sum_eigs(eigenvalues_of(A), p),
+                                        abs=1e-10 * scale_of(A.entries))
         assert np.all(np.diff(sums) >= -1e-12)
 
 
@@ -221,7 +221,7 @@ def test_pfold_cap():
         symmat.PFOLD_CAP = old
 
 
-# -- pointwise functionals are rows of the batched ones ------------------------------
+# -- the one-matrix views are rows of the batched forms ------------------------------
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -229,21 +229,11 @@ def test_pfold_cap():
 def test_pointwise_functionals_are_rows_of_the_batched_forms(data, n, count):
     G = data.draw(hnp.arrays(float, (count, n, n), elements=st.floats(-4.0, 4.0)))
     stack = 0.5 * (G + np.swapaxes(G, -1, -2))
-    p = data.draw(st.integers(1, n))
     lam = eigenvalues_of(stack)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    W = random_frame(n, p, rng)
     for i, A in enumerate(stack):
         assert np.array_equal(eigenvalues_of(A), lam[i])
-        assert partial_sum(A, p) == partial_sum_eigs(lam, p)[i]
         if n % 2 == 0:
             assert np.array_equal(hermitian_eigenvalues(A), hermitian_eigenvalues(stack)[i])
-        # einsum may sum a lone matrix in another order than a longer stack
-        # (seen in 2-D with one line frame), so the row is the one-row stack
-        assert trace_over_frame(A, W) == frame_traces(stack[i : i + 1], [W])[0, 0]
-        assert trace_over_frame(A, W) == pytest.approx(
-            frame_traces(stack, [W])[i, 0], rel=1e-14, abs=1e-14
-        )
 
 
 def test_elementary_symmetric_truncates_the_full_recurrence():
@@ -261,6 +251,10 @@ def test_elementary_symmetric_truncates_the_full_recurrence():
 def test_frame_validation_and_orthonormalize():
     with pytest.raises(DomainError):
         Frame(np.array([[1.0, 0.0], [1.0, 0.1]]))
+    # NaN passes the orthonormality test's comparison, so finiteness comes first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            Frame(np.array([[1.0, 0.0], [0.0, bad]]))
     # the same spanning vectors orthonormalized by QR make a frame
     F = Frame(np.linalg.qr(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]).T)[0].T)
     assert F.plane_dim == 2 and F.ambient_dim == 3
@@ -278,7 +272,7 @@ def test_matrix_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(16)
     A = random_sym(rng, 4)
     path = tmp_path / "mat.csv"
-    symmat.write_matrix_csv(path, A)
+    symmat.write_text(path, symmat.csv_lines(A.entries.tolist()))
     B = symmat.read_matrix_csv(path)
     assert np.array_equal(A.entries, B.entries)
 
