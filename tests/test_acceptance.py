@@ -6,7 +6,6 @@ import dataclasses
 import time
 
 import numpy as np
-import pytest
 
 from conecalc import cones, grids, riesz, solver, symmat
 from conecalc.cones import (
@@ -453,22 +452,26 @@ def segment_meets_cube(vertex, lam, Lam):
     return bool(np.all((pts >= lam - 1e-12) & (pts <= Lam + 1e-12), axis=1).any())
 
 
+def garding_family_is_brute_force(n, lam=1.0, Lam=2.0):
+    """Whether the oracle's family on R^n has 2^n - 1 members and is the set
+    of subsets whose cube vertex, lam on the subset and Lam off it, the open
+    segment from 0 misses."""
+    brute = set()
+    for mask in range(2**n):
+        member = tuple(bool(mask >> i & 1) for i in range(n))
+        if not segment_meets_cube(np.where(member, lam, Lam), lam, Lam):
+            brute.add(member)
+    family = {tuple(row) for row in garding_members(n).tolist()}
+    return family == brute and len(family) == 2**n - 1
+
+
 def _criterion_8_measures():
-    """(whether the family of each n = 2, 3, 4 is the set of subsets whose
-    cube vertex, lam on the subset and Lam off it, the open segment from 0
-    misses; decided samples; sign mismatches between the oracle's smallest
+    """(whether the family of each n = 2, 3, 4 matches the segment-cube brute
+    force; decided samples; sign mismatches between the oracle's smallest
     factor and the pucci margin)."""
     lam, Lam = 1.0, 2.0
     rng = np.random.default_rng(8)
-    family_ok = True
-    for n in (2, 3, 4):
-        brute = set()
-        for mask in range(2**n):
-            member = tuple(bool(mask >> i & 1) for i in range(n))
-            if not segment_meets_cube(np.where(member, lam, Lam), lam, Lam):
-                brute.add(member)
-        family = {tuple(row) for row in garding_members(n).tolist()}
-        family_ok = family_ok and family == brute and len(family) == 2**n - 1
+    family_ok = all(garding_family_is_brute_force(n, lam, Lam) for n in (2, 3, 4))
     mismatches = 0
     decided_total = 0
     for n in (2, 3, 4):
@@ -504,13 +507,6 @@ def test_criterion_8_rejects_a_pucci_margin_with_Lam_off_by_1e_3(monkeypatch):
     report("C8 control (Lam)", mismatches > 0,
            f"{mismatches} sign mismatches of {decided_total} decided samples")
     assert (mismatches, decided_total) == (10, 30_000)
-
-
-def test_garding_value_example():
-    # I_2 with (lam, Lam) = (1, 2): subsets {1}, {2}, {1, 2} give factors 3, 3 and 2
-    assert garding_members(2).tolist() == [[True, False], [False, True], [True, True]]
-    eigs = symmat.eigenvalues_of(np.eye(2))
-    assert garding_min_factors(eigs, 1.0, 2.0) == pytest.approx(2.0)
 
 
 # -- criterion 9: canonical extension properties ------------------------------------------------------

@@ -1408,8 +1408,8 @@ def test_byte_identical_reruns(tmp_path):
     assert out1 == out2
 
 
-def test_a_seed_in_the_environment_changes_nothing():
-    # --seed, default 0, is the only way to set a seed
+def test_env_seed_override():
+    # CONECALC_SEED is not read: --seed, default 0, is the only way to set a seed
     argv = ("cone", "--spec", "pp:2", "--dim", "3")
     assert run_cli(*argv, env_extra={"CONECALC_SEED": "42"}) == run_cli(*argv)
 

@@ -38,6 +38,7 @@ from conecalc.cones import (
 )
 from conecalc.errors import DomainError, SpecParseError
 from conecalc.symmat import Frame, SymMatrix
+from test_acceptance import garding_family_is_brute_force, garding_members, garding_min_factors
 
 
 def catalogue(n=4):
@@ -1216,6 +1217,33 @@ def test_enlarged_nesting_and_stabilization():
         else:
             c_small = abs(m0[i]) / 16.0
             assert margins(enlarged_cone(base, c_small), mats[i])[0] < 0
+
+
+# -- Pucci Garding polynomial: C8's oracle ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_garding_family_matches_brute_force(n):
+    assert garding_family_is_brute_force(n)
+
+
+def test_garding_value_example():
+    # I_2 with (lam, Lam) = (1, 2): subsets {1}, {2}, {1, 2} give factors 3, 3 and 2
+    assert garding_members(2).tolist() == [[True, False], [False, True], [True, True]]
+    eigs = symmat.eigenvalues_of(np.eye(2))
+    assert garding_min_factors(eigs, 1.0, 2.0) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_garding_min_factor_sign_matches_interior(n):
+    lam, Lam = 1.0, 2.5
+    mats = random_sym_stack(20 + n, 1000, n)
+    eigs = np.linalg.eigvalsh(mats)
+    minf = garding_min_factors(eigs, lam, Lam)
+    pucci_m = margins(pucci_cone(lam, Lam, n), mats)
+    band = 1e-7 * (1.0 + np.abs(mats).reshape(1000, -1).max(axis=1))
+    decided = (np.abs(minf) > band) & (np.abs(pucci_m) > band)
+    assert np.all((minf[decided] > 0) == (pucci_m[decided] > 0))
 
 
 # -- parsing -----------------------------------------------------------------------------
