@@ -799,6 +799,16 @@ def force_membership(spec: ConeSpec, mats: np.ndarray) -> np.ndarray:
     return mats
 
 
+def _onto_boundary(spec: ConeSpec, rows: np.ndarray) -> np.ndarray:
+    """Sort each row of ``rows`` ascending and move it along (1, ..., 1) onto
+    the boundary of the spectral kind ``spec`` by its margin rule's crossing,
+    in place: diag(row) lands where ``force_membership`` puts it (a member
+    stays as it is), with no ``eigvalsh``."""
+    rows.sort(axis=-1)
+    rows += _shift(spec, *_KINDS[spec.kind].machine(spec, rows))[:, None]
+    return rows
+
+
 def _spectral_margins(spec: ConeSpec, lam: np.ndarray) -> np.ndarray:
     """The margins of a kind with ``spectral=True`` at rows of ascending
     eigenvalues, without a matrix."""
@@ -812,8 +822,9 @@ class RelationReport:
     ``checked`` counts the samples of the reported ``family`` that were
     tested: all of them on a pass, those through the failing block
     otherwise; ``failure_index`` indexes that family's samples, for the
-    commuting family its draws.  A GOE failure's dict carries no family
-    key.
+    commuting family its draws.  A failure of the first family, ``goe``,
+    has a GOE B, and a GOE A unless F and M are both spectral kinds, where
+    A is diagonal; its dict carries no family key.
     """
 
     passed: bool
@@ -838,31 +849,38 @@ class RelationReport:
 def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationReport:
     """Certify ``F + M subset F`` on seeded random samples.
 
-    Draws A in F and B in M (GOE samples shifted along the identity onto
-    the cone boundary) and verifies A + B stays in F.  Each block of
-    ``_blocks`` draws its A stack and then its B stack from the one
-    generator seeded with ``cfg.seed``, so a count within one block draws
-    the stream of an unblocked check.  The blocks are split over the CPUs
-    by ``_first_failure``; the report is that of the first block with a
-    counterexample: its global index, the pair, and its rows of the
-    block's stacked margins; or a pass.
+    Draws A in F and B in M, each shifted along the identity onto its
+    cone's boundary, and verifies A + B stays in F.  B is a GOE sample
+    moved by ``force_membership``.  Where F and M are both kinds with
+    ``spectral=True`` (positivity, pp, branch, pdelta, pucci, sigma, mapb),
+    A is ``diag(a)`` for a sorted row a of n standard normals, moved onto
+    F's boundary by its margin rule's crossing with no ``eigvalsh``
+    (``_onto_boundary``): the relation is invariant under conjugating A
+    and B together, and B's law is, so a diagonal A loses no relative
+    orientation, and a block needs the eigenvalues of B and of A + B only.
+    Any other pair draws a GOE A moved by ``force_membership``.  Each
+    block of ``_blocks`` draws its A stack (or rows) and then its B stack
+    from the one generator seeded with ``cfg.seed``, so a count within one
+    block draws the stream of an unblocked check.  The blocks are split
+    over the CPUs by ``_first_failure``; the report is that of the first
+    block with a counterexample: its global index, the pair (``diag(a)``
+    and B for a spectral pair), and its rows of the block's stacked
+    margins; or a pass.
 
-    Where F and M are both kinds with ``spectral=True`` (positivity, pp,
-    branch, pdelta, pucci, sigma, mapb) and the GOE samples pass, half as
-    many commuting pairs follow, family ``commuting``: independent GOE
-    pairs rarely align their low eigenvectors in higher dimensions, which
-    is where a relation false by a small margin fails.  Its samples are
-    ``ceil(cfg.count / 4)`` draws, in blocks from a generator spawned from
-    ``cfg.seed``, so the GOE stream is untouched.  A draw is two sorted
-    rows of standard normals, ascending eigenvalues a and b, each moved
-    onto its cone's boundary by its margin rule's crossing.  Then
+    Where F and M are both spectral and the first pass passes, half as
+    many commuting pairs follow, family ``commuting``: a relation false by
+    a small margin can fail only where the eigenvectors of B's extreme
+    eigenvalues align with A's, which random B rarely do in higher
+    dimensions.  Its samples are ``ceil(cfg.count / 4)`` draws, in blocks
+    from a generator spawned from ``cfg.seed``, so the first stream is
+    untouched.  A draw is two rows of standard normals a and b, each
+    moved onto its cone's boundary by ``_onto_boundary``.  Then
     ``diag(a) + diag(sigma b)`` has the eigenvalues ``a + b`` for sigma
     the identity and ``sort(a + reversed b)`` for the reversal; both are
     tested against F's margin and the closed threshold, with no
-    ``eigvalsh``.  A failure reports
-    ``diag(a)``, ``diag(sigma b)`` and their margins.  ``enl``, ``dual``,
-    ``cbranch``, ``geom`` and ``horiz`` have no such diagonal family and
-    get the GOE samples only.
+    ``eigvalsh``.  A failure reports ``diag(a)``, ``diag(sigma b)`` and
+    their margins.  ``enl``, ``dual``, ``cbranch``, ``geom`` and ``horiz``
+    have no commuting family and get the GOE samples only.
 
     Overflow raises DomainError, not a warning: for non-finite samples
     (``eigenvalues_of``), and naming the cone for non-finite shifts or
@@ -882,7 +900,11 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
         )
 
     def goe(start, A, B):
-        A = force_membership(F, A)
+        if diagonal:  # A holds the rows a of the samples diag(a)
+            a, A = _onto_boundary(F, A), np.zeros((len(A), n, n))
+            A[:, diag, diag] = a
+        else:
+            A = force_membership(F, A)
         B = force_membership(M, B)
         S = A + B
         m = _finite(F, margins(F, S))
@@ -895,10 +917,7 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
         return failure(start, len(S), i, A[i], B[i], margins(F, A)[i], margins(M, B)[i], m[i], "goe")
 
     def commuting(start, pair):
-        pair.sort(axis=-1)
-        a, b = pair
-        for spec, lam in ((F, a), (M, b)):
-            lam += _shift(spec, *_KINDS[spec.kind].machine(spec, lam))[:, None]
+        a, b = _onto_boundary(F, pair[0]), _onto_boundary(M, pair[1])
         sigma_b = (b, b[:, ::-1])
         S = np.stack([a + b, np.sort(a + sigma_b[1], axis=-1)])
         m = _spectral_margins(F, S)
@@ -912,12 +931,16 @@ def check_relation(F: ConeSpec, M: ConeSpec, cfg: SampleConfig) -> RelationRepor
         return failure(start, len(a), i, np.diag(a[i]), np.diag(sigma_b[j][i]), _spectral_margins(F, a[i:i + 1])[0],
                        _spectral_margins(M, b[i:i + 1])[0], m[j, i], "commuting")
 
-    n = F.dim
-    report = _first_failure(cfg.count, n, _draw_goe(np.random.default_rng(cfg.seed), n, 2), goe)
-    if report is None and _KINDS[F.kind].spectral and _KINDS[M.kind].spectral:
-        rng = np.random.default_rng(cfg.seed).spawn(1)[0]
+    n, diag = F.dim, np.arange(F.dim)
+    diagonal = _KINDS[F.kind].spectral and _KINDS[M.kind].spectral
+    rng = np.random.default_rng(cfg.seed)
+    draw = ((lambda size: [rng.standard_normal((size, n)), sample_goe(rng, n, size)]) if diagonal
+            else _draw_goe(rng, n, 2))
+    report = _first_failure(cfg.count, n, draw, goe)
+    if report is None and diagonal:
+        pairs = rng.spawn(1)[0]
         draws = (cfg.count + 3) // 4  # two pairs a draw: half as many pairs as samples
-        report = _first_failure(draws, n, lambda size: [rng.standard_normal((2, size, n))], commuting)
+        report = _first_failure(draws, n, lambda size: [pairs.standard_normal((2, size, n))], commuting)
     return report or RelationReport(passed=True, checked=cfg.count)
 
 

@@ -126,8 +126,11 @@ def test_one_corner_extends_across_a_1025_grid_in_bounded_time_and_memory(tmp_pa
 @pytest.mark.parametrize("argv, code", [
     pytest.param("monotone --f mapb:3:1 --m pp:3 --dim 6", 0, id="monotone-pass"),
     pytest.param("monotone --f branch:1 --m pp:2 --dim 4", 1, id="monotone-counterexample"),
-    # GOE passes it; a commuting pair, drawn from a generator spawned from the seed, fails it
-    pytest.param("monotone --f pp:1.5 --m pp:1.6 --dim 6", 1, id="monotone-commuting-counterexample"),
+    # 10^5 GOE pairs pass it; a diagonal A with a GOE B fails it at sample 4484
+    pytest.param("monotone --f pp:1.5 --m pp:1.6 --dim 6", 1, id="monotone-diagonal-counterexample"),
+    # the diagonal draw passes it; a commuting pair, drawn from a generator
+    # spawned from the seed, fails it
+    pytest.param("monotone --f pp:2.5 --m pp:2.51 --dim 6", 1, id="monotone-commuting-counterexample"),
     pytest.param("duality --f pp:1.5 --dim 6", 0, id="duality"),
     pytest.param("duality --f dual:branch:2 --dim 4", 0, id="duality-dual-of-a-mirror"),
 ])
@@ -235,14 +238,22 @@ _MUTANTS = [
                  id="no-puncture-test-on-minus-arm"),
     # check_relation stops after the GOE samples, with no commuting pairs
     pytest.param("cones.py",
-                 "    if report is None and _KINDS[F.kind].spectral and _KINDS[M.kind].spectral:\n",
+                 "    if report is None and diagonal:\n",
                  "    if False:\n",
-                 [f"{_CONES}test_a_commuting_counterexample_is_a_diagonal_pair[pp]",
-                  f"{_CONES}test_a_commuting_counterexample_is_a_diagonal_pair[branch]",
-                  f"{_CONES}test_check_relation_refutes_a_slightly_larger_pp_exponent[1.5-1.6-6]",
-                  f"{_CONES}test_only_spectral_kind_pairs_get_commuting_pairs",
-                  f"{_SOLVER}test_removability_rejects_branch_3_for_a_pp_2_polar"],
+                 [f"{_CONES}test_a_commuting_counterexample_is_a_diagonal_pair[{case}]"
+                  for case in ("pp", "pucci-pdelta", "branch")]
+                 + [f"{_CONES}test_check_relation_refutes_a_slightly_larger_pp_exponent[2.5-2.51-4]",
+                    f"{_CONES}test_only_spectral_kind_pairs_get_commuting_pairs"],
                  id="no-commuting-pass"),
+    # a spectral relation's diagonal A is sorted but not moved onto F's
+    # boundary: it is outside F, and true relations fail
+    pytest.param("cones.py",
+                 "            a, A = _onto_boundary(F, A), np.zeros((len(A), n, n))\n",
+                 "            a, A = np.sort(A, axis=-1), np.zeros((len(A), n, n))\n",
+                 [f"{_CONES}test_a_reported_counterexample_is_genuine",
+                  f"{_CONES}test_map_branches_are_partial_sum_monotone",
+                  f"{_CONES}test_check_relation_reports_a_failure_in_a_later_block"],
+                 id="diagonal-a-off-the-boundary"),
     # worker threads of a randomized check run outside the caller's context,
     # so under numpy's default np.errstate
     pytest.param("cones.py",

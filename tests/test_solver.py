@@ -1330,7 +1330,7 @@ def test_removability_rejects_uncertified_partial_sum(p, polar_p):
 
 def test_removability_rejects_branch_3_for_a_pp_2_polar():
     # branch:3 + pp:2 leaves branch:3 (diag(0, -10, -10) + diag(-1, 1, 1)); the
-    # gate's GOE samples miss it, a commuting pair does not
+    # gate's first pass, diag(a) and a GOE B, finds it at sample 1639 of 2000
     prob = problem_from_config({
         "operator": "branch",
         "k": 3,
@@ -1338,7 +1338,7 @@ def test_removability_rejects_branch_3_for_a_pp_2_polar():
         "boundary": {"expr": "x*x + y*y - z*z"},
     })
     with pytest.raises(DomainError, match=r"^branch:3 is not certified monotone for pp:2; "
-                                          r"counterexample at sample \d+ of the commuting pairs$"):
+                                          r"counterexample at sample 1639$"):
         removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=2.0)
 
 
