@@ -108,13 +108,8 @@ from typing import Optional
 import numpy as np
 
 from . import cones, grids, symmat
-from .cones import ConeSpec, SampleConfig
-from .errors import (
-    DiscretizationError,
-    DomainError,
-    StencilError,
-    UnsupportedPolarError,
-)
+from .cones import ConeSpec
+from .errors import DiscretizationError, DomainError, StencilError
 from .grids import GridFunction
 
 
@@ -944,11 +939,10 @@ PERTURBATION_EPS = (1e-2, 1e-3)
 GAP_CONSTANT = 5.0
 
 
-def _perturbation_checks(
-    u: GridFunction, problem: DirichletProblem, cone: ConeSpec, polar_p: float, eps_values
-) -> dict:
-    """Check ``u + eps * psi`` against ``cone`` for each eps, with psi the
-    polar of exponent ``polar_p`` on the problem's punctures E.
+def _perturbation_checks(u: GridFunction, problem: DirichletProblem, polar) -> dict:
+    """Check ``u + eps * psi`` against the problem's operator cone for each
+    eps in ``PERTURBATION_EPS``, with psi the values of ``polar``, a
+    ``riesz.PolarFunction`` of the problem's punctures E.
 
     Every unknown cell whose stencil avoids E is checked, each at its own
     tolerance c(x) (``grids.subharmonic_verify``): the polar's third
@@ -956,17 +950,14 @@ def _perturbation_checks(
     cells beside E, so a defect of u elsewhere is not absorbed.  Returns
     ``{eps: SubharmonicReport}``.
     """
-    from . import riesz  # the polar kernel loads for this experiment only
-    polar = riesz.build_polar(
-        [problem.origin + problem.h * np.asarray(pt) for pt in problem.punctures], polar_p
-    )
     coords = grids.grid_coordinates(problem.shape, problem.origin, problem.h)
     pts = np.stack([c.reshape(-1) for c in coords], axis=1)
     E = problem.puncture_mask()
     psi = GridFunction(polar.values(pts).reshape(problem.shape), problem.origin, problem.h, E)
+    cone = operator_cone(problem.operator, problem.ndim)
     region = problem.unknown_mask()
-    return {float(eps): grids.subharmonic_verify(grids.perturb(u, psi, eps), cone, region=region)
-            for eps in eps_values}
+    return {eps: grids.subharmonic_verify(grids.perturb(u, psi, eps), cone, region=region)
+            for eps in PERTURBATION_EPS}
 
 
 def removability_experiment(
@@ -988,10 +979,11 @@ def removability_experiment(
     off-puncture sup gap below ``GAP_CONSTANT * (h + tol)``, which must
     be finite, and every perturbation check clean.
 
-    The polar exponent must be at least 2 (no finite point set is polar
-    below that), and the operator's cone F must pass a randomized
-    certification of F + pp:polar_p in F, on 2,000 samples drawn with
-    seed 0; a partial-sum operator pp:p passes exactly when polar_p <= p.
+    The main theorem needs F + pp:q in F for the operator's cone F and
+    the polar exponent q = ``polar_p``, so only pp:p with 2 <= q <= p
+    runs: q below 2 is an UnsupportedPolarError (no finite point set is
+    polar below 2), q above p, not finite or above the dimension, and
+    every branch operator, a DomainError.  In 2-D that leaves pp:2.
     """
     if problem.punctures:
         raise DomainError("pass the puncture set separately, not in the problem")
@@ -1000,7 +992,6 @@ def removability_experiment(
         raise DomainError(
             f"gap threshold {GAP_CONSTANT:g} * (h + tol) must be finite, got {threshold}")
     kind, val = problem.operator
-    nd = problem.ndim
     idx_pts = _lattice_indices(punctures, problem.origin, problem.h)
     if not idx_pts:
         raise DomainError("the experiment needs at least one puncture point")
@@ -1008,20 +999,16 @@ def removability_experiment(
         if kind != "pp":
             raise DomainError("branch operators need an explicit polar exponent")
         polar_p = float(val)
-    if polar_p < 2.0:
-        raise UnsupportedPolarError(
-            f"removability experiments need a polar exponent >= 2, got {polar_p} "
-            "(no finite point set is polar below 2)"
-        )
-    cone = operator_cone(problem.operator, nd)
-    polar_cone = cones.pp_cone(polar_p, nd)
-    rep = cones.check_relation(cone, polar_cone, SampleConfig(seed=0, count=2000))
-    if not rep.passed:
-        family = "" if rep.family == "goe" else f" of the {rep.family} pairs"
+    from . import riesz  # the polar kernel loads for this experiment only
+    polar = riesz.build_polar([problem.origin + problem.h * np.asarray(pt) for pt in idx_pts],
+                              polar_p)
+    # pp:p is convex, so pp:p + pp:q lies in pp:p exactly when pp:q does,
+    # that is when q <= p.  No branch:k holds it: diag(-1, 1, ..., 1) lies in
+    # pp:2, inside pp:q, and moves lambda_k of a boundary matrix below 0
+    if kind != "pp" or polar_p > val:
         raise DomainError(
-            f"{cone.describe()} is not certified monotone for {polar_cone.describe()}; "
-            f"counterexample at sample {rep.failure_index}{family}"
-        )
+            f"{kind}:{val:g} + pp:{polar_p:g} is not in {kind}:{val:g}; a removability "
+            "experiment needs F + pp:q in F, which holds for F = pp:p with q <= p only")
 
     full = solve(problem, stencil=stencil, tol=tol)
     punctured_problem = problem.with_punctures(idx_pts)
@@ -1036,7 +1023,7 @@ def removability_experiment(
         np.max(np.abs(ext.extended.values[~off] - full.solution.values[~off]))
     )
 
-    reps = _perturbation_checks(punct.solution, punctured_problem, cone, polar_p, PERTURBATION_EPS)
+    reps = _perturbation_checks(punct.solution, punctured_problem, polar)
     checks = {eps: len(rep.violations) for eps, rep in reps.items()}
     passed = not any(checks.values()) and sup_gap <= threshold
     return RemovabilityReport(

@@ -236,6 +236,18 @@ _MUTANTS = [
                  [f"{_SOLVER}test_scheme_kernel_matches_loop_reference[{case}]"
                   for case in ("shape0-op0-3", "shape4-op4-3", "shape8-op8-2")],
                  id="no-puncture-test-on-minus-arm"),
+    # the removability rule refuses q = p, as if pp:p + pp:p left pp:p
+    pytest.param("solver.py", "polar_p > val", "polar_p >= val",
+                 ["tests/test_acceptance.py::test_criterion_7_removability",
+                  f"{_SOLVER}test_removability_rule_agrees_with_sampled_certification"],
+                 id="rule-refuses-q-equal-p"),
+    # the removability rule lets a branch operator through whenever k >= q
+    pytest.param("solver.py", '    if kind != "pp" or polar_p > val:\n',
+                 "    if polar_p > val:\n",
+                 [f"{_SOLVER}test_removability_rejects_uncertified_branch",
+                  f"{_SOLVER}test_removability_rejects_branch_3_for_a_pp_2_polar",
+                  "tests/test_cli.py::test_experiment_polar_exponent_exit_codes[branch-rule]"],
+                 id="rule-admits-branch"),
     # check_relation stops after the GOE samples, with no commuting pairs
     pytest.param("cones.py",
                  "    if report is None and diagonal:\n",

@@ -220,7 +220,7 @@ def test_criterion_4_monotonicity_and_transitions():
                 if not rep.passed:
                     failures.append((n, p, k))
     # controls it must reject: pp:p + pp:q leaves pp:p for q > p, near the
-    # threshold, and branch:3 + pp:2 leaves branch:3 (at the removability gate's draw)
+    # threshold, and branch:3 + pp:2 leaves branch:3 (at 2,000 samples, seed 0)
     controls = [(pp_cone(p, n), pp_cone(q, n), SampleConfig(seed=0, count=10_000))
                 for n in (3, 4, 6, 8, 12)
                 for p, q in ((1.5, 1.51), (1.5, 1.6), (2.0, 2.05), (2.5, 2.51), (2.5, 2.6))]
@@ -411,7 +411,8 @@ def test_criterion_7_removability():
         r2 = sum(c * c for c in grids.grid_coordinates(prob.shape, prob.origin, prob.h))
         u = rep.punctured.solution
         control = GridFunction(u.values - 3 * r2, u.origin, u.h, punct.puncture_mask())
-        checks = solver._perturbation_checks(control, punct, pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+        polar = riesz.build_polar([prob.origin + prob.h * np.array(pt)], 2.0)
+        checks = solver._perturbation_checks(control, punct, polar)
         flagged += [len(c.violations) / c.points_checked for c in checks.values()]
     ok = (
         rq.sup_gap <= 1e-6

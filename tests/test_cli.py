@@ -632,8 +632,54 @@ def test_experiment_rejects_uncertified_polar_exponent(tmp_path):
     assert code == 2 and err == ""
     error = json.loads(out)["error"]
     assert error["kind"] == "DomainError"
-    assert error["message"].startswith("pp:2.5 is not certified monotone for pp:3")
+    assert error["message"].startswith("pp:2.5 + pp:3 is not in pp:2.5; ")
     assert not (outdir / "solution_full.grid").exists()
+
+
+@pytest.mark.parametrize("overrides, polar_p, code, message", [
+    ({"operator": "branch", "k": 1}, None, 2, "branch operators need an explicit polar exponent"),
+    ({}, 1.5, 1, "polar functions need p >= 2"),
+    ({}, math.nan, 2, "p=nan out of range [1, 2]"),
+    ({}, math.inf, 2, "p=inf out of range [1, 2]"),
+    ({"operator": "pp", "p": 2, "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25}},
+     3.5, 2, "p=3.5 out of range [1, 3]"),
+    ({"operator": "branch", "k": 2}, 2, 2, "branch:2 + pp:2 is not in branch:2; "),
+], ids=["branch-no-polar", "below-2", "nan", "inf", "above-dim", "branch-rule"])
+def test_experiment_polar_exponent_exit_codes(tmp_path, monkeypatch, capsys, overrides, polar_p,
+                                              code, message):
+    # every refusal comes before any solve
+    _, prob = write_problem(tmp_path, grid={"shape": [9, 9], "origin": [-1, -1], "h": 0.25})
+    prob.update(overrides)
+    if prob["operator"] == "branch":
+        del prob["p"]
+    cfg = {"kind": "removability", "problem": prob, "puncture": [[0] * len(prob["grid"]["shape"])]}
+    if polar_p is not None:
+        cfg["polar_p"] = polar_p
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["experiment", "--config", "exp.json", "--output-dir", "o"]) == code
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith(message)
+    assert not (tmp_path / "o" / "solution_full.grid").exists()
+
+
+def test_experiment_output_does_not_depend_on_the_seed(tmp_path):
+    # the experiment draws nothing: only the seed echo moves
+    _, prob = write_problem(tmp_path, grid={"shape": [17, 17], "origin": [-1, -1], "h": 0.125})
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"kind": "removability", "problem": prob, "puncture": [[0.25, 0]]}))
+    outdir = tmp_path / "out"
+    runs = []
+    for seed in (0, 99):
+        code, out, err = run_cli("experiment", "--config", tmp_path / "exp.json",
+                                 "--output-dir", outdir, "--seed", seed)
+        assert code == 0 and err == ""
+        files = {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+        assert out.encode() == files["report.json"]
+        seed_line = f',\n  "seed": {seed}\n}}\n'.encode()
+        assert files["report.json"].endswith(seed_line)
+        files["report.json"] = files["report.json"][:-len(seed_line)]
+        runs.append(files)
+    assert len(runs[0]) == 5 and runs[1] == runs[0]
 
 
 def test_experiment_convergence_curves(tmp_path):

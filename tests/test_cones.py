@@ -889,7 +889,8 @@ def test_check_relation_refutes_a_larger_pp_exponent(p, q, index):
 
 
 def test_removability_gate_refutes_branch_3_for_a_pp_2_polar():
-    # removability_experiment's certification of F + pp:polar_p in F
+    # a check_relation control: F + pp:2 in F fails for F = branch:3, as the
+    # removability experiment's closed-form rule says, at 2,000 samples
     assert not check_relation(branch_cone(3, 3), pp_cone(2.0, 3), SampleConfig(seed=0, count=2000)).passed
 
 

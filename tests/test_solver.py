@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conecalc import cones, grids, solver
+from conecalc import cones, grids, riesz, solver
 from conecalc.errors import (
     DiscretizationError,
     DomainError,
@@ -1310,36 +1310,95 @@ def test_removability_rejects_uncertified_branch():
         "boundary": {"expr": "x*x - y*y"},
     }
     prob = problem_from_config(cfg)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^branch:2 \+ pp:2 is not in branch:2; "):
         removability_experiment(prob, [[0.25, 0.25]], polar_p=2.0)
 
 
 @pytest.mark.parametrize("p,polar_p", [(2, 2.5), (2, 3), (2.5, 3)])
 def test_removability_rejects_uncertified_partial_sum(p, polar_p):
     # pp:p + pp:q lies in pp:p only for q <= p, so a larger polar exponent
-    # fails the certification before any solve
+    # fails the rule before any solve
     prob = problem_from_config({
         "operator": "pp",
         "p": p,
         "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
         "boundary": {"expr": "x*x + y*y - z*z"},
     })
-    with pytest.raises(DomainError, match=f"pp:{p:g} is not certified monotone for pp:{polar_p}"):
+    with pytest.raises(DomainError, match=rf"^pp:{p:g} \+ pp:{polar_p:g} is not in pp:{p:g}; "):
         removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=polar_p)
 
 
 def test_removability_rejects_branch_3_for_a_pp_2_polar():
-    # branch:3 + pp:2 leaves branch:3 (diag(0, -10, -10) + diag(-1, 1, 1)); the
-    # gate's first pass, diag(a) and a GOE B, finds it at sample 1639 of 2000
+    # branch:3 + pp:2 leaves branch:3 (diag(0, -10, -10) + diag(-1, 1, 1))
     prob = problem_from_config({
         "operator": "branch",
         "k": 3,
         "grid": {"shape": [9, 9, 9], "origin": [-1, -1, -1], "h": 0.25},
         "boundary": {"expr": "x*x + y*y - z*z"},
     })
-    with pytest.raises(DomainError, match=r"^branch:3 is not certified monotone for pp:2; "
-                                          r"counterexample at sample 1639$"):
+    with pytest.raises(DomainError, match=r"^branch:3 \+ pp:2 is not in branch:3; a removability "
+                                          r"experiment needs F \+ pp:q in F, which holds for "
+                                          r"F = pp:p with q <= p only$"):
         removability_experiment(prob, [[0.0, 0.0, 0.0]], polar_p=2.0)
+
+
+class _Solved(Exception):
+    """Raised in place of a solve: the experiment got past its checks."""
+
+
+def _rule_admits(monkeypatch, op, q, n):
+    """Whether removability_experiment lets operator ``op`` run with polar
+    exponent q in dimension n: its solve is replaced by a raise."""
+    def solved(*args, **kwargs):
+        raise _Solved
+
+    monkeypatch.setattr(solver, "solve", solved)
+    kind, val = op
+    prob = problem_from_config({"operator": kind, ("p" if kind == "pp" else "k"): val,
+                                "grid": {"shape": [5] * n, "origin": [-1] * n, "h": 0.5},
+                                "boundary": {"expr": "x*x"}})
+    try:
+        removability_experiment(prob, [[0.0] * n], polar_p=q)
+    except _Solved:
+        return True
+    except DomainError as exc:
+        assert "needs F + pp:q in F" in str(exc)
+        return False
+    raise AssertionError("the experiment neither solved nor refused")
+
+
+def test_removability_rule_agrees_with_sampled_certification(monkeypatch):
+    # the reference: check_relation of F + pp:q in F on 10^4 samples, for
+    # every operator the solver accepts with a q the polar admits
+    ops2 = [("pp", 1 + 0.25 * i) for i in range(5)] + [("branch", 1), ("branch", 2)]
+    ops3 = [("pp", 1 + 0.25 * i) for i in range(9)] + [("branch", k) for k in (1, 2, 3)]
+    cases = [(op, 2.0, 2) for op in ops2]
+    cases += [(op, q, 3) for op in ops3 for q in (2.0, 2.01, 2.25, 2.5, 2.75, 3.0)]
+    disagree = []
+    for op, q, n in cases:
+        ref = cones.check_relation(solver.operator_cone(op, n), cones.pp_cone(q, n),
+                                   cones.SampleConfig(seed=0, count=10**4)).passed
+        if _rule_admits(monkeypatch, op, q, n) != ref:
+            disagree.append((op, q, n, ref))
+    assert len(cases) == 79 and disagree == []
+
+
+def test_removability_draws_nothing(monkeypatch):
+    # acceptance C7's quadratic case with the sampler and numpy's generator
+    # unavailable: the experiment decides F + pp:q in F in closed form
+    def drawn(*args, **kwargs):
+        raise AssertionError("the removability experiment drew a sample")
+
+    monkeypatch.setattr(cones, "check_relation", drawn)
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    prob = problem_from_config({
+        "operator": "pp",
+        "p": 2,
+        "grid": {"shape": [65, 65], "origin": [-1, -1], "h": 2 / 64},
+        "boundary": {"expr": "x*x - y*y"},
+    })
+    rep = removability_experiment(prob, [[0.0, 0.0]], tol=1e-10)
+    assert rep.passed and rep.sup_gap <= 1e-6
 
 
 def test_removability_quadratic_case():
@@ -1372,6 +1431,11 @@ def test_removability_checks_fixed_perturbations_against_a_fixed_gap_rule():
     assert rep.passed
 
 
+def _polar(prob, q):
+    """The polar of exponent q on prob's punctures, as the experiment builds it."""
+    return riesz.build_polar([prob.origin + prob.h * np.asarray(pt) for pt in prob.punctures], q)
+
+
 def _minus_three_r2(u, prob):
     """u - 3|x|^2, whose Laplacian is 12 below u's, masked on prob's punctures."""
     r2 = sum(c * c for c in grid_coordinates(prob.shape, prob.origin, prob.h))
@@ -1396,7 +1460,7 @@ def test_perturbation_check_rejects_a_superharmonic_control(n):
     u = from_function(prob.shape, prob.origin, prob.h, lambda x, y: x * x - y * y,
                       prob.puncture_mask())
     for v, least, most in ((u, 0, 0), (_minus_three_r2(u, prob), 0.99 * checked, checked)):
-        reps = solver._perturbation_checks(v, prob, cones.pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+        reps = solver._perturbation_checks(v, prob, _polar(prob, 2.0))
         assert set(reps) == {1e-2, 1e-3}
         for rep in reps.values():
             assert rep.points_checked == checked
@@ -1422,7 +1486,7 @@ def test_perturbation_check_rejects_a_superharmonic_control_on_the_kernel_annulu
     u = from_function(prob.shape, prob.origin, prob.h, lambda x, y: 0.5 * np.log(x * x + y * y),
                       prob.puncture_mask())
     for v, least, most in ((u, 0, 0), (_minus_three_r2(u, prob), 0.9 * checked, checked)):
-        reps = solver._perturbation_checks(v, prob, cones.pp_cone(2.0, 2), 2.0, (1e-2, 1e-3))
+        reps = solver._perturbation_checks(v, prob, _polar(prob, 2.0))
         for rep in reps.values():
             assert rep.points_checked == checked
             assert least <= len(rep.violations) <= most
@@ -1443,7 +1507,7 @@ def test_removability_3d_point():
     # unknowns but E and the 18 cells whose stencil reads it
     punct = prob.with_punctures([(8, 8, 8)])
     control = _minus_three_r2(rep.punctured.solution, punct)
-    reps = solver._perturbation_checks(control, punct, cones.pp_cone(2.5, 3), 2.5, (1e-2, 1e-3))
+    reps = solver._perturbation_checks(control, punct, _polar(punct, 2.5))
     for check in reps.values():
         assert len(check.violations) == check.points_checked == 15**3 - 19
 
