@@ -299,25 +299,15 @@ _EXPERIMENTS = {
 def _cmd_experiment(args) -> tuple:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
-        raise DomainError("experiment config must be a JSON object")
+        symmat.json_object(cfg, "experiment config")  # refuses it, naming the config
     kind = cfg.get("kind")
-    if kind not in _EXPERIMENTS:
+    if kind not in [*_EXPERIMENTS]:  # a list, not the dict: an unhashable kind is refused too
         raise DomainError(f"experiment kind must be removability/convergence, got {kind!r}")
     run, required, fields, criteria = _EXPERIMENTS[kind]
-    missing = [key for key in required if key not in cfg]
-    if missing:
-        raise DomainError(f"{kind} experiment config is missing {', '.join(missing)}")
-    crit = cfg.get("pass_criteria") or {}
-    if not isinstance(crit, dict):
-        raise DomainError(f"pass_criteria must be an object, got {crit!r}")
-    unknown = [key for key in cfg if key not in ("kind", "pass_criteria", *required, *fields)]
-    if unknown:
-        raise DomainError(f"{kind} experiment config has no field {unknown[0]!r} (problem "
-                          "keys such as stencil_reach belong in the problem object)")
-    unknown = [key for key in crit if key not in criteria]
-    if unknown:
-        raise DomainError(f"{kind} experiment has no pass criterion {unknown[0]!r} "
-                          f"(its criteria: {', '.join(criteria)})")
+    symmat.json_object(cfg, f"{kind} experiment config", ("kind", *required),
+                       ("pass_criteria", *(key for key in fields if key not in required)))
+    crit = symmat.json_object(cfg.get("pass_criteria", {}), f"{kind} experiment pass_criteria",
+                              optional=criteria)
     typed = {**fields, **criteria}
     for key, val in [*cfg.items(), *crit.items()]:
         if key in typed and not typed[key][0](val):

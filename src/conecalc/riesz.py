@@ -194,15 +194,17 @@ def potential_values(spec: RieszKernelSpec, mu: DiscreteMeasure, xs) -> np.ndarr
 def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
     """Termwise 2-jet of the potential at a finite x.
 
-    Returns the float ``-inf`` marker when x coincides with an atom and
-    p >= 2.  For p < 2 the value at an atom is finite but the jet is
-    undefined, so a PoleError (carrying that finite value) is raised.
+    Returns the float ``-inf`` marker when x coincides with an atom of
+    positive weight and p >= 2.  For p < 2 the value at such an atom is
+    finite but the jet is undefined, so a PoleError (carrying that finite
+    value) is raised.  An atom of weight 0 adds nothing, a pole included.
     """
     x = _finite_point(x)
     value = float(potential_values(spec, mu, x)[0])  # checks both dimensions
-    diffs = x[None, :] - mu.points
+    held = mu.weights > 0
+    diffs = x[None, :] - mu.points[held]
     r = _norm(diffs)
-    if r.min() <= NEAR_POLE:
+    if np.any(r <= NEAR_POLE):
         if spec.p >= 2.0:
             return float("-inf")
         raise PoleError(
@@ -211,7 +213,7 @@ def potential_jet(spec: RieszKernelSpec, mu: DiscreteMeasure, x):
         )
     e = diffs / r[:, None]
     c = spec.c_p
-    w = mu.weights
+    w = mu.weights[held]
     grad = np.add.reduce(w[:, None] * c * r[:, None] ** (1.0 - spec.p) * e, axis=0, initial=-0.0)
     outer = np.einsum("mi,mj->mij", e, e)
     hs = c * r[:, None, None] ** (-spec.p) * (

@@ -1122,6 +1122,8 @@ def evaluate_expression(expr: str, coords) -> np.ndarray:
     comparisons and calls to the whitelisted numpy functions; anything
     else raises DomainError.  Nothing in it is executed as Python code.
     """
+    if not isinstance(expr, str):
+        raise DomainError(f"boundary expr must be a string, got {expr!r}")
     names = {"pi": np.pi, "e": np.e}
     for name, arr in zip("xyz", coords):
         names[name] = arr
@@ -1133,16 +1135,11 @@ def evaluate_expression(expr: str, coords) -> np.ndarray:
             return np.broadcast_to(np.asarray(vals, dtype=float), coords[0].shape).copy()
     except DomainError:
         raise
+    except OverflowError:  # a float power such as 10**400; numpy overflows to inf instead
+        raise DomainError(f"boundary expression {expr!r} overflows float64") from None
     # the parser reports over-deep nesting as MemoryError
     except (SyntaxError, MemoryError, RecursionError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"boundary expression failed: {exc}") from exc
-
-
-def _refuse_unread(obj: dict, name: str, keys) -> None:
-    """Raise DomainError naming the first key of ``obj`` not in ``keys``."""
-    unknown = [key for key in obj if key not in keys]
-    if unknown:
-        raise DomainError(f"problem {name} has no key {unknown[0]!r} (its keys: {', '.join(keys)})")
 
 
 def _numbers(value, what: str, count: Optional[int] = None) -> np.ndarray:
@@ -1167,48 +1164,40 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
     Keys: ``operator`` ("pp"/"branch") with ``p`` or ``k``; ``grid`` with
     shape/origin/h; ``boundary`` with one of ``expr`` and ``grid_file``;
     optional ``hole`` box {min, max}, ``puncture`` point list and
-    ``stencil_reach``, which the caller reads (``make_stencil``).  Any
-    other key, at the top or in an object, is a DomainError.  ``p``, ``k``,
-    ``h`` and every coordinate must be JSON numbers, and ``shape`` whole
-    ones.
+    ``stencil_reach``, which the caller reads (``make_stencil``).  The
+    config, ``grid``, ``boundary`` and ``hole`` are JSON objects with no
+    other key (``symmat.json_object``), and a key that is present is
+    checked: ``null`` is not read as absent.  ``p``, ``k``, ``h`` and every
+    coordinate must be JSON numbers, and ``shape`` whole ones.
     """
-    try:
-        grid, op_kind, boundary = cfg["grid"], cfg["operator"], dict(cfg["boundary"])
-        shape, origin, h = grid["shape"], grid["origin"], grid["h"]
-        box = cfg.get("hole")
-        if box:
-            box = [box["min"], box["max"]]
-    except KeyError as exc:
-        raise DomainError(f"problem config is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed problem config: {exc}") from exc
-    if op_kind not in ("pp", "branch"):
-        raise DomainError(f"problem operator must be 'pp' or 'branch', got {op_kind!r}")
-    param = "p" if op_kind == "pp" else "k"
-    if param not in cfg:
-        raise DomainError(f"problem config is missing key {param!r}")
+    param = "k" if isinstance(cfg, dict) and cfg.get("operator") == "branch" else "p"
+    symmat.json_object(cfg, "problem config", ("operator", param, "grid", "boundary"),
+                       ("hole", "puncture", "stencil_reach"))
+    grid = symmat.json_object(cfg["grid"], "problem grid", ("shape", "origin", "h"))
+    boundary = symmat.json_object(cfg["boundary"], "problem boundary",
+                                  optional=("expr", "grid_file"))
+    if ("expr" in boundary) == ("grid_file" in boundary):
+        raise DomainError("boundary needs exactly one of 'expr' and 'grid_file'")
+    if cfg["operator"] not in ("pp", "branch"):
+        raise DomainError(f"problem operator must be 'pp' or 'branch', got {cfg['operator']!r}")
+    shape = grid["shape"]
     if not (isinstance(shape, list) and all(
             symmat.is_number(s) and (isinstance(s, int) or s.is_integer()) for s in shape)):
         raise DomainError(f"problem grid shape must be a list of whole numbers, got {shape!r}")
     shape, nd = tuple(int(s) for s in shape), len(shape)
-    origin, h = _numbers(origin, "grid origin", nd), float(_numbers(h, "grid spacing h"))
+    origin = _numbers(grid["origin"], "grid origin", nd)
+    h = float(_numbers(grid["h"], "grid spacing h"))
     _numbers(cfg[param], param)  # its range is the catalogue cone's check
-    if box:
-        box = [_numbers(bound, f"hole {key}", nd) for bound, key in zip(box, ("min", "max"))]
-    points = cfg.get("puncture") or []
+    box = None
+    if "hole" in cfg:
+        hole = symmat.json_object(cfg["hole"], "problem hole", ("min", "max"))
+        box = [_numbers(hole[key], f"hole {key}", nd) for key in ("min", "max")]
+    points = cfg.get("puncture", [])
     if not isinstance(points, list):
         raise DomainError(f"problem puncture must be a list of points, got {points!r}")
     points = [_numbers(pt, "puncture point", nd) for pt in points]
-    _refuse_unread(cfg, "config", ("operator", param, "grid", "boundary", "hole", "puncture",
-                                   "stencil_reach"))
-    _refuse_unread(grid, "grid", ("shape", "origin", "h"))
-    if box:
-        _refuse_unread(cfg["hole"], "hole", ("min", "max"))
-    _refuse_unread(boundary, "boundary", ("expr", "grid_file"))
-    if ("expr" in boundary) == ("grid_file" in boundary):
-        raise DomainError("boundary needs exactly one of 'expr' and 'grid_file'")
-    op = _normalize_op((op_kind, cfg[param]), nd)
-    _check_lattice(shape, origin, h)
+    _check_lattice(shape, origin, h)  # the dimension first, as DirichletProblem checks it
+    op = _normalize_op((cfg["operator"], cfg[param]), nd)
     punctures = _lattice_indices(points, origin, h)
     coords = grids.grid_coordinates(shape, origin, h)
     if "expr" in boundary:
@@ -1219,7 +1208,7 @@ def problem_from_config(cfg: dict) -> DirichletProblem:
             raise DomainError("boundary grid file does not match the problem grid")
         g = np.array(gf.values)
     hole = None
-    if box:
+    if box is not None:
         lo, hi = box
         hole = np.ones(shape, dtype=bool)
         for d in range(nd):

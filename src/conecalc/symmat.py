@@ -328,6 +328,22 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def json_object(value, what: str, required=(), optional=()) -> dict:
+    """``value`` if it is a JSON object holding every ``required`` key and no
+    key outside ``required`` and ``optional``; any other value, ``null``
+    among them, is a DomainError that names ``what`` and the first bad key."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} must be a JSON object, got {value!r}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise DomainError(f"{what} is missing key {missing[0]!r}")
+    keys = (*required, *optional)
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise DomainError(f"{what} has no key {unknown[0]!r} (its keys: {', '.join(keys)})")
+    return value
+
+
 def _check_path(path) -> None:
     # open() takes an integer as a file descriptor: 1 would close stdout
     if not isinstance(path, (str, os.PathLike)):

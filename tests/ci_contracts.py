@@ -178,6 +178,10 @@ _WAYS = {  # environment and CPU restriction of each run
 @pytest.mark.parametrize("argv", [
     pytest.param(["solve", "--problem", "../c6.json", "--tol", "1e-10", "--output-prefix", "c6"],
                  id="c6-129"),
+    # 63,936 unknowns: np.dot's last bits change with the BLAS thread
+    # count from about 16,000 entries
+    pytest.param(["solve", "--problem", "../c6-257.json", "--tol", "1e-10", "--output-prefix", "c6"],
+                 id="c6-257"),
     pytest.param(["solve", "--problem", "../minmax.json", "--tol", "1e-10",
                   "--output-prefix", "minmax"], id="minmax-13"),
     pytest.param(["experiment", "--config", "../c7.json", "--output-dir", "out"], id="c7"),
@@ -248,6 +252,17 @@ _MUTANTS = [
                   f"{_SOLVER}test_removability_rejects_branch_3_for_a_pp_2_polar",
                   "tests/test_cli.py::test_experiment_polar_exponent_exit_codes[branch-rule]"],
                  id="rule-admits-branch"),
+    # the stencil loses its (1, +-1[, +-1]) diagonal directions: the
+    # enumeration and its counts change, and the envelopes lose accuracy
+    pytest.param("solver.py",
+                 "    dirs = cube[(first > 0) & (np.gcd.reduce(cube, axis=1) == 1)]  # one per line\n",
+                 "    dirs = cube[(first > 0) & (np.gcd.reduce(cube, axis=1) == 1)\n"
+                 "                & ~np.all(np.abs(cube) == 1, axis=1)]\n",
+                 [f"{_SOLVER}test_default_2d_stencil",
+                  f"{_SOLVER}test_stencil_is_the_loop_enumeration[3-3]",
+                  f"{_SOLVER}test_extreme_branches_are_the_convex_and_concave_envelopes[2-33-1]",
+                  f"{_SOLVER}test_extreme_branches_are_the_convex_and_concave_envelopes[3-9-3]"],
+                 id="no-diagonal-directions"),
     # check_relation stops after the GOE samples, with no commuting pairs
     pytest.param("cones.py",
                  "    if report is None and diagonal:\n",
@@ -273,6 +288,13 @@ _MUTANTS = [
                  "    threads = [threading.Thread(target=scan)\n",
                  [f"{_CONES}test_every_block_runs_under_the_callers_errstate"],
                  id="no-context-copy"),
+    # a JSON value that is not an object reaches the key tests: null, false
+    # and 0 end in a TypeError, "" and [] pass as objects without keys
+    pytest.param("symmat.py", "    if not isinstance(value, dict):\n", "    if False:\n",
+                 [f"tests/test_cli.py::test_a_malformed_object_or_point_list_is_refused[{case}]"
+                  for case in ("solve-grid-null", "solve-hole-false", "experiment-config-null",
+                               "experiment-pass_criteria-0")],
+                 id="non-object-admitted"),
     # an unpickled matrix keeps the writable entries numpy gives it
     pytest.param("symmat.py",
                  "    def __setstate__(self, state):\n"

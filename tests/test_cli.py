@@ -437,6 +437,17 @@ def test_potential_at_an_atom_is_a_pole_report(tmp_path):
     assert "jet" not in rep
 
 
+def test_a_zero_weight_atom_at_x_is_no_pole_report(tmp_path):
+    # it adds nothing: the report is the potential of the other atom, once
+    # "pole": true with a null value
+    (tmp_path / "atoms.csv").write_text("0,0,0\n0.5,0,1\n")
+    code, rep = output_of("kernel", "--p", "2", "--dim", "2", "--x", "0,0",
+                          "--measure", tmp_path / "atoms.csv")
+    assert code == 0 and "pole" not in rep
+    assert rep["value"] == pytest.approx(np.log(0.5))
+    assert rep["jet"]["gradient"] == pytest.approx([-2.0, 0.0])
+
+
 def test_kernel_pole_is_math_failure():
     code, out, _ = run_cli("kernel", "--p", "3", "--dim", "3", "--x", "0,0,0")
     assert code == 1
@@ -873,21 +884,23 @@ _BAD_INPUT_FILES = {
        for name, value in _GRID_FILES.items()},
 }
 
-_NOT_READ = " (problem keys such as stencil_reach belong in the problem object)"
+# the keys an experiment config may hold, problem among them
+_REMOVABILITY = " (its keys: kind, problem, puncture, pass_criteria, tol, polar_p)"
+_CONVERGENCE = " (its keys: kind, problem, resolutions, pass_criteria, tol)"
 _FAR_PUNCTURE = ("puncture point [1e+308, 0.0] is finite, but its lattice index (x - origin) / h "
                  "overflows")
 # input file or argument -> the message its error report carries
 _INPUT_MESSAGES = {
-    "noproblem.json": "removability experiment config is missing problem",
+    "noproblem.json": "removability experiment config is missing key 'problem'",
     "expreach.json": "stencil reach must be an integer in [1, 5], got 2.5",
-    "expreachtop.json": "convergence experiment config has no field 'stencil_reach'" + _NOT_READ,
-    "expotherfield.json": "convergence experiment config has no field 'puncture'" + _NOT_READ,
-    "expothercrit.json": "removability experiment has no pass criterion 'max_rel_error' "
-                         "(its criteria: sup_gap, masked_gap)",
-    "expmisspelt.json": "convergence experiment has no pass criterion 'max_rel_err' "
-                        "(its criteria: monotone_decreasing, max_rel_error)",
-    "expeps.json": "removability experiment config has no field 'eps'" + _NOT_READ,
-    "expgap.json": "removability experiment config has no field 'gap_constant'" + _NOT_READ,
+    "expreachtop.json": "convergence experiment config has no key 'stencil_reach'" + _CONVERGENCE,
+    "expotherfield.json": "convergence experiment config has no key 'puncture'" + _CONVERGENCE,
+    "expothercrit.json": "removability experiment pass_criteria has no key 'max_rel_error' "
+                         "(its keys: sup_gap, masked_gap)",
+    "expmisspelt.json": "convergence experiment pass_criteria has no key 'max_rel_err' "
+                        "(its keys: monotone_decreasing, max_rel_error)",
+    "expeps.json": "removability experiment config has no key 'eps'" + _REMOVABILITY,
+    "expgap.json": "removability experiment config has no key 'gap_constant'" + _REMOVABILITY,
     "expsolve.json": "experiment kind must be removability/convergence, got 'solve'",
     "expgapinf.json": "gap threshold 5 * (h + tol) must be finite, got inf",
     "tol.json": "experiment field 'tol' must be a number, got 'x'",
@@ -1254,6 +1267,9 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     assert proc.stderr == ""
 
 
+_ABSENT = object()  # a change that drops the key
+
+
 @pytest.mark.parametrize("change, message", [
     pytest.param({"stencil_rech": 1}, "problem config has no key 'stencil_rech'", id="top"),
     pytest.param({"hol": {"min": [0, 0], "max": [0.25, 0.25]}}, "problem config has no key 'hol'",
@@ -1274,8 +1290,8 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
     # numbers are JSON numbers: true ran pp:1 and branch:1, "0.25" was read as
     # 0.25, a 9.7 in the shape as 9 and a puncture at [true, 0] as x = 1
     pytest.param({"p": True}, "problem p must be a number, got True", id="p-bool"),
-    pytest.param({"operator": "branch", "k": True}, "problem k must be a number, got True",
-                 id="k-bool"),
+    pytest.param({"operator": "branch", "k": True, "p": _ABSENT},
+                 "problem k must be a number, got True", id="k-bool"),
     pytest.param({"grid": dict(_GOOD_PROBLEM["grid"], shape=[9.7, 9])},
                  "problem grid shape must be a list of whole numbers, got [9.7, 9]",
                  id="shape-fraction"),
@@ -1293,12 +1309,19 @@ def test_usage_errors_leave_stderr_empty(tmp_path, argv):
                  id="puncture-bool"),
     pytest.param({"operator": "foo"}, "problem operator must be 'pp' or 'branch', got 'foo'",
                  id="operator-unknown"),
+    # these named Python's error, not the input
+    pytest.param({"boundary": {"expr": 5}}, "boundary expr must be a string, got 5",
+                 id="expr-number"),
+    pytest.param({"boundary": {"expr": "10**400"}},
+                 "boundary expression '10**400' overflows float64", id="expr-overflows"),
+    pytest.param({"p": 1.5, "grid": {"shape": [9], "origin": [-1], "h": 0.25}},
+                 "solver supports 2-D and 3-D grids, got 1-D", id="grid-1d"),
 ])
 @pytest.mark.parametrize("command", ["solve", "experiment"])
 def test_problem_key_nothing_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, change,
                                                     message, command):
     write_grid(tmp_path / "u.grid", from_function((9, 9), [-1, -1], 0.25, lambda x, y: x * x))
-    problem = dict(_GOOD_PROBLEM, **change)
+    problem = {key: val for key, val in dict(_GOOD_PROBLEM, **change).items() if val is not _ABSENT}
     (tmp_path / "problem.json").write_text(json.dumps(problem))
     (tmp_path / "exp.json").write_text(
         json.dumps({"kind": "removability", "problem": problem, "puncture": [[0, 0]]}))
@@ -1311,6 +1334,68 @@ def test_problem_key_nothing_reads_is_a_usage_error(tmp_path, monkeypatch, capsy
     schema.validate_report(rep)
     assert rep["error"]["kind"] == "DomainError"
     assert rep["error"]["message"].startswith(message)
+    assert err == ""
+
+
+# every JSON value but an object, and every one but a list: null is refused,
+# not read as absent.  Falsy ones, {} for a puncture and a list of pairs for
+# a boundary were once read as no hole, no puncture, no criteria or an object
+_NON_OBJECTS = {"null": None, "false": False, "0": 0, "empty-text": "", "text": "x*x",
+                "empty-list": [], "pairs": [["expr", "x*x - y*y"]]}
+_NON_LISTS = {"null": None, "false": False, "0": 0, "empty-text": "", "empty-object": {}}
+_REQUIRED = {"empty-object": {}}  # for an object with required keys
+_EXPERIMENT = {"kind": "removability", "problem": _GOOD_PROBLEM, "puncture": [[0, 0]]}
+
+
+def _with(cfg, path, value):
+    """A copy of ``cfg`` whose key at ``path`` holds ``value``."""
+    if not path:
+        return value
+    return dict(cfg, **{path[0]: _with(cfg.get(path[0], {}), path[1:], value)})
+
+
+@pytest.mark.parametrize("command, path, value, named", [
+    pytest.param(command, root + key, value, named, id=f"{command}-{(key or ['problem'])[0]}-{name}")
+    for command, root in (("solve", ()), ("experiment", ("problem",)))
+    for key, values, named in (
+        ((), {**_NON_OBJECTS, **_REQUIRED}, "problem config"),
+        (("grid",), {**_NON_OBJECTS, **_REQUIRED}, "grid"),
+        (("boundary",), _NON_OBJECTS, "boundary"),
+        (("hole",), {**_NON_OBJECTS, **_REQUIRED}, "hole"),
+        (("puncture",), _NON_LISTS, "puncture"),
+    )
+    for name, value in values.items()
+    if root + key != ("problem", "puncture")  # an experiment's puncture is its own, below
+] + [
+    pytest.param("experiment", path, value, named, id=f"experiment-{label}-{name}")
+    for path, label, values, named in (
+        ((), "config", _NON_OBJECTS, "experiment config"),
+        ((), "config", _REQUIRED, "experiment kind"),
+        (("pass_criteria",), "pass_criteria", _NON_OBJECTS, "pass_criteria"),
+        (("puncture",), "puncture", _NON_LISTS, "puncture"),
+    )
+    for name, value in values.items()
+] + [
+    # a kind that cannot be a dict key once ended in a TypeError traceback
+    pytest.param("experiment", ("kind",), ["removability"], "experiment kind",
+                 id="experiment-kind-list"),
+])
+def test_a_malformed_object_or_point_list_is_refused(tmp_path, monkeypatch, capsys, command, path,
+                                                     value, named):
+    if command == "solve":
+        cfg = _with(_GOOD_PROBLEM, path, value)
+        argv = ["solve", "--problem", "cfg.json"]
+    else:
+        cfg = _with(_EXPERIMENT, path, value)
+        argv = ["experiment", "--config", "cfg.json", "--output-dir", "out"]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    rep = json.loads(out)  # one report
+    schema.validate_report(rep)
+    assert rep["error"]["kind"] == "DomainError"
+    assert named in rep["error"]["message"]
     assert err == ""
 
 

@@ -222,6 +222,18 @@ def test_potential_on_atom():
         potential_jet(low, mu, np.zeros(3))
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_zero_weight_atom_is_not_a_pole(p):
+    # the atom at x adds nothing to the potential, so nothing to its jet:
+    # this once returned the pole marker at p >= 2 and raised at p < 2
+    spec, x = RieszKernelSpec(p, 3), np.zeros(3)
+    held = DiscreteMeasure(np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]), np.array([0.0, 1.0]))
+    without = DiscreteMeasure(np.array([[0.5, 0.0, 0.0]]), np.ones(1))
+    jet = potential_jet(spec, held, x)
+    assert jet.to_dict() == potential_jet(spec, without, x).to_dict()
+    assert jet.value == potential_values(spec, held, x)[0]
+
+
 def test_potential_near_pole_guard():
     spec = RieszKernelSpec(2.0, 2)
     mu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
